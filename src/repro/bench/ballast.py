@@ -6,10 +6,18 @@ OS we do that by allocating anonymous memory and **dirtying every page**
 *present* pages).  numpy gives us a compact way to fault in gigabytes
 without Python-object overhead; writing one byte per 4 KiB stride
 dirties each page at minimal cost.
+
+The pages must be 4 KiB ones: numpy ``madvise``s its large allocations
+``MADV_HUGEPAGE``, and whenever the kernel had huge pages to give, a
+384 MiB ballast became ~200 page-table entries and fork read *flat* in
+the parent's size (the calibration test failed on exactly those runs).
+So the ballast is an anonymous mapping of its own, advised
+``MADV_NOHUGEPAGE``.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 from typing import List, Optional
 
@@ -48,7 +56,12 @@ class Ballast:
         chunk_limit = 1 << 30
         while remaining > 0:
             size = min(remaining, chunk_limit)
-            chunk = numpy.zeros(size, dtype=numpy.uint8)
+            # Private: fork skips the page tables of a shared mapping.
+            region = mmap.mmap(-1, size,
+                               flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            if hasattr(mmap, "MADV_NOHUGEPAGE"):
+                region.madvise(mmap.MADV_NOHUGEPAGE)
+            chunk = numpy.frombuffer(region, dtype=numpy.uint8)
             # Touch one byte per page: every page becomes dirty and
             # resident without writing the full gigabyte.
             chunk[::PAGE] = 1
@@ -59,7 +72,7 @@ class Ballast:
         return self
 
     def release(self) -> None:
-        """Drop the memory (the arrays go back to the allocator)."""
+        """Drop the memory (each array's mapping is unmapped with it)."""
         self._chunks = []
 
     def __enter__(self) -> "Ballast":

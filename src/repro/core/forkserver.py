@@ -21,6 +21,12 @@ so concurrent callers never wait on each other's round-trips — the
 property a spawn *service* needs to sustain traffic.  ``pipelined=False``
 recreates the historical one-lock-per-roundtrip behaviour, kept as the
 measured baseline for the ``t5-throughput`` experiment.
+
+One child costs **one** round trip and the helper never forks itself on
+the hot path: it launches with ``posix_spawn`` (the paper's advice,
+applied to our own helper) and *pushes* an exit notice the moment it
+reaps a child, so ``wait()`` is an event wait on the pid's slot and
+``poll()`` a dictionary lookup — there is no wait request on the wire.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import array
 import json
 import os
+import select
 import signal
 import socket
 import struct
@@ -55,11 +62,13 @@ _SCM_MAX_FD = 253
 #: parent's.
 #:
 #: The helper is an event loop, never a blocker: it selects on the
-#: control socket plus a SIGCHLD wakeup pipe, so a "wait" for a running
-#: child PARKS until the exit actually happens and the reply goes out
-#: the moment the kernel delivers SIGCHLD — while spawns for other
-#: clients keep flowing.  A blocking waitpid here would stall every
-#: in-flight request behind one caller's child.
+#: control socket plus a SIGCHLD wakeup pipe, and the moment the kernel
+#: delivers SIGCHLD it reaps the zombie and PUSHES an unsolicited
+#: ``{"exit": pid, "status": s}`` frame to the client.  Reaping costs the
+#: client no request at all — one child is one wire round trip (its
+#: spawn) — and spawns for other callers keep flowing meanwhile: a
+#: blocking waitpid here would stall every in-flight request behind one
+#: caller's child.
 _SERVER_SOURCE = r"""
 import array, json, os, select, signal, socket, struct, sys, time
 
@@ -126,9 +135,6 @@ os.set_blocking(wwake, False)
 signal.signal(signal.SIGCHLD, lambda signum, frame: None)
 signal.set_wakeup_fd(wwake)
 
-statuses = {}  # pid -> status: exited, not yet reported to the client
-parked = {}    # pid -> [request id, ...]: blocking waits awaiting exit
-
 #<EXT:GLOBALS>  (specialised helpers splice extra state/functions here)
 
 def recv_exact(n):
@@ -141,9 +147,13 @@ def recv_exact(n):
     return buf
 
 def recv_request():
+    # Grants arrive close-on-exec: only the dup2'd 0-2 survive a child's
+    # exec, so no child inherits a batch sibling's (or any later
+    # request's) stdio by accident — fork leaks by default, we must not.
     fds = array.array("i")
     msg, ancdata, flags, addr = sock.recvmsg(
-        LEN.size, socket.CMSG_LEN(253 * array.array("i").itemsize))
+        LEN.size, socket.CMSG_LEN(253 * fds.itemsize),
+        socket.MSG_CMSG_CLOEXEC)
     if not msg:
         raise SystemExit(0)
     for level, ctype, data in ancdata:
@@ -172,50 +182,81 @@ def send_reply(rid, obj):
     body = json.dumps(obj).encode()
     sock.sendall(LEN.pack(len(body)) + body)
 
-def reap():
-    # Collect every zombie; answer parked waits; never block.
+def reap(push=True):
+    # Collect every zombie and push each exit to the client at once, all
+    # in one write; never block.  The client files a notice under the
+    # pid (or drops it: parked template stock nobody leased).
     delay = fault("delay_sigchld")
     if delay:
         time.sleep(delay)
+    frames = []
     while True:
         try:
             pid, status = os.waitpid(-1, os.WNOHANG)
         except ChildProcessError:
-            return
+            break
         if pid == 0:
-            return
-        waiters = parked.pop(pid, None)
-        if waiters:
-            for rid in waiters:
-                send_reply(rid, {"status": status})
-        else:
-            statuses[pid] = status
+            break
+        body = b'{"exit":%d,"status":%d}' % (pid, status)
+        frames.append(LEN.pack(len(body)) + body)
+    if frames and push:
+        try:
+            sock.sendall(b"".join(frames))
+        except OSError:
+            raise SystemExit(0)  # the client is gone: nobody left to tell
+
+def which(name, env):
+    # What execvpe did for a bare name: first executable hit on the
+    # REQUEST's PATH when it replaces the environment, ours otherwise.
+    # None sends the request down the fork path, which fails the way it
+    # always has (the child exits 127).
+    if "/" in name:
+        return name
+    path = (env if env is not None else os.environ).get("PATH", os.defpath)
+    for entry in path.split(os.pathsep):
+        candidate = os.path.join(entry, name)
+        if os.access(candidate, os.X_OK) and not os.path.isdir(candidate):
+            return candidate
+    return None
 
 def spawn_one(req, grant):
-    # fork+exec one request whose stdio triple is ``grant``; closes the
-    # granted fds on the helper side.  Raises OSError if the fork itself
-    # fails (EAGAIN under pid pressure) with the grant still open — the
-    # caller owns cleanup so a batch can account for every member.
-    pid = os.fork()
-    t_fork = time.monotonic_ns()
-    if pid == 0:
+    # Launch one request whose stdio triple is ``grant`` and close the
+    # grant on our side.  posix_spawn with dup2 file actions: no fork of
+    # this interpreter, and the reply leaves after the child's exec.
+    # fork -> chdir -> exec survives for the one thing posix_spawn cannot
+    # express (cwd) and as the fallback for a failed spawn, so a missing
+    # binary is still a child that exits 127.  Raises OSError with the
+    # grant still open if even the fork fails (EAGAIN under pid
+    # pressure) — the caller owns cleanup so a batch can account for
+    # every member.
+    argv = req["argv"]
+    env = req.get("env")
+    pid = 0
+    path = None if req.get("cwd") else which(argv[0], env)
+    if path is not None:
         try:
-            for target, fd in enumerate(grant):  # stdio triple
-                os.dup2(fd, target)
-            for fd in grant:
-                if fd > 2:
-                    os.close(fd)
-            if req.get("cwd"):
-                os.chdir(req["cwd"])
-            env = req.get("env")
-            argv = req["argv"]
-            os.execvpe(argv[0], argv,
-                       env if env is not None else os.environ)
-        except BaseException:
-            os._exit(127)
+            pid = os.posix_spawn(
+                path, argv, env if env is not None else os.environ,
+                file_actions=[(os.POSIX_SPAWN_DUP2, fd, target)
+                              for target, fd in enumerate(grant)])
+        except OSError:
+            pass
+    if not pid:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                for target, fd in enumerate(grant):  # stdio triple
+                    os.dup2(fd, target)
+                if req.get("cwd"):
+                    os.chdir(req["cwd"])
+                os.execvpe(argv[0], argv,
+                           env if env is not None else os.environ)
+            except BaseException:
+                os._exit(127)
+    t_spawn = time.monotonic_ns()
     for fd in grant:
         os.close(fd)
-    return pid, t_fork
+    return pid, t_spawn
 
 running = True
 while running:
@@ -255,12 +296,12 @@ while running:
             send_reply(rid, {"error":
                              "EACCES: exec refused (injected fault)"})
         else:
-            pid, t_fork = spawn_one(request, fds)
+            pid, t_spawn = spawn_one(request, fds)
             # The client's trace id rides next to the correlation id;
-            # echo it with our fork timestamp (CLOCK_MONOTONIC is
-            # system-wide on Linux, so the client can splice it into
-            # its own timeline).
-            reply = {"pid": pid, "t_fork_ns": t_fork}
+            # echo it with our spawned-at timestamp (exec done on the
+            # posix_spawn path; CLOCK_MONOTONIC is system-wide on Linux,
+            # so the client can splice it into its own timeline).
+            reply = {"pid": pid, "t_fork_ns": t_spawn}
             if request.get("trace") is not None:
                 reply["trace"] = request["trace"]
             send_reply(rid, reply)
@@ -292,7 +333,7 @@ while running:
                 grant = fds[offset:offset + nfds]
                 offset += nfds
                 try:
-                    pid, t_fork = spawn_one(req, grant)
+                    pid, t_spawn = spawn_one(req, grant)
                 except OSError as exc:
                     error = ("EAGAIN: batch member %d failed to fork: %s"
                              % (len(results), exc))
@@ -302,12 +343,13 @@ while running:
                         except OSError:
                             pass
                     break
-                results.append({"pid": pid, "t_fork_ns": t_fork})
+                results.append({"pid": pid, "t_fork_ns": t_spawn})
             if error is not None:
                 # Undo the partial batch: no silent survivors.  These
-                # pids were forked moments ago and nothing has waited on
+                # pids were spawned moments ago and nothing has waited on
                 # them (reap() only runs between loop iterations), so
-                # kill+waitpid here is race-free.
+                # kill+waitpid here is race-free — and no exit notice
+                # goes out for a pid the client was never told about.
                 for res in results:
                     try:
                         os.kill(res["pid"], signal.SIGKILL)
@@ -321,40 +363,43 @@ while running:
                 send_reply(rid, {"error": error})
             else:
                 send_reply(rid, {"results": results})
-    elif op == "wait":
-        pid = request["pid"]
-        if pid in statuses:
-            send_reply(rid, {"status": statuses.pop(pid)})
-            continue
-        try:
-            reaped, status = os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            send_reply(rid, {"error": "ECHILD"})
-            continue
-        if reaped:
-            send_reply(rid, {"status": status})
-        elif request["block"]:
-            parked.setdefault(pid, []).append(rid)
-        else:
-            send_reply(rid, {"status": None})
     #<EXT:OPS>  (specialised helpers splice extra elif branches here)
     else:
         send_reply(rid, {"error": "bad op"})
 #<EXT:SHUTDOWN>  (specialised helpers splice teardown here)
 # Shutdown: sweep whatever already exited so no zombie outlives the
 # service by our hand; still-running children are init's from here.
-reap()
+# Nothing is pushed: the client has hung up.
+reap(push=False)
 """
 
 
 class _Pending:
-    """One in-flight request's future: an event plus its eventual reply."""
+    """One in-flight request's future: an event plus its eventual reply.
 
-    __slots__ = ("event", "reply")
+    ``children`` marks a request whose reply hands pids to a caller
+    (spawn, batch, lease): whoever routes the reply opens an exit slot
+    per pid *before* reading the next frame, so a pushed exit can never
+    overtake its own registration.
+    """
 
-    def __init__(self):
+    __slots__ = ("event", "reply", "children")
+
+    def __init__(self, children: bool = False):
         self.event = threading.Event()
         self.reply: Optional[dict] = None
+        self.children = children
+
+
+class _Exit:
+    """One handed-out child's exit slot: the raw status once the helper
+    has pushed it, and an event if a caller is blocked waiting for it."""
+
+    __slots__ = ("status", "event")
+
+    def __init__(self):
+        self.status: Optional[int] = None
+        self.event: Optional[threading.Event] = None
 
 
 class SpawnRequest:
@@ -426,6 +471,10 @@ class ForkServer:
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._pending: Dict[int, _Pending] = {}
+        # pid -> slot for every child handed to a caller and not yet
+        # reaped by it; exit notices for any other pid are dropped.
+        self._exits: Dict[int, _Exit] = {}
+        self._waiting = 0  # callers blocked in _reap right now
         self._next_id = 0
         self._reader: Optional[threading.Thread] = None
         self._dead: Optional[str] = None  # why the channel died, once it has
@@ -460,9 +509,9 @@ class ForkServer:
 
     @property
     def in_flight(self) -> int:
-        """Requests awaiting replies right now (pipelined mode only)."""
+        """Requests awaiting replies plus callers blocked in ``wait()``."""
         with self._state_lock:
-            return len(self._pending)
+            return len(self._pending) + self._waiting
 
     @classmethod
     def _server_source(cls) -> str:
@@ -663,28 +712,54 @@ class ForkServer:
         return json.loads(body)
 
     def _read_replies(self, sock: socket.socket) -> None:
-        """Reader-thread loop: route each reply to its waiting future."""
+        """Reader-thread loop: route every incoming frame."""
         while True:
             try:
-                reply = self._recv(sock)
+                frame = self._recv(sock)
             except Exception as exc:
                 self._fail_pending(str(exc) or type(exc).__name__)
                 return
-            with self._state_lock:
-                pending = self._pending.pop(reply.get("id"), None)
-            if pending is not None:
-                pending.reply = reply
-                pending.event.set()
+            self._route(frame)
+
+    def _route(self, frame: dict) -> None:
+        """File one incoming frame: a reply resolves its request's
+        future (opening exit slots for the pids it hands out), an exit
+        notice fills its pid's slot and wakes whoever waits on it.  A
+        notice for a pid no caller was given — parked template stock —
+        is dropped, not stored."""
+        with self._state_lock:
+            if "exit" in frame:
+                slot = self._exits.get(frame["exit"])
+                if slot is None:
+                    return
+                slot.status = frame["status"]
+                event = slot.event
+            else:
+                pending = self._pending.pop(frame.get("id"), None)
+                if pending is None:
+                    return
+                if pending.children:
+                    for result in frame.get("results") or (frame,):
+                        if "pid" in result:
+                            self._exits[result["pid"]] = _Exit()
+                pending.reply = frame
+                event = pending.event
+        if event is not None:
+            event.set()
 
     def _fail_pending(self, why: str) -> None:
-        """Mark the channel dead and wake every stranded caller."""
+        """Mark the channel dead and wake every stranded caller —
+        requests awaiting replies and waiters awaiting exits alike."""
         with self._state_lock:
             if self._dead is None:
                 self._dead = why
-            stranded = list(self._pending.values())
+            events = [pending.event for pending in self._pending.values()]
+            events += [slot.event for slot in self._exits.values()
+                       if slot.event is not None]
             self._pending.clear()
-        for pending in stranded:
-            pending.event.set()
+            self._exits.clear()
+        for event in events:
+            event.set()
 
     @staticmethod
     def _encode(obj: dict, rid: int) -> bytes:
@@ -695,12 +770,13 @@ class ForkServer:
                    trace=NULL_TRACE,
                    timeout: Optional[float] = None,
                    encode: Optional[Callable[[dict, int], bytes]] = None,
-                   ) -> dict:
+                   children: bool = False) -> dict:
         """One request/reply exchange, optionally under a deadline.
 
         ``encode`` builds the frame body given (obj, correlation id);
         the frame cache passes a splicer here so repeat shapes skip the
-        JSON encode entirely.
+        JSON encode entirely.  ``children`` says the reply hands out
+        pids whose pushed exits must be kept (see :class:`_Pending`).
 
         A ``timeout`` expiry POISONS the channel: the helper may be
         wedged mid-frame or mid-read, so no later frame can be trusted
@@ -714,18 +790,17 @@ class ForkServer:
             encode = self._encode
         if not self._pipelined:
             return self._roundtrip_locked(sock, obj, fds, trace, timeout,
-                                          encode)
+                                          encode, children)
         with self._state_lock:
             if self._dead is not None:
                 raise SpawnError(f"forkserver channel is dead: {self._dead}")
             rid = self._next_id
             self._next_id += 1
-            pending = _Pending()
+            pending = _Pending(children)
             self._pending[rid] = pending
         try:
-            body = encode(obj, rid)
-            with self._send_lock:
-                self._send(sock, body, fds, op=obj.get("op"))
+            self._send_request(sock, encode(obj, rid), fds, obj.get("op"),
+                               self._send_lock)
             trace.stage("framed", request_id=rid)
         except OSError as exc:
             with self._state_lock:
@@ -736,8 +811,6 @@ class ForkServer:
             with self._state_lock:
                 self._pending.pop(rid, None)
             raise
-        FAULTS.fire("forkserver.request", helper_pid=self._pid,
-                    op=obj.get("op"))
         if not pending.event.wait(timeout):
             with self._state_lock:
                 self._pending.pop(rid, None)
@@ -750,13 +823,58 @@ class ForkServer:
                 f"forkserver died before replying: {self._dead}")
         return pending.reply
 
+    def _send_request(self, sock: socket.socket, body: bytes,
+                      fds: Sequence[int], op: Optional[str],
+                      lock: Optional[threading.Lock] = None) -> None:
+        """Put one request on the wire (under ``lock`` when given), with
+        the ``forkserver.request`` fault point around the send.
+
+        ``kill_helper`` is the mid-request crash: frame on the wire, no
+        reply.  Killing *after* the send raced the helper's answer — a
+        fast helper replied before the SIGKILL landed — so the injector
+        stops the helper before the frame leaves (``freeze``) and the
+        kill follows the send: sent, and provably never answered.
+        """
+        helper = self._pid
+        fault = FAULTS.fire("forkserver.request", helper_pid=helper,
+                            op=op, freeze=True)
+        try:
+            if lock is None:
+                self._send(sock, body, fds, op=op)
+            else:
+                with lock:
+                    self._send(sock, body, fds, op=op)
+        finally:
+            if fault is not None and fault.kind == "kill_helper" and helper:
+                try:
+                    os.kill(helper, signal.SIGKILL)
+                except (ProcessLookupError, PermissionError):
+                    pass
+
+    def _pump(self, sock: socket.socket, event: threading.Event,
+              deadline: Optional[float]) -> None:
+        """Locked mode has no reader thread: whoever holds the
+        round-trip lock reads and routes frames itself until ``event``
+        (its own reply, or its child's exit notice) is set or the
+        ``time.monotonic()`` ``deadline`` passes — one already past
+        takes only what has arrived."""
+        while not event.is_set():
+            if deadline is not None:
+                remaining = max(0.0, deadline - time.monotonic())
+                if not select.select([sock], [], [], remaining)[0]:
+                    return
+            self._route(self._recv(sock))
+
     def _roundtrip_locked(self, sock: socket.socket, obj: dict,
                           fds: Sequence[int], trace,
                           timeout: Optional[float],
-                          encode: Callable[[dict, int], bytes]) -> dict:
+                          encode: Callable[[dict, int], bytes],
+                          children: bool) -> dict:
         """Historical baseline: one global lock around the round-trip —
         every caller waits for every other caller.  A ``timeout``
-        bounds each phase (lock acquisition, then the reply read)."""
+        bounds each phase (lock acquisition, then the reply read).
+        Exit notices that arrive ahead of the reply are filed on the
+        way, exactly as the reader thread would."""
         if timeout is not None:
             if not self._send_lock.acquire(timeout=timeout):
                 # Never touched the wire: the channel itself is fine,
@@ -766,42 +884,40 @@ class ForkServer:
                     f"{timeout}s (deadline exceeded while queued)")
         else:
             self._send_lock.acquire()
+        pending = _Pending(children)
         try:
-            rid = self._next_id
-            self._next_id += 1
+            with self._state_lock:
+                rid = self._next_id
+                self._next_id += 1
+                self._pending[rid] = pending
             try:
-                self._send(sock, encode(obj, rid), fds, op=obj.get("op"))
+                self._send_request(sock, encode(obj, rid), fds,
+                                   obj.get("op"))
                 trace.stage("framed", request_id=rid)
-                FAULTS.fire("forkserver.request", helper_pid=self._pid,
-                            op=obj.get("op"))
-                if timeout is not None:
-                    sock.settimeout(timeout)
-                try:
-                    reply = self._recv(sock)
-                finally:
-                    if timeout is not None:
-                        sock.settimeout(None)
-            except (socket.timeout, TimeoutError) as exc:
-                self._dead = "deadline exceeded mid-reply"
-                raise SpawnTimeout(
-                    f"forkserver request {rid} ({obj.get('op')}) exceeded "
-                    f"its {timeout}s deadline; channel poisoned") from exc
-            except SpawnError:
+                self._pump(sock, pending.event,
+                           None if timeout is None
+                           else time.monotonic() + timeout)
+            except SpawnError as exc:
                 # EOF mid-exchange: the helper is gone; say so before
                 # anyone else trusts this channel.
-                if self._dead is None:
-                    self._dead = "forkserver hung up"
+                self._fail_pending(str(exc))
                 raise
-            except OSError as exc:
-                self._dead = str(exc) or type(exc).__name__
+            except (OSError, ValueError) as exc:
+                self._fail_pending(str(exc) or type(exc).__name__)
                 raise SpawnError(
                     f"forkserver channel failed: {exc}") from exc
-            if reply.get("id") != rid:
-                raise SpawnError(
-                    f"forkserver protocol error: reply id "
-                    f"{reply.get('id')!r} != request id {rid}")
-            return reply
+            if pending.reply is None:
+                if self._dead is not None:
+                    raise SpawnError(
+                        f"forkserver died before replying: {self._dead}")
+                self._fail_pending("deadline exceeded mid-reply")
+                raise SpawnTimeout(
+                    f"forkserver request {rid} ({obj.get('op')}) exceeded "
+                    f"its {timeout}s deadline; channel poisoned")
+            return pending.reply
         finally:
+            with self._state_lock:
+                self._pending.pop(rid, None)
             self._send_lock.release()
 
     # -- the user-facing operations ------------------------------------------
@@ -826,7 +942,7 @@ class ForkServer:
               cwd: Optional[str] = None,
               stdin: int = 0, stdout: int = 1, stderr: int = 2,
               trace=None, deadline: Optional[float] = None) -> ChildProcess:
-        """Ask the helper to fork+exec ``argv``; returns a handle.
+        """Ask the helper to spawn ``argv``; returns a handle.
 
         ``stdin``/``stdout``/``stderr`` are descriptors *in this
         process*; they are shipped to the helper as SCM_RIGHTS and become
@@ -864,7 +980,7 @@ class ForkServer:
                         argv=list(request["argv"]))
             reply = self._roundtrip(request, fds=(stdin, stdout, stderr),
                                     trace=trace, timeout=deadline,
-                                    encode=encode)
+                                    encode=encode, children=True)
             if "pid" not in reply:
                 raise SpawnError(f"forkserver refused spawn: {reply}")
         except SpawnError as exc:
@@ -876,7 +992,8 @@ class ForkServer:
         if owns:
             trace.success(reply["pid"])
         return ChildProcess(reply["pid"], argv=argv, strategy="forkserver",
-                            reaper=self._reap, trace=trace)
+                            reaper=self._reap, timed_reaper=True,
+                            trace=trace)
 
     def _frame_encoder(self, request: dict, trace_id: Optional[str]):
         """A frame builder that splices per-call bytes onto a cached tail.
@@ -913,13 +1030,13 @@ class ForkServer:
     def spawn_batch(self, requests, *,
                     traces: Optional[Sequence] = None,
                     deadline: Optional[float] = None) -> "BatchResult":
-        """Fork+exec N children in ONE wire round-trip.
+        """Spawn N children in ONE wire round-trip.
 
         ``requests`` is a :class:`~repro.core.batch.BatchRequest` (the
         unified batch shape; bare sequences still coerce but warn —
         removal in 2.0).  The whole batch travels as a single
         frame and a single ``sendmsg`` — every member's stdio triple in
-        one SCM_RIGHTS grant — and the helper forks all N before
+        one SCM_RIGHTS grant — and the helper spawns all N before
         replying, so the per-spawn wire cost (encode + syscall + context
         switch) is paid once per *batch*.
 
@@ -969,7 +1086,7 @@ class ForkServer:
             FAULTS.fire("forkserver.spawn", helper_pid=self._pid,
                         argv=list(reqs[0].argv), batch=len(reqs))
             reply = self._roundtrip(request, fds=fds, trace=traces[0],
-                                    timeout=deadline)
+                                    timeout=deadline, children=True)
             results = reply.get("results")
             if results is None:
                 raise SpawnError(f"forkserver refused batch: {reply}")
@@ -991,21 +1108,74 @@ class ForkServer:
             children.append(
                 ChildProcess(result["pid"], argv=req.argv,
                              strategy="forkserver", reaper=self._reap,
-                             trace=trace))
+                             timed_reaper=True, trace=trace))
         return BatchResult(children, strategy="forkserver")
 
-    def _reap(self, pid: int, flags: int) -> Optional[int]:
-        """Wait on a child through the helper.
+    def _reap(self, pid: int, flags: int,
+              timeout: Optional[float] = None) -> Optional[int]:
+        """Collect a child's exit status from the notices the helper pushes.
 
-        A blocking wait (``flags == 0``) PARKS in the helper's event loop
-        and the reply arrives on SIGCHLD — no polling on either side, and
-        (in pipelined mode) no other request is held up meanwhile.  In
-        the locked baseline the caller's round-trip lock is of course
-        held for the child's whole runtime: that serialisation is the
-        measured pathology, not an accident.
+        Nothing goes on the wire: the helper reaps on SIGCHLD and pushes
+        ``{"exit": pid, "status": s}`` unasked, the reader files it in
+        the pid's slot, and this is a dictionary lookup — preceded, for
+        a blocking wait (``flags == 0``) on a child still running, by an
+        event wait of at most ``timeout`` seconds.  ``None`` means not
+        exited (yet).  A pid this server never handed out (or one
+        already reaped) is ECHILD; a helper that dies first wakes every
+        waiter with :class:`SpawnError`.
+
+        In the locked baseline there is no reader thread, so the waiter
+        reads frames itself with the round-trip lock held for the
+        child's whole runtime: that serialisation is the measured
+        pathology, not an accident.
         """
-        reply = self._roundtrip(
-            {"op": "wait", "pid": pid, "block": flags == 0})
-        if "error" in reply:
-            raise SpawnError(f"forkserver wait({pid}): {reply['error']}")
-        return reply["status"]
+        if flags:
+            timeout = 0.0  # WNOHANG: only what has already arrived
+        with self._state_lock:
+            slot = self._exits.get(pid)
+            if slot is None:
+                raise SpawnError(
+                    f"forkserver wait({pid}): "
+                    + (f"channel is dead: {self._dead}"
+                       if self._dead is not None else
+                       "ECHILD (not a pid this server handed out, or "
+                       "already reaped)"))
+            wait = slot.status is None and (timeout != 0
+                                            or not self._pipelined)
+            if wait:
+                self._waiting += 1
+                if slot.event is None:
+                    slot.event = threading.Event()
+        if wait:
+            try:
+                if self._pipelined:
+                    slot.event.wait(timeout)
+                else:
+                    self._reap_locked(slot.event, timeout)
+            finally:
+                with self._state_lock:
+                    self._waiting -= 1
+        with self._state_lock:
+            if slot.status is None:
+                if self._dead is not None:
+                    raise SpawnError(
+                        f"forkserver died before pid {pid} was reaped: "
+                        f"{self._dead}")
+                return None
+            if self._exits.get(pid) is slot:
+                del self._exits[pid]
+            return slot.status
+
+    def _reap_locked(self, event: threading.Event,
+                     timeout: Optional[float]) -> None:
+        """Locked mode's wait: pump frames under the round-trip lock."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._send_lock.acquire(
+                timeout=-1 if timeout is None else timeout):
+            return
+        try:
+            self._pump(self._require_sock(), event, deadline)
+        except (SpawnError, OSError, ValueError) as exc:
+            self._fail_pending(str(exc) or type(exc).__name__)
+        finally:
+            self._send_lock.release()

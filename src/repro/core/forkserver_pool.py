@@ -461,9 +461,10 @@ class ForkServerPool:
 
     def _pool_reaper(self, slot: _Slot, server: ForkServer, argv):
         """A reaper that also returns the slot's load unit when done."""
-        def reaper(pid: int, flags: int) -> Optional[int]:
+        def reaper(pid: int, flags: int,
+                   timeout: Optional[float] = None) -> Optional[int]:
             try:
-                status = server._reap(pid, flags)
+                status = server._reap(pid, flags, timeout)
             except SpawnError:
                 self._release(slot)
                 raise
@@ -589,7 +590,8 @@ class ForkServerPool:
                 trace.success(child.pid)
             wrapped = ChildProcess(
                 child.pid, argv=argv, strategy="forkserver-pool",
-                reaper=self._pool_reaper(slot, server, argv), trace=trace)
+                reaper=self._pool_reaper(slot, server, argv),
+                timed_reaper=True, trace=trace)
             return wrapped
         raise SpawnError(
             f"no forkserver worker could spawn {argv!r}: {last_error}")
@@ -703,7 +705,7 @@ class ForkServerPool:
                 wrapped.append(ChildProcess(
                     child.pid, argv=req.argv, strategy="forkserver-pool",
                     reaper=self._pool_reaper(slot, server, req.argv),
-                    trace=trace))
+                    timed_reaper=True, trace=trace))
             return BatchResult(wrapped, strategy="forkserver-pool")
         raise SpawnError(
             f"no forkserver worker could spawn a batch of {weight}: "

@@ -10,6 +10,7 @@ counterpart that :func:`repro.core.run` returns.
 from __future__ import annotations
 
 import os
+import select
 import signal
 import time
 from typing import Iterator, Optional, Sequence, Tuple
@@ -23,7 +24,12 @@ class ChildProcess:
 
     ``reaper`` abstracts who calls ``waitpid``: children created by the
     forkserver are the *server's* children, so their statuses come back
-    over the control channel instead of from the host kernel.
+    over the control channel instead of from the host kernel.  It is
+    called as ``reaper(pid, flags)`` and returns the raw status or
+    ``None``; ``timed_reaper=True`` declares that it also takes a third
+    ``timeout`` argument and can *sleep* on the exit for at most that
+    long (the forkserver's pushed exit notices), so a timed
+    :meth:`wait` never has to poll it.
 
     Usable as a context manager: on ``with``-exit the handle closes its
     attached :class:`~repro.core.spawn.SpawnedIO` pipe ends (so a child
@@ -36,12 +42,13 @@ class ChildProcess:
     """
 
     def __init__(self, pid: int, *, argv=(), strategy: str = "?",
-                 reaper=None, trace=None):
+                 reaper=None, timed_reaper: bool = False, trace=None):
         self.pid = pid
         self.argv = tuple(argv)
         self.strategy = strategy
         self.io = None  # SpawnedIO, attached by ProcessBuilder.spawn
         self._reaper = reaper
+        self._timed_reaper = timed_reaper
         self._trace = trace if trace is not None else NULL_TRACE
         self._status: Optional[int] = None  # raw waitpid status, once known
 
@@ -72,10 +79,17 @@ class ChildProcess:
 
     # -- reaping ----------------------------------------------------------
 
-    def _waitpid(self, flags: int) -> bool:
-        """One waitpid attempt; returns True if the child was reaped."""
+    def _waitpid(self, flags: int, timeout: Optional[float] = None) -> bool:
+        """One waitpid attempt; returns True if the child was reaped.
+
+        ``timeout`` bounds a blocking attempt and is only ever passed
+        for a ``timed_reaper``.
+        """
         if self._reaper is not None:
-            status = self._reaper(self.pid, flags)
+            if self._timed_reaper:
+                status = self._reaper(self.pid, flags, timeout)
+            else:
+                status = self._reaper(self.pid, flags)
             if status is None:
                 return False
             self._status = status
@@ -101,22 +115,55 @@ class ChildProcess:
     def wait(self, timeout: Optional[float] = None) -> int:
         """Block until the child exits; returns the returncode.
 
-        With a ``timeout`` the wait polls (there is no portable timed
-        waitpid) and raises :class:`SpawnError` on expiry.
+        With a ``timeout`` the wait still *sleeps* until the exit where
+        it can — on a pidfd for our own children, on the reaper's own
+        event for a ``timed_reaper`` — and raises :class:`SpawnError` on
+        expiry.  Only where neither exists (no ``pidfd_open``, or a
+        reaper that can merely be asked) does it poll, backing off from
+        0.5 ms.
         """
         if self._status is not None:
             return self.returncode
         if timeout is None:
             self._waitpid(0)
             return self.returncode
-        deadline = time.monotonic() + timeout
+        if self._timed_reaper:
+            done = self._waitpid(0, timeout)
+        elif self._reaper is None and self._sleep_on_pidfd(timeout):
+            done = self._waitpid(os.WNOHANG)
+        else:
+            done = self._poll_until(time.monotonic() + timeout)
+        if not done:
+            raise SpawnError(f"timeout waiting for pid {self.pid}")
+        return self.returncode
+
+    def _sleep_on_pidfd(self, timeout: float) -> bool:
+        """Sleep until our child is a zombie or ``timeout`` passes.
+
+        ``False`` means no pidfd could be had (old kernel or Python, fd
+        table full, pid already reaped) and the caller must poll.
+        """
+        try:
+            fd = os.pidfd_open(self.pid)
+        except (AttributeError, OSError):
+            return False
+        try:
+            poller = select.poll()
+            poller.register(fd, select.POLLIN)
+            poller.poll(timeout * 1000)
+        finally:
+            os.close(fd)
+        return True
+
+    def _poll_until(self, deadline: float) -> bool:
+        """The fallback: WNOHANG polls, sleeping 0.5 ms and doubling."""
         delay = 0.0005
         while time.monotonic() < deadline:
             if self._waitpid(os.WNOHANG):
-                return self.returncode
+                return True
             time.sleep(delay)
             delay = min(delay * 2, 0.05)
-        raise SpawnError(f"timeout waiting for pid {self.pid}")
+        return False
 
     # -- context management ------------------------------------------------
 

@@ -70,13 +70,14 @@ stock = []
 
 def lease_recv(chan):
     # Parked-child side: block for the lease frame (length-prefixed
-    # JSON plus up to 3 SCM_RIGHTS stdio fds).  (None, []) on EOF.
+    # JSON plus up to 3 SCM_RIGHTS stdio fds, received close-on-exec so
+    # only the dup2'd 0-2 survive an exec).  (None, []) on EOF.
     fds = array.array("i")
     header = b""
     while len(header) < LEN.size:
         msg, ancdata, flags, addr = chan.recvmsg(
-            LEN.size - len(header),
-            socket.CMSG_LEN(3 * array.array("i").itemsize))
+            LEN.size - len(header), socket.CMSG_LEN(3 * fds.itemsize),
+            socket.MSG_CMSG_CLOEXEC)
         if not msg:
             return None, []
         header += msg
@@ -453,7 +454,8 @@ class TemplateServer(ForkServer):
             request["trace"] = trace.trace_id
         try:
             reply = self._roundtrip(request, fds=(stdin, stdout, stderr),
-                                    trace=trace, timeout=deadline)
+                                    trace=trace, timeout=deadline,
+                                    children=True)
             if "pid" not in reply:
                 self._sync_stock(reply, 0)
                 error = str(reply.get("error", reply))
@@ -473,7 +475,8 @@ class TemplateServer(ForkServer):
         if owns:
             trace.success(reply["pid"])
         return ChildProcess(reply["pid"], argv=label, strategy="template",
-                            reaper=self._reap, trace=trace)
+                            reaper=self._reap, timed_reaper=True,
+                            trace=trace)
 
 
 class _Entry:

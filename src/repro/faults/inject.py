@@ -89,7 +89,10 @@ class FaultInjector:
 
         * ``refuse_exec`` — raises :class:`SpawnError`;
         * ``exhaust_fds`` — raises ``OSError(EMFILE)``;
-        * ``kill_helper`` — SIGKILLs ``context["helper_pid"]``;
+        * ``kill_helper`` — SIGKILLs ``context["helper_pid"]``; a site
+          that passes ``freeze=True`` gets the helper SIGSTOPped
+          instead and delivers the SIGKILL itself once its frame is on
+          the wire (a frozen helper cannot answer first);
         * any fault with ``seconds`` set sleeps first (a client-side
           stall, e.g. ``stall_helper`` pointed at ``pool.dispatch``).
 
@@ -120,7 +123,8 @@ class FaultInjector:
             pid = context.get("helper_pid")
             if pid:
                 try:
-                    os.kill(pid, signal.SIGKILL)
+                    os.kill(pid, signal.SIGSTOP if context.get("freeze")
+                            else signal.SIGKILL)
                 except (ProcessLookupError, PermissionError):
                     pass
         elif fault.kind == "refuse_exec":

@@ -16,8 +16,10 @@ plan drives a unit test, a ``REPRO_FAULTS`` environment variable, or a
 ==================  ====================  ==================================
 kind                default point         effect when armed
 ==================  ====================  ==================================
-kill_helper         forkserver.request    SIGKILL the helper after the
-                                          request frame is on the wire —
+kill_helper         forkserver.request    SIGKILL the helper once the
+                                          request frame is on the wire
+                                          (it is stopped across the send,
+                                          so it can never answer first) —
                                           the classic mid-request crash
 truncate_frame      forkserver.frame      send only a prefix of the wire
                                           frame; the helper wedges mid-read
@@ -98,7 +100,7 @@ KIND_POINTS: Dict[str, str] = {
 #: validation; plans may only target these).
 POINTS = (
     "forkserver.frame",    # ForkServer._send, one wire frame
-    "forkserver.request",  # ForkServer._roundtrip, frame sent, reply pending
+    "forkserver.request",  # ForkServer._send_request, around the send
     "forkserver.spawn",    # ForkServer.spawn / spawn_batch entry
     "pool.dispatch",       # ForkServerPool.spawn, per dispatch attempt
     "pool.batch",          # ForkServerPool.spawn_batch, per batch dispatch

@@ -2,13 +2,32 @@
 
 import os
 import signal
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.core import ForkServer
+from repro.core.result import ChildProcess
 from repro.errors import SpawnError
+
+
+def read_all(fd: int) -> bytes:
+    with open(fd, "rb") as stream:
+        return stream.read()
+
+
+def spawn_output(server, argv, **kwargs) -> bytes:
+    """Spawn with stdout piped back; waits the child out."""
+    r, w = os.pipe()
+    try:
+        child = server.spawn(argv, stdout=w, **kwargs)
+    finally:
+        os.close(w)
+    data = read_all(r)
+    child.wait(timeout=10)
+    return data
 
 
 @pytest.fixture
@@ -112,6 +131,236 @@ class TestSpawning:
         assert child.wait(timeout=10) == 127
 
 
+class TestLaunchPath:
+    """The helper launches with posix_spawn (fork->chdir->exec only for
+    ``cwd`` and as the fallback): the observable child must not change."""
+
+    @pytest.fixture
+    def bindir(self, tmp_path):
+        script = tmp_path / "hello-from-request-path"
+        script.write_text("#!/bin/sh\necho resolved in $PWD\n")
+        script.chmod(0o755)
+        return tmp_path
+
+    def test_bare_name_resolves_on_the_requests_path(self, server, bindir):
+        # What execvpe did: a replaced env's PATH is the one searched.
+        out = spawn_output(server, ["hello-from-request-path"],
+                           env={"PATH": str(bindir)})
+        assert out.startswith(b"resolved in ")
+
+    def test_bare_name_resolves_on_the_helpers_path_otherwise(self, server,
+                                                              bindir):
+        assert server.spawn(["true"]).wait(timeout=10) == 0
+        # ...and a name only the *request's* PATH could find is missing.
+        assert server.spawn(["hello-from-request-path"]).wait(
+            timeout=10) == 127
+
+    def test_bare_name_missing_everywhere_exits_127(self, server, bindir):
+        child = server.spawn(["no-such-program-anywhere"],
+                             env={"PATH": str(bindir)})
+        assert child.wait(timeout=10) == 127
+
+    def test_cwd_with_a_bare_name_takes_the_fork_path(self, server, bindir):
+        out = spawn_output(server, ["hello-from-request-path"],
+                           env={"PATH": str(bindir)}, cwd=str(bindir))
+        assert out.strip() == b"resolved in " + str(bindir).encode()
+
+    def test_stdout_and_stderr_granted_from_the_same_fd(self, server):
+        r, w = os.pipe()
+        child = server.spawn(["/bin/sh", "-c", "echo out; echo err >&2"],
+                             stdout=w, stderr=w)
+        os.close(w)
+        assert sorted(read_all(r).split()) == [b"err", b"out"]
+        assert child.wait(timeout=10) == 0
+
+    def test_non_executable_file_exits_127(self, server, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("not a program")
+        assert server.spawn([str(plain)]).wait(timeout=10) == 127
+
+
+class TestFdHygiene:
+    """Children get the dup2'd 0-2 and nothing else: SCM_RIGHTS grants
+    arrive close-on-exec, so no child inherits a sibling's stdio."""
+
+    LIST_FDS = ["/bin/ls", "/proc/self/fd"]  # fd 3 is ls's own listing fd
+
+    def test_single_spawn_sees_only_its_stdio(self, server):
+        assert spawn_output(server, self.LIST_FDS).split() == [
+            b"0", b"1", b"2", b"3"]
+
+    def test_fork_path_sees_only_its_stdio_too(self, server, tmp_path):
+        assert spawn_output(server, self.LIST_FDS,
+                            cwd=str(tmp_path)).split() == [
+            b"0", b"1", b"2", b"3"]
+
+    def test_every_batch_member_sees_only_its_stdio(self, server):
+        from repro.core import BatchRequest, SpawnRequest
+        pipes = [os.pipe() for _ in range(3)]
+        children = server.spawn_batch(BatchRequest([
+            SpawnRequest(self.LIST_FDS, stdout=w) for _, w in pipes]))
+        for _, w in pipes:
+            os.close(w)
+        for r, _ in pipes:
+            assert read_all(r).split() == [b"0", b"1", b"2", b"3"]
+        assert [c.wait(timeout=10) for c in children] == [0, 0, 0]
+
+    def test_sibling_pipe_reaches_eof_while_the_other_member_runs(
+            self, server):
+        # Member 0 used to inherit member 1's stdout pipe across its
+        # exec, holding it open for as long as member 0 lived.
+        from repro.core import BatchRequest, SpawnRequest
+        r, w = os.pipe()
+        slow, quick = server.spawn_batch(BatchRequest([
+            SpawnRequest(["/bin/sleep", "30"]),
+            SpawnRequest(["/bin/echo", "done"], stdout=w)]))
+        os.close(w)
+        try:
+            started = time.monotonic()
+            assert read_all(r) == b"done\n"   # EOF, not just the bytes
+            assert time.monotonic() - started < 5
+            assert quick.wait(timeout=10) == 0
+            assert slow.poll() is None
+        finally:
+            slow.kill()
+            slow.wait(timeout=10)
+
+
+class TestPushedExits:
+    """wait() is an event wait on a pushed exit notice, poll() a lookup."""
+
+    def test_tables_are_empty_after_spawns_and_waits(self, server):
+        children = [server.spawn(["/bin/true"]) for _ in range(20)]
+        assert len(server._exits) == 20
+        assert [c.wait(timeout=10) for c in children] == [0] * 20
+        assert server._exits == {}
+        assert server._waiting == 0
+        assert server.in_flight == 0
+
+    def test_poll_is_a_lookup_that_turns_true_unasked(self, server):
+        child = server.spawn(["/bin/true"])
+        deadline = time.monotonic() + 10
+        while child.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert child.returncode == 0
+        assert server._exits == {}
+
+    def test_in_flight_counts_a_blocked_waiter(self, server):
+        child = server.spawn(["/bin/sleep", "30"])
+        thread = threading.Thread(target=child.wait)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 10
+            while server.in_flight != 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        finally:
+            child.kill()
+            thread.join(timeout=10)
+        assert child.returncode == -signal.SIGKILL
+        assert server.in_flight == 0
+
+    def test_timed_wait_expires_without_polling_then_succeeds(self, server):
+        child = server.spawn(["/bin/sleep", "30"])
+        started = time.monotonic()
+        with pytest.raises(SpawnError, match="timeout"):
+            child.wait(timeout=0.2)
+        assert 0.2 <= time.monotonic() - started < 2
+        assert server.in_flight == 0
+        child.kill()
+        assert child.wait(timeout=10) == -signal.SIGKILL
+
+    def test_unknown_pid_is_echild_not_a_hang(self, server):
+        stranger = ChildProcess(os.getpid(), reaper=server._reap,
+                                timed_reaper=True)
+        for wait in (stranger.wait, stranger.poll,
+                     lambda: stranger.wait(timeout=5)):
+            with pytest.raises(SpawnError, match="ECHILD"):
+                wait()
+
+    def test_second_reap_of_the_same_pid_is_echild(self, server):
+        child = server.spawn(["/bin/true"])
+        assert child.wait(timeout=10) == 0
+        assert child.wait() == 0  # the handle caches...
+        with pytest.raises(SpawnError, match="ECHILD"):
+            server._reap(child.pid, 0)  # ...the server does not
+
+    def test_two_waiters_on_one_child_both_get_the_status(self, server):
+        child = server.spawn(["/bin/sleep", "0.2"])
+        statuses = []
+        threads = [threading.Thread(
+            target=lambda: statuses.append(server._reap(child.pid, 0)))
+            for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert statuses == [0, 0]
+        assert server._exits == {}
+
+    def test_many_threads_racing_spawns_waits_and_polls(self, server):
+        # More callers than cores, a 10 us switch interval: every exit
+        # must reach exactly its own caller, by whichever of the three
+        # reap paths it took, and leave no slot or waiter count behind.
+        statuses = []
+        lock = threading.Lock()
+
+        def caller(index):
+            for round_ in range(12):
+                child = server.spawn(["/bin/sh", "-c",
+                                      "exit %d" % (index + round_)])
+                if round_ % 3 == 0:
+                    got = child.wait()
+                elif round_ % 3 == 1:
+                    got = child.wait(timeout=30)
+                else:
+                    deadline = time.monotonic() + 30
+                    while (got := child.poll()) is None:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.0005)
+                with lock:
+                    statuses.append((index + round_, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(statuses) == 8 * 12
+        assert all(want == got for want, got in statuses)
+        assert server._exits == {}
+        assert server._waiting == 0 and server.in_flight == 0
+
+    def test_locked_mode_polls_and_timed_waits_off_the_same_frames(self):
+        with ForkServer(pipelined=False) as fs:
+            child = fs.spawn(["/bin/sleep", "0.1"])
+            assert child.poll() is None
+            with pytest.raises(SpawnError, match="timeout"):
+                child.wait(timeout=0.01)
+            assert child.wait(timeout=10) == 0
+            quick = fs.spawn(["/bin/true"])
+            deadline = time.monotonic() + 10
+            while quick.poll() is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            # An exit that arrives ahead of a later reply is filed on
+            # the way, not lost.
+            early = fs.spawn(["/bin/true"])
+            time.sleep(0.1)
+            assert fs.ping()
+            assert fs._exits[early.pid].status == 0
+            assert early.wait() == 0
+            assert fs._exits == {} and fs.in_flight == 0
+
+
 class TestPipelining:
     def test_pipelined_is_the_default(self, server):
         assert server.pipelined
@@ -205,3 +454,34 @@ class TestDeadHelper:
         assert "error" in outcome
         fs.abort()
         os.kill(child.pid, signal.SIGKILL)  # orphan cleanup
+
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_killed_helper_wakes_every_waiter_blocking_or_timed(
+            self, pipelined):
+        fs = ForkServer(pipelined=pipelined).start()
+        children = [fs.spawn(["/bin/sleep", "30"]) for _ in range(3)]
+        errors = []
+
+        def waiter(child, timeout):
+            try:
+                child.wait(timeout=timeout)
+            except SpawnError as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=waiter, args=(child, timeout))
+                   for child, timeout in zip(children, (None, 60, None))]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.1)
+        os.kill(fs.helper_pid, signal.SIGKILL)
+        for thread in threads:
+            thread.join(timeout=10)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(errors) == 3
+            assert not any("timeout" in error for error in errors)
+            assert fs._exits == {} and fs.in_flight == 0
+        finally:
+            fs.abort()
+            for child in children:
+                os.kill(child.pid, signal.SIGKILL)  # orphan cleanup

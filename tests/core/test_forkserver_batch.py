@@ -31,6 +31,30 @@ class TestForkServerBatch:
             with open(read_fd, "rb") as out:
                 assert out.read() == b"batched\n"
 
+    def test_missing_binary_member_exits_127_without_failing_the_batch(self):
+        with ForkServer() as server:
+            children = server.spawn_batch(BatchRequest.of(
+                [["/bin/true"], ["/no/such/binary"], ["/bin/true"]]))
+            assert [c.wait(timeout=10) for c in children] == [0, 127, 0]
+            assert server._exits == {}
+
+    def test_members_with_cwd_and_without_share_a_batch(self, tmp_path):
+        with ForkServer() as server:
+            pipes = [os.pipe() for _ in range(2)]
+            children = server.spawn_batch(BatchRequest([
+                SpawnRequest(["/bin/pwd"], cwd=str(tmp_path),
+                             stdout=pipes[0][1]),
+                SpawnRequest(["/bin/pwd"], stdout=pipes[1][1])]))
+            for _, w in pipes:
+                os.close(w)
+            outs = []
+            for r, _ in pipes:
+                with open(r, "rb") as out:
+                    outs.append(out.read().strip())
+            assert [c.wait(timeout=10) for c in children] == [0, 0]
+            assert outs[0] == str(tmp_path).encode()
+            assert outs[1] != outs[0]
+
     def test_empty_batch_rejected(self):
         with ForkServer() as server:
             with pytest.raises(SpawnError):

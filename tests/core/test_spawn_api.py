@@ -2,6 +2,7 @@
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -194,6 +195,41 @@ class TestChildProcessHandle:
             child.wait(timeout=0.05)
         builder.io.close_stdin()
         child.wait(timeout=5)
+
+    def test_timed_wait_sleeps_on_a_pidfd_and_always_closes_it(self):
+        before = len(os.listdir("/proc/self/fd"))
+        slow = ProcessBuilder("/bin/sleep", "30").spawn()
+        started = time.monotonic()
+        with pytest.raises(SpawnError, match="timeout"):
+            slow.wait(timeout=0.2)
+        assert 0.2 <= time.monotonic() - started < 2
+        slow.kill()
+        assert slow.wait(timeout=5) == -signal.SIGKILL
+        for _ in range(5):
+            assert ProcessBuilder("/bin/true").spawn().wait(timeout=5) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("broken", ["missing", "failing"])
+    def test_timed_wait_polls_when_no_pidfd_can_be_had(self, monkeypatch,
+                                                       broken):
+        if broken == "missing":
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
+        else:
+            def refuse(pid, flags=0):
+                raise OSError(24, "Too many open files")
+            monkeypatch.setattr(os, "pidfd_open", refuse, raising=False)
+        builder = ProcessBuilder("/bin/cat").stdin_from_pipe()
+        child = builder.spawn()
+        with pytest.raises(SpawnError, match="timeout"):
+            child.wait(timeout=0.05)
+        builder.io.close_stdin()
+        assert child.wait(timeout=5) == 0
+
+    def test_timed_wait_on_a_reaped_pid_is_a_typed_error(self):
+        child = ProcessBuilder("/bin/true").spawn()
+        os.waitpid(child.pid, 0)  # stolen from under the handle
+        with pytest.raises(SpawnError, match="not our child"):
+            child.wait(timeout=5)
 
 
 class TestStrategyPlumbing:

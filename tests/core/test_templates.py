@@ -146,6 +146,28 @@ class TestTemplateServer:
         finally:
             srv.stop()
 
+    def test_exec_mode_lease_inherits_only_its_stdio(self, server):
+        # Lease grants arrive close-on-exec in the parked child: after
+        # its exec only the dup2'd 0-2 remain (3 is ls's listing fd).
+        out = lease_output(server, argv=["/bin/ls", "/proc/self/fd"])
+        assert out.split() == [b"0", b"1", b"2", b"3"]
+
+    def test_exit_tables_are_empty_after_leases_and_stock_churn(self, server):
+        # Leased children are reaped from pushed exit notices through
+        # the same ForkServer._reap; parked stock that is withdrawn was
+        # never handed to a caller, so its notices are dropped.
+        for _ in range(3):
+            assert server.lease(["/bin/true"]).wait(timeout=30) == 0
+            assert server.lease(code="pass").wait(timeout=30) == 0
+            server.restock()
+        for _ in range(4):
+            server.park()
+            assert server.unpark() is not None
+        assert server.ping()
+        time.sleep(0.2)  # let the withdrawn children's notices arrive
+        assert server._exits == {}
+        assert server._waiting == 0 and server.in_flight == 0
+
     def test_park_unpark_move_the_stock_level(self, server):
         pid = server.park()
         assert pid > 0

@@ -1,4 +1,9 @@
-"""kill_helper: the classic mid-request helper crash, every strategy."""
+"""kill_helper: the classic mid-request helper crash, every strategy.
+
+The fault stops the helper before the request frame leaves and kills it
+after, so the frame is provably on the wire and provably unanswered —
+the helper's reply can never race the SIGKILL, however fast it is.
+"""
 
 import pytest
 
@@ -22,6 +27,17 @@ class TestForkServer:
                 with pytest.raises(SpawnError):
                     server.spawn(["/bin/true"])
             assert not server.healthy
+
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_the_kill_always_beats_the_reply(self, pipelined):
+        # Used to fail "DID NOT RAISE" about one run in ten: the fault
+        # fired after the send and a quick helper had already answered.
+        for _ in range(15):
+            with ForkServer(pipelined=pipelined) as server:
+                with FAULTS.active(FaultPlan().add("kill_helper")):
+                    with pytest.raises(SpawnError):
+                        server.spawn(["/bin/true"])
+                assert not server.healthy
 
     def test_other_in_flight_requests_fail_not_hang(self):
         import threading
