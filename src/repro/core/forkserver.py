@@ -393,13 +393,15 @@ class _Pending:
 
 class _Exit:
     """One handed-out child's exit slot: the raw status once the helper
-    has pushed it, and an event if a caller is blocked waiting for it."""
+    has pushed it, an event if a caller is blocked waiting for it, and
+    a callback if one asked to be told (``ChildProcess.on_exit``)."""
 
-    __slots__ = ("status", "event")
+    __slots__ = ("status", "event", "callback")
 
     def __init__(self):
         self.status: Optional[int] = None
         self.event: Optional[threading.Event] = None
+        self.callback: Optional[Callable[[], None]] = None
 
 
 class SpawnRequest:
@@ -727,6 +729,7 @@ class ForkServer:
         notice fills its pid's slot and wakes whoever waits on it.  A
         notice for a pid no caller was given — parked template stock —
         is dropped, not stored."""
+        callback = None
         with self._state_lock:
             if "exit" in frame:
                 slot = self._exits.get(frame["exit"])
@@ -734,6 +737,7 @@ class ForkServer:
                     return
                 slot.status = frame["status"]
                 event = slot.event
+                callback, slot.callback = slot.callback, None
             else:
                 pending = self._pending.pop(frame.get("id"), None)
                 if pending is None:
@@ -746,20 +750,41 @@ class ForkServer:
                 event = pending.event
         if event is not None:
             event.set()
+        if callback is not None:
+            callback()
+
+    def _watch(self, pid: int, callback: Callable[[], None]) -> None:
+        """``ChildProcess.on_exit`` for this server's children: call
+        ``callback()`` once, from whichever thread files the exit notice
+        (or the helper's death) — now, if there is nothing to wait for."""
+        with self._state_lock:
+            slot = self._exits.get(pid)
+            if slot is not None and slot.status is None:
+                if slot.callback is not None:
+                    raise SpawnError(
+                        f"pid {pid} already has an on_exit callback")
+                slot.callback = callback
+                return
+        callback()
 
     def _fail_pending(self, why: str) -> None:
         """Mark the channel dead and wake every stranded caller —
-        requests awaiting replies and waiters awaiting exits alike."""
+        requests awaiting replies, waiters awaiting exits and on_exit
+        callbacks alike."""
         with self._state_lock:
             if self._dead is None:
                 self._dead = why
             events = [pending.event for pending in self._pending.values()]
-            events += [slot.event for slot in self._exits.values()
-                       if slot.event is not None]
+            slots = list(self._exits.values())
             self._pending.clear()
             self._exits.clear()
         for event in events:
             event.set()
+        for slot in slots:
+            if slot.event is not None:
+                slot.event.set()
+            if slot.callback is not None:
+                slot.callback()
 
     @staticmethod
     def _encode(obj: dict, rid: int) -> bytes:
@@ -993,7 +1018,7 @@ class ForkServer:
             trace.success(reply["pid"])
         return ChildProcess(reply["pid"], argv=argv, strategy="forkserver",
                             reaper=self._reap, timed_reaper=True,
-                            trace=trace)
+                            watch=self._watch, trace=trace)
 
     def _frame_encoder(self, request: dict, trace_id: Optional[str]):
         """A frame builder that splices per-call bytes onto a cached tail.
@@ -1108,7 +1133,8 @@ class ForkServer:
             children.append(
                 ChildProcess(result["pid"], argv=req.argv,
                              strategy="forkserver", reaper=self._reap,
-                             timed_reaper=True, trace=trace))
+                             timed_reaper=True, watch=self._watch,
+                             trace=trace))
         return BatchResult(children, strategy="forkserver")
 
     def _reap(self, pid: int, flags: int,

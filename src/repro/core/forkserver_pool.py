@@ -591,7 +591,7 @@ class ForkServerPool:
             wrapped = ChildProcess(
                 child.pid, argv=argv, strategy="forkserver-pool",
                 reaper=self._pool_reaper(slot, server, argv),
-                timed_reaper=True, trace=trace)
+                timed_reaper=True, watch=server._watch, trace=trace)
             return wrapped
         raise SpawnError(
             f"no forkserver worker could spawn {argv!r}: {last_error}")
@@ -705,7 +705,7 @@ class ForkServerPool:
                 wrapped.append(ChildProcess(
                     child.pid, argv=req.argv, strategy="forkserver-pool",
                     reaper=self._pool_reaper(slot, server, req.argv),
-                    timed_reaper=True, trace=trace))
+                    timed_reaper=True, watch=server._watch, trace=trace))
             return BatchResult(wrapped, strategy="forkserver-pool")
         raise SpawnError(
             f"no forkserver worker could spawn a batch of {weight}: "

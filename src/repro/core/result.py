@@ -29,7 +29,9 @@ class ChildProcess:
     ``None``; ``timed_reaper=True`` declares that it also takes a third
     ``timeout`` argument and can *sleep* on the exit for at most that
     long (the forkserver's pushed exit notices), so a timed
-    :meth:`wait` never has to poll it.
+    :meth:`wait` never has to poll it.  ``watch`` is how such a reaper
+    lets :meth:`on_exit` hear of the exit: ``watch(pid, fn)`` calls
+    ``fn()`` once, when the status is there to be reaped.
 
     Usable as a context manager: on ``with``-exit the handle closes its
     attached :class:`~repro.core.spawn.SpawnedIO` pipe ends (so a child
@@ -42,13 +44,16 @@ class ChildProcess:
     """
 
     def __init__(self, pid: int, *, argv=(), strategy: str = "?",
-                 reaper=None, timed_reaper: bool = False, trace=None):
+                 reaper=None, timed_reaper: bool = False, watch=None,
+                 trace=None):
         self.pid = pid
         self.argv = tuple(argv)
         self.strategy = strategy
         self.io = None  # SpawnedIO, attached by ProcessBuilder.spawn
         self._reaper = reaper
         self._timed_reaper = timed_reaper
+        self._watch = watch
+        self._on_exit = None  # fired by whoever reaps an unwatched child
         self._trace = trace if trace is not None else NULL_TRACE
         self._status: Optional[int] = None  # raw waitpid status, once known
 
@@ -92,19 +97,59 @@ class ChildProcess:
                 status = self._reaper(self.pid, flags)
             if status is None:
                 return False
-            self._status = status
-            self._trace.reaped(self.returncode)
-            return True
-        try:
-            pid, status = os.waitpid(self.pid, flags)
-        except ChildProcessError:
-            raise SpawnError(
-                f"pid {self.pid} is not our child (already reaped?)")
-        if pid == 0:
-            return False
+        else:
+            try:
+                pid, status = os.waitpid(self.pid, flags)
+            except ChildProcessError:
+                raise SpawnError(
+                    f"pid {self.pid} is not our child (already reaped?)")
+            if pid == 0:
+                return False
         self._status = status
         self._trace.reaped(self.returncode)
+        callback, self._on_exit = self._on_exit, None
+        if callback is not None:
+            callback(self)
         return True
+
+    def on_exit(self, callback) -> Optional[int]:
+        """Call ``callback(self)`` exactly once, when the exit status is
+        there to be had — right now, if it already is.
+
+        The callback runs on whichever thread learns of the exit and
+        must not block; :meth:`poll` inside it returns the status (or
+        raises, if the helper died holding it).  Nothing parks a thread
+        per child:
+
+        * a forkserver-family handle is called from the thread routing
+          the helper's pushed exit notice (or its death);
+        * our own child has nobody to push for it.  The callback then
+          fires from the :meth:`poll`/:meth:`wait` that reaps it, and
+          the return value is a pidfd, readable once the child is a
+          zombie: watch it on the loop you already run, and when it
+          reads, ``poll()`` and close it.  The fd is the caller's.
+
+        Returns ``None`` whenever no fd needs watching.  One callback
+        per handle; a kernel without ``pidfd_open`` raises
+        :class:`SpawnError` with the callback left registered for a
+        ``poll()`` of the caller's own timing.
+        """
+        if self._status is not None:
+            callback(self)
+        elif self._watch is not None:
+            self._watch(self.pid, lambda: callback(self))
+        elif self._on_exit is not None:
+            raise SpawnError(f"pid {self.pid} already has an on_exit "
+                             f"callback")
+        else:
+            self._on_exit = callback
+            if self.poll() is None:
+                try:
+                    return os.pidfd_open(self.pid)
+                except (AttributeError, OSError) as exc:
+                    raise SpawnError(f"no pidfd for pid {self.pid} "
+                                     f"({exc}); poll() it instead")
+        return None
 
     def poll(self) -> Optional[int]:
         """Non-blocking status check; returns the returncode or ``None``."""

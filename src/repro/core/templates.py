@@ -476,7 +476,7 @@ class TemplateServer(ForkServer):
             trace.success(reply["pid"])
         return ChildProcess(reply["pid"], argv=label, strategy="template",
                             reaper=self._reap, timed_reaper=True,
-                            trace=trace)
+                            watch=self._watch, trace=trace)
 
 
 class _Entry:

@@ -45,7 +45,10 @@ stall_conn          gateway.frame         the client stalls ``seconds``
                                           before each outgoing frame
 drop_reply          gateway.reply         the daemon silently drops one
                                           reply frame (the client's
-                                          request deadline must save it)
+                                          request deadline must save it;
+                                          an unsolicited exit notice
+                                          answers no request and is
+                                          never dropped)
 garbage_reply       gateway.reply         the daemon answers with bytes
                                           that are not a protocol frame
 refuse_accept       gateway.accept        the daemon hangs up a freshly

@@ -19,7 +19,7 @@ network boundary, so the client owns a failure story:
 * idempotent ops (``wait``, ``stats``, ``lease``, ``ping``, ...) are
   re-issued transparently after a reconnect, so an in-flight child is
   never lost to a connection blip: the daemon still holds it, and the
-  re-issued ``wait`` returns its real exit status;
+  ``wait`` claim on the new connection returns its real exit status;
 * ``spawn``/``spawn_batch`` are re-issued only when the request frame
   provably never reached the daemon (nothing was sent) — a loss after
   the frame was fully sent is ambiguous and surfaces as
@@ -27,6 +27,11 @@ network boundary, so the client owns a failure story:
   :class:`~repro.core.policy.SpawnPolicy` ladder) to arbitrate;
 * a :class:`~repro.errors.RateLimited` refusal with a Retry-After hint
   is honoured for up to ``rate_limit_retries`` bounded sleeps.
+
+Reaping is local, exactly as on the forkserver wire: the daemon pushes
+``{"exit": pid, "status": rc}`` the moment a child exits, the reader
+files it in the pid's slot, and ``ChildProcess.wait()`` is a dictionary
+lookup or an event wait.
 
 Over a Unix socket the client grants the child's stdio triple as
 SCM_RIGHTS ancillary data, exactly like the forkserver wire protocol;
@@ -53,7 +58,7 @@ import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.batch import BatchRequest, BatchResult
-from ..core.forkserver import _SCM_MAX_FD
+from ..core.forkserver import _SCM_MAX_FD, _Exit
 from ..core.result import ChildProcess
 from ..errors import (GatewayConnectionLost, GatewayError,
                       GatewayProtocolError, RateLimited, SpawnError,
@@ -75,16 +80,30 @@ def _encode_status(returncode: int) -> int:
     return returncode << 8
 
 
+def _pids_handed_out(request: dict, reply: dict) -> Sequence:
+    """The pids ``reply`` gives the caller to reap: a spawn's, a
+    batch's, or the one a ``wait`` claim found still running."""
+    op = request.get("op")
+    if op == "spawn":
+        return (reply.get("pid"),)
+    if op == "spawn_batch":
+        return reply.get("pids") or ()
+    if op == "wait" and reply.get("status", 0) is None:
+        return (request.get("pid"),)
+    return ()
+
+
 class _Pending:
     """One in-flight request's future: an event plus its eventual reply
-    (or the typed error the channel died with)."""
+    (or the typed error the channel died with), and its request."""
 
-    __slots__ = ("event", "reply", "error")
+    __slots__ = ("event", "reply", "error", "request")
 
-    def __init__(self):
+    def __init__(self, request: dict):
         self.event = threading.Event()
         self.reply: Optional[dict] = None
         self.error: Optional[GatewayError] = None
+        self.request = request
 
 
 class GatewayClient:
@@ -144,6 +163,10 @@ class GatewayClient:
         self._state_lock = threading.Lock()
         self._conn_lock = threading.RLock()
         self._pending: Dict[int, _Pending] = {}
+        # pid -> slot for every child handed to a caller and not yet
+        # reaped by it.  A slot's status is the raw one the daemon
+        # pushed, or the GatewayError that says the daemon lost it.
+        self._exits: Dict[int, _Exit] = {}
         self._next_id = 0
         self._reader: Optional[threading.Thread] = None
         self._dead: Optional[str] = None
@@ -287,31 +310,61 @@ class GatewayClient:
                 data = sock.recv(65536)
                 if not data:
                     raise GatewayConnectionLost("gateway hung up")
-                replies = decoder.feed(data)
+                for frame in decoder.feed(data):
+                    if not self._route(frame, generation):
+                        return
             except Exception as exc:
                 self._fail_pending(str(exc) or type(exc).__name__,
                                    generation=generation)
                 return
-            for reply in replies:
-                with self._state_lock:
-                    if self._generation != generation:
-                        return  # superseded channel; drop the stragglers
-                    pending = self._pending.pop(reply.get("id"), None)
+
+    def _route(self, frame: dict, generation: int) -> bool:
+        """File one incoming frame; ``False`` ends this reader.  A
+        reply that hands out pids opens their exit slots before its
+        caller wakes, so the notice that follows always finds one; a
+        notice for a pid this client was never given is dropped.  (A
+        frame of the wrong shape raises into the reader's channel-death
+        path.)"""
+        event, broken = None, False
+        with self._state_lock:
+            if self._generation != generation:
+                return False  # superseded channel; drop the stragglers
+            if "exit" in frame:
+                slot = self._exits.get(frame["exit"])
+                if slot is not None:
+                    status = frame.get("status")
+                    slot.status = (
+                        _encode_status(status) if type(status) is int
+                        else GatewayError(
+                            f"the gateway lost the exit status of pid "
+                            f"{frame['exit']}: {frame.get('error')}"))
+                    event = slot.event
+            else:
+                pending = self._pending.pop(frame.get("id"), None)
                 if pending is not None:
-                    pending.reply = reply
-                    pending.event.set()
-                elif "error" in reply and reply.get("id") is None:
+                    for pid in _pids_handed_out(pending.request, frame):
+                        if type(pid) is int:
+                            self._exits.setdefault(pid, _Exit())
+                    pending.reply = frame
+                    event = pending.event
+                else:
                     # An un-addressed error frame is the daemon telling
                     # us the *stream* is broken (framing error) — every
                     # in-flight request on it is lost.
-                    error = decode_error(reply["error"])
-                    self._fail_pending(str(error), generation=generation)
-                    return
+                    broken = "error" in frame and frame.get("id") is None
+        if event is not None:
+            event.set()
+        if broken:
+            self._fail_pending(str(decode_error(frame["error"])),
+                               generation=generation)
+        return not broken
 
     def _fail_pending(self, why: str,
                       generation: Optional[int]) -> None:
         """Mark the channel dead and fail every in-flight request with
-        a typed :class:`GatewayConnectionLost`.
+        a typed :class:`GatewayConnectionLost`.  Exit slots still empty
+        go with the channel: their waiters wake and claim from the
+        daemon over the next one.
 
         ``generation`` guards stale reader threads: a reader whose
         channel was already replaced must not poison the new one.
@@ -325,10 +378,17 @@ class GatewayClient:
                 self._dead = why
             stranded = list(self._pending.values())
             self._pending.clear()
+            orphaned = [slot for slot in self._exits.values()
+                        if slot.status is None]
+            self._exits = {pid: slot for pid, slot in self._exits.items()
+                           if slot.status is not None}
         for pending in stranded:
             pending.error = GatewayConnectionLost(
                 f"gateway connection lost: {why}")
             pending.event.set()
+        for slot in orphaned:
+            if slot.event is not None:
+                slot.event.set()
 
     # -- reconnect machinery ----------------------------------------------
 
@@ -439,7 +499,7 @@ class GatewayClient:
                 raise lost
             rid = self._next_id
             self._next_id += 1
-            pending = _Pending()
+            pending = _Pending(obj)
             self._pending[rid] = pending
             generation = self._generation
         try:
@@ -529,8 +589,9 @@ class GatewayClient:
 
         Over a Unix socket the stdio triple is granted as SCM_RIGHTS
         (so pipes wire up exactly like a local spawn); the returned
-        :class:`ChildProcess` reaps through the gateway's ``wait`` op —
-        the child is the *daemon's* child, like forkserver children.
+        :class:`ChildProcess` reaps from the exit notices the daemon
+        pushes — the child is the *daemon's* child, like forkserver
+        children.
 
         A spawn is only re-issued across a reconnect when its frame
         never reached the daemon; an ambiguous loss (frame sent, no
@@ -558,7 +619,8 @@ class GatewayClient:
             raise GatewayError(f"gateway refused spawn: {reply}")
         trace.stage("forked", pid=reply["pid"])
         return ChildProcess(reply["pid"], argv=argv, strategy="gateway",
-                            reaper=self._reap, trace=trace)
+                            reaper=self._reap, timed_reaper=True,
+                            trace=trace)
 
     def spawn_batch(self, requests, *,
                     deadline: Optional[float] = None) -> BatchResult:
@@ -598,7 +660,7 @@ class GatewayClient:
             raise GatewayError(f"gateway refused batch: {reply}")
         children = [
             ChildProcess(pid, argv=member.argv, strategy="gateway",
-                         reaper=self._reap)
+                         reaper=self._reap, timed_reaper=True)
             for pid, member in zip(pids, batch.members)]
         return BatchResult(children, strategy="gateway")
 
@@ -636,20 +698,46 @@ class GatewayClient:
         self._roundtrip({"op": "drain", "resume": True},
                         timeout=self._timeout, retryable=True)
 
-    def _reap(self, pid: int, flags: int) -> Optional[int]:
-        """ChildProcess reaper: wait through the daemon.
+    def _reap(self, pid: int, flags: int,
+              timeout: Optional[float] = None) -> Optional[int]:
+        """ChildProcess reaper: a lookup of the status the daemon pushed,
+        after an event wait of at most ``timeout`` seconds if the wait
+        is blocking (``flags == 0``).  ``None`` means not exited (yet).
 
-        Non-blocking polls answer immediately; a blocking wait parks
-        until the daemon's SIGCHLD path reports the exit.  Retryable:
-        a connection lost mid-wait reconnects and re-issues the wait —
-        the child is the daemon's, so its status survives our blip.
+        The ``wait`` claim is the one round trip left: for a pid with no
+        slot on this channel (a reconnect dropped it), and once when a
+        timed wait runs out with no notice — with the timeout again as
+        its deadline — so a lost notice is a timeout and not a hang.
         """
-        reply = self._roundtrip({"op": "wait", "pid": pid,
-                                 "block": flags == 0}, retryable=True)
-        status = reply.get("status")
-        if status is None:
-            return None
-        return _encode_status(status)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._state_lock:
+                slot = self._exits.get(pid)
+                if slot is not None:
+                    if slot.status is not None:
+                        del self._exits[pid]
+                        if isinstance(slot.status, GatewayError):
+                            raise slot.status
+                        return slot.status
+                    if flags:
+                        return None
+                    if slot.event is None:
+                        slot.event = threading.Event()
+            if slot is not None and slot.event.wait(
+                    None if deadline is None
+                    else max(0.0, deadline - time.monotonic())):
+                continue  # filled, or dropped by a channel death
+            reply = self._roundtrip(
+                {"op": "wait", "pid": pid}, retryable=True,
+                timeout=self._timeout if timeout is None
+                else min(self._timeout, max(timeout, 0.1)))
+            if reply.get("status") is not None:
+                with self._state_lock:
+                    self._exits.pop(pid, None)
+                return _encode_status(reply["status"])
+            if flags or (deadline is not None
+                         and time.monotonic() >= deadline):
+                return None
 
     def __repr__(self):
         state = ("healthy" if self.healthy

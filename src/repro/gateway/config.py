@@ -48,12 +48,8 @@ class TenantConfig:
         policy: the tenant's :class:`SpawnPolicy` (deadline, retries,
             breakers); ``None`` uses a modest default built by the
             server.
-        max_children: bound on live (spawned, unreaped) children;
-            ``None`` = unlimited.
-        max_waits: bound on concurrent *blocking* ``wait`` ops (each
-            parks a daemon thread for the child's whole runtime); past
-            it the gateway sheds with :class:`~repro.errors.Overloaded`
-            and the client should poll instead.
+        max_children: bound on *live* (spawned, not yet exited)
+            children; ``None`` = unlimited.
         admin: whether this tenant may issue the ``drain`` op (flip
             the whole daemon into/out of refuse-new mode).  Ordinary
             tenants get :class:`~repro.errors.AuthError` — one tenant
@@ -69,7 +65,6 @@ class TenantConfig:
     strategy: str = "forkserver-pool"
     policy: Optional[SpawnPolicy] = None
     max_children: Optional[int] = None
-    max_waits: int = 64
     admin: bool = False
 
     def __post_init__(self):
@@ -86,9 +81,6 @@ class TenantConfig:
             raise GatewayError(f"tenant {self.name!r}: burst must be >= 1")
         if self.weight <= 0:
             raise GatewayError(f"tenant {self.name!r}: weight must be > 0")
-        if self.max_waits < 1:
-            raise GatewayError(
-                f"tenant {self.name!r}: max_waits must be >= 1")
         if self.strategy == "gateway":
             raise GatewayError(
                 f"tenant {self.name!r}: a gateway tenant cannot be served "
@@ -107,7 +99,6 @@ class TenantConfig:
             strategy=data.get("strategy", "forkserver-pool"),
             policy=policy,
             max_children=data.get("max_children"),
-            max_waits=int(data.get("max_waits", 64)),
             admin=bool(data.get("admin", False)))
 
 

@@ -11,6 +11,13 @@ UTF-8 JSON encoding one object.  Requests carry ``op`` (one of
                         "message": "tenant 'a' over 50 req/s",
                         "retry_after": 0.02}}
 
+One frame travels unasked: when a child exits, the daemon pushes
+``{"exit": pid, "status": rc}`` (no ``id``) to the connection that
+spawned it — never before the reply that hands out the pid — so reaping
+costs no round trip.  ``wait`` survives as the non-blocking claim a
+client makes after a reconnect: the status, or ``null`` with the notice
+re-pointed at the asking connection.
+
 Everything that can go wrong at the framing layer — truncated or
 oversized length prefixes, non-UTF-8 bodies, junk JSON, a body that is
 not an object — surfaces as :class:`~repro.errors.GatewayProtocolError`
@@ -50,7 +57,7 @@ MAX_FRAME_BYTES = 4 * 1024 * 1024
 #: without holding a tenant token.
 OPS = ("hello", "ping", "spawn", "spawn_batch", "lease", "wait", "stats",
        "drain")
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: code -> exception class, the one authoritative table.  ``decode``
 #: walks it by code, ``encode`` by (most-derived) class; the round-trip

@@ -31,6 +31,10 @@ as fast as a weight-1 tenant under contention.
 
 Dispatch itself runs on a bounded thread executor (the spawn ladder is
 blocking I/O); ``max_inflight`` is the daemon-wide concurrency bound.
+Reaping costs the client nothing: each child is subscribed
+(:meth:`~repro.core.result.ChildProcess.on_exit`) once its spawn reply
+is queued, and the daemon pushes ``{"exit": pid, "status": rc}`` down
+the spawning connection when it exits.  No thread parks on a child.
 Everything is observable through :mod:`repro.obs`: queue-depth gauges,
 shed/rate-limit counters, and per-tenant launch-latency histograms.
 
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import array
 import asyncio
+import functools
 import hmac
 import json
 import os
@@ -54,7 +59,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Union
 
 from ..core.batch import BatchRequest
 from ..core.policy import (DEFAULT_FALLBACK, SpawnPolicy, breaker_for)
@@ -70,6 +75,10 @@ from .protocol import (FrameDecoder, PROTOCOL_VERSION, check_request,
 #: Longest lease (admission credits) a tenant may hold, seconds.
 MAX_LEASE_TTL = 60.0
 
+#: Exit statuses remembered per tenant for the ``wait`` claim of a client
+#: whose connection died around the exit; the oldest is forgotten first.
+EXITS_KEPT = 1024
+
 #: How much ancillary (fd-grant) space one recvmsg is willing to parse.
 _FD_BUFFER = socket.CMSG_SPACE(253 * array.array("i").itemsize)
 
@@ -79,7 +88,7 @@ class _Connection:
 
     __slots__ = ("sock", "fd", "is_unix", "decoder", "pending_fds",
                  "tenant", "outbuf", "writing", "closed", "peer",
-                 "close_after_flush")
+                 "close_after_flush", "corked")
 
     def __init__(self, sock: socket.socket, is_unix: bool, peer: str):
         self.sock = sock
@@ -92,6 +101,7 @@ class _Connection:
         self.writing = False
         self.closed = False
         self.close_after_flush = False
+        self.corked = False  # frames pile up in outbuf for one send
         self.peer = peer
 
 
@@ -113,12 +123,23 @@ class _Job:
         self.t_enqueued = time.monotonic()
 
 
+class _Child:
+    """One live child: its handle, and the connection its exit notice
+    goes to (the spawner, until a ``wait`` claim re-points it)."""
+
+    __slots__ = ("handle", "conn")
+
+    def __init__(self, handle, conn: _Connection):
+        self.handle = handle
+        self.conn = conn
+
+
 class _TenantState:
     """Everything the gateway tracks about one tenant at runtime."""
 
     __slots__ = ("config", "bucket", "queue", "vtime", "inflight",
-                 "children", "policy", "lease_credits", "lease_expiry",
-                 "counters", "waiting")
+                 "children", "exited", "policy", "lease_credits",
+                 "lease_expiry", "counters")
 
     def __init__(self, config: TenantConfig):
         self.config = config
@@ -129,12 +150,14 @@ class _TenantState:
         self.queue: Deque[_Job] = deque()
         self.vtime = 0.0
         self.inflight = 0
-        self.children: Dict[int, object] = {}
+        self.children: Dict[int, _Child] = {}  # live ones only
+        # The last EXITS_KEPT exits: pid -> returncode, or the message
+        # of the error that lost it.
+        self.exited: Dict[int, Union[int, str]] = {}
         self.policy = config.policy or SpawnPolicy(
             deadline=10.0, retries=1, fallback=DEFAULT_FALLBACK)
         self.lease_credits = 0
         self.lease_expiry = 0.0
-        self.waiting = 0  # concurrent blocking waits (loop thread only)
         self.counters = {"admitted": 0, "completed": 0, "failed": 0,
                          "shed": 0, "rate_limited": 0}
 
@@ -165,8 +188,7 @@ class GatewayServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._inflight = 0
         self._vclock = 0.0
-        self._wake: Optional[asyncio.Event] = None
-        self._scheduler_task = None
+        self._pidfds: Dict[int, tuple] = {}  # pidfd -> (tenant, handle)
         self._draining = False
         self._drained = threading.Event()
         self._started = threading.Event()
@@ -269,29 +291,30 @@ class GatewayServer:
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
-            self._wake = asyncio.Event()
             for sock in self._listeners:
                 is_unix = sock.family == socket.AF_UNIX
                 loop.add_reader(sock.fileno(), self._on_accept, sock,
                                 is_unix)
-            self._scheduler_task = loop.create_task(self._scheduler())
             self._started.set()
             loop.run_forever()
         except BaseException as exc:  # boot failed; unblock start()
             self._boot_error = exc
             self._started.set()
         finally:
-            try:
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True))
-            except Exception:
-                pass
             loop.close()
             self._stopped.set()
+
+    def _post(self, callback, *args) -> bool:
+        """Run ``callback`` on the loop thread, from any other; ``False``
+        when there is no loop (left) to run it on."""
+        loop = self._loop
+        if loop is None or self._stopped.is_set():
+            return False
+        try:
+            loop.call_soon_threadsafe(callback, *args)
+        except RuntimeError:  # the loop died between the check and the call
+            return False
+        return True
 
     def drain(self, *_signal_args) -> None:
         """Refuse new spawns; finish everything already admitted.
@@ -300,14 +323,7 @@ class GatewayServer:
         and in-flight work completes; new ``spawn``/``spawn_batch``
         requests get :class:`Overloaded` with a Retry-After hint.
         """
-        loop = self._loop
-        if loop is None or self._stopped.is_set():
-            self._draining = True
-            self._drained.set()
-            return
-        try:
-            loop.call_soon_threadsafe(self._begin_drain)
-        except RuntimeError:  # loop died between the check and the call
+        if not self._post(self._begin_drain):
             self._draining = True
             self._drained.set()
 
@@ -317,13 +333,7 @@ class GatewayServer:
         The un-drain half of :meth:`drain`.  A no-op while the server
         is actually stopping (``stop()`` owns the drain latch then).
         """
-        loop = self._loop
-        if loop is None or self._stopped.is_set():
-            return
-        try:
-            loop.call_soon_threadsafe(self._end_drain)
-        except RuntimeError:
-            pass
+        self._post(self._end_drain)
 
     def _begin_drain(self) -> None:
         if not self._draining:
@@ -349,12 +359,7 @@ class GatewayServer:
         self.drain()
         self._drained.wait(timeout=self.config.drain_grace)
         self._closing = True
-        loop = self._loop
-        if loop is not None and not self._stopped.is_set():
-            try:
-                loop.call_soon_threadsafe(self._shutdown_in_loop)
-            except RuntimeError:
-                pass  # the loop crashed or closed on its own
+        self._post(self._shutdown_in_loop)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
@@ -376,10 +381,12 @@ class GatewayServer:
         for tenant in self._tenants.values():
             for child in list(tenant.children.values()):
                 try:
-                    child.poll()
+                    child.handle.poll()
                 except Exception:
                     pass
             tenant.children.clear()
+        self._close_fds(list(self._pidfds))
+        self._pidfds.clear()
         self._loop = None
 
     def _shutdown_in_loop(self) -> None:
@@ -417,14 +424,8 @@ class GatewayServer:
 
     def crash(self) -> None:
         """Crash the daemon from any thread (tests and chaos drills)."""
-        loop = self._loop
-        if loop is None or self._stopped.is_set():
-            return
-        try:
-            loop.call_soon_threadsafe(self._crash_in_loop)
-        except RuntimeError:
-            pass
-        self._stopped.wait(timeout=10.0)
+        if self._post(self._crash_in_loop):
+            self._stopped.wait(timeout=10.0)
 
     def take_orphans(self) -> Dict[int, object]:
         """Claim the children a dead daemon stranded (pid -> handle).
@@ -436,7 +437,8 @@ class GatewayServer:
         """
         orphans: Dict[int, object] = {}
         for tenant in self._tenants.values():
-            orphans.update(tenant.children)
+            for pid, child in list(tenant.children.items()):
+                orphans[pid] = child.handle
             tenant.children.clear()
         return orphans
 
@@ -535,6 +537,9 @@ class GatewayServer:
                 break
 
     def _send(self, conn: _Connection, obj: dict) -> None:
+        """Answer a request.  The ``gateway.reply`` faults live only
+        here: an exit notice answers nothing, and no deadline would
+        save a blocking ``wait()`` from a dropped one."""
         if conn.closed:
             return
         fault = FAULTS.fire("gateway.reply", tenant=conn.tenant)
@@ -551,6 +556,13 @@ class GatewayServer:
                 conn.outbuf += len(body).to_bytes(4, "big") + body
                 self._flush_or_close(conn)
                 return
+        self._push(conn, obj)
+
+    def _push(self, conn: _Connection, obj: dict) -> None:
+        """Frame ``obj`` onto the connection; a corked connection keeps
+        collecting frames until whoever corked it flushes once."""
+        if conn.closed:
+            return
         try:
             conn.outbuf += encode_frame(obj)
         except GatewayError:
@@ -561,7 +573,7 @@ class GatewayServer:
         self._flush_or_close(conn)
 
     def _flush_or_close(self, conn: _Connection) -> None:
-        if conn.closed:
+        if conn.closed or conn.corked:
             return
         if conn.outbuf:
             try:
@@ -574,7 +586,7 @@ class GatewayServer:
                 return
         if conn.outbuf and not conn.writing:
             conn.writing = True
-            self._loop.add_writer(conn.fd, self._on_writable, conn)
+            self._loop.add_writer(conn.fd, self._flush_or_close, conn)
         elif not conn.outbuf:
             if conn.writing:
                 conn.writing = False
@@ -584,9 +596,6 @@ class GatewayServer:
                     pass
             if conn.close_after_flush:
                 self._close_connection(conn)
-
-    def _on_writable(self, conn: _Connection) -> None:
-        self._flush_or_close(conn)
 
     # -- request handling ------------------------------------------------
 
@@ -746,8 +755,8 @@ class GatewayServer:
             tenant.counters["shed"] += 1
             TELEMETRY.count("gateway_shed", tenant=conn.tenant)
             raise Overloaded(
-                f"tenant {conn.tenant!r} at its {limit}-children limit; "
-                f"wait() some first",
+                f"tenant {conn.tenant!r} at its limit of {limit} live "
+                f"children",
                 retry_after=self.config.retry_after_hint)
         return tenant
 
@@ -764,7 +773,7 @@ class GatewayServer:
         TELEMETRY.count("gateway_requests", tenant=job.tenant, op=job.kind)
         TELEMETRY.gauge("gateway_queue_depth",
                         sum(len(t.queue) for t in self._tenants.values()))
-        self._wake.set()
+        self._dispatch()
 
     def _op_spawn(self, conn: _Connection, rid: Optional[int],
                   frame: dict) -> None:
@@ -841,97 +850,120 @@ class GatewayServer:
 
     def _op_wait(self, conn: _Connection, rid: Optional[int],
                  frame: dict) -> None:
+        """The claim a client makes after a reconnect (and once before a
+        timed wait gives up): never blocks.  An exited child's status
+        comes from the tenant's remembered exits; a live one answers
+        ``null`` and its notice is re-pointed at this connection."""
         tenant = self._tenants[conn.tenant]
         pid = frame.get("pid")
         if not isinstance(pid, int):
             raise GatewayProtocolError(f"wait needs an integer pid, "
                                        f"got {pid!r}")
-        child = tenant.children.get(pid)
-        if child is None:
-            raise GatewayError(f"pid {pid} is not a live child of tenant "
-                               f"{conn.tenant!r}")
-        block = bool(frame.get("block", True))
+        status = tenant.exited.get(pid)
+        if isinstance(status, str):
+            raise GatewayError(status)
+        if status is None:
+            child = tenant.children.get(pid)
+            if child is None:
+                raise GatewayError(f"pid {pid} is not a live child of "
+                                   f"tenant {conn.tenant!r}")
+            child.conn = conn
+        self._send(conn, {"id": rid, "status": status})
 
-        def wait_blocking():
-            # Own thread, not the executor: a blocking wait parks for
-            # the child's whole runtime and must never eat a spawn slot.
-            def post(*call) -> None:
-                # The daemon can stop (or be crash-injected) while this
-                # thread is parked in wait(); by the time the child
-                # exits the loop may be closed or already gone.
-                loop = self._loop
-                if loop is None:
-                    return
-                try:
-                    loop.call_soon_threadsafe(*call)
-                except RuntimeError:
-                    pass  # loop already closed mid-shutdown
+    # -- exits ------------------------------------------------------------
 
-            try:
-                try:
-                    status = child.wait()
-                except SpawnError as exc:
-                    post(self._send, conn,
-                         encode_error(GatewayError(str(exc)), rid))
-                    return
-                tenant.children.pop(pid, None)
-                post(self._send, conn, {"id": rid, "status": status})
-            finally:
-                post(self._wait_finished, tenant)
+    def _subscribe(self, tenant: _TenantState, handle) -> None:
+        """Ask to be told when ``handle`` exits (loop thread, *after*
+        its spawn reply was queued).  Forkserver-family handles call
+        back from their reader thread; our own children — the ladder's
+        last tier — hand back a pidfd for the loop to watch."""
+        tenant.exited.pop(handle.pid, None)  # a recycled pid starts clean
+        try:
+            fd = handle.on_exit(
+                functools.partial(self._on_child_exit, tenant))
+        except SpawnError:
+            self._poll_child(tenant, handle)  # no pidfd: a timer it is
+            return
+        if fd is not None:
+            self._pidfds[fd] = (tenant, handle)
+            self._loop.add_reader(fd, self._on_pidfd, fd)
 
-        if block:
-            # Each blocking wait parks one daemon thread until the
-            # child exits; unbounded, a tenant with many live children
-            # could exhaust the daemon's threads.  max_waits is the
-            # admission bound for this op.
-            limit = tenant.config.max_waits
-            if tenant.waiting >= limit:
-                tenant.counters["shed"] += 1
-                TELEMETRY.count("gateway_shed", tenant=conn.tenant)
-                raise Overloaded(
-                    f"tenant {conn.tenant!r} at its {limit} concurrent "
-                    f"blocking waits; poll with block=false instead",
-                    retry_after=self.config.retry_after_hint)
-            tenant.waiting += 1
-            threading.Thread(target=wait_blocking, daemon=True,
-                             name=f"gateway-wait-{pid}").start()
+    def _on_pidfd(self, fd: int) -> None:
+        self._loop.remove_reader(fd)
+        os.close(fd)
+        self._poll_child(*self._pidfds.pop(fd))
+
+    def _poll_child(self, tenant: _TenantState, handle,
+                    delay: float = 0.001) -> None:
+        """Reap our own child if it is done (which fires its on_exit);
+        where no pidfd says when, look again on a backing-off timer."""
+        try:
+            if handle.poll() is not None:
+                return
+        except SpawnError:
+            self._child_exited(tenant, handle.pid)  # reports the loss
+            return
+        if not self._closing:
+            self._loop.call_later(delay, self._poll_child, tenant, handle,
+                                  min(delay * 2, 0.05))
+
+    def _on_child_exit(self, tenant: _TenantState, handle) -> None:
+        """The on_exit callback — any thread, must not block."""
+        if threading.current_thread() is self._thread:
+            self._child_exited(tenant, handle.pid)
         else:
-            try:
-                status = child.poll()
-            except SpawnError as exc:
-                raise GatewayError(str(exc)) from exc
-            if status is not None:
-                tenant.children.pop(pid, None)
-            self._send(conn, {"id": rid, "status": status})
+            self._post(self._child_exited, tenant, handle.pid)
 
-    def _wait_finished(self, tenant: _TenantState) -> None:
-        tenant.waiting -= 1
+    def _child_exited(self, tenant: _TenantState, pid: int) -> None:
+        """Push the exit notice and forget the child (loop thread).
+
+        The notice is also remembered (bounded): a connection that died
+        around the exit cannot be told, and its client claims the
+        status with ``wait`` once it is back.
+        """
+        child = tenant.children.pop(pid, None)
+        if child is None:
+            return  # stop() or take_orphans() owns it now
+        try:
+            status = child.handle.poll()
+            if status is None:
+                status = f"pid {pid} exited with no status"
+        except SpawnError as exc:  # its helper died holding the status
+            status = str(exc)
+        tenant.exited[pid] = status
+        if len(tenant.exited) > EXITS_KEPT:
+            del tenant.exited[next(iter(tenant.exited))]
+        notice = {"exit": pid, "status": status}
+        if isinstance(status, str):
+            notice = {"exit": pid, "status": None, "error": status}
+        self._push(child.conn, notice)
 
     # -- the weighted-fair scheduler -------------------------------------
 
-    async def _scheduler(self) -> None:
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            while self._inflight < self.config.max_inflight:
-                tenant = self._pick_tenant()
-                if tenant is None:
-                    break
-                job = tenant.queue.popleft()
-                # Start-time fair queueing: the global clock follows the
-                # dispatched tenant's start tag; its finish tag advances
-                # by cost/weight, so heavier tenants accrue time slower
-                # and get picked proportionally more often.
-                self._vclock = max(self._vclock, tenant.vtime)
-                tenant.vtime += job.cost / tenant.config.weight
-                tenant.inflight += 1
-                self._inflight += 1
-                TELEMETRY.gauge("gateway_inflight", self._inflight)
-                future = self._loop.run_in_executor(
-                    self._executor, self._execute, job)
-                future.add_done_callback(
-                    lambda fut, job=job, tenant=tenant:
-                    self._job_done(job, tenant, fut))
+    def _dispatch(self) -> None:
+        """Hand queued jobs to the executor while there is room."""
+        while self._inflight < self.config.max_inflight:
+            tenant = self._pick_tenant()
+            if tenant is None:
+                break
+            job = tenant.queue.popleft()
+            # Start-time fair queueing: the global clock follows the
+            # dispatched tenant's start tag; its finish tag advances
+            # by cost/weight, so heavier tenants accrue time slower
+            # and get picked proportionally more often.
+            self._vclock = max(self._vclock, tenant.vtime)
+            tenant.vtime += job.cost / tenant.config.weight
+            tenant.inflight += 1
+            self._inflight += 1
+            TELEMETRY.gauge("gateway_inflight", self._inflight)
+            self._executor.submit(self._execute, job).add_done_callback(
+                functools.partial(self._post_job_done, job, tenant))
+
+    def _post_job_done(self, job: _Job, tenant: _TenantState,
+                       future) -> None:
+        """Executor thread: carry the finished job back to the loop."""
+        if not self._post(self._job_done, job, tenant, future):
+            self._close_job_fds(job)  # the daemon stopped under the job
 
     def _pick_tenant(self) -> Optional[_TenantState]:
         best = None
@@ -947,34 +979,43 @@ class GatewayServer:
         TELEMETRY.gauge("gateway_inflight", self._inflight)
         self._close_job_fds(job)
         try:
-            reply = future.result()
-        except GatewayError as exc:
-            tenant.counters["failed"] += 1
-            self._send(job.conn, encode_error(exc, job.rid))
-        except (SpawnError, OSError) as exc:
-            tenant.counters["failed"] += 1
-            self._send(job.conn, encode_error(GatewayError(str(exc)),
-                                              job.rid))
+            reply, handles = future.result()
         except Exception as exc:
-            self._internal_errors += 1
             tenant.counters["failed"] += 1
-            TELEMETRY.count("gateway_internal_errors")
-            self._send(job.conn, encode_error(
-                GatewayError(f"internal error: {exc}"), job.rid))
+            if isinstance(exc, (SpawnError, OSError)):
+                exc = GatewayError(str(exc))
+            elif not isinstance(exc, GatewayError):
+                self._internal_errors += 1
+                TELEMETRY.count("gateway_internal_errors")
+                exc = GatewayError(f"internal error: {exc}")
+            self._send(job.conn, encode_error(exc, job.rid))
         else:
             tenant.counters["completed"] += 1
             latency_ms = (time.monotonic() - job.t_enqueued) * 1e3
             TELEMETRY.observe("gateway_latency_ms", latency_ms,
                               tenant=job.tenant)
             reply["id"] = job.rid
-            self._send(job.conn, reply)
-        self._wake.set()
+            # The reply is queued first and the subscriptions after it,
+            # so no notice can overtake the reply that hands out its
+            # pid; corked, the reply and the notices of children that
+            # are already gone leave in one send.
+            conn = job.conn
+            conn.corked = True
+            try:
+                self._send(conn, reply)
+                for handle in handles:
+                    self._subscribe(tenant, handle)
+            finally:
+                conn.corked = False
+                self._flush_or_close(conn)
+        self._dispatch()
         self._check_drained()
 
     # -- the blocking half (executor threads) ----------------------------
 
-    def _execute(self, job: _Job) -> dict:
-        """Run one admitted job through the tenant's strategy ladder.
+    def _execute(self, job: _Job) -> tuple:
+        """Run one admitted job through the tenant's strategy ladder;
+        returns the reply and the handles of the children it made.
 
         Blocking — executor threads only.  Tenant breakers ride the
         shared :func:`breaker_for` registry under a per-tenant key, so a
@@ -989,16 +1030,20 @@ class GatewayServer:
                 retry_after=tenant.policy.breaker_cooldown)
         try:
             if job.kind == "spawn":
-                reply = self._execute_spawn(tenant, job)
+                reply, handles = self._execute_spawn(tenant, job)
             else:
-                reply = self._execute_batch(tenant, job)
+                reply, handles = self._execute_batch(tenant, job)
         except (SpawnError, OSError):
             breaker.record_failure()
             raise
         breaker.record_success()
-        return reply
+        # Registered here, not in _job_done: a daemon that crashes in
+        # between must still find the child among its orphans.
+        for handle in handles:
+            tenant.children[handle.pid] = _Child(handle, job.conn)
+        return reply, handles
 
-    def _execute_spawn(self, tenant: _TenantState, job: _Job) -> dict:
+    def _execute_spawn(self, tenant: _TenantState, job: _Job) -> tuple:
         payload = job.payload
         builder = (ProcessBuilder(*payload["argv"])
                    .strategy(tenant.config.strategy)
@@ -1012,10 +1057,9 @@ class GatewayServer:
                     .stdout_to_fd(job.fds[1])
                     .stderr_to_fd(job.fds[2]))
         child = builder.spawn()
-        tenant.children[child.pid] = child
-        return {"pid": child.pid}
+        return {"pid": child.pid}, (child,)
 
-    def _execute_batch(self, tenant: _TenantState, job: _Job) -> dict:
+    def _execute_batch(self, tenant: _TenantState, job: _Job) -> tuple:
         from ..core.strategies import spawn_batch
         batch: BatchRequest = job.payload["batch"]
         if job.fds:
@@ -1026,9 +1070,8 @@ class GatewayServer:
         result = spawn_batch(BatchRequest(batch.members,
                                           policy=tenant.policy,
                                           deadline=tenant.policy.deadline))
-        for child in result:
-            tenant.children[child.pid] = child
-        return {"pids": result.pids, "strategy": result.strategy}
+        return ({"pids": result.pids, "strategy": result.strategy},
+                result.children)
 
     # -- stats ------------------------------------------------------------
 
@@ -1039,7 +1082,6 @@ class GatewayServer:
             tenants[name] = dict(tenant.counters,
                                  queued=len(tenant.queue),
                                  inflight=tenant.inflight,
-                                 waiting=tenant.waiting,
                                  children=len(tenant.children),
                                  weight=tenant.config.weight,
                                  vtime=round(tenant.vtime, 6))

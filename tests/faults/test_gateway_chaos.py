@@ -23,6 +23,7 @@ from repro.errors import (GatewayConnectionLost, GatewayError, SpawnError,
 from repro.faults import FAULTS, FaultPlan
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            GatewaySupervisor, TenantConfig)
+from repro.gateway.protocol import PROTOCOL_VERSION
 
 TOKEN = "chaos-token"
 
@@ -231,7 +232,7 @@ class _HangupDaemon:
                         if frame.get("op") == "hello":
                             conn.sendall(encode_frame(
                                 {"id": frame.get("id"), "ok": True,
-                                 "version": 1}))
+                                 "version": PROTOCOL_VERSION}))
                         else:
                             self.spawns_seen += 1
                             hangup = True

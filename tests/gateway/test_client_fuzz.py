@@ -4,15 +4,17 @@ The reader thread is the one place a malicious or corrupt daemon
 touches client memory, so it gets the adversarial treatment: a fake
 server answers the hello handshake correctly and then replies to the
 next request with *arbitrary bytes*.  Whatever arrives — junk framing,
-valid frames with junk bodies, wrong correlation ids, half frames then
-EOF — the property is the same:
+valid frames with junk bodies, wrong correlation ids, malformed or
+unknown-pid ``exit`` notices, half frames then EOF — the property is
+the same:
 
 * the blocked operation returns within its deadline with a **typed**
   error (the :class:`~repro.errors.GatewayError` hierarchy or
   :class:`~repro.errors.SpawnTimeout`), never a hang and never a raw
   ``ValueError``/``struct.error`` escaping the reader;
 * the reader thread dies quietly instead of crashing the process;
-* the correlation map is empty afterwards (no stale entries).
+* the correlation map and the exit-slot table are empty afterwards (no
+  stale entries, no slot opened for a pid nobody was handed).
 
 One listener serves all examples (hypothesis runs many), with a fresh
 connection per example so one example's poisoned decoder cannot leak
@@ -28,7 +30,9 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.errors import GatewayError, SpawnError
 from repro.gateway import GatewayClient
-from repro.gateway.protocol import FrameDecoder, encode_frame
+from repro.gateway.client import _encode_status
+from repro.gateway.protocol import (PROTOCOL_VERSION, FrameDecoder,
+                                    encode_frame)
 
 TIMEOUT = 2.0
 
@@ -71,7 +75,8 @@ class _EvilServer:
                 if not helloed and frame.get("op") == "hello":
                     helloed = True
                     conn.sendall(encode_frame(
-                        {"id": frame.get("id"), "ok": True, "version": 1}))
+                        {"id": frame.get("id"), "ok": True,
+                         "version": PROTOCOL_VERSION}))
                 else:
                     # The request under test: answer with the blob.
                     if self.reply_blob:
@@ -100,6 +105,7 @@ def _exercise(evil, blob):
         with pytest.raises((GatewayError, SpawnError)):
             client._roundtrip({"op": "stats"}, timeout=TIMEOUT)
         assert client._pending == {}
+        assert client._exits == {}
         reader = client._reader
         if reader is not None:
             reader.join(timeout=TIMEOUT)
@@ -142,3 +148,49 @@ def test_half_a_frame_then_eof_is_connection_lost(evil, data, cut):
     the dangling bytes into a typed channel death."""
     frame = encode_frame({"id": 0, "pad": data.hex()})
     _exercise(evil, frame[:min(cut, len(frame) - 1)])
+
+
+_JUNK = (st.none() | st.booleans() | st.integers() | st.floats()
+         | st.text(max_size=8) | st.lists(st.integers(), max_size=2)
+         | st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(notices=st.lists(
+    st.fixed_dictionaries({"exit": _JUNK},
+                          optional={"status": _JUNK, "error": _JUNK,
+                                    "id": _JUNK}),
+    min_size=1, max_size=4))
+def test_malformed_and_unknown_pid_exit_notices(evil, notices):
+    """Exit notices for pids this client was never handed, with pids
+    and statuses of every wrong shape (unhashable ones included): each
+    is dropped or kills the channel typed — the reader never crashes,
+    and no slot is ever opened from a notice."""
+    _exercise(evil, b"".join(encode_frame(notice) for notice in notices))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(status=_JUNK)
+def test_junk_status_for_a_handed_out_pid_is_typed_and_frees_the_slot(
+        evil, status):
+    """The notice for a pid the client *does* hold: an integer status
+    reaps, anything else is a typed error — and either way the slot is
+    gone afterwards and nobody waits past the notice."""
+    evil.reply_blob = (encode_frame({"id": 1, "pid": 4242})
+                       + encode_frame({"exit": 4242, "status": status}))
+    client = GatewayClient(evil.path, tenant="fuzz", token="fuzz",
+                           timeout=TIMEOUT, reconnect=False).connect()
+    try:
+        reply = client._roundtrip({"op": "spawn", "argv": ["x"]},
+                                  timeout=TIMEOUT)
+        assert reply["pid"] == 4242
+        if type(status) is int:
+            assert client._reap(4242, 0, TIMEOUT) == _encode_status(status)
+        else:
+            with pytest.raises(GatewayError, match="lost the exit status"):
+                client._reap(4242, 0, TIMEOUT)
+        assert client._exits == {} and client._pending == {}
+    finally:
+        client.close()

@@ -21,7 +21,8 @@ from repro.errors import (GatewayConnectionLost, GatewayError,
                           GatewayProtocolError, SpawnTimeout)
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
-from repro.gateway.protocol import FrameDecoder, encode_frame
+from repro.gateway.protocol import (PROTOCOL_VERSION, FrameDecoder,
+                                    encode_frame)
 
 TOKEN = "reconnect-token"
 
@@ -198,7 +199,7 @@ class _SilentServer:
                         if frame.get("op") == "hello":
                             conn.sendall(encode_frame(
                                 {"id": frame.get("id"), "ok": True,
-                                 "version": 1}))
+                                 "version": PROTOCOL_VERSION}))
                         else:
                             self.requests_seen += 1
                             hangup = self._hangup
@@ -280,7 +281,8 @@ class _RateLimitingServer:
                         rid = frame.get("id")
                         if frame.get("op") == "hello":
                             conn.sendall(encode_frame(
-                                {"id": rid, "ok": True, "version": 1}))
+                                {"id": rid, "ok": True,
+                                 "version": PROTOCOL_VERSION}))
                         elif not self.refused:
                             self.refused += 1
                             conn.sendall(encode_frame(

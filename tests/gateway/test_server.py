@@ -243,66 +243,6 @@ class TestAdmission:
         finally:
             server.stop()
 
-    def test_blocking_wait_cap_sheds(self, tmp_path):
-        # Every blocking wait parks one daemon thread; max_waits is the
-        # admission bound that keeps a tenant with many live children
-        # from exhausting them.  Past the cap: Overloaded, not a thread.
-        tenants = {"acme": TenantConfig(name="acme", max_waits=1, **FAST)}
-        server = make_server(tmp_path, tenants=tenants)
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            sock.connect(server.unix_path)
-            sock.settimeout(10.0)
-            decoder = FrameDecoder()
-            replies = []
-
-            def recv_until(count):
-                while len(replies) < count:
-                    data = sock.recv(65536)
-                    if not data:
-                        break
-                    replies.extend(decoder.feed(data))
-
-            sock.sendall(encode_frame({"op": "hello", "id": 0,
-                                       "tenant": "acme", "token": TOKEN}))
-            recv_until(1)
-            for rid in (1, 2):
-                sock.sendall(encode_frame(
-                    {"op": "spawn", "id": rid,
-                     "argv": ["/bin/sleep", "0.4"], "nfds": 0}))
-            recv_until(3)
-            pids = {reply["id"]: reply["pid"] for reply in replies[1:]}
-            # The first blocking wait parks; the second trips the cap
-            # immediately (long before the 0.4s child exits).
-            sock.sendall(encode_frame({"op": "wait", "id": 3,
-                                       "pid": pids[1], "block": True}))
-            sock.sendall(encode_frame({"op": "wait", "id": 4,
-                                       "pid": pids[2], "block": True}))
-            recv_until(4)
-            shed = replies[3]
-            assert shed["id"] == 4
-            assert shed["error"]["code"] == "overloaded"
-            assert shed["error"]["retry_after"] > 0
-            recv_until(5)  # the parked wait still answers normally
-            assert replies[4] == {"id": 3, "status": 0}
-            # The slot freed: a non-blocking poll reaps the second child.
-            deadline = time.monotonic() + 5.0
-            status, rid = None, 5
-            while status is None and time.monotonic() < deadline:
-                sock.sendall(encode_frame({"op": "wait", "id": rid,
-                                           "pid": pids[2],
-                                           "block": False}))
-                recv_until(rid + 1)
-                status = replies[rid].get("status")
-                rid += 1
-                time.sleep(0.05)
-            assert status == 0
-            assert server.stats()["tenants"]["acme"]["shed"] >= 1
-            assert server.stats()["internal_errors"] == 0
-        finally:
-            sock.close()
-            server.stop()
-
     def test_max_children_bound(self, tmp_path):
         tenants = {"acme": TenantConfig(name="acme", max_children=1,
                                         **FAST)}
@@ -517,10 +457,8 @@ class TestMalformedClients:
             by_id = {reply.get("id"): reply for reply in replies}
             assert by_id[1]["error"]["code"] == "protocol"
             assert "pid" in by_id[2]
-            sock.sendall(encode_frame({"op": "wait", "id": 3,
-                                       "pid": by_id[2]["pid"],
-                                       "block": True}))
-            recv_until(4)
+            recv_until(4)  # the child's exit notice, pushed unasked
+            assert replies[3] == {"exit": by_id[2]["pid"], "status": 0}
             with open(good_r, "rb") as out:
                 assert out.read() == b"good\n"
             with open(bad_r, "rb") as out:
@@ -690,8 +628,7 @@ class TestConfig:
             "max_inflight": 7,
             "accept_backlog": 9,
             "tenants": [{"name": "a", "token": "ta", "rate": 10,
-                         "burst": 20, "weight": 2.0, "admin": True,
-                         "max_waits": 3},
+                         "burst": 20, "weight": 2.0, "admin": True},
                         {"name": "b", "token": "tb"}],
         }))
         config = GatewayConfig.from_file(str(path))
@@ -699,7 +636,6 @@ class TestConfig:
         assert config.accept_backlog == 9
         assert config.tenants["a"].weight == 2.0
         assert config.tenants["a"].admin is True
-        assert config.tenants["a"].max_waits == 3
         assert config.tenants["b"].rate is None
         assert config.tenants["b"].admin is False
 
