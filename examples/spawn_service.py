@@ -6,9 +6,10 @@ service is judged by the traffic it sustains.  This example offers the
 same stream of spawn-and-wait requests, from a growing number of client
 threads, to two designs:
 
-* a single :class:`~repro.core.ForkServer` in its historical
-  ``pipelined=False`` mode — one lock, one blocking round-trip at a
-  time, so every caller waits out every other caller's child;
+* a single :class:`~repro.core.ForkServer` behind one
+  ``threading.Lock`` held across spawn-and-wait — the historical
+  design, one blocking round-trip at a time, so every caller waits out
+  every other caller's child;
 * a :class:`~repro.core.ForkServerPool` — correlation-id pipelining
   sharded across helpers, so requests overlap.
 

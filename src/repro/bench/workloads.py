@@ -306,9 +306,11 @@ class ServiceWorkloads:
 
     * ``fork_exec`` / ``posix_spawn`` — direct creation per caller; the
       kernel is the only shared resource.
-    * ``forkserver-locked`` — ONE helper behind one lock and blocking
-      round-trips: the historical design, where every caller waits for
-      every other caller's entire request *including child runtime*.
+    * ``forkserver-locked`` — ONE helper behind one lock held across
+      spawn *and* wait: the historical design, where every caller waits
+      for every other caller's entire request *including child
+      runtime*.  The lock is taken here, around an ordinary
+      :class:`ForkServer` — the product has no such mode.
     * ``forkserver-pipelined`` — one helper, many in-flight requests on
       the shared socket (correlation ids).
     * ``forkserver-pool`` — pipelining plus N helpers with least-loaded
@@ -352,6 +354,7 @@ class ServiceWorkloads:
         self._autoscale_config: Optional[AutoscaleConfig] = autoscale or None
         self._autoscaler: Optional[PoolAutoscaler] = None
         self._init_lock = threading.Lock()
+        self._roundtrip_lock = threading.Lock()
         self._locked: Optional[ForkServer] = None
         self._pipelined: Optional[ForkServer] = None
         self._pool: Optional[ForkServerPool] = None
@@ -399,8 +402,9 @@ class ServiceWorkloads:
     def _locked_once(self) -> None:
         with self._init_lock:
             if self._locked is None:
-                self._locked = ForkServer(pipelined=False).start()
-        self._locked.spawn(self.child_argv).wait()
+                self._locked = ForkServer().start()
+        with self._roundtrip_lock:
+            self._locked.spawn(self.child_argv).wait()
 
     def _pipelined_once(self) -> None:
         with self._init_lock:

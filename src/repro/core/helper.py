@@ -1,0 +1,509 @@
+"""The forkserver helper: the whole program a ForkServer boots.
+
+Deliberately dependency-free — stdlib only, and never ``repro``: the
+helper must stay importable-nothing so its fork cost is the floor, not
+the parent's.  That is why it carries its own copy of the framing in
+``repro.wire`` (the one permitted second implementation; both are
+fuzzed with the same corpus).  :class:`~repro.core.forkserver.ForkServer`
+feeds this file's text to ``python -c`` with the control socket's fd as
+the one argument, so ``sys.path[0]`` stays ``''`` — a zygote payload's
+``import result`` must never resolve to a sibling of this file.
+
+The helper is an event loop, never a blocker: it selects on the control
+socket plus a SIGCHLD wakeup pipe, and the moment the kernel delivers
+SIGCHLD it reaps the zombie and PUSHES an unsolicited
+``{"exit": pid, "status": s}`` frame to the client.  Reaping costs the
+client no request at all — one child is one wire round trip (its
+spawn) — and spawns for other callers keep flowing meanwhile: a
+blocking waitpid here would stall every in-flight request behind one
+caller's child.
+
+Beyond plain spawns the helper is a template zygote: ``specialize``
+warms it into a workload profile and ``park`` pre-forks children that
+block inside that warm runtime until a ``lease`` hands them their argv
+or code.  A generic forkserver simply never sends those ops; an empty
+stock costs nothing.
+"""
+
+import array
+import json
+import os
+import select
+import signal
+import socket
+import struct
+import sys
+import time
+
+LEN = struct.Struct("!I")
+MAX_FRAME_BYTES = 4 * 1024 * 1024
+SCM_MAX_FD = 253  # what one SCM_RIGHTS message can carry
+
+
+def close_all(fds):
+    for fd in fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+
+
+def recv_frame(chan, max_fds):
+    """One frame off ``chan`` plus the descriptors granted with it:
+    ``(request, fds)``, or ``(None, [])`` once the peer has hung up.
+
+    Grants arrive close-on-exec: only the dup2'd 0-2 survive a child's
+    exec, so no child inherits a batch sibling's (or any later
+    request's) stdio by accident — fork leaks by default, we must not.
+    A frame nobody should trust (oversized, not UTF-8, not JSON, not an
+    object) raises ``ValueError`` with its grants closed: the stream
+    can no longer be assumed to align on a frame boundary.
+    """
+    fds = array.array("i")
+    space = socket.CMSG_LEN(max_fds * fds.itemsize)
+    header = b""
+    body = b""
+    while len(header) < LEN.size:
+        want = LEN.size - len(header)
+        chunk, ancdata, _flags, _addr = chan.recvmsg(want, space, socket.MSG_CMSG_CLOEXEC)
+        for level, ctype, data in ancdata:
+            if level == socket.SOL_SOCKET and ctype == socket.SCM_RIGHTS:
+                fds.frombytes(data[: len(data) - len(data) % fds.itemsize])
+        if not chunk:
+            close_all(fds)
+            return None, []
+        header += chunk
+    (length,) = LEN.unpack(header)
+    try:
+        if length > MAX_FRAME_BYTES:
+            raise ValueError("frame length %d exceeds the limit" % length)
+        while len(body) < length:
+            chunk = chan.recv(length - len(body))
+            if not chunk:
+                close_all(fds)
+                return None, []
+            body += chunk
+        request = json.loads(body.decode("utf-8"))
+        if not isinstance(request, dict):
+            raise ValueError("frame body is not an object")
+    except ValueError:
+        close_all(fds)
+        raise
+    return request, list(fds)
+
+
+def send_frame(chan, body, fds=()):
+    ancdata = []
+    if fds:
+        ancdata = [(socket.SOL_SOCKET, socket.SCM_RIGHTS, array.array("i", fds).tobytes())]
+    chan.sendmsg([LEN.pack(len(body)) + body], ancdata)
+
+
+def which(name, env):
+    # What execvpe did for a bare name: first executable hit on the
+    # REQUEST's PATH when it replaces the environment, ours otherwise.
+    # None sends the request down the fork path, which fails the way it
+    # always has (the child exits 127).
+    if "/" in name:
+        return name
+    path = (env if env is not None else os.environ).get("PATH", os.defpath)
+    for entry in path.split(os.pathsep):
+        candidate = os.path.join(entry, name)
+        if os.access(candidate, os.X_OK) and not os.path.isdir(candidate):
+            return candidate
+    return None
+
+
+def spawn_one(req, grant):
+    # Launch one request whose stdio triple is ``grant`` and close the
+    # grant on our side.  posix_spawn with dup2 file actions: no fork of
+    # this interpreter, and the reply leaves after the child's exec.
+    # fork -> chdir -> exec survives for the one thing posix_spawn cannot
+    # express (cwd) and as the fallback for a failed spawn, so a missing
+    # binary is still a child that exits 127.  Raises OSError with the
+    # grant still open if even the fork fails (EAGAIN under pid
+    # pressure) — the caller owns cleanup so a batch can account for
+    # every member.
+    argv = req["argv"]
+    env = req.get("env")
+    pid = 0
+    path = None if req.get("cwd") else which(argv[0], env)
+    if path is not None:
+        try:
+            dup2s = [(os.POSIX_SPAWN_DUP2, fd, target) for target, fd in enumerate(grant)]
+            environ = env if env is not None else os.environ
+            pid = os.posix_spawn(path, argv, environ, file_actions=dup2s)
+        except OSError:
+            pass
+    if not pid:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                for target, fd in enumerate(grant):  # stdio triple
+                    os.dup2(fd, target)
+                if req.get("cwd"):
+                    os.chdir(req["cwd"])
+                os.execvpe(argv[0], argv, env if env is not None else os.environ)
+            except BaseException:
+                os._exit(127)
+    t_spawn = time.monotonic_ns()
+    for fd in grant:
+        os.close(fd)
+    return pid, t_spawn
+
+
+def parse_faults(spec):
+    # Injected faults, compiled from the client's active FaultPlan (see
+    # repro.faults).  Spec: "kind:seconds:times:after" entries, comma
+    # separated; times -1 means unlimited.
+    faults = {}
+    for entry in spec.split(","):
+        if not entry:
+            continue
+        parts = entry.split(":")
+        faults[parts[0]] = [
+            float(parts[1]) if len(parts) > 1 and parts[1] else 0.0,
+            int(parts[2]) if len(parts) > 2 and parts[2] else -1,
+            int(parts[3]) if len(parts) > 3 and parts[3] else 0,
+        ]
+    return faults
+
+
+class Helper:
+    """The event loop around one control socket."""
+
+    def __init__(self, sock, faults):
+        self.sock = sock
+        self.faults = faults
+        # Pre-forked parked children awaiting a lease, oldest first.
+        # Each entry pairs a child pid with OUR end of its wake
+        # socketpair; closing that end is how a park is withdrawn (the
+        # child sees EOF and exits 0 on its own).
+        self.stock = []
+        # SIGCHLD -> a byte on this pipe -> select wakes -> zombies
+        # reaped.  Pipe fds are CLOEXEC so spawned children never see
+        # them.
+        self.rwake, self.wwake = os.pipe()
+        os.set_blocking(self.wwake, False)
+        signal.signal(signal.SIGCHLD, lambda signum, frame: None)
+        signal.set_wakeup_fd(self.wwake)
+        self.running = True
+        self.ops = {
+            "ping": self.op_ping,
+            "shutdown": self.op_shutdown,
+            "spawn": self.op_spawn,
+            "batch": self.op_batch,
+            "specialize": self.op_specialize,
+            "park": self.op_park,
+            "unpark": self.op_unpark,
+            "lease": self.op_lease,
+        }
+
+    def fault(self, name):
+        # Arm one occurrence of an injected fault; returns its seconds
+        # argument when it fires, None otherwise.
+        spec = self.faults.get(name)
+        if spec is None:
+            return None
+        if spec[2] > 0:
+            spec[2] -= 1
+            return None
+        if spec[1] == 0:
+            return None
+        if spec[1] > 0:
+            spec[1] -= 1
+        return spec[0]
+
+    def reap(self, push=True):
+        # Collect every zombie and push each exit to the client at once,
+        # all in one write; never block.  The client files a notice under
+        # the pid (or drops it: parked template stock nobody leased).
+        delay = self.fault("delay_sigchld")
+        if delay:
+            time.sleep(delay)
+        frames = []
+        while True:
+            try:
+                pid, status = os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                break
+            if pid == 0:
+                break
+            body = b'{"exit":%d,"status":%d}' % (pid, status)
+            frames.append(LEN.pack(len(body)) + body)
+        if frames and push:
+            try:
+                self.sock.sendall(b"".join(frames))
+            except OSError:
+                raise SystemExit(0)  # the client is gone: nobody to tell
+
+    def refusal(self, fds, want, what):
+        # Why a request bearing ``fds`` must not run — its grants closed
+        # — or None.  A grant that went missing (or partially arrived)
+        # would wire the child to OUR stdio: refuse loudly, the client
+        # retries with a fresh grant.
+        if want is not None and len(fds) != want:
+            error = "EPROTO: %s expected %d fds, got %d" % (what, want, len(fds))
+        elif self.fault("refuse_exec") is not None:
+            error = "EACCES: %s refused (injected fault)" % what
+        else:
+            return None
+        close_all(fds)
+        return error
+
+    def serve(self):
+        while self.running:
+            ready, _, _ = select.select([self.sock, self.rwake], [], [])
+            if self.rwake in ready:
+                try:
+                    os.read(self.rwake, 512)
+                except OSError:
+                    pass
+            self.reap()
+            if self.sock not in ready:
+                continue
+            try:
+                request, fds = recv_frame(self.sock, SCM_MAX_FD)
+            except ValueError:
+                # Exit cleanly; the client sees EOF, fails its pending
+                # requests, and replaces us.
+                raise SystemExit(70)
+            if request is None:
+                raise SystemExit(0)
+            stall = self.fault("stall_helper")
+            if stall:
+                time.sleep(stall)
+            op = self.ops.get(request.get("op"))
+            reply = op(request, fds) if op else {"error": "bad op"}
+            reply["id"] = request.get("id")
+            body = json.dumps(reply).encode()
+            self.sock.sendall(LEN.pack(len(body)) + body)
+        # Shutdown.  Withdraw the parked stock: closing each wake end
+        # EOFs its child (it exits 0 on its own); wait for each so none
+        # outlives the template.  Then sweep whatever already exited so
+        # no zombie outlives the service by our hand; still-running
+        # children are init's from here.  Nothing is pushed: the client
+        # has hung up.
+        for pid, chan in self.stock:
+            chan.close()
+        for pid, chan in self.stock:
+            try:
+                os.waitpid(pid, 0)
+            except OSError:
+                pass
+        del self.stock[:]
+        self.reap(push=False)
+
+    # -- ops: each takes (request, granted fds) and returns the reply -----
+
+    def op_ping(self, request, fds):
+        return {"ok": True}
+
+    def op_shutdown(self, request, fds):
+        self.running = False
+        return {"ok": True}
+
+    def op_spawn(self, request, fds):
+        error = self.refusal(fds, request.get("nfds"), "exec")
+        if error:
+            return {"error": error}
+        pid, t_spawn = spawn_one(request, fds)
+        # The client's trace id rides next to the correlation id; echo
+        # it with our spawned-at timestamp (exec done on the posix_spawn
+        # path; CLOCK_MONOTONIC is system-wide on Linux, so the client
+        # can splice it into its own timeline).
+        reply = {"pid": pid, "t_fork_ns": t_spawn}
+        if request.get("trace") is not None:
+            reply["trace"] = request["trace"]
+        return reply
+
+    def op_batch(self, request, fds):
+        # N spawns, one frame, one reply: the whole batch's fd grants
+        # arrived concatenated in request order (member i's stdio triple
+        # is the next reqs[i]["nfds"] fds).  All-or-nothing: a grant
+        # mismatch or a failed fork refuses/undoes the ENTIRE batch so
+        # the client never has to guess which members ran.
+        reqs = request.get("reqs") or []
+        if not reqs:
+            close_all(fds)
+            return {"error": "EPROTO: empty batch"}
+        error = self.refusal(fds, sum(r.get("nfds", 0) for r in reqs), "batch of %d" % len(reqs))
+        if error:
+            return {"error": error}
+        results = []
+        offset = 0
+        for req in reqs:
+            nfds = req.get("nfds", 0)
+            grant = fds[offset : offset + nfds]
+            offset += nfds
+            try:
+                pid, t_spawn = spawn_one(req, grant)
+            except OSError as exc:
+                error = "EAGAIN: batch member %d failed to fork: %s" % (len(results), exc)
+                close_all(grant + fds[offset:])
+                break
+            results.append({"pid": pid, "t_fork_ns": t_spawn})
+        if not error:
+            return {"results": results}
+        # Undo the partial batch: no silent survivors.  These pids were
+        # spawned moments ago and nothing has waited on them (reap()
+        # only runs between loop iterations), so kill+waitpid here is
+        # race-free — and no exit notice goes out for a pid the client
+        # was never told about.
+        for res in results:
+            try:
+                os.kill(res["pid"], signal.SIGKILL)
+            except OSError:
+                pass
+        for res in results:
+            try:
+                os.waitpid(res["pid"], 0)
+            except OSError:
+                pass
+        return {"error": error}
+
+    def op_specialize(self, request, fds):
+        # Warm this helper into its profile: env/cwd apply to US (and so
+        # to every child we park or fork), preloads import once HERE so
+        # parked children inherit the warm modules, and preopen paths
+        # become inherited read-only fds.
+        failed = []
+        for key, value in (request.get("env") or {}).items():
+            os.environ[key] = value
+        if request.get("cwd"):
+            try:
+                os.chdir(request["cwd"])
+            except OSError as exc:
+                failed.append("cwd: %s" % exc)
+        for name in request.get("preload") or []:
+            try:
+                __import__(name)
+            except Exception as exc:
+                failed.append("%s: %s" % (name, exc))
+        opened = 0
+        for path in request.get("preopen") or []:
+            try:
+                fd = os.open(path, os.O_RDONLY)
+                os.set_inheritable(fd, True)
+                opened += 1
+            except OSError as exc:
+                failed.append("%s: %s" % (path, exc))
+        return {"ok": not failed, "failed": failed, "opened": opened}
+
+    def op_park(self, request, fds):
+        try:
+            self.stock.append(self.park_child())
+        except OSError as exc:
+            return {"error": "EAGAIN: park failed: %s" % exc, "stock": len(self.stock)}
+        return {"pid": self.stock[-1][0], "stock": len(self.stock)}
+
+    def op_unpark(self, request, fds):
+        if not self.stock:
+            return {"pid": None, "stock": 0}
+        pid, chan = self.stock.pop(0)
+        chan.close()  # EOF -> the parked child exits on its own
+        return {"pid": pid, "stock": len(self.stock)}
+
+    def op_lease(self, request, fds):
+        error = self.refusal(fds, request.get("nfds"), "lease")
+        if error:
+            return {"error": error, "stock": len(self.stock)}
+        lease = {key: request.get(key) for key in ("argv", "code", "env", "cwd")}
+        payload = json.dumps(lease).encode()
+        # Hand the oldest LIVE parked child its lease.  A child that
+        # died while parked shows up as a send error (its end of the
+        # socketpair is closed); skip it and try the next.
+        pid = None
+        while self.stock and pid is None:
+            parked, chan = self.stock.pop(0)
+            try:
+                send_frame(chan, payload, fds)
+                pid = parked
+            except OSError:
+                pass
+            chan.close()
+        t_lease = time.monotonic_ns()
+        close_all(fds)
+        if pid is None:
+            return {"error": "EAGAIN: warm stock exhausted", "stock": 0}
+        reply = {"pid": pid, "t_fork_ns": t_lease, "stock": len(self.stock)}
+        if request.get("trace") is not None:
+            reply["trace"] = request["trace"]
+        return reply
+
+    def park_child(self):
+        # Fork one child that BLOCKS inside the warm runtime until
+        # leased.  It inherits everything specialize prepared — imported
+        # modules, env, cwd, pre-opened fds — at zero marginal cost;
+        # that payoff is the whole point of the template.
+        ours, theirs = socket.socketpair()
+        pid = os.fork()
+        if pid == 0:
+            status = 0
+            try:
+                ours.close()
+                self.sock.close()
+                signal.set_wakeup_fd(-1)
+                signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+                os.close(self.rwake)
+                os.close(self.wwake)
+                for sibling_pid, chan in self.stock:
+                    chan.close()  # siblings' wake ends must EOF without us
+                req, grant = recv_frame(theirs, 3)
+                if req is None:
+                    os._exit(0)  # the helper withdrew the park
+                for target, fd in enumerate(grant):
+                    os.dup2(fd, target)
+                for fd in grant:
+                    if fd > 2:
+                        os.close(fd)
+                if req.get("cwd"):
+                    os.chdir(req["cwd"])
+                env = req.get("env")
+                if req.get("argv"):
+                    argv = req["argv"]
+                    os.execvpe(argv[0], argv, env if env is not None else os.environ)
+                # Zygote mode: run the payload INSIDE this warm runtime
+                # — no exec, so the template's preloaded imports are
+                # free.
+                if env:
+                    os.environ.update(env)
+                try:
+                    exec(req.get("code") or "", {"__name__": "__main__"})
+                except SystemExit as e:
+                    if isinstance(e.code, int):
+                        status = e.code
+                    elif e.code is not None:
+                        status = 1
+            except BaseException:
+                status = 125
+            os._exit(status)
+        theirs.close()
+        return pid, ours
+
+
+def main():
+    sock = socket.socket(fileno=int(sys.argv[1]))
+    # The control channel arrived inheritable (it had to survive our own
+    # exec).  Flip it back so the children *we* spawn can never inherit
+    # it: a child holding the socket would keep the service "connected"
+    # after the real client is gone, and could read its traffic.
+    os.set_inheritable(sock.fileno(), False)
+    # Shed every other inherited descriptor.  A helper can be started at
+    # any moment — including mid-spawn, while the client holds
+    # inheritable pipe ends for some unrelated child — and any such
+    # descriptor we kept would hold that pipe open forever (no EOF) and
+    # leak into everything we fork.  Children receive exactly the stdio
+    # triple granted per request, nothing else.
+    try:
+        inherited = [int(name) for name in os.listdir("/proc/self/fd")]
+    except (FileNotFoundError, ValueError):
+        inherited = list(range(3, 4096))
+    close_all(fd for fd in inherited if fd > 2 and fd != sock.fileno())
+    # Popped so the children we spawn never inherit the spec.
+    faults = parse_faults(os.environ.pop("REPRO_HELPER_FAULTS", ""))
+    Helper(sock, faults).serve()
+
+
+if __name__ == "__main__":
+    main()

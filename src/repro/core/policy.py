@@ -5,7 +5,7 @@ story: helpers die mid-request, frames truncate, event loops stall.
 :class:`SpawnPolicy` names the knobs callers tune —
 
 * **deadline** — seconds one spawn attempt may take before the wire
-  request is abandoned (and, on a pipelined channel, the helper is
+  request is abandoned (and, on a forkserver channel, the helper is
   treated as wedged and replaced);
 * **bounded retries** with exponential backoff and jitter, so a burst
   of retries from many clients does not synchronise into a thundering

@@ -19,6 +19,14 @@ from ..errors import SpawnError
 from ..obs import NULL_TRACE
 
 
+def encode_status(returncode: int) -> int:
+    """Re-encode a returncode (``subprocess`` convention, also the
+    gateway's wire form) as the raw waitpid status reapers speak."""
+    if returncode < 0:
+        return -returncode  # killed by signal N -> low 7 bits
+    return returncode << 8
+
+
 class ChildProcess:
     """A handle on one spawned child.
 

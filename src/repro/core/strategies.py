@@ -52,7 +52,7 @@ from .file_actions import FileActions
 from .forkserver import ForkServer, SpawnRequest
 from .forkserver_pool import ForkServerPool
 from .policy import breaker_for
-from .result import ChildProcess
+from .result import ChildProcess, encode_status
 
 
 def _resolve_executable(argv: Sequence[str]) -> str:
@@ -223,17 +223,10 @@ class SubprocessStrategy(Strategy):
             rc = proc.poll() if flags else proc.wait()
             if rc is None:
                 return None
-            return _encode_status(rc)
+            return encode_status(rc)
 
         return ChildProcess(proc.pid, argv=argv, strategy=self.name,
                             reaper=reaper, trace=trace)
-
-
-def _encode_status(returncode: int) -> int:
-    """Re-encode a subprocess returncode as a raw waitpid status."""
-    if returncode < 0:
-        return -returncode  # killed by signal N -> low 7 bits
-    return returncode << 8
 
 
 def _reject_unwirable_attrs(name: str, attrs: SpawnAttributes) -> None:

@@ -56,229 +56,6 @@ class TemplateMiss(SpawnError):
     """A lease found no parked child (stock exhausted or still filling)."""
 
 
-# ---------------------------------------------------------------------------
-# Helper-side extension: spliced into the generic helper's EXT markers.
-# Same dependency-free dialect as _SERVER_SOURCE — the helper must stay
-# cheap to fork.
-# ---------------------------------------------------------------------------
-
-_TEMPLATE_GLOBALS = r"""# Template zygote state: pre-forked parked children awaiting a lease,
-# oldest first.  Each entry pairs a child pid with OUR end of its wake
-# socketpair; closing that end is how a park is withdrawn (the child
-# sees EOF and exits 0 on its own).
-stock = []
-
-def lease_recv(chan):
-    # Parked-child side: block for the lease frame (length-prefixed
-    # JSON plus up to 3 SCM_RIGHTS stdio fds, received close-on-exec so
-    # only the dup2'd 0-2 survive an exec).  (None, []) on EOF.
-    fds = array.array("i")
-    header = b""
-    while len(header) < LEN.size:
-        msg, ancdata, flags, addr = chan.recvmsg(
-            LEN.size - len(header), socket.CMSG_LEN(3 * fds.itemsize),
-            socket.MSG_CMSG_CLOEXEC)
-        if not msg:
-            return None, []
-        header += msg
-        for level, ctype, data in ancdata:
-            if level == socket.SOL_SOCKET and ctype == socket.SCM_RIGHTS:
-                fds.frombytes(data[:len(data) - len(data) % fds.itemsize])
-    (length,) = LEN.unpack(header)
-    body = b""
-    while len(body) < length:
-        chunk = chan.recv(length - len(body))
-        if not chunk:
-            return None, []
-        body += chunk
-    return json.loads(body), list(fds)
-
-def park_child():
-    # Fork one child that BLOCKS inside the warm runtime until leased.
-    # It inherits everything specialize prepared — imported modules,
-    # env, cwd, pre-opened fds — at zero marginal cost; that payoff is
-    # the whole point of the template.
-    ours, theirs = socket.socketpair()
-    pid = os.fork()
-    if pid == 0:
-        status = 0
-        try:
-            ours.close()
-            sock.close()
-            signal.set_wakeup_fd(-1)
-            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-            os.close(rwake)
-            os.close(wwake)
-            for sibling_pid, chan in stock:
-                chan.close()  # siblings' wake ends must EOF without us
-            req, grant = lease_recv(theirs)
-            if req is None:
-                os._exit(0)  # the helper withdrew the park
-            for target, fd in enumerate(grant):
-                os.dup2(fd, target)
-            for fd in grant:
-                if fd > 2:
-                    os.close(fd)
-            if req.get("cwd"):
-                os.chdir(req["cwd"])
-            env = req.get("env")
-            if req.get("argv"):
-                argv = req["argv"]
-                os.execvpe(argv[0], argv,
-                           env if env is not None else os.environ)
-            # Zygote mode: run the payload INSIDE this warm runtime —
-            # no exec, so the template's preloaded imports are free.
-            if env:
-                os.environ.update(env)
-            try:
-                exec(req.get("code") or "", {"__name__": "__main__"})
-            except SystemExit as e:
-                if isinstance(e.code, int):
-                    status = e.code
-                elif e.code is not None:
-                    status = 1
-        except BaseException:
-            status = 125
-        os._exit(status)
-    theirs.close()
-    return pid, ours
-
-def lease_send(body, fds):
-    # Helper side: hand the oldest LIVE parked child its lease.  A
-    # child that died while parked shows up as a send error (its end of
-    # the socketpair is closed); skip it and try the next.
-    while stock:
-        pid, chan = stock.pop(0)
-        ancdata = []
-        if fds:
-            ancdata = [(socket.SOL_SOCKET, socket.SCM_RIGHTS,
-                        array.array("i", fds).tobytes())]
-        try:
-            chan.sendmsg([LEN.pack(len(body)) + body], ancdata)
-        except OSError:
-            try:
-                chan.close()
-            except OSError:
-                pass
-            continue
-        chan.close()
-        return pid
-    return None"""
-
-
-_TEMPLATE_OPS = r"""    elif op == "specialize":
-        # Warm this helper into its profile: env/cwd apply to US (and
-        # so to every child we park or fork), preloads import once HERE
-        # so parked children inherit the warm modules, and preopen
-        # paths become inherited read-only fds.
-        failed = []
-        for key, value in (request.get("env") or {}).items():
-            os.environ[key] = value
-        if request.get("cwd"):
-            try:
-                os.chdir(request["cwd"])
-            except OSError as exc:
-                failed.append("cwd: %s" % exc)
-        for name in request.get("preload") or []:
-            try:
-                __import__(name)
-            except Exception as exc:
-                failed.append("%s: %s" % (name, exc))
-        opened = 0
-        for path in request.get("preopen") or []:
-            try:
-                fd = os.open(path, os.O_RDONLY)
-                os.set_inheritable(fd, True)
-                opened += 1
-            except OSError as exc:
-                failed.append("%s: %s" % (path, exc))
-        send_reply(rid, {"ok": not failed, "failed": failed,
-                         "opened": opened})
-    elif op == "park":
-        try:
-            pid, chan = park_child()
-        except OSError as exc:
-            send_reply(rid, {"error": "EAGAIN: park failed: %s" % exc,
-                             "stock": len(stock)})
-        else:
-            stock.append((pid, chan))
-            send_reply(rid, {"pid": pid, "stock": len(stock)})
-    elif op == "unpark":
-        if stock:
-            pid, chan = stock.pop(0)
-            try:
-                chan.close()  # EOF -> the parked child exits on its own
-            except OSError:
-                pass
-            send_reply(rid, {"pid": pid, "stock": len(stock)})
-        else:
-            send_reply(rid, {"pid": None, "stock": 0})
-    elif op == "lease":
-        want = request.get("nfds")
-        if want is not None and len(fds) != want:
-            for fd in fds:
-                os.close(fd)
-            send_reply(rid, {"error": "EPROTO: expected %d fds, got %d"
-                                      % (want, len(fds)),
-                             "stock": len(stock)})
-        elif fault("refuse_exec") is not None:
-            for fd in fds:
-                os.close(fd)
-            send_reply(rid, {"error":
-                             "EACCES: lease refused (injected fault)",
-                             "stock": len(stock)})
-        else:
-            payload = json.dumps({
-                "argv": request.get("argv"),
-                "code": request.get("code"),
-                "env": request.get("env"),
-                "cwd": request.get("cwd"),
-            }).encode()
-            pid = lease_send(payload, fds)
-            t_lease = time.monotonic_ns()
-            for fd in fds:
-                os.close(fd)
-            if pid is None:
-                send_reply(rid, {"error": "EAGAIN: warm stock exhausted",
-                                 "stock": 0})
-            else:
-                reply = {"pid": pid, "t_fork_ns": t_lease,
-                         "stock": len(stock)}
-                if request.get("trace") is not None:
-                    reply["trace"] = request["trace"]
-                send_reply(rid, reply)"""
-
-
-_TEMPLATE_SHUTDOWN = r"""# Withdraw the parked stock: closing each wake end EOFs its child (it
-# exits 0 on its own); wait for each so none outlives the template.
-for parked_pid, parked_chan in stock:
-    try:
-        parked_chan.close()
-    except OSError:
-        pass
-for parked_pid, parked_chan in stock:
-    try:
-        os.waitpid(parked_pid, 0)
-    except OSError:
-        pass
-del stock[:]"""
-
-
-def _splice(source: str, marker: str, block: str) -> str:
-    """Replace one ``#<EXT:marker>`` line of the helper source."""
-    needle = "#<EXT:%s>" % marker
-    lines = source.split("\n")
-    for index, line in enumerate(lines):
-        if line.lstrip().startswith(needle):
-            lines[index] = block
-            return "\n".join(lines)
-    raise SpawnError(f"helper source lost its {needle} marker")
-
-
-# ---------------------------------------------------------------------------
-# Client side
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class TemplateProfile:
     """The declarative shape of one workload's warm template.
@@ -320,36 +97,23 @@ class TemplateProfile:
 class TemplateServer(ForkServer):
     """A forkserver specialized to one :class:`TemplateProfile`.
 
-    :meth:`start` boots the (extended) helper, applies the profile's
+    :meth:`start` boots the helper (its template ops live next to the
+    spawn ops in ``core/helper.py``), applies the profile's
     ``specialize`` op, and parks the initial stock.  :meth:`lease`
     checks a parked child out in one round trip; :meth:`park` /
     :meth:`unpark` move the stock level; the inherited
     :meth:`~ForkServer.spawn` still works for plain fork+exec through
     the specialized helper.
 
-    The frame cache is off by default here: lease frames carry per-call
-    payloads and live stock counts, so there is no repeatable tail to
-    memoize.
+    The frame cache is off here: lease frames carry per-call payloads
+    and live stock counts, so there is no repeatable tail to memoize.
     """
 
-    _source_cache: Optional[str] = None
-
-    def __init__(self, profile: TemplateProfile, *,
-                 pipelined: bool = True, frame_cache: int = 0):
-        super().__init__(pipelined=pipelined, frame_cache=frame_cache)
+    def __init__(self, profile: TemplateProfile):
+        super().__init__(frame_cache=0)
         self.profile = profile
         self._stock_lock = threading.Lock()
         self._stock = 0
-
-    @classmethod
-    def _server_source(cls) -> str:
-        if cls._source_cache is None:
-            source = ForkServer._server_source()
-            source = _splice(source, "GLOBALS", _TEMPLATE_GLOBALS)
-            source = _splice(source, "OPS", _TEMPLATE_OPS)
-            cls._source_cache = _splice(source, "SHUTDOWN",
-                                        _TEMPLATE_SHUTDOWN)
-        return cls._source_cache
 
     def start(self) -> "TemplateServer":
         """Boot + specialize + park the initial stock (idempotent)."""
@@ -454,8 +218,7 @@ class TemplateServer(ForkServer):
             request["trace"] = trace.trace_id
         try:
             reply = self._roundtrip(request, fds=(stdin, stdout, stderr),
-                                    trace=trace, timeout=deadline,
-                                    children=True)
+                                    trace=trace, timeout=deadline)
             if "pid" not in reply:
                 self._sync_stock(reply, 0)
                 error = str(reply.get("error", reply))

@@ -26,12 +26,12 @@ class SpawnError(ReproError):
 class SpawnTimeout(SpawnError):
     """A spawn request outlived its deadline.
 
-    Raised by the forkserver wire protocol when a
+    Raised by :meth:`repro.wire.Channel.result` when a
     :class:`~repro.core.policy.SpawnPolicy` deadline (or an explicit
-    per-request one) expires before the helper replies.  On a pipelined
-    channel an expired request *poisons* the channel — the helper may be
-    wedged mid-frame — so the server is aborted and replaced rather than
-    trusted again.
+    per-request one) expires before the peer replies.  On a forkserver
+    an expired request *poisons* the channel — the helper may be wedged
+    mid-frame — so the server is aborted and replaced rather than
+    trusted again; a gateway connection stays up.
     """
 
 
@@ -61,7 +61,8 @@ class GatewayProtocolError(GatewayError):
 
     Covers oversized or truncated length prefixes, non-UTF-8 or junk
     JSON bodies, missing required fields and unknown ops.  The framing
-    layer raises it instead of letting codec exceptions (``ValueError``,
+    layer (:mod:`repro.wire`, under forkserver and gateway alike) raises
+    it instead of letting codec exceptions (``ValueError``,
     ``UnicodeDecodeError``, ``struct.error``) leak to callers.
     """
 

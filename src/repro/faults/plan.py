@@ -64,10 +64,10 @@ Client-side points fire through :data:`repro.faults.FAULTS`; the two
 ``helper`` kinds (plus ``refuse_exec`` when pointed there) are compiled
 into a ``REPRO_HELPER_FAULTS`` environment spec that
 :class:`~repro.core.forkserver.ForkServer` hands to helpers it starts
-*while the plan is active*.  The ``gateway.*`` family fires inside
-:mod:`repro.gateway` — client-side kinds in
-:class:`~repro.gateway.client.GatewayClient`'s send path, server-side
-kinds on the daemon's accept/reply/dispatch paths — and is what the
+*while the plan is active*.  The two ``*.frame`` points fire in the one
+send path both clients share (:meth:`repro.wire.Channel.send`), which
+interprets a fault by its kind; the rest of the ``gateway.*`` family
+fires on the daemon's accept/reply/dispatch paths — and is what the
 t9-chaos availability gauntlet drives.
 """
 
@@ -102,8 +102,8 @@ KIND_POINTS: Dict[str, str] = {
 #: Every injection point compiled into the stack (documentation and
 #: validation; plans may only target these).
 POINTS = (
-    "forkserver.frame",    # ForkServer._send, one wire frame
-    "forkserver.request",  # ForkServer._send_request, around the send
+    "forkserver.frame",    # wire.Channel.send, one outgoing frame
+    "forkserver.request",  # ForkServer._roundtrip, around the send
     "forkserver.spawn",    # ForkServer.spawn / spawn_batch entry
     "pool.dispatch",       # ForkServerPool.spawn, per dispatch attempt
     "pool.batch",          # ForkServerPool.spawn_batch, per batch dispatch
@@ -112,7 +112,7 @@ POINTS = (
     "builder.spawn",       # ProcessBuilder.spawn entry
     "helper",              # inside the helper process (via env spec)
     "gateway.connect",     # GatewayClient dial, before the hello
-    "gateway.frame",       # GatewayClient._roundtrip, one outgoing frame
+    "gateway.frame",       # wire.Channel.send, one outgoing frame
     "gateway.reply",       # GatewayServer._send, one outgoing reply
     "gateway.accept",      # GatewayServer._on_accept, per new connection
     "gateway.daemon",      # GatewayServer._handle_frame, the daemon itself
@@ -202,7 +202,7 @@ class Fault:
         """Whether this fault can never fire again."""
         return self.remaining_fires == 0
 
-    # -- frame mutation (interpreted at ``forkserver.frame``) --------------
+    # -- frame mutation (interpreted by ``wire.Channel.send``) -------------
 
     def mutate_frame(self, message: bytes, fds: Sequence[int]):
         """Apply a frame-kind's damage to an outgoing wire frame."""

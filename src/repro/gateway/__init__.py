@@ -9,12 +9,13 @@ many tenants over the same warm spawn machinery.
 
 The pieces:
 
-* :mod:`repro.gateway.protocol` — the length-prefixed JSON wire
-  protocol (``hello``/``spawn``/``spawn_batch``/``lease``/``wait``/
-  ``stats``/``drain``), an incremental :class:`FrameDecoder` that turns
-  arbitrary bytes into frames or typed protocol errors, and the
-  two-way mapping between wire error codes and the
-  :class:`~repro.errors.GatewayError` hierarchy.
+* :mod:`repro.gateway.protocol` — the gateway's ops (``hello``/
+  ``spawn``/``spawn_batch``/``lease``/``wait``/``stats``/``drain``)
+  and the two-way mapping between wire error codes and the
+  :class:`~repro.errors.GatewayError` hierarchy.  The frames themselves
+  — :func:`encode_frame`, the incremental :class:`FrameDecoder` that
+  turns arbitrary bytes into frames or typed protocol errors — are
+  :mod:`repro.wire`'s, re-exported here.
 * :mod:`repro.gateway.config` — :class:`TenantConfig` (auth token,
   queue bound, token-bucket rate, weighted-fair share, spawn policy)
   and :class:`GatewayConfig` (listeners, executor width, drain grace).
@@ -38,8 +39,8 @@ and the tuning guide.
 
 from .client import GatewayClient
 from .config import GatewayConfig, TenantConfig
-from .protocol import (ERROR_CODES, FrameDecoder, MAX_FRAME_BYTES,
-                       decode_error, encode_error, encode_frame)
+from ..wire import MAX_FRAME_BYTES, FrameDecoder, encode_frame
+from .protocol import ERROR_CODES, decode_error, encode_error
 from .server import GatewayServer
 from .supervisor import GatewaySupervisor, ping_gateway
 

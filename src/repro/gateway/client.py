@@ -1,10 +1,12 @@
 """GatewayClient: the synchronous, pipelined, self-healing client.
 
-The client mirrors the :class:`~repro.core.forkserver.ForkServer`
-channel design — one socket, a small send lock, a dedicated reader
-thread, and per-request futures matched by correlation id — so many
-threads can have spawns in flight at once without waiting on each
-other's round trips.
+The client holds the same :class:`repro.wire.Channel` a
+:class:`~repro.core.forkserver.ForkServer` does — one socket, a small
+send lock, a dedicated reader thread, and per-request futures matched
+by correlation id — so many threads can have spawns in flight at once
+without waiting on each other's round trips.  It dials a fresh channel
+per connection: a stale reader can only poison the channel it was born
+with.
 
 Unlike the forkserver channel, the gateway connection crosses a real
 network boundary, so the client owns a failure story:
@@ -29,7 +31,7 @@ network boundary, so the client owns a failure story:
   is honoured for up to ``rate_limit_retries`` bounded sleeps.
 
 Reaping is local, exactly as on the forkserver wire: the daemon pushes
-``{"exit": pid, "status": rc}`` the moment a child exits, the reader
+``{"exit": pid, "status": rc}`` the moment a child exits, the channel
 files it in the pid's slot, and ``ChildProcess.wait()`` is a dictionary
 lookup or an event wait.
 
@@ -48,7 +50,6 @@ Errors come back typed: a reply's ``error`` object decodes through
 
 from __future__ import annotations
 
-import array
 import os
 import random
 import socket
@@ -58,26 +59,16 @@ import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.batch import BatchRequest, BatchResult
-from ..core.forkserver import _SCM_MAX_FD, _Exit
-from ..core.result import ChildProcess
+from ..core.result import ChildProcess, encode_status
 from ..errors import (GatewayConnectionLost, GatewayError,
-                      GatewayProtocolError, RateLimited, SpawnError,
-                      SpawnTimeout)
+                      GatewayProtocolError, RateLimited, SpawnError)
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
-from .protocol import (FrameDecoder, PROTOCOL_VERSION, decode_error,
-                       encode_frame)
+from ..wire import SCM_MAX_FD, Channel
+from .protocol import PROTOCOL_VERSION, decode_error
 
 #: Address forms :class:`GatewayClient` accepts.
 Address = Union[str, Tuple[str, int]]
-
-
-def _encode_status(returncode: int) -> int:
-    """Re-encode a wire returncode as a raw waitpid status (the shape
-    :class:`ChildProcess` reapers speak)."""
-    if returncode < 0:
-        return -returncode  # killed by signal N -> low 7 bits
-    return returncode << 8
 
 
 def _pids_handed_out(request: dict, reply: dict) -> Sequence:
@@ -93,17 +84,14 @@ def _pids_handed_out(request: dict, reply: dict) -> Sequence:
     return ()
 
 
-class _Pending:
-    """One in-flight request's future: an event plus its eventual reply
-    (or the typed error the channel died with), and its request."""
-
-    __slots__ = ("event", "reply", "error", "request")
-
-    def __init__(self, request: dict):
-        self.event = threading.Event()
-        self.reply: Optional[dict] = None
-        self.error: Optional[GatewayError] = None
-        self.request = request
+def _exit_status(notice: dict):
+    """What a pushed exit notice files in its pid's slot: the raw
+    status, or the :class:`GatewayError` that says the daemon lost it."""
+    status = notice.get("status")
+    if type(status) is int:
+        return encode_status(status)
+    return GatewayError(f"the gateway lost the exit status of pid "
+                        f"{notice['exit']}: {notice.get('error')}")
 
 
 class GatewayClient:
@@ -157,20 +145,11 @@ class GatewayClient:
         self._rate_limit_retries = max(0, int(rate_limit_retries))
         self._rate_limit_sleep_max = max(0.0, rate_limit_sleep_max)
         self._join_timeout = join_timeout
-        self._sock: Optional[socket.socket] = None
+        # The current dial's channel; a torn-down one is kept (closed)
+        # so exit statuses it already filed can still be read.
+        self._channel: Optional[Channel] = None
         self._is_unix = isinstance(address, str)
-        self._send_lock = threading.Lock()
-        self._state_lock = threading.Lock()
         self._conn_lock = threading.RLock()
-        self._pending: Dict[int, _Pending] = {}
-        # pid -> slot for every child handed to a caller and not yet
-        # reaped by it.  A slot's status is the raw one the daemon
-        # pushed, or the GatewayError that says the daemon lost it.
-        self._exits: Dict[int, _Exit] = {}
-        self._next_id = 0
-        self._reader: Optional[threading.Thread] = None
-        self._dead: Optional[str] = None
-        self._generation = 0
         self._ever_connected = False
         self._closed = False
         #: Set by close() *before* it takes _conn_lock, so a reconnect
@@ -183,11 +162,11 @@ class GatewayClient:
 
     @property
     def connected(self) -> bool:
-        return self._sock is not None
+        return self._channel is not None and not self._channel.closed
 
     @property
     def healthy(self) -> bool:
-        return self._sock is not None and self._dead is None
+        return self.connected and self._channel.dead is None
 
     @property
     def reconnects(self) -> int:
@@ -225,14 +204,12 @@ class GatewayClient:
             sock.close()
             raise GatewayError(
                 f"cannot reach gateway at {self.address!r}: {exc}") from exc
-        with self._state_lock:
-            self._dead = None
-            self._sock = sock
-            generation = self._generation
-        self._reader = threading.Thread(
-            target=self._read_replies, args=(sock, generation),
-            name="gateway-client-reader", daemon=True)
-        self._reader.start()
+        stale, self._channel = self._channel, Channel(
+            sock, "gateway", lost=GatewayConnectionLost,
+            pids_of=_pids_handed_out, exit_status=_exit_status)
+        if stale is not None:
+            # A filled slot outlives its connection: no claim needed.
+            self._channel.exits.update(stale.exits)
         try:
             reply = self._roundtrip_once({"op": "hello",
                                           "tenant": self.tenant,
@@ -251,35 +228,18 @@ class GatewayClient:
         self._ever_connected = True
 
     def _teardown_locked(self, why: str) -> None:
-        """Close the current socket and fail its in-flight requests.
-
-        Caller holds ``_conn_lock``.  Advancing the generation first
-        means a stale reader thread noticing the closed socket later
-        cannot poison the *next* channel.
-        """
-        with self._state_lock:
-            self._generation += 1
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._fail_pending(why, generation=None)
-        reader, self._reader = self._reader, None
-        if reader is not None and reader is not threading.current_thread():
-            reader.join(timeout=self._join_timeout)
-            if reader.is_alive():
-                TELEMETRY.count("gateway_reader_leak")
-                warnings.warn(
-                    f"gateway reader thread failed to join within "
-                    f"{self._join_timeout}s; abandoning it "
-                    f"(address={self.address!r})", RuntimeWarning,
-                    stacklevel=3)
+        """Close the current channel, failing its in-flight requests.
+        Caller holds ``_conn_lock``."""
+        channel = self._channel
+        if channel is None or channel.closed:
+            return
+        if not channel.close(why, self._join_timeout):
+            TELEMETRY.count("gateway_reader_leak")
+            warnings.warn(
+                f"gateway reader thread failed to join within "
+                f"{self._join_timeout}s; abandoning it "
+                f"(address={self.address!r})", RuntimeWarning,
+                stacklevel=3)
 
     def close(self) -> None:
         """Hang up (idempotent); in-flight requests fail fast.
@@ -300,95 +260,6 @@ class GatewayClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- the wire ---------------------------------------------------------
-
-    def _read_replies(self, sock: socket.socket, generation: int) -> None:
-        decoder = FrameDecoder()
-        while True:
-            try:
-                data = sock.recv(65536)
-                if not data:
-                    raise GatewayConnectionLost("gateway hung up")
-                for frame in decoder.feed(data):
-                    if not self._route(frame, generation):
-                        return
-            except Exception as exc:
-                self._fail_pending(str(exc) or type(exc).__name__,
-                                   generation=generation)
-                return
-
-    def _route(self, frame: dict, generation: int) -> bool:
-        """File one incoming frame; ``False`` ends this reader.  A
-        reply that hands out pids opens their exit slots before its
-        caller wakes, so the notice that follows always finds one; a
-        notice for a pid this client was never given is dropped.  (A
-        frame of the wrong shape raises into the reader's channel-death
-        path.)"""
-        event, broken = None, False
-        with self._state_lock:
-            if self._generation != generation:
-                return False  # superseded channel; drop the stragglers
-            if "exit" in frame:
-                slot = self._exits.get(frame["exit"])
-                if slot is not None:
-                    status = frame.get("status")
-                    slot.status = (
-                        _encode_status(status) if type(status) is int
-                        else GatewayError(
-                            f"the gateway lost the exit status of pid "
-                            f"{frame['exit']}: {frame.get('error')}"))
-                    event = slot.event
-            else:
-                pending = self._pending.pop(frame.get("id"), None)
-                if pending is not None:
-                    for pid in _pids_handed_out(pending.request, frame):
-                        if type(pid) is int:
-                            self._exits.setdefault(pid, _Exit())
-                    pending.reply = frame
-                    event = pending.event
-                else:
-                    # An un-addressed error frame is the daemon telling
-                    # us the *stream* is broken (framing error) — every
-                    # in-flight request on it is lost.
-                    broken = "error" in frame and frame.get("id") is None
-        if event is not None:
-            event.set()
-        if broken:
-            self._fail_pending(str(decode_error(frame["error"])),
-                               generation=generation)
-        return not broken
-
-    def _fail_pending(self, why: str,
-                      generation: Optional[int]) -> None:
-        """Mark the channel dead and fail every in-flight request with
-        a typed :class:`GatewayConnectionLost`.  Exit slots still empty
-        go with the channel: their waiters wake and claim from the
-        daemon over the next one.
-
-        ``generation`` guards stale reader threads: a reader whose
-        channel was already replaced must not poison the new one.
-        ``None`` means the caller (teardown) owns the current channel
-        unconditionally.
-        """
-        with self._state_lock:
-            if generation is not None and generation != self._generation:
-                return
-            if self._dead is None:
-                self._dead = why
-            stranded = list(self._pending.values())
-            self._pending.clear()
-            orphaned = [slot for slot in self._exits.values()
-                        if slot.status is None]
-            self._exits = {pid: slot for pid, slot in self._exits.items()
-                           if slot.status is not None}
-        for pending in stranded:
-            pending.error = GatewayConnectionLost(
-                f"gateway connection lost: {why}")
-            pending.event.set()
-        for slot in orphaned:
-            if slot.event is not None:
-                slot.event.set()
 
     # -- reconnect machinery ----------------------------------------------
 
@@ -418,7 +289,7 @@ class GatewayClient:
                 raise GatewayError("gateway client is not connected")
             if not self._reconnect:
                 raise GatewayConnectionLost(
-                    f"gateway channel is dead: {self._dead} "
+                    f"gateway channel is dead: {self._channel.dead} "
                     f"(reconnect disabled)")
             last: Optional[Exception] = None
             for attempt in range(self._max_reconnects):
@@ -481,95 +352,18 @@ class GatewayClient:
 
     def _roundtrip_once(self, obj: dict, fds: Sequence[int] = (),
                         timeout: Optional[float] = None) -> dict:
-        """One exchange on the *current* channel; raises typed errors.
-
-        The correlation-map entry is popped on **every** exit path —
-        success, send failure, timeout, channel death, even a failed
-        ``encode_frame`` — so a dead waiter can never be written into
-        by a late reply, and the map cannot accumulate stale entries.
-        """
-        sock = self._sock
-        if sock is None:
+        """One exchange on the *current* channel; raises typed errors."""
+        if not self.connected:
             raise GatewayError("gateway client is not connected")
-        with self._state_lock:
-            if self._dead is not None:
-                lost = GatewayConnectionLost(
-                    f"gateway channel is dead: {self._dead}")
-                lost.unsent = True
-                raise lost
-            rid = self._next_id
-            self._next_id += 1
-            pending = _Pending(obj)
-            self._pending[rid] = pending
-            generation = self._generation
-        try:
-            frame = encode_frame(dict(obj, id=rid))
-            fault = FAULTS.fire("gateway.frame", tenant=self.tenant,
-                                op=obj.get("op"))
-            if fault is not None:
-                self._apply_frame_fault(fault, sock, frame, generation)
-            ancdata = []
-            if fds:
-                ancdata = [(socket.SOL_SOCKET, socket.SCM_RIGHTS,
-                            array.array("i", list(fds)).tobytes())]
-            sent = 0
-            try:
-                with self._send_lock:
-                    sent = sock.sendmsg([frame], ancdata)
-                    while sent < len(frame):
-                        sent += sock.send(memoryview(frame)[sent:])
-            except OSError as exc:
-                self._fail_pending(str(exc) or type(exc).__name__,
-                                   generation=generation)
-                lost = GatewayConnectionLost(
-                    f"gateway channel failed: {exc}")
-                # A partially sent frame can never be parsed, so the
-                # daemon provably did not act on it: safe to re-issue.
-                lost.unsent = sent < len(frame)
-                raise lost from exc
-            if not pending.event.wait(timeout):
-                raise SpawnTimeout(
-                    f"gateway request {rid} ({obj.get('op')}) exceeded "
-                    f"its {timeout}s deadline")
-            if pending.error is not None:
-                raise pending.error
-            if pending.reply is None:
-                raise GatewayConnectionLost(
-                    f"gateway died before replying: {self._dead}")
-            if "error" in pending.reply:
-                error = decode_error(pending.reply["error"])
-                if (isinstance(error, RateLimited)
-                        and error.retry_after is not None):
-                    raise RateLimitedPause(error)
-                raise error
-            return pending.reply
-        finally:
-            with self._state_lock:
-                self._pending.pop(rid, None)
-
-    def _apply_frame_fault(self, fault, sock: socket.socket,
-                           frame: bytes, generation: int) -> None:
-        """Interpret a ``gateway.frame`` fault against the live socket."""
-        if fault.kind == "conn_reset":
-            # Kill the transport out from under the send that follows:
-            # it fails like a peer RST, and the reader sees EOF.
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        elif fault.kind == "partial_frame":
-            try:
-                with self._send_lock:
-                    sock.send(frame[:max(1, len(frame) // 2)])
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._fail_pending("injected fault: partial frame",
-                               generation=generation)
-            lost = GatewayConnectionLost(
-                "injected fault: connection died mid-frame")
-            lost.unsent = True  # a half frame is never acted on
-            raise lost
+        channel = self._channel
+        reply = channel.result(channel.send(obj, fds), timeout)
+        if "error" in reply:
+            error = decode_error(reply["error"])
+            if (isinstance(error, RateLimited)
+                    and error.retry_after is not None):
+                raise RateLimitedPause(error)
+            raise error
+        return reply
 
     def _require_fd_transport(self, what: str) -> None:
         if not self._is_unix:
@@ -641,11 +435,11 @@ class GatewayClient:
         if self._is_unix:
             for member in batch.members:
                 fds.extend(member.grant())
-            if len(fds) > _SCM_MAX_FD:
+            if len(fds) > SCM_MAX_FD:
                 raise SpawnError(
                     f"batch of {len(batch)} needs {len(fds)} fd grants; "
                     f"one SCM_RIGHTS message carries at most "
-                    f"{_SCM_MAX_FD} — split the batch")
+                    f"{SCM_MAX_FD} — split the batch")
             request["nfds"] = 3
             TELEMETRY.count("fd_grants", len(fds))
         else:
@@ -711,30 +505,27 @@ class GatewayClient:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            with self._state_lock:
-                slot = self._exits.get(pid)
-                if slot is not None:
-                    if slot.status is not None:
-                        del self._exits[pid]
-                        if isinstance(slot.status, GatewayError):
-                            raise slot.status
-                        return slot.status
-                    if flags:
-                        return None
-                    if slot.event is None:
-                        slot.event = threading.Event()
-            if slot is not None and slot.event.wait(
-                    None if deadline is None
-                    else max(0.0, deadline - time.monotonic())):
-                continue  # filled, or dropped by a channel death
+            if flags:
+                patience = 0  # WNOHANG: only what has already arrived
+            elif deadline is not None:
+                patience = max(0.0, deadline - time.monotonic())
+            else:
+                patience = None
+            try:
+                status = self._channel.wait_exit(pid, patience)
+                if isinstance(status, GatewayError):
+                    raise status
+                if status is not None or flags:
+                    return status  # polls stay free: no claim
+            except KeyError:
+                pass  # no slot here: dropped by a channel death
             reply = self._roundtrip(
                 {"op": "wait", "pid": pid}, retryable=True,
                 timeout=self._timeout if timeout is None
                 else min(self._timeout, max(timeout, 0.1)))
             if reply.get("status") is not None:
-                with self._state_lock:
-                    self._exits.pop(pid, None)
-                return _encode_status(reply["status"])
+                self._channel.forget(pid)
+                return encode_status(reply["status"])
             if flags or (deadline is not None
                          and time.monotonic() >= deadline):
                 return None

@@ -1,9 +1,10 @@
-"""The gateway wire protocol: length-prefixed JSON, typed both ways.
+"""The gateway's vocabulary on the shared wire: ops, version, errors.
 
-A frame is a 4-byte big-endian length followed by that many bytes of
-UTF-8 JSON encoding one object.  Requests carry ``op`` (one of
-:data:`OPS`) and a client-chosen correlation ``id``; replies echo the
-``id`` and carry either the op's result fields or an ``error`` object::
+Frames, correlation ids, fd grants and pushed exit notices are
+:mod:`repro.wire`'s (``docs/WIRE.md``); this module is what the gateway
+says over them.  Requests carry ``op`` (one of :data:`OPS`) and a
+client-chosen correlation ``id``; replies echo the ``id`` and carry
+either the op's result fields or an ``error`` object::
 
     {"id": 7, "op": "spawn", "argv": ["/bin/true"], "nfds": 0}
     {"id": 7, "pid": 4242}
@@ -18,13 +19,11 @@ costs no round trip.  ``wait`` survives as the non-blocking claim a
 client makes after a reconnect: the status, or ``null`` with the notice
 re-pointed at the asking connection.
 
-Everything that can go wrong at the framing layer — truncated or
-oversized length prefixes, non-UTF-8 bodies, junk JSON, a body that is
-not an object — surfaces as :class:`~repro.errors.GatewayProtocolError`
-from :class:`FrameDecoder`, never as a raw ``ValueError`` or
-``struct.error``.  The server treats a protocol error as fatal *to that
-connection only*: it answers with an error frame when a correlation id
-is recoverable, closes the connection, and keeps serving everyone else.
+A framing failure surfaces as
+:class:`~repro.errors.GatewayProtocolError`; the server treats it as
+fatal *to that connection only*: it answers with an error frame when a
+correlation id is recoverable, closes the connection, and keeps serving
+everyone else.
 
 Error objects and the :class:`~repro.errors.GatewayError` hierarchy map
 onto each other losslessly in both directions via :func:`encode_error`
@@ -35,20 +34,10 @@ wire.
 
 from __future__ import annotations
 
-import json
-import struct
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 from ..errors import (AuthError, GatewayConnectionLost, GatewayError,
                       GatewayProtocolError, Overloaded, RateLimited)
-
-_LEN = struct.Struct("!I")
-
-#: Hard ceiling on one frame's body.  A spawn_batch of a few hundred
-#: members is a few hundred KiB of JSON; anything past this is either a
-#: corrupt length prefix or an abusive client, and buffering it would
-#: let one connection hold the daemon's memory hostage.
-MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 #: Every operation the daemon understands, and the protocol version the
 #: ``hello`` handshake advertises.  ``ping`` is the liveness probe: it
@@ -67,16 +56,6 @@ ERROR_CODES: Dict[str, Type[GatewayError]] = {
     for cls in (GatewayError, GatewayProtocolError, AuthError,
                 RateLimited, Overloaded, GatewayConnectionLost)
 }
-
-
-def encode_frame(obj: dict) -> bytes:
-    """One wire frame: length prefix plus the JSON body."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise GatewayProtocolError(
-            f"frame body of {len(body)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame limit")
-    return _LEN.pack(len(body)) + body
 
 
 def encode_error(error: GatewayError, rid: Optional[int] = None) -> dict:
@@ -117,89 +96,6 @@ def decode_error(payload: dict) -> GatewayError:
     error = cls(str(message), retry_after=retry_after)
     error.code = code  # preserve an unknown code across a re-encode
     return error
-
-
-class FrameDecoder:
-    """Incremental decoder: feed arbitrary byte chunks, get frames out.
-
-    The decoder owns all framing hazards so the server loop never sees
-    them as anything but :class:`GatewayProtocolError`:
-
-    * a length prefix above :attr:`max_frame` (corrupt or abusive) is
-      rejected the moment the 4 prefix bytes arrive — the body is never
-      buffered;
-    * a body that is not valid UTF-8, not valid JSON, or not a JSON
-      *object* is rejected when complete;
-    * truncation (EOF mid-frame) is the *caller's* question — call
-      :meth:`eof` and it answers whether bytes were left dangling.
-
-    After an error the decoder is poisoned: the stream can no longer be
-    trusted to align on a frame boundary, so every later call raises
-    the same error.  One decoder per connection.
-    """
-
-    def __init__(self, max_frame: int = MAX_FRAME_BYTES):
-        self._buffer = bytearray()
-        self._max_frame = max_frame
-        self._error: Optional[GatewayProtocolError] = None
-
-    @property
-    def buffered(self) -> int:
-        """Bytes received but not yet yielded as frames."""
-        return len(self._buffer)
-
-    def _poison(self, message: str) -> GatewayProtocolError:
-        self._error = GatewayProtocolError(message)
-        self._buffer.clear()
-        return self._error
-
-    def feed(self, data: bytes) -> List[dict]:
-        """Consume ``data``; return every frame it completed (maybe [])."""
-        if self._error is not None:
-            raise self._error
-        self._buffer.extend(data)
-        frames: List[dict] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    def _next_frame(self) -> Optional[dict]:
-        if len(self._buffer) < _LEN.size:
-            return None
-        (length,) = _LEN.unpack_from(self._buffer)
-        if length > self._max_frame:
-            raise self._poison(
-                f"frame length {length} exceeds the {self._max_frame}-byte "
-                f"limit (corrupt prefix?)")
-        if len(self._buffer) < _LEN.size + length:
-            return None
-        body = bytes(self._buffer[_LEN.size:_LEN.size + length])
-        del self._buffer[:_LEN.size + length]
-        try:
-            frame = json.loads(body.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise self._poison("frame body is not valid UTF-8") from None
-        except ValueError:
-            raise self._poison("frame body is not valid JSON") from None
-        if not isinstance(frame, dict):
-            raise self._poison(
-                f"frame body must be a JSON object, got "
-                f"{type(frame).__name__}")
-        return frame
-
-    def eof(self) -> None:
-        """Declare end of stream; raises if bytes were left mid-frame."""
-        if self._error is not None:
-            raise self._error
-        if self._buffer:
-            raise self._poison(
-                f"connection closed mid-frame with {len(self._buffer)} "
-                f"bytes pending")
-
-    def __iter__(self) -> Iterator[dict]:  # pragma: no cover - convenience
-        return iter(())
 
 
 def check_request(frame: dict) -> Tuple[str, Optional[int]]:

@@ -1,8 +1,8 @@
 """The spawn gateway daemon: many tenants, one warm spawn service.
 
 :class:`GatewayServer` listens on a Unix socket (and optionally TCP),
-speaks the length-prefixed JSON protocol of
-:mod:`repro.gateway.protocol`, and maps every admitted request onto the
+speaks :mod:`repro.gateway.protocol` over :mod:`repro.wire` frames, and
+maps every admitted request onto the
 library's strategy ladder — template zygotes, the forkserver pool, a
 single forkserver, or direct ``posix_spawn`` — through each tenant's
 :class:`~repro.core.policy.SpawnPolicy`.
@@ -48,7 +48,6 @@ only ``recvmsg`` on the real socket can see.
 
 from __future__ import annotations
 
-import array
 import asyncio
 import functools
 import hmac
@@ -68,9 +67,9 @@ from ..errors import (AuthError, GatewayError, GatewayProtocolError,
                       Overloaded, RateLimited, SpawnError)
 from ..faults import FAULTS
 from ..obs import TELEMETRY
+from ..wire import FrameDecoder, encode_frame, recv_with_fds
 from .config import GatewayConfig, TenantConfig, TokenBucket
-from .protocol import (FrameDecoder, PROTOCOL_VERSION, check_request,
-                       encode_error, encode_frame)
+from .protocol import PROTOCOL_VERSION, check_request, encode_error
 
 #: Longest lease (admission credits) a tenant may hold, seconds.
 MAX_LEASE_TTL = 60.0
@@ -78,9 +77,6 @@ MAX_LEASE_TTL = 60.0
 #: Exit statuses remembered per tenant for the ``wait`` claim of a client
 #: whose connection died around the exit; the oldest is forgotten first.
 EXITS_KEPT = 1024
-
-#: How much ancillary (fd-grant) space one recvmsg is willing to parse.
-_FD_BUFFER = socket.CMSG_SPACE(253 * array.array("i").itemsize)
 
 
 class _Connection:
@@ -503,16 +499,8 @@ class GatewayServer:
             return
         try:
             if conn.is_unix:
-                data, ancdata, _flags, _addr = conn.sock.recvmsg(
-                    65536, _FD_BUFFER)
-                for level, ctype, payload in ancdata:
-                    if (level == socket.SOL_SOCKET
-                            and ctype == socket.SCM_RIGHTS):
-                        fds = array.array("i")
-                        fds.frombytes(
-                            payload[:len(payload)
-                                    - len(payload) % fds.itemsize])
-                        conn.pending_fds.extend(fds)
+                data, fds = recv_with_fds(conn.sock)
+                conn.pending_fds.extend(fds)
             else:
                 data = conn.sock.recv(65536)
         except (BlockingIOError, InterruptedError):

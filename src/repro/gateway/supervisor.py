@@ -36,8 +36,8 @@ from typing import Dict, List, Optional
 
 from ..errors import GatewayError
 from ..obs import TELEMETRY
+from ..wire import FrameDecoder, encode_frame
 from .config import GatewayConfig
-from .protocol import FrameDecoder, encode_frame
 from .server import GatewayServer
 
 

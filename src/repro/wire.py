@@ -1,0 +1,497 @@
+"""The one wire: framing, descriptor passing and the pipelined channel.
+
+Everything in ``repro`` that talks to another process over a stream
+socket — :class:`~repro.core.forkserver.ForkServer` and
+:class:`~repro.core.templates.TemplateServer` to their helper,
+:class:`~repro.gateway.client.GatewayClient` to the daemon, the daemon
+and its supervisor back — speaks the dialect defined here (spec:
+``docs/WIRE.md``):
+
+* a **frame** is a 4-byte big-endian length and that many bytes of
+  UTF-8 JSON encoding one object (:func:`encode_frame`,
+  :class:`FrameDecoder`), bounded by :data:`MAX_FRAME_BYTES`;
+* **descriptors** ride next to a frame as one ``SCM_RIGHTS`` message
+  (:func:`send_buffers`) and are received close-on-exec
+  (:func:`recv_with_fds`);
+* a :class:`Channel` pipelines request/reply exchanges over one socket
+  by correlation id and files the exit notices the peer pushes.
+
+The forkserver helper (``core/helper.py``) cannot import ``repro`` — it
+must stay pristine and cheap to fork — so it carries the one permitted
+second implementation of the framing, fuzzed with the same corpus.
+"""
+
+from __future__ import annotations
+
+import array
+import json
+import operator
+import socket
+import struct
+import threading
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .errors import GatewayProtocolError, SpawnError, SpawnTimeout
+from .faults import FAULTS
+
+_LEN = struct.Struct("!I")
+
+#: Hard ceiling on one frame's body.  A spawn_batch of a few hundred
+#: members is a few hundred KiB of JSON; anything past this is either a
+#: corrupt length prefix or an abusive peer, and buffering it would let
+#: one connection hold the reader's memory hostage.
+MAX_FRAME_BYTES = 4 * 1024 * 1024
+
+#: Linux caps one SCM_RIGHTS control message at SCM_MAX_FD descriptors;
+#: a batch's grants all ride in one message, so this bounds batch size
+#: (3 stdio fds per member).  Receivers size their ancillary buffer to
+#: match — anything past it would be silently truncated by the kernel.
+SCM_MAX_FD = 253
+
+_RECV_BYTES = 65536  # what one read asks the socket for
+_FD_SIZE = array.array("i").itemsize
+_FD_BUFFER = socket.CMSG_SPACE(SCM_MAX_FD * _FD_SIZE)
+
+
+# -- codec -------------------------------------------------------------------
+
+
+def encode_body(obj: dict, rid: int) -> bytes:
+    """A request's frame body: full JSON encode, correlation id added."""
+    return json.dumps(dict(obj, id=rid), separators=(",", ":")).encode("utf-8")
+
+
+def _header(body: bytes) -> bytes:
+    """The length prefix for ``body`` — refused if no reader would take it."""
+    if len(body) > MAX_FRAME_BYTES:
+        raise GatewayProtocolError(
+            f"frame body of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit"
+        )
+    return _LEN.pack(len(body))
+
+
+def encode_frame(obj: dict) -> bytes:
+    """One wire frame: length prefix plus the JSON body."""
+    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return _header(body) + body
+
+
+class FrameDecoder:
+    """Incremental decoder: feed arbitrary byte chunks, get frames out.
+
+    The decoder owns all framing hazards so a read loop never sees them
+    as anything but :class:`GatewayProtocolError`:
+
+    * a length prefix above :attr:`max_frame` (corrupt or abusive) is
+      rejected the moment the 4 prefix bytes arrive — the body is never
+      buffered;
+    * a body that is not valid UTF-8, not valid JSON, or not a JSON
+      *object* is rejected when complete;
+    * truncation (EOF mid-frame) is the *caller's* question — call
+      :meth:`eof` and it answers whether bytes were left dangling.
+
+    After an error the decoder is poisoned: the stream can no longer be
+    trusted to align on a frame boundary, so every later call raises
+    the same error.  One decoder per connection.
+    """
+
+    def __init__(self, max_frame: int = MAX_FRAME_BYTES):
+        self._buffer = bytearray()
+        self._max_frame = max_frame
+        self._error: Optional[GatewayProtocolError] = None
+
+    @property
+    def buffered(self) -> int:
+        """Bytes received but not yet yielded as frames."""
+        return len(self._buffer)
+
+    def _poison(self, message: str) -> GatewayProtocolError:
+        self._error = GatewayProtocolError(message)
+        self._buffer.clear()
+        return self._error
+
+    def feed(self, data: bytes) -> List[dict]:
+        """Consume ``data``; return every frame it completed (maybe [])."""
+        if self._error is not None:
+            raise self._error
+        self._buffer.extend(data)
+        frames: List[dict] = []
+        while True:
+            frame = self._next_frame()
+            if frame is None:
+                return frames
+            frames.append(frame)
+
+    def _next_frame(self) -> Optional[dict]:
+        if len(self._buffer) < _LEN.size:
+            return None
+        (length,) = _LEN.unpack_from(self._buffer)
+        if length > self._max_frame:
+            limit = self._max_frame
+            raise self._poison(f"frame length {length} exceeds the {limit}-byte limit (corrupt?)")
+        end = _LEN.size + length
+        if len(self._buffer) < end:
+            return None
+        body = bytes(self._buffer[_LEN.size : end])
+        del self._buffer[:end]
+        try:
+            frame = json.loads(body.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise self._poison("frame body is not valid UTF-8") from None
+        except ValueError:
+            raise self._poison("frame body is not valid JSON") from None
+        if not isinstance(frame, dict):
+            raise self._poison(f"frame body must be a JSON object, got {type(frame).__name__}")
+        return frame
+
+    def eof(self) -> None:
+        """Declare end of stream; raises if bytes were left mid-frame."""
+        if self._error is not None:
+            raise self._error
+        if self._buffer:
+            pending = len(self._buffer)
+            raise self._poison(f"connection closed mid-frame with {pending} bytes pending")
+
+
+# -- descriptor passing ------------------------------------------------------
+
+
+def send_buffers(sock: socket.socket, buffers: Sequence[bytes], fds: Sequence[int] = ()) -> None:
+    """Write ``buffers`` as ONE ``sendmsg``, ``fds`` riding along.
+
+    The kernel gathers the iovecs, so header and body are never
+    concatenated (a full copy of every frame) and two writers can never
+    interleave their halves; the rare partial-write tail is drained
+    through a ``memoryview`` so resends slice without copying either.
+    An ``OSError`` means the frame did not fully leave: a partial frame
+    can never be parsed, so the peer provably did not act on it.
+    """
+    ancdata = []
+    if fds:
+        ancdata = [(socket.SOL_SOCKET, socket.SCM_RIGHTS, array.array("i", fds).tobytes())]
+    sent = sock.sendmsg(buffers, ancdata)
+    if sent < sum(map(len, buffers)):  # fds already went with the head
+        rest = memoryview(b"".join(buffers))[sent:]
+        while rest:
+            rest = rest[sock.send(rest) :]
+
+
+def recv_with_fds(sock: socket.socket) -> Tuple[bytes, List[int]]:
+    """One ``recvmsg``: the bytes plus every descriptor granted with
+    them.  Grants arrive close-on-exec — whoever launches a child
+    ``dup2``s exactly the ones it means to pass, and nothing else leaks
+    across an exec."""
+    data, ancdata, _flags, _addr = sock.recvmsg(_RECV_BYTES, _FD_BUFFER, socket.MSG_CMSG_CLOEXEC)
+    fds = array.array("i")
+    for level, ctype, payload in ancdata:
+        if level == socket.SOL_SOCKET and ctype == socket.SCM_RIGHTS:
+            fds.frombytes(payload[: len(payload) - len(payload) % _FD_SIZE])
+    return data, list(fds)
+
+
+# -- the pipelined channel ---------------------------------------------------
+
+
+class Pending:
+    """One in-flight request's future: an event plus its eventual reply
+    (``None`` once the event is set means the channel died first)."""
+
+    __slots__ = ("rid", "request", "event", "reply")
+
+    def __init__(self, rid: int, request: dict):
+        self.rid = rid
+        self.request = request
+        self.event = threading.Event()
+        self.reply: Optional[dict] = None
+
+
+class Exit:
+    """One handed-out child's exit slot: the status once the peer has
+    pushed it, an event if a caller is blocked waiting for it, and a
+    callback if one asked to be told (``ChildProcess.on_exit``)."""
+
+    __slots__ = ("status", "event", "callback")
+
+    def __init__(self):
+        self.status = None
+        self.event: Optional[threading.Event] = None
+        self.callback: Optional[Callable[[], None]] = None
+
+
+class Channel:
+    """Pipelined request/reply over one connected stream socket.
+
+    Every request carries a correlation id and many may be in flight at
+    once: :meth:`send` (one ``sendmsg`` under a small send lock) pairs
+    with a reader thread that routes each reply to its request's
+    :class:`Pending`, so concurrent callers never wait on each other's
+    round trips.  The peer also *pushes* ``{"exit": pid, "status": s}``
+    notices; each is filed in the pid's :class:`Exit` slot, which the
+    reader opened while routing the reply that handed the pid out — so
+    a notice can never overtake its own registration, and one for a pid
+    no caller was given is dropped, not stored.
+
+    A channel dies once (damaged frame, EOF, send failure, :meth:`close`)
+    and stays dead: every pending request, blocked waiter and ``on_exit``
+    callback is woken, filled exit slots stay readable, and whoever owns
+    the channel dials a new one — a stale reader can only ever poison
+    the object it was born with.
+
+    What differs between peers is injected, never branched on: ``name``
+    prefixes the ``<name>.frame`` fault point, the reader thread and
+    messages; ``lost`` builds the error a dead channel raises;
+    ``pids_of(request, reply)`` says which pids a reply hands out;
+    ``exit_status(notice)`` decodes a pushed notice into what waiters
+    get; and each :meth:`send` takes its body encoder.
+    """
+
+    def __init__(
+        self,
+        sock: socket.socket,
+        name: str,
+        *,
+        lost: Callable[[str], Exception],
+        pids_of: Callable[[dict, dict], Iterable],
+        exit_status: Callable[[dict], object] = operator.itemgetter("status"),
+    ):
+        self.sock = sock
+        self.name = name
+        self._frame_point = f"{name}.frame"
+        self._lost = lost
+        self._pids_of = pids_of
+        self._exit_status = exit_status
+        self._send_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._next_id = 0
+        self.pending: Dict[int, Pending] = {}
+        # pid -> slot for every child handed to a caller and not yet
+        # reaped by it.
+        self.exits: Dict[int, Exit] = {}
+        self.waiting = 0  # callers blocked in wait_exit right now
+        self.dead: Optional[str] = None  # why the channel died, once it has
+        self.closed = False
+        self.reader = threading.Thread(target=self._read, name=f"{name}-reader", daemon=True)
+        self.reader.start()
+
+    @property
+    def in_flight(self) -> int:
+        """Requests awaiting replies plus callers blocked on an exit."""
+        with self._lock:
+            return len(self.pending) + self.waiting
+
+    def _lose(self, message: str, unsent: bool) -> Exception:
+        error = self._lost(f"{self.name} {message}")
+        # A request that provably never reached the peer is safe to
+        # re-issue; one lost after it was sent is ambiguous.
+        error.unsent = unsent
+        return error
+
+    # -- requests --------------------------------------------------------
+
+    def send(
+        self,
+        obj: dict,
+        fds: Sequence[int] = (),
+        encode: Callable[[dict, int], bytes] = encode_body,
+    ) -> Pending:
+        """Register one request and put it on the wire.
+
+        ``encode(obj, rid)`` builds the frame body.  The pending entry
+        is popped on every failure path here and on every exit path of
+        :meth:`result`, so a late reply can never be written into a dead
+        waiter and the table cannot accumulate stale entries.
+        """
+        with self._lock:
+            if self.dead is not None:
+                raise self._lose(f"channel is dead: {self.dead}", True)
+            rid = self._next_id
+            self._next_id += 1
+            pending = self.pending[rid] = Pending(rid, obj)
+        try:
+            body = encode(obj, rid)
+            buffers = [_header(body), body]
+            fault = FAULTS.fire(self._frame_point, op=obj.get("op"))
+            if fault is not None:
+                buffers, fds = self._damage(fault, b"".join(buffers), fds)
+            try:
+                with self._send_lock:
+                    send_buffers(self.sock, buffers, fds)
+            except OSError as exc:
+                self.fail(str(exc) or type(exc).__name__)
+                raise self._lose(f"channel failed: {exc}", True) from exc
+        except BaseException:
+            with self._lock:
+                self.pending.pop(rid, None)
+            raise
+        return pending
+
+    def _damage(self, fault, frame: bytes, fds: Sequence[int]):
+        """Chaos path: interpret a ``<name>.frame`` fault by its kind —
+        break the transport under the send that follows, or damage the
+        frame on its way out (truncate, corrupt, strip the grant).
+        Mutation needs the contiguous frame, so only this path pays the
+        copy."""
+        if fault.kind == "conn_reset":
+            # The send that follows fails like a peer RST.
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        elif fault.kind == "partial_frame":
+            try:
+                with self._send_lock:
+                    self.sock.send(frame[: max(1, len(frame) // 2)])
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self.fail("injected fault: partial frame")
+            raise self._lose("injected fault: connection died mid-frame", True)
+        message, fds = fault.mutate_frame(frame, fds)
+        return [message], fds
+
+    def result(self, pending: Pending, timeout: Optional[float] = None) -> dict:
+        """Wait (at most ``timeout`` seconds) for ``pending``'s reply."""
+        try:
+            if not pending.event.wait(timeout):
+                op = pending.request.get("op")
+                raise SpawnTimeout(
+                    f"{self.name} request {pending.rid} ({op}) exceeded its {timeout}s deadline"
+                )
+            if pending.reply is None:
+                raise self._lose(f"channel died before replying: {self.dead}", False)
+            return pending.reply
+        finally:
+            with self._lock:
+                self.pending.pop(pending.rid, None)
+
+    # -- the reader ------------------------------------------------------
+
+    def _read(self) -> None:
+        decoder = FrameDecoder()
+        try:
+            while True:
+                data = self.sock.recv(_RECV_BYTES)
+                if not data:
+                    decoder.eof()
+                    raise EOFError("peer hung up")
+                for frame in decoder.feed(data):
+                    self._route(frame)
+        except Exception as exc:
+            self.fail(str(exc) or type(exc).__name__)
+
+    def _route(self, frame: dict) -> None:
+        """File one incoming frame: a reply resolves its request's
+        future (opening exit slots for the pids it hands out before its
+        caller wakes), an exit notice fills its pid's slot and wakes
+        whoever waits on it.  A frame of the wrong shape raises into
+        the reader's channel-death path."""
+        event = callback = None
+        with self._lock:
+            if "exit" in frame:
+                slot = self.exits.get(frame["exit"])
+                if slot is not None:
+                    slot.status = self._exit_status(frame)
+                    event = slot.event
+                    callback, slot.callback = slot.callback, None
+            else:
+                pending = self.pending.pop(frame.get("id"), None)
+                if pending is not None:
+                    for pid in self._pids_of(pending.request, frame):
+                        if type(pid) is not int:
+                            continue
+                        # A live slot is kept (someone may be waiting on
+                        # it); a filled one is a recycled pid's past.
+                        slot = self.exits.get(pid)
+                        if slot is None or slot.status is not None:
+                            self.exits[pid] = Exit()
+                    pending.reply = frame
+                    event = pending.event
+                elif "error" in frame and frame.get("id") is None:
+                    # An un-addressed error is the peer saying the
+                    # *stream* is broken: every request on it is lost.
+                    raise ConnectionError(f"peer reported a broken stream: {frame['error']}")
+        if event is not None:
+            event.set()
+        if callback is not None:
+            callback()
+
+    def fail(self, why: str) -> None:
+        """Mark the channel dead and wake every stranded caller —
+        requests awaiting replies, waiters awaiting exits and on_exit
+        callbacks alike.  Exit slots still empty go with the channel;
+        filled ones stay for their owners to read."""
+        with self._lock:
+            if self.dead is None:
+                self.dead = why
+            stranded = list(self.pending.values())
+            self.pending.clear()
+            empty = [slot for slot in self.exits.values() if slot.status is None]
+            orphaned = [(slot.event, slot.callback) for slot in empty]
+            self.exits = {pid: slot for pid, slot in self.exits.items() if slot.status is not None}
+        for pending in stranded:
+            pending.event.set()
+        for event, callback in orphaned:
+            if event is not None:
+                event.set()
+            if callback is not None:
+                callback()
+
+    def close(self, why: str, join_timeout: float) -> bool:
+        """Hang up and fail everything in flight *before* joining the
+        reader, so no waiter stays blocked across a shutdown.  Returns
+        whether the reader thread is gone."""
+        self.closed = True
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)  # wake a blocked reader
+        except OSError:
+            pass
+        self.sock.close()
+        self.fail(why)
+        if self.reader is not threading.current_thread():
+            self.reader.join(timeout=join_timeout)
+        return not self.reader.is_alive()
+
+    # -- pushed exits ----------------------------------------------------
+
+    def wait_exit(self, pid: int, timeout: Optional[float]):
+        """The status pushed for ``pid``, after an event wait of at most
+        ``timeout`` seconds (``None``: until it exits or the channel
+        dies; ``0``: only what has already arrived).  ``None`` means not
+        exited (yet); ``KeyError`` that this channel holds no slot for
+        the pid — never handed out here, already reaped, or dropped by
+        the channel's death.  Nothing goes on the wire."""
+        with self._lock:
+            slot = self.exits[pid]
+            wait = slot.status is None and timeout != 0
+            if wait:
+                self.waiting += 1
+                if slot.event is None:
+                    slot.event = threading.Event()
+        if wait:
+            try:
+                slot.event.wait(timeout)
+            finally:
+                with self._lock:
+                    self.waiting -= 1
+        with self._lock:
+            if slot.status is not None and self.exits.get(pid) is slot:
+                del self.exits[pid]
+            return slot.status
+
+    def forget(self, pid: int) -> None:
+        """Drop ``pid``'s slot: its status reached the caller another way."""
+        with self._lock:
+            self.exits.pop(pid, None)
+
+    def watch(self, pid: int, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, from whichever thread files the
+        pid's exit notice (or the channel's death) — now, if there is
+        nothing to wait for."""
+        with self._lock:
+            slot = self.exits.get(pid)
+            if slot is not None and slot.status is None:
+                if slot.callback is not None:
+                    raise SpawnError(f"pid {pid} already has an on_exit callback")
+                slot.callback = callback
+                return
+        callback()

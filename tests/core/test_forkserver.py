@@ -2,6 +2,7 @@
 
 import os
 import signal
+import socket
 import sys
 import threading
 import time
@@ -231,10 +232,10 @@ class TestPushedExits:
 
     def test_tables_are_empty_after_spawns_and_waits(self, server):
         children = [server.spawn(["/bin/true"]) for _ in range(20)]
-        assert len(server._exits) == 20
+        assert len(server._channel.exits) == 20
         assert [c.wait(timeout=10) for c in children] == [0] * 20
-        assert server._exits == {}
-        assert server._waiting == 0
+        assert server._channel.exits == {}
+        assert server._channel.waiting == 0
         assert server.in_flight == 0
 
     def test_poll_is_a_lookup_that_turns_true_unasked(self, server):
@@ -244,7 +245,7 @@ class TestPushedExits:
             assert time.monotonic() < deadline
             time.sleep(0.001)
         assert child.returncode == 0
-        assert server._exits == {}
+        assert server._channel.exits == {}
 
     def test_in_flight_counts_a_blocked_waiter(self, server):
         child = server.spawn(["/bin/sleep", "30"])
@@ -297,7 +298,7 @@ class TestPushedExits:
         for thread in threads:
             thread.join(timeout=10)
         assert statuses == [0, 0]
-        assert server._exits == {}
+        assert server._channel.exits == {}
 
     def test_many_threads_racing_spawns_waits_and_polls(self, server):
         # More callers than cores, a 10 us switch interval: every exit
@@ -336,34 +337,28 @@ class TestPushedExits:
         assert not any(thread.is_alive() for thread in threads)
         assert len(statuses) == 8 * 12
         assert all(want == got for want, got in statuses)
-        assert server._exits == {}
-        assert server._waiting == 0 and server.in_flight == 0
-
-    def test_locked_mode_polls_and_timed_waits_off_the_same_frames(self):
-        with ForkServer(pipelined=False) as fs:
-            child = fs.spawn(["/bin/sleep", "0.1"])
-            assert child.poll() is None
-            with pytest.raises(SpawnError, match="timeout"):
-                child.wait(timeout=0.01)
-            assert child.wait(timeout=10) == 0
-            quick = fs.spawn(["/bin/true"])
-            deadline = time.monotonic() + 10
-            while quick.poll() is None:
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
-            # An exit that arrives ahead of a later reply is filed on
-            # the way, not lost.
-            early = fs.spawn(["/bin/true"])
-            time.sleep(0.1)
-            assert fs.ping()
-            assert fs._exits[early.pid].status == 0
-            assert early.wait() == 0
-            assert fs._exits == {} and fs.in_flight == 0
+        assert server._channel.exits == {}
+        assert server._channel.waiting == 0 and server.in_flight == 0
 
 
 class TestPipelining:
     def test_pipelined_is_the_default(self, server):
-        assert server.pipelined
+        # Two requests in flight on the one socket at once: the second
+        # spawn is answered while the first caller still waits.
+        slow = server.spawn(["/bin/sleep", "30"])
+        thread = threading.Thread(target=slow.wait)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 10
+            while server.in_flight != 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert server.spawn(["/bin/true"]).wait(timeout=10) == 0
+            assert server.in_flight == 1
+        finally:
+            slow.kill()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_concurrent_spawns_from_many_threads(self, server):
         statuses = []
@@ -394,31 +389,6 @@ class TestPipelining:
     def test_in_flight_drains(self, server):
         assert server.spawn(["/bin/true"]).wait(timeout=10) == 0
         assert server.in_flight == 0
-
-
-class TestLockedBaseline:
-    def test_locked_mode_roundtrip(self):
-        with ForkServer(pipelined=False) as fs:
-            assert not fs.pipelined
-            child = fs.spawn(["/bin/sh", "-c", "exit 7"])
-            assert child.wait(timeout=10) == 7
-
-    def test_locked_mode_threads_serialise_but_succeed(self):
-        with ForkServer(pipelined=False) as fs:
-            statuses = []
-            lock = threading.Lock()
-
-            def client():
-                status = fs.spawn(["/bin/true"]).wait(timeout=30)
-                with lock:
-                    statuses.append(status)
-
-            threads = [threading.Thread(target=client) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert statuses == [0] * 4
 
 
 class TestDeadHelper:
@@ -455,10 +425,11 @@ class TestDeadHelper:
         fs.abort()
         os.kill(child.pid, signal.SIGKILL)  # orphan cleanup
 
-    @pytest.mark.parametrize("pipelined", [True, False])
+    # One arm, its id kept: the locked arm went with the locked path.
+    @pytest.mark.parametrize("pipelined", [True])
     def test_killed_helper_wakes_every_waiter_blocking_or_timed(
             self, pipelined):
-        fs = ForkServer(pipelined=pipelined).start()
+        fs = ForkServer().start()
         children = [fs.spawn(["/bin/sleep", "30"]) for _ in range(3)]
         errors = []
 
@@ -480,8 +451,74 @@ class TestDeadHelper:
             assert not any(thread.is_alive() for thread in threads)
             assert len(errors) == 3
             assert not any("timeout" in error for error in errors)
-            assert fs._exits == {} and fs.in_flight == 0
+            assert fs._channel.exits == {} and fs.in_flight == 0
         finally:
             fs.abort()
             for child in children:
                 os.kill(child.pid, signal.SIGKILL)  # orphan cleanup
+
+
+class TestDamagedReplies:
+    """A helper that answers with a frame no reader should trust: the
+    old receive loop believed any length prefix and sat waiting for up
+    to 4 GiB of body, so a request without a deadline hung forever."""
+
+    @staticmethod
+    def fake_helper(damage):
+        """A ForkServer whose "helper" is this test: it answers the
+        first request with a spawn reply for pid 4242, the second with
+        ``damage`` — and never hangs up."""
+        from repro.core.forkserver import _pids_handed_out
+        from repro.wire import Channel, FrameDecoder, encode_frame
+        ours, theirs = socket.socketpair()
+        fs = ForkServer()
+        fs._channel = Channel(ours, "forkserver", lost=SpawnError,
+                              pids_of=_pids_handed_out)
+
+        def serve():
+            decoder, seen = FrameDecoder(), 0
+            while seen < 2:
+                for frame in decoder.feed(theirs.recv(65536)):
+                    seen += 1
+                    theirs.sendall(
+                        encode_frame({"id": frame["id"], "pid": 4242})
+                        if seen == 1 else damage)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return fs, theirs, thread
+
+    @pytest.mark.parametrize("damage", [
+        b"\xff\xff\xff\xff",         # a 4 GiB body that never comes
+        b"\x00\x00\x00\x07[1,2,3]",  # well framed, not an object
+    ], ids=["oversized-prefix", "non-object-body"])
+    def test_channel_dies_typed_and_wakes_everyone(self, damage):
+        fs, theirs, thread = self.fake_helper(damage)
+        try:
+            child = fs.spawn(["/bin/true"])
+            fired = threading.Event()
+            child.on_exit(lambda handle: fired.set())
+            outcome = []
+
+            def blocked_wait():
+                try:
+                    outcome.append(child.wait())
+                except SpawnError as exc:
+                    outcome.append(exc)
+
+            waiter = threading.Thread(target=blocked_wait)
+            waiter.start()
+            started = time.monotonic()
+            with pytest.raises(SpawnError):
+                fs.spawn(["/bin/true"])  # no deadline: used to hang
+            assert time.monotonic() - started < 5
+            waiter.join(timeout=5)
+            assert not waiter.is_alive()
+            assert isinstance(outcome[0], SpawnError)
+            assert fired.wait(5)
+            assert not fs.healthy and fs.in_flight == 0
+            assert not fs.ping()
+        finally:
+            fs.abort()
+            theirs.close()
+            thread.join(timeout=5)

@@ -36,7 +36,7 @@ class TestForkServerBatch:
             children = server.spawn_batch(BatchRequest.of(
                 [["/bin/true"], ["/no/such/binary"], ["/bin/true"]]))
             assert [c.wait(timeout=10) for c in children] == [0, 127, 0]
-            assert server._exits == {}
+            assert server._channel.exits == {}
 
     def test_members_with_cwd_and_without_share_a_batch(self, tmp_path):
         with ForkServer() as server:
@@ -80,12 +80,6 @@ class TestForkServerBatch:
             assert "split the batch" in str(excinfo.value)
             assert server.healthy
             assert server.spawn(["/bin/true"]).wait(timeout=10) == 0
-
-    def test_locked_channel_batches_too(self):
-        with ForkServer(pipelined=False) as server:
-            children = server.spawn_batch(
-                BatchRequest.of([["/bin/true"]] * 3))
-            assert [c.wait(timeout=10) for c in children] == [0, 0, 0]
 
 
 class TestPoolBatch:

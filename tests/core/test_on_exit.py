@@ -53,7 +53,7 @@ class TestForkserverHandles:
     def test_already_exited_fires_at_once_on_the_calling_thread(
             self, server):
         child = server.spawn(["/bin/sh", "-c", "exit 3"])
-        assert until(lambda: server._exits[child.pid].status is not None)
+        assert until(lambda: server._channel.exits[child.pid].status is not None)
         fired = Fired()
         assert child.on_exit(fired) is None
         assert fired.calls == [(child, threading.current_thread())]
@@ -65,7 +65,7 @@ class TestForkserverHandles:
         assert child.on_exit(fired) is None
         assert not fired.calls  # still running: nothing yet
         assert fired.event.wait(5.0)
-        assert fired.calls[0][1] is server._reader
+        assert fired.calls[0][1] is server._channel.reader
         assert child.poll() == 4  # the status is there to be had
 
     def test_fires_once_however_often_it_is_reaped(self, server):

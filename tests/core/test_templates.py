@@ -15,7 +15,7 @@ import pytest
 from repro.core import TemplateProfile, TemplateRegistry, TemplateServer, run
 from repro.core.autoscale import AutoscaleConfig
 from repro.core.strategies import _REGISTRY
-from repro.core.templates import TemplateMiss, _splice
+from repro.core.templates import TemplateMiss
 from repro.errors import SpawnError
 from repro.obs import TELEMETRY, RingBufferSink
 
@@ -59,19 +59,6 @@ class TestProfile:
         profile = TemplateProfile("p", preload=["json"], preopen=["/etc"])
         assert profile.preload == ("json",)
         assert profile.preopen == ("/etc",)
-
-
-class TestSplice:
-    def test_missing_marker_raises(self):
-        with pytest.raises(SpawnError):
-            _splice("no markers here\n", "GLOBALS", "x = 1")
-
-    def test_server_source_has_every_extension_spliced(self):
-        source = TemplateServer._server_source()
-        assert "#<EXT:" not in source            # all three markers used
-        for op in ("specialize", "park", "unpark", "lease"):
-            assert f'op == "{op}"' in source
-        compile(source, "<template helper>", "exec")  # still valid python
 
 
 @pytest.fixture
@@ -128,6 +115,19 @@ class TestTemplateServer:
             env={"TPL_LEASE": "per-call"})
         assert out == b"per-call"
 
+    def test_zygote_payload_cannot_import_the_helpers_siblings(self, server):
+        # The helper is a real file in repro/core now; however it is
+        # launched, a payload's `import result` must look on the
+        # caller's path, never next to the helper.
+        out = lease_output(server, code=(
+            "import sys\n"
+            "try:\n"
+            "    import result\n"
+            "except ImportError:\n"
+            "    result = None\n"
+            "sys.stdout.write(repr((sys.path[0], result)))\n"))
+        assert out == b"('', None)"
+
     def test_lease_takes_exactly_one_payload(self, server):
         with pytest.raises(SpawnError):
             server.lease(["/bin/true"], code="pass")
@@ -165,8 +165,8 @@ class TestTemplateServer:
             assert server.unpark() is not None
         assert server.ping()
         time.sleep(0.2)  # let the withdrawn children's notices arrive
-        assert server._exits == {}
-        assert server._waiting == 0 and server.in_flight == 0
+        assert server._channel.exits == {}
+        assert server._channel.waiting == 0 and server.in_flight == 0
 
     def test_park_unpark_move_the_stock_level(self, server):
         pid = server.park()

@@ -125,7 +125,7 @@ class TestServerSideKinds:
     def test_refuse_accept_costs_a_dial_not_the_service(self, gateway):
         _, client = gateway
         spawn_ok(client)
-        client._sock.shutdown(2)  # force the next op to re-dial
+        client._channel.sock.shutdown(2)  # force the next op to re-dial
         plan = FaultPlan().add("refuse_accept", times=1)
         with FAULTS.active(plan):
             # First re-dial is refused, the backoff retry gets through.
@@ -215,7 +215,7 @@ class _HangupDaemon:
         self._thread.start()
 
     def _serve(self):
-        from repro.gateway.protocol import FrameDecoder, encode_frame
+        from repro.wire import FrameDecoder, encode_frame
         while not self._stop.is_set():
             try:
                 conn, _ = self._listener.accept()

@@ -25,16 +25,6 @@ class TestStallHelper:
             finally:
                 server.abort()
 
-    def test_locked_baseline_also_bounded(self):
-        with FAULTS.active(FaultPlan().add("stall_helper", seconds=30,
-                                           times=None, after=1)):
-            server = ForkServer(pipelined=False).start()
-            try:
-                with pytest.raises(SpawnTimeout):
-                    server.spawn(["/bin/true"], deadline=0.5)
-            finally:
-                server.abort()
-
     def test_pool_health_check_retires_wedged_helper(self):
         with FAULTS.active(FaultPlan().add("stall_helper", seconds=30,
                                            times=None, after=1)):

@@ -28,7 +28,7 @@ from repro.errors import GatewayError, Overloaded, SpawnError
 from repro.faults import FAULTS, FaultPlan
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
-from repro.gateway.protocol import FrameDecoder, encode_frame
+from repro.wire import FrameDecoder, encode_frame
 
 TOKEN = "push-token"
 
@@ -100,14 +100,15 @@ class TestOrdering:
         server = make_server(tmp_path, tenants=tenants)
         claims = count_ops(server, "wait")
         client = dial(server)
-        early, route = [], client._route
+        channel = client._channel
+        early, route = [], channel._route
 
-        def checking(frame, generation):
-            if "exit" in frame and frame["exit"] not in client._exits:
+        def checking(frame):
+            if "exit" in frame and frame["exit"] not in channel.exits:
                 early.append(frame)  # overtook the reply with its pid
-            return route(frame, generation)
+            return route(frame)
 
-        client._route = checking
+        channel._route = checking
         errors = []
 
         def worker(index):
@@ -135,7 +136,7 @@ class TestOrdering:
             assert errors == []
             assert early == []
             assert claims == []  # not one wait op crossed the wire
-            assert client._exits == {} and client._pending == {}
+            assert channel.exits == {} and channel.pending == {}
             stats = server.stats()
             assert stats["tenants"]["acme"]["completed"] == 4 * per_thread
             assert stats["tenants"]["acme"]["children"] == 0
@@ -208,7 +209,7 @@ class TestClaims:
         client = dial(server, reconnect_backoff=0.02)
         try:
             child = client.spawn(("/bin/sh", "-c", "sleep 0.2; exit 9"))
-            client._sock.shutdown(socket.SHUT_RDWR)
+            client._channel.sock.shutdown(socket.SHUT_RDWR)
             # It dies with nobody connected to tell.
             assert until(lambda: children_of(server) == 0)
             assert child.poll() == 9  # even a poll claims after a blip
@@ -223,7 +224,7 @@ class TestClaims:
         client = dial(server)
         try:
             child = client.spawn(("/bin/sh", "-c", "exit 4"))
-            assert until(lambda: client._exits[child.pid].status
+            assert until(lambda: client._channel.exits[child.pid].status
                          is not None)
             client.close()
             assert child.wait(timeout=5) == 4  # no daemon needed
@@ -271,7 +272,7 @@ class TestClaims:
             assert len(claims) == 1
             # The claim is idempotent: the status is still there.
             assert child.wait(timeout=0.2) == 6
-            assert len(claims) == 2 and client._pending == {}
+            assert len(claims) == 2 and client._channel.pending == {}
         finally:
             client.close()
             server.stop()

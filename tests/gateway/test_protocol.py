@@ -21,10 +21,9 @@ from hypothesis import given, settings
 
 from repro.errors import (AuthError, GatewayError, GatewayProtocolError,
                           Overloaded, RateLimited)
-from repro.gateway.protocol import (ERROR_CODES, FrameDecoder,
-                                    MAX_FRAME_BYTES, OPS, check_request,
-                                    decode_error, encode_error,
-                                    encode_frame)
+from repro.gateway.protocol import (ERROR_CODES, OPS, check_request,
+                                    decode_error, encode_error)
+from repro.wire import MAX_FRAME_BYTES, FrameDecoder, encode_frame
 
 
 def frame_bytes(obj) -> bytes:

@@ -21,8 +21,8 @@ from repro.errors import (GatewayConnectionLost, GatewayError,
                           GatewayProtocolError, SpawnTimeout)
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
-from repro.gateway.protocol import (PROTOCOL_VERSION, FrameDecoder,
-                                    encode_frame)
+from repro.gateway.protocol import PROTOCOL_VERSION
+from repro.wire import FrameDecoder, encode_frame
 
 TOKEN = "reconnect-token"
 
@@ -131,7 +131,7 @@ class TestReconnectSemantics:
             child = client.spawn(("/bin/sh", "-c", "sleep 0.2; exit 7"))
             # Kill the transport under the client; the daemon (and the
             # child, which is the daemon's) are untouched.
-            client._sock.shutdown(socket.SHUT_RDWR)
+            client._channel.sock.shutdown(socket.SHUT_RDWR)
             assert child.wait(timeout=30) == 7
             assert client.reconnects == 1
         finally:
@@ -337,7 +337,7 @@ class TestCorrelationMapHygiene:
         try:
             with pytest.raises(SpawnTimeout):
                 client._roundtrip({"op": "stats"}, timeout=0.2)
-            assert client._pending == {}
+            assert client._channel.pending == {}
         finally:
             client.close()
             fake.stop()
@@ -352,7 +352,7 @@ class TestCorrelationMapHygiene:
             huge = {"op": "stats", "pad": "x" * (5 * 1024 * 1024)}
             with pytest.raises(GatewayProtocolError):
                 client._roundtrip_once(huge, timeout=1.0)
-            assert client._pending == {}
+            assert client._channel.pending == {}
         finally:
             client.close()
             fake.stop()
@@ -369,7 +369,7 @@ class TestReaderJoin:
             stuck = threading.Thread(target=time.sleep, args=(20.0,),
                                      daemon=True)
             stuck.start()
-            client._reader = stuck
+            client._channel.reader = stuck
             with pytest.warns(RuntimeWarning, match="failed to join"):
                 client.close()
         finally:

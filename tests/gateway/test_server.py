@@ -26,7 +26,7 @@ from repro.errors import (AuthError, GatewayError, Overloaded, RateLimited,
                           SpawnError)
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
-from repro.gateway.protocol import FrameDecoder, encode_frame
+from repro.wire import FrameDecoder, encode_frame
 
 TOKEN = "secret-token"
 

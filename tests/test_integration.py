@@ -132,6 +132,7 @@ class TestDogfoodLint:
         "atfork.py",       # fork_with_handlers wraps a real fork
         "safety.py",       # guarded_fork ends in os.fork()
         "workloads.py",    # fig1's fork_exec / fork_only mechanisms
+        "helper.py",       # the zygote program: forking is its whole job
     }
 
     @pytest.fixture(scope="class")
