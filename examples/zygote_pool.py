@@ -12,7 +12,10 @@ many short-lived helpers — and shows four ways out, timing each:
   (constant: the pristine helper forks, not us),
 * a :class:`~repro.core.TemplateRegistry` lease (constant, and one step
   further: the children are *pre-forked and parked* before the ballast
-  exists, so a launch is a checkout, not a fork at all).
+  exists, so running a payload is a checkout, not a fork at all — the
+  no-op payload here stands in for work that wants a warm interpreter;
+  a lease of ``/bin/true`` itself would be a ``posix_spawn`` in the
+  template's helper, the same price as the forkserver row).
 
 Run with ``python examples/zygote_pool.py``; it allocates 256 MiB.
 """
@@ -50,7 +53,7 @@ def main() -> None:
     server = ForkServer().start()
 
     # The template registry goes one further: its helper pre-forks a
-    # parked stock of children NOW, so later launches just lease one.
+    # parked stock of children NOW, so later payloads just lease one.
     # (The snappy restock interval keeps up with this back-to-back loop.)
     registry = TemplateRegistry(autoscale=AutoscaleConfig(
         idle_ttl=5.0, interval=0.005, step=2))
@@ -60,7 +63,7 @@ def main() -> None:
         server.spawn(["/bin/true"]).wait(timeout=30)
 
     def template_once() -> None:
-        registry.spawn("warm", ["/bin/true"]).wait(timeout=30)
+        registry.spawn("warm", code="pass").wait(timeout=30)
 
     print(f"growing the parent by {BALLAST_BYTES >> 20} MiB of dirty heap...")
     with Ballast(BALLAST_BYTES):

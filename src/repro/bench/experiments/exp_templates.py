@@ -6,11 +6,11 @@ by keeping the forking parent pristine; this experiment measures the
 next step — keeping the children themselves *pre-made*.  Three sections:
 
 * **latency** (real OS) — the Figure-1 ballast sweep with a fourth
-  mechanism: leasing a pre-forked, parked child from a
-  :class:`~repro.core.templates.TemplateRegistry`.  fork+exec climbs
+  mechanism: leasing ``/bin/true`` from a
+  :class:`~repro.core.templates.TemplateRegistry`, i.e. a
+  ``posix_spawn`` in a small specialized helper.  fork+exec climbs
   with the ballast; posix_spawn, the forkserver and the template lease
-  must all stay flat, and the lease starts from an already-running
-  child, not a fork.
+  must all stay flat.
 * **sim** (modelled) — ``AddressSpace.snapshot()`` +
   ``Kernel.spawn_from_snapshot()``: checkpoint a warm process once,
   then materialise children from the frozen image while the live
@@ -191,8 +191,8 @@ def _notes(latency, sim, throughput) -> str:
     return (f"from {smallest['ballast_mib']} to {biggest['ballast_mib']} "
             f"MiB of ballast, fork+exec slowed {fork_growth:.1f}x while "
             f"the template lease moved {lease_growth:.1f}x "
-            f"(flat, like posix_spawn — but the lease starts from an "
-            f"already-running child). in the model, a snapshot restore "
+            f"(flat, like posix_spawn — which is what the specialized "
+            f"helper runs for it). in the model, a snapshot restore "
             f"costs the same at every parent size "
             f"({restore_growth:.1f}x across the sweep) because it walks "
             f"the frozen image, never the live parent. at concurrency "

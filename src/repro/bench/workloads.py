@@ -122,17 +122,14 @@ class Workloads:
     def start_templates(self) -> None:
         """Warm the template registry now (call before ballast).
 
-        The registry keeps a few pre-forked children parked, so a
-        ``template`` measurement is a lease plus wait — no page-table
-        walk of *this* (possibly huge) process anywhere on the path.
-        The restock interval is bench-tuned: back-to-back latency
-        probes drain the stock faster than production traffic would.
+        A ``template`` measurement is an argv lease plus wait: one
+        round trip to a small specialized helper that ``posix_spawn``s
+        the child — no page-table walk of *this* (possibly huge)
+        process anywhere on the path, and no parked stock to keep fed.
         """
         if self._templates is None:
-            registry = TemplateRegistry(autoscale=AutoscaleConfig(
-                idle_ttl=5.0, interval=0.005, step=2))
-            registry.register(TemplateProfile("bench", stock=4,
-                                              max_stock=32), warm=True)
+            registry = TemplateRegistry()
+            registry.register(TemplateProfile("bench", stock=0), warm=True)
             self._templates = registry
 
     def _template_once(self) -> None:

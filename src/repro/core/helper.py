@@ -20,9 +20,10 @@ caller's child.
 
 Beyond plain spawns the helper is a template zygote: ``specialize``
 warms it into a workload profile and ``park`` pre-forks children that
-block inside that warm runtime until a ``lease`` hands them their argv
-or code.  A generic forkserver simply never sends those ops; an empty
-stock costs nothing.
+block inside that warm runtime until a ``lease`` hands one its code
+payload; a ``lease`` of an argv is spawned like any other program, from
+the specialized helper.  A generic forkserver simply never sends those
+ops; an empty stock costs nothing.
 """
 
 import array
@@ -229,6 +230,11 @@ class Helper:
                 break
             if pid == 0:
                 break
+            for entry in self.stock:
+                if entry[0] == pid:  # died while parked: it is stock no more
+                    entry[1].close()
+                    self.stock.remove(entry)
+                    break
             body = b'{"exit":%d,"status":%d}' % (pid, status)
             frames.append(LEN.pack(len(body)) + body)
         if frames and push:
@@ -408,24 +414,36 @@ class Helper:
         error = self.refusal(fds, request.get("nfds"), "lease")
         if error:
             return {"error": error, "stock": len(self.stock)}
-        lease = {key: request.get(key) for key in ("argv", "code", "env", "cwd")}
-        payload = json.dumps(lease).encode()
-        # Hand the oldest LIVE parked child its lease.  A child that
-        # died while parked shows up as a send error (its end of the
-        # socketpair is closed); skip it and try the next.
-        pid = None
-        while self.stock and pid is None:
-            parked, chan = self.stock.pop(0)
+        if request.get("argv"):
+            # Exec mode is a spawn, not a fork: a parked interpreter
+            # would only exec the program away.  Launched from HERE, so
+            # the profile's env, cwd and preopened fds reach the child
+            # as they reach a parked one; the stock is not touched.
             try:
-                send_frame(chan, payload, fds)
-                pid = parked
-            except OSError:
-                pass
-            chan.close()
-        t_lease = time.monotonic_ns()
-        close_all(fds)
-        if pid is None:
-            return {"error": "EAGAIN: warm stock exhausted", "stock": 0}
+                pid, t_lease = spawn_one(request, fds)
+            except OSError as exc:
+                close_all(fds)
+                return {"error": "EAGAIN: lease failed to fork: %s" % exc, "stock": len(self.stock)}
+        else:
+            # Zygote mode: hand the oldest LIVE parked child its
+            # payload.  A child that died while parked shows up as a
+            # send error (its end of the socketpair is closed); skip it
+            # and try the next.
+            lease = {key: request.get(key) for key in ("code", "env", "cwd")}
+            payload = json.dumps(lease).encode()
+            pid = None
+            while self.stock and pid is None:
+                parked, chan = self.stock.pop(0)
+                try:
+                    send_frame(chan, payload, fds)
+                    pid = parked
+                except OSError:
+                    pass
+                chan.close()
+            t_lease = time.monotonic_ns()
+            close_all(fds)
+            if pid is None:
+                return {"error": "EAGAIN: warm stock exhausted", "stock": 0}
         reply = {"pid": pid, "t_fork_ns": t_lease, "stock": len(self.stock)}
         if request.get("trace") is not None:
             reply["trace"] = request["trace"]
@@ -459,15 +477,10 @@ class Helper:
                         os.close(fd)
                 if req.get("cwd"):
                     os.chdir(req["cwd"])
-                env = req.get("env")
-                if req.get("argv"):
-                    argv = req["argv"]
-                    os.execvpe(argv[0], argv, env if env is not None else os.environ)
-                # Zygote mode: run the payload INSIDE this warm runtime
-                # — no exec, so the template's preloaded imports are
-                # free.
-                if env:
-                    os.environ.update(env)
+                # Run the payload INSIDE this warm runtime — no exec, so
+                # the template's preloaded imports are free.
+                if req.get("env"):
+                    os.environ.update(req["env"])
                 try:
                     exec(req.get("code") or "", {"__name__": "__main__"})
                 except SystemExit as e:

@@ -385,17 +385,19 @@ class ForkServerStrategy(Strategy):
 
 @register_strategy("template")
 class TemplateStrategy(Strategy):
-    """Launch by leasing a pre-forked child from a warm template zygote.
+    """Launch through the specialized template helper.
 
     The top rung of the ladder: a shared
     :class:`~repro.core.templates.TemplateRegistry` keeps one generic
-    profile warm (parked children with no preloads — per-request env
-    and cwd ride in the lease itself), so a launch that hits stock is
-    one wire round trip with no fork of the client and no exec setup in
-    the helper.  A miss degrades through the registry's own
+    profile's helper warm (no preloads — per-request env and cwd ride
+    in the lease itself), so a launch is one wire round trip and a
+    ``posix_spawn`` in the helper, with no fork of the client.  The
+    profile parks no children: this strategy only ever leases an argv,
+    and a parked interpreter is stock for code payloads alone.  A cold
+    or dead helper degrades through the registry's own
     :data:`~repro.core.policy.TEMPLATE_FALLBACK` ladder, so this
-    strategy never strands a request on an empty stock.  Profiles with
-    preloaded modules are the registry API's business — register them
+    strategy never strands a request.  Profiles with preloaded modules
+    and parked stock are the registry API's business — register them
     on :meth:`registry` directly.
     """
 
@@ -415,8 +417,8 @@ class TemplateStrategy(Strategy):
         with self._lock:
             if self._registry is None or self._registry.closed:
                 registry = TemplateRegistry()
-                registry.register(TemplateProfile(self.GENERIC_PROFILE),
-                                  warm=True)
+                registry.register(
+                    TemplateProfile(self.GENERIC_PROFILE, stock=0), warm=True)
                 self._registry = registry
             return self._registry
 

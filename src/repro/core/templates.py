@@ -15,11 +15,13 @@ This module is that remedy, three layers deep:
   children to keep parked.
 * :class:`TemplateServer` — a :class:`~repro.core.forkserver.ForkServer`
   whose helper is *specialized* to one profile and keeps a bounded
-  stock of **pre-forked, parked children**.  A ``lease`` hands the
-  oldest parked child its argv (exec mode) or a code payload that runs
-  inside the already-warm runtime (zygote mode) in one wire round trip
-  — O(1) regardless of the client's heap and free of the child-side
-  boot tax.
+  stock of **pre-forked, parked children**.  A ``lease`` of a code
+  payload (zygote mode) wakes the oldest parked child to run it inside
+  the already-warm runtime, free of the child-side boot tax; a
+  ``lease`` of an argv (exec mode) is a ``posix_spawn`` from the
+  specialized helper — a warm interpreter is no use to a program that
+  execs it away, so no parked child is spent on one.  Either way one
+  wire round trip, O(1) regardless of the client's heap.
 * :class:`TemplateRegistry` — the profiles, LRU-bounded so only the hot
   ones stay warm; a background restock thread refills leased stock and
   grows the per-profile target under miss pressure (the
@@ -63,14 +65,15 @@ class TemplateProfile:
     Attributes:
         name: registry key for this profile.
         preload: module names the helper imports once at specialize
-            time; parked children inherit them warm (zygote mode runs
-            them for free, exec mode still benefits from page sharing
-            until the exec).
+            time; parked children inherit them warm, so a zygote-mode
+            payload runs them for free.
         env: environment applied to the helper (inherited by every
-            child it parks or forks); per-lease env layers on top.
+            child it parks or spawns); a zygote lease's env layers on
+            top, an exec lease's env replaces it.
         cwd: working directory applied to the helper.
         preopen: paths opened read-only in the helper, inheritable.
-        stock: parked children to keep ready (the provisioned floor).
+        stock: parked children to keep ready for zygote leases (the
+            provisioned floor; exec leases consume none).
         max_stock: ceiling miss-driven growth may reach.
     """
 
@@ -100,8 +103,8 @@ class TemplateServer(ForkServer):
     :meth:`start` boots the helper (its template ops live next to the
     spawn ops in ``core/helper.py``), applies the profile's
     ``specialize`` op, and parks the initial stock.  :meth:`lease`
-    checks a parked child out in one round trip; :meth:`park` /
-    :meth:`unpark` move the stock level; the inherited
+    spawns a program or checks a parked child out in one round trip;
+    :meth:`park` / :meth:`unpark` move the stock level; the inherited
     :meth:`~ForkServer.spawn` still works for plain fork+exec through
     the specialized helper.
 
@@ -191,14 +194,16 @@ class TemplateServer(ForkServer):
               cwd: Optional[str] = None,
               stdin: int = 0, stdout: int = 1, stderr: int = 2,
               trace=None, deadline: Optional[float] = None) -> ChildProcess:
-        """Check a parked child out in one round trip.
+        """Launch through the specialized helper in one round trip.
 
-        Exactly one of ``argv`` (exec mode: the parked child execs the
-        program) or ``code`` (zygote mode: the payload runs inside the
-        warm, preloaded runtime — no exec, no import tax) must be
-        given.  Raises :class:`TemplateMiss` when the stock is empty —
-        the caller (usually :class:`TemplateRegistry`) degrades down
-        the ladder and lets the restock thread refill.
+        Exactly one of ``argv`` (exec mode: the helper spawns the
+        program, which inherits the profile's env, cwd and preopened
+        fds; no stock is consumed) or ``code`` (zygote mode: a parked
+        child runs the payload inside the warm, preloaded runtime — no
+        exec, no import tax) must be given.  A ``code`` lease raises
+        :class:`TemplateMiss` when the stock is empty — the caller
+        (usually :class:`TemplateRegistry`) degrades down the ladder
+        and lets the restock thread refill.
         """
         if (argv is None) == (code is None):
             raise SpawnError("lease takes exactly one of argv= or code=")
@@ -231,7 +236,7 @@ class TemplateServer(ForkServer):
             if owns:
                 trace.failure(exc)
             raise
-        self._sync_stock(reply, -1)
+        self._sync_stock(reply, -1 if code is not None else 0)
         TELEMETRY.count("template_lease", profile=self.profile.name)
         trace.stage("forked", t_ns=reply.get("t_fork_ns"),
                     pid=reply["pid"], helper_pid=self._pid)
@@ -261,8 +266,9 @@ class TemplateRegistry:
     At most ``max_templates`` profiles hold a warm helper at once;
     warming one past the bound evicts the least recently *used* warm
     template (its helper and parked stock are torn down — later spawns
-    for it ride the generic ladder until it is re-warmed).  A spawn
-    that finds warm stock leases in O(1); a miss degrades down
+    for it ride the generic ladder until it is re-warmed).  An ``argv``
+    spawn on a warm profile never misses; a ``code`` spawn that finds
+    warm stock leases in O(1), and a miss degrades down
     ``policy.fallback`` (default
     :data:`~repro.core.policy.TEMPLATE_FALLBACK`) for *this* request
     while the background restock thread refills — and, under sustained
@@ -453,11 +459,11 @@ class TemplateRegistry:
               cwd: Optional[str] = None,
               stdin: int = 0, stdout: int = 1, stderr: int = 2,
               trace=None, deadline: Optional[float] = None) -> ChildProcess:
-        """Lease from the profile's warm stock, or degrade down the ladder.
+        """Lease from the profile's warm helper, or degrade down the ladder.
 
         The fast path is one wire round trip to the template helper.
-        An empty-stock miss with a live helper waits up to
-        ``miss_grace`` seconds for the restock thread to park a
+        An empty-stock miss (``code`` only) with a live helper waits up
+        to ``miss_grace`` seconds for the restock thread to park a
         replacement; a cold profile, a dead helper, or an expired grace
         window sends THIS request through ``policy.fallback`` (a code
         payload becomes a ``python -c`` spawn that re-pays the imports:
@@ -488,7 +494,8 @@ class TemplateRegistry:
                 # thread repairs.
                 self._note_miss(entry)
             else:
-                self._kick()
+                if code is not None:
+                    self._kick()  # a parked child left: have it replaced
                 return child
         else:
             self._note_miss(entry)

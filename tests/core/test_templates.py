@@ -1,22 +1,28 @@
 """Template zygotes: profiles, specialized servers, and the registry.
 
 The wire-level lease machinery (park, unpark, SCM_RIGHTS stdio grants,
-zygote-mode payloads) gets exercised against real helpers; the registry
-tests cover warm/evict LRU bookkeeping, the miss-grace window, target
-autoscaling with idle decay, and the degradation ladder down to the
-posix_spawn floor.
+zygote-mode payloads, exec-mode leases spawned by the specialized
+helper) gets exercised against real helpers; the registry tests cover
+warm/evict LRU bookkeeping, the miss-grace window, target autoscaling
+with idle decay, and the degradation ladder down to the posix_spawn
+floor.  Stock, misses and growth concern ``code`` leases only: an
+``argv`` lease consumes no parked child.
 """
 
 import os
+import signal
+import socket
 import time
 
 import pytest
 
 from repro.core import TemplateProfile, TemplateRegistry, TemplateServer, run
+from repro.core import helper as helper_module
 from repro.core.autoscale import AutoscaleConfig
 from repro.core.strategies import _REGISTRY
 from repro.core.templates import TemplateMiss
 from repro.errors import SpawnError
+from repro.faults import FAULTS, FaultPlan
 from repro.obs import TELEMETRY, RingBufferSink
 
 
@@ -30,11 +36,12 @@ def read_all(fd: int) -> bytes:
         chunks.append(chunk)
 
 
-def lease_output(server, *, argv=None, code=None, env=None) -> bytes:
+def lease_output(server, *, argv=None, code=None, env=None,
+                 cwd=None) -> bytes:
     """Lease with stdout piped back; waits the child out."""
     r, w = os.pipe()
     try:
-        child = server.lease(argv, code=code, env=env, stdout=w)
+        child = server.lease(argv, code=code, env=env, cwd=cwd, stdout=w)
     finally:
         os.close(w)
     data = read_all(r)
@@ -78,7 +85,7 @@ class TestTemplateServer:
     def test_exec_mode_lease(self, server):
         out = lease_output(server, argv=["/bin/echo", "leased"])
         assert out == b"leased\n"
-        assert server.stock == 1             # one checked out
+        assert server.stock == 2             # spawned: nothing checked out
 
     def test_leased_child_reports_template_strategy(self, server):
         child = server.lease(["/bin/true"])
@@ -141,14 +148,16 @@ class TestTemplateServer:
         srv.start()
         try:
             with pytest.raises(TemplateMiss):
-                srv.lease(["/bin/true"])
+                srv.lease(code="pass")
             assert srv.healthy               # a miss is not a crash
+            # ...and only a payload can miss: a program needs no stock.
+            assert srv.lease(["/bin/true"]).wait(timeout=30) == 0
         finally:
             srv.stop()
 
     def test_exec_mode_lease_inherits_only_its_stdio(self, server):
-        # Lease grants arrive close-on-exec in the parked child: after
-        # its exec only the dup2'd 0-2 remain (3 is ls's listing fd).
+        # Lease grants arrive close-on-exec in the helper: after the
+        # child's exec only the dup2'd 0-2 remain (3 is ls's listing fd).
         out = lease_output(server, argv=["/bin/ls", "/proc/self/fd"])
         assert out.split() == [b"0", b"1", b"2", b"3"]
 
@@ -237,6 +246,124 @@ def _alive(pid: int) -> bool:
     return True
 
 
+def helper_fds(server) -> list:
+    return sorted(os.listdir(f"/proc/{server._pid}/fd"), key=int)
+
+
+class TestExecLeaseIsASpawn:
+    """An argv lease is a posix_spawn from the specialized helper."""
+
+    def test_argv_leases_leave_stock_and_park_counter_alone(self, server):
+        TELEMETRY.enable(RingBufferSink(), reset_metrics=True)
+        try:
+            for _ in range(5):
+                child = server.lease(["/bin/true"])
+                assert child.strategy == "template"
+                assert child.wait(timeout=30) == 0
+                assert server.stock == 2
+            metrics = TELEMETRY.metrics
+            assert metrics.counter("template_lease", profile="t").value == 5
+            assert metrics.counter("template_park", profile="t").value == 0
+        finally:
+            TELEMETRY.disable()
+        # The helper agrees: parking one more makes three.
+        server.park()
+        assert server.stock == 3
+
+    def test_same_observable_child_as_a_parked_one(self, tmp_path):
+        # What an exec lease inherited from its parked interpreter it
+        # now inherits from the helper itself: the profile's env and
+        # cwd, its preopened fds, and nothing else beyond 0-2.
+        workdir = os.path.realpath(str(tmp_path))
+        (tmp_path / "sub").mkdir()
+        warm_file = tmp_path / "preopen.txt"
+        warm_file.write_text("warm file\n")
+        srv = TemplateServer(TemplateProfile(
+            "shaped", env={"TPL_PROFILE": "baked-in"}, cwd=workdir,
+            preopen=(str(warm_file),), stock=0))
+        srv.start()
+        try:
+            show = ["/bin/sh", "-c", 'echo "$TPL_PROFILE/$TPL_LEASE"; pwd']
+            assert lease_output(srv, argv=show).decode().split() == [
+                "baked-in/", workdir]
+            # A per-lease env REPLACES the environment, as execvpe did.
+            assert lease_output(
+                srv, argv=show, env={"TPL_LEASE": "per-call"},
+                cwd=os.path.join(workdir, "sub")).decode().split() == [
+                    "/per-call", os.path.join(workdir, "sub")]
+            # 0-2, the preopen, and ls's own listing fd: nothing else.
+            listing = lease_output(
+                srv, argv=["/bin/ls", "-l", "/proc/self/fd"]).decode()
+            links = {left.split()[-1]: target for left, _, target in
+                     (line.partition(" -> ") for line in listing.splitlines())
+                     if target}
+            preopened = [fd for fd, target in links.items()
+                         if target == str(warm_file)]
+            assert len(preopened) == 1 and len(links) == 5
+            assert {"0", "1", "2"} < set(links)
+            assert lease_output(srv, argv=[
+                "/bin/sh", "-c", f"cat <&{preopened[0]}"]) == b"warm file\n"
+            # A missing binary is still a child that exits 127.
+            assert srv.lease(["/no/such/binary"]).wait(timeout=30) == 127
+            assert srv.healthy
+        finally:
+            srv.stop()
+
+    def test_refused_lease_is_typed_and_closes_its_grant(self):
+        plan = FaultPlan().add("refuse_exec", point="helper", times=1)
+        with FAULTS.active(plan):
+            srv = TemplateServer(TemplateProfile("t", stock=1)).start()
+        try:
+            before = helper_fds(srv)
+            with pytest.raises(SpawnError) as excinfo:
+                srv.lease(["/bin/true"])
+            assert "EACCES" in str(excinfo.value)
+            assert not isinstance(excinfo.value, TemplateMiss)
+            # A grant that partially arrived is refused the same way.
+            reply = srv._roundtrip({"op": "lease", "argv": ["/bin/true"],
+                                    "nfds": 3}, fds=(0, 1))
+            assert "EPROTO" in reply["error"] and reply["stock"] == 1
+            assert helper_fds(srv) == before
+            assert srv.lease(["/bin/true"]).wait(timeout=30) == 0
+            assert helper_fds(srv) == before
+        finally:
+            srv.stop()
+
+
+class TestParkedChildDeath:
+    def test_reap_prunes_a_dead_parked_child_from_the_stock(self, server):
+        # The helper learns of the death when it reaps the zombie; the
+        # stock it reports from then on must not count the corpse.
+        doomed = server.park()
+        assert server.stock == 3
+        os.kill(doomed, signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while _alive(doomed) and time.monotonic() < deadline:
+            time.sleep(0.01)                 # gone once the helper reaped it
+        assert not _alive(doomed)
+        server.park()
+        assert server.stock == 3             # not 4
+        assert server.lease(code="pass").wait(timeout=30) == 0
+        assert server.stock == 2
+
+    def test_lease_skips_a_parked_child_that_died_unreaped(self):
+        # The race reap() cannot close: the child died after the last
+        # reap pass, so its wake socket refuses the payload.
+        dead_ours, dead_theirs = socket.socketpair()
+        dead_theirs.close()
+        ours, theirs = socket.socketpair()
+        helper = object.__new__(helper_module.Helper)
+        helper.faults = {}
+        helper.stock = [(111, dead_ours), (222, ours)]
+        try:
+            reply = helper.op_lease({"op": "lease", "code": "pass"}, [])
+            assert reply["pid"] == 222 and reply["stock"] == 0
+            request, grant = helper_module.recv_frame(theirs, 3)
+            assert request["code"] == "pass" and grant == []
+        finally:
+            theirs.close()
+
+
 SNAPPY = AutoscaleConfig(idle_ttl=5.0, interval=0.005, step=2)
 
 
@@ -304,9 +431,9 @@ class TestRegistry:
         # a cold fallback spawn.
         with TemplateRegistry(autoscale=SNAPPY) as registry:
             registry.register(TemplateProfile("p", stock=1, max_stock=8))
-            drained = registry.server_for("p").lease(["/bin/true"])
+            drained = registry.server_for("p").lease(code="pass")
             assert drained.wait(timeout=30) == 0
-            child = registry.spawn("p", ["/bin/true"])
+            child = registry.spawn("p", code="pass")
             assert child.strategy == "template"
             assert child.wait(timeout=30) == 0
 
@@ -317,10 +444,16 @@ class TestRegistry:
             registry.register(profile)
             entry = registry._entries["p"]
             assert entry.target == 1
-            drained = registry.server_for("p").lease(["/bin/true"])
+            drained = registry.server_for("p").lease(code="pass")
             assert drained.wait(timeout=30) == 0
             try:
+                # A program is no demand for parked stock...
                 child = registry.spawn("p", ["/bin/true"])
+                assert child.strategy == "template"
+                assert child.wait(timeout=30) == 0
+                assert entry.target == 1
+                # ...a payload that finds none is.
+                child = registry.spawn("p", code="pass")
                 assert child.wait(timeout=30) == 0
             finally:
                 _REGISTRY["forkserver-pool"].shutdown()
@@ -331,9 +464,9 @@ class TestRegistry:
         with TemplateRegistry(autoscale=decay,
                               miss_grace=0.5) as registry:
             registry.register(TemplateProfile("p", stock=1, max_stock=8))
-            drained = registry.server_for("p").lease(["/bin/true"])
+            drained = registry.server_for("p").lease(code="pass")
             assert drained.wait(timeout=30) == 0
-            child = registry.spawn("p", ["/bin/true"])   # miss: target grows
+            child = registry.spawn("p", code="pass")     # miss: target grows
             assert child.wait(timeout=30) == 0
             entry = registry._entries["p"]
             assert entry.target > 1
@@ -368,7 +501,7 @@ class TestDegradationLadder:
                                   miss_grace=0.0) as registry:
                 registry.register(TemplateProfile("dry", stock=0,
                                                   max_stock=2))
-                child = registry.spawn("dry", ["/bin/echo", "fell back"])
+                child = registry.spawn("dry", code="pass")
                 assert child.strategy == "forkserver-pool"
                 assert child.wait(timeout=30) == 0
             metrics = TELEMETRY.metrics

@@ -48,8 +48,9 @@ class TestHelperDeath:
                 pytest.fail("registry never re-warmed after helper death")
 
     def test_dead_parked_child_is_skipped_not_leased(self):
-        # Kill the OLDEST parked child; the helper's lease walk must
-        # skip the corpse and hand out the next live one.
+        # Kill the OLDEST parked child; whether the helper's reap pass
+        # pruned the corpse or its lease walk trips over it, a payload
+        # must reach the next live one.
         server = TemplateServer(TemplateProfile("p", stock=0, max_stock=4))
         server.start()
         try:
@@ -59,7 +60,7 @@ class TestHelperDeath:
             deadline = time.monotonic() + 5
             while _alive(doomed) and time.monotonic() < deadline:
                 time.sleep(0.01)
-            child = server.lease(["/bin/echo", "still warm"])
+            child = server.lease(code="pass")
             assert child.wait(timeout=30) == 0
             assert child.pid != doomed
             assert server.healthy
@@ -72,7 +73,11 @@ class TestDrainedStock:
         with TemplateRegistry(autoscale=SNAPPY,
                               miss_grace=0.0) as registry:
             registry.register(TemplateProfile("dry", stock=0, max_stock=2))
-            first = registry.spawn("dry", ["/bin/true"])
+            # A program needs no stock: the dry template still serves it.
+            spawned = registry.spawn("dry", ["/bin/true"])
+            assert spawned.wait(timeout=30) == 0
+            assert spawned.strategy == "template"
+            first = registry.spawn("dry", code="pass")
             assert first.wait(timeout=30) == 0
             assert first.strategy in FALLBACK_TIERS
             # That miss raised the stock target above the zero floor;
@@ -80,7 +85,7 @@ class TestDrainedStock:
             # traffic that proved the demand.
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                child = registry.spawn("dry", ["/bin/true"])
+                child = registry.spawn("dry", code="pass")
                 assert child.wait(timeout=30) == 0
                 if child.strategy == "template":
                     break
@@ -94,10 +99,11 @@ class TestDrainedStock:
         server.start()
         try:
             with pytest.raises(TemplateMiss):
-                server.lease(["/bin/true"])
+                server.lease(code="pass")
             assert server.healthy
-            server.park()
             assert server.lease(["/bin/true"]).wait(timeout=30) == 0
+            server.park()
+            assert server.lease(code="pass").wait(timeout=30) == 0
         finally:
             server.stop()
 
