@@ -40,9 +40,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from ..errors import GatewayProtocolError, SpawnError, SpawnTimeout
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
-from ..wire import SCM_MAX_FD, Channel, encode_body
+from ..wire import SCM_MAX_FD, Channel, Pending, encode_body
 from .framecache import FrameCache, frame_key
 from .result import ChildProcess
+from .steps import Steps, run_steps
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,6 +65,43 @@ def _pids_handed_out(request: dict, reply: dict) -> Sequence:
         return ()
     return [result.get("pid")
             for result in reply.get("results") or (reply,)]
+
+
+class InFlight:
+    """One request on a helper's wire, its reply not yet collected —
+    and what :meth:`ForkServer._spawn_steps` yields while it waits, for
+    a driver that cannot block on it (see :mod:`repro.core.steps`)."""
+
+    __slots__ = ("server", "channel", "pending", "timeout")
+
+    def __init__(self, server: "ForkServer", channel: Channel,
+                 pending: Pending, timeout: Optional[float]):
+        self.server = server
+        self.channel = channel
+        self.pending = pending
+        self.timeout = timeout
+
+    def notify(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, when resuming the steps will no
+        longer wait: the reply is in, or the channel died (from its
+        reader thread or whoever killed it — now, if already so)."""
+        self.channel.notify(self.pending, callback)
+
+    @property
+    def granted(self) -> bool:
+        """Whether the wait ended in a reply that hands out a child —
+        not a refusal, not the channel's death: what is left of the
+        steps is then the launch's happy end, which kills no helper
+        and waits for nothing."""
+        reply = self.pending.reply
+        return reply is not None and "pid" in reply
+
+    def expire(self) -> None:
+        """``timeout`` passed.  With no reply yet the helper is presumed
+        wedged and aborted, exactly as a blocking wait's
+        :class:`SpawnTimeout` does; the steps resume with the loss."""
+        if not self.pending.event.is_set():
+            self.server.abort()
 
 
 class SpawnRequest:
@@ -261,16 +299,18 @@ class ForkServer:
 
     # -- protocol ----------------------------------------------------------
 
-    def _roundtrip(self, obj: dict, fds: Sequence[int] = (),
-                   trace=NULL_TRACE,
-                   timeout: Optional[float] = None,
-                   encode: Callable[[dict, int], bytes] = encode_body
-                   ) -> dict:
-        """One request/reply exchange, optionally under a deadline.
+    def _send(self, obj: dict, fds: Sequence[int] = (),
+              trace=NULL_TRACE,
+              timeout: Optional[float] = None,
+              encode: Callable[[dict, int], bytes] = encode_body,
+              wait: bool = True) -> Optional["InFlight"]:
+        """Put one request on the wire; :meth:`_result` has its reply.
 
         ``encode`` builds the frame body given (obj, correlation id);
         the frame cache passes a splicer here so repeat shapes skip the
-        JSON encode entirely.
+        JSON encode entirely.  ``wait=False`` is
+        :meth:`Channel.send <repro.wire.Channel.send>`'s: ``None``, and
+        nothing sent, where the send itself would have to wait.
 
         The ``forkserver.request`` fault point wraps the send.
         ``kill_helper`` is the mid-request crash: frame on the wire, no
@@ -278,13 +318,6 @@ class ForkServer:
         fast helper replied before the SIGKILL landed — so the injector
         stops the helper before the frame leaves (``freeze``) and the
         kill follows the send: sent, and provably never answered.
-
-        A ``timeout`` expiry POISONS the channel: the helper may be
-        wedged mid-frame or mid-read, so no later frame can be trusted
-        to align.  The server is aborted (helper SIGKILLed and reaped,
-        every other pending request failed fast) and
-        :class:`SpawnTimeout` is raised; a pool above replaces the
-        worker and retries elsewhere.
         """
         if not self.running:
             raise SpawnError("forkserver is not running (call start())")
@@ -292,7 +325,7 @@ class ForkServer:
         fault = FAULTS.fire("forkserver.request", helper_pid=helper,
                             op=obj.get("op"), freeze=True)
         try:
-            pending = channel.send(obj, fds, encode)
+            pending = channel.send(obj, fds, encode, wait)
         except GatewayProtocolError as exc:  # a frame too big to send
             raise SpawnError(f"forkserver request refused: {exc}") from exc
         finally:
@@ -301,12 +334,33 @@ class ForkServer:
                     os.kill(helper, signal.SIGKILL)
                 except (ProcessLookupError, PermissionError):
                     pass
+        if pending is None:
+            return None
         trace.stage("framed", request_id=pending.rid)
+        return InFlight(self, channel, pending, timeout)
+
+    def _result(self, sent: "InFlight") -> dict:
+        """The reply to a request :meth:`_send` put on the wire, after a
+        wait of at most its ``timeout`` seconds.
+
+        A ``timeout`` expiry POISONS the channel: the helper may be
+        wedged mid-frame or mid-read, so no later frame can be trusted
+        to align.  The server is aborted (helper SIGKILLed and reaped,
+        every other pending request failed fast) and
+        :class:`SpawnTimeout` is raised; a pool above replaces the
+        worker and retries elsewhere.
+        """
         try:
-            return channel.result(pending, timeout)
+            return sent.channel.result(sent.pending, sent.timeout)
         except SpawnTimeout:
             self.abort()
             raise
+
+    def _roundtrip(self, obj: dict, fds: Sequence[int] = (),
+                   trace=NULL_TRACE,
+                   timeout: Optional[float] = None) -> dict:
+        """One request/reply exchange, optionally under a deadline."""
+        return self._result(self._send(obj, fds, trace, timeout))
 
     def _reap(self, pid: int, flags: int,
               timeout: Optional[float] = None) -> Optional[int]:
@@ -379,6 +433,19 @@ class ForkServer:
         id travels in the wire request next to the correlation id, and
         the helper's reply carries its own fork timestamp back.
         """
+        return run_steps(self._spawn_steps(
+            argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
+            stderr=stderr, trace=trace, deadline=deadline))
+
+    def _spawn_steps(self, argv: Sequence[str], *,
+                     env: Optional[Dict[str, str]] = None,
+                     cwd: Optional[str] = None,
+                     stdin: int = 0, stdout: int = 1, stderr: int = 2,
+                     trace=None, deadline: Optional[float] = None
+                     ) -> "Steps[ChildProcess]":
+        """:meth:`spawn` as resumable steps (:mod:`repro.core.steps`):
+        everything up to the ``sendmsg``, one yielded :class:`InFlight`,
+        then the reply's validation, trace stamps and handle."""
         if not argv:
             raise SpawnError("empty argv")
         owns = trace is None or not trace
@@ -402,9 +469,14 @@ class ForkServer:
         try:
             FAULTS.fire("forkserver.spawn", helper_pid=self._pid,
                         argv=list(request["argv"]))
-            reply = self._roundtrip(request, fds=(stdin, stdout, stderr),
-                                    trace=trace, timeout=deadline,
-                                    encode=encode)
+            fds = (stdin, stdout, stderr)
+            sent = self._send(request, fds, trace, deadline, encode,
+                              wait=False)
+            if sent is None:
+                yield  # a helper not reading, a frame too big for one piece
+                sent = self._send(request, fds, trace, deadline, encode)
+            yield sent
+            reply = self._result(sent)
             if "pid" not in reply:
                 raise SpawnError(f"forkserver refused spawn: {reply}")
         except SpawnError as exc:

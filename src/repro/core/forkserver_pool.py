@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import SpawnError
 from ..faults import FAULTS
@@ -41,11 +41,21 @@ from ..obs import TELEMETRY
 from .forkserver import ForkServer, SpawnRequest
 from .policy import SpawnPolicy
 from .result import ChildProcess
+from .steps import Steps, run_steps
 
 #: Helpers are cheap (one tiny interpreter each), so the default errs
 #: toward overlap: even on few cores, idle helpers cost almost nothing
 #: while letting children's runtimes overlap.
 DEFAULT_WORKERS = 4
+
+
+def _abort(servers) -> None:
+    """Kill and reap retired helpers — never under the pool's lock."""
+    for server in servers:
+        try:
+            server.abort()
+        except Exception:
+            pass
 
 
 class _Slot:
@@ -346,21 +356,39 @@ class ForkServerPool:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _retire_locked(self, slot: _Slot) -> None:
-        """Discard a dead helper (caller holds the lock)."""
+    def _retire_locked(self, slot: _Slot) -> ForkServer:
+        """Detach a dead helper from its slot (caller holds the lock)
+        and return it, for :func:`_abort` once the lock is released:
+        killing and reaping a process, and waking every request
+        stranded on it, is not work for a lock every pick takes."""
         dead, slot.server = slot.server, None
         slot.load = 0
         slot.strikes = 0  # the replacement helper starts with a clean record
         self._respawns += 1
         TELEMETRY.count("pool_retire")
-        if dead is not None:
-            try:
-                dead.abort()
-            except Exception:
-                pass
+        return dead
 
-    def _pick(self, weight: int = 1) -> _Slot:
-        """Choose a slot: least-loaded live helper, growing lazily.
+    def _pick_ready(self) -> Optional[Tuple[_Slot, ForkServer]]:
+        """The pick that cannot wait, or ``None``: an idle live helper,
+        or — with no cold slot left to boot — the least-loaded one.
+        ``None`` where :meth:`_pick` would first retire or boot a
+        helper, or wait out a boot."""
+        with self._lock:
+            if self._closed:
+                raise SpawnError("pool is closed")
+            live = [s for s in self._slots if s.server is not None]
+            best = min(live, key=lambda s: s.load, default=None)
+            if best is None or not all(s.server.healthy for s in live):
+                return None
+            if best.load and any(s.server is None and s.load == 0
+                                 for s in self._slots):
+                return None
+            best.load += 1
+            return best, best.server
+
+    def _pick(self, weight: int = 1) -> Tuple[_Slot, ForkServer]:
+        """Choose a slot — and the helper in it, which is what the load
+        is taken against: least-loaded live helper, growing lazily.
 
         An idle live helper wins outright; otherwise a not-yet-started
         slot is booted (load demands more overlap); otherwise the
@@ -381,25 +409,30 @@ class ForkServerPool:
         """
         while True:
             boot_slot: Optional[_Slot] = None
-            with self._lock:
-                if self._closed:
-                    raise SpawnError("pool is closed")
-                for slot in self._slots:
-                    if slot.server is not None and not slot.server.healthy:
-                        self._retire_locked(slot)
-                live = [s for s in self._slots if s.server is not None]
-                best = min(live, key=lambda s: s.load, default=None)
-                if best is not None and best.load == 0:
-                    best.load += weight
-                    return best
-                cold = next((s for s in self._slots
-                             if s.server is None and s.load == 0), None)
-                if cold is not None:
-                    cold.load += weight  # reserve: marks the slot as booting
-                    boot_slot = cold
-                elif best is not None:
-                    best.load += weight
-                    return best
+            dead: List[ForkServer] = []
+            try:
+                with self._lock:
+                    if self._closed:
+                        raise SpawnError("pool is closed")
+                    for slot in self._slots:
+                        if (slot.server is not None
+                                and not slot.server.healthy):
+                            dead.append(self._retire_locked(slot))
+                    live = [s for s in self._slots if s.server is not None]
+                    best = min(live, key=lambda s: s.load, default=None)
+                    if best is not None and best.load == 0:
+                        best.load += weight
+                        return best, best.server
+                    cold = next((s for s in self._slots
+                                 if s.server is None and s.load == 0), None)
+                    if cold is not None:
+                        cold.load += weight  # reserve: marks it as booting
+                        boot_slot = cold
+                    elif best is not None:
+                        best.load += weight
+                        return best, best.server
+            finally:
+                _abort(dead)  # the lock is released by now
             if boot_slot is None:
                 time.sleep(0.001)  # every slot is mid-boot; one will land
                 continue
@@ -407,7 +440,7 @@ class ForkServerPool:
                 server = ForkServer().start()
                 TELEMETRY.count("pool_worker_boot")
             except Exception:
-                self._release(boot_slot, weight)
+                self._release(boot_slot, None, weight)
                 raise
             with self._lock:
                 if self._closed:
@@ -417,13 +450,20 @@ class ForkServerPool:
                         pass
                     raise SpawnError("pool is closed")
                 boot_slot.server = server
-            return boot_slot
+            return boot_slot, server
 
-    def _release(self, slot: _Slot, weight: int = 1) -> None:
+    def _release(self, slot: _Slot, server: Optional[ForkServer],
+                 weight: int = 1) -> None:
+        """Give back load taken against ``server`` in ``slot``.  A
+        retired helper's load went with it: the slot's account is its
+        successor's by now (the reservation that keeps a booting slot
+        from being booted twice, at first) and is left alone."""
         with self._lock:
-            slot.load = max(0, slot.load - weight)
+            if slot.server is server:
+                slot.load = max(0, slot.load - weight)
 
-    def _strike(self, slot: _Slot, threshold: Optional[int]) -> None:
+    def _strike(self, slot: _Slot, server: ForkServer,
+                threshold: Optional[int]) -> None:
         """Record a live-helper failure; retire the helper when it flaps.
 
         This is the pool's per-worker circuit breaker: ``threshold``
@@ -432,11 +472,15 @@ class ForkServerPool:
         more traffic.
         """
         limit = threshold if threshold is not None else 3
+        dead = []
         with self._lock:
-            slot.strikes += 1
-            if slot.strikes >= limit and slot.server is not None:
-                TELEMETRY.count("breaker_open", strategy="forkserver-pool")
-                self._retire_locked(slot)
+            if slot.server is server:  # not already retired and replaced
+                slot.strikes += 1
+                if slot.strikes >= limit:
+                    TELEMETRY.count("breaker_open",
+                                    strategy="forkserver-pool")
+                    dead.append(self._retire_locked(slot))
+        _abort(dead)
 
     def health_check(self, timeout: float = 1.0) -> dict:
         """Ping every live helper; retire the ones that do not answer.
@@ -457,6 +501,7 @@ class ForkServerPool:
             with self._lock:
                 if slot.server is server:
                     self._retire_locked(slot)
+            _abort([server])
         return {"healthy": healthy, "retired": retired}
 
     def _pool_reaper(self, slot: _Slot, server: ForkServer, argv):
@@ -466,10 +511,10 @@ class ForkServerPool:
             try:
                 status = server._reap(pid, flags, timeout)
             except SpawnError:
-                self._release(slot)
+                self._release(slot, server)
                 raise
             if status is not None:
-                self._release(slot)
+                self._release(slot, server)
             return status
         return reaper
 
@@ -506,14 +551,28 @@ class ForkServerPool:
         concurrent callers; the contract (one :class:`ChildProcess`
         back, errors raised here) is unchanged.
         """
-        if not argv:
-            raise SpawnError("empty argv")
         coalescer = self._coalescer
         if (coalescer is not None and trace is None and policy is None
                 and deadline is None):
             return coalescer.submit(
                 SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
                              stdout=stdout, stderr=stderr))
+        return run_steps(self._spawn_steps(
+            argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
+            stderr=stderr, trace=trace, policy=policy, deadline=deadline))
+
+    def _spawn_steps(self, argv: Sequence[str], *,
+                     env=None, cwd=None,
+                     stdin: int = 0, stdout: int = 1,
+                     stderr: int = 2, trace=None,
+                     policy: Optional[SpawnPolicy] = None,
+                     deadline: Optional[float] = None
+                     ) -> "Steps[ChildProcess]":
+        """:meth:`spawn` (never coalesced) as resumable steps
+        (:mod:`repro.core.steps`): the policy's attempts, each yielding
+        for its helper's reply and before its back-off."""
+        if not argv:
+            raise SpawnError("empty argv")
         if policy is None:
             policy = self._policy
         if deadline is None and policy is not None:
@@ -531,12 +590,13 @@ class ForkServerPool:
                 trace.stage("retry", attempt=attempt)
                 delay = policy.backoff_delay(attempt - 1)
                 if delay:
+                    yield
                     time.sleep(delay)
             try:
-                return self._spawn_attempt(
+                return (yield from self._spawn_attempt(
                     argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
                     stderr=stderr, trace=trace, owns=owns,
-                    deadline=deadline, threshold=threshold)
+                    deadline=deadline, threshold=threshold))
             except SpawnError as exc:
                 last_error = exc
         if owns:
@@ -547,7 +607,7 @@ class ForkServerPool:
                        stdin: int, stdout: int, stderr: int,
                        trace, owns: bool,
                        deadline: Optional[float],
-                       threshold: Optional[int]) -> ChildProcess:
+                       threshold: Optional[int]) -> "Steps[ChildProcess]":
         """One policy attempt: dispatch with dead-worker failover.
 
         A retried request stamps ``framed`` once per dispatch, so the
@@ -555,32 +615,30 @@ class ForkServerPool:
         """
         last_error: Optional[SpawnError] = None
         for _ in range(len(self._slots) + 1):
-            slot = self._pick()
-            server = slot.server
+            picked = self._pick_ready()
+            if picked is None:
+                yield  # a helper to retire or boot, or a boot to wait out
+                picked = self._pick()
+            slot, server = picked
             try:
-                FAULTS.fire(
-                    "pool.dispatch",
-                    helper_pid=server.helper_pid if server else None)
+                FAULTS.fire("pool.dispatch", helper_pid=server.helper_pid)
             except Exception:
-                self._release(slot)
+                self._release(slot, server)
                 raise
             if TELEMETRY.enabled:
                 TELEMETRY.count("pool_dispatch")
                 with self._lock:
                     depth = sum(s.load for s in self._slots)
                 TELEMETRY.gauge("pool_queue_depth", depth)
-            if server is None:  # retired between pick and use; go again
-                self._release(slot)
-                continue
             try:
-                child = server.spawn(argv, env=env, cwd=cwd, stdin=stdin,
-                                     stdout=stdout, stderr=stderr,
-                                     trace=trace, deadline=deadline)
+                child = yield from server._spawn_steps(
+                    argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
+                    stderr=stderr, trace=trace, deadline=deadline)
             except SpawnError as exc:
-                self._release(slot)
+                self._release(slot, server)
                 if server.healthy:
                     # A live refusal: strike the worker, bill the policy.
-                    self._strike(slot, threshold)
+                    self._strike(slot, server, threshold)
                     raise
                 last_error = exc
                 continue  # next _pick() retires it and tries elsewhere
@@ -668,32 +726,27 @@ class ForkServerPool:
         weight = len(reqs)
         last_error: Optional[SpawnError] = None
         for _ in range(len(self._slots) + 1):
-            slot = self._pick(weight)
-            server = slot.server
+            slot, server = self._pick(weight)
             try:
-                FAULTS.fire(
-                    "pool.batch", size=weight,
-                    helper_pid=server.helper_pid if server else None)
+                FAULTS.fire("pool.batch", size=weight,
+                            helper_pid=server.helper_pid)
             except Exception:
-                self._release(slot, weight)
+                self._release(slot, server, weight)
                 raise
             if TELEMETRY.enabled:
                 TELEMETRY.count("pool_dispatch")
                 with self._lock:
                     depth = sum(s.load for s in self._slots)
                 TELEMETRY.gauge("pool_queue_depth", depth)
-            if server is None:  # retired between pick and use; go again
-                self._release(slot, weight)
-                continue
             try:
                 children = server.spawn_batch(BatchRequest(reqs),
                                               traces=traces,
                                               deadline=deadline)
             except SpawnError as exc:
-                self._release(slot, weight)
+                self._release(slot, server, weight)
                 if server.healthy:
                     # A live refusal: strike the worker, bill the policy.
-                    self._strike(slot, threshold)
+                    self._strike(slot, server, threshold)
                     raise
                 last_error = exc
                 continue  # next _pick() retires it and tries elsewhere

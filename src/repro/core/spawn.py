@@ -39,6 +39,7 @@ from .attrs import SpawnAttributes
 from .file_actions import FileActions
 from .policy import SpawnPolicy, breaker_for
 from .result import ChildProcess, CompletedChild
+from .steps import Steps, run_steps
 from .strategies import Strategy, get_strategy, pick_default_strategy
 
 
@@ -285,6 +286,12 @@ class ProcessBuilder:
         failed: every retry, every fallback tier; descriptors stay open
         across attempts because a retried launch still needs them.
         """
+        return run_steps(self._spawn_steps())
+
+    def _spawn_steps(self) -> "Steps[ChildProcess]":
+        """:meth:`spawn` as resumable steps (:mod:`repro.core.steps`):
+        the same launch, ladder and clean-up, yielding wherever the
+        strategy's own steps (or a back-off) would block."""
         if self._spawned:
             raise SpawnError("this builder already spawned its child")
         self._spawned = True
@@ -299,10 +306,10 @@ class ProcessBuilder:
             FAULTS.fire("builder.spawn", argv=list(self._argv),
                         strategy=strategy.name)
             if self._policy is None:
-                child = strategy.launch(self._argv, self._actions,
-                                        self._attrs, trace=trace)
+                child = yield from strategy._launch_steps(
+                    self._argv, self._actions, self._attrs, trace=trace)
             else:
-                child = self._launch_with_policy(strategy, trace)
+                child = yield from self._launch_with_policy(strategy, trace)
         except BaseException as error:
             trace.failure(error)
             self._io.close()
@@ -316,7 +323,8 @@ class ProcessBuilder:
         child.attach_trace(trace)
         return child
 
-    def _launch_with_policy(self, primary: Strategy, trace) -> ChildProcess:
+    def _launch_with_policy(self, primary: Strategy, trace
+                            ) -> "Steps[ChildProcess]":
         """The resilience executor: retries, breakers, degradation.
 
         Walks the strategy chain (the chosen strategy, then the
@@ -356,12 +364,13 @@ class ProcessBuilder:
                     trace.stage("retry", attempt=attempt, strategy=name)
                     delay = pol.backoff_delay(attempt - 1)
                     if delay:
+                        yield
                         time.sleep(delay)
                     if not breaker.allow():
                         break
                 try:
-                    child = strategy.launch(self._argv, self._actions,
-                                            self._attrs, trace=trace)
+                    child = yield from strategy._launch_steps(
+                        self._argv, self._actions, self._attrs, trace=trace)
                 except (SpawnError, GatewayError, OSError) as exc:
                     if (isinstance(exc, GatewayConnectionLost)
                             and not getattr(exc, "unsent", False)

@@ -1,0 +1,52 @@
+"""Launches as resumable steps: one implementation, two drivers.
+
+A launch through a helper spends most of its life waiting — for the
+reply on the wire, for a back-off to pass, for a helper to boot.  A
+caller with a thread to spare just blocks; the gateway's event loop
+cannot.  Rather than write every layer twice, the layers that can wait
+(``ForkServer._spawn_steps``, the pool's, the two forkserver strategies'
+``_launch_steps``, the :class:`~repro.core.spawn.ProcessBuilder` ladder —
+private forms all, behind the blocking calls they implement) are
+*generators* that do the launch in order and ``yield`` immediately
+before anything that would block their thread:
+
+* an :class:`~repro.core.forkserver.InFlight` — the request is on a
+  helper's wire and the next step waits for its reply.  A driver that
+  must not block asks to be told (``notify``) and resumes the steps
+  from that callback, by when the wait is over;
+* ``None`` — the next step sleeps, boots or reaps a process, sends on
+  a wire that is full, or calls a launcher that has no steps form.
+  There is nothing to be told about; resume on a thread that may block.
+
+Resumed early, the steps simply block where a plain call would have:
+:func:`run_steps` is that driver, and every blocking entry point
+(``spawn``, ``launch``) is ``run_steps(its steps)`` — so retries, back-off,
+strikes, breakers, fallback order and deadlines are the same code on
+either driver.  The other driver is
+:meth:`GatewayServer._step <repro.gateway.server.GatewayServer._step>`,
+which resumes a launch from the callback of the reply that hands out
+its child, and hands a launch whose wait ended any other way — refused,
+lost, timed out — to a thread that may block: whoever tells it of a
+loss is in the middle of killing a helper, and the rest of the ladder
+is not that thread's to run.
+"""
+
+from __future__ import annotations
+
+from typing import Generator, TypeVar
+
+T = TypeVar("T")
+
+#: What a steps function returns when called: yields ``InFlight`` or
+#: ``None``, is sent nothing, returns the launch's result.
+Steps = Generator[object, None, T]
+
+
+def run_steps(steps: "Steps[T]") -> T:
+    """Drive ``steps`` to its end on this thread, blocking wherever it
+    would; returns what it returns, raises what it raises."""
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value

@@ -53,6 +53,7 @@ from .forkserver import ForkServer, SpawnRequest
 from .forkserver_pool import ForkServerPool
 from .policy import breaker_for
 from .result import ChildProcess, encode_status
+from .steps import Steps, run_steps
 
 
 def _resolve_executable(argv: Sequence[str]) -> str:
@@ -77,6 +78,16 @@ class Strategy:
     def launch(self, argv: Sequence[str], actions: FileActions,
                attrs: SpawnAttributes, trace=NULL_TRACE) -> ChildProcess:
         raise NotImplementedError
+
+    def _launch_steps(self, argv: Sequence[str], actions: FileActions,
+                      attrs: SpawnAttributes, trace=NULL_TRACE
+                      ) -> "Steps[ChildProcess]":
+        """:meth:`launch` as resumable steps (:mod:`repro.core.steps`).
+        A launcher that waits on a helper's wire overrides this and
+        makes ``launch`` its :func:`~repro.core.steps.run_steps`; the rest
+        get this form, which yields once and launches."""
+        yield
+        return self.launch(argv, actions, attrs, trace=trace)
 
     def available(self) -> bool:
         """Whether this strategy can work on the host."""
@@ -309,12 +320,19 @@ class ForkServerPoolStrategy(Strategy):
             pool.stop()
 
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
+        return run_steps(self._launch_steps(argv, actions, attrs, trace))
+
+    def _launch_steps(self, argv, actions, attrs, trace=NULL_TRACE):
         attrs.validate()
         self._fire_launch(argv)
         _reject_unwirable_attrs(self.name, attrs)
         stdio, opened = _stdio_grant(actions)
         try:
-            child = self.pool().spawn(
+            pool = self._pool
+            if pool is None or pool.closed:
+                yield  # the first launch boots the pool
+                pool = self.pool()
+            child = yield from pool._spawn_steps(
                 argv, env=attrs.effective_env(), cwd=attrs.cwd,
                 stdin=stdio[0], stdout=stdio[1], stderr=stdio[2],
                 trace=trace, deadline=attrs.deadline)
@@ -368,12 +386,19 @@ class ForkServerStrategy(Strategy):
                 pass
 
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
+        return run_steps(self._launch_steps(argv, actions, attrs, trace))
+
+    def _launch_steps(self, argv, actions, attrs, trace=NULL_TRACE):
         attrs.validate()
         self._fire_launch(argv)
         _reject_unwirable_attrs(self.name, attrs)
         stdio, opened = _stdio_grant(actions)
         try:
-            child = self.server().spawn(
+            server = self._server
+            if server is None or not server.healthy:
+                yield  # server() boots (or replaces) the helper
+                server = self.server()
+            child = yield from server._spawn_steps(
                 argv, env=attrs.effective_env(), cwd=attrs.cwd,
                 stdin=stdio[0], stdout=stdio[1], stderr=stdio[2],
                 trace=trace, deadline=attrs.deadline)

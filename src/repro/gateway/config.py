@@ -112,9 +112,8 @@ class GatewayConfig:
         tcp_host/tcp_port: TCP listener (``tcp_port=None`` disables).
         tenants: name -> :class:`TenantConfig`.
         max_inflight: spawns executing concurrently across all tenants
-            (the dispatch semaphore — the knob overload presses on).
-        executor_threads: worker threads running the blocking spawn
-            ladder (defaults to ``max_inflight``).
+            (the dispatch semaphore — the knob overload presses on; also
+            the most threads the failure ladder's executor may grow to).
         drain_grace: seconds a SIGTERM drain waits for in-flight work
             before the daemon gives up and exits anyway.
         retry_after_hint: base Retry-After seconds for shed requests
@@ -127,7 +126,6 @@ class GatewayConfig:
     tcp_port: Optional[int] = None
     tenants: Dict[str, TenantConfig] = field(default_factory=dict)
     max_inflight: int = 32
-    executor_threads: Optional[int] = None
     drain_grace: float = 30.0
     retry_after_hint: float = 0.05
     accept_backlog: int = 128
@@ -158,7 +156,6 @@ class GatewayConfig:
             tcp_port=data.get("tcp_port"),
             tenants=tenants,
             max_inflight=int(data.get("max_inflight", 32)),
-            executor_threads=data.get("executor_threads"),
             drain_grace=float(data.get("drain_grace", 30.0)),
             retry_after_hint=float(data.get("retry_after_hint", 0.05)),
             accept_backlog=int(data.get("accept_backlog", 128)))

@@ -29,8 +29,15 @@ the backlogged tenant with the smallest clock — so a tenant flooding
 its queue cannot starve the others, and a weight-2 tenant drains twice
 as fast as a weight-1 tenant under contention.
 
-Dispatch itself runs on a bounded thread executor (the spawn ladder is
-blocking I/O); ``max_inflight`` is the daemon-wide concurrency bound.
+Dispatch runs the tenant's ladder as resumable steps
+(:mod:`repro.core.steps`).  Where the strategy launches over a helper's
+wire (``forkserver-pool``, ``forkserver``) the loop thread itself puts
+the spawn on that wire and the helper's reply calls back — a launch
+costs no thread.  Whatever would block — a back-off, a helper to boot
+or replace, a retry's wait, a launcher with no steps form, every batch
+— carries on from that point on a thread executor, so the ladder is the
+same code wherever it runs; ``max_inflight`` is the daemon-wide
+concurrency bound.
 Reaping costs the client nothing: each child is subscribed
 (:meth:`~repro.core.result.ChildProcess.on_exit`) once its spawn reply
 is queued, and the daemon pushes ``{"exit": pid, "status": rc}`` down
@@ -63,6 +70,7 @@ from typing import Deque, Dict, List, Optional, Union
 from ..core.batch import BatchRequest
 from ..core.policy import (DEFAULT_FALLBACK, SpawnPolicy, breaker_for)
 from ..core.spawn import ProcessBuilder
+from ..core.steps import run_steps
 from ..errors import (AuthError, GatewayError, GatewayProtocolError,
                       Overloaded, RateLimited, SpawnError)
 from ..faults import FAULTS
@@ -105,7 +113,7 @@ class _Job:
     """One admitted unit of work, waiting in its tenant's queue."""
 
     __slots__ = ("conn", "rid", "kind", "payload", "fds", "cost",
-                 "tenant", "t_enqueued")
+                 "tenant", "t_enqueued", "handles", "timer")
 
     def __init__(self, conn: _Connection, rid: Optional[int], kind: str,
                  payload: dict, fds: List[int], cost: int, tenant: str):
@@ -117,6 +125,10 @@ class _Job:
         self.cost = cost
         self.tenant = tenant
         self.t_enqueued = time.monotonic()
+        # The children it made, held here from their launch until the
+        # reply is queued and the tenant takes them over.
+        self.handles: tuple = ()
+        self.timer: Optional[asyncio.TimerHandle] = None  # launch deadline
 
 
 class _Child:
@@ -134,8 +146,8 @@ class _TenantState:
     """Everything the gateway tracks about one tenant at runtime."""
 
     __slots__ = ("config", "bucket", "queue", "vtime", "inflight",
-                 "children", "exited", "policy", "lease_credits",
-                 "lease_expiry", "counters")
+                 "admitted", "children", "exited", "policy",
+                 "lease_credits", "lease_expiry", "counters")
 
     def __init__(self, config: TenantConfig):
         self.config = config
@@ -146,6 +158,7 @@ class _TenantState:
         self.queue: Deque[_Job] = deque()
         self.vtime = 0.0
         self.inflight = 0
+        self.admitted = 0  # spawns queued or in flight (sum of job costs)
         self.children: Dict[int, _Child] = {}  # live ones only
         # The last EXITS_KEPT exits: pid -> returncode, or the message
         # of the error that lost it.
@@ -182,6 +195,7 @@ class GatewayServer:
         self._listeners: List[socket.socket] = []
         self._connections: Dict[int, _Connection] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
+        self._jobs: set = set()  # dispatched, not yet through _job_done
         self._inflight = 0
         self._vclock = 0.0
         self._pidfds: Dict[int, tuple] = {}  # pidfd -> (tenant, handle)
@@ -234,10 +248,16 @@ class GatewayServer:
         self._draining = False
         self._closing = False
         self._boot_error = None
+        # ...and nothing is admitted yet: what a crash cut short will
+        # never report back (_job_done drops a job it does not know).
+        self._jobs.clear()
+        self._inflight = 0
+        for tenant in self._tenants.values():
+            tenant.inflight = tenant.admitted = 0
         self._bind_listeners()
+        # Creates no thread until the first job that needs one.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_threads
-            or self.config.max_inflight,
+            max_workers=self.config.max_inflight,
             thread_name_prefix="gateway-spawn")
         self._thread = threading.Thread(target=self._run_loop,
                                         name="gateway-loop", daemon=True)
@@ -371,16 +391,15 @@ class GatewayServer:
             except OSError:
                 pass
         if self._executor is not None:
+            # Kept, shut down, until start() replaces it: a launch that
+            # finishes late finds it refusing work, not missing.
             self._executor.shutdown(wait=False)
-            self._executor = None
-        # Reap whatever the tenants still hold so no zombie outlives us.
-        for tenant in self._tenants.values():
-            for child in list(tenant.children.values()):
-                try:
-                    child.handle.poll()
-                except Exception:
-                    pass
-            tenant.children.clear()
+        # Reap whatever the daemon still holds so no zombie outlives us.
+        for handle in self.take_orphans().values():
+            try:
+                handle.poll()
+            except Exception:
+                pass
         self._close_fds(list(self._pidfds))
         self._pidfds.clear()
         self._loop = None
@@ -397,6 +416,7 @@ class GatewayServer:
         for tenant in self._tenants.values():
             while tenant.queue:
                 job = tenant.queue.popleft()
+                tenant.admitted -= job.cost
                 self._close_job_fds(job)
         self._loop.stop()
 
@@ -429,13 +449,18 @@ class GatewayServer:
         A supervisor restarting a crashed server calls this *before*
         ``stop()`` (which would merely poll-and-forget them): ownership
         of every live child transfers to the caller, whose job is to
-        wait on each one so nothing is left a zombie.
+        wait on each one so nothing is left a zombie.  That includes
+        the children of launches whose replies were never queued.
         """
         orphans: Dict[int, object] = {}
         for tenant in self._tenants.values():
             for pid, child in list(tenant.children.items()):
                 orphans[pid] = child.handle
             tenant.children.clear()
+        for job in list(self._jobs):
+            handles, job.handles = job.handles, ()
+            for handle in handles:
+                orphans[handle.pid] = handle
         return orphans
 
     def __enter__(self) -> "GatewayServer":
@@ -737,9 +762,11 @@ class GatewayServer:
             raise Overloaded(
                 f"tenant {conn.tenant!r} queue is full "
                 f"({tenant.config.max_queue})", retry_after=hint)
+        # Every admitted spawn counts once: in ``admitted`` until its
+        # reply is queued, among ``children`` from then until it exits.
         limit = tenant.config.max_children
         if limit is not None and (
-                len(tenant.children) + tenant.inflight + cost > limit):
+                len(tenant.children) + tenant.admitted + cost > limit):
             tenant.counters["shed"] += 1
             TELEMETRY.count("gateway_shed", tenant=conn.tenant)
             raise Overloaded(
@@ -751,6 +778,7 @@ class GatewayServer:
     def _enqueue(self, tenant: _TenantState, job: _Job) -> None:
         was_empty = not tenant.queue
         tenant.queue.append(job)
+        tenant.admitted += job.cost
         tenant.counters["admitted"] += 1
         if was_empty:
             # A newly backlogged tenant joins at the current virtual
@@ -758,9 +786,11 @@ class GatewayServer:
             # for the time it was idle (that refund is exactly how one
             # tenant would starve the rest after sitting out a burst).
             tenant.vtime = max(tenant.vtime, self._vclock)
-        TELEMETRY.count("gateway_requests", tenant=job.tenant, op=job.kind)
-        TELEMETRY.gauge("gateway_queue_depth",
-                        sum(len(t.queue) for t in self._tenants.values()))
+        if TELEMETRY.enabled:
+            TELEMETRY.count("gateway_requests", tenant=job.tenant,
+                            op=job.kind)
+            TELEMETRY.gauge("gateway_queue_depth",
+                            sum(len(t.queue) for t in self._tenants.values()))
         self._dispatch()
 
     def _op_spawn(self, conn: _Connection, rid: Optional[int],
@@ -929,7 +959,7 @@ class GatewayServer:
     # -- the weighted-fair scheduler -------------------------------------
 
     def _dispatch(self) -> None:
-        """Hand queued jobs to the executor while there is room."""
+        """Start queued jobs while there is room."""
         while self._inflight < self.config.max_inflight:
             tenant = self._pick_tenant()
             if tenant is None:
@@ -943,15 +973,9 @@ class GatewayServer:
             tenant.vtime += job.cost / tenant.config.weight
             tenant.inflight += 1
             self._inflight += 1
+            self._jobs.add(job)
             TELEMETRY.gauge("gateway_inflight", self._inflight)
-            self._executor.submit(self._execute, job).add_done_callback(
-                functools.partial(self._post_job_done, job, tenant))
-
-    def _post_job_done(self, job: _Job, tenant: _TenantState,
-                       future) -> None:
-        """Executor thread: carry the finished job back to the loop."""
-        if not self._post(self._job_done, job, tenant, future):
-            self._close_job_fds(job)  # the daemon stopped under the job
+            self._step(job, tenant, self._execute(job), on_loop=True)
 
     def _pick_tenant(self) -> Optional[_TenantState]:
         best = None
@@ -961,33 +985,118 @@ class GatewayServer:
                 best = tenant
         return best
 
-    def _job_done(self, job: _Job, tenant: _TenantState, future) -> None:
+    def _step(self, job: _Job, tenant: _TenantState, steps,
+              on_loop: bool = False) -> None:
+        """Resume a job's steps on this thread until they finish or
+        would block: on the loop thread at dispatch, then on the
+        helper's reader thread as it routes the reply that hands out
+        the child.
+
+        Only a first launch waits by callback; whatever the steps stop
+        for next — a helper to boot, a back-off, a retry's reply — the
+        rest of the ladder runs out on an executor thread.
+        """
+        try:
+            wait = next(steps)
+        except StopIteration as done:
+            self._finished(job, tenant, done.value, None)
+            return
+        except Exception as exc:
+            self._finished(job, tenant, None, exc)
+            return
+        if on_loop and wait is not None:
+            if wait.timeout is not None:
+                job.timer = self._loop.call_later(wait.timeout,
+                                                  self._expire, wait)
+            wait.notify(functools.partial(self._replied, job, tenant,
+                                          steps, wait))
+        else:
+            self._hand_over(job, tenant, steps)
+
+    def _replied(self, job: _Job, tenant: _TenantState, steps,
+                 wait) -> None:
+        """A launch's wait is over.  With a child to hand out this is
+        the helper's reader thread (the loop, if the reply was in
+        already) and the steps finish here.  A refusal is the failure
+        ladder's — strikes, a helper to retire, a retry — and a loss is
+        told by whichever thread killed the helper's channel, holding
+        whatever locks it killed it under, which the ladder wants:
+        neither ever runs on this thread."""
+        if wait.granted:
+            self._step(job, tenant, steps)
+        else:
+            self._hand_over(job, tenant, steps)
+
+    def _expire(self, wait) -> None:
+        """Loop thread: a launch's deadline passed.  Aborting a wedged
+        helper kills and reaps a process — an executor thread's work."""
+        try:
+            self._executor.submit(wait.expire)
+        except RuntimeError:
+            pass  # the daemon is stopping; stop() owns the helpers now
+
+    def _hand_over(self, job: _Job, tenant: _TenantState, steps) -> None:
+        """Any thread: the rest of a job's steps is an executor's."""
+        try:
+            self._executor.submit(self._run_out, job, tenant, steps)
+        except RuntimeError:  # the daemon stopped under the job
+            steps.close()
+            self._close_job_fds(job)
+
+    def _run_out(self, job: _Job, tenant: _TenantState, steps) -> None:
+        """Executor thread: the rest of a job's steps, blocking."""
+        try:
+            reply = run_steps(steps)
+        except Exception as exc:
+            self._finished(job, tenant, None, exc)
+        else:
+            self._finished(job, tenant, reply, None)
+
+    def _finished(self, job: _Job, tenant: _TenantState,
+                  reply: Optional[dict],
+                  error: Optional[Exception]) -> None:
+        """Any thread: carry the finished job back to the loop."""
+        if not self._post(self._job_done, job, tenant, reply, error):
+            self._close_job_fds(job)  # the daemon stopped under the job
+
+    def _job_done(self, job: _Job, tenant: _TenantState,
+                  reply: Optional[dict],
+                  error: Optional[Exception]) -> None:
+        self._close_job_fds(job)
+        if job not in self._jobs:
+            return  # dispatched before a restart; its caller is gone
+        self._jobs.remove(job)
+        if job.timer is not None:
+            job.timer.cancel()
         self._inflight -= 1
         tenant.inflight -= 1
+        tenant.admitted -= job.cost
         TELEMETRY.gauge("gateway_inflight", self._inflight)
-        self._close_job_fds(job)
-        try:
-            reply, handles = future.result()
-        except Exception as exc:
+        if error is not None:
             tenant.counters["failed"] += 1
-            if isinstance(exc, (SpawnError, OSError)):
-                exc = GatewayError(str(exc))
-            elif not isinstance(exc, GatewayError):
+            if isinstance(error, (SpawnError, OSError)):
+                error = GatewayError(str(error))
+            elif not isinstance(error, GatewayError):
                 self._internal_errors += 1
                 TELEMETRY.count("gateway_internal_errors")
-                exc = GatewayError(f"internal error: {exc}")
-            self._send(job.conn, encode_error(exc, job.rid))
+                error = GatewayError(f"internal error: {error}")
+            self._send(job.conn, encode_error(error, job.rid))
         else:
             tenant.counters["completed"] += 1
             latency_ms = (time.monotonic() - job.t_enqueued) * 1e3
             TELEMETRY.observe("gateway_latency_ms", latency_ms,
                               tenant=job.tenant)
             reply["id"] = job.rid
+            # The tenant takes the children over from the job in the
+            # same step that stops counting it as admitted.
+            conn = job.conn
+            handles, job.handles = job.handles, ()
+            for handle in handles:
+                tenant.children[handle.pid] = _Child(handle, conn)
             # The reply is queued first and the subscriptions after it,
             # so no notice can overtake the reply that hands out its
             # pid; corked, the reply and the notices of children that
             # are already gone leave in one send.
-            conn = job.conn
             conn.corked = True
             try:
                 self._send(conn, reply)
@@ -999,16 +1108,17 @@ class GatewayServer:
         self._dispatch()
         self._check_drained()
 
-    # -- the blocking half (executor threads) ----------------------------
+    # -- the ladder (loop, reader and executor threads) -------------------
 
-    def _execute(self, job: _Job) -> tuple:
-        """Run one admitted job through the tenant's strategy ladder;
-        returns the reply and the handles of the children it made.
+    def _execute(self, job: _Job):
+        """One admitted job through the tenant's strategy ladder, as
+        resumable steps (:mod:`repro.core.steps`); returns the reply,
+        having left the handles of the children it made on the job.
 
-        Blocking — executor threads only.  Tenant breakers ride the
-        shared :func:`breaker_for` registry under a per-tenant key, so a
-        tenant whose spawns keep failing stops consuming ladder attempts
-        while everyone else's breaker stays closed.
+        Tenant breakers ride the shared :func:`breaker_for` registry
+        under a per-tenant key, so a tenant whose spawns keep failing
+        stops consuming ladder attempts while everyone else's breaker
+        stays closed.
         """
         tenant = self._tenants[job.tenant]
         breaker = breaker_for(f"gateway:{job.tenant}", tenant.policy)
@@ -1018,20 +1128,21 @@ class GatewayServer:
                 retry_after=tenant.policy.breaker_cooldown)
         try:
             if job.kind == "spawn":
-                reply, handles = self._execute_spawn(tenant, job)
+                reply, handles = yield from self._execute_spawn(tenant, job)
             else:
+                yield  # a batch is one blocking call
                 reply, handles = self._execute_batch(tenant, job)
         except (SpawnError, OSError):
             breaker.record_failure()
             raise
         breaker.record_success()
-        # Registered here, not in _job_done: a daemon that crashes in
-        # between must still find the child among its orphans.
-        for handle in handles:
-            tenant.children[handle.pid] = _Child(handle, job.conn)
-        return reply, handles
+        # Held by the job from here, not only from _job_done: a daemon
+        # that crashes in between must still find the child among its
+        # orphans.
+        job.handles = tuple(handles)
+        return reply
 
-    def _execute_spawn(self, tenant: _TenantState, job: _Job) -> tuple:
+    def _execute_spawn(self, tenant: _TenantState, job: _Job):
         payload = job.payload
         builder = (ProcessBuilder(*payload["argv"])
                    .strategy(tenant.config.strategy)
@@ -1044,7 +1155,7 @@ class GatewayServer:
             (builder.stdin_from_fd(job.fds[0])
                     .stdout_to_fd(job.fds[1])
                     .stderr_to_fd(job.fds[2]))
-        child = builder.spawn()
+        child = yield from builder._spawn_steps()
         return {"pid": child.pid}, (child,)
 
     def _execute_batch(self, tenant: _TenantState, job: _Job) -> tuple:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import array
 import json
+import logging
 import operator
 import socket
 import struct
@@ -35,6 +36,7 @@ from .errors import GatewayProtocolError, SpawnError, SpawnTimeout
 from .faults import FAULTS
 
 _LEN = struct.Struct("!I")
+_LOG = logging.getLogger(__name__)
 
 #: Hard ceiling on one frame's body.  A spawn_batch of a few hundred
 #: members is a few hundred KiB of JSON; anything past this is either a
@@ -51,6 +53,12 @@ SCM_MAX_FD = 253
 _RECV_BYTES = 65536  # what one read asks the socket for
 _FD_SIZE = array.array("i").itemsize
 _FD_BUFFER = socket.CMSG_SPACE(SCM_MAX_FD * _FD_SIZE)
+
+#: The largest frame a sender that must not wait will try to send.  A
+#: stream socket may take part of a frame and make the sender wait to
+#: place the rest; Linux queues up to 32 KiB (and a page) as one buffer,
+#: which a non-blocking ``sendmsg`` places whole or not at all.
+_NOWAIT_BYTES = 32768
 
 
 # -- codec -------------------------------------------------------------------
@@ -156,7 +164,9 @@ class FrameDecoder:
 # -- descriptor passing ------------------------------------------------------
 
 
-def send_buffers(sock: socket.socket, buffers: Sequence[bytes], fds: Sequence[int] = ()) -> None:
+def send_buffers(
+    sock: socket.socket, buffers: Sequence[bytes], fds: Sequence[int] = (), flags: int = 0
+) -> None:
     """Write ``buffers`` as ONE ``sendmsg``, ``fds`` riding along.
 
     The kernel gathers the iovecs, so header and body are never
@@ -165,11 +175,13 @@ def send_buffers(sock: socket.socket, buffers: Sequence[bytes], fds: Sequence[in
     through a ``memoryview`` so resends slice without copying either.
     An ``OSError`` means the frame did not fully leave: a partial frame
     can never be parsed, so the peer provably did not act on it.
+    ``flags`` go to that first ``sendmsg`` only (``MSG_DONTWAIT``: a
+    ``BlockingIOError`` means not one byte left).
     """
     ancdata = []
     if fds:
         ancdata = [(socket.SOL_SOCKET, socket.SCM_RIGHTS, array.array("i", fds).tobytes())]
-    sent = sock.sendmsg(buffers, ancdata)
+    sent = sock.sendmsg(buffers, ancdata, flags)
     if sent < sum(map(len, buffers)):  # fds already went with the head
         rest = memoryview(b"".join(buffers))[sent:]
         while rest:
@@ -194,15 +206,17 @@ def recv_with_fds(sock: socket.socket) -> Tuple[bytes, List[int]]:
 
 class Pending:
     """One in-flight request's future: an event plus its eventual reply
-    (``None`` once the event is set means the channel died first)."""
+    (``None`` once the event is set means the channel died first), and
+    a callback if someone asked to be told (:meth:`Channel.notify`)."""
 
-    __slots__ = ("rid", "request", "event", "reply")
+    __slots__ = ("rid", "request", "event", "reply", "callback")
 
     def __init__(self, rid: int, request: dict):
         self.rid = rid
         self.request = request
         self.event = threading.Event()
         self.reply: Optional[dict] = None
+        self.callback: Optional[Callable[[], None]] = None
 
 
 class Exit:
@@ -232,10 +246,14 @@ class Channel:
     no caller was given is dropped, not stored.
 
     A channel dies once (damaged frame, EOF, send failure, :meth:`close`)
-    and stays dead: every pending request, blocked waiter and ``on_exit``
-    callback is woken, filled exit slots stay readable, and whoever owns
-    the channel dials a new one — a stale reader can only ever poison
-    the object it was born with.
+    and stays dead: every pending request, blocked waiter and callback
+    (:meth:`notify`, :meth:`watch`) is woken, filled exit slots stay
+    readable, and whoever owns the channel dials a new one — a stale
+    reader can only ever poison the object it was born with.
+
+    Callbacks run on whichever thread resolves them — the reader, or
+    the one that killed the channel — never under the channel's lock,
+    and one that raises is logged and costs nobody else anything.
 
     What differs between peers is injected, never branched on: ``name``
     prefixes the ``<name>.frame`` fault point, the reader thread and
@@ -293,13 +311,21 @@ class Channel:
         obj: dict,
         fds: Sequence[int] = (),
         encode: Callable[[dict, int], bytes] = encode_body,
-    ) -> Pending:
+        wait: bool = True,
+    ) -> Optional[Pending]:
         """Register one request and put it on the wire.
 
         ``encode(obj, rid)`` builds the frame body.  The pending entry
         is popped on every failure path here and on every exit path of
         :meth:`result`, so a late reply can never be written into a dead
         waiter and the table cannot accumulate stale entries.
+
+        ``wait=False`` is for a thread that must not block (an event
+        loop): where the send would have to wait — the peer has stopped
+        reading and the socket is full, another sender holds the wire,
+        the frame is too big to leave in one piece — it returns ``None``
+        instead, with nothing sent and nothing pending, and the caller
+        sends again from a thread that may wait.
         """
         with self._lock:
             if self.dead is not None:
@@ -307,6 +333,7 @@ class Channel:
             rid = self._next_id
             self._next_id += 1
             pending = self.pending[rid] = Pending(rid, obj)
+        sent = False
         try:
             body = encode(obj, rid)
             buffers = [_header(body), body]
@@ -314,16 +341,32 @@ class Channel:
             if fault is not None:
                 buffers, fds = self._damage(fault, b"".join(buffers), fds)
             try:
-                with self._send_lock:
-                    send_buffers(self.sock, buffers, fds)
+                if wait:
+                    with self._send_lock:
+                        send_buffers(self.sock, buffers, fds)
+                    sent = True
+                else:
+                    sent = self._send_nowait(buffers, fds)
             except OSError as exc:
                 self.fail(str(exc) or type(exc).__name__)
                 raise self._lose(f"channel failed: {exc}", True) from exc
-        except BaseException:
-            with self._lock:
-                self.pending.pop(rid, None)
-            raise
-        return pending
+        finally:
+            if not sent:
+                with self._lock:
+                    self.pending.pop(rid, None)
+        return pending if sent else None
+
+    def _send_nowait(self, buffers: Sequence[bytes], fds: Sequence[int]) -> bool:
+        """Send one frame if that takes no waiting; whether it left."""
+        if sum(map(len, buffers)) > _NOWAIT_BYTES or not self._send_lock.acquire(False):
+            return False
+        try:
+            send_buffers(self.sock, buffers, fds, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return False
+        finally:
+            self._send_lock.release()
+        return True
 
     def _damage(self, fault, frame: bytes, fds: Sequence[int]):
         """Chaos path: interpret a ``<name>.frame`` fault by its kind —
@@ -363,6 +406,20 @@ class Channel:
         finally:
             with self._lock:
                 self.pending.pop(pending.rid, None)
+
+    def notify(self, pending: Pending, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, when :meth:`result` would no longer
+        wait for ``pending`` — from the reader thread as it routes the
+        reply, or from whichever thread kills the channel (``result``
+        then raises the loss) — now, if that has already happened.  The
+        reply's counterpart of :meth:`watch`, for a caller that must not
+        block; registered after the send, so a send that raises never
+        also calls back."""
+        with self._lock:
+            if self.pending.get(pending.rid) is pending:
+                pending.callback = callback
+                return
+        callback()
 
     # -- the reader ------------------------------------------------------
 
@@ -406,6 +463,7 @@ class Channel:
                             self.exits[pid] = Exit()
                     pending.reply = frame
                     event = pending.event
+                    callback, pending.callback = pending.callback, None
                 elif "error" in frame and frame.get("id") is None:
                     # An un-addressed error is the peer saying the
                     # *stream* is broken: every request on it is lost.
@@ -413,28 +471,40 @@ class Channel:
         if event is not None:
             event.set()
         if callback is not None:
+            self._call(callback)
+
+    def _call(self, callback: Callable[[], None]) -> None:
+        """Run one :meth:`notify` / :meth:`watch` callback, outside the
+        lock.  It is somebody else's code on the thread every other
+        request depends on: a raise is logged, not propagated."""
+        try:
             callback()
+        except Exception:
+            _LOG.exception("%s channel: callback %r raised", self.name, callback)
 
     def fail(self, why: str) -> None:
         """Mark the channel dead and wake every stranded caller —
-        requests awaiting replies, waiters awaiting exits and on_exit
-        callbacks alike.  Exit slots still empty go with the channel;
-        filled ones stay for their owners to read."""
+        requests awaiting replies, waiters awaiting exits and the
+        callbacks of both alike.  Exit slots still empty go with the
+        channel; filled ones stay for their owners to read."""
         with self._lock:
             if self.dead is None:
                 self.dead = why
-            stranded = list(self.pending.values())
+            stranded = []
+            for pending in self.pending.values():
+                # Taken, not copied: a callback that holds its own
+                # request must not keep it alive as a cycle.
+                stranded.append((pending.event, pending.callback))
+                pending.callback = None
             self.pending.clear()
             empty = [slot for slot in self.exits.values() if slot.status is None]
-            orphaned = [(slot.event, slot.callback) for slot in empty]
+            stranded += [(slot.event, slot.callback) for slot in empty]
             self.exits = {pid: slot for pid, slot in self.exits.items() if slot.status is not None}
-        for pending in stranded:
-            pending.event.set()
-        for event, callback in orphaned:
+        for event, callback in stranded:
             if event is not None:
                 event.set()
             if callback is not None:
-                callback()
+                self._call(callback)
 
     def close(self, why: str, join_timeout: float) -> bool:
         """Hang up and fail everything in flight *before* joining the

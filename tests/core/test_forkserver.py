@@ -522,3 +522,35 @@ class TestDamagedReplies:
             fs.abort()
             theirs.close()
             thread.join(timeout=5)
+
+    @pytest.mark.parametrize("damage", [
+        b"\xff\xff\xff\xff",
+        b"\x00\x00\x00\x07[1,2,3]",
+    ], ids=["oversized-prefix", "non-object-body"])
+    def test_a_spawn_waiting_by_callback_is_told_once_and_typed(
+            self, damage):
+        """The same damage under the steps form (what a caller that
+        cannot block drives): the yielded wait is told exactly once,
+        and resuming raises the typed loss instead of waiting."""
+        fs, theirs, thread = self.fake_helper(damage)
+        try:
+            assert fs.spawn(["/bin/true"]).pid == 4242
+            steps = fs._spawn_steps(["/bin/true"])
+            wait = next(steps)  # the frame is out; nothing has waited
+            told = []
+            wait.notify(lambda: told.append("lost"))  # reader, or at once
+            deadline = time.monotonic() + 5
+            while not told and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert told == ["lost"]
+            started = time.monotonic()
+            with pytest.raises(SpawnError, match="died before replying"):
+                next(steps)
+            assert time.monotonic() - started < 1
+            fs.abort()
+            assert len(told) == 1  # the close that follows tells no one
+            assert not fs.healthy and fs.in_flight == 0
+        finally:
+            fs.abort()
+            theirs.close()
+            thread.join(timeout=5)

@@ -151,6 +151,45 @@ class TestFallbackChain:
         assert done.returncode == 0 and done.stdout == b"floor\n"
 
 
+class TestFlappingWorkerRetiredUnderLoad:
+    def test_late_releases_do_not_boot_the_replacement_twice(self):
+        """Retiring a helper strands the other requests on it; their
+        load went with the helper.  They used to give it back to the
+        slot anyway — by then the reservation of whoever was booting
+        the replacement — so a second caller booted one too and the
+        first was orphaned, reader thread, socket and all."""
+        import threading
+        from repro.core import ForkServerPool
+        plan = FaultPlan().add("refuse_exec", point="helper", times=None)
+        with FAULTS.active(plan):  # only the first helper carries it
+            pool = ForkServerPool(
+                workers=1, policy=SpawnPolicy(deadline=5.0, retries=5,
+                                              backoff=0.0)).start()
+        outcomes = []
+
+        def caller():
+            try:
+                outcomes.append(pool.spawn(["/bin/true"]).wait(timeout=30))
+            except Exception as exc:
+                outcomes.append(exc)
+
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert outcomes == [0] * 8
+            assert pool.respawns == 1 and pool.started_workers == 1
+        finally:
+            pool.stop()
+        readers = [thread for thread in threading.enumerate()
+                   if thread.name == "forkserver-reader"]
+        for reader in readers:
+            reader.join(timeout=2.0)
+        assert not any(reader.is_alive() for reader in readers)
+
+
 class TestResilienceCountersVisible:
     def test_retry_counter_appears_in_the_registry(self):
         TELEMETRY.enable(reset_metrics=True)

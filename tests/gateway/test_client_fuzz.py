@@ -16,7 +16,12 @@ notices, half frames then EOF — the property is the same:
   ``struct.error`` escaping the reader;
 * the reader thread dies quietly instead of crashing the process;
 * the correlation map and the exit-slot table are empty afterwards (no
-  stale entries, no slot opened for a pid nobody was handed).
+  stale entries, no slot opened for a pid nobody was handed);
+* a request that asked to be *told* (``Channel.notify``, what a caller
+  that cannot block uses) is told exactly once — by a reply addressed to
+  it or by the channel's death — never twice, never from under the
+  channel's lock, and a callback that raises takes neither the reader
+  nor the next request's callback with it.
 
 The forkserver helper cannot import ``repro.wire`` and keeps its own
 ``recv_frame``; the same blobs are fed to it, and it may only return a
@@ -24,6 +29,7 @@ frame, report EOF, or raise ``ValueError``.
 """
 
 import socket
+import threading
 
 import hypothesis.strategies as st
 import pytest
@@ -33,7 +39,7 @@ from repro.core import forkserver, helper
 from repro.core.result import encode_status
 from repro.errors import GatewayConnectionLost, GatewayError, SpawnError
 from repro.gateway import client as gateway_client
-from repro.wire import Channel, encode_frame
+from repro.wire import Channel, FrameDecoder, encode_frame
 
 TIMEOUT = 2.0
 
@@ -47,36 +53,75 @@ CLIENTS = {
 }
 
 
-def _meet(name, request, blob):
-    """One request on a fresh ``name`` channel whose peer answers with
-    ``blob`` and hangs up; returns (channel, pending)."""
+def _meet(name, requests, blob):
+    """``requests`` on a fresh ``name`` channel whose peer reads them
+    all, answers with ``blob`` and hangs up; returns (channel, the
+    pending of each)."""
     ours, theirs = socket.socketpair()
     channel = Channel(ours, name, **CLIENTS[name])
-    pending = channel.send(request)
+    pendings = [channel.send(request) for request in requests]
     theirs.settimeout(TIMEOUT)
-    theirs.recv(65536)  # the request under test
+    decoder, seen = FrameDecoder(), 0
+    while seen < len(requests):  # the requests under test
+        seen += len(decoder.feed(theirs.recv(65536)))
     theirs.sendall(blob)
     theirs.close()
-    return channel, pending
+    return channel, pendings
+
+
+class _Told:
+    """A ``notify`` callback that counts its calls and notes whether
+    the channel's lock was free each time."""
+
+    def __init__(self, channel, raises=False):
+        self.channel = channel
+        self.raises = raises
+        self.calls = 0
+        self.lock_was_free = True
+        self.done = threading.Event()
+
+    def __call__(self):
+        self.calls += 1
+        if self.channel._lock.acquire(blocking=False):
+            self.channel._lock.release()
+        else:
+            self.lock_was_free = False
+        self.done.set()
+        if self.raises:
+            raise RuntimeError("a callback that raises")
 
 
 def _exercise(blob):
     for name, config in CLIENTS.items():
-        channel, pending = _meet(name, {"op": "stats"}, blob)
+        channel, (blocked, rude, told) = _meet(
+            name, [{"op": "stats"}] * 3, blob)
         try:
+            # Registered after the blob is on its way: told by the
+            # reader, or at once if the reader has already been by.
+            callbacks = [_Told(channel, raises=True), _Told(channel)]
             try:
-                reply = channel.result(pending, TIMEOUT)
-            except config["lost"]:
-                pass
-            else:
-                assert reply.get("id") == pending.rid
+                channel.notify(rude, callbacks[0])
+            except RuntimeError:
+                pass  # already resolved: it raised into our own call
+            channel.notify(told, callbacks[1])
+            for pending in (blocked, rude, told):
+                try:
+                    reply = channel.result(pending, TIMEOUT)
+                except config["lost"]:
+                    pass
+                else:
+                    assert reply.get("id") == pending.rid
             channel.reader.join(timeout=TIMEOUT)
             assert not channel.reader.is_alive()
             assert channel.dead is not None
             assert channel.pending == {}
             assert channel.exits == {}
+            for callback in callbacks:
+                assert callback.done.wait(TIMEOUT)
+                assert callback.calls == 1 and callback.lock_was_free
         finally:
             channel.close("test over", TIMEOUT)
+        assert [callback.calls for callback in callbacks] == [1, 1]
     _exercise_helper(blob)
 
 
@@ -167,8 +212,8 @@ def test_junk_status_for_a_handed_out_pid_is_typed_and_frees_the_slot(
     """The notice for a pid the gateway client *does* hold: an integer
     status reaps, anything else is filed as a typed error — and either
     way the slot is gone afterwards and nobody waits past the notice."""
-    channel, pending = _meet(
-        "gateway", {"op": "spawn", "argv": ["x"]},
+    channel, (pending,) = _meet(
+        "gateway", [{"op": "spawn", "argv": ["x"]}],
         encode_frame({"id": 0, "pid": 4242})
         + encode_frame({"exit": 4242, "status": status}))
     try:
@@ -182,3 +227,178 @@ def test_junk_status_for_a_handed_out_pid_is_typed_and_frees_the_slot(
         assert channel.exits == {} and channel.pending == {}
     finally:
         channel.close("test over", TIMEOUT)
+
+
+class TestNotify:
+    """``Channel.notify`` by name, one resolution at a time."""
+
+    @staticmethod
+    def channel():
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(TIMEOUT)
+        return Channel(ours, "forkserver", **CLIENTS["forkserver"]), theirs
+
+    def test_a_reply_tells_it_from_the_reader_thread(self):
+        channel, theirs = self.channel()
+        try:
+            pending = channel.send({"op": "ping"})
+            threads, told = [], _Told(channel)
+            channel.notify(pending, lambda: (
+                threads.append(threading.current_thread()), told()))
+            assert told.calls == 0
+            theirs.sendall(encode_frame({"id": pending.rid, "ok": True}))
+            assert told.done.wait(TIMEOUT)
+            assert threads == [channel.reader] and told.lock_was_free
+            assert channel.result(pending, 0)["ok"] is True
+            channel.close("test over", TIMEOUT)  # ...and death is not a 2nd
+            assert told.calls == 1
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    @pytest.mark.parametrize("how", ["eof", "close"])
+    def test_the_channels_death_tells_it_and_result_raises_the_loss(
+            self, how):
+        channel, theirs = self.channel()
+        try:
+            pending = channel.send({"op": "ping"})
+            told = _Told(channel)
+            channel.notify(pending, told)
+            if how == "eof":
+                theirs.close()
+            else:
+                channel.close("closed under it", TIMEOUT)
+            assert told.done.wait(TIMEOUT)
+            assert told.calls == 1 and told.lock_was_free
+            with pytest.raises(SpawnError) as excinfo:
+                channel.result(pending, 0)
+            assert not getattr(excinfo.value, "unsent", False)
+            channel.close("again", TIMEOUT)
+            assert told.calls == 1
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_already_resolved_is_told_at_once_on_the_asking_thread(self):
+        channel, theirs = self.channel()
+        try:
+            pending = channel.send({"op": "ping"})
+            theirs.sendall(encode_frame({"id": pending.rid, "ok": True}))
+            assert pending.event.wait(TIMEOUT)
+            told = _Told(channel)
+            channel.notify(pending, told)
+            assert told.calls == 1 and told.lock_was_free
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_a_raising_callback_costs_nobody_else_anything(self, caplog):
+        """Not the reader, not the request routed next, not the exit
+        notice after it — and the raise is logged, not lost."""
+        channel, theirs = self.channel()
+        try:
+            first = channel.send({"op": "spawn"})
+            second = channel.send({"op": "ping"})
+            rude, told, exited = (_Told(channel, raises=True),
+                                  _Told(channel), _Told(channel, raises=True))
+            channel.notify(first, rude)
+            channel.notify(second, told)
+            theirs.sendall(encode_frame({"id": first.rid, "pid": 4242})
+                           + encode_frame({"id": second.rid, "ok": True}))
+            assert told.done.wait(TIMEOUT) and rude.calls == 1
+            channel.watch(4242, exited)
+            theirs.sendall(encode_frame({"exit": 4242, "status": 0}))
+            assert exited.done.wait(TIMEOUT)
+            assert channel.wait_exit(4242, 0) == 0
+            assert channel.reader.is_alive() and channel.dead is None
+            third = channel.send({"op": "ping"})
+            theirs.sendall(encode_frame({"id": third.rid, "ok": True}))
+            assert channel.result(third, TIMEOUT)["ok"] is True
+            assert "a callback that raises" in caplog.text
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_a_send_that_fails_never_calls_back(self):
+        """Registration follows the send, so there is nothing to tell:
+        the raise is the resolution."""
+        channel, theirs = self.channel()
+        try:
+            theirs.close()
+            channel.reader.join(timeout=TIMEOUT)
+            with pytest.raises(SpawnError) as excinfo:
+                channel.send({"op": "ping"})
+            assert excinfo.value.unsent is True and channel.pending == {}
+        finally:
+            channel.close("test over", TIMEOUT)
+
+
+class TestSendWithoutWaiting:
+    """``Channel.send(wait=False)``: what a thread that must not block
+    (the gateway's loop) sends with — the frame leaves at once and
+    whole, or not one byte of it does and nothing is left pending."""
+
+    @staticmethod
+    def frames_from(theirs, count):
+        decoder, frames = FrameDecoder(), []
+        while len(frames) < count:
+            frames += decoder.feed(theirs.recv(65536))
+        return frames
+
+    def test_a_peer_that_stops_reading_gets_none_not_a_blocked_sender(self):
+        channel, theirs = TestNotify.channel()
+        try:
+            ballast = "x" * 8192
+            sent = []
+            while True:  # nobody reads: the socket fills
+                pending = channel.send({"op": "ping", "pad": ballast},
+                                       wait=False)
+                if pending is None:
+                    break
+                sent.append(pending)
+                assert len(sent) < 10_000
+            assert sent and sorted(channel.pending) == [p.rid for p in sent]
+            # Every frame that left left whole; the peer drains them and
+            # there is room again.
+            frames = self.frames_from(theirs, len(sent))
+            assert [frame["id"] for frame in frames] == [p.rid for p in sent]
+            again = channel.send({"op": "ping", "pad": ballast}, wait=False)
+            assert again is not None
+            assert self.frames_from(theirs, 1)[0]["id"] == again.rid
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_a_frame_too_big_for_one_piece_is_never_tried(self):
+        channel, theirs = TestNotify.channel()
+        try:
+            big = {"op": "ping", "pad": "x" * 40_000}
+            assert channel.send(big, wait=False) is None
+            assert channel.pending == {}
+            pending = channel.send(big)  # a sender that may wait sends it
+            assert self.frames_from(theirs, 1)[0]["id"] == pending.rid
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_a_wire_another_sender_holds_is_not_waited_for(self):
+        channel, theirs = TestNotify.channel()
+        try:
+            with channel._send_lock:
+                assert channel.send({"op": "ping"}, wait=False) is None
+            assert channel.pending == {}
+            assert channel.send({"op": "ping"}, wait=False) is not None
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_a_dead_peer_still_raises_the_loss(self):
+        channel, theirs = TestNotify.channel()
+        try:
+            theirs.close()
+            channel.reader.join(timeout=TIMEOUT)
+            with pytest.raises(SpawnError) as excinfo:
+                channel.send({"op": "ping"}, wait=False)
+            assert excinfo.value.unsent is True and channel.pending == {}
+        finally:
+            channel.close("test over", TIMEOUT)

@@ -376,8 +376,11 @@ class TestBounds:
 
     def test_thread_count_is_flat_across_300_blocking_waits(
             self, tmp_path):
-        # One executor worker, so the pool itself cannot add threads.
-        server = make_server(tmp_path, executor_threads=1)
+        # One launch at a time: the executor is sized by max_inflight,
+        # so the pool itself cannot add a thread after its first.  (An
+        # idle worker is not always found idle: it posts its job's
+        # result before the executor counts it as free.)
+        server = make_server(tmp_path, max_inflight=1)
         client = dial(server)
         try:
             for _ in range(5):  # ...once it has spun up

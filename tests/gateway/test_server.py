@@ -639,6 +639,17 @@ class TestConfig:
         assert config.tenants["b"].rate is None
         assert config.tenants["b"].admin is False
 
+    def test_a_retired_key_in_an_old_config_still_loads(self):
+        # executor_threads is gone (the executor is the failure
+        # ladder's, sized by max_inflight); files that carry it load.
+        config = GatewayConfig.from_dict({
+            "unix_path": "/tmp/x.sock", "executor_threads": 4,
+            "tenants": [{"name": "a", "token": "t"}]})
+        assert not hasattr(config, "executor_threads")
+        with pytest.raises(TypeError):
+            GatewayConfig(unix_path="/tmp/x.sock", executor_threads=4,
+                          tenants=config.tenants)
+
     def test_duplicate_tenant_rejected(self):
         with pytest.raises(GatewayError):
             GatewayConfig.from_dict({
