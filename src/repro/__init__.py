@@ -19,7 +19,7 @@ from .errors import (AuthError, BenchError, DeadlockError, FaultPlanError,
                      ReproError, SimError, SimMemoryError, SimOSError,
                      SimSegfault, SpawnError, SpawnTimeout)
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AuthError", "BenchError", "DeadlockError", "FaultPlanError",

@@ -10,17 +10,17 @@ Highlights:
   the real parent — with a pipelined, correlation-id wire protocol.
 * :class:`ForkServerPool` — the zygote pattern as a *service*: requests
   sharded across several helpers, with lazy start and crash recovery,
-  batched dispatch (:meth:`~ForkServerPool.spawn_batch`, N children in
-  one wire frame) and opportunistic request coalescing.
+  and batched dispatch (:meth:`~ForkServerPool.spawn_batch`, N children
+  in one wire frame, through the attempt loop a single spawn takes).
 * :class:`PoolAutoscaler` / :class:`AutoscaleConfig` — adaptive pool
   sizing: the worker count follows queue depth and (optionally) the
   p95 launch-latency histogram instead of a static configuration.
-* :func:`spawn_batch` — the policy-aware batch entry point: walks the
-  forkserver-pool → forkserver → posix_spawn degradation ladder for a
-  whole batch at once.
+* :func:`spawn_batch` — the policy-aware batch entry point: a
+  :class:`BatchRequest` down the forkserver-pool → forkserver →
+  posix_spawn degradation ladder, on the walker :class:`ProcessBuilder`
+  spawns under — a batch is a spawn of N.
 * :func:`register_strategy` / :func:`strategies` / :func:`get_strategy`
-  — the launch-strategy registry (the module-level ``STRATEGIES`` dict
-  survives for old callers but is deprecated).
+  — the launch-strategy registry.
 * :mod:`repro.core.safety` — audit whether forking is safe right now;
   :mod:`repro.core.atfork` — the pthread_atfork discipline.
 
@@ -44,33 +44,16 @@ from .policy import (DEFAULT_FALLBACK, GATEWAY_FALLBACK, TEMPLATE_FALLBACK,
 from .pool import SpawnPool, callable_spec
 from .result import ChildProcess, CompletedChild
 from .safety import Hazard, assess, guarded_fork, is_fork_safe
-from .spawn import ProcessBuilder, SpawnedIO, run
+from .spawn import ProcessBuilder, SpawnedIO, run, spawn_batch
 from .strategies import (ForkExecStrategy, ForkServerPoolStrategy,
                          ForkServerStrategy,
                          PosixSpawnStrategy, Strategy, SubprocessStrategy,
                          TemplateStrategy,
                          get_strategy, pick_default_strategy,
-                         register_strategy, spawn_batch, strategies)
+                         register_strategy, strategies)
 from .templates import (TemplateMiss, TemplateProfile, TemplateRegistry,
                         TemplateServer)
 from .xproc import CrossProcessBuilder, HostOFD, XProcStrategy
-
-
-def __getattr__(attr: str):
-    # Deprecated alias: ``repro.core.STRATEGIES`` still resolves (to the
-    # live registry) but warns, same as the strategies-module shim.  The
-    # old eager ``from .strategies import _REGISTRY as STRATEGIES``
-    # bypassed that warning entirely.
-    if attr == "STRATEGIES":
-        import warnings
-        warnings.warn(
-            "repro.core.STRATEGIES is deprecated and will be removed in "
-            "repro 2.0; use strategies() / get_strategy() / "
-            "register_strategy()",
-            DeprecationWarning, stacklevel=2)
-        from .strategies import _REGISTRY
-        return _REGISTRY
-    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
 
 
 __all__ = [
@@ -82,7 +65,7 @@ __all__ = [
     "ForkServer", "ForkServerPool", "ForkServerPoolStrategy",
     "ForkServerStrategy", "FrameCache", "Hazard", "HostOFD",
     "Pipeline", "PipelineResult", "PoolAutoscaler",
-    "PosixSpawnStrategy", "ProcessBuilder", "STRATEGIES", "SpawnAttributes",
+    "PosixSpawnStrategy", "ProcessBuilder", "SpawnAttributes",
     "SpawnPolicy", "SpawnPool", "SpawnRequest",
     "SpawnedIO", "Strategy", "SubprocessStrategy", "TEMPLATE_FALLBACK",
     "TemplateMiss", "TemplateProfile", "TemplateRegistry", "TemplateServer",

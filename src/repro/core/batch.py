@@ -1,50 +1,37 @@
 """The one batch shape every ``spawn_batch`` speaks.
 
-Before this module the four batch entry points — ``ForkServer``,
-``ForkServerPool``, ``SpawnPool``, and the module-level ladder in
-:mod:`repro.core.strategies` — each grew their own signature: bare argv
-sequences here, ``env``/``cwd`` kwargs there, a worker *count* on the
-process pool.  The gateway protocol has to serialize exactly one shape,
-so this module defines it:
+A batch is a spawn of N: below the public API one unit of work is a list
+of :class:`~repro.core.forkserver.SpawnRequest` members plus the
+``(policy, deadline)`` it runs under, and a single spawn is that unit
+with one member.  The four batch entry points — ``ForkServer``,
+``ForkServerPool``, ``GatewayClient`` and the module-level ladder
+:func:`repro.core.spawn_batch` — and the gateway protocol all take
+exactly this shape:
 
-* :class:`BatchRequest` — N :class:`~repro.core.forkserver.SpawnRequest`
-  members plus the batch-wide ``policy`` and ``deadline``.  Build one
-  with :meth:`BatchRequest.of` (which coerces bare argv sequences and
-  applies ``env``/``cwd`` defaults), or rebuild one from the wire with
-  :meth:`BatchRequest.from_wire`.
+* :class:`BatchRequest` — the members plus the batch-wide ``policy`` and
+  ``deadline``.  Build one with :meth:`BatchRequest.of` (which coerces
+  bare argv sequences and applies ``env``/``cwd`` defaults), or rebuild
+  one from the wire with :meth:`BatchRequest.from_wire`.
 * :class:`BatchResult` — the N children, plus which strategy tier
   actually served the batch.  It is a real ``Sequence`` of
-  :class:`~repro.core.result.ChildProcess`, so every historical caller
-  that ``len()``-ed, indexed, iterated, or ``zip``-ed the old plain
-  list keeps working unchanged.
-
-The legacy call shapes still resolve — a bare sequence handed to any
-``spawn_batch`` is coerced through :func:`coerce_batch` — but they warn:
-:class:`DeprecationWarning`, removal in 2.0.  New code builds a
-:class:`BatchRequest` and passes it everywhere.
+  :class:`~repro.core.result.ChildProcess`, so callers ``len()``, index,
+  iterate and ``zip`` it like a list.
+* :func:`batch_unit` — the front door those entry points share: it
+  refuses anything that is not a :class:`BatchRequest` (the 1.x bare
+  sequences are gone; the error names :meth:`BatchRequest.of`) and
+  anything no helper could take, *before* a helper is picked — a
+  caller's mistake must cost no strike, retry or breaker failure.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import SpawnError
+from ..wire import SCM_MAX_FD
 from .forkserver import SpawnRequest
 from .policy import SpawnPolicy
 from .result import ChildProcess
-
-#: The version the legacy-shape shims promise to disappear in.
-LEGACY_BATCH_REMOVAL = "2.0"
-
-
-def warn_legacy_batch(entry: str, hint: str = "") -> None:
-    """One deprecation warning, same wording everywhere."""
-    warnings.warn(
-        f"{entry} with a legacy argument shape is deprecated and will be "
-        f"removed in repro {LEGACY_BATCH_REMOVAL}; pass a BatchRequest"
-        f"{hint}",
-        DeprecationWarning, stacklevel=3)
 
 
 class BatchRequest:
@@ -179,18 +166,27 @@ class BatchResult(Sequence):
                 f"via {self.strategy}>")
 
 
-def coerce_batch(entry: str, requests: Union[BatchRequest, Sequence], *,
-                 env: Optional[Dict[str, str]] = None,
-                 cwd: Optional[str] = None,
-                 policy: Optional[SpawnPolicy] = None,
-                 deadline: Optional[float] = None) -> BatchRequest:
-    """The shared front door of every ``spawn_batch``.
+def batch_unit(entry: str, requests: BatchRequest, *,
+               policy: Optional[SpawnPolicy] = None,
+               deadline: Optional[float] = None) -> BatchRequest:
+    """The shared front door of every ``spawn_batch``: ``requests`` with
+    the call's ``policy``/``deadline`` overrides applied, checked once.
 
-    A :class:`BatchRequest` passes through (kwargs override its terms);
-    anything else is the legacy shape — coerced so it keeps working,
-    but with the deprecation warning that names ``entry``.
+    Raises :class:`SpawnError` — before anything is picked, sent or
+    charged to a breaker — for an argument that is not a
+    :class:`BatchRequest`, an empty batch, or more members than one
+    SCM_RIGHTS message can carry stdio for.
     """
     if not isinstance(requests, BatchRequest):
-        warn_legacy_batch(entry)
-    return BatchRequest.of(requests, env=env, cwd=cwd, policy=policy,
-                           deadline=deadline)
+        raise SpawnError(
+            f"{entry} takes a BatchRequest, not "
+            f"{type(requests).__name__}; build one with BatchRequest.of()")
+    batch = BatchRequest.of(requests, policy=policy, deadline=deadline)
+    if not batch:
+        raise SpawnError("empty batch")
+    if 3 * len(batch) > SCM_MAX_FD:
+        raise SpawnError(
+            f"batch of {len(batch)} needs {3 * len(batch)} fd grants; "
+            f"one SCM_RIGHTS message carries at most {SCM_MAX_FD} "
+            f"(= {SCM_MAX_FD // 3} members) — split the batch")
+    return batch

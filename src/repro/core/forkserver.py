@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from ..errors import GatewayProtocolError, SpawnError, SpawnTimeout
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
-from ..wire import SCM_MAX_FD, Channel, Pending, encode_body
+from ..wire import Channel, Pending, encode_body
 from .framecache import FrameCache, frame_key
 from .result import ChildProcess
 from .steps import Steps, run_steps
@@ -69,7 +69,7 @@ def _pids_handed_out(request: dict, reply: dict) -> Sequence:
 
 class InFlight:
     """One request on a helper's wire, its reply not yet collected —
-    and what :meth:`ForkServer._spawn_steps` yields while it waits, for
+    and what :meth:`ForkServer._unit_steps` yields while it waits, for
     a driver that cannot block on it (see :mod:`repro.core.steps`)."""
 
     __slots__ = ("server", "channel", "pending", "timeout")
@@ -89,12 +89,13 @@ class InFlight:
 
     @property
     def granted(self) -> bool:
-        """Whether the wait ended in a reply that hands out a child —
-        not a refusal, not the channel's death: what is left of the
-        steps is then the launch's happy end, which kills no helper
-        and waits for nothing."""
+        """Whether the wait ended in a reply that hands out children (a
+        spawn's ``pid``, a batch's ``results``) — not a refusal, not
+        the channel's death: what is left of the steps is then the
+        launch's happy end, which kills no helper and waits for
+        nothing."""
         reply = self.pending.reply
-        return reply is not None and "pid" in reply
+        return reply is not None and ("pid" in reply or "results" in reply)
 
     def expire(self) -> None:
         """``timeout`` passed.  With no reply yet the helper is presumed
@@ -105,12 +106,14 @@ class InFlight:
 
 
 class SpawnRequest:
-    """One member of a batched spawn: argv plus its per-child wiring.
+    """One child to launch: argv plus its per-child wiring.
 
-    The batch wire op ships N of these in a single frame; each member's
-    stdio triple travels in the shared SCM_RIGHTS grant, concatenated in
-    request order.  Plain sequences of argv strings are accepted anywhere
-    a batch is taken — :func:`SpawnRequest.coerce` wraps them.
+    The unit of work below the public API is a list of these — one for a
+    single spawn, N for a batch, whose wire op ships them in a single
+    frame with every member's stdio triple in one shared SCM_RIGHTS
+    grant, concatenated in request order.
+    :meth:`BatchRequest.of <repro.core.batch.BatchRequest.of>` wraps
+    bare argv sequences through :meth:`coerce`.
     """
 
     __slots__ = ("argv", "env", "cwd", "stdin", "stdout", "stderr")
@@ -120,7 +123,7 @@ class SpawnRequest:
                  cwd: Optional[str] = None,
                  stdin: int = 0, stdout: int = 1, stderr: int = 2):
         if not argv:
-            raise SpawnError("empty argv in batch member")
+            raise SpawnError("empty argv")
         self.argv = [os.fspath(a) for a in argv]
         self.env = env
         self.cwd = cwd
@@ -433,63 +436,10 @@ class ForkServer:
         id travels in the wire request next to the correlation id, and
         the helper's reply carries its own fork timestamp back.
         """
-        return run_steps(self._spawn_steps(
-            argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
-            stderr=stderr, trace=trace, deadline=deadline))
-
-    def _spawn_steps(self, argv: Sequence[str], *,
-                     env: Optional[Dict[str, str]] = None,
-                     cwd: Optional[str] = None,
-                     stdin: int = 0, stdout: int = 1, stderr: int = 2,
-                     trace=None, deadline: Optional[float] = None
-                     ) -> "Steps[ChildProcess]":
-        """:meth:`spawn` as resumable steps (:mod:`repro.core.steps`):
-        everything up to the ``sendmsg``, one yielded :class:`InFlight`,
-        then the reply's validation, trace stamps and handle."""
-        if not argv:
-            raise SpawnError("empty argv")
-        owns = trace is None or not trace
-        if owns:
-            trace = TELEMETRY.trace("forkserver", argv)
-            trace.stage("dispatch", helper_pid=self._pid)
-        TELEMETRY.count("fd_grants", 3)
-        # nfds lets the helper detect a lost/partial SCM_RIGHTS grant
-        # and refuse (EPROTO) instead of wiring the child to ITS stdio.
-        request = {"op": "spawn", "argv": [os.fspath(a) for a in argv],
-                   "env": env, "cwd": cwd, "nfds": 3}
-        encode = encode_body
-        if self._frames is not None and (stdin, stdout, stderr) == (0, 1, 2):
-            # Default-stdio spawns are the repeatable shape worth
-            # caching; fd-bearing requests (fresh pipes every call) are
-            # deliberately never cached — see framecache.py.
-            encode = self._frame_encoder(
-                request, trace.trace_id if trace else None)
-        elif trace:
-            request["trace"] = trace.trace_id
-        try:
-            FAULTS.fire("forkserver.spawn", helper_pid=self._pid,
-                        argv=list(request["argv"]))
-            fds = (stdin, stdout, stderr)
-            sent = self._send(request, fds, trace, deadline, encode,
-                              wait=False)
-            if sent is None:
-                yield  # a helper not reading, a frame too big for one piece
-                sent = self._send(request, fds, trace, deadline, encode)
-            yield sent
-            reply = self._result(sent)
-            if "pid" not in reply:
-                raise SpawnError(f"forkserver refused spawn: {reply}")
-        except SpawnError as exc:
-            if owns:
-                trace.failure(exc)
-            raise
-        trace.stage("forked", t_ns=reply.get("t_fork_ns"),
-                    pid=reply["pid"], helper_pid=self._pid)
-        if owns:
-            trace.success(reply["pid"])
-        return ChildProcess(reply["pid"], argv=argv, strategy="forkserver",
-                            reaper=self._reap, timed_reaper=True,
-                            watch=self._watch, trace=trace)
+        member = SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
+                              stdout=stdout, stderr=stderr)
+        return run_steps(self._unit_steps(
+            [member], [trace], deadline, batch=False))[0]
 
     def _frame_encoder(self, request: dict, trace_id: Optional[str]):
         """A frame builder that splices per-call bytes onto a cached tail.
@@ -524,68 +474,86 @@ class ForkServer:
         return encode
 
     def spawn_batch(self, requests, *,
-                    traces: Optional[Sequence] = None,
                     deadline: Optional[float] = None) -> "BatchResult":
         """Spawn N children in ONE wire round-trip.
 
-        ``requests`` is a :class:`~repro.core.batch.BatchRequest` (the
-        unified batch shape; bare sequences still coerce but warn —
-        removal in 2.0).  The whole batch travels as a single
-        frame and a single ``sendmsg`` — every member's stdio triple in
-        one SCM_RIGHTS grant — and the helper spawns all N before
-        replying, so the per-spawn wire cost (encode + syscall + context
-        switch) is paid once per *batch*.
+        ``requests`` is a :class:`~repro.core.batch.BatchRequest`.  The
+        whole batch travels as a single frame and a single ``sendmsg``
+        — every member's stdio triple in one SCM_RIGHTS grant — and the
+        helper spawns all N before replying, so the per-spawn wire cost
+        (encode + syscall + context switch) is paid once per *batch*.
 
         All-or-nothing: a damaged frame, lost grant, or failed fork
         fails the ENTIRE batch with :class:`SpawnError` (the helper
         kills any members it had already forked).  No member is ever
         silently dropped; a pool above retries the whole batch per its
-        :class:`~repro.core.policy.SpawnPolicy`.
-
-        ``traces`` optionally carries one per-member trace owned by the
-        caller; otherwise (telemetry on) the server starts and owns one
-        trace per member.
+        :class:`~repro.core.policy.SpawnPolicy`.  With telemetry on the
+        server starts and owns one trace per member.
         """
-        from .batch import BatchRequest, BatchResult, coerce_batch
-        if not isinstance(requests, BatchRequest):
-            batch = coerce_batch("ForkServer.spawn_batch", requests,
-                                 deadline=deadline)
-        else:
-            batch = requests
-        if deadline is None:
-            deadline = batch.deadline
-        if not batch:
-            raise SpawnError("empty batch")
-        reqs = batch.members
-        owns = traces is None
+        from .batch import BatchResult, batch_unit
+        batch = batch_unit("ForkServer.spawn_batch", requests,
+                           deadline=deadline)
+        return BatchResult(
+            run_steps(self._unit_steps(batch.members, None,
+                                       batch.deadline, batch=True)),
+            strategy="forkserver")
+
+    def _unit_steps(self, reqs: List[SpawnRequest],
+                    traces: Optional[Sequence],
+                    deadline: Optional[float], batch: bool
+                    ) -> "Steps[List[ChildProcess]]":
+        """One unit of work — ``reqs``, a single spawn's one member or a
+        batch's N — through the helper, as resumable steps
+        (:mod:`repro.core.steps`): everything up to the ``sendmsg``, one
+        yielded :class:`InFlight`, then the reply's validation, trace
+        stamps and handles, in request order.  All or nothing.
+
+        ``batch`` picks the wire op — ``spawn`` (one member, a frame
+        worth caching) or ``batch`` — and the labels that say so.
+        ``traces`` is one trace per member owned by a caller further
+        up; without live ones the server starts and owns its own.
+        """
+        size = {"batch": len(reqs)} if batch else {}
+        owns = not traces or not traces[0]
         if owns:
             traces = [TELEMETRY.trace("forkserver", req.argv)
                       for req in reqs]
             for trace in traces:
-                trace.stage("dispatch", helper_pid=self._pid,
-                            batch=len(reqs))
-        elif len(traces) != len(reqs):
-            raise SpawnError("one trace per batch member required")
-        fds: List[int] = []
-        for req in reqs:
-            fds.extend(req.grant())
+                trace.stage("dispatch", helper_pid=self._pid, **size)
+        head = traces[0]  # the one whose id and ``framed`` stamp travel
+        fds = [fd for req in reqs for fd in req.grant()]
         TELEMETRY.count("fd_grants", len(fds))
-        TELEMETRY.observe("spawn_batch_size", len(reqs))
-        request = {"op": "batch", "reqs": [req.wire() for req in reqs]}
+        encode = encode_body
+        if batch:
+            TELEMETRY.observe("spawn_batch_size", len(reqs))
+            request = {"op": "batch", "reqs": [req.wire() for req in reqs]}
+        else:
+            # nfds lets the helper detect a lost/partial SCM_RIGHTS grant
+            # and refuse (EPROTO) instead of wiring the child to ITS stdio.
+            request = {"op": "spawn", **reqs[0].wire()}
+            if self._frames is not None and fds == [0, 1, 2]:
+                # Default-stdio spawns are the repeatable shape worth
+                # caching; fd-bearing requests (fresh pipes every call)
+                # are deliberately never cached — see framecache.py.
+                encode = self._frame_encoder(
+                    request, head.trace_id if head else None)
+            elif head:
+                request["trace"] = head.trace_id
         try:
-            if len(fds) > SCM_MAX_FD:
-                raise SpawnError(
-                    f"batch of {len(reqs)} needs {len(fds)} fd grants; "
-                    f"one SCM_RIGHTS message carries at most "
-                    f"{SCM_MAX_FD} (= {SCM_MAX_FD // 3} members) — "
-                    f"split the batch")
             FAULTS.fire("forkserver.spawn", helper_pid=self._pid,
-                        argv=list(reqs[0].argv), batch=len(reqs))
-            reply = self._roundtrip(request, fds=fds, trace=traces[0],
-                                    timeout=deadline)
-            results = reply.get("results")
+                        argv=list(reqs[0].argv), **size)
+            sent = self._send(request, fds, head, deadline, encode,
+                              wait=False)
+            if sent is None:
+                yield  # a helper not reading, a frame too big for one piece
+                sent = self._send(request, fds, head, deadline, encode)
+            yield sent
+            reply = self._result(sent)
+            results = (reply.get("results") if batch
+                       else [reply] if "pid" in reply else None)
             if results is None:
-                raise SpawnError(f"forkserver refused batch: {reply}")
+                raise SpawnError(
+                    f"forkserver refused {request['op']}: {reply}")
             if len(results) != len(reqs):
                 raise SpawnError(
                     f"forkserver protocol error: batch of {len(reqs)} "
@@ -606,4 +574,4 @@ class ForkServer:
                              strategy="forkserver", reaper=self._reap,
                              timed_reaper=True, watch=self._watch,
                              trace=trace))
-        return BatchResult(children, strategy="forkserver")
+        return children

@@ -8,11 +8,10 @@ single-threaded helper — the helper's fork loop becomes the ceiling.
 * **least-loaded dispatch** — each spawn goes to the helper with the
   fewest outstanding children and in-flight requests, and a *batch*
   lands as its full member count so one helper never silently absorbs
-  a whole coalesced batch at single-spawn price;
+  a whole batch at single-spawn price;
 * **request batching** — :meth:`ForkServerPool.spawn_batch` ships N
-  spawns in one wire frame, and an opportunistic coalescer
-  (``max_batch`` > 1) transparently merges concurrent single
-  :meth:`spawn` calls into batches;
+  spawns in one wire frame, through the same attempt loop a single
+  :meth:`spawn` takes (a batch is a spawn of N);
 * **lazy worker start** — helpers launch on demand as offered load
   grows, so an idle pool costs one process, not N;
 * **elastic capacity** — :meth:`grow` / :meth:`shrink` move the worker
@@ -69,106 +68,6 @@ class _Slot:
         self.strikes = 0  # consecutive live-helper failures (breaker input)
 
 
-class _Waiter:
-    """One coalesced caller's future: its child, or the batch's error."""
-
-    __slots__ = ("event", "child", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.child: Optional[ChildProcess] = None
-        self.error: Optional[BaseException] = None
-
-
-class _Coalescer:
-    """Opportunistic batching: concurrent single spawns share one frame.
-
-    Callers enqueue a :class:`SpawnRequest` and block; a flusher thread
-    gathers up to ``max_batch`` requests — waiting at most
-    ``max_delay_us`` after the first arrival — and dispatches them as
-    ONE batched wire op through the pool.  Under concurrency the delay
-    never actually costs latency (the batch fills before the window
-    closes); a lone caller pays at most the window.
-
-    The whole batch succeeds or fails together, per the pool's
-    :class:`~repro.core.policy.SpawnPolicy`; a failure is delivered to
-    every coalesced caller, never silently swallowed for some subset.
-    """
-
-    __slots__ = ("_pool", "_max_batch", "_delay", "_cond", "_queue",
-                 "_thread", "_closed", "batches", "coalesced_spawns")
-
-    def __init__(self, pool: "ForkServerPool", max_batch: int,
-                 max_delay_us: float):
-        self._pool = pool
-        self._max_batch = max_batch
-        self._delay = max(0.0, max_delay_us) / 1e6
-        self._cond = threading.Condition()
-        self._queue: List[tuple] = []
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-        self.batches = 0          # batches actually dispatched
-        self.coalesced_spawns = 0  # spawns that rode those batches
-
-    def submit(self, request: SpawnRequest) -> ChildProcess:
-        waiter = _Waiter()
-        with self._cond:
-            if self._closed:
-                raise SpawnError("pool is closed")
-            self._queue.append((request, waiter))
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name="pool-coalescer", daemon=True)
-                self._thread.start()
-            self._cond.notify_all()
-        waiter.event.wait()
-        if waiter.error is not None:
-            raise waiter.error
-        return waiter.child
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    self._cond.wait()
-                if not self._queue:  # closed and drained
-                    return
-                # First request in hand: hold the window open for more.
-                deadline = time.monotonic() + self._delay
-                while len(self._queue) < self._max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                batch = self._queue[:self._max_batch]
-                del self._queue[:self._max_batch]
-            self._flush(batch)
-
-    def _flush(self, batch: List[tuple]) -> None:
-        self.batches += 1
-        self.coalesced_spawns += len(batch)
-        try:
-            children = self._pool._spawn_batch(
-                [request for request, _ in batch])
-        except BaseException as exc:
-            for _, waiter in batch:
-                waiter.error = exc
-                waiter.event.set()
-        else:
-            for (_, waiter), child in zip(batch, children):
-                waiter.child = child
-                waiter.event.set()
-
-    def stop(self) -> None:
-        """Refuse new submissions; the flusher drains what is queued."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-            thread = self._thread
-        if thread is not None:
-            thread.join(timeout=10.0)
-
-
 class ForkServerPool:
     """Shard spawn requests across up to ``workers`` forkserver helpers.
 
@@ -183,8 +82,7 @@ class ForkServerPool:
     """
 
     def __init__(self, workers: int = DEFAULT_WORKERS, *, prestart: int = 1,
-                 policy: Optional[SpawnPolicy] = None,
-                 max_batch: int = 1, max_delay_us: float = 200.0):
+                 policy: Optional[SpawnPolicy] = None):
         if workers < 1:
             raise SpawnError("need at least one worker")
         self._slots = [_Slot() for _ in range(workers)]
@@ -193,13 +91,6 @@ class ForkServerPool:
         self._lock = threading.Lock()
         self._closed = False
         self._respawns = 0
-        # max_batch > 1 turns on transparent coalescing: concurrent
-        # single spawns merge into batched wire ops, up to max_batch
-        # members per frame, holding the window open max_delay_us after
-        # the first arrival.
-        self._coalescer: Optional[_Coalescer] = (
-            _Coalescer(self, max_batch, max_delay_us)
-            if max_batch > 1 else None)
 
     # -- introspection ---------------------------------------------------
 
@@ -208,11 +99,6 @@ class ForkServerPool:
         """Current worker ceiling (moves with :meth:`grow`/:meth:`shrink`)."""
         with self._lock:
             return len(self._slots)
-
-    @property
-    def coalescer(self) -> Optional["_Coalescer"]:
-        """The coalescing queue (``None`` unless ``max_batch > 1``)."""
-        return self._coalescer
 
     def queue_depth(self) -> int:
         """In-flight requests plus unreaped children, pool-wide.
@@ -262,13 +148,7 @@ class ForkServerPool:
         return self
 
     def stop(self) -> None:
-        """Shut every helper down (idempotent).
-
-        The coalescer drains first — queued coalesced spawns flush
-        against the still-open pool — so no caller's request is
-        silently dropped by the shutdown."""
-        if self._coalescer is not None:
-            self._coalescer.stop()
+        """Shut every helper down (idempotent)."""
         with self._lock:
             if self._closed:
                 return
@@ -368,11 +248,12 @@ class ForkServerPool:
         TELEMETRY.count("pool_retire")
         return dead
 
-    def _pick_ready(self) -> Optional[Tuple[_Slot, ForkServer]]:
+    def _pick_ready(self, weight: int) -> Optional[Tuple[_Slot, ForkServer]]:
         """The pick that cannot wait, or ``None``: an idle live helper,
-        or — with no cold slot left to boot — the least-loaded one.
-        ``None`` where :meth:`_pick` would first retire or boot a
-        helper, or wait out a boot."""
+        or — with no cold slot left to boot — the least-loaded one,
+        charged ``weight`` as :meth:`_pick` would.  ``None`` where
+        :meth:`_pick` would first retire or boot a helper, or wait out
+        a boot."""
         with self._lock:
             if self._closed:
                 raise SpawnError("pool is closed")
@@ -383,10 +264,10 @@ class ForkServerPool:
             if best.load and any(s.server is None and s.load == 0
                                  for s in self._slots):
                 return None
-            best.load += 1
+            best.load += weight
             return best, best.server
 
-    def _pick(self, weight: int = 1) -> Tuple[_Slot, ForkServer]:
+    def _pick(self, weight: int) -> Tuple[_Slot, ForkServer]:
         """Choose a slot — and the helper in it, which is what the load
         is taken against: least-loaded live helper, growing lazily.
 
@@ -398,7 +279,7 @@ class ForkServerPool:
         ``weight`` is the number of spawns this pick carries — 1 for a
         single request, the member count for a batch.  The chosen
         slot's load is bumped by the FULL weight, so least-loaded
-        dispatch sees a coalesced batch as the N children it is: one
+        dispatch sees a batch as the N children it is: one
         slot cannot absorb batch after batch while its load account
         claims it is nearly idle.
 
@@ -504,7 +385,7 @@ class ForkServerPool:
             _abort([server])
         return {"healthy": healthy, "retired": retired}
 
-    def _pool_reaper(self, slot: _Slot, server: ForkServer, argv):
+    def _pool_reaper(self, slot: _Slot, server: ForkServer):
         """A reaper that also returns the slot's load unit when done."""
         def reaper(pid: int, flags: int,
                    timeout: Optional[float] = None) -> Optional[int]:
@@ -544,192 +425,111 @@ class ForkServerPool:
         ``deadline`` likewise overrides the policy's per-attempt
         deadline.  With neither, behaviour is the historical
         no-retry, no-deadline dispatch.
-
-        With coalescing on (``max_batch > 1``) a plain call — no
-        per-call trace, policy, or deadline override — is routed
-        through the coalescing queue and may share a wire frame with
-        concurrent callers; the contract (one :class:`ChildProcess`
-        back, errors raised here) is unchanged.
         """
-        coalescer = self._coalescer
-        if (coalescer is not None and trace is None and policy is None
-                and deadline is None):
-            return coalescer.submit(
-                SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
-                             stdout=stdout, stderr=stderr))
-        return run_steps(self._spawn_steps(
-            argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
-            stderr=stderr, trace=trace, policy=policy, deadline=deadline))
+        member = SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
+                              stdout=stdout, stderr=stderr)
+        return run_steps(self._unit_steps(
+            [member], [trace], policy, deadline, batch=False))[0]
 
-    def _spawn_steps(self, argv: Sequence[str], *,
-                     env=None, cwd=None,
-                     stdin: int = 0, stdout: int = 1,
-                     stderr: int = 2, trace=None,
-                     policy: Optional[SpawnPolicy] = None,
-                     deadline: Optional[float] = None
-                     ) -> "Steps[ChildProcess]":
-        """:meth:`spawn` (never coalesced) as resumable steps
-        (:mod:`repro.core.steps`): the policy's attempts, each yielding
-        for its helper's reply and before its back-off."""
-        if not argv:
-            raise SpawnError("empty argv")
+    def spawn_batch(self, requests, *,
+                    policy: Optional[SpawnPolicy] = None,
+                    deadline: Optional[float] = None) -> "BatchResult":
+        """Spawn N children in ONE wire round-trip to one helper.
+
+        ``requests`` is a :class:`~repro.core.batch.BatchRequest`.  The
+        batch is dispatched to the least-loaded helper at its FULL
+        weight (N load units, released one by one as children are
+        reaped), through the attempt loop :meth:`spawn` takes and so
+        with its resilience contract: dead-worker failover inside an
+        attempt, whole-batch retries and deadlines per the
+        :class:`SpawnPolicy`, strikes against flapping workers.
+        All-or-nothing — on failure every member's error is the
+        batch's error; no member is silently dropped.  A batch no
+        helper could take (empty, more members than one SCM_RIGHTS
+        grant carries) is refused before one is picked, and costs no
+        helper a strike.
+        """
+        from .batch import BatchResult, batch_unit
+        batch = batch_unit("ForkServerPool.spawn_batch", requests,
+                           policy=policy, deadline=deadline)
+        return BatchResult(
+            run_steps(self._unit_steps(batch.members, None, batch.policy,
+                                       batch.deadline, batch=True)),
+            strategy="forkserver-pool")
+
+    def _unit_steps(self, reqs: List[SpawnRequest],
+                    traces: Optional[Sequence],
+                    policy: Optional[SpawnPolicy],
+                    deadline: Optional[float], batch: bool
+                    ) -> "Steps[List[ChildProcess]]":
+        """The one attempt loop, as resumable steps
+        (:mod:`repro.core.steps`): one unit of work — ``reqs``, a single
+        spawn's one member or a batch's N — under the policy's attempts,
+        each yielding for its helper's reply and before its back-off.
+        Returns the children in request order, all or none.
+
+        ``batch`` only names the unit (wire op, fault point, counter
+        label); ``traces`` is one per member owned by a caller further
+        up — without live ones the pool starts and owns its own.
+        """
         if policy is None:
             policy = self._policy
         if deadline is None and policy is not None:
             deadline = policy.deadline
         attempts = policy.attempts() if policy is not None else 1
         threshold = policy.breaker_threshold if policy is not None else None
-        owns = trace is None or not trace
+        size = {"batch": len(reqs)} if batch else {}
+        owns = not traces or not traces[0]
         if owns:
-            trace = TELEMETRY.trace("forkserver-pool", argv)
-            trace.stage("dispatch")
+            traces = [TELEMETRY.trace("forkserver-pool", req.argv)
+                      for req in reqs]
+            for trace in traces:
+                trace.stage("dispatch", **size)
         last_error: Optional[SpawnError] = None
         for attempt in range(attempts):
             if attempt:
-                TELEMETRY.count("spawn_retry", strategy="forkserver-pool")
-                trace.stage("retry", attempt=attempt)
+                TELEMETRY.count("spawn_retry", strategy="forkserver-pool",
+                                **({"op": "batch"} if batch else {}))
+                for trace in traces:
+                    trace.stage("retry", attempt=attempt)
                 delay = policy.backoff_delay(attempt - 1)
                 if delay:
                     yield
                     time.sleep(delay)
             try:
-                return (yield from self._spawn_attempt(
-                    argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
-                    stderr=stderr, trace=trace, owns=owns,
-                    deadline=deadline, threshold=threshold))
+                return (yield from self._attempt_steps(
+                    reqs, traces, owns, deadline, threshold, batch))
             except SpawnError as exc:
                 last_error = exc
         if owns:
-            trace.failure(last_error)
+            for trace in traces:
+                trace.failure(last_error)
         raise last_error
 
-    def _spawn_attempt(self, argv: Sequence[str], *, env, cwd,
-                       stdin: int, stdout: int, stderr: int,
-                       trace, owns: bool,
-                       deadline: Optional[float],
-                       threshold: Optional[int]) -> "Steps[ChildProcess]":
-        """One policy attempt: dispatch with dead-worker failover.
+    def _attempt_steps(self, reqs: List[SpawnRequest], traces: Sequence,
+                       owns: bool, deadline: Optional[float],
+                       threshold: Optional[int], batch: bool
+                       ) -> "Steps[List[ChildProcess]]":
+        """One policy attempt: dispatch with dead-worker failover, billed
+        to one slot at the unit's full weight.
 
         A retried request stamps ``framed`` once per dispatch, so the
         trace shows the failover instead of hiding it.
         """
-        last_error: Optional[SpawnError] = None
-        for _ in range(len(self._slots) + 1):
-            picked = self._pick_ready()
-            if picked is None:
-                yield  # a helper to retire or boot, or a boot to wait out
-                picked = self._pick()
-            slot, server = picked
-            try:
-                FAULTS.fire("pool.dispatch", helper_pid=server.helper_pid)
-            except Exception:
-                self._release(slot, server)
-                raise
-            if TELEMETRY.enabled:
-                TELEMETRY.count("pool_dispatch")
-                with self._lock:
-                    depth = sum(s.load for s in self._slots)
-                TELEMETRY.gauge("pool_queue_depth", depth)
-            try:
-                child = yield from server._spawn_steps(
-                    argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
-                    stderr=stderr, trace=trace, deadline=deadline)
-            except SpawnError as exc:
-                self._release(slot, server)
-                if server.healthy:
-                    # A live refusal: strike the worker, bill the policy.
-                    self._strike(slot, server, threshold)
-                    raise
-                last_error = exc
-                continue  # next _pick() retires it and tries elsewhere
-            with self._lock:
-                slot.strikes = 0
-            if owns:
-                trace.success(child.pid)
-            wrapped = ChildProcess(
-                child.pid, argv=argv, strategy="forkserver-pool",
-                reaper=self._pool_reaper(slot, server, argv),
-                timed_reaper=True, watch=server._watch, trace=trace)
-            return wrapped
-        raise SpawnError(
-            f"no forkserver worker could spawn {argv!r}: {last_error}")
-
-    def spawn_batch(self, requests, *,
-                    env=None, cwd=None,
-                    policy: Optional[SpawnPolicy] = None,
-                    deadline: Optional[float] = None) -> "BatchResult":
-        """Spawn N children in ONE wire round-trip to one helper.
-
-        ``requests`` is a :class:`~repro.core.batch.BatchRequest` (the
-        unified batch shape; bare sequences and the loose ``env``/
-        ``cwd`` kwargs still coerce but warn — removal in 2.0).  The
-        batch is dispatched to the least-loaded helper at
-        its FULL weight (N load units, released one by one as children
-        are reaped), with the same resilience contract as :meth:`spawn`:
-        dead-worker failover inside an attempt, whole-batch retries and
-        deadlines per the :class:`SpawnPolicy`, strikes against flapping
-        workers.  All-or-nothing — on failure every member's error is
-        the batch's error; no member is silently dropped.
-        """
-        from .batch import BatchRequest, coerce_batch
-        if not isinstance(requests, BatchRequest):
-            batch = coerce_batch("ForkServerPool.spawn_batch", requests,
-                                 env=env, cwd=cwd, policy=policy,
-                                 deadline=deadline)
-        else:
-            batch = BatchRequest.of(requests, policy=policy,
-                                    deadline=deadline)
-        if not batch:
-            raise SpawnError("empty batch")
-        return self._spawn_batch(batch.members, policy=batch.policy,
-                                 deadline=batch.deadline)
-
-    def _spawn_batch(self, reqs: List[SpawnRequest], *,
-                     policy: Optional[SpawnPolicy] = None,
-                     deadline: Optional[float] = None) -> "BatchResult":
-        """Policy loop for an already-coerced batch (also the coalescer's
-        entry point, bypassing the coalescing route in :meth:`spawn`)."""
-        if policy is None:
-            policy = self._policy
-        if deadline is None and policy is not None:
-            deadline = policy.deadline
-        attempts = policy.attempts() if policy is not None else 1
-        threshold = policy.breaker_threshold if policy is not None else None
-        traces = [TELEMETRY.trace("forkserver-pool", req.argv)
-                  for req in reqs]
-        for trace in traces:
-            trace.stage("dispatch", batch=len(reqs))
-        last_error: Optional[SpawnError] = None
-        for attempt in range(attempts):
-            if attempt:
-                TELEMETRY.count("spawn_retry", strategy="forkserver-pool",
-                                op="batch")
-                for trace in traces:
-                    trace.stage("retry", attempt=attempt)
-                delay = policy.backoff_delay(attempt - 1)
-                if delay:
-                    time.sleep(delay)
-            try:
-                return self._batch_attempt(reqs, traces, deadline, threshold)
-            except SpawnError as exc:
-                last_error = exc
-        for trace in traces:
-            trace.failure(last_error)
-        raise last_error
-
-    def _batch_attempt(self, reqs: List[SpawnRequest], traces,
-                       deadline: Optional[float],
-                       threshold: Optional[int]) -> "BatchResult":
-        """One policy attempt for a batch: dispatch with dead-worker
-        failover, billed to one slot at the batch's full weight."""
-        from .batch import BatchRequest, BatchResult
         weight = len(reqs)
         last_error: Optional[SpawnError] = None
         for _ in range(len(self._slots) + 1):
-            slot, server = self._pick(weight)
+            picked = self._pick_ready(weight)
+            if picked is None:
+                yield  # a helper to retire or boot, or a boot to wait out
+                picked = self._pick(weight)
+            slot, server = picked
             try:
-                FAULTS.fire("pool.batch", size=weight,
-                            helper_pid=server.helper_pid)
+                if batch:
+                    FAULTS.fire("pool.batch", size=weight,
+                                helper_pid=server.helper_pid)
+                else:
+                    FAULTS.fire("pool.dispatch", helper_pid=server.helper_pid)
             except Exception:
                 self._release(slot, server, weight)
                 raise
@@ -739,9 +539,8 @@ class ForkServerPool:
                     depth = sum(s.load for s in self._slots)
                 TELEMETRY.gauge("pool_queue_depth", depth)
             try:
-                children = server.spawn_batch(BatchRequest(reqs),
-                                              traces=traces,
-                                              deadline=deadline)
+                children = yield from server._unit_steps(
+                    reqs, traces, deadline, batch)
             except SpawnError as exc:
                 self._release(slot, server, weight)
                 if server.healthy:
@@ -753,13 +552,13 @@ class ForkServerPool:
             with self._lock:
                 slot.strikes = 0
             wrapped = []
-            for req, trace, child in zip(reqs, traces, children):
-                trace.success(child.pid)
+            for trace, child in zip(traces, children):
+                if owns:
+                    trace.success(child.pid)
                 wrapped.append(ChildProcess(
-                    child.pid, argv=req.argv, strategy="forkserver-pool",
-                    reaper=self._pool_reaper(slot, server, req.argv),
+                    child.pid, argv=child.argv, strategy="forkserver-pool",
+                    reaper=self._pool_reaper(slot, server),
                     timed_reaper=True, watch=server._watch, trace=trace))
-            return BatchResult(wrapped, strategy="forkserver-pool")
+            return wrapped
         raise SpawnError(
-            f"no forkserver worker could spawn a batch of {weight}: "
-            f"{last_error}")
+            f"no forkserver worker could spawn {reqs!r}: {last_error}")

@@ -19,14 +19,18 @@ Every decision is visible through :mod:`repro.obs`: ``spawn_retry``,
 ``breaker_open`` and ``fallback`` counters, plus ``retry``/``fallback``
 trace stages on the request's :class:`~repro.obs.SpawnTrace`.
 
-**Batch semantics.**  A batched spawn (``spawn_batch`` on the pool, a
-server, or the :func:`repro.core.spawn_batch` ladder) treats the whole
-batch as *one unit of work* under the policy: the batch consumes one
-attempt, a mid-batch failure fails (and retries) the **entire batch**
-— the wire protocol is all-or-nothing, so no member is ever silently
-dropped — and a failed batch strikes its helper/breaker once, not once
-per member.  Deadlines bound the single batched round trip, not each
-member individually.
+**Batch semantics.**  A batch is a spawn of N: ``spawn_batch`` on the
+pool, a server, or the :func:`repro.core.spawn_batch` ladder runs the
+code a single spawn runs, with N members in the unit of work instead of
+one.  So the batch consumes one attempt, a mid-batch failure fails (and
+retries) the **entire batch** — the wire protocol is all-or-nothing, so
+no member is ever silently dropped — and a failed batch strikes its
+helper/breaker once, not once per member.  Deadlines bound the single
+batched round trip, not each member individually.  Retries belong to
+whoever holds the policy: the pool's attempt loop for
+``ForkServerPool(policy=)`` / ``pool.spawn_batch(policy=)``, the ladder
+— per tier, under that tier's breaker — for :class:`ProcessBuilder`
+and :func:`repro.core.spawn_batch` alike, which hand the pool none.
 """
 
 from __future__ import annotations

@@ -251,19 +251,6 @@ class SpawnPool:
         self._workers.extend(workers)
         return [w.child.pid for w in workers]
 
-    def spawn_batch(self, count: int) -> List[int]:
-        """Deprecated alias for :meth:`add_workers` (removal in 2.0).
-
-        The name collided with the real batch entry points — which take
-        a :class:`~repro.core.batch.BatchRequest` of argv members, not a
-        worker count — and the collision is exactly the incoherence the
-        unified batch API removes.
-        """
-        from .batch import warn_legacy_batch
-        warn_legacy_batch("SpawnPool.spawn_batch",
-                          hint="-taking entry point or add_workers()")
-        return self.add_workers(count)
-
     def _boot_batched(self, count: int) -> Optional[List[_Worker]]:
         """Boot ``count`` workers through one batched wire op, or None
         when the configured strategy cannot batch."""

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import GatewayConnectionLost, GatewayError, SpawnError
 from ..faults import FAULTS
-from ..obs import TELEMETRY
+from ..obs import NULL_TRACE, TELEMETRY
 from .attrs import SpawnAttributes
+from .batch import BatchRequest, BatchResult, batch_unit
 from .file_actions import FileActions
 from .policy import SpawnPolicy, breaker_for
 from .result import ChildProcess, CompletedChild
@@ -305,11 +306,15 @@ class ProcessBuilder:
         try:
             FAULTS.fire("builder.spawn", argv=list(self._argv),
                         strategy=strategy.name)
+            def launch(tier: Strategy) -> "Steps[ChildProcess]":
+                return tier._launch_steps(self._argv, self._actions,
+                                          self._attrs, trace=trace)
             if self._policy is None:
-                child = yield from strategy._launch_steps(
-                    self._argv, self._actions, self._attrs, trace=trace)
+                child = yield from launch(strategy)
             else:
-                child = yield from self._launch_with_policy(strategy, trace)
+                child = yield from _ladder_steps(
+                    _chain(strategy.name, self._policy), self._policy,
+                    trace, launch, repr(self._argv))
         except BaseException as error:
             trace.failure(error)
             self._io.close()
@@ -322,81 +327,6 @@ class ProcessBuilder:
         child.io = self._io
         child.attach_trace(trace)
         return child
-
-    def _launch_with_policy(self, primary: Strategy, trace
-                            ) -> "Steps[ChildProcess]":
-        """The resilience executor: retries, breakers, degradation.
-
-        Walks the strategy chain (the chosen strategy, then the
-        policy's ``fallback`` names).  Each tier gets up to
-        ``policy.attempts()`` tries with exponential backoff and
-        jitter, guarded by that tier's shared circuit breaker; a tier
-        whose breaker is open is skipped outright.  Moving down the
-        chain stamps a ``fallback`` trace stage and counter, so the
-        degradation is visible in ``repro-bench metrics``, not silent.
-
-        Spawns are only re-issued when it is safe: an ambiguous
-        gateway loss (the frame was fully sent, no reply ever came, so
-        the daemon may have already spawned the child) is re-raised —
-        stamped ``ambiguous_loss`` — instead of retried or degraded,
-        unless the policy's ``retry_ambiguous`` explicitly opts the
-        workload in.
-        """
-        pol = self._policy
-        chain = [primary.name]
-        chain += [name for name in pol.fallback if name not in chain]
-        last_error: Optional[BaseException] = None
-        for index, name in enumerate(chain):
-            strategy = get_strategy(name)
-            if not strategy.available():
-                continue
-            if index:
-                TELEMETRY.count("fallback", strategy=name)
-                trace.stage("fallback", strategy=name)
-            breaker = breaker_for(name, pol)
-            if not breaker.allow():
-                last_error = last_error or SpawnError(
-                    f"circuit breaker open for strategy {name!r}")
-                continue
-            for attempt in range(pol.attempts()):
-                if attempt:
-                    TELEMETRY.count("spawn_retry", strategy=name)
-                    trace.stage("retry", attempt=attempt, strategy=name)
-                    delay = pol.backoff_delay(attempt - 1)
-                    if delay:
-                        yield
-                        time.sleep(delay)
-                    if not breaker.allow():
-                        break
-                try:
-                    child = yield from strategy._launch_steps(
-                        self._argv, self._actions, self._attrs, trace=trace)
-                except (SpawnError, GatewayError, OSError) as exc:
-                    if (isinstance(exc, GatewayConnectionLost)
-                            and not getattr(exc, "unsent", False)
-                            and not pol.retry_ambiguous):
-                        # The spawn frame reached the daemon and the
-                        # channel died before any reply: the child may
-                        # already be running, so a retry (or a fallback
-                        # tier) could execute the command twice.  Only
-                        # the caller knows whether that is safe —
-                        # surface the ambiguity unless the policy's
-                        # retry_ambiguous opted in.
-                        breaker.record_failure()
-                        TELEMETRY.count("ambiguous_loss", strategy=name)
-                        trace.stage("ambiguous_loss", strategy=name)
-                        raise
-                    last_error = exc
-                    if breaker.record_failure():
-                        TELEMETRY.count("breaker_open", strategy=name)
-                        trace.stage("breaker_open", strategy=name)
-                        break  # this tier is sick; degrade
-                    continue
-                breaker.record_success()
-                return child
-        raise SpawnError(
-            f"every strategy in {chain!r} failed to spawn "
-            f"{self._argv!r}: {last_error}") from last_error
 
     @property
     def io(self) -> SpawnedIO:
@@ -429,3 +359,133 @@ def run(*argv: str, timeout: Optional[float] = None,
     builder.io.close()
     return CompletedChild(argv=child.argv, returncode=code, stdout=output,
                           duration=time.monotonic() - started)
+
+
+def _chain(head: str, policy: SpawnPolicy) -> List[str]:
+    """The ladder's tier names: ``head``, then the policy's fallbacks."""
+    return [head] + [name for name in policy.fallback if name != head]
+
+
+def _ladder_steps(chain: List[str], pol: SpawnPolicy, trace,
+                  launch: Callable[[Strategy], Steps], what: str) -> Steps:
+    """The resilience executor: retries, breakers, degradation — the
+    one walker, for any unit of work (a builder's child, a batch, a
+    template's degraded lease), as resumable steps.
+
+    Walks ``chain`` (strategy names, the chosen one first);
+    ``launch(strategy)`` is the steps that put the unit on one tier and
+    return what it made.  Each tier gets up to ``pol.attempts()`` tries
+    with exponential backoff and jitter, guarded by that tier's shared
+    circuit breaker; a tier whose breaker is open is skipped outright.
+    Moving down the chain stamps a ``fallback`` trace stage and
+    counter, so the degradation is visible in ``repro-bench metrics``,
+    not silent.
+
+    Spawns are only re-issued when it is safe: an ambiguous gateway
+    loss (the frame was fully sent, no reply ever came, so the daemon
+    may have already spawned the child) is re-raised — stamped
+    ``ambiguous_loss`` — instead of retried or degraded, unless the
+    policy's ``retry_ambiguous`` explicitly opts the workload in.
+    """
+    last_error: Optional[BaseException] = None
+    for index, name in enumerate(chain):
+        strategy = get_strategy(name)
+        if not strategy.available():
+            continue
+        if index:
+            TELEMETRY.count("fallback", strategy=name)
+            trace.stage("fallback", strategy=name)
+        breaker = breaker_for(name, pol)
+        if not breaker.allow():
+            last_error = last_error or SpawnError(
+                f"circuit breaker open for strategy {name!r}")
+            continue
+        for attempt in range(pol.attempts()):
+            if attempt:
+                TELEMETRY.count("spawn_retry", strategy=name)
+                trace.stage("retry", attempt=attempt, strategy=name)
+                delay = pol.backoff_delay(attempt - 1)
+                if delay:
+                    yield
+                    time.sleep(delay)
+                if not breaker.allow():
+                    break
+            try:
+                made = yield from launch(strategy)
+            except (SpawnError, GatewayError, OSError) as exc:
+                if (isinstance(exc, GatewayConnectionLost)
+                        and not getattr(exc, "unsent", False)
+                        and not pol.retry_ambiguous):
+                    # The spawn frame reached the daemon and the
+                    # channel died before any reply: the child may
+                    # already be running, so a retry (or a fallback
+                    # tier) could execute the command twice.  Only
+                    # the caller knows whether that is safe —
+                    # surface the ambiguity unless the policy's
+                    # retry_ambiguous opted in.
+                    breaker.record_failure()
+                    TELEMETRY.count("ambiguous_loss", strategy=name)
+                    trace.stage("ambiguous_loss", strategy=name)
+                    raise
+                last_error = exc
+                if breaker.record_failure():
+                    TELEMETRY.count("breaker_open", strategy=name)
+                    trace.stage("breaker_open", strategy=name)
+                    break  # this tier is sick; degrade
+                continue
+            breaker.record_success()
+            return made
+    raise SpawnError(
+        f"every strategy in {chain!r} failed to spawn {what}: "
+        f"{last_error}") from last_error
+
+
+def spawn_batch(requests: BatchRequest, *,
+                policy: Optional[SpawnPolicy] = None,
+                deadline: Optional[float] = None) -> BatchResult:
+    """Batched spawn through the full degradation ladder.
+
+    ``requests`` is a :class:`~repro.core.batch.BatchRequest` — the one
+    batch shape every tier (and the gateway wire protocol) shares;
+    ``policy``/``deadline`` override its terms for this call.
+
+    The batch goes to the shared forkserver *pool* first (one wire
+    frame); when that tier is exhausted or its breaker is open, it
+    degrades down ``policy.fallback`` — ``"forkserver"`` keeps the
+    single-frame wire amortisation on one dedicated helper,
+    ``"posix_spawn"`` runs each member directly as the floor; tiers
+    that cannot batch are skipped.  It is the walker
+    :class:`ProcessBuilder` spawns under — the same attempts and
+    back-off per tier, the same shared breakers, the same
+    ``fallback``/``spawn_retry``/``breaker_open`` counters — so the
+    resilience ladder holds for batches exactly as it does for single
+    spawns.
+
+    The contract is all-or-nothing at every tier: the caller gets all N
+    children (a :class:`~repro.core.batch.BatchResult` naming the tier
+    that served them) or an exception — members are never silently
+    dropped.  A batch no tier could take (not a ``BatchRequest``,
+    empty, too many members for one fd grant) is refused before the
+    first tier is tried and charges no breaker.
+    """
+    return run_steps(_spawn_batch_steps(requests, policy=policy,
+                                        deadline=deadline))
+
+
+def _spawn_batch_steps(requests: BatchRequest, *,
+                       policy: Optional[SpawnPolicy] = None,
+                       deadline: Optional[float] = None
+                       ) -> "Steps[BatchResult]":
+    """:func:`spawn_batch` as resumable steps (:mod:`repro.core.steps`)."""
+    batch = batch_unit("repro.core.spawn_batch", requests, policy=policy,
+                       deadline=deadline)
+    policy = batch.policy if batch.policy is not None else SpawnPolicy()
+    deadline = (batch.deadline if batch.deadline is not None
+                else policy.deadline)
+    chain = [name for name in _chain("forkserver-pool", policy)
+             if get_strategy(name)._batch_steps is not None]
+    children = yield from _ladder_steps(
+        chain, policy, NULL_TRACE,
+        lambda tier: tier._batch_steps(batch.members, deadline),
+        f"a batch of {len(batch)}")
+    return BatchResult(children, strategy=children[0].strategy)

@@ -4,11 +4,16 @@ A launch through a helper spends most of its life waiting — for the
 reply on the wire, for a back-off to pass, for a helper to boot.  A
 caller with a thread to spare just blocks; the gateway's event loop
 cannot.  Rather than write every layer twice, the layers that can wait
-(``ForkServer._spawn_steps``, the pool's, the two forkserver strategies'
-``_launch_steps``, the :class:`~repro.core.spawn.ProcessBuilder` ladder —
+(``_unit_steps`` on ``ForkServer``, the pool and the two forkserver
+strategies, every strategy's ``_launch_steps`` / ``_batch_steps``, the
+ladder every policy-driven launch walks in :mod:`repro.core.spawn` —
 private forms all, behind the blocking calls they implement) are
 *generators* that do the launch in order and ``yield`` immediately
-before anything that would block their thread:
+before anything that would block their thread.  Nor is any of them
+written once per shape: the unit of work they pass down is a list of
+:class:`~repro.core.forkserver.SpawnRequest` members with its
+``(policy, deadline)`` — one member for a spawn, N for a batch.  They
+yield:
 
 * an :class:`~repro.core.forkserver.InFlight` — the request is on a
   helper's wire and the next step waits for its reply.  A driver that
@@ -20,15 +25,15 @@ before anything that would block their thread:
 
 Resumed early, the steps simply block where a plain call would have:
 :func:`run_steps` is that driver, and every blocking entry point
-(``spawn``, ``launch``) is ``run_steps(its steps)`` — so retries, back-off,
-strikes, breakers, fallback order and deadlines are the same code on
-either driver.  The other driver is
+(``spawn``, ``spawn_batch``, ``launch``) is ``run_steps(its steps)`` —
+so retries, back-off, strikes, breakers, fallback order and deadlines
+are the same code on either driver.  The other driver is
 :meth:`GatewayServer._step <repro.gateway.server.GatewayServer._step>`,
 which resumes a launch from the callback of the reply that hands out
-its child, and hands a launch whose wait ended any other way — refused,
-lost, timed out — to a thread that may block: whoever tells it of a
-loss is in the middle of killing a helper, and the rest of the ladder
-is not that thread's to run.
+its children, and hands a launch whose wait ended any other way —
+refused, lost, timed out — to a thread that may block: whoever tells it
+of a loss is in the middle of killing a helper, and the rest of the
+ladder is not that thread's to run.
 """
 
 from __future__ import annotations

@@ -19,9 +19,13 @@ compare mechanisms instead of APIs:
 Strategies register themselves with the :func:`register_strategy`
 class decorator; :func:`strategies` lists the known names and
 :func:`get_strategy` resolves one (raising :class:`SpawnError` that
-names the alternatives on a typo).  The old module-level ``STRATEGIES``
-dict still resolves for existing callers but is deprecated — it now
-warns on access; new code should use the functions.
+names the alternatives on a typo).
+
+A strategy that can take a whole batch as one unit of work says so with
+a ``_batch_steps`` beside its ``_launch_steps``: the two forkserver
+strategies (one wire frame) and ``posix_spawn`` (the floor: a loop over
+its own ``launch``).  The ladder :func:`repro.core.spawn_batch` walks
+skips the tiers without one.
 
 Strategies raise :class:`~repro.errors.SpawnError` for requests they
 cannot express (e.g. plain posix_spawn has no ``cwd`` attribute) instead
@@ -41,7 +45,6 @@ import atexit
 import os
 import subprocess
 import threading
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import SpawnError
@@ -51,7 +54,6 @@ from .attrs import SpawnAttributes
 from .file_actions import FileActions
 from .forkserver import ForkServer, SpawnRequest
 from .forkserver_pool import ForkServerPool
-from .policy import breaker_for
 from .result import ChildProcess, encode_status
 from .steps import Steps, run_steps
 
@@ -88,6 +90,12 @@ class Strategy:
         get this form, which yields once and launches."""
         yield
         return self.launch(argv, actions, attrs, trace=trace)
+
+    #: ``_batch_steps(reqs, deadline)``: a batch's
+    #: :class:`~repro.core.forkserver.SpawnRequest` members launched as
+    #: one all-or-nothing unit, as resumable steps returning the
+    #: children in request order.  ``None``: this tier cannot batch.
+    _batch_steps = None
 
     def available(self) -> bool:
         """Whether this strategy can work on the host."""
@@ -143,18 +151,6 @@ def get_strategy(name: str) -> Strategy:
             f"{', '.join(strategies())}") from None
 
 
-def __getattr__(attr: str):
-    # Deprecation shim: module-level STRATEGIES keeps working but warns.
-    if attr == "STRATEGIES":
-        warnings.warn(
-            "repro.core.strategies.STRATEGIES is deprecated and will be "
-            "removed in repro 2.0; use strategies() / get_strategy() / "
-            "register_strategy()",
-            DeprecationWarning, stacklevel=2)
-        return _REGISTRY
-    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
-
-
 @register_strategy("posix_spawn")
 class PosixSpawnStrategy(Strategy):
     """``os.posix_spawn`` — constant-cost process creation."""
@@ -176,6 +172,37 @@ class PosixSpawnStrategy(Strategy):
             **attrs.posix_spawn_kwargs())
         trace.stage("execed", pid=pid)
         return ChildProcess(pid, argv=argv, strategy=self.name, trace=trace)
+
+    def _batch_steps(self, reqs, deadline):
+        """The ladder's floor for a batch: each member through
+        :meth:`launch`.  The wire amortisation is gone at this tier, but
+        every member still runs — degradation trades throughput for
+        availability, never members — and a member ``launch`` refuses
+        (``cwd`` has no posix_spawn attribute) fails the batch loudly.
+        """
+        yield  # step-less launches: resume where a thread may block
+        children: List[ChildProcess] = []
+        try:
+            for req in reqs:
+                actions = FileActions()
+                for target, fd in enumerate(req.grant()):
+                    if fd != target:
+                        actions.add_dup2(fd, target)
+                trace = TELEMETRY.trace(self.name, req.argv)
+                children.append(self.launch(
+                    req.argv, actions,
+                    SpawnAttributes(env=req.env, cwd=req.cwd), trace=trace))
+                trace.success(children[-1].pid)
+        except BaseException:
+            # All-or-nothing even at the floor: reverse what already ran.
+            for child in children:
+                try:
+                    child.kill()
+                    child.wait(timeout=5)
+                except Exception:
+                    pass
+            raise
+        return children
 
 
 @register_strategy("fork_exec")
@@ -283,25 +310,55 @@ def _stdio_grant(actions: FileActions):
     return stdio, opened
 
 
+class _WireStrategy(Strategy):
+    """What the two forkserver strategies share: a launch is one unit of
+    work — a single spawn's one member or a batch's N — put on a
+    helper's wire by the subclass's ``_unit_steps(reqs, traces,
+    deadline, batch)``.  Stdio file actions are translated into the
+    forkserver's explicit SCM_RIGHTS grant; actions that cannot be
+    expressed that way are rejected rather than approximated.
+    """
+
+    def available(self) -> bool:
+        return hasattr(os, "fork")
+
+    def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
+        return run_steps(self._launch_steps(argv, actions, attrs, trace))
+
+    def _launch_steps(self, argv, actions, attrs, trace=NULL_TRACE):
+        attrs.validate()
+        self._fire_launch(argv)
+        _reject_unwirable_attrs(self.name, attrs)
+        stdio, opened = _stdio_grant(actions)
+        try:
+            member = SpawnRequest(
+                argv, env=attrs.effective_env(), cwd=attrs.cwd,
+                stdin=stdio[0], stdout=stdio[1], stderr=stdio[2])
+            children = yield from self._unit_steps(
+                [member], [trace], attrs.deadline, batch=False)
+        finally:
+            for handle in opened:
+                os.close(handle)
+        return children[0]
+
+    def _batch_steps(self, reqs, deadline):
+        return self._unit_steps(reqs, None, deadline, batch=True)
+
+
 @register_strategy("forkserver-pool")
-class ForkServerPoolStrategy(Strategy):
+class ForkServerPoolStrategy(_WireStrategy):
     """Launch through a shared pool of pipelined forkserver helpers.
 
     The pool starts lazily on the first launch and is shared by every
     caller of this strategy — that sharing is the point: the zygote
     pattern only pays off when one warm service amortises across many
-    requests.  Stdio file actions are translated into the forkserver's
-    explicit SCM_RIGHTS grant; actions that cannot be expressed that way
-    are rejected rather than approximated.
+    requests.
     """
 
     def __init__(self, workers: Optional[int] = None):
         self._workers = workers
         self._pool: Optional[ForkServerPool] = None
         self._lock = threading.Lock()
-
-    def available(self) -> bool:
-        return hasattr(os, "fork")
 
     def pool(self) -> ForkServerPool:
         """The shared pool, started on first use."""
@@ -319,31 +376,18 @@ class ForkServerPoolStrategy(Strategy):
         if pool is not None:
             pool.stop()
 
-    def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
-        return run_steps(self._launch_steps(argv, actions, attrs, trace))
-
-    def _launch_steps(self, argv, actions, attrs, trace=NULL_TRACE):
-        attrs.validate()
-        self._fire_launch(argv)
-        _reject_unwirable_attrs(self.name, attrs)
-        stdio, opened = _stdio_grant(actions)
-        try:
-            pool = self._pool
-            if pool is None or pool.closed:
-                yield  # the first launch boots the pool
-                pool = self.pool()
-            child = yield from pool._spawn_steps(
-                argv, env=attrs.effective_env(), cwd=attrs.cwd,
-                stdin=stdio[0], stdout=stdio[1], stderr=stdio[2],
-                trace=trace, deadline=attrs.deadline)
-        finally:
-            for handle in opened:
-                os.close(handle)
-        return child
+    def _unit_steps(self, reqs, traces, deadline, batch):
+        pool = self._pool
+        if pool is None or pool.closed:
+            yield  # the first launch boots the pool
+            pool = self.pool()
+        # No policy: retries are the ladder's, per tier, not the pool's.
+        return (yield from pool._unit_steps(reqs, traces, None, deadline,
+                                            batch))
 
 
 @register_strategy("forkserver")
-class ForkServerStrategy(Strategy):
+class ForkServerStrategy(_WireStrategy):
     """Launch through one shared pipelined forkserver helper.
 
     The middle rung of the degradation ladder: when the pool's breaker
@@ -355,9 +399,6 @@ class ForkServerStrategy(Strategy):
     def __init__(self):
         self._server: Optional[ForkServer] = None
         self._lock = threading.Lock()
-
-    def available(self) -> bool:
-        return hasattr(os, "fork")
 
     def server(self) -> ForkServer:
         """The shared helper, started (or replaced) on first use."""
@@ -385,27 +426,13 @@ class ForkServerStrategy(Strategy):
             except Exception:
                 pass
 
-    def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
-        return run_steps(self._launch_steps(argv, actions, attrs, trace))
-
-    def _launch_steps(self, argv, actions, attrs, trace=NULL_TRACE):
-        attrs.validate()
-        self._fire_launch(argv)
-        _reject_unwirable_attrs(self.name, attrs)
-        stdio, opened = _stdio_grant(actions)
-        try:
-            server = self._server
-            if server is None or not server.healthy:
-                yield  # server() boots (or replaces) the helper
-                server = self.server()
-            child = yield from server._spawn_steps(
-                argv, env=attrs.effective_env(), cwd=attrs.cwd,
-                stdin=stdio[0], stdout=stdio[1], stderr=stdio[2],
-                trace=trace, deadline=attrs.deadline)
-        finally:
-            for handle in opened:
-                os.close(handle)
-        return child
+    def _unit_steps(self, reqs, traces, deadline, batch):
+        server = self._server
+        if server is None or not server.healthy:
+            yield  # server() boots (or replaces) the helper
+            server = self.server()
+        return (yield from server._unit_steps(reqs, traces, deadline,
+                                              batch))
 
 
 @register_strategy("template")
@@ -604,114 +631,3 @@ def pick_default_strategy(attrs: SpawnAttributes) -> Strategy:
     if posix.available() and not attrs.needs_helper_hop():
         return posix
     return _REGISTRY["fork_exec"]
-
-
-def _batch_via_posix_spawn(reqs) -> List[ChildProcess]:
-    """The ladder's floor: per-member direct ``posix_spawn``.
-
-    The wire amortisation is gone at this tier, but every member still
-    runs — degradation trades throughput for availability, never
-    members.  ``cwd`` cannot be expressed here (posix_spawn has no such
-    attribute), so batches that need it fail loudly instead.
-    """
-    children = []
-    try:
-        for req in reqs:
-            if req.cwd:
-                raise SpawnError(
-                    "posix_spawn batch fallback cannot express cwd")
-            trace = TELEMETRY.trace("posix_spawn", req.argv)
-            path = _resolve_executable(req.argv)
-            file_actions = [(os.POSIX_SPAWN_DUP2, fd, target)
-                            for target, fd in enumerate(req.grant())
-                            if fd != target]
-            pid = os.posix_spawn(
-                path, list(req.argv),
-                req.env if req.env is not None else os.environ,
-                file_actions=file_actions)
-            trace.stage("execed", pid=pid)
-            trace.success(pid)
-            children.append(ChildProcess(pid, argv=req.argv,
-                                         strategy="posix_spawn",
-                                         trace=trace))
-    except BaseException:
-        # All-or-nothing even at the floor: reverse what already ran.
-        for child in children:
-            try:
-                child.kill()
-                child.wait(timeout=5)
-            except Exception:
-                pass
-        raise
-    return children
-
-
-def spawn_batch(requests, *, env=None, cwd=None,
-                policy=None, deadline=None) -> "BatchResult":
-    """Batched spawn through the full degradation ladder.
-
-    ``requests`` is a :class:`~repro.core.batch.BatchRequest` — the one
-    batch shape every tier (and the gateway wire protocol) shares; bare
-    sequences and the loose ``env``/``cwd`` kwargs still coerce but
-    warn (removal in 2.0).
-
-    The batch goes to the shared forkserver *pool* first (one wire
-    frame, the pool's own failover/retries per ``policy``); when that
-    tier is exhausted or its breaker is open, the batch degrades down
-    ``policy.fallback`` — ``"forkserver"`` keeps the single-frame wire
-    amortisation on one dedicated helper, ``"posix_spawn"`` runs each
-    member directly as the floor.  Tier transitions share the same
-    breaker registry and ``fallback``/``breaker_open`` counters as
-    :class:`~repro.core.spawn.ProcessBuilder`'s policy executor, so the
-    PR-5 resilience ladder holds for batches exactly as it does for
-    single spawns.
-
-    The contract is all-or-nothing at every tier: the caller gets all N
-    children (a :class:`~repro.core.batch.BatchResult` naming the tier
-    that served them) or an exception — members are never silently
-    dropped.
-    """
-    from .batch import BatchRequest, BatchResult, coerce_batch
-    if not isinstance(requests, BatchRequest):
-        batch = coerce_batch("repro.core.spawn_batch", requests,
-                             env=env, cwd=cwd, policy=policy,
-                             deadline=deadline)
-    else:
-        batch = BatchRequest.of(requests, policy=policy, deadline=deadline)
-    if not batch:
-        raise SpawnError("empty batch")
-    reqs = batch.members
-    policy, deadline = batch.policy, batch.deadline
-    chain = ["forkserver-pool"]
-    if policy is not None:
-        chain += [name for name in policy.fallback if name not in chain]
-    last_error: Optional[BaseException] = None
-    for index, name in enumerate(chain):
-        if name not in ("forkserver-pool", "forkserver", "posix_spawn"):
-            continue  # tiers with no batch path are skipped, not guessed at
-        if index:
-            TELEMETRY.count("fallback", strategy=name)
-        breaker = breaker_for(name, policy)
-        if not breaker.allow():
-            last_error = last_error or SpawnError(
-                f"circuit breaker open for strategy {name!r}")
-            continue
-        try:
-            if name == "forkserver-pool":
-                children = _REGISTRY[name].pool().spawn_batch(
-                    BatchRequest(reqs, policy=policy, deadline=deadline))
-            elif name == "forkserver":
-                children = _REGISTRY[name].server().spawn_batch(
-                    BatchRequest(reqs, deadline=deadline))
-            else:
-                children = _batch_via_posix_spawn(reqs)
-        except (SpawnError, OSError) as exc:
-            last_error = exc
-            if breaker.record_failure():
-                TELEMETRY.count("breaker_open", strategy=name)
-            continue
-        breaker.record_success()
-        return BatchResult(list(children), strategy=name)
-    raise SpawnError(
-        f"every tier in {chain!r} failed to spawn the batch of "
-        f"{len(reqs)}: {last_error}") from last_error

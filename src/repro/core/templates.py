@@ -27,8 +27,11 @@ This module is that remedy, three layers deep:
   grows the per-profile target under miss pressure (the
   :class:`~repro.core.autoscale.AutoscaleConfig` knobs), and every miss
   degrades down the :data:`~repro.core.policy.TEMPLATE_FALLBACK` ladder
-  (template → forkserver-pool → forkserver → posix_spawn) behind the
-  same shared circuit breakers as the rest of the spawn stack.
+  (template → forkserver-pool → forkserver → posix_spawn): the request
+  is replayed onto a :class:`~repro.core.spawn.ProcessBuilder` under
+  the registry's policy, so it is the builder's ladder — the same
+  attempts, shared circuit breakers and counters as the rest of the
+  spawn stack.
 
 Telemetry: ``template_lease`` / ``template_lease_miss`` /
 ``template_park`` / ``template_unpark`` / ``template_evict`` counters,
@@ -43,15 +46,16 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SpawnError
 from ..obs import TELEMETRY
 from .autoscale import AutoscaleConfig
 from .forkserver import ForkServer
-from .policy import TEMPLATE_FALLBACK, SpawnPolicy, breaker_for
+from .policy import TEMPLATE_FALLBACK, SpawnPolicy
 from .result import ChildProcess
+from .spawn import ProcessBuilder
 
 
 class TemplateMiss(SpawnError):
@@ -560,6 +564,8 @@ class TemplateRegistry:
     def _degrade(self, entry: _Entry, argv, code, env, cwd,
                  stdin: int, stdout: int, stderr: int,
                  deadline: Optional[float]) -> ChildProcess:
+        """Replay the request onto a :class:`ProcessBuilder` that walks
+        ``policy.fallback`` — the builder's ladder, not a copy of it."""
         profile = entry.profile
         if argv is not None:
             run_argv = [os.fspath(a) for a in argv]
@@ -572,60 +578,27 @@ class TemplateRegistry:
             merged_env = dict(profile.env)
             merged_env.update(env or {})
         run_cwd = cwd if cwd is not None else profile.cwd
-        policy = self.policy
-        last_error: Optional[BaseException] = None
-        for tier in policy.fallback or TEMPLATE_FALLBACK:
-            breaker = breaker_for(tier, policy)
-            if not breaker.allow():
-                TELEMETRY.count("breaker_open", strategy=tier)
-                last_error = last_error or SpawnError(
-                    f"circuit breaker open for strategy {tier!r}")
-                continue
-            try:
-                child = self._spawn_via(tier, run_argv, merged_env, run_cwd,
-                                        stdin, stdout, stderr, deadline)
-            except (SpawnError, OSError) as exc:
-                breaker.record_failure()
-                last_error = exc
-                continue
-            breaker.record_success()
-            TELEMETRY.count("fallback", strategy=tier)
-            return child
-        raise SpawnError(
-            f"template {profile.name!r}: warm stock empty and every "
-            f"fallback tier in {tuple(policy.fallback)!r} failed: "
-            f"{last_error}") from last_error
-
-    @staticmethod
-    def _spawn_via(tier: str, argv, env, cwd, stdin: int, stdout: int,
-                   stderr: int, deadline: Optional[float]) -> ChildProcess:
-        from .strategies import get_strategy  # lazy: avoids import cycle
-        if tier == "forkserver-pool":
-            return get_strategy(tier).pool().spawn(
-                argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
-                stderr=stderr, deadline=deadline)
-        if tier == "forkserver":
-            return get_strategy(tier).server().spawn(
-                argv, env=env, cwd=cwd, stdin=stdin, stdout=stdout,
-                stderr=stderr, deadline=deadline)
-        if tier == "posix_spawn":
-            if cwd:
-                raise SpawnError(
-                    "posix_spawn fallback cannot express cwd")
-            trace = TELEMETRY.trace("posix_spawn", argv)
-            file_actions = [(os.POSIX_SPAWN_DUP2, fd, target)
-                            for target, fd in enumerate((stdin, stdout,
-                                                         stderr))
-                            if fd != target]
-            pid = os.posix_spawnp(
-                argv[0], list(argv),
-                env if env is not None else os.environ,
-                file_actions=file_actions)
-            trace.stage("execed", pid=pid)
-            trace.success(pid)
-            return ChildProcess(pid, argv=argv, strategy="posix_spawn",
-                                trace=trace)
-        raise SpawnError(f"unknown fallback tier {tier!r}")
+        tiers = self.policy.fallback or TEMPLATE_FALLBACK
+        # Leaving the template tier is itself a step down the ladder.
+        TELEMETRY.count("fallback", strategy=tiers[0])
+        builder = (ProcessBuilder(*run_argv)
+                   .strategy(tiers[0])
+                   .policy(replace(self.policy, fallback=tiers[1:]))
+                   .stdin_from_fd(stdin)
+                   .stdout_to_fd(stdout)
+                   .stderr_to_fd(stderr))
+        if merged_env is not None:
+            builder.env(merged_env)
+        if run_cwd is not None:
+            builder.cwd(run_cwd)
+        if deadline is not None:
+            builder.deadline(deadline)
+        try:
+            return builder.spawn()
+        except SpawnError as exc:
+            raise SpawnError(
+                f"template {profile.name!r}: warm stock empty and the "
+                f"fallback ladder failed: {exc}") from exc
 
     # -- background restock ----------------------------------------------
 

@@ -103,10 +103,10 @@ KIND_POINTS: Dict[str, str] = {
 #: validation; plans may only target these).
 POINTS = (
     "forkserver.frame",    # wire.Channel.send, one outgoing frame
-    "forkserver.request",  # ForkServer._roundtrip, around the send
-    "forkserver.spawn",    # ForkServer.spawn / spawn_batch entry
+    "forkserver.request",  # ForkServer._send, around the send
+    "forkserver.spawn",    # ForkServer.spawn / spawn_batch, before the send
     "pool.dispatch",       # ForkServerPool.spawn, per dispatch attempt
-    "pool.batch",          # ForkServerPool.spawn_batch, per batch dispatch
+    "pool.batch",          # ForkServerPool.spawn_batch, per dispatch attempt
     "strategy.launch",     # every registered Strategy.launch entry
     "builder.pipe",        # ProcessBuilder pipe allocation
     "builder.spawn",       # ProcessBuilder.spawn entry

@@ -58,13 +58,13 @@ import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.batch import BatchRequest, BatchResult
+from ..core.batch import BatchResult, batch_unit
 from ..core.result import ChildProcess, encode_status
 from ..errors import (GatewayConnectionLost, GatewayError,
                       GatewayProtocolError, RateLimited, SpawnError)
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
-from ..wire import SCM_MAX_FD, Channel
+from ..wire import Channel
 from .protocol import PROTOCOL_VERSION, decode_error
 
 #: Address forms :class:`GatewayClient` accepts.
@@ -418,28 +418,16 @@ class GatewayClient:
 
     def spawn_batch(self, requests, *,
                     deadline: Optional[float] = None) -> BatchResult:
-        """Spawn N children in one wire round trip (a
-        :class:`BatchRequest`; bare sequences coerce but warn)."""
-        from ..core.batch import coerce_batch
-        if not isinstance(requests, BatchRequest):
-            batch = coerce_batch("GatewayClient.spawn_batch", requests,
-                                 deadline=deadline)
-        else:
-            batch = requests
-        if deadline is None:
-            deadline = batch.deadline
-        if not batch:
-            raise SpawnError("empty batch")
+        """Spawn N children in one wire round trip (``requests`` is a
+        :class:`~repro.core.batch.BatchRequest`)."""
+        batch = batch_unit("GatewayClient.spawn_batch", requests,
+                           deadline=deadline)
+        deadline = batch.deadline
         request = {"op": "spawn_batch", "reqs": batch.wire()}
         fds: List[int] = []
         if self._is_unix:
             for member in batch.members:
                 fds.extend(member.grant())
-            if len(fds) > SCM_MAX_FD:
-                raise SpawnError(
-                    f"batch of {len(batch)} needs {len(fds)} fd grants; "
-                    f"one SCM_RIGHTS message carries at most "
-                    f"{SCM_MAX_FD} — split the batch")
             request["nfds"] = 3
             TELEMETRY.count("fd_grants", len(fds))
         else:

@@ -32,12 +32,13 @@ as fast as a weight-1 tenant under contention.
 Dispatch runs the tenant's ladder as resumable steps
 (:mod:`repro.core.steps`).  Where the strategy launches over a helper's
 wire (``forkserver-pool``, ``forkserver``) the loop thread itself puts
-the spawn on that wire and the helper's reply calls back — a launch
-costs no thread.  Whatever would block — a back-off, a helper to boot
-or replace, a retry's wait, a launcher with no steps form, every batch
-— carries on from that point on a thread executor, so the ladder is the
-same code wherever it runs; ``max_inflight`` is the daemon-wide
-concurrency bound.
+the request — a spawn, or a whole batch: a batch launches like a single
+— on that wire and the helper's reply calls back: a launch costs no
+thread.  Whatever would block — a back-off, a helper to boot or
+replace, a retry's wait, a launcher with no steps form — carries on
+from that point on a thread executor, so the ladder is the same code
+wherever it runs; ``max_inflight`` is the daemon-wide concurrency
+bound.
 Reaping costs the client nothing: each child is subscribed
 (:meth:`~repro.core.result.ChildProcess.on_exit`) once its spawn reply
 is queued, and the daemon pushes ``{"exit": pid, "status": rc}`` down
@@ -69,7 +70,7 @@ from typing import Deque, Dict, List, Optional, Union
 
 from ..core.batch import BatchRequest
 from ..core.policy import (DEFAULT_FALLBACK, SpawnPolicy, breaker_for)
-from ..core.spawn import ProcessBuilder
+from ..core.spawn import ProcessBuilder, _spawn_batch_steps
 from ..core.steps import run_steps
 from ..errors import (AuthError, GatewayError, GatewayProtocolError,
                       Overloaded, RateLimited, SpawnError)
@@ -1126,12 +1127,10 @@ class GatewayServer:
             raise Overloaded(
                 f"tenant {job.tenant!r} circuit breaker is open",
                 retry_after=tenant.policy.breaker_cooldown)
+        run = (self._execute_spawn if job.kind == "spawn"
+               else self._execute_batch)
         try:
-            if job.kind == "spawn":
-                reply, handles = yield from self._execute_spawn(tenant, job)
-            else:
-                yield  # a batch is one blocking call
-                reply, handles = self._execute_batch(tenant, job)
+            reply, handles = yield from run(tenant, job)
         except (SpawnError, OSError):
             breaker.record_failure()
             raise
@@ -1158,17 +1157,14 @@ class GatewayServer:
         child = yield from builder._spawn_steps()
         return {"pid": child.pid}, (child,)
 
-    def _execute_batch(self, tenant: _TenantState, job: _Job) -> tuple:
-        from ..core.strategies import spawn_batch
+    def _execute_batch(self, tenant: _TenantState, job: _Job):
         batch: BatchRequest = job.payload["batch"]
         if job.fds:
             for index, member in enumerate(batch.members):
                 member.stdin = job.fds[3 * index]
                 member.stdout = job.fds[3 * index + 1]
                 member.stderr = job.fds[3 * index + 2]
-        result = spawn_batch(BatchRequest(batch.members,
-                                          policy=tenant.policy,
-                                          deadline=tenant.policy.deadline))
+        result = yield from _spawn_batch_steps(batch, policy=tenant.policy)
         return ({"pids": result.pids, "strategy": result.strategy},
                 result.children)
 

@@ -1,23 +1,25 @@
-"""The unified batch API: one request shape, one result shape, and
-legacy call shapes that keep working but say goodbye.
+"""The unified batch API: one request shape, one result shape, and no
+other way in.
 
-Satellite coverage for the v2 coherence pass: ``BatchRequest`` is the
-only batch vocabulary (coercion, wire round trip, override semantics),
-``BatchResult`` is a drop-in ``Sequence`` for every caller that treated
-the old plain list as one, and each legacy ``spawn_batch`` shape warns
-with the same removal-versioned message on every entry point.
+``BatchRequest`` is the only batch vocabulary (coercion, wire round
+trip, override semantics), ``BatchResult`` is a drop-in ``Sequence``
+for every caller that treats it as a list, and every ``spawn_batch``
+refuses anything else by the same front door — the 1.x bare-sequence
+shapes, loose ``env=``/``cwd=`` kwargs, ``SpawnPool.spawn_batch(n)``
+and the ``STRATEGIES`` dict went with 2.0.
 """
 
-import warnings
+import sys
 
 import pytest
 
-from repro.core import (BatchRequest, BatchResult, ForkServer, SpawnPool,
-                        SpawnPolicy, SpawnRequest, spawn_batch)
-from repro.core.batch import (LEGACY_BATCH_REMOVAL, coerce_batch,
-                              warn_legacy_batch)
+import repro.core
+from repro.core import (BatchRequest, BatchResult, ForkServer,
+                        ForkServerPool, SpawnPool, SpawnPolicy,
+                        SpawnRequest, spawn_batch)
 from repro.core.result import ChildProcess
 from repro.errors import SpawnError
+from repro.gateway import GatewayClient
 
 
 class TestBatchRequest:
@@ -110,49 +112,33 @@ class TestBatchResult:
         assert result != children[:1]
 
 
-class TestLegacyShapesWarnButWork:
-    """Every entry point: the old shape still spawns, and the warning
-    names the caller and the removal version."""
+class TestTheOneFrontDoor:
+    """Every ``spawn_batch`` takes a ``BatchRequest`` and nothing else,
+    and says how to build one — before a helper is started, picked or
+    dialed (none of these objects is running)."""
 
-    def test_warning_wording_carries_the_removal_version(self):
-        with pytest.warns(DeprecationWarning,
-                          match=f"removed in repro {LEGACY_BATCH_REMOVAL}"):
-            warn_legacy_batch("Somewhere.spawn_batch")
+    @pytest.mark.parametrize("entry", [
+        ForkServer().spawn_batch,
+        ForkServerPool(1).spawn_batch,
+        GatewayClient("/nonexistent.sock", tenant="t",
+                      token="t").spawn_batch,
+        spawn_batch,
+    ], ids=["forkserver", "pool", "gateway-client", "module"])
+    def test_a_bare_sequence_is_refused_by_name(self, entry):
+        with pytest.raises(SpawnError, match=r"BatchRequest\.of\(\)"):
+            entry([["/bin/true"]] * 2)
+        with pytest.raises(SpawnError, match="empty batch"):
+            entry(BatchRequest([]))
 
-    def test_coerce_batch_warns_only_for_legacy_shapes(self):
-        with pytest.warns(DeprecationWarning, match="Entry.spawn_batch"):
-            coerce_batch("Entry.spawn_batch", [["/bin/true"]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            coerce_batch("Entry.spawn_batch",
-                         BatchRequest.of([["/bin/true"]]))
+    def test_the_loose_kwargs_are_gone(self):
+        batch = BatchRequest.of([["/bin/true"]])
+        for entry in (ForkServerPool(1).spawn_batch, spawn_batch):
+            with pytest.raises(TypeError):
+                entry(batch, env={"K": "V"})
 
-    def test_module_spawn_batch_legacy_sequence(self):
-        with pytest.warns(DeprecationWarning, match="spawn_batch"):
-            result = spawn_batch([["/bin/sh", "-c", "exit 4"],
-                                  ["/bin/true"]])
-        assert [c.wait(timeout=10) for c in result] == [4, 0]
-
-    def test_forkserver_spawn_batch_legacy_sequence(self):
-        with ForkServer() as server:
-            with pytest.warns(DeprecationWarning,
-                              match="ForkServer.spawn_batch"):
-                children = server.spawn_batch([["/bin/true"]] * 2)
-            assert [c.wait(timeout=10) for c in children] == [0, 0]
-
-    def test_spawnpool_spawn_batch_is_an_add_workers_alias(self):
-        with SpawnPool(1) as pool:
-            with pytest.warns(DeprecationWarning,
-                              match="SpawnPool.spawn_batch"):
-                pids = pool.spawn_batch(2)
-            assert len(pids) == 2
-            assert pool.size == 3
-
-
-def test_package_level_strategies_dict_is_deprecated():
-    # Satellite 2: the eager module-dict alias is gone; the lazy
-    # package attribute still resolves to the live registry but warns.
-    import repro.core
-    with pytest.warns(DeprecationWarning, match="repro.core.STRATEGIES"):
-        registry = repro.core.STRATEGIES
-    assert "gateway" in registry
+    def test_the_1x_aliases_are_gone(self):
+        assert not hasattr(SpawnPool, "spawn_batch")  # add_workers()
+        # (the package's strategies() shadows the submodule attribute)
+        for module in (repro.core, sys.modules["repro.core.strategies"]):
+            assert not hasattr(module, "STRATEGIES")  # strategies()
+        assert "STRATEGIES" not in repro.core.__all__

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.core import ForkServer
+from repro.core import ForkServer, SpawnRequest
 from repro.core.result import ChildProcess
 from repro.errors import SpawnError
 
@@ -535,7 +535,8 @@ class TestDamagedReplies:
         fs, theirs, thread = self.fake_helper(damage)
         try:
             assert fs.spawn(["/bin/true"]).pid == 4242
-            steps = fs._spawn_steps(["/bin/true"])
+            steps = fs._unit_steps([SpawnRequest(["/bin/true"])], None,
+                                   None, batch=False)
             wait = next(steps)  # the frame is out; nothing has waited
             told = []
             wait.notify(lambda: told.append("lost"))  # reader, or at once

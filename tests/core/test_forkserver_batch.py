@@ -1,15 +1,16 @@
 """Batched spawning: one wire frame, N children, honest load accounting."""
 
 import os
-import threading
 import time
 
 import pytest
 
 from repro.core import (BatchRequest, ForkServer, ForkServerPool,
-                        SpawnPool, SpawnRequest, spawn_batch)
+                        SpawnPolicy, SpawnPool, SpawnRequest, breaker_for,
+                        reset_breakers, spawn_batch)
 from repro.core.strategies import get_strategy
 from repro.errors import SpawnError
+from repro.obs import TELEMETRY
 
 
 class TestForkServerBatch:
@@ -114,28 +115,49 @@ class TestPoolBatch:
             assert pool.spawn(["/bin/true"]).wait(timeout=10) == 0
 
 
-class TestCoalescer:
-    def test_concurrent_singles_coalesce(self):
-        with ForkServerPool(2, max_batch=4, max_delay_us=20000) as pool:
-            results = [None] * 8
+class TestACallersMistakeCostsNoHelper:
+    """An oversized batch is refused before a helper is picked: no
+    strike, no retry, no breaker failure, no helper retired (at the
+    parent commit three of them killed the pool's healthy helper)."""
 
-            def one(index):
-                results[index] = pool.spawn(["/bin/true"]).wait(timeout=10)
+    OVERSIZED = BatchRequest.of([["/bin/true"]] * 100)
+    POLICY = SpawnPolicy(retries=2, backoff=0.01,
+                         fallback=("forkserver", "posix_spawn"))
 
-            threads = [threading.Thread(target=one, args=(i,))
-                       for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert results == [0] * 8
-            coalescer = pool.coalescer
-            assert coalescer.coalesced_spawns == 8
-            assert coalescer.batches < 8  # actually merged some frames
+    def refused_three_times(self, entry, **kwargs):
+        TELEMETRY.enable(sink=None, reset_metrics=True)
+        try:
+            for _ in range(3):
+                with pytest.raises(SpawnError, match="split the batch"):
+                    entry(self.OVERSIZED, **kwargs)
+            return [name for name, _, _ in TELEMETRY.metrics.counters()]
+        finally:
+            TELEMETRY.disable()
 
-    def test_disabled_by_default(self):
-        with ForkServerPool(1) as pool:
-            assert pool.coalescer is None
+    def test_on_the_pool(self):
+        with ForkServerPool(1, policy=self.POLICY) as pool:
+            held = pool.spawn(["/bin/sleep", "0.3"])
+            helpers = pool.helper_pids()
+            counted = self.refused_three_times(pool.spawn_batch)
+            assert "spawn_retry" not in counted
+            assert pool.helper_pids() == helpers and pool.respawns == 0
+            # ...so the exit notice of a child it held still arrives.
+            assert held.wait(timeout=10) == 0
+
+    def test_on_the_ladder(self):
+        reset_breakers()
+        try:
+            pool = get_strategy("forkserver-pool").pool()
+            helpers = pool.helper_pids()
+            counted = self.refused_three_times(spawn_batch,
+                                               policy=self.POLICY)
+            assert not {"spawn_retry", "fallback"} & set(counted)
+            assert pool.helper_pids() == helpers and pool.respawns == 0
+            for tier in ("forkserver-pool", "forkserver", "posix_spawn"):
+                assert breaker_for(tier).failures == 0
+        finally:
+            get_strategy("forkserver-pool").shutdown()
+            reset_breakers()
 
 
 class TestSpawnPoolBatchBoot:

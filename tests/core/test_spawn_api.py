@@ -6,8 +6,6 @@ import time
 
 import pytest
 
-import sys
-
 from repro.core import CompletedChild, ProcessBuilder, SpawnAttributes, run
 from repro.core.strategies import (Strategy, get_strategy,
                                    pick_default_strategy, register_strategy,
@@ -290,14 +288,6 @@ class TestStrategyPlumbing:
             @register_strategy("posix_spawn")
             class Impostor(Strategy):
                 pass
-
-    def test_strategies_dict_access_is_deprecated(self):
-        # The package-level re-export shadows the submodule attribute,
-        # so reach the real module through sys.modules.
-        strategy_module = sys.modules["repro.core.strategies"]
-        with pytest.warns(DeprecationWarning):
-            legacy = strategy_module.STRATEGIES
-        assert set(legacy) == set(strategies())
 
 
 class TestSpawnedIO:

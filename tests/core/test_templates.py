@@ -16,7 +16,8 @@ import time
 
 import pytest
 
-from repro.core import TemplateProfile, TemplateRegistry, TemplateServer, run
+from repro.core import (SpawnPolicy, TemplateProfile, TemplateRegistry,
+                        TemplateServer, run)
 from repro.core import helper as helper_module
 from repro.core.autoscale import AutoscaleConfig
 from repro.core.strategies import _REGISTRY
@@ -530,21 +531,36 @@ class TestDegradationLadder:
             finally:
                 _REGISTRY["forkserver-pool"].shutdown()
 
+    @staticmethod
+    def cold_registry(*fallback):
+        """One cold profile that degrades at once, down ``fallback``."""
+        registry = TemplateRegistry(autoscale=SNAPPY, miss_grace=0.0,
+                                    policy=SpawnPolicy(fallback=fallback))
+        registry.register(TemplateProfile("dry", stock=0, max_stock=2))
+        return registry
+
     def test_posix_spawn_floor(self):
-        child = TemplateRegistry._spawn_via(
-            "posix_spawn", ["/bin/true"], None, None, 0, 1, 2, None)
-        assert child.strategy == "posix_spawn"
-        assert child.wait(timeout=30) == 0
+        with self.cold_registry("posix_spawn") as registry:
+            read_fd, write_fd = os.pipe()
+            try:
+                child = registry.spawn("dry", code="print('floor')",
+                                       stdout=write_fd)
+            finally:
+                os.close(write_fd)
+            assert child.strategy == "posix_spawn"
+            assert child.wait(timeout=30) == 0
+            with open(read_fd, "rb") as out:
+                assert out.read() == b"floor\n"
 
     def test_posix_spawn_floor_cannot_express_cwd(self):
-        with pytest.raises(SpawnError):
-            TemplateRegistry._spawn_via(
-                "posix_spawn", ["/bin/true"], None, "/tmp", 0, 1, 2, None)
+        with self.cold_registry("posix_spawn") as registry:
+            with pytest.raises(SpawnError, match="cwd"):
+                registry.spawn("dry", code="pass", cwd="/tmp")
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(SpawnError):
-            TemplateRegistry._spawn_via(
-                "warp-drive", ["/bin/true"], None, None, 0, 1, 2, None)
+        with self.cold_registry("warp-drive") as registry:
+            with pytest.raises(SpawnError, match="unknown strategy"):
+                registry.spawn("dry", code="pass")
 
 
 class TestTemplateStrategyIntegration:

@@ -3,12 +3,16 @@
 A batch must never partially succeed in silence — a damaged frame, a
 lost fd grant, or a murdered helper fails (or retries) the WHOLE batch,
 and the degradation ladder keeps working when whole tiers go dark.
+
+The frame and helper faults are the cells of ``fault_table.py`` for its
+:data:`BATCH_OF_3` unit — the rows ``test_frame_faults.py`` runs for a single
+spawn, on the one attempt loop both take.
 """
 
 import pytest
 
-from repro.core import (BatchRequest, ForkServer, ForkServerPool,
-                        SpawnPolicy, breaker_for, spawn_batch)
+from fault_table import BATCH_OF_3, on_a_bare_server, on_a_pool
+from repro.core import BatchRequest, SpawnPolicy, breaker_for, spawn_batch
 from repro.core.strategies import get_strategy
 from repro.errors import SpawnError
 from repro.faults import FAULTS, FaultPlan
@@ -20,19 +24,19 @@ BATCH = BatchRequest.of([["/bin/sh", "-c", "exit 1"], ["/bin/true"],
 
 class TestTruncatedBatchFrame:
     def test_whole_batch_fails_loudly(self):
-        with ForkServer() as server:
-            with FAULTS.active(FaultPlan().add("truncate_frame")):
-                with pytest.raises(SpawnError):
-                    server.spawn_batch(BATCH, deadline=1.0)
-            assert not server.healthy
+        on_a_bare_server("truncate_frame", BATCH_OF_3)
 
     def test_pool_with_policy_retries_whole_batch(self):
-        policy = SpawnPolicy(retries=2, deadline=1.0, backoff=0.01)
-        with ForkServerPool(2, policy=policy) as pool:
-            with FAULTS.active(FaultPlan().add("truncate_frame")):
-                children = pool.spawn_batch(BATCH)
-                # Every member arrives, in order — nothing dropped.
-                assert [c.wait(timeout=10) for c in children] == [1, 0, 2]
+        # Every member arrives, in order — nothing dropped.
+        on_a_pool("truncate_frame", BATCH_OF_3)
+
+
+class TestCorruptedBatchFrame:
+    def test_whole_batch_fails_loudly(self):
+        on_a_bare_server("corrupt_frame", BATCH_OF_3)
+
+    def test_pool_fails_over_whole_batch(self):
+        on_a_pool("corrupt_frame", BATCH_OF_3)
 
 
 class TestDroppedBatchGrant:
@@ -40,49 +44,24 @@ class TestDroppedBatchGrant:
         # nfds arithmetic covers batches: 3 members expect 9 fds, the
         # fault strips them all, the helper refuses instead of wiring
         # children to its own stdio.
-        with ForkServer() as server:
-            with FAULTS.active(FaultPlan().add("drop_fd_grant")):
-                with pytest.raises(SpawnError) as excinfo:
-                    server.spawn_batch(BATCH)
-            assert "EPROTO" in str(excinfo.value)
-            # A refusal is not a crash: the helper batches again fine.
-            assert server.healthy
-            children = server.spawn_batch(BATCH)
-            assert [c.wait(timeout=10) for c in children] == [1, 0, 2]
+        on_a_bare_server("drop_fd_grant", BATCH_OF_3)
 
     def test_pool_with_policy_retries_past_it(self):
-        policy = SpawnPolicy(retries=2, backoff=0.01)
-        with ForkServerPool(2, policy=policy) as pool:
-            with FAULTS.active(FaultPlan().add("drop_fd_grant")):
-                children = pool.spawn_batch(BATCH)
-                assert [c.wait(timeout=10) for c in children] == [1, 0, 2]
+        on_a_pool("drop_fd_grant", BATCH_OF_3)
 
 
 class TestKilledHelperMidBatch:
     def test_forkserver_batch_dies_loudly(self):
-        with ForkServer() as server:
-            with FAULTS.active(FaultPlan().add("kill_helper")):
-                with pytest.raises(SpawnError):
-                    server.spawn_batch(BATCH, deadline=5.0)
-            assert not server.healthy
+        on_a_bare_server("kill_helper", BATCH_OF_3)
 
     def test_pool_recovers_whole_batch(self):
-        policy = SpawnPolicy(retries=2, deadline=5.0, backoff=0.01)
-        with ForkServerPool(2, policy=policy) as pool:
-            with FAULTS.active(FaultPlan().add("kill_helper")):
-                children = pool.spawn_batch(BATCH)
-                assert [c.wait(timeout=10) for c in children] == [1, 0, 2]
-            assert pool.respawns >= 1
+        on_a_pool("kill_helper", BATCH_OF_3)
 
     def test_pool_batch_point_is_injectable(self):
         # The dedicated pool.batch fault point: the helper is shot at
         # batch-dispatch time, before the frame hits the wire.
-        policy = SpawnPolicy(retries=2, deadline=5.0, backoff=0.01)
-        with ForkServerPool(2, policy=policy) as pool:
-            plan = FaultPlan().add("kill_helper", point="pool.batch")
-            with FAULTS.active(plan):
-                children = pool.spawn_batch(BATCH)
-                assert [c.wait(timeout=10) for c in children] == [1, 0, 2]
+        on_a_pool("kill_helper", BATCH_OF_3,
+                  point=BATCH_OF_3.point)
 
 
 class TestDegradationLadder:

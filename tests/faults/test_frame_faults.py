@@ -1,64 +1,46 @@
-"""Wire-frame damage: truncation, corruption, lost SCM_RIGHTS grants."""
+"""Wire-frame damage under a single spawn: truncation, corruption, lost
+SCM_RIGHTS grants, a helper shot at the pool's dispatch point.
 
-import pytest
+Every test is one cell of ``fault_table.py`` for its :data:`SINGLE`
+unit; ``test_batch_faults.py`` runs the same rows for a batch of 3.
+"""
 
-from repro.core import ForkServer, ForkServerPool, SpawnPolicy
-from repro.errors import SpawnError
-from repro.faults import FAULTS, FaultPlan
+from fault_table import SINGLE, on_a_bare_server, on_a_pool
 
 
 class TestTruncateFrame:
     def test_forkserver_with_deadline_detects_the_wedge(self):
         # Half a frame leaves the helper blocked mid-read: only the
         # deadline can prove the channel is gone.  Expiry poisons it.
-        with ForkServer() as server:
-            with FAULTS.active(FaultPlan().add("truncate_frame")):
-                with pytest.raises(SpawnError):
-                    server.spawn(["/bin/true"], deadline=1.0)
-            assert not server.healthy
+        on_a_bare_server("truncate_frame", SINGLE)
 
     def test_pool_with_policy_recovers(self):
-        policy = SpawnPolicy(retries=2, deadline=1.0, backoff=0.01)
-        with ForkServerPool(2, policy=policy) as pool:
-            with FAULTS.active(FaultPlan().add("truncate_frame")):
-                child = pool.spawn(["/bin/echo", "ok"])
-                assert child.wait(timeout=10) == 0
+        on_a_pool("truncate_frame", SINGLE)
 
 
 class TestCorruptFrame:
     def test_forkserver_helper_bails_out_cleanly(self):
         # The helper reads a full-length frame of garbage, refuses to
         # guess at re-synchronisation, and exits; the client sees EOF.
-        with ForkServer() as server:
-            with FAULTS.active(FaultPlan().add("corrupt_frame")):
-                with pytest.raises(SpawnError):
-                    server.spawn(["/bin/true"])
-            assert not server.healthy
+        on_a_bare_server("corrupt_frame", SINGLE)
 
     def test_pool_fails_over(self):
-        with ForkServerPool(2) as pool:
-            with FAULTS.active(FaultPlan().add("corrupt_frame")):
-                child = pool.spawn(["/bin/echo", "ok"])
-                assert child.wait(timeout=10) == 0
-            assert pool.respawns >= 1
+        on_a_pool("corrupt_frame", SINGLE)
 
 
 class TestDropFdGrant:
     def test_forkserver_refuses_with_eproto(self):
         # The nfds field lets the helper see the grant went missing and
         # refuse, instead of wiring the child to its own stdio.
-        with ForkServer() as server:
-            with FAULTS.active(FaultPlan().add("drop_fd_grant")):
-                with pytest.raises(SpawnError) as excinfo:
-                    server.spawn(["/bin/true"])
-            assert "EPROTO" in str(excinfo.value)
-            # A refusal is not a crash: the helper stays usable.
-            assert server.healthy
-            assert server.spawn(["/bin/true"]).wait(timeout=10) == 0
+        on_a_bare_server("drop_fd_grant", SINGLE)
 
     def test_pool_with_policy_retries_past_it(self):
-        policy = SpawnPolicy(retries=2, backoff=0.01)
-        with ForkServerPool(2, policy=policy) as pool:
-            with FAULTS.active(FaultPlan().add("drop_fd_grant")):
-                child = pool.spawn(["/bin/echo", "ok"])
-                assert child.wait(timeout=10) == 0
+        on_a_pool("drop_fd_grant", SINGLE)
+
+
+class TestKilledHelper:
+    # (kill_helper on a bare server and mid-request under the pool:
+    # test_kill_helper.py.)
+    def test_pool_dispatch_point_is_injectable(self):
+        # The helper is shot at dispatch time, before the frame leaves.
+        on_a_pool("kill_helper", SINGLE, point=SINGLE.point)

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.core import SpawnPolicy, breaker_for
+from repro.core import BatchRequest, SpawnPolicy, SpawnRequest, breaker_for
 from repro.core.strategies import _REGISTRY, Strategy, get_strategy
 from repro.errors import GatewayError, Overloaded, SpawnError
 from repro.faults import FAULTS, FaultPlan
@@ -480,4 +480,84 @@ class TestHelperFaultsMidLaunch:
             assert stats["inflight"] == 0 and stats["internal_errors"] == 0
         finally:
             client.close()
+            server.stop()
+
+
+class TestABatchLaunchesLikeASingle:
+    """A ``spawn_batch`` is the same steps with N members: the loop puts
+    it on the pool's wire itself, and only a failure meets a thread."""
+
+    def batch_of_3(self, seconds):
+        pipes = [os.pipe() for _ in range(3)]
+        batch = BatchRequest([
+            SpawnRequest(["/bin/sh", "-c",
+                          f"echo member-{n}; sleep {seconds}; exit {n}"],
+                         stdout=write_fd)
+            for n, (_, write_fd) in enumerate(pipes)])
+        return batch, pipes
+
+    def outputs(self, pipes):
+        outs = []
+        for read_fd, _ in pipes:
+            with open(read_fd, "rb") as out:
+                outs.append(out.read())
+        return outs
+
+    def test_stdio_max_children_and_no_thread(self, tmp_path):
+        get_strategy("forkserver-pool").pool()
+        server = make_server(tmp_path, "forkserver-pool", max_children=3)
+        batch, pipes = self.batch_of_3(0.5)
+        try:
+            with dial(server) as client:
+                try:
+                    children = client.spawn_batch(batch)
+                finally:
+                    for _, write_fd in pipes:
+                        os.close(write_fd)
+                assert children.strategy == "gateway" and len(children) == 3
+                # Three live members are three against the bound.
+                with pytest.raises(Overloaded):
+                    client.spawn(("/bin/true",))
+                assert self.outputs(pipes) == [
+                    f"member-{n}\n".encode() for n in range(3)]
+                assert [c.wait(timeout=10) for c in children] == [0, 1, 2]
+                spawn_ok(client)  # ...and none once they are gone
+            assert executor_threads() == []
+            stats = server.stats()
+            assert stats["tenants"]["acme"]["completed"] == 2
+            assert stats["inflight"] == 0 and stats["internal_errors"] == 0
+        finally:
+            server.stop()
+
+    def test_kill_helper_mid_launch_is_all_or_a_typed_error(self, tmp_path):
+        pool = get_strategy("forkserver-pool").pool()
+        server = make_server(tmp_path, "forkserver-pool", LADDER)
+        batch, pipes = self.batch_of_3(0)
+        try:
+            with dial(server) as client:
+                spawn_ok(client, n=2)
+                assert executor_threads() == []
+                with FAULTS.active(FaultPlan().add("kill_helper", times=1)):
+                    try:
+                        children = client.spawn_batch(batch)
+                    except GatewayError:
+                        children = []  # typed, and then no member at all
+                    finally:
+                        for _, write_fd in pipes:
+                            os.close(write_fd)
+                    assert FAULTS.fired == [
+                        ("forkserver.request", "kill_helper")]
+                # Never a subset: every member ran, or none did.
+                ran = [out for out in self.outputs(pipes) if out]
+                assert len(ran) == len(children) and len(ran) in (0, 3)
+                assert [c.wait(timeout=10) for c in children] == (
+                    [0, 1, 2][:len(children)])
+                # A dead helper is the pool's to replace inside the
+                # attempt, so in fact the ladder delivers all three.
+                assert len(children) == 3 and pool.respawns == 1
+                spawn_ok(client, n=2)
+            stats = server.stats()
+            assert stats["tenants"]["acme"]["children"] == 0
+            assert stats["inflight"] == 0 and stats["internal_errors"] == 0
+        finally:
             server.stop()

@@ -1,9 +1,12 @@
 """SpawnPolicy, CircuitBreaker, and the degradation ladder end to end."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core import (CircuitBreaker, ProcessBuilder, SpawnPolicy,
-                        breaker_for, reset_breakers, run)
+from repro.core import (BatchRequest, CircuitBreaker, ProcessBuilder,
+                        SpawnPolicy, TemplateProfile, TemplateRegistry,
+                        breaker_for, reset_breakers, run, spawn_batch)
 from repro.errors import SpawnError
 from repro.faults import FAULTS, FaultPlan
 from repro.obs import TELEMETRY
@@ -149,6 +152,68 @@ class TestFallbackChain:
             done = run("/bin/echo", "floor", strategy="forkserver-pool",
                        policy=policy)
         assert done.returncode == 0 and done.stdout == b"floor\n"
+
+
+def _builder_single(policy):
+    return (ProcessBuilder("/bin/true").strategy("forkserver-pool")
+            .policy(policy).spawn())
+
+
+def _module_spawn_batch(policy):
+    return spawn_batch(BatchRequest.of([["/bin/true"]] * 2), policy=policy)
+
+
+def _template_degrade(policy):
+    # The template tier is the head; what the others start on is its
+    # first fallback.  A cold profile with no grace degrades at once.
+    policy = replace(policy, fallback=("forkserver-pool",) + policy.fallback)
+    with TemplateRegistry(policy=policy, miss_grace=0.0) as registry:
+        registry.register(TemplateProfile("dry", stock=0))
+        return registry.spawn("dry", code="pass")
+
+
+class TestTheLadderIsOne:
+    """A builder's child, a batch and a template's degraded lease walk
+    the same ladder: same tier reached, same counters moved."""
+
+    POLICY = SpawnPolicy(retries=1, backoff=0.01,
+                         fallback=("forkserver", "posix_spawn"))
+
+    @pytest.mark.parametrize("launch, extra", [
+        (_builder_single, {}),
+        (_module_spawn_batch, {}),
+        # The one stated difference: leaving the template tier for the
+        # head of its fallback chain is itself counted as a step down.
+        (_template_degrade, {("fallback", "forkserver-pool"): 1}),
+    ], ids=["builder-single", "module-spawn_batch", "template-degrade"])
+    def test_open_first_tier_and_one_refusal_on_the_second(self, launch,
+                                                           extra):
+        reset_breakers()
+        breaker_for("forkserver-pool", SpawnPolicy(
+            breaker_threshold=1, breaker_cooldown=300)).record_failure()
+        plan = FaultPlan().add("refuse_exec", point="forkserver.spawn",
+                               times=1)
+        TELEMETRY.enable(reset_metrics=True)
+        try:
+            with FAULTS.active(plan):
+                made = launch(self.POLICY)
+                assert FAULTS.fired == [("forkserver.spawn", "refuse_exec")]
+            moved = {(name, labels["strategy"]): counter.value
+                     for name, labels, counter
+                     in TELEMETRY.metrics.counters()
+                     if name in ("fallback", "spawn_retry", "breaker_open")}
+        finally:
+            TELEMETRY.disable()
+        children = [made] if hasattr(made, "pid") else list(made)
+        assert {child.strategy for child in children} == {"forkserver"}
+        assert [child.wait(timeout=30) for child in children] == (
+            [0] * len(children))
+        # Skipped the open tier, retried the refusing one once under
+        # its own breaker, never reached the floor, opened nothing.
+        assert moved == {("fallback", "forkserver"): 1,
+                         ("spawn_retry", "forkserver"): 1, **extra}
+        assert breaker_for("forkserver").failures == 0
+        assert breaker_for("posix_spawn").failures == 0
 
 
 class TestFlappingWorkerRetiredUnderLoad:

@@ -158,12 +158,12 @@ class TestOrdering:
                                        "tenant": "acme", "token": TOKEN}))
             decoder = FrameDecoder()
             assert decoder.feed(sock.recv(65536))[0]["ok"] is True
-            # The executor holds the job until the members are dead, so
+            # The launch holds the job until the members are dead, so
             # the daemon finds all three gone when it subscribes.
             spawn = server._execute_batch
 
             def slow(tenant, job):
-                result = spawn(tenant, job)
+                result = yield from spawn(tenant, job)
                 time.sleep(0.3)
                 return result
 
