@@ -48,7 +48,6 @@ from .spawn import ProcessBuilder, SpawnedIO, run, spawn_batch
 from .strategies import (ForkExecStrategy, ForkServerPoolStrategy,
                          ForkServerStrategy,
                          PosixSpawnStrategy, Strategy, SubprocessStrategy,
-                         TemplateStrategy,
                          get_strategy, pick_default_strategy,
                          register_strategy, strategies)
 from .templates import (TemplateMiss, TemplateProfile, TemplateRegistry,
@@ -69,7 +68,7 @@ __all__ = [
     "SpawnPolicy", "SpawnPool", "SpawnRequest",
     "SpawnedIO", "Strategy", "SubprocessStrategy", "TEMPLATE_FALLBACK",
     "TemplateMiss", "TemplateProfile", "TemplateRegistry", "TemplateServer",
-    "TemplateStrategy", "XProcStrategy", "assess", "breaker_for",
+    "XProcStrategy", "assess", "breaker_for",
     "fork_with_handlers", "frame_key", "get_strategy", "guarded_fork",
     "is_fork_safe",
     "callable_spec", "pick_default_strategy", "register", "register_strategy",

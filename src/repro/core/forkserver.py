@@ -160,6 +160,10 @@ class ForkServer:
     back to callers by correlation id.
     """
 
+    #: What this server's traces, children and batch results are
+    #: labelled (``ChildProcess.strategy``).
+    label = "forkserver"
+
     #: Seconds the goodbye exchange in :meth:`stop` may take before the
     #: helper is presumed wedged and torn down forcibly.
     shutdown_timeout: float = 2.0
@@ -365,6 +369,12 @@ class ForkServer:
         """One request/reply exchange, optionally under a deadline."""
         return self._result(self._send(obj, fds, trace, timeout))
 
+    def _trace(self, argv: Sequence[str], **size):
+        """A trace this server starts (and so owns), stamped ``dispatch``."""
+        trace = TELEMETRY.trace(self.label, argv)
+        trace.stage("dispatch", helper_pid=self._pid, **size)
+        return trace
+
     def _reap(self, pid: int, flags: int,
               timeout: Optional[float] = None) -> Optional[int]:
         """Collect a child's exit status from the notices the helper pushes.
@@ -496,7 +506,7 @@ class ForkServer:
         return BatchResult(
             run_steps(self._unit_steps(batch.members, None,
                                        batch.deadline, batch=True)),
-            strategy="forkserver")
+            strategy=self.label)
 
     def _unit_steps(self, reqs: List[SpawnRequest],
                     traces: Optional[Sequence],
@@ -516,10 +526,7 @@ class ForkServer:
         size = {"batch": len(reqs)} if batch else {}
         owns = not traces or not traces[0]
         if owns:
-            traces = [TELEMETRY.trace("forkserver", req.argv)
-                      for req in reqs]
-            for trace in traces:
-                trace.stage("dispatch", helper_pid=self._pid, **size)
+            traces = [self._trace(req.argv, **size) for req in reqs]
         head = traces[0]  # the one whose id and ``framed`` stamp travel
         fds = [fd for req in reqs for fd in req.grant()]
         TELEMETRY.count("fd_grants", len(fds))
@@ -571,7 +578,7 @@ class ForkServer:
                 trace.success(result["pid"])
             children.append(
                 ChildProcess(result["pid"], argv=req.argv,
-                             strategy="forkserver", reaper=self._reap,
+                             strategy=self.label, reaper=self._reap,
                              timed_reaper=True, watch=self._watch,
                              trace=trace))
         return children

@@ -21,8 +21,8 @@ caller's child.
 Beyond plain spawns the helper is a template zygote: ``specialize``
 warms it into a workload profile and ``park`` pre-forks children that
 block inside that warm runtime until a ``lease`` hands one its code
-payload; a ``lease`` of an argv is spawned like any other program, from
-the specialized helper.  A generic forkserver simply never sends those
+payload; a program is a ``spawn`` here as anywhere, and inherits what
+``specialize`` prepared.  A generic forkserver simply never sends those
 ops; an empty stock costs nothing.
 """
 
@@ -313,7 +313,11 @@ class Helper:
         error = self.refusal(fds, request.get("nfds"), "exec")
         if error:
             return {"error": error}
-        pid, t_spawn = spawn_one(request, fds)
+        try:
+            pid, t_spawn = spawn_one(request, fds)
+        except OSError as exc:  # one request's refusal, not our death
+            close_all(fds)
+            return {"error": "EAGAIN: spawn failed to fork: %s" % exc}
         # The client's trace id rides next to the correlation id; echo
         # it with our spawned-at timestamp (exec done on the posix_spawn
         # path; CLOCK_MONOTONIC is system-wide on Linux, so the client
@@ -414,36 +418,28 @@ class Helper:
         error = self.refusal(fds, request.get("nfds"), "lease")
         if error:
             return {"error": error, "stock": len(self.stock)}
-        if request.get("argv"):
-            # Exec mode is a spawn, not a fork: a parked interpreter
-            # would only exec the program away.  Launched from HERE, so
-            # the profile's env, cwd and preopened fds reach the child
-            # as they reach a parked one; the stock is not touched.
-            try:
-                pid, t_lease = spawn_one(request, fds)
-            except OSError as exc:
-                close_all(fds)
-                return {"error": "EAGAIN: lease failed to fork: %s" % exc, "stock": len(self.stock)}
-        else:
-            # Zygote mode: hand the oldest LIVE parked child its
-            # payload.  A child that died while parked shows up as a
-            # send error (its end of the socketpair is closed); skip it
-            # and try the next.
-            lease = {key: request.get(key) for key in ("code", "env", "cwd")}
-            payload = json.dumps(lease).encode()
-            pid = None
-            while self.stock and pid is None:
-                parked, chan = self.stock.pop(0)
-                try:
-                    send_frame(chan, payload, fds)
-                    pid = parked
-                except OSError:
-                    pass
-                chan.close()
-            t_lease = time.monotonic_ns()
+        if not isinstance(request.get("code"), str):
+            # A program is a ``spawn``: burn no parked child on nothing.
             close_all(fds)
-            if pid is None:
-                return {"error": "EAGAIN: warm stock exhausted", "stock": 0}
+            return {"error": "EPROTO: lease carries no code", "stock": len(self.stock)}
+        # Hand the oldest LIVE parked child its payload.  A child that
+        # died while parked shows up as a send error (its end of the
+        # socketpair is closed); skip it and try the next.
+        lease = {key: request.get(key) for key in ("code", "env", "cwd")}
+        payload = json.dumps(lease).encode()
+        pid = None
+        while self.stock and pid is None:
+            parked, chan = self.stock.pop(0)
+            try:
+                send_frame(chan, payload, fds)
+                pid = parked
+            except OSError:
+                pass
+            chan.close()
+        t_lease = time.monotonic_ns()
+        close_all(fds)
+        if pid is None:
+            return {"error": "EAGAIN: warm stock exhausted", "stock": 0}
         reply = {"pid": pid, "t_fork_ns": t_lease, "stock": len(self.stock)}
         if request.get("trace") is not None:
             reply["trace"] = request["trace"]

@@ -54,12 +54,11 @@ DEFAULT_FALLBACK = ("forkserver", "posix_spawn")
 #: as the paper's remedy list, one rung higher.
 TEMPLATE_FALLBACK = ("forkserver-pool",) + DEFAULT_FALLBACK
 
-#: The ladder below the gateway daemon: when the daemon is unreachable
-#: (connection refused, reconnect budget exhausted, breaker open) the
-#: spawn degrades to local machinery — template zygotes, then the
-#: generic pool, then a single helper, then the constant-cost floor.
+#: The ladder below the gateway daemon, the same three tiers: when the
+#: daemon is unreachable (connection refused, reconnect budget
+#: exhausted, breaker open) the spawn degrades to local machinery.
 #: The daemon going down costs latency, never availability.
-GATEWAY_FALLBACK = ("template",) + TEMPLATE_FALLBACK
+GATEWAY_FALLBACK = TEMPLATE_FALLBACK
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ compare mechanisms instead of APIs:
   shared :class:`~repro.core.forkserver_pool.ForkServerPool` of
   pipelined helpers, started lazily on first use.
 
+A strategy launches an ``argv``.  Workload profiles — preloads, parked
+children, ``code`` payloads — are an API, not a strategy:
+:class:`~repro.core.templates.TemplateRegistry`.
+
 Strategies register themselves with the :func:`register_strategy`
 class decorator; :func:`strategies` lists the known names and
 :func:`get_strategy` resolves one (raising :class:`SpawnError` that
@@ -435,68 +439,6 @@ class ForkServerStrategy(_WireStrategy):
                                               batch))
 
 
-@register_strategy("template")
-class TemplateStrategy(Strategy):
-    """Launch through the specialized template helper.
-
-    The top rung of the ladder: a shared
-    :class:`~repro.core.templates.TemplateRegistry` keeps one generic
-    profile's helper warm (no preloads — per-request env and cwd ride
-    in the lease itself), so a launch is one wire round trip and a
-    ``posix_spawn`` in the helper, with no fork of the client.  The
-    profile parks no children: this strategy only ever leases an argv,
-    and a parked interpreter is stock for code payloads alone.  A cold
-    or dead helper degrades through the registry's own
-    :data:`~repro.core.policy.TEMPLATE_FALLBACK` ladder, so this
-    strategy never strands a request.  Profiles with preloaded modules
-    and parked stock are the registry API's business — register them
-    on :meth:`registry` directly.
-    """
-
-    #: The always-registered profile plain launches lease from.
-    GENERIC_PROFILE = "generic"
-
-    def __init__(self):
-        self._registry = None
-        self._lock = threading.Lock()
-
-    def available(self) -> bool:
-        return hasattr(os, "fork")
-
-    def registry(self):
-        """The shared registry, started (with its generic profile) lazily."""
-        from .templates import TemplateProfile, TemplateRegistry
-        with self._lock:
-            if self._registry is None or self._registry.closed:
-                registry = TemplateRegistry()
-                registry.register(
-                    TemplateProfile(self.GENERIC_PROFILE, stock=0), warm=True)
-                self._registry = registry
-            return self._registry
-
-    def shutdown(self) -> None:
-        """Close the shared registry (a later launch warms a fresh one)."""
-        with self._lock:
-            registry, self._registry = self._registry, None
-        if registry is not None:
-            registry.close()
-
-    def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
-        attrs.validate()
-        self._fire_launch(argv)
-        _reject_unwirable_attrs(self.name, attrs)
-        stdio, opened = _stdio_grant(actions)
-        try:
-            child = self.registry().spawn(
-                self.GENERIC_PROFILE, argv, env=attrs.effective_env(),
-                cwd=attrs.cwd, stdin=stdio[0], stdout=stdio[1],
-                stderr=stdio[2], trace=trace, deadline=attrs.deadline)
-        finally:
-            for handle in opened:
-                os.close(handle)
-        return child
-
-
 @register_strategy("gateway")
 class GatewayStrategy(Strategy):
     """Launch through a spawn-gateway daemon (see :mod:`repro.gateway`).
@@ -621,7 +563,6 @@ class GatewayStrategy(Strategy):
 # shared services does not strand them at exit.
 atexit.register(_REGISTRY["forkserver-pool"].shutdown)
 atexit.register(_REGISTRY["forkserver"].shutdown)
-atexit.register(_REGISTRY["template"].shutdown)
 atexit.register(_REGISTRY["gateway"].shutdown)
 
 

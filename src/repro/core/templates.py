@@ -15,23 +15,22 @@ This module is that remedy, three layers deep:
   children to keep parked.
 * :class:`TemplateServer` — a :class:`~repro.core.forkserver.ForkServer`
   whose helper is *specialized* to one profile and keeps a bounded
-  stock of **pre-forked, parked children**.  A ``lease`` of a code
-  payload (zygote mode) wakes the oldest parked child to run it inside
-  the already-warm runtime, free of the child-side boot tax; a
-  ``lease`` of an argv (exec mode) is a ``posix_spawn`` from the
-  specialized helper — a warm interpreter is no use to a program that
-  execs it away, so no parked child is spent on one.  Either way one
-  wire round trip, O(1) regardless of the client's heap.
+  stock of **pre-forked, parked children**.  A payload is a lease: the
+  ``lease`` op wakes the oldest parked child to run ``code`` inside the
+  already-warm runtime, free of the child-side boot tax.  A program is
+  a spawn: an ``argv`` takes the inherited ``spawn`` op, a
+  ``posix_spawn`` from the specialized helper — a warm interpreter is
+  no use to a program that execs it away, so none is spent on one.
+  Either way one wire round trip, O(1) regardless of the client's heap.
 * :class:`TemplateRegistry` — the profiles, LRU-bounded so only the hot
   ones stay warm; a background restock thread refills leased stock and
-  grows the per-profile target under miss pressure (the
+  grows the per-profile target when payloads miss (the
   :class:`~repro.core.autoscale.AutoscaleConfig` knobs), and every miss
   degrades down the :data:`~repro.core.policy.TEMPLATE_FALLBACK` ladder
-  (template → forkserver-pool → forkserver → posix_spawn): the request
-  is replayed onto a :class:`~repro.core.spawn.ProcessBuilder` under
-  the registry's policy, so it is the builder's ladder — the same
-  attempts, shared circuit breakers and counters as the rest of the
-  spawn stack.
+  (forkserver-pool → forkserver → posix_spawn): the request is replayed
+  onto a :class:`~repro.core.spawn.ProcessBuilder` under the registry's
+  policy, so it is the builder's ladder — the same attempts, shared
+  circuit breakers and counters as the rest of the spawn stack.
 
 Telemetry: ``template_lease`` / ``template_lease_miss`` /
 ``template_park`` / ``template_unpark`` / ``template_evict`` counters,
@@ -107,14 +106,16 @@ class TemplateServer(ForkServer):
     :meth:`start` boots the helper (its template ops live next to the
     spawn ops in ``core/helper.py``), applies the profile's
     ``specialize`` op, and parks the initial stock.  :meth:`lease`
-    spawns a program or checks a parked child out in one round trip;
-    :meth:`park` / :meth:`unpark` move the stock level; the inherited
-    :meth:`~ForkServer.spawn` still works for plain fork+exec through
-    the specialized helper.
+    checks a parked child out for a ``code`` payload in one round trip
+    and hands an ``argv`` to the inherited :meth:`~ForkServer.spawn`;
+    :meth:`park` / :meth:`unpark` move the stock level.  A launch is a
+    ``template_lease``, whichever op carried it.
 
     The frame cache is off here: lease frames carry per-call payloads
     and live stock counts, so there is no repeatable tail to memoize.
     """
+
+    label = "template"
 
     def __init__(self, profile: TemplateProfile):
         super().__init__(frame_cache=0)
@@ -192,37 +193,42 @@ class TemplateServer(ForkServer):
             parked += 1
         return parked
 
+    def _unit_steps(self, reqs, traces, deadline, batch):
+        # The one request path, plus this server's name for a launch.
+        children = yield from super()._unit_steps(reqs, traces, deadline,
+                                                  batch)
+        TELEMETRY.count("template_lease", len(children),
+                        profile=self.profile.name)
+        return children
+
     def lease(self, argv: Optional[Sequence[str]] = None, *,
               code: Optional[str] = None,
               env: Optional[Dict[str, str]] = None,
               cwd: Optional[str] = None,
               stdin: int = 0, stdout: int = 1, stderr: int = 2,
-              trace=None, deadline: Optional[float] = None) -> ChildProcess:
+              deadline: Optional[float] = None) -> ChildProcess:
         """Launch through the specialized helper in one round trip.
 
-        Exactly one of ``argv`` (exec mode: the helper spawns the
-        program, which inherits the profile's env, cwd and preopened
-        fds; no stock is consumed) or ``code`` (zygote mode: a parked
-        child runs the payload inside the warm, preloaded runtime — no
-        exec, no import tax) must be given.  A ``code`` lease raises
+        Exactly one of ``argv`` (exec mode, :meth:`~ForkServer.spawn`:
+        the program inherits the profile's env, cwd and preopened fds;
+        no stock is consumed) or ``code`` (zygote mode: a parked child
+        runs the payload inside the warm, preloaded runtime — no exec,
+        no import tax) must be given.  A ``code`` lease raises
         :class:`TemplateMiss` when the stock is empty — the caller
         (usually :class:`TemplateRegistry`) degrades down the ladder
         and lets the restock thread refill.
         """
         if (argv is None) == (code is None):
             raise SpawnError("lease takes exactly one of argv= or code=")
-        if argv is not None and not argv:
-            raise SpawnError("empty argv")
-        label = ([os.fspath(a) for a in argv] if argv is not None
-                 else [sys.executable, "-c", "<template payload>"])
-        owns = trace is None or not trace
-        if owns:
-            trace = TELEMETRY.trace("template", label)
-            trace.stage("dispatch", helper_pid=self._pid)
+        if argv is not None:
+            return self.spawn(argv, env=env, cwd=cwd, stdin=stdin,
+                              stdout=stdout, stderr=stderr,
+                              deadline=deadline)
+        shown = [sys.executable, "-c", "<template payload>"]
+        trace = self._trace(shown)
         TELEMETRY.count("fd_grants", 3)
-        request = {"op": "lease",
-                   "argv": label if argv is not None else None,
-                   "code": code, "env": env, "cwd": cwd, "nfds": 3}
+        request = {"op": "lease", "code": code, "env": env, "cwd": cwd,
+                   "nfds": 3}
         if trace:
             request["trace"] = trace.trace_id
         try:
@@ -237,16 +243,14 @@ class TemplateServer(ForkServer):
                 raise SpawnError(
                     f"template {self.profile.name!r} refused lease: {error}")
         except SpawnError as exc:
-            if owns:
-                trace.failure(exc)
+            trace.failure(exc)
             raise
-        self._sync_stock(reply, -1 if code is not None else 0)
+        self._sync_stock(reply, -1)
         TELEMETRY.count("template_lease", profile=self.profile.name)
         trace.stage("forked", t_ns=reply.get("t_fork_ns"),
                     pid=reply["pid"], helper_pid=self._pid)
-        if owns:
-            trace.success(reply["pid"])
-        return ChildProcess(reply["pid"], argv=label, strategy="template",
+        trace.success(reply["pid"])
+        return ChildProcess(reply["pid"], argv=shown, strategy=self.label,
                             reaper=self._reap, timed_reaper=True,
                             watch=self._watch, trace=trace)
 
@@ -462,7 +466,7 @@ class TemplateRegistry:
               env: Optional[Dict[str, str]] = None,
               cwd: Optional[str] = None,
               stdin: int = 0, stdout: int = 1, stderr: int = 2,
-              trace=None, deadline: Optional[float] = None) -> ChildProcess:
+              deadline: Optional[float] = None) -> ChildProcess:
         """Lease from the profile's warm helper, or degrade down the ladder.
 
         The fast path is one wire round trip to the template helper.
@@ -480,35 +484,33 @@ class TemplateRegistry:
             try:
                 child = server.lease(argv, code=code, env=env, cwd=cwd,
                                      stdin=stdin, stdout=stdout,
-                                     stderr=stderr, trace=trace,
-                                     deadline=deadline)
+                                     stderr=stderr, deadline=deadline)
             except TemplateMiss:
                 # Stock exhausted but the helper is alive: the restock
                 # thread is already refilling, so a short bounded wait
                 # for a fresh parked child beats a cold spawn.
-                self._note_miss(entry)
+                self._note_miss(entry, code)
                 child = self._lease_after_restock(
-                    entry, argv, code, env, cwd, stdin, stdout, stderr,
-                    trace, deadline)
+                    entry, code, env, cwd, stdin, stdout, stderr, deadline)
                 if child is not None:
                     self._kick()
                     return child
             except SpawnError:
                 # Dead helper mid-lease: this request degrades and the
                 # thread repairs.
-                self._note_miss(entry)
+                self._note_miss(entry, code)
             else:
                 if code is not None:
                     self._kick()  # a parked child left: have it replaced
                 return child
         else:
-            self._note_miss(entry)
+            self._note_miss(entry, code)
         return self._degrade(entry, argv, code, env, cwd,
                              stdin, stdout, stderr, deadline)
 
-    def _lease_after_restock(self, entry: _Entry, argv, code, env, cwd,
+    def _lease_after_restock(self, entry: _Entry, code: str, env, cwd,
                              stdin: int, stdout: int, stderr: int,
-                             trace, deadline: Optional[float]
+                             deadline: Optional[float]
                              ) -> Optional[ChildProcess]:
         """Retry the lease for up to ``miss_grace`` seconds after a miss.
 
@@ -535,25 +537,22 @@ class TemplateRegistry:
             if server is None or not server.healthy or server.stock < 1:
                 continue
             try:
-                return server.lease(argv, code=code, env=env, cwd=cwd,
+                return server.lease(code=code, env=env, cwd=cwd,
                                     stdin=stdin, stdout=stdout,
-                                    stderr=stderr, trace=trace,
-                                    deadline=deadline)
+                                    stderr=stderr, deadline=deadline)
             except TemplateMiss:
                 continue
             except SpawnError:
                 return None
 
-    def _note_miss(self, entry: _Entry) -> None:
+    def _note_miss(self, entry: _Entry, code: Optional[str]) -> None:
         TELEMETRY.count("template_lease_miss", profile=entry.profile.name)
         with self._cond:
-            if self._closed:
-                return
-            entry.target = min(entry.target + self.autoscale.step,
-                               entry.profile.max_stock)
+            if code is not None:  # a program consumes no parked child
+                entry.target = min(entry.target + self.autoscale.step,
+                                   entry.profile.max_stock)
             entry.warm_pending = True
-            self._ensure_thread()
-            self._cond.notify_all()
+        self._kick()
 
     def _kick(self) -> None:
         with self._cond:

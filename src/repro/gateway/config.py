@@ -22,11 +22,6 @@ from typing import Callable, Dict, Optional, Tuple
 from ..core.policy import SpawnPolicy
 from ..errors import GatewayError
 
-#: The ladder a gateway spawn walks when its tenant names no strategy:
-#: same shape as the library's template ladder, because the gateway IS
-#: the provisioned-concurrency story served over a socket.
-DEFAULT_TENANT_FALLBACK = ("forkserver", "posix_spawn")
-
 
 @dataclass(frozen=True)
 class TenantConfig:

@@ -3,8 +3,8 @@
 :class:`GatewayServer` listens on a Unix socket (and optionally TCP),
 speaks :mod:`repro.gateway.protocol` over :mod:`repro.wire` frames, and
 maps every admitted request onto the
-library's strategy ladder — template zygotes, the forkserver pool, a
-single forkserver, or direct ``posix_spawn`` — through each tenant's
+library's strategy ladder — the forkserver pool, a single forkserver,
+or direct ``posix_spawn`` — through each tenant's
 :class:`~repro.core.policy.SpawnPolicy`.
 
 The interesting part is what happens *before* a request reaches the
@@ -72,6 +72,7 @@ from ..core.batch import BatchRequest
 from ..core.policy import (DEFAULT_FALLBACK, SpawnPolicy, breaker_for)
 from ..core.spawn import ProcessBuilder, _spawn_batch_steps
 from ..core.steps import run_steps
+from ..core.strategies import get_strategy
 from ..errors import (AuthError, GatewayError, GatewayProtocolError,
                       Overloaded, RateLimited, SpawnError)
 from ..faults import FAULTS
@@ -240,6 +241,13 @@ class GatewayServer:
         and restartable: a stopped server can ``start()`` again)."""
         if self._thread is not None:
             return self
+        # A config that names a strategy nobody registered fails here,
+        # once — not on every spawn of that tenant, charging its breaker.
+        for name, tenant in self._tenants.items():
+            try:
+                get_strategy(tenant.config.strategy)
+            except SpawnError as exc:
+                raise GatewayError(f"tenant {name!r}: {exc}") from None
         # A restart after stop(): the lifecycle latches still reflect
         # the old loop.  Reset them so this start() waits on the *new*
         # loop and drain()/stop() don't short-circuit on stale events.

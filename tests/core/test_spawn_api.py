@@ -259,8 +259,7 @@ class TestStrategyPlumbing:
     def test_all_strategies_registered(self):
         assert set(strategies()) == {"posix_spawn", "fork_exec",
                                      "subprocess", "forkserver-pool",
-                                     "forkserver", "template", "gateway",
-                                     "xproc"}
+                                     "forkserver", "gateway", "xproc"}
 
     def test_get_strategy_resolves(self):
         assert get_strategy("posix_spawn").name == "posix_spawn"

@@ -9,6 +9,7 @@ floor.  Stock, misses and growth concern ``code`` leases only: an
 ``argv`` lease consumes no parked child.
 """
 
+import functools
 import os
 import signal
 import socket
@@ -17,7 +18,7 @@ import time
 import pytest
 
 from repro.core import (SpawnPolicy, TemplateProfile, TemplateRegistry,
-                        TemplateServer, run)
+                        TemplateServer)
 from repro.core import helper as helper_module
 from repro.core.autoscale import AutoscaleConfig
 from repro.core.strategies import _REGISTRY
@@ -38,11 +39,15 @@ def read_all(fd: int) -> bytes:
 
 
 def lease_output(server, *, argv=None, code=None, env=None,
-                 cwd=None) -> bytes:
-    """Lease with stdout piped back; waits the child out."""
+                 cwd=None, spelled="lease") -> bytes:
+    """Lease with stdout piped back; waits the child out.  An argv may
+    be ``spelled`` ``"spawn"``: the same launch by its inherited name."""
     r, w = os.pipe()
     try:
-        child = server.lease(argv, code=code, env=env, cwd=cwd, stdout=w)
+        if spelled == "spawn":
+            child = server.spawn(argv, env=env, cwd=cwd, stdout=w)
+        else:
+            child = server.lease(argv, code=code, env=env, cwd=cwd, stdout=w)
     finally:
         os.close(w)
     data = read_all(r)
@@ -252,18 +257,21 @@ def helper_fds(server) -> list:
 
 
 class TestExecLeaseIsASpawn:
-    """An argv lease is a posix_spawn from the specialized helper."""
+    """An argv lease is the inherited ``spawn``: a posix_spawn from the
+    specialized helper, by whichever of its two names it is called."""
+
+    SPELLINGS = ("lease", "spawn")
 
     def test_argv_leases_leave_stock_and_park_counter_alone(self, server):
         TELEMETRY.enable(RingBufferSink(), reset_metrics=True)
         try:
-            for _ in range(5):
-                child = server.lease(["/bin/true"])
+            for spelled in self.SPELLINGS * 3:
+                child = getattr(server, spelled)(["/bin/true"])
                 assert child.strategy == "template"
                 assert child.wait(timeout=30) == 0
                 assert server.stock == 2
             metrics = TELEMETRY.metrics
-            assert metrics.counter("template_lease", profile="t").value == 5
+            assert metrics.counter("template_lease", profile="t").value == 6
             assert metrics.counter("template_park", profile="t").value == 0
         finally:
             TELEMETRY.disable()
@@ -279,56 +287,95 @@ class TestExecLeaseIsASpawn:
         (tmp_path / "sub").mkdir()
         warm_file = tmp_path / "preopen.txt"
         warm_file.write_text("warm file\n")
-        srv = TemplateServer(TemplateProfile(
-            "shaped", env={"TPL_PROFILE": "baked-in"}, cwd=workdir,
-            preopen=(str(warm_file),), stock=0))
-        srv.start()
-        try:
-            show = ["/bin/sh", "-c", 'echo "$TPL_PROFILE/$TPL_LEASE"; pwd']
-            assert lease_output(srv, argv=show).decode().split() == [
-                "baked-in/", workdir]
-            # A per-lease env REPLACES the environment, as execvpe did.
-            assert lease_output(
-                srv, argv=show, env={"TPL_LEASE": "per-call"},
-                cwd=os.path.join(workdir, "sub")).decode().split() == [
-                    "/per-call", os.path.join(workdir, "sub")]
-            # 0-2, the preopen, and ls's own listing fd: nothing else.
-            listing = lease_output(
-                srv, argv=["/bin/ls", "-l", "/proc/self/fd"]).decode()
-            links = {left.split()[-1]: target for left, _, target in
-                     (line.partition(" -> ") for line in listing.splitlines())
-                     if target}
-            preopened = [fd for fd, target in links.items()
-                         if target == str(warm_file)]
-            assert len(preopened) == 1 and len(links) == 5
-            assert {"0", "1", "2"} < set(links)
-            assert lease_output(srv, argv=[
-                "/bin/sh", "-c", f"cat <&{preopened[0]}"]) == b"warm file\n"
-            # A missing binary is still a child that exits 127.
-            assert srv.lease(["/no/such/binary"]).wait(timeout=30) == 127
-            assert srv.healthy
-        finally:
-            srv.stop()
+        for spelled in self.SPELLINGS:
+            # A server each: the preopened file's offset is shared.
+            srv = TemplateServer(TemplateProfile(
+                "shaped", env={"TPL_PROFILE": "baked-in"}, cwd=workdir,
+                preopen=(str(warm_file),), stock=0))
+            srv.start()
+            try:
+                self.observe(srv, spelled, workdir, str(warm_file))
+            finally:
+                srv.stop()
+
+    @staticmethod
+    def observe(srv, spelled, workdir, warm_file):
+        output = functools.partial(lease_output, srv, spelled=spelled)
+        show = ["/bin/sh", "-c", 'echo "$TPL_PROFILE/$TPL_LEASE"; pwd']
+        assert output(argv=show).decode().split() == ["baked-in/", workdir]
+        # A per-lease env REPLACES the environment, as execvpe did.
+        assert output(
+            argv=show, env={"TPL_LEASE": "per-call"},
+            cwd=os.path.join(workdir, "sub")).decode().split() == [
+                "/per-call", os.path.join(workdir, "sub")]
+        # 0-2, the preopen, and ls's own listing fd: nothing else.
+        listing = output(argv=["/bin/ls", "-l", "/proc/self/fd"]).decode()
+        links = {left.split()[-1]: target for left, _, target in
+                 (line.partition(" -> ") for line in listing.splitlines())
+                 if target}
+        preopened = [fd for fd, target in links.items()
+                     if target == warm_file]
+        assert len(preopened) == 1 and len(links) == 5
+        assert {"0", "1", "2"} < set(links)
+        assert output(argv=[
+            "/bin/sh", "-c", f"cat <&{preopened[0]}"]) == b"warm file\n"
+        # A missing binary is still a child that exits 127.
+        assert getattr(srv, spelled)(
+            ["/no/such/binary"]).wait(timeout=30) == 127
+        assert srv.healthy
 
     def test_refused_lease_is_typed_and_closes_its_grant(self):
-        plan = FaultPlan().add("refuse_exec", point="helper", times=1)
+        plan = FaultPlan().add("refuse_exec", point="helper", times=2)
         with FAULTS.active(plan):
             srv = TemplateServer(TemplateProfile("t", stock=1)).start()
         try:
             before = helper_fds(srv)
-            with pytest.raises(SpawnError) as excinfo:
-                srv.lease(["/bin/true"])
-            assert "EACCES" in str(excinfo.value)
-            assert not isinstance(excinfo.value, TemplateMiss)
+            for spelled in self.SPELLINGS:
+                with pytest.raises(SpawnError) as excinfo:
+                    getattr(srv, spelled)(["/bin/true"])
+                assert "EACCES" in str(excinfo.value)
+                assert not isinstance(excinfo.value, TemplateMiss)
             # A grant that partially arrived is refused the same way.
-            reply = srv._roundtrip({"op": "lease", "argv": ["/bin/true"],
+            reply = srv._roundtrip({"op": "spawn", "argv": ["/bin/true"],
                                     "nfds": 3}, fds=(0, 1))
+            assert "EPROTO" in reply["error"]
+            # So is a lease with nothing to run — a program is a spawn
+            # — and it costs no parked child.
+            reply = srv._roundtrip({"op": "lease", "argv": ["/bin/true"],
+                                    "nfds": 3}, fds=(0, 1, 2))
             assert "EPROTO" in reply["error"] and reply["stock"] == 1
             assert helper_fds(srv) == before
-            assert srv.lease(["/bin/true"]).wait(timeout=30) == 0
-            assert helper_fds(srv) == before
+            for spelled in self.SPELLINGS:
+                assert getattr(srv, spelled)(
+                    ["/bin/true"]).wait(timeout=30) == 0
+            assert helper_fds(srv) == before and srv.stock == 1
         finally:
             srv.stop()
+
+
+class TestFailedForkIsARefusal:
+    def test_op_spawn_answers_eagain_and_closes_the_grant(self, monkeypatch):
+        # spawn_one raises with the grant open when even the fork fails
+        # (EAGAIN under pid pressure).  That is one request's refusal,
+        # not the helper's death: the loop — and with it everything in
+        # flight and every child still held — must outlive it.
+        def no_pids(*args, **kwargs):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(helper_module.os, "posix_spawn", no_pids)
+        monkeypatch.setattr(helper_module.os, "fork", no_pids)
+        helper = object.__new__(helper_module.Helper)
+        helper.faults = {}
+        grant = [os.dup(0), os.dup(1), os.dup(2)]
+        try:
+            reply = helper.op_spawn({"op": "spawn", "argv": ["/bin/true"],
+                                     "nfds": 3}, grant)
+            assert reply["error"].startswith("EAGAIN") and "pid" not in reply
+            for fd in grant:
+                with pytest.raises(OSError):
+                    os.fstat(fd)
+        finally:
+            helper_module.close_all(grant)
 
 
 class TestParkedChildDeath:
@@ -460,6 +507,30 @@ class TestRegistry:
                 _REGISTRY["forkserver-pool"].shutdown()
             assert entry.target == 1 + SNAPPY.step
 
+    def test_programs_provision_no_zygotes(self):
+        # A program consumes no parked child, so one that finds its
+        # profile cold re-warms the helper and asks for nothing more;
+        # a payload in the same spot is demand for stock.
+        def settle(registry, request):
+            registry.register(TemplateProfile("p", stock=0, max_stock=4),
+                              warm=False)
+            for _ in range(3):
+                assert registry.spawn("p", **request).wait(timeout=30) == 0
+            deadline = time.monotonic() + 10
+            while registry.warm_count == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)      # restock passes enough to fill any target
+            return registry._entries["p"].target, registry.stock("p")
+
+        try:
+            with TemplateRegistry(autoscale=SNAPPY) as registry:
+                assert settle(registry, {"argv": ["/bin/true"]}) == (0, 0)
+            with TemplateRegistry(autoscale=SNAPPY) as registry:
+                target, stock = settle(registry, {"code": "pass"})
+                assert target >= SNAPPY.step and stock >= 1
+        finally:
+            _REGISTRY["forkserver-pool"].shutdown()
+
     def test_idle_decay_returns_target_to_the_floor(self):
         decay = AutoscaleConfig(idle_ttl=0.05, interval=0.01, step=2)
         with TemplateRegistry(autoscale=decay,
@@ -561,13 +632,3 @@ class TestDegradationLadder:
         with self.cold_registry("warp-drive") as registry:
             with pytest.raises(SpawnError, match="unknown strategy"):
                 registry.spawn("dry", code="pass")
-
-
-class TestTemplateStrategyIntegration:
-    def test_run_through_the_template_strategy(self):
-        try:
-            done = run("/bin/echo", "via template", strategy="template")
-        finally:
-            _REGISTRY["template"].shutdown()
-        assert done.returncode == 0
-        assert done.stdout == b"via template\n"

@@ -75,8 +75,7 @@ def chaos_hygiene():
         yield
     finally:
         FAULTS.deactivate()
-        for name in ("gateway", "template", "forkserver-pool",
-                     "forkserver"):
+        for name in ("gateway", "forkserver-pool", "forkserver"):
             _REGISTRY[name].shutdown()
         reset_breakers()
         faulthandler.cancel_dump_traceback_later()

@@ -1,12 +1,14 @@
 """SpawnPolicy, CircuitBreaker, and the degradation ladder end to end."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.core import (BatchRequest, CircuitBreaker, ProcessBuilder,
-                        SpawnPolicy, TemplateProfile, TemplateRegistry,
-                        breaker_for, reset_breakers, run, spawn_batch)
+from repro.core import (GATEWAY_FALLBACK, BatchRequest, CircuitBreaker,
+                        ProcessBuilder, SpawnPolicy, Strategy,
+                        TemplateProfile, TemplateRegistry, breaker_for,
+                        reset_breakers, run, spawn_batch)
 from repro.errors import SpawnError
 from repro.faults import FAULTS, FaultPlan
 from repro.obs import TELEMETRY
@@ -214,6 +216,39 @@ class TestTheLadderIsOne:
                          ("spawn_retry", "forkserver"): 1, **extra}
         assert breaker_for("forkserver").failures == 0
         assert breaker_for("posix_spawn").failures == 0
+
+
+    def test_every_tier_is_entered_attempts_times_by_one_walker(
+            self, monkeypatch):
+        # Nothing below the walker may walk a ladder of its own: with
+        # every tier refusing, one spawn enters each exactly
+        # policy.attempts() times, and the shared breakers it creates
+        # have the caller's shape, not some inner policy's.
+        head, *rest = GATEWAY_FALLBACK
+        policy = SpawnPolicy(retries=1, backoff=0, breaker_threshold=100,
+                             fallback=tuple(rest))
+        plan = FaultPlan().add("refuse_exec", point="helper", times=None)
+        for tier in ("forkserver-pool", "forkserver", "posix_spawn"):
+            plan.add("refuse_exec", strategy=tier, times=None)
+        entered = Counter()
+        fire_launch = Strategy._fire_launch
+
+        def counting(strategy, argv):
+            entered[strategy.name] += 1
+            fire_launch(strategy, argv)
+
+        monkeypatch.setattr(Strategy, "_fire_launch", counting)
+        reset_breakers()
+        with FAULTS.active(plan):
+            with pytest.raises(SpawnError, match="every strategy"):
+                (ProcessBuilder("/bin/true").strategy(head)
+                 .policy(policy).spawn())
+        assert entered == dict.fromkeys(GATEWAY_FALLBACK, policy.attempts())
+        for tier in GATEWAY_FALLBACK:
+            breaker = breaker_for(tier)
+            assert breaker._threshold == policy.breaker_threshold
+            assert (breaker.failures, breaker.state) == (
+                policy.attempts(), "closed")
 
 
 class TestFlappingWorkerRetiredUnderLoad:

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.core import BatchRequest, SpawnPolicy
+from repro.core import BatchRequest, SpawnPolicy, get_strategy
 from repro.errors import (AuthError, GatewayError, Overloaded, RateLimited,
                           SpawnError)
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
@@ -649,6 +649,28 @@ class TestConfig:
         with pytest.raises(TypeError):
             GatewayConfig(unix_path="/tmp/x.sock", executor_threads=4,
                           tenants=config.tenants)
+
+    def test_a_strategy_nobody_registered_fails_the_start(self, tmp_path):
+        # A config in the wild may name a strategy that is gone: one
+        # typed error at start() that names the known ones, not one per
+        # spawn of that tenant charged to its breaker.
+        def tenant(strategy):
+            return {"acme": TenantConfig(name="acme", token=TOKEN,
+                                         strategy=strategy)}
+
+        with pytest.raises(GatewayError,
+                           match="'acme'.*unknown strategy 'template'"
+                                 ".*forkserver-pool"):
+            make_server(tmp_path, tenant("template"))
+        assert not os.path.exists(tmp_path / "gw.sock")
+        server = make_server(tmp_path, tenant("forkserver"))
+        try:
+            with GatewayClient(server.unix_path, tenant="acme",
+                               token=TOKEN) as client:
+                assert client.spawn(["/bin/true"]).wait(timeout=10) == 0
+        finally:
+            server.stop()
+            get_strategy("forkserver").shutdown()
 
     def test_duplicate_tenant_rejected(self):
         with pytest.raises(GatewayError):
