@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.bench.experiments import run
+from repro.core import Backoff
 from repro.gateway import (GatewayClient, GatewayConfig, GatewaySupervisor,
                            TenantConfig)
 
@@ -35,7 +36,8 @@ def supervised():
                                            strategy="posix_spawn",
                                            max_queue=256)},
             max_inflight=8, drain_grace=5.0),
-        check_interval=0.02, restart_backoff=0.01).start()
+        check_interval=0.02,
+        backoff=Backoff(0.01, jitter=0.0)).start()
     client = GatewayClient(address, tenant="bench", token="bench-token",
                            reconnect=True, max_reconnects=8).connect()
     try:

@@ -39,6 +39,7 @@ import threading
 import time
 from typing import List, Optional
 
+from ...core.policy import Backoff
 from ...errors import (BenchError, GatewayError, Overloaded, RateLimited,
                        SpawnError)
 from ...faults import FAULTS, FaultPlan
@@ -244,7 +245,7 @@ def run_t9_chaos(tenant_count: int = 3,
         GatewayConfig(unix_path=address, tenants=tenants,
                       max_inflight=max_inflight, drain_grace=5.0),
         check_interval=0.05, ping_timeout=2.0,
-        restart_backoff=0.02, orphan_grace=5.0).start()
+        backoff=Backoff(0.02, jitter=0.0), orphan_grace=5.0).start()
     loads = [_ChaosLoad(name) for name in tenants]
     try:
         barrier = threading.Barrier(threads + 1)

@@ -39,7 +39,7 @@ from .forkserver_pool import ForkServerPool
 from .framecache import FrameCache, frame_key
 from .pipeline import Pipeline, PipelineResult
 from .policy import (DEFAULT_FALLBACK, GATEWAY_FALLBACK, TEMPLATE_FALLBACK,
-                     CircuitBreaker, SpawnPolicy, breaker_for,
+                     Backoff, CircuitBreaker, SpawnPolicy, breaker_for,
                      reset_breakers)
 from .pool import SpawnPool, callable_spec
 from .result import ChildProcess, CompletedChild
@@ -56,7 +56,8 @@ from .xproc import CrossProcessBuilder, HostOFD, XProcStrategy
 
 
 __all__ = [
-    "AtForkRegistry", "AutoscaleConfig", "BatchRequest", "BatchResult",
+    "AtForkRegistry", "AutoscaleConfig", "Backoff", "BatchRequest",
+    "BatchResult",
     "ChildProcess", "CircuitBreaker",
     "CompletedChild", "CrossProcessBuilder",
     "DEFAULT_FALLBACK", "FileActions",

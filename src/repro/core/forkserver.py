@@ -432,7 +432,7 @@ class ForkServer:
               env: Optional[Dict[str, str]] = None,
               cwd: Optional[str] = None,
               stdin: int = 0, stdout: int = 1, stderr: int = 2,
-              trace=None, deadline: Optional[float] = None) -> ChildProcess:
+              deadline: Optional[float] = None) -> ChildProcess:
         """Ask the helper to spawn ``argv``; returns a handle.
 
         ``stdin``/``stdout``/``stderr`` are descriptors *in this
@@ -440,16 +440,15 @@ class ForkServer:
         the child's fds 0-2 — the explicit-grant model, like the spawn
         API's file actions.
 
-        ``trace`` is an optional :class:`~repro.obs.SpawnTrace` to stamp
-        (a caller further up owns it); with telemetry enabled and no
-        trace given, the server starts and owns one itself.  The trace
-        id travels in the wire request next to the correlation id, and
-        the helper's reply carries its own fork timestamp back.
+        With telemetry enabled the server starts and owns a
+        :class:`~repro.obs.SpawnTrace`; its id travels in the wire
+        request next to the correlation id, and the helper's reply
+        carries its own fork timestamp back.
         """
         member = SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
                               stdout=stdout, stderr=stderr)
         return run_steps(self._unit_steps(
-            [member], [trace], deadline, batch=False))[0]
+            [member], None, deadline, batch=False))[0]
 
     def _frame_encoder(self, request: dict, trace_id: Optional[str]):
         """A frame builder that splices per-call bytes onto a cached tail.

@@ -401,8 +401,7 @@ class ForkServerPool:
 
     def spawn(self, argv: Sequence[str], *,
               env=None, cwd=None,
-              stdin: int = 0, stdout: int = 1,
-              stderr: int = 2, trace=None,
+              stdin: int = 0, stdout: int = 1, stderr: int = 2,
               policy: Optional[SpawnPolicy] = None,
               deadline: Optional[float] = None) -> ChildProcess:
         """Spawn through the least-loaded helper, under the pool's policy.
@@ -429,7 +428,7 @@ class ForkServerPool:
         member = SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
                               stdout=stdout, stderr=stderr)
         return run_steps(self._unit_steps(
-            [member], [trace], policy, deadline, batch=False))[0]
+            [member], None, policy, deadline, batch=False))[0]
 
     def spawn_batch(self, requests, *,
                     policy: Optional[SpawnPolicy] = None,

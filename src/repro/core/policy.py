@@ -26,11 +26,33 @@ one.  So the batch consumes one attempt, a mid-batch failure fails (and
 retries) the **entire batch** — the wire protocol is all-or-nothing, so
 no member is ever silently dropped — and a failed batch strikes its
 helper/breaker once, not once per member.  Deadlines bound the single
-batched round trip, not each member individually.  Retries belong to
-whoever holds the policy: the pool's attempt loop for
-``ForkServerPool(policy=)`` / ``pool.spawn_batch(policy=)``, the ladder
-— per tier, under that tier's breaker — for :class:`ProcessBuilder`
-and :func:`repro.core.spawn_batch` alike, which hand the pool none.
+batched round trip, not each member individually.
+
+**Who backs off, who trips — and on what.**  Retries belong to whoever
+holds the policy; one schedule (:class:`Backoff`) and one trip-wire
+(:class:`CircuitBreaker`) serve everything in ``src/`` that waits
+between tries or gives up after N:
+
+=====================  ========================  ============================
+who                    backs off on              trips on
+=====================  ========================  ============================
+ladder, per tier       ``policy.backoff_delay``  ``breaker_for(tier)``
+daemon, per tenant     (the ladder's)            a ``breaker_for`` per tenant
+``ForkServerPool``     ``policy.backoff_delay``  ``slot.strikes`` (*)
+``GatewayClient``      ``backoff=Backoff()``     — (``max_reconnects`` budget)
+``GatewaySupervisor``  ``Backoff(jitter=0.0)``   its own ``CircuitBreaker``
+=====================  ========================  ============================
+
+The ladder walks :class:`ProcessBuilder` and :func:`repro.core.spawn_batch`
+alike and hands the pool no policy.  Two things stay apart by decision.
+(*) ``slot.strikes``: its threshold arrives per call from the caller's
+policy and its verdict is "retire the helper", not "cool down" — six
+lines a breaker would not shorten — and with it
+``ForkServerPool(policy=)``'s attempt loop, the only way a *private*
+pool retries.  And ``PoolAutoscaler`` versus the template registry's
+stock grower: one controller for both would carry a sustain window and
+a refusable shrink that only one has — shared code branching on its
+caller.
 """
 
 from __future__ import annotations
@@ -62,17 +84,46 @@ GATEWAY_FALLBACK = TEMPLATE_FALLBACK
 
 
 @dataclass(frozen=True)
+class Backoff:
+    """The one back-off schedule: ``base * multiplier**i`` seconds
+    capped at ``cap``, then spread over ``±jitter`` of itself (0 =
+    deterministic, 0.5 = ±50%) so concurrent clients desynchronise."""
+
+    base: float = 0.05
+    multiplier: float = 2.0
+    cap: float = 2.0
+    jitter: float = 0.5
+
+    def __post_init__(self):
+        if self.base < 0 or self.cap < 0:
+            raise SpawnError("backoff base and cap must be >= 0")
+        if self.multiplier < 1.0:
+            raise SpawnError(
+                f"backoff multiplier must be >= 1: {self.multiplier}")
+        if not 0.0 <= self.jitter <= 1.0:
+            raise SpawnError(f"jitter must be in [0, 1]: {self.jitter}")
+
+    def delay(self, retry_index: int,
+              rng: Callable[[], float] = random.random) -> float:
+        """Sleep before retry ``retry_index`` (0-based); ``rng`` is
+        injectable for deterministic tests."""
+        base = min(self.base * (self.multiplier ** retry_index), self.cap)
+        if not self.jitter or not base:
+            return base
+        spread = self.jitter * (2.0 * rng() - 1.0)  # in [-jitter, +jitter]
+        return max(0.0, base * (1.0 + spread))
+
+
+@dataclass(frozen=True)
 class SpawnPolicy:
     """How hard to try, how long to wait, and when to give up.
 
     Attributes:
         deadline: seconds per spawn attempt (``None`` = wait forever).
         retries: extra attempts after the first failure, per tier.
-        backoff: base sleep before the first retry, in seconds.
-        backoff_multiplier: growth factor per retry (exponential).
-        backoff_max: ceiling on any single backoff sleep.
-        jitter: fraction of the delay randomised symmetrically around
-            it (0 = deterministic, 0.5 = ±50%).
+        backoff, backoff_multiplier, backoff_max, jitter: the sleep
+            between attempts — a :class:`Backoff`'s ``base``,
+            ``multiplier``, ``cap`` and ``jitter``.
         breaker_threshold: consecutive failures before a breaker opens.
         breaker_cooldown: seconds an open breaker rejects attempts
             before allowing a half-open probe.
@@ -104,13 +155,6 @@ class SpawnPolicy:
             raise SpawnError(f"deadline must be > 0: {self.deadline}")
         if self.retries < 0:
             raise SpawnError(f"retries must be >= 0: {self.retries}")
-        if self.backoff < 0 or self.backoff_max < 0:
-            raise SpawnError("backoff and backoff_max must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise SpawnError(
-                f"backoff_multiplier must be >= 1: {self.backoff_multiplier}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise SpawnError(f"jitter must be in [0, 1]: {self.jitter}")
         if self.breaker_threshold < 1:
             raise SpawnError(
                 f"breaker_threshold must be >= 1: {self.breaker_threshold}")
@@ -118,6 +162,9 @@ class SpawnPolicy:
             raise SpawnError(
                 f"breaker_cooldown must be >= 0: {self.breaker_cooldown}")
         object.__setattr__(self, "fallback", tuple(self.fallback))
+        object.__setattr__(self, "_schedule", Backoff(
+            self.backoff, self.backoff_multiplier, self.backoff_max,
+            self.jitter))  # which validates the four
 
     def attempts(self) -> int:
         """Total attempts per tier (the first one plus the retries)."""
@@ -125,19 +172,9 @@ class SpawnPolicy:
 
     def backoff_delay(self, retry_index: int,
                       rng: Callable[[], float] = random.random) -> float:
-        """Sleep before retry ``retry_index`` (0-based), jittered.
-
-        Exponential: ``backoff * multiplier**retry_index`` capped at
-        ``backoff_max``, then spread over ``±jitter`` of itself so
-        concurrent clients desynchronise.  ``rng`` is injectable for
-        deterministic tests.
-        """
-        base = min(self.backoff * (self.backoff_multiplier ** retry_index),
-                   self.backoff_max)
-        if not self.jitter or not base:
-            return base
-        spread = self.jitter * (2.0 * rng() - 1.0)  # in [-jitter, +jitter]
-        return max(0.0, base * (1.0 + spread))
+        """Sleep before retry ``retry_index`` (0-based): the policy's
+        four back-off fields as a :class:`Backoff`."""
+        return self._schedule.delay(retry_index, rng)
 
 
 class CircuitBreaker:
@@ -221,6 +258,12 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
                 return True
             return False
+
+    def abandon(self) -> None:
+        """An admitted attempt ended with no verdict (its steps were
+        closed mid-launch): free the probe slot for the next caller."""
+        with self._lock:
+            self._probing = False
 
     def reset(self) -> None:
         self.record_success()

@@ -23,19 +23,21 @@ import os
 import pickle
 import struct
 import sys
-import time
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from ..errors import SpawnError
 from ..obs import TELEMETRY
 from .batch import BatchRequest
 from .forkserver import SpawnRequest
-from .policy import SpawnPolicy
 from .result import ChildProcess
 from .spawn import ProcessBuilder
 from .strategies import ForkServerPoolStrategy, get_strategy
 
 _LEN = struct.Struct("!I")
+
+#: Seconds a worker gets to see EOF on its stdin and exit at close();
+#: one still inside a task by then is killed.
+_CLOSE_GRACE = 10.0
 
 #: The worker's whole program: read length-prefixed pickled requests on
 #: stdin, import the named callable, reply with (ok, payload) pickles.
@@ -137,9 +139,11 @@ class _Worker:
         while len(data) < n:
             chunk = os.read(self.stdout_fd, n - len(data))
             if not chunk:
-                raise SpawnError(
-                    f"worker pid {self.child.pid} died mid-reply "
-                    f"(exit {self.child.poll()})")
+                # EOF arrives as the dying worker's fds close, before
+                # it can be reaped: wait, or poll() calls it alive.
+                status = self.child.wait(timeout=_CLOSE_GRACE)
+                raise SpawnError(f"worker pid {self.child.pid} died "
+                                 f"mid-reply (exit {status})")
             data += chunk
         return data
 
@@ -151,7 +155,11 @@ class _Worker:
                 except OSError:
                     pass
         self.stdin_fd = self.stdout_fd = None
-        self.child.wait(timeout=10)
+        try:
+            self.child.wait(timeout=_CLOSE_GRACE)
+        except SpawnError:
+            self.child.kill()
+            self.child.wait()
 
 
 class SpawnPool:
@@ -168,19 +176,14 @@ class SpawnPool:
     semantics, not a futures framework.
     """
 
-    def __init__(self, workers: int = 2, *, strategy: Optional[str] = None,
-                 policy: Optional[SpawnPolicy] = None):
+    def __init__(self, workers: int = 2, *, strategy: Optional[str] = None):
         """``strategy`` names the launch strategy for the workers
         themselves (e.g. ``"forkserver-pool"`` to create them through
         the shared spawn service); default is the builder's policy.
-        ``policy`` governs recovery: a worker found dead is always
-        replaced, and with ``policy.retries > 0`` the failed submit is
-        retried (with backoff) on the replacement instead of raising.
         """
         if workers < 1:
             raise SpawnError("need at least one worker")
         self._strategy = strategy
-        self._policy = policy
         self._workers: List[_Worker] = []
         self._next = 0
         self._closed = False
@@ -274,8 +277,7 @@ class SpawnPool:
                 pipes.append((parent_w, child_r, parent_r, child_w))
                 requests.append(SpawnRequest(
                     argv, stdin=child_r, stdout=child_w))
-            children = strategy.pool().spawn_batch(
-                BatchRequest(requests, policy=self._policy))
+            children = strategy.pool().spawn_batch(BatchRequest(requests))
         except BaseException:
             for parent_w, child_r, parent_r, child_w in pipes:
                 for fd in (parent_w, child_r, parent_r, child_w):
@@ -296,33 +298,24 @@ class SpawnPool:
     def submit(self, func: Callable, *args, **kwargs) -> Any:
         """Run one call on the next worker; returns its result.
 
-        A worker that died (killed, crashed) is replaced; the task is
-        retried on the replacement when the pool's policy grants
-        retries.  A *task* failure from a live worker — the function
-        raised — is the caller's bug and propagates immediately.
+        A worker that died (killed, crashed) is replaced, so the pool
+        heals, and the error still raised: whether the task is safe to
+        run twice is the caller's to know.  A *task* failure from a live
+        worker — the function raised — is the caller's bug and
+        propagates as it is.
         """
         self._require_open()
         spec = callable_spec(func)
-        attempts = self._policy.attempts() if self._policy else 1
-        last_error: Optional[SpawnError] = None
-        for attempt in range(attempts):
-            if attempt:
-                TELEMETRY.count("spawn_retry", pool="spawnpool")
-                delay = self._policy.backoff_delay(attempt - 1)
-                if delay:
-                    time.sleep(delay)
-            index = self._next % len(self._workers)
-            worker = self._workers[index]
-            self._next += 1
-            TELEMETRY.count("spawnpool_tasks")
-            try:
-                return worker.call(spec, args, kwargs)
-            except SpawnError as exc:
-                if worker.child.poll() is None:
-                    raise  # live worker: the task itself failed
-                last_error = exc
+        index = self._next % len(self._workers)
+        worker = self._workers[index]
+        self._next += 1
+        TELEMETRY.count("spawnpool_tasks")
+        try:
+            return worker.call(spec, args, kwargs)
+        except SpawnError:
+            if worker.child.poll() is not None:
                 self._respawn(index, worker)
-        raise last_error
+            raise
 
     def map(self, func: Callable, items: Iterable[Any]) -> List[Any]:
         """``[func(item) for item in items]`` across the workers.

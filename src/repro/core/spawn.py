@@ -433,6 +433,9 @@ def _ladder_steps(chain: List[str], pol: SpawnPolicy, trace,
                     trace.stage("breaker_open", strategy=name)
                     break  # this tier is sick; degrade
                 continue
+            except BaseException:
+                breaker.abandon()  # closed mid-launch: no verdict
+                raise
             breaker.record_success()
             return made
     raise SpawnError(

@@ -51,7 +51,6 @@ Errors come back typed: a reply's ``error`` object decodes through
 from __future__ import annotations
 
 import os
-import random
 import socket
 import threading
 import time
@@ -59,6 +58,7 @@ import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.batch import BatchResult, batch_unit
+from ..core.policy import Backoff
 from ..core.result import ChildProcess, encode_status
 from ..errors import (GatewayConnectionLost, GatewayError,
                       GatewayProtocolError, RateLimited, SpawnError)
@@ -105,8 +105,8 @@ class GatewayClient:
 
     * ``reconnect`` — re-dial (and re-auth) automatically when the
       channel dies; ``max_reconnects`` bounds the attempts per outage,
-      with exponential backoff from ``reconnect_backoff`` capped at
-      ``reconnect_backoff_max`` and spread over ``±reconnect_jitter``;
+      ``backoff`` (a :class:`~repro.core.policy.Backoff`) is the wait
+      between them — 0.05 s doubling to 2.0 s, ±50 % by default;
     * ``rate_limit_retries`` — how many times one operation sleeps out
       a :class:`~repro.errors.RateLimited` Retry-After hint before the
       error is surfaced (0 = surface immediately, the cooperative
@@ -126,9 +126,7 @@ class GatewayClient:
                  timeout: Optional[float] = None,
                  reconnect: bool = True,
                  max_reconnects: int = 5,
-                 reconnect_backoff: float = 0.05,
-                 reconnect_backoff_max: float = 2.0,
-                 reconnect_jitter: float = 0.5,
+                 backoff: Backoff = Backoff(),
                  rate_limit_retries: int = 0,
                  rate_limit_sleep_max: float = 30.0,
                  join_timeout: float = 2.0):
@@ -139,9 +137,7 @@ class GatewayClient:
                          else self.default_timeout)
         self._reconnect = reconnect
         self._max_reconnects = max(0, int(max_reconnects))
-        self._backoff = reconnect_backoff
-        self._backoff_max = reconnect_backoff_max
-        self._jitter = reconnect_jitter
+        self._backoff = backoff
         self._rate_limit_retries = max(0, int(rate_limit_retries))
         self._rate_limit_sleep_max = max(0.0, rate_limit_sleep_max)
         self._join_timeout = join_timeout
@@ -263,14 +259,6 @@ class GatewayClient:
 
     # -- reconnect machinery ----------------------------------------------
 
-    def _reconnect_delay(self, attempt: int) -> float:
-        """Capped exponential backoff with symmetric jitter."""
-        base = min(self._backoff * (2.0 ** attempt), self._backoff_max)
-        if not self._jitter or not base:
-            return base
-        spread = self._jitter * (2.0 * random.random() - 1.0)
-        return max(0.0, base * (1.0 + spread))
-
     def _ensure_channel(self, trace=NULL_TRACE) -> None:
         """Make the channel usable, re-dialing (and re-authing) if dead.
 
@@ -293,14 +281,11 @@ class GatewayClient:
                     f"(reconnect disabled)")
             last: Optional[Exception] = None
             for attempt in range(self._max_reconnects):
-                if attempt:
-                    # An Event wait, not a sleep: close() sets
-                    # _close_event before blocking on _conn_lock, so
-                    # it can interrupt the backoff mid-wait.
-                    if self._close_event.wait(
-                            self._reconnect_delay(attempt - 1)):
-                        raise GatewayError("gateway client is closed")
-                if self._close_event.is_set():
+                # An Event wait, not a sleep: close() sets _close_event
+                # before blocking on _conn_lock, so it can interrupt the
+                # backoff mid-wait (and is noticed before the first dial).
+                if self._close_event.wait(
+                        self._backoff.delay(attempt - 1) if attempt else 0):
                     raise GatewayError("gateway client is closed")
                 trace.stage("reconnect", attempt=attempt)
                 try:
@@ -340,8 +325,13 @@ class GatewayClient:
                 # Honour the daemon's hint up to the dedicated cap —
                 # sleeping less than asked just burns the retry budget
                 # on a request the daemon already said is too early.
-                time.sleep(min(pause.error.retry_after or 0.0,
-                               self._rate_limit_sleep_max))
+                # An Event wait, like the reconnect back-off's: close()
+                # must not leave this caller parked for the hint.
+                if self._close_event.wait(
+                        min(pause.error.retry_after or 0.0,
+                            self._rate_limit_sleep_max)):
+                    raise GatewayError(
+                        "gateway client is closed") from None
             except GatewayConnectionLost as exc:
                 safe = retryable or getattr(exc, "unsent", False)
                 if (not safe or self._closed or not self._reconnect

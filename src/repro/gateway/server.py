@@ -1142,6 +1142,9 @@ class GatewayServer:
         except (SpawnError, OSError):
             breaker.record_failure()
             raise
+        except BaseException:
+            breaker.abandon()  # closed under the job: no verdict
+            raise
         breaker.record_success()
         # Held by the job from here, not only from _job_done: a daemon
         # that crashes in between must still find the child among its

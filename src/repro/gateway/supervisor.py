@@ -13,8 +13,8 @@ dies?".  This module is that answer, in three parts:
   address (the Unix-socket path survives restarts, so resilient
   clients simply reconnect), with exponential backoff between
   consecutive failures so a crash loop cannot become a restart storm;
-  after ``max_restarts`` consecutive failures the supervisor gives up
-  and reports it, rather than burning CPU forever;
+  after ``max_restarts`` consecutive failures its breaker opens: the
+  supervisor gives up and reports it, rather than burning CPU forever;
 * **orphan reconciliation** — a crashed daemon strands its tenants'
   children (they are the daemon's children; nobody is left to ``wait``
   on them).  Before restarting, the supervisor claims them via
@@ -34,6 +34,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
+from ..core.policy import Backoff, CircuitBreaker
 from ..errors import GatewayError
 from ..obs import TELEMETRY
 from ..wire import FrameDecoder, encode_frame
@@ -84,38 +85,39 @@ class GatewaySupervisor:
                  check_interval: float = 0.25,
                  ping_timeout: float = 2.0,
                  max_restarts: int = 8,
-                 restart_backoff: float = 0.05,
-                 restart_backoff_max: float = 2.0,
+                 backoff: Backoff = Backoff(jitter=0.0),
                  healthy_reset: float = 5.0,
                  orphan_grace: float = 5.0):
         self.config = config
         self._check_interval = check_interval
         self._ping_timeout = ping_timeout
-        self._max_restarts = max_restarts
-        self._restart_backoff = restart_backoff
-        self._restart_backoff_max = restart_backoff_max
+        self._backoff = backoff
         self._healthy_reset = healthy_reset
         self._orphan_grace = orphan_grace
         self._server: Optional[GatewayServer] = None
         self._monitor: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
         self._lock = threading.Lock()
-        self._consecutive_failures = 0
+        #: Failures in a row: indexes the back-off, and once open stays
+        #: open (nobody asks it ``allow()``) — that is giving up.
+        self._breaker = CircuitBreaker(threshold=max_restarts + 1)
         self._healthy_since = 0.0
         #: Restarts performed over this supervisor's lifetime.
         self.restarts = 0
         #: Children reconciled (reaped) across restarts and shutdown.
         self.orphans_reaped = 0
-        #: Set when ``max_restarts`` consecutive failures exhausted the
-        #: restart budget; the daemon stays down and clients must rely
-        #: on their :class:`~repro.core.policy.SpawnPolicy` ladder.
-        self.gave_up = False
 
     # -- lifecycle -------------------------------------------------------
 
     @property
     def server(self) -> Optional[GatewayServer]:
         return self._server
+
+    @property
+    def gave_up(self) -> bool:
+        """``max_restarts`` consecutive failures spent the budget: the
+        daemon stays down and clients rely on their policy's ladder."""
+        return self._breaker.state == CircuitBreaker.OPEN
 
     @property
     def address(self):
@@ -141,8 +143,7 @@ class GatewaySupervisor:
             if self._monitor is not None:
                 return self
             self._stop_event.clear()
-            self.gave_up = False
-            self._consecutive_failures = 0
+            self._breaker.reset()
             if self._server is None:
                 self._server = GatewayServer(self.config)
             self._server.start()
@@ -186,10 +187,10 @@ class GatewaySupervisor:
                 return
             try:
                 if self.healthy():
-                    if (self._consecutive_failures
+                    if (self._breaker.failures
                             and time.monotonic() - self._healthy_since
                             >= self._healthy_reset):
-                        self._consecutive_failures = 0
+                        self._breaker.record_success()
                     continue
                 self._restart()
             except Exception as exc:
@@ -205,9 +206,7 @@ class GatewaySupervisor:
         with self._lock:
             if self._stop_event.is_set() or self._server is None:
                 return
-            self._consecutive_failures += 1
-            if self._consecutive_failures > self._max_restarts:
-                self.gave_up = True
+            if self._breaker.record_failure():
                 TELEMETRY.event("gateway_restart_giveup",
                                 restarts=self.restarts)
                 return
@@ -220,10 +219,8 @@ class GatewaySupervisor:
             self._reap(orphans)
             # Bounded restart-storm backoff: exponential in the run of
             # consecutive failures, capped, and interruptible by stop().
-            delay = min(self._restart_backoff
-                        * (2.0 ** (self._consecutive_failures - 1)),
-                        self._restart_backoff_max)
-            if self._stop_event.wait(delay):
+            if self._stop_event.wait(
+                    self._backoff.delay(self._breaker.failures - 1)):
                 return
             try:
                 server.start()

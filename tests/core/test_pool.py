@@ -3,9 +3,12 @@
 import math
 import operator
 import os
+import pickle
+import signal
 
 import pytest
 
+from repro.core import pool as pool_module
 from repro.core.pool import SpawnPool, callable_spec
 from repro.errors import SpawnError
 
@@ -111,3 +114,24 @@ class TestLifecycle:
         for worker in workers:
             assert worker.child.finished
         del pids
+
+    def test_close_kills_a_wedged_worker_and_still_closes_the_rest(
+            self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_CLOSE_GRACE", 0.2)
+        pool = SpawnPool(2)
+        wedged, idle = pool._workers
+        request = pickle.dumps(("time:sleep", (60,), {}))
+        os.write(wedged.stdin_fd, pool_module._LEN.pack(len(request))
+                 + request)  # in a task: deaf to EOF on its stdin
+        pool.close()
+        assert wedged.child.returncode == -signal.SIGKILL
+        assert idle.child.returncode == 0
+        assert idle.stdin_fd is None and idle.stdout_fd is None
+
+    def test_dead_worker_is_replaced_and_the_error_raised(self):
+        with SpawnPool(1) as pool:
+            (pid,) = pool.worker_pids()
+            with pytest.raises(SpawnError, match="died mid-reply"):
+                pool.submit(os.kill, pid, signal.SIGKILL)
+            assert pool.respawns == 1 and pool.worker_pids() != [pid]
+            assert pool.submit(math.sqrt, 4) == 2.0

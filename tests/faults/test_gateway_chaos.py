@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.core import GATEWAY_FALLBACK, SpawnPolicy, run
+from repro.core import GATEWAY_FALLBACK, Backoff, SpawnPolicy, run
 from repro.core.strategies import get_strategy
 from repro.errors import (GatewayConnectionLost, GatewayError, SpawnError,
                           SpawnTimeout)
@@ -37,11 +37,11 @@ def gateway(tmp_path):
             tenants={"acme": TenantConfig(name="acme", token=TOKEN,
                                           strategy="posix_spawn")},
             drain_grace=3.0),
-        check_interval=0.02, restart_backoff=0.01,
+        check_interval=0.02, backoff=Backoff(0.01, jitter=0.0),
         orphan_grace=2.0).start()
     client = GatewayClient(supervisor.address, tenant="acme", token=TOKEN,
                            timeout=5.0, reconnect=True, max_reconnects=8,
-                           reconnect_backoff=0.02).connect()
+                           backoff=Backoff(0.02)).connect()
     try:
         yield supervisor, client
     finally:

@@ -27,6 +27,7 @@ from repro.errors import GatewayError, Overloaded, SpawnError
 from repro.faults import FAULTS, FaultPlan
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
+from repro.gateway.server import _Job
 from repro.obs import NULL_TRACE
 
 TOKEN = "paths-token"
@@ -312,6 +313,30 @@ class TestLaunchesInFlight:
             assert isinstance(outcome[0], (GatewayError, SpawnError))
         finally:
             client.close()
+
+
+class TestJobClosedMidLaunch:
+    def test_a_probe_without_a_verdict_frees_the_tenants_breaker(
+            self, tmp_path):
+        """``_hand_over`` closes a job's steps when the daemon stops
+        under it.  If that job was its tenant's half-open probe, the
+        slot goes back: the breaker lives in the process-wide registry,
+        so a taken one would refuse the tenant across restarts."""
+        policy = SpawnPolicy(breaker_threshold=1, breaker_cooldown=0)
+        server = make_server(tmp_path, "posix_spawn", policy=policy)
+        try:
+            breaker = breaker_for("gateway:acme", policy)
+            breaker.record_failure()  # open; no cooldown, so probe at once
+            job = _Job(None, 1, "spawn", {"argv": ["/bin/true"],
+                                          "env": None, "cwd": None},
+                       [], 1, "acme")
+            steps = server._execute(job)
+            next(steps)  # admitted as the probe, its launch not yet made
+            assert not breaker.allow()
+            steps.close()
+            assert breaker.allow()
+        finally:
+            server.stop()
 
 
 #: What the helper-fault cases run under: two attempts on the pool,

@@ -4,8 +4,10 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.core import (GATEWAY_FALLBACK, BatchRequest, CircuitBreaker,
+from repro.core import (GATEWAY_FALLBACK, Backoff, BatchRequest,
+                        CircuitBreaker,
                         ProcessBuilder, SpawnPolicy, Strategy,
                         TemplateProfile, TemplateRegistry, breaker_for,
                         reset_breakers, run, spawn_batch)
@@ -30,25 +32,37 @@ class TestSpawnPolicyShape:
             SpawnPolicy(jitter=1.5)
         with pytest.raises(SpawnError):
             SpawnPolicy(breaker_threshold=0)
+        # The four back-off numbers are the Backoff's to validate.
+        for bad in ({"base": -1}, {"cap": -1}, {"multiplier": 0.5},
+                    {"jitter": 1.5}):
+            with pytest.raises(SpawnError):
+                Backoff(**bad)
 
     def test_attempts_counts_the_first_try(self):
         assert SpawnPolicy().attempts() == 1
         assert SpawnPolicy(retries=3).attempts() == 4
 
-    def test_backoff_is_exponential_and_capped(self):
-        policy = SpawnPolicy(backoff=0.1, backoff_multiplier=2.0,
-                             backoff_max=0.5, jitter=0.0)
-        delays = [policy.backoff_delay(i) for i in range(5)]
-        assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
-
-    def test_jitter_spreads_symmetrically(self):
-        policy = SpawnPolicy(backoff=1.0, jitter=0.5)
-        low = policy.backoff_delay(0, rng=lambda: 0.0)   # -jitter edge
-        high = policy.backoff_delay(0, rng=lambda: 1.0)  # +jitter edge
-        mid = policy.backoff_delay(0, rng=lambda: 0.5)
-        assert low == pytest.approx(0.5)
-        assert high == pytest.approx(1.5)
-        assert mid == pytest.approx(1.0)
+    @given(base=st.floats(0.0, 10.0), multiplier=st.floats(1.0, 8.0),
+           cap=st.floats(0.0, 60.0), jitter=st.floats(0.0, 1.0),
+           index=st.integers(0, 40), u=st.floats(0.0, 1.0))
+    def test_the_one_schedule(self, base, multiplier, cap, jitter, index, u):
+        """Capped, exponential, symmetrically jittered, non-decreasing
+        — and the policy's delay is its four fields' ``Backoff``."""
+        schedule = Backoff(base, multiplier, cap, jitter)
+        delay = schedule.delay(index, lambda: u)
+        assert 0.0 <= delay <= cap * (1.0 + jitter)
+        bare = min(base * multiplier ** index, cap)
+        assert schedule.delay(index, lambda: 0.5) == bare
+        assert Backoff(base, multiplier, cap, 0.0).delay(index) == bare
+        # The jitter's two edges sit the same distance either side.
+        assert schedule.delay(index, lambda: 0.0) == pytest.approx(
+            bare * (1.0 - jitter))
+        assert schedule.delay(index, lambda: 1.0) == pytest.approx(
+            bare * (1.0 + jitter))
+        assert schedule.delay(index + 1, lambda: u) >= delay
+        policy = SpawnPolicy(backoff=base, backoff_multiplier=multiplier,
+                             backoff_max=cap, jitter=jitter)
+        assert policy.backoff_delay(index, lambda: u) == delay
 
 
 class TestCircuitBreaker:
@@ -89,6 +103,21 @@ class TestCircuitBreaker:
         assert breaker.record_failure() is True  # re-opened
         now[0] = 12.0
         assert not breaker.allow()  # new cooldown from the re-open
+
+    def test_probe_closed_mid_launch_frees_its_slot(self):
+        # Steps closed under a half-open probe (the daemon stopped
+        # under the job) end with no verdict; the slot must not stay
+        # taken, refusing every later caller for good.
+        reset_breakers()
+        policy = SpawnPolicy(breaker_threshold=1, breaker_cooldown=0)
+        breaker = breaker_for("posix_spawn", policy)
+        breaker.record_failure()  # open; no cooldown, so probe at once
+        steps = ProcessBuilder("/bin/true").policy(policy)._spawn_steps()
+        next(steps)  # the probe is admitted, its launch not yet made
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        assert not breaker.allow()
+        steps.close()
+        assert breaker.allow()
 
     def test_breaker_for_is_shared_by_name(self):
         reset_breakers()

@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.core import SpawnPolicy
+from repro.core import Backoff, SpawnPolicy
 from repro.core.strategies import get_strategy
 from repro.errors import GatewayError, Overloaded, SpawnError
 from repro.faults import FAULTS, FaultPlan
@@ -188,7 +188,7 @@ class TestClaims:
             self, tmp_path):
         server = make_server(tmp_path)
         claims = count_ops(server, "wait")
-        client = dial(server, reconnect_backoff=0.02)
+        client = dial(server, backoff=Backoff(0.02))
         try:
             child = client.spawn(("/bin/sh", "-c", "sleep 0.3; exit 7"))
             with FAULTS.active(FaultPlan().add("conn_reset", times=1)):
@@ -206,7 +206,7 @@ class TestClaims:
     def test_exit_during_the_blip_is_claimed_from_the_daemon(
             self, tmp_path):
         server = make_server(tmp_path)
-        client = dial(server, reconnect_backoff=0.02)
+        client = dial(server, backoff=Backoff(0.02))
         try:
             child = client.spawn(("/bin/sh", "-c", "sleep 0.2; exit 9"))
             client._channel.sock.shutdown(socket.SHUT_RDWR)

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.core import Backoff
 from repro.errors import (GatewayConnectionLost, GatewayError,
                           GatewayProtocolError, SpawnTimeout)
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
@@ -72,7 +73,7 @@ class TestTypedConnectionLoss:
         client = GatewayClient(server.unix_path, tenant="acme",
                                token=TOKEN, reconnect=True,
                                max_reconnects=2,
-                               reconnect_backoff=0.01).connect()
+                               backoff=Backoff(0.01)).connect()
         try:
             server.stop()
             # The socket path is gone for good: every re-dial fails and
@@ -106,7 +107,7 @@ class TestReconnectSemantics:
         address = server.unix_path
         client = GatewayClient(address, tenant="acme", token=TOKEN,
                                reconnect=True, max_reconnects=8,
-                               reconnect_backoff=0.02).connect()
+                               backoff=Backoff(0.02)).connect()
         try:
             assert client.stats()["tenants"]["acme"] is not None
             server.stop()
@@ -126,7 +127,7 @@ class TestReconnectSemantics:
         server = make_server(tmp_path)
         client = GatewayClient(server.unix_path, tenant="acme",
                                token=TOKEN, reconnect=True,
-                               reconnect_backoff=0.02).connect()
+                               backoff=Backoff(0.02)).connect()
         try:
             child = client.spawn(("/bin/sh", "-c", "sleep 0.2; exit 7"))
             # Kill the transport under the client; the daemon (and the
@@ -145,7 +146,7 @@ class TestReconnectSemantics:
                              hangup_on_request=True)
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
                                reconnect=True, max_reconnects=3,
-                               reconnect_backoff=0.01).connect()
+                               backoff=Backoff(0.01)).connect()
         try:
             with pytest.raises(GatewayConnectionLost):
                 client.spawn(("/bin/true",))
@@ -155,15 +156,6 @@ class TestReconnectSemantics:
         finally:
             client.close()
             fake.stop()
-
-    def test_backoff_is_capped(self):
-        client = GatewayClient("/nonexistent.sock", tenant="t", token="t",
-                               reconnect_backoff=0.05,
-                               reconnect_backoff_max=0.2,
-                               reconnect_jitter=0.5)
-        for attempt in range(12):
-            delay = client._reconnect_delay(attempt)
-            assert 0.0 <= delay <= 0.2 * 1.5
 
 
 class _SilentServer:
@@ -226,9 +218,8 @@ class TestCloseInterruptsReconnect:
         client = GatewayClient(server.unix_path, tenant="acme",
                                token=TOKEN, reconnect=True,
                                max_reconnects=40,
-                               reconnect_backoff=0.5,
-                               reconnect_backoff_max=0.5,
-                               reconnect_jitter=0.0).connect()
+                               backoff=Backoff(0.5, cap=0.5,
+                                               jitter=0.0)).connect()
         server.stop()  # the socket path is gone: every re-dial fails
         failures = []
 
@@ -309,21 +300,51 @@ class TestRetryAfterHonored:
             self, tmp_path):
         """The honoured Retry-After sleep has its own cap
         (rate_limit_sleep_max), not the reconnect backoff cap: a hint
-        far above reconnect_backoff_max must still be waited out, so
+        far above the ``backoff``'s cap must still be waited out, so
         the re-ask lands after the daemon said it would succeed."""
         fake = _RateLimitingServer(str(tmp_path / "rl.sock"),
                                    retry_after=0.4)
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
                                rate_limit_retries=1,
-                               reconnect_backoff_max=0.01).connect()
+                               backoff=Backoff(cap=0.01)).connect()
         try:
             started = time.monotonic()
             assert client.stats() == {"ok": True}
             elapsed = time.monotonic() - started
             assert fake.refused == 1
-            # The old behavior capped the sleep at reconnect_backoff_max
+            # The old behavior capped the sleep at the reconnect cap
             # (0.01s); honoring the hint means waiting ~0.4s.
             assert elapsed >= 0.3
+        finally:
+            client.close()
+            fake.stop()
+
+
+    def test_close_cuts_the_wait_short(self, tmp_path):
+        """A caller sleeping out a hint must not outlive close(): the
+        wait is on the close event, like the reconnect back-off's."""
+        fake = _RateLimitingServer(str(tmp_path / "rl.sock"),
+                                   retry_after=5.0)
+        client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
+                               rate_limit_retries=1).connect()
+        failures = []
+
+        def op():
+            try:
+                client.stats()
+            except GatewayError as exc:
+                failures.append(exc)
+        worker = threading.Thread(target=op)
+        try:
+            worker.start()
+            while not fake.refused:
+                time.sleep(0.01)
+            time.sleep(0.1)  # let the refusal reach the caller's wait
+            started = time.monotonic()
+            client.close()
+            worker.join(timeout=10.0)
+            assert time.monotonic() - started < 1.0
+            assert "closed" in str(failures[0])
         finally:
             client.close()
             fake.stop()

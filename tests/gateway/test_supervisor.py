@@ -14,6 +14,8 @@ import time
 
 import pytest
 
+from repro.core import Backoff
+from repro.errors import GatewayError
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            GatewaySupervisor, TenantConfig, ping_gateway)
 
@@ -31,7 +33,7 @@ def make_config(tmp_path, **tenant_kwargs):
 
 def make_supervisor(tmp_path, **kwargs):
     kwargs.setdefault("check_interval", 0.02)
-    kwargs.setdefault("restart_backoff", 0.01)
+    kwargs.setdefault("backoff", Backoff(0.01, jitter=0.0))
     kwargs.setdefault("orphan_grace", 1.0)
     return GatewaySupervisor(make_config(tmp_path), **kwargs)
 
@@ -82,7 +84,7 @@ class TestRestart:
             client = GatewayClient(supervisor.address, tenant="acme",
                                    token=TOKEN, reconnect=True,
                                    max_reconnects=8,
-                                   reconnect_backoff=0.02).connect()
+                                   backoff=Backoff(0.02)).connect()
             try:
                 assert client.spawn(("/bin/true",)).wait(timeout=30) == 0
                 supervisor.server.crash()
@@ -106,6 +108,36 @@ class TestRestart:
         finally:
             supervisor.stop()
 
+    def test_delays_are_the_backoffs_and_give_up_is_the_breaker(
+            self, tmp_path):
+        """A daemon that never comes back: each restart waits the
+        ``Backoff``'s delay for its place in the run of failures, and
+        failure ``max_restarts + 1`` opens the breaker — gave_up."""
+        backoff = Backoff(0.004, multiplier=3.0, cap=0.03, jitter=0.0)
+        supervisor = make_supervisor(tmp_path, max_restarts=3,
+                                     healthy_reset=60.0, backoff=backoff)
+        supervisor.start()
+        try:
+            waited = []
+            wait = supervisor._stop_event.wait
+            supervisor._stop_event.wait = (
+                lambda delay: waited.append(delay) or wait(delay))
+
+            def refuse():
+                raise GatewayError("still down")
+            supervisor.server.start = refuse
+            supervisor.server.crash()
+            wait_for(lambda: supervisor.gave_up, message="give-up")
+            restart_waits = [d for d in waited
+                             if d != supervisor._check_interval]
+            assert restart_waits == [backoff.delay(i) for i in range(3)]
+            assert restart_waits[-1] == 0.03  # capped, and not jittered
+            assert supervisor._breaker.failures == 4
+            assert supervisor.restarts == 0
+            assert "gave-up" in repr(supervisor)
+        finally:
+            supervisor.stop()
+
     def test_stop_is_idempotent_and_final(self, tmp_path):
         supervisor = make_supervisor(tmp_path).start()
         address = supervisor.address
@@ -118,7 +150,7 @@ class TestRestart:
 class TestTcpOnlySupervision:
     def make_tcp_supervisor(self, **kwargs):
         kwargs.setdefault("check_interval", 0.02)
-        kwargs.setdefault("restart_backoff", 0.01)
+        kwargs.setdefault("backoff", Backoff(0.01, jitter=0.0))
         config = GatewayConfig(
             tcp_port=0,
             tenants={"acme": TenantConfig(name="acme", token=TOKEN,
@@ -177,7 +209,7 @@ class TestOrphanReconciliation:
         with make_supervisor(tmp_path, orphan_grace=0.2) as supervisor:
             client = GatewayClient(supervisor.address, tenant="acme",
                                    token=TOKEN, reconnect=True,
-                                   reconnect_backoff=0.02).connect()
+                                   backoff=Backoff(0.02)).connect()
             try:
                 child = client.spawn(("/bin/sh", "-c", "sleep 60"))
                 pid = child.pid
