@@ -55,8 +55,10 @@ class SpawnAttributes:
                 if not isinstance(key, str) or not isinstance(value, str):
                     raise SpawnError("environment entries must be str: "
                                      f"{key!r}={value!r}")
-                if "=" in key:
-                    raise SpawnError(f"'=' in environment name {key!r}")
+                if not key or "=" in key or "\0" in key or "\0" in value:
+                    raise SpawnError(
+                        f"bad environment entry {key!r}={value!r}: a name "
+                        "is non-empty and holds no '=', neither holds a NUL")
         if self.cwd is not None and not isinstance(self.cwd, (str, os.PathLike)):
             raise SpawnError(f"bad cwd {self.cwd!r}")
         if self.umask is not None and not 0 <= self.umask <= 0o7777:

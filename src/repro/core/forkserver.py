@@ -138,10 +138,13 @@ class SpawnRequest:
             return item
         return cls(item, **defaults)
 
-    def wire(self) -> dict:
-        """The member's share of the batch frame (fds travel separately)."""
-        return {"argv": self.argv, "env": self.env, "cwd": self.cwd,
-                "nfds": 3}
+    def wire(self, inherited: Optional[Dict[str, str]] = None) -> dict:
+        """The member's share of the frame (fds travel separately);
+        ``inherited`` is what an ``env`` of ``None`` travels as
+        (:meth:`ForkServer._inherited_env`)."""
+        return {"argv": self.argv,
+                "env": inherited if self.env is None else self.env,
+                "cwd": self.cwd, "nfds": 3}
 
     def grant(self) -> tuple:
         return (self.stdin, self.stdout, self.stderr)
@@ -178,6 +181,8 @@ class ForkServer:
         # (closed) one so exits already filed can still be read.
         self._channel: Optional[Channel] = None
         self._pid: Optional[int] = None
+        # The environment start() booted the helper with (raw bytes).
+        self._boot_env: Optional[dict] = None
         # Preserialized frames for repeated spawn shapes; 0 disables.
         self._frames: Optional[FrameCache] = (
             FrameCache(frame_cache) if frame_cache else None)
@@ -215,6 +220,13 @@ class ForkServer:
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
         os.set_inheritable(theirs.fileno(), True)
         env = dict(os.environ)
+        # What the helper holds once it has popped the fault spec, made
+        # from the very copy it boots with and kept in the raw (bytes)
+        # form ``os.environ`` keeps, for _inherited_env() to compare.
+        self._boot_env = {
+            os.fsencode(key): os.fsencode(value)
+            for key, value in env.items() if key != "REPRO_HELPER_FAULTS"
+        } if hasattr(os.environ, "_data") else None
         helper_faults = FAULTS.helper_spec()
         if helper_faults:
             # The active FaultPlan wants faults *inside* this helper
@@ -438,7 +450,8 @@ class ForkServer:
         ``stdin``/``stdout``/``stderr`` are descriptors *in this
         process*; they are shipped to the helper as SCM_RIGHTS and become
         the child's fds 0-2 — the explicit-grant model, like the spawn
-        API's file actions.
+        API's file actions.  ``env=None`` is this process's environment
+        as it is now, not the one the helper booted with.
 
         With telemetry enabled the server starts and owns a
         :class:`~repro.obs.SpawnTrace`; its id travels in the wire
@@ -449,6 +462,17 @@ class ForkServer:
                               stdout=stdout, stderr=stderr)
         return run_steps(self._unit_steps(
             [member], None, deadline, batch=False))[0]
+
+    def _inherited_env(self) -> Optional[Dict[str, str]]:
+        """What ``env=None`` — the caller's environment as it is now —
+        travels as: ``None`` while that is still, exactly, what the
+        helper was booted with (it launches from its own copy), else a
+        copy to ship like any explicit ``env``.  The test is one C-level
+        compare of two bytes dicts (~1 µs for 70 variables), never a
+        guess; without a raw table to compare, a copy every time."""
+        if self._boot_env is not None and os.environ._data == self._boot_env:
+            return None
+        return dict(os.environ)
 
     def _frame_encoder(self, request: dict, trace_id: Optional[str]):
         """A frame builder that splices per-call bytes onto a cached tail.
@@ -530,13 +554,16 @@ class ForkServer:
         fds = [fd for req in reqs for fd in req.grant()]
         TELEMETRY.count("fd_grants", len(fds))
         encode = encode_body
+        inherited = (self._inherited_env()
+                     if any(req.env is None for req in reqs) else None)
         if batch:
             TELEMETRY.observe("spawn_batch_size", len(reqs))
-            request = {"op": "batch", "reqs": [req.wire() for req in reqs]}
+            request = {"op": "batch",
+                       "reqs": [req.wire(inherited) for req in reqs]}
         else:
             # nfds lets the helper detect a lost/partial SCM_RIGHTS grant
             # and refuse (EPROTO) instead of wiring the child to ITS stdio.
-            request = {"op": "spawn", **reqs[0].wire()}
+            request = {"op": "spawn", **reqs[0].wire(inherited)}
             if self._frames is not None and fds == [0, 1, 2]:
                 # Default-stdio spawns are the repeatable shape worth
                 # caching; fd-bearing requests (fresh pipes every call)

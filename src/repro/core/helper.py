@@ -101,13 +101,13 @@ def send_frame(chan, body, fds=()):
 
 
 def which(name, env):
-    # What execvpe did for a bare name: first executable hit on the
-    # REQUEST's PATH when it replaces the environment, ours otherwise.
-    # None sends the request down the fork path, which fails the way it
-    # always has (the child exits 127).
+    # What execvpe did for a bare name: first executable hit on the PATH
+    # of ``env``, the environment the child will get.  None sends the
+    # request down the fork path, which fails the way it always has (the
+    # child exits 127).
     if "/" in name:
         return name
-    path = (env if env is not None else os.environ).get("PATH", os.defpath)
+    path = env.get("PATH", os.defpath)
     for entry in path.split(os.pathsep):
         candidate = os.path.join(entry, name)
         if os.access(candidate, os.X_OK) and not os.path.isdir(candidate):
@@ -115,25 +115,29 @@ def which(name, env):
     return None
 
 
-def spawn_one(req, grant):
+def spawn_one(req, grant, environ):
     # Launch one request whose stdio triple is ``grant`` and close the
     # grant on our side.  posix_spawn with dup2 file actions: no fork of
     # this interpreter, and the reply leaves after the child's exec.
     # fork -> chdir -> exec survives for the one thing posix_spawn cannot
     # express (cwd) and as the fallback for a failed spawn, so a missing
-    # binary is still a child that exits 127.  Raises OSError with the
-    # grant still open if even the fork fails (EAGAIN under pid
-    # pressure) — the caller owns cleanup so a batch can account for
-    # every member.
+    # binary is still a child that exits 127.  ``env: null`` is
+    # ``environ``, our own environment as a plain dict (os.environ is a
+    # Mapping, which posix_spawn walks through Python); ``{}`` is empty.
+    # Raises with the grant still open — OSError if even the fork fails
+    # (EAGAIN under pid pressure), ValueError/TypeError for an argv or
+    # env no exec could take — the caller owns cleanup so a batch can
+    # account for every member.
     argv = req["argv"]
     env = req.get("env")
+    if env is None:
+        env = environ
     pid = 0
     path = None if req.get("cwd") else which(argv[0], env)
     if path is not None:
         try:
             dup2s = [(os.POSIX_SPAWN_DUP2, fd, target) for target, fd in enumerate(grant)]
-            environ = env if env is not None else os.environ
-            pid = os.posix_spawn(path, argv, environ, file_actions=dup2s)
+            pid = os.posix_spawn(path, argv, env, file_actions=dup2s)
         except OSError:
             pass
     if not pid:
@@ -144,13 +148,20 @@ def spawn_one(req, grant):
                     os.dup2(fd, target)
                 if req.get("cwd"):
                     os.chdir(req["cwd"])
-                os.execvpe(argv[0], argv, env if env is not None else os.environ)
+                os.execvpe(argv[0], argv, env)
             except BaseException:
                 os._exit(127)
     t_spawn = time.monotonic_ns()
     for fd in grant:
         os.close(fd)
     return pid, t_spawn
+
+
+def refused(what, exc):
+    # Why spawn_one raised, by name.
+    if isinstance(exc, OSError):
+        return "EAGAIN: %s failed to fork: %s" % (what, exc)
+    return "EINVAL: %s cannot be executed: %s" % (what, exc)
 
 
 def parse_faults(spec):
@@ -176,6 +187,9 @@ class Helper:
     def __init__(self, sock, faults):
         self.sock = sock
         self.faults = faults
+        # What ``env: null`` launches from (the fault spec is popped by
+        # now); op_specialize keeps it in step.
+        self.environ = dict(os.environ)
         # Pre-forked parked children awaiting a lease, oldest first.
         # Each entry pairs a child pid with OUR end of its wake
         # socketpair; closing that end is how a park is withdrawn (the
@@ -314,10 +328,11 @@ class Helper:
         if error:
             return {"error": error}
         try:
-            pid, t_spawn = spawn_one(request, fds)
-        except OSError as exc:  # one request's refusal, not our death
+            pid, t_spawn = spawn_one(request, fds, self.environ)
+        except (OSError, ValueError, TypeError) as exc:
+            # One request's refusal, not our death.
             close_all(fds)
-            return {"error": "EAGAIN: spawn failed to fork: %s" % exc}
+            return {"error": refused("spawn", exc)}
         # The client's trace id rides next to the correlation id; echo
         # it with our spawned-at timestamp (exec done on the posix_spawn
         # path; CLOCK_MONOTONIC is system-wide on Linux, so the client
@@ -347,9 +362,9 @@ class Helper:
             grant = fds[offset : offset + nfds]
             offset += nfds
             try:
-                pid, t_spawn = spawn_one(req, grant)
-            except OSError as exc:
-                error = "EAGAIN: batch member %d failed to fork: %s" % (len(results), exc)
+                pid, t_spawn = spawn_one(req, grant, self.environ)
+            except (OSError, ValueError, TypeError) as exc:
+                error = refused("batch member %d" % len(results), exc)
                 close_all(grant + fds[offset:])
                 break
             results.append({"pid": pid, "t_fork_ns": t_spawn})
@@ -390,6 +405,8 @@ class Helper:
                 __import__(name)
             except Exception as exc:
                 failed.append("%s: %s" % (name, exc))
+        # The profile's variables, and whatever a preload set at import.
+        self.environ = dict(os.environ)
         opened = 0
         for path in request.get("preopen") or []:
             try:

@@ -304,6 +304,9 @@ class ProcessBuilder:
                                 start_ns=self._created_ns)
         trace.stage("dispatch")
         try:
+            for arg in self._argv:
+                if (b"\0" if isinstance(arg, bytes) else "\0") in arg:
+                    raise SpawnError(f"NUL in argv element {arg!r}")
             FAULTS.fire("builder.spawn", argv=list(self._argv),
                         strategy=strategy.name)
             def launch(tier: Strategy) -> "Steps[ChildProcess]":

@@ -336,7 +336,7 @@ class _WireStrategy(Strategy):
         stdio, opened = _stdio_grant(actions)
         try:
             member = SpawnRequest(
-                argv, env=attrs.effective_env(), cwd=attrs.cwd,
+                argv, env=attrs.env, cwd=attrs.cwd,
                 stdin=stdio[0], stdout=stdio[1], stderr=stdio[2])
             children = yield from self._unit_steps(
                 [member], [trace], attrs.deadline, batch=False)

@@ -193,6 +193,11 @@ class TemplateServer(ForkServer):
             parked += 1
         return parked
 
+    def _inherited_env(self) -> None:
+        # A program inherits the PROFILE's environment — the helper's,
+        # as ``specialize`` left it — never the caller's.
+        return None
+
     def _unit_steps(self, reqs, traces, deadline, batch):
         # The one request path, plus this server's name for a launch.
         children = yield from super()._unit_steps(reqs, traces, deadline,

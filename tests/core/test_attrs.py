@@ -21,6 +21,14 @@ class TestValidation:
         with pytest.raises(SpawnError):
             SpawnAttributes(env={"BAD=NAME": "v"}).validate()
 
+    @pytest.mark.parametrize("env", [
+        {"": "v"}, {"A\0B": "v"}, {"A": "v\0w"}],
+        ids=["empty-name", "nul-in-name", "nul-in-value"])
+    def test_entries_no_exec_could_take_are_rejected(self, env):
+        with pytest.raises(SpawnError):
+            SpawnAttributes(env=env).validate()
+        SpawnAttributes(env={"A": "", "B": "=v="}).validate()
+
     def test_bad_umask_rejected(self):
         with pytest.raises(SpawnError):
             SpawnAttributes(umask=0o10000).validate()

@@ -366,6 +366,7 @@ class TestFailedForkIsARefusal:
         monkeypatch.setattr(helper_module.os, "fork", no_pids)
         helper = object.__new__(helper_module.Helper)
         helper.faults = {}
+        helper.environ = dict(os.environ)
         grant = [os.dup(0), os.dup(1), os.dup(2)]
         try:
             reply = helper.op_spawn({"op": "spawn", "argv": ["/bin/true"],

@@ -28,6 +28,8 @@ The forkserver helper cannot import ``repro.wire`` and keeps its own
 frame, report EOF, or raise ``ValueError``.
 """
 
+import os
+import signal
 import socket
 import threading
 
@@ -184,6 +186,35 @@ def test_each_framing_hazard_by_name(blob):
         theirs.sendall(blob)
         with pytest.raises(ValueError):
             helper.recv_frame(ours, 3)
+
+
+def test_a_null_env_launches_from_a_plain_dict(monkeypatch):
+    """``env: null`` must reach ``os.posix_spawn`` as the helper's own
+    copy, a ``dict`` — never ``os.environ``, a ``Mapping`` the call
+    walks key by key through Python — and ``{}`` as itself, empty."""
+    launched = []
+
+    def posix_spawn(path, argv, env, file_actions):
+        launched.append(env)
+        return 4242
+
+    monkeypatch.setattr(helper.os, "posix_spawn", posix_spawn)
+    ours, theirs = socket.socketpair()
+    handler = signal.getsignal(signal.SIGCHLD)
+    loop = helper.Helper(ours, {})
+    try:
+        for env in (None, {}):
+            reply = loop.op_spawn({"argv": ["/bin/true"], "env": env},
+                                  [os.dup(0), os.dup(1), os.dup(2)])
+            assert reply["pid"] == 4242
+    finally:
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGCHLD, handler)
+        helper.close_all([loop.rwake, loop.wwake])
+        ours.close()
+        theirs.close()
+    assert type(launched[0]) is dict and launched[0] == dict(os.environ)
+    assert launched[0] is loop.environ and launched[1] == {}
 
 
 _JUNK = (st.none() | st.booleans() | st.integers() | st.floats()
