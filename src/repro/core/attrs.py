@@ -114,6 +114,14 @@ class SpawnAttributes:
         return self.cwd is not None or self.umask is not None
 
 
+def check_argv(argv: Sequence) -> None:
+    """Raise :class:`SpawnError` for an argv no exec could take: a NUL
+    inside an element."""
+    for arg in argv:
+        if (b"\0" if isinstance(arg, bytes) else "\0") in arg:
+            raise SpawnError(f"NUL in argv element {arg!r}")
+
+
 def _catchable_signals() -> list:
     """Every signal whose disposition a process may change."""
     out = []

@@ -19,8 +19,9 @@ exactly this shape:
 * :func:`batch_unit` — the front door those entry points share: it
   refuses anything that is not a :class:`BatchRequest` (the 1.x bare
   sequences are gone; the error names :meth:`BatchRequest.of`) and
-  anything no helper could take, *before* a helper is picked — a
-  caller's mistake must cost no strike, retry or breaker failure.
+  anything no helper could take — a member no exec could take included
+  — *before* a helper is picked: a caller's mistake must cost no
+  strike, retry or breaker failure.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import SpawnError
 from ..wire import SCM_MAX_FD
+from .attrs import SpawnAttributes, check_argv
 from .forkserver import SpawnRequest
 from .policy import SpawnPolicy
 from .result import ChildProcess
@@ -103,12 +105,18 @@ class BatchRequest:
                   policy: Optional[SpawnPolicy] = None,
                   deadline: Optional[float] = None) -> "BatchRequest":
         """Rebuild a batch from :meth:`wire` output (stdio re-granted
-        by the transport, so members come back on default stdio)."""
+        by the transport, so members come back on default stdio).  A
+        member that is not ``{"argv": [str, …], "env": {…} | null,
+        "cwd": str | null}`` is refused by name."""
         members = []
         for item in payload:
-            if not isinstance(item, dict) or "argv" not in item:
-                raise SpawnError(f"malformed batch member: {item!r}")
-            members.append(SpawnRequest(item["argv"], env=item.get("env"),
+            argv = item.get("argv") if isinstance(item, dict) else None
+            if (not isinstance(argv, list)
+                    or not all(isinstance(arg, str) for arg in argv)
+                    or not isinstance(item.get("env"), (dict, type(None)))
+                    or not isinstance(item.get("cwd"), (str, type(None)))):
+                raise SpawnError(f"malformed spawn member: {item!r}")
+            members.append(SpawnRequest(argv, env=item.get("env"),
                                         cwd=item.get("cwd")))
         return cls(members, policy=policy, deadline=deadline)
 
@@ -174,8 +182,11 @@ def batch_unit(entry: str, requests: BatchRequest, *,
 
     Raises :class:`SpawnError` — before anything is picked, sent or
     charged to a breaker — for an argument that is not a
-    :class:`BatchRequest`, an empty batch, or more members than one
-    SCM_RIGHTS message can carry stdio for.
+    :class:`BatchRequest`, an empty batch, more members than one
+    SCM_RIGHTS message can carry stdio for, or a member no exec could
+    take (the checks :class:`~repro.core.spawn.ProcessBuilder` runs:
+    :func:`~repro.core.attrs.check_argv` and
+    :meth:`SpawnAttributes.validate`).
     """
     if not isinstance(requests, BatchRequest):
         raise SpawnError(
@@ -189,4 +200,7 @@ def batch_unit(entry: str, requests: BatchRequest, *,
             f"batch of {len(batch)} needs {3 * len(batch)} fd grants; "
             f"one SCM_RIGHTS message carries at most {SCM_MAX_FD} "
             f"(= {SCM_MAX_FD // 3} members) — split the batch")
+    for member in batch:
+        check_argv(member.argv)
+        SpawnAttributes(env=member.env, cwd=member.cwd).validate()
     return batch

@@ -58,10 +58,10 @@ def _helper_source() -> str:
 
 
 def _pids_handed_out(request: dict, reply: dict) -> Sequence:
-    """The pids ``reply`` gives a caller to reap: a spawn's, a batch's
-    or a lease's.  A ``park`` reply names a pid too, but parked stock
-    belongs to nobody until leased."""
-    if request.get("op") not in ("spawn", "batch", "lease"):
+    """The pids ``reply`` gives a caller to reap: a spawn's or a
+    lease's.  A ``park`` reply names a pid too, but parked stock belongs
+    to nobody until leased."""
+    if request.get("op") not in ("spawn", "lease"):
         return ()
     return [result.get("pid")
             for result in reply.get("results") or (reply,)]
@@ -90,12 +90,11 @@ class InFlight:
     @property
     def granted(self) -> bool:
         """Whether the wait ended in a reply that hands out children (a
-        spawn's ``pid``, a batch's ``results``) — not a refusal, not
-        the channel's death: what is left of the steps is then the
-        launch's happy end, which kills no helper and waits for
-        nothing."""
+        spawn's ``results``) — not a refusal, not the channel's death:
+        what is left of the steps is then the launch's happy end, which
+        kills no helper and waits for nothing."""
         reply = self.pending.reply
-        return reply is not None and ("pid" in reply or "results" in reply)
+        return reply is not None and "results" in reply
 
     def expire(self) -> None:
         """``timeout`` passed.  With no reply yet the helper is presumed
@@ -109,9 +108,9 @@ class SpawnRequest:
     """One child to launch: argv plus its per-child wiring.
 
     The unit of work below the public API is a list of these — one for a
-    single spawn, N for a batch, whose wire op ships them in a single
-    frame with every member's stdio triple in one shared SCM_RIGHTS
-    grant, concatenated in request order.
+    single spawn, N for a batch — and the one ``spawn`` op ships them in
+    a single frame with every member's stdio triple in one shared
+    SCM_RIGHTS grant, concatenated in request order.
     :meth:`BatchRequest.of <repro.core.batch.BatchRequest.of>` wraps
     bare argv sequences through :meth:`coerce`.
     """
@@ -460,8 +459,7 @@ class ForkServer:
         """
         member = SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
                               stdout=stdout, stderr=stderr)
-        return run_steps(self._unit_steps(
-            [member], None, deadline, batch=False))[0]
+        return run_steps(self._unit_steps([member], None, deadline))[0]
 
     def _inherited_env(self) -> Optional[Dict[str, str]]:
         """What ``env=None`` — the caller's environment as it is now —
@@ -477,15 +475,16 @@ class ForkServer:
     def _frame_encoder(self, request: dict, trace_id: Optional[str]):
         """A frame builder that splices per-call bytes onto a cached tail.
 
-        The invariant part of the frame — everything but the correlation
-        id and trace id — is memoized in :class:`FrameCache` keyed on
-        the request's *content*, so a repeat shape skips ``json.dumps``
-        of argv/env entirely.  The key snapshots content at call time:
-        mutate the env dict or argv and the next call misses, never
-        reusing a stale frame.
+        The invariant part of a one-member frame — everything but the
+        correlation id and trace id — is memoized in :class:`FrameCache`
+        keyed on the member's *content*, so a repeat shape skips
+        ``json.dumps`` of argv/env entirely.  The key snapshots content
+        at call time: mutate the env dict or argv and the next call
+        misses, never reusing a stale frame.
         """
         frames = self._frames
-        key = frame_key(request["argv"], request["env"], request["cwd"])
+        member = request["reqs"][0]
+        key = frame_key(member["argv"], member["env"], member["cwd"])
 
         def encode(obj: dict, rid: int) -> bytes:
             tail = frames.lookup(key)
@@ -527,26 +526,25 @@ class ForkServer:
         batch = batch_unit("ForkServer.spawn_batch", requests,
                            deadline=deadline)
         return BatchResult(
-            run_steps(self._unit_steps(batch.members, None,
-                                       batch.deadline, batch=True)),
+            run_steps(self._unit_steps(batch.members, None, batch.deadline)),
             strategy=self.label)
 
     def _unit_steps(self, reqs: List[SpawnRequest],
                     traces: Optional[Sequence],
-                    deadline: Optional[float], batch: bool
+                    deadline: Optional[float]
                     ) -> "Steps[List[ChildProcess]]":
         """One unit of work — ``reqs``, a single spawn's one member or a
-        batch's N — through the helper, as resumable steps
-        (:mod:`repro.core.steps`): everything up to the ``sendmsg``, one
-        yielded :class:`InFlight`, then the reply's validation, trace
-        stamps and handles, in request order.  All or nothing.
+        batch's N — through the helper's one ``spawn`` op, as resumable
+        steps (:mod:`repro.core.steps`): everything up to the
+        ``sendmsg``, one yielded :class:`InFlight`, then the reply's
+        validation, trace stamps and handles, in request order.  All or
+        nothing.
 
-        ``batch`` picks the wire op — ``spawn`` (one member, a frame
-        worth caching) or ``batch`` — and the labels that say so.
         ``traces`` is one trace per member owned by a caller further
-        up; without live ones the server starts and owns its own.
+        up; without live ones the server starts and owns its own.  A
+        unit of more than one member is labelled a batch.
         """
-        size = {"batch": len(reqs)} if batch else {}
+        size = {"batch": len(reqs)} if len(reqs) > 1 else {}
         owns = not traces or not traces[0]
         if owns:
             traces = [self._trace(req.argv, **size) for req in reqs]
@@ -556,22 +554,20 @@ class ForkServer:
         encode = encode_body
         inherited = (self._inherited_env()
                      if any(req.env is None for req in reqs) else None)
-        if batch:
+        # Each member's nfds lets the helper detect a lost or partial
+        # SCM_RIGHTS grant and refuse (EPROTO) instead of wiring a child
+        # to ITS stdio.
+        request = {"op": "spawn", "reqs": [req.wire(inherited) for req in reqs]}
+        if size:
             TELEMETRY.observe("spawn_batch_size", len(reqs))
-            request = {"op": "batch",
-                       "reqs": [req.wire(inherited) for req in reqs]}
-        else:
-            # nfds lets the helper detect a lost/partial SCM_RIGHTS grant
-            # and refuse (EPROTO) instead of wiring the child to ITS stdio.
-            request = {"op": "spawn", **reqs[0].wire(inherited)}
-            if self._frames is not None and fds == [0, 1, 2]:
-                # Default-stdio spawns are the repeatable shape worth
-                # caching; fd-bearing requests (fresh pipes every call)
-                # are deliberately never cached — see framecache.py.
-                encode = self._frame_encoder(
-                    request, head.trace_id if head else None)
-            elif head:
-                request["trace"] = head.trace_id
+        if self._frames is not None and fds == [0, 1, 2]:
+            # One default-stdio member is the repeatable shape worth
+            # caching; fd-bearing requests (fresh pipes every call) are
+            # deliberately never cached — see framecache.py.
+            encode = self._frame_encoder(
+                request, head.trace_id if head else None)
+        elif head:
+            request["trace"] = head.trace_id
         try:
             FAULTS.fire("forkserver.spawn", helper_pid=self._pid,
                         argv=list(reqs[0].argv), **size)
@@ -582,14 +578,12 @@ class ForkServer:
                 sent = self._send(request, fds, head, deadline, encode)
             yield sent
             reply = self._result(sent)
-            results = (reply.get("results") if batch
-                       else [reply] if "pid" in reply else None)
+            results = reply.get("results")
             if results is None:
-                raise SpawnError(
-                    f"forkserver refused {request['op']}: {reply}")
+                raise SpawnError(f"forkserver refused spawn: {reply}")
             if len(results) != len(reqs):
                 raise SpawnError(
-                    f"forkserver protocol error: batch of {len(reqs)} "
+                    f"forkserver protocol error: spawn of {len(reqs)} "
                     f"got {len(results)} results")
         except SpawnError as exc:
             if owns:

@@ -427,8 +427,8 @@ class ForkServerPool:
         """
         member = SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
                               stdout=stdout, stderr=stderr)
-        return run_steps(self._unit_steps(
-            [member], None, policy, deadline, batch=False))[0]
+        return run_steps(self._unit_steps([member], None, policy,
+                                          deadline))[0]
 
     def spawn_batch(self, requests, *,
                     policy: Optional[SpawnPolicy] = None,
@@ -453,13 +453,13 @@ class ForkServerPool:
                            policy=policy, deadline=deadline)
         return BatchResult(
             run_steps(self._unit_steps(batch.members, None, batch.policy,
-                                       batch.deadline, batch=True)),
+                                       batch.deadline)),
             strategy="forkserver-pool")
 
     def _unit_steps(self, reqs: List[SpawnRequest],
                     traces: Optional[Sequence],
                     policy: Optional[SpawnPolicy],
-                    deadline: Optional[float], batch: bool
+                    deadline: Optional[float]
                     ) -> "Steps[List[ChildProcess]]":
         """The one attempt loop, as resumable steps
         (:mod:`repro.core.steps`): one unit of work — ``reqs``, a single
@@ -467,9 +467,10 @@ class ForkServerPool:
         each yielding for its helper's reply and before its back-off.
         Returns the children in request order, all or none.
 
-        ``batch`` only names the unit (wire op, fault point, counter
-        label); ``traces`` is one per member owned by a caller further
-        up — without live ones the pool starts and owns its own.
+        A unit of more than one member is labelled a batch (fault
+        point, counter label); ``traces`` is one per member owned by a
+        caller further up — without live ones the pool starts and owns
+        its own.
         """
         if policy is None:
             policy = self._policy
@@ -477,7 +478,7 @@ class ForkServerPool:
             deadline = policy.deadline
         attempts = policy.attempts() if policy is not None else 1
         threshold = policy.breaker_threshold if policy is not None else None
-        size = {"batch": len(reqs)} if batch else {}
+        size = {"batch": len(reqs)} if len(reqs) > 1 else {}
         owns = not traces or not traces[0]
         if owns:
             traces = [TELEMETRY.trace("forkserver-pool", req.argv)
@@ -488,7 +489,7 @@ class ForkServerPool:
         for attempt in range(attempts):
             if attempt:
                 TELEMETRY.count("spawn_retry", strategy="forkserver-pool",
-                                **({"op": "batch"} if batch else {}))
+                                **({"op": "batch"} if size else {}))
                 for trace in traces:
                     trace.stage("retry", attempt=attempt)
                 delay = policy.backoff_delay(attempt - 1)
@@ -497,7 +498,7 @@ class ForkServerPool:
                     time.sleep(delay)
             try:
                 return (yield from self._attempt_steps(
-                    reqs, traces, owns, deadline, threshold, batch))
+                    reqs, traces, owns, deadline, threshold))
             except SpawnError as exc:
                 last_error = exc
         if owns:
@@ -507,7 +508,7 @@ class ForkServerPool:
 
     def _attempt_steps(self, reqs: List[SpawnRequest], traces: Sequence,
                        owns: bool, deadline: Optional[float],
-                       threshold: Optional[int], batch: bool
+                       threshold: Optional[int]
                        ) -> "Steps[List[ChildProcess]]":
         """One policy attempt: dispatch with dead-worker failover, billed
         to one slot at the unit's full weight.
@@ -524,7 +525,7 @@ class ForkServerPool:
                 picked = self._pick(weight)
             slot, server = picked
             try:
-                if batch:
+                if weight > 1:
                     FAULTS.fire("pool.batch", size=weight,
                                 helper_pid=server.helper_pid)
                 else:
@@ -539,7 +540,7 @@ class ForkServerPool:
                 TELEMETRY.gauge("pool_queue_depth", depth)
             try:
                 children = yield from server._unit_steps(
-                    reqs, traces, deadline, batch)
+                    reqs, traces, deadline)
             except SpawnError as exc:
                 self._release(slot, server, weight)
                 if server.healthy:

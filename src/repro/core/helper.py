@@ -207,7 +207,6 @@ class Helper:
             "ping": self.op_ping,
             "shutdown": self.op_shutdown,
             "spawn": self.op_spawn,
-            "batch": self.op_batch,
             "specialize": self.op_specialize,
             "park": self.op_park,
             "unpark": self.op_unpark,
@@ -324,35 +323,19 @@ class Helper:
         return {"ok": True}
 
     def op_spawn(self, request, fds):
-        error = self.refusal(fds, request.get("nfds"), "exec")
-        if error:
-            return {"error": error}
-        try:
-            pid, t_spawn = spawn_one(request, fds, self.environ)
-        except (OSError, ValueError, TypeError) as exc:
-            # One request's refusal, not our death.
-            close_all(fds)
-            return {"error": refused("spawn", exc)}
-        # The client's trace id rides next to the correlation id; echo
-        # it with our spawned-at timestamp (exec done on the posix_spawn
-        # path; CLOCK_MONOTONIC is system-wide on Linux, so the client
-        # can splice it into its own timeline).
-        reply = {"pid": pid, "t_fork_ns": t_spawn}
-        if request.get("trace") is not None:
-            reply["trace"] = request["trace"]
-        return reply
-
-    def op_batch(self, request, fds):
-        # N spawns, one frame, one reply: the whole batch's fd grants
-        # arrived concatenated in request order (member i's stdio triple
-        # is the next reqs[i]["nfds"] fds).  All-or-nothing: a grant
-        # mismatch or a failed fork refuses/undoes the ENTIRE batch so
-        # the client never has to guess which members ran.
+        # N >= 1 spawns, one frame, one reply: the grants arrived
+        # concatenated in request order (member i's stdio triple is the
+        # next reqs[i]["nfds"] fds).  All-or-nothing: a grant mismatch
+        # or a failed launch refuses/undoes EVERY member so the client
+        # never has to guess which ran.  Each result's t_fork_ns is the
+        # spawned-at stamp (exec done on the posix_spawn path;
+        # CLOCK_MONOTONIC is system-wide on Linux, so the client can
+        # splice it into its own timeline).
         reqs = request.get("reqs") or []
         if not reqs:
             close_all(fds)
-            return {"error": "EPROTO: empty batch"}
-        error = self.refusal(fds, sum(r.get("nfds", 0) for r in reqs), "batch of %d" % len(reqs))
+            return {"error": "EPROTO: spawn of no members"}
+        error = self.refusal(fds, sum(r.get("nfds", 0) for r in reqs), "spawn of %d" % len(reqs))
         if error:
             return {"error": error}
         results = []
@@ -364,13 +347,14 @@ class Helper:
             try:
                 pid, t_spawn = spawn_one(req, grant, self.environ)
             except (OSError, ValueError, TypeError) as exc:
-                error = refused("batch member %d" % len(results), exc)
+                # One request's refusal, not our death.
+                error = refused("spawn member %d" % len(results), exc)
                 close_all(grant + fds[offset:])
                 break
             results.append({"pid": pid, "t_fork_ns": t_spawn})
         if not error:
             return {"results": results}
-        # Undo the partial batch: no silent survivors.  These pids were
+        # Undo the partial spawn: no silent survivors.  These pids were
         # spawned moments ago and nothing has waited on them (reap()
         # only runs between loop iterations), so kill+waitpid here is
         # race-free — and no exit notice goes out for a pid the client

@@ -27,11 +27,11 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from ..errors import SpawnError
 from ..obs import TELEMETRY
-from .batch import BatchRequest
+from .attrs import SpawnAttributes
 from .forkserver import SpawnRequest
 from .result import ChildProcess
-from .spawn import ProcessBuilder
-from .strategies import ForkServerPoolStrategy, get_strategy
+from .steps import run_steps
+from .strategies import get_strategy, pick_default_strategy
 
 _LEN = struct.Struct("!I")
 
@@ -96,36 +96,25 @@ def callable_spec(func: Callable) -> str:
 
 
 class _Worker:
-    """One spawned interpreter plus its request/response pipes.
+    """One spawned interpreter plus the parent's ends of its
+    request/response pipes (see :meth:`SpawnPool._boot`)."""
 
-    Built either the classic way (spawn our own child through a
-    :class:`ProcessBuilder`) or around a pre-spawned child whose pipes
-    the pool already owns — the batched boot path, where N workers
-    arrive from a single :meth:`ForkServerPool.spawn_batch` wire op.
-    """
-
-    def __init__(self, strategy: Optional[str] = None, *,
-                 child: Optional[ChildProcess] = None,
-                 stdin_fd: Optional[int] = None,
-                 stdout_fd: Optional[int] = None):
-        if child is not None:
-            self.child = child
-            self.stdin_fd = stdin_fd
-            self.stdout_fd = stdout_fd
-        else:
-            builder = (ProcessBuilder(sys.executable, "-c", _WORKER_SOURCE)
-                       .stdin_from_pipe()
-                       .stdout_to_pipe())
-            if strategy is not None:
-                builder.strategy(strategy)
-            self.child = builder.spawn()
-            self.stdin_fd = builder.io.stdin_fd
-            self.stdout_fd = builder.io.stdout_fd
-        self.busy = False
+    def __init__(self, child: ChildProcess, stdin_fd: int, stdout_fd: int):
+        self.child = child
+        self.stdin_fd: Optional[int] = stdin_fd
+        self.stdout_fd: Optional[int] = stdout_fd
 
     def call(self, spec: str, args: tuple, kwargs: dict) -> Any:
+        self.send(spec, args, kwargs)
+        return self.receive()
+
+    def send(self, spec: str, args: tuple, kwargs: dict) -> None:
+        """Hand the worker one call; :meth:`receive` has its result."""
         request = pickle.dumps((spec, args, kwargs))
         os.write(self.stdin_fd, _LEN.pack(len(request)) + request)
+        TELEMETRY.count("spawnpool_tasks")
+
+    def receive(self) -> Any:
         header = self._read_exact(_LEN.size)
         (length,) = _LEN.unpack(header)
         ok, payload = pickle.loads(self._read_exact(length))
@@ -231,43 +220,30 @@ class SpawnPool:
             dead.close()
         except Exception:
             pass
-        self._workers[index] = _Worker(self._strategy)
+        self._workers[index], = self._boot(1)
         self._respawns += 1
         TELEMETRY.count("pool_retire", pool="spawnpool")
 
     def add_workers(self, count: int) -> List[int]:
-        """Grow the pool by ``count`` workers; returns their pids.
-
-        When the pool's strategy is ``"forkserver-pool"`` all ``count``
-        interpreters (argv plus their stdio pipe grants) travel to a
-        spawn-service helper in **one** batched wire frame via
-        :meth:`ForkServerPool.spawn_batch` — one ``sendmsg``, one fork
-        loop, one reply — instead of ``count`` round trips.  Any other
-        strategy boots the workers one at a time, same as before.
-        """
+        """Grow the pool by ``count`` workers; returns their pids."""
         self._require_open()
         if count < 1:
             return []
-        workers = self._boot_batched(count)
-        if workers is None:
-            workers = [_Worker(self._strategy) for _ in range(count)]
+        workers = self._boot(count)
         self._workers.extend(workers)
         return [w.child.pid for w in workers]
 
-    def _boot_batched(self, count: int) -> Optional[List[_Worker]]:
-        """Boot ``count`` workers through one batched wire op, or None
-        when the configured strategy cannot batch."""
-        if self._strategy is None:
-            return None
-        try:
-            strategy = get_strategy(self._strategy)
-        except SpawnError:
-            return None
-        if not isinstance(strategy, ForkServerPoolStrategy):
-            return None
+    def _boot(self, count: int) -> List[_Worker]:
+        """Launch ``count`` workers as one unit of the pool's strategy
+        (the default one when none was named): over a helper's wire all
+        ``count`` interpreters, their stdio pipe grants included, travel
+        in **one** ``spawn`` frame — one ``sendmsg``, one reply — and
+        any other strategy launches them one by one, all or none."""
+        strategy = (get_strategy(self._strategy) if self._strategy
+                    else pick_default_strategy(SpawnAttributes()))
         argv = [sys.executable, "-c", _WORKER_SOURCE]
         # Per worker: a stdin pipe the pool writes and a stdout pipe the
-        # pool reads; the child ends ride the batch frame as fd grants.
+        # pool reads; the child ends ride the unit as its stdio grant.
         pipes: List[tuple] = []  # (parent_w, child_r, parent_r, child_w)
         try:
             requests = []
@@ -277,7 +253,7 @@ class SpawnPool:
                 pipes.append((parent_w, child_r, parent_r, child_w))
                 requests.append(SpawnRequest(
                     argv, stdin=child_r, stdout=child_w))
-            children = strategy.pool().spawn_batch(BatchRequest(requests))
+            children = run_steps(strategy._batch_steps(requests, None))
         except BaseException:
             for parent_w, child_r, parent_r, child_w in pipes:
                 for fd in (parent_w, child_r, parent_r, child_w):
@@ -291,8 +267,7 @@ class SpawnPool:
                 pipes, children):
             os.close(child_r)
             os.close(child_w)
-            workers.append(_Worker(
-                child=child, stdin_fd=parent_w, stdout_fd=parent_r))
+            workers.append(_Worker(child, parent_w, parent_r))
         return workers
 
     def submit(self, func: Callable, *args, **kwargs) -> Any:
@@ -309,7 +284,6 @@ class SpawnPool:
         index = self._next % len(self._workers)
         worker = self._workers[index]
         self._next += 1
-        TELEMETRY.count("spawnpool_tasks")
         try:
             return worker.call(spec, args, kwargs)
         except SpawnError:
@@ -328,25 +302,13 @@ class SpawnPool:
         items = list(items)
         results: List[Any] = [None] * len(items)
         for start in range(0, len(items), len(self._workers)):
-            batch = items[start:start + len(self._workers)]
-            # Send the whole batch before reading any reply, so the
+            chunk = items[start:start + len(self._workers)]
+            # Send the whole chunk before reading any reply, so the
             # workers run concurrently.
-            for offset, item in enumerate(batch):
-                worker = self._workers[offset]
-                request = pickle.dumps((spec, (item,), {}))
-                os.write(worker.stdin_fd,
-                         _LEN.pack(len(request)) + request)
-                TELEMETRY.count("spawnpool_tasks")
-            for offset in range(len(batch)):
-                worker = self._workers[offset]
-                header = worker._read_exact(_LEN.size)
-                (length,) = _LEN.unpack(header)
-                ok, payload = pickle.loads(worker._read_exact(length))
-                if not ok:
-                    TELEMETRY.count("spawnpool_task_failures")
-                    raise SpawnError(f"worker task failed: "
-                                     f"{payload.strip()}")
-                results[start + offset] = payload
+            for worker, item in zip(self._workers, chunk):
+                worker.send(spec, (item,), {})
+            for offset in range(len(chunk)):
+                results[start + offset] = self._workers[offset].receive()
         return results
 
     def worker_pids(self) -> Sequence[int]:

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 from ..errors import GatewayConnectionLost, GatewayError, SpawnError
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
-from .attrs import SpawnAttributes
+from .attrs import SpawnAttributes, check_argv
 from .batch import BatchRequest, BatchResult, batch_unit
 from .file_actions import FileActions
 from .policy import SpawnPolicy, breaker_for
@@ -304,9 +304,10 @@ class ProcessBuilder:
                                 start_ns=self._created_ns)
         trace.stage("dispatch")
         try:
-            for arg in self._argv:
-                if (b"\0" if isinstance(arg, bytes) else "\0") in arg:
-                    raise SpawnError(f"NUL in argv element {arg!r}")
+            # A request no tier could take is the caller's mistake: it is
+            # refused here, once, and charges no tier's breaker.
+            check_argv(self._argv)
+            self._attrs.validate()
             FAULTS.fire("builder.spawn", argv=list(self._argv),
                         strategy=strategy.name)
             def launch(tier: Strategy) -> "Steps[ChildProcess]":
@@ -458,9 +459,8 @@ def spawn_batch(requests: BatchRequest, *,
     The batch goes to the shared forkserver *pool* first (one wire
     frame); when that tier is exhausted or its breaker is open, it
     degrades down ``policy.fallback`` — ``"forkserver"`` keeps the
-    single-frame wire amortisation on one dedicated helper,
-    ``"posix_spawn"`` runs each member directly as the floor; tiers
-    that cannot batch are skipped.  It is the walker
+    single-frame wire amortisation on one dedicated helper, every other
+    tier launches the members one by one, all or none.  It is the walker
     :class:`ProcessBuilder` spawns under — the same attempts and
     back-off per tier, the same shared breakers, the same
     ``fallback``/``spawn_retry``/``breaker_open`` counters — so the
@@ -471,27 +471,27 @@ def spawn_batch(requests: BatchRequest, *,
     children (a :class:`~repro.core.batch.BatchResult` naming the tier
     that served them) or an exception — members are never silently
     dropped.  A batch no tier could take (not a ``BatchRequest``,
-    empty, too many members for one fd grant) is refused before the
-    first tier is tried and charges no breaker.
+    empty, too many members for one fd grant, a member no exec could
+    take) is refused before the first tier is tried and charges no
+    breaker.
     """
-    return run_steps(_spawn_batch_steps(requests, policy=policy,
-                                        deadline=deadline))
+    return run_steps(_spawn_batch_steps(batch_unit(
+        "repro.core.spawn_batch", requests, policy=policy,
+        deadline=deadline)))
 
 
-def _spawn_batch_steps(requests: BatchRequest, *,
-                       policy: Optional[SpawnPolicy] = None,
-                       deadline: Optional[float] = None
+def _spawn_batch_steps(unit: BatchRequest,
+                       strategy: str = "forkserver-pool"
                        ) -> "Steps[BatchResult]":
-    """:func:`spawn_batch` as resumable steps (:mod:`repro.core.steps`)."""
-    batch = batch_unit("repro.core.spawn_batch", requests, policy=policy,
-                       deadline=deadline)
-    policy = batch.policy if batch.policy is not None else SpawnPolicy()
-    deadline = (batch.deadline if batch.deadline is not None
+    """:func:`spawn_batch` as resumable steps (:mod:`repro.core.steps`)
+    for a ``unit`` that has passed its front door
+    (:func:`~repro.core.batch.batch_unit`), the ladder headed by
+    ``strategy`` (a gateway tenant's own)."""
+    policy = unit.policy if unit.policy is not None else SpawnPolicy()
+    deadline = (unit.deadline if unit.deadline is not None
                 else policy.deadline)
-    chain = [name for name in _chain("forkserver-pool", policy)
-             if get_strategy(name)._batch_steps is not None]
     children = yield from _ladder_steps(
-        chain, policy, NULL_TRACE,
-        lambda tier: tier._batch_steps(batch.members, deadline),
-        f"a batch of {len(batch)}")
+        _chain(strategy, policy), policy, NULL_TRACE,
+        lambda tier: tier._batch_steps(unit.members, deadline),
+        f"a batch of {len(unit)}")
     return BatchResult(children, strategy=children[0].strategy)

@@ -25,11 +25,11 @@ class decorator; :func:`strategies` lists the known names and
 :func:`get_strategy` resolves one (raising :class:`SpawnError` that
 names the alternatives on a typo).
 
-A strategy that can take a whole batch as one unit of work says so with
-a ``_batch_steps`` beside its ``_launch_steps``: the two forkserver
-strategies (one wire frame) and ``posix_spawn`` (the floor: a loop over
-its own ``launch``).  The ladder :func:`repro.core.spawn_batch` walks
-skips the tiers without one.
+Every strategy takes a whole batch as one unit of work through
+``_batch_steps`` beside its ``_launch_steps``: the two forkserver
+strategies as one wire frame, every other one as an all-or-nothing loop
+over its own ``launch``.  So the ladder :func:`repro.core.spawn_batch`
+walks enters whatever tier the policy names.
 
 Strategies raise :class:`~repro.errors.SpawnError` for requests they
 cannot express (e.g. plain posix_spawn has no ``cwd`` attribute) instead
@@ -95,11 +95,39 @@ class Strategy:
         yield
         return self.launch(argv, actions, attrs, trace=trace)
 
-    #: ``_batch_steps(reqs, deadline)``: a batch's
-    #: :class:`~repro.core.forkserver.SpawnRequest` members launched as
-    #: one all-or-nothing unit, as resumable steps returning the
-    #: children in request order.  ``None``: this tier cannot batch.
-    _batch_steps = None
+    def _batch_steps(self, reqs: Sequence[SpawnRequest],
+                     deadline: Optional[float]
+                     ) -> "Steps[List[ChildProcess]]":
+        """A unit's :class:`~repro.core.forkserver.SpawnRequest` members
+        launched all-or-nothing, as resumable steps returning the
+        children in request order: here each member through
+        :meth:`launch`.  Degradation trades the wire's amortisation for
+        availability, never members — a member ``launch`` refuses
+        (``cwd`` has no posix_spawn attribute) fails the unit loudly,
+        and what already ran is reversed."""
+        yield  # step-less launches: resume where a thread may block
+        children: List[ChildProcess] = []
+        try:
+            for req in reqs:
+                actions = FileActions()
+                for target, fd in enumerate(req.grant()):
+                    if fd != target:
+                        actions.add_dup2(fd, target)
+                trace = TELEMETRY.trace(self.name, req.argv)
+                attrs = SpawnAttributes(env=req.env, cwd=req.cwd,
+                                        deadline=deadline)
+                children.append(self.launch(req.argv, actions, attrs,
+                                            trace=trace))
+                trace.success(children[-1].pid)
+        except BaseException:
+            for child in children:
+                try:
+                    child.kill()
+                    child.wait(timeout=5)
+                except Exception:
+                    pass
+            raise
+        return children
 
     def available(self) -> bool:
         """Whether this strategy can work on the host."""
@@ -176,37 +204,6 @@ class PosixSpawnStrategy(Strategy):
             **attrs.posix_spawn_kwargs())
         trace.stage("execed", pid=pid)
         return ChildProcess(pid, argv=argv, strategy=self.name, trace=trace)
-
-    def _batch_steps(self, reqs, deadline):
-        """The ladder's floor for a batch: each member through
-        :meth:`launch`.  The wire amortisation is gone at this tier, but
-        every member still runs — degradation trades throughput for
-        availability, never members — and a member ``launch`` refuses
-        (``cwd`` has no posix_spawn attribute) fails the batch loudly.
-        """
-        yield  # step-less launches: resume where a thread may block
-        children: List[ChildProcess] = []
-        try:
-            for req in reqs:
-                actions = FileActions()
-                for target, fd in enumerate(req.grant()):
-                    if fd != target:
-                        actions.add_dup2(fd, target)
-                trace = TELEMETRY.trace(self.name, req.argv)
-                children.append(self.launch(
-                    req.argv, actions,
-                    SpawnAttributes(env=req.env, cwd=req.cwd), trace=trace))
-                trace.success(children[-1].pid)
-        except BaseException:
-            # All-or-nothing even at the floor: reverse what already ran.
-            for child in children:
-                try:
-                    child.kill()
-                    child.wait(timeout=5)
-                except Exception:
-                    pass
-            raise
-        return children
 
 
 @register_strategy("fork_exec")
@@ -318,7 +315,7 @@ class _WireStrategy(Strategy):
     """What the two forkserver strategies share: a launch is one unit of
     work — a single spawn's one member or a batch's N — put on a
     helper's wire by the subclass's ``_unit_steps(reqs, traces,
-    deadline, batch)``.  Stdio file actions are translated into the
+    deadline)``.  Stdio file actions are translated into the
     forkserver's explicit SCM_RIGHTS grant; actions that cannot be
     expressed that way are rejected rather than approximated.
     """
@@ -339,14 +336,14 @@ class _WireStrategy(Strategy):
                 argv, env=attrs.env, cwd=attrs.cwd,
                 stdin=stdio[0], stdout=stdio[1], stderr=stdio[2])
             children = yield from self._unit_steps(
-                [member], [trace], attrs.deadline, batch=False)
+                [member], [trace], attrs.deadline)
         finally:
             for handle in opened:
                 os.close(handle)
         return children[0]
 
     def _batch_steps(self, reqs, deadline):
-        return self._unit_steps(reqs, None, deadline, batch=True)
+        return self._unit_steps(reqs, None, deadline)
 
 
 @register_strategy("forkserver-pool")
@@ -380,14 +377,13 @@ class ForkServerPoolStrategy(_WireStrategy):
         if pool is not None:
             pool.stop()
 
-    def _unit_steps(self, reqs, traces, deadline, batch):
+    def _unit_steps(self, reqs, traces, deadline):
         pool = self._pool
         if pool is None or pool.closed:
             yield  # the first launch boots the pool
             pool = self.pool()
         # No policy: retries are the ladder's, per tier, not the pool's.
-        return (yield from pool._unit_steps(reqs, traces, None, deadline,
-                                            batch))
+        return (yield from pool._unit_steps(reqs, traces, None, deadline))
 
 
 @register_strategy("forkserver")
@@ -430,13 +426,12 @@ class ForkServerStrategy(_WireStrategy):
             except Exception:
                 pass
 
-    def _unit_steps(self, reqs, traces, deadline, batch):
+    def _unit_steps(self, reqs, traces, deadline):
         server = self._server
         if server is None or not server.healthy:
             yield  # server() boots (or replaces) the helper
             server = self.server()
-        return (yield from server._unit_steps(reqs, traces, deadline,
-                                              batch))
+        return (yield from server._unit_steps(reqs, traces, deadline))
 
 
 @register_strategy("gateway")

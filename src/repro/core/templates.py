@@ -198,10 +198,9 @@ class TemplateServer(ForkServer):
         # as ``specialize`` left it — never the caller's.
         return None
 
-    def _unit_steps(self, reqs, traces, deadline, batch):
+    def _unit_steps(self, reqs, traces, deadline):
         # The one request path, plus this server's name for a launch.
-        children = yield from super()._unit_steps(reqs, traces, deadline,
-                                                  batch)
+        children = yield from super()._unit_steps(reqs, traces, deadline)
         TELEMETRY.count("template_lease", len(children),
                         profile=self.profile.name)
         return children

@@ -104,9 +104,9 @@ KIND_POINTS: Dict[str, str] = {
 POINTS = (
     "forkserver.frame",    # wire.Channel.send, one outgoing frame
     "forkserver.request",  # ForkServer._send, around the send
-    "forkserver.spawn",    # ForkServer.spawn / spawn_batch, before the send
-    "pool.dispatch",       # ForkServerPool.spawn, per dispatch attempt
-    "pool.batch",          # ForkServerPool.spawn_batch, per dispatch attempt
+    "forkserver.spawn",    # ForkServer's one spawn request, before the send
+    "pool.dispatch",       # ForkServerPool, a unit of one, per attempt
+    "pool.batch",          # ForkServerPool, a unit of N > 1, per attempt
     "strategy.launch",     # every registered Strategy.launch entry
     "builder.pipe",        # ProcessBuilder pipe allocation
     "builder.spawn",       # ProcessBuilder.spawn entry

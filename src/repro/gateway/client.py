@@ -22,7 +22,8 @@ network boundary, so the client owns a failure story:
   re-issued transparently after a reconnect, so an in-flight child is
   never lost to a connection blip: the daemon still holds it, and the
   ``wait`` claim on the new connection returns its real exit status;
-* ``spawn``/``spawn_batch`` are re-issued only when the request frame
+* ``spawn``/``spawn_batch`` (one ``spawn`` op: a spawn is a batch of
+  one on this wire too) are re-issued only when the request frame
   provably never reached the daemon (nothing was sent) — a loss after
   the frame was fully sent is ambiguous and surfaces as
   :class:`GatewayConnectionLost` for the caller (or the
@@ -50,18 +51,18 @@ Errors come back typed: a reply's ``error`` object decodes through
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.batch import BatchResult, batch_unit
+from ..core.batch import BatchRequest, BatchResult, batch_unit
+from ..core.forkserver import SpawnRequest
 from ..core.policy import Backoff
 from ..core.result import ChildProcess, encode_status
 from ..errors import (GatewayConnectionLost, GatewayError,
-                      GatewayProtocolError, RateLimited, SpawnError)
+                      GatewayProtocolError, RateLimited)
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
 from ..wire import Channel
@@ -72,12 +73,10 @@ Address = Union[str, Tuple[str, int]]
 
 
 def _pids_handed_out(request: dict, reply: dict) -> Sequence:
-    """The pids ``reply`` gives the caller to reap: a spawn's, a
-    batch's, or the one a ``wait`` claim found still running."""
+    """The pids ``reply`` gives the caller to reap: a spawn's, or the
+    one a ``wait`` claim found still running."""
     op = request.get("op")
     if op == "spawn":
-        return (reply.get("pid"),)
-    if op == "spawn_batch":
         return reply.get("pids") or ()
     if op == "wait" and reply.get("status", 0) is None:
         return (request.get("pid"),)
@@ -381,30 +380,12 @@ class GatewayClient:
         never reached the daemon; an ambiguous loss (frame sent, no
         reply) raises :class:`~repro.errors.GatewayConnectionLost`.
         """
-        if not argv:
-            raise SpawnError("empty argv")
-        request = {"op": "spawn",
-                   "argv": [os.fspath(a) for a in argv],
-                   "env": env, "cwd": cwd}
-        fds: Sequence[int] = ()
-        if self._is_unix:
-            request["nfds"] = 3
-            fds = (stdin, stdout, stderr)
-            TELEMETRY.count("fd_grants", 3)
-        elif (stdin, stdout, stderr) != (0, 1, 2):
-            self._require_fd_transport("stdio wiring")
-        else:
-            request["nfds"] = 0
+        member = SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
+                              stdout=stdout, stderr=stderr)
         trace.stage("dispatch", gateway=str(self.address))
-        reply = self._roundtrip(request, fds=fds,
-                                timeout=deadline or self._timeout,
-                                trace=trace)
-        if "pid" not in reply:
-            raise GatewayError(f"gateway refused spawn: {reply}")
-        trace.stage("forked", pid=reply["pid"])
-        return ChildProcess(reply["pid"], argv=argv, strategy="gateway",
-                            reaper=self._reap, timed_reaper=True,
-                            trace=trace)
+        child, = self._spawn(BatchRequest([member]), deadline, trace)
+        trace.stage("forked", pid=child.pid)
+        return child
 
     def spawn_batch(self, requests, *,
                     deadline: Optional[float] = None) -> BatchResult:
@@ -412,29 +393,34 @@ class GatewayClient:
         :class:`~repro.core.batch.BatchRequest`)."""
         batch = batch_unit("GatewayClient.spawn_batch", requests,
                            deadline=deadline)
-        deadline = batch.deadline
-        request = {"op": "spawn_batch", "reqs": batch.wire()}
-        fds: List[int] = []
+        return BatchResult(self._spawn(batch, batch.deadline),
+                           strategy="gateway")
+
+    def _spawn(self, batch: BatchRequest, deadline: Optional[float],
+               trace=NULL_TRACE) -> List[ChildProcess]:
+        """The one ``spawn`` request, for one member or N: each
+        member's stdio triple granted in order over a Unix socket (TCP
+        carries none, so it refuses stdio wiring locally)."""
+        request = {"op": "spawn", "reqs": batch.wire()}
+        members = batch.members
+        fds = [fd for member in members for fd in member.grant()]
         if self._is_unix:
-            for member in batch.members:
-                fds.extend(member.grant())
             request["nfds"] = 3
             TELEMETRY.count("fd_grants", len(fds))
+        elif fds != [0, 1, 2] * len(members):
+            self._require_fd_transport("stdio wiring")
         else:
-            for member in batch.members:
-                if member.grant() != (0, 1, 2):
-                    self._require_fd_transport("batch stdio wiring")
-            request["nfds"] = 0
+            request["nfds"], fds = 0, []
         reply = self._roundtrip(request, fds=fds,
-                                timeout=deadline or self._timeout)
+                                timeout=deadline or self._timeout,
+                                trace=trace)
         pids = reply.get("pids")
-        if pids is None or len(pids) != len(batch):
-            raise GatewayError(f"gateway refused batch: {reply}")
-        children = [
-            ChildProcess(pid, argv=member.argv, strategy="gateway",
-                         reaper=self._reap, timed_reaper=True)
-            for pid, member in zip(pids, batch.members)]
-        return BatchResult(children, strategy="gateway")
+        if pids is None or len(pids) != len(members):
+            raise GatewayError(f"gateway refused spawn: {reply}")
+        return [ChildProcess(pid, argv=member.argv, strategy="gateway",
+                             reaper=self._reap, timed_reaper=True,
+                             trace=trace)
+                for pid, member in zip(pids, members)]
 
     def ping(self) -> dict:
         """Liveness probe (pre-auth on the daemon side): the pong reply."""

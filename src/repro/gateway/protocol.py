@@ -6,13 +6,16 @@ says over them.  Requests carry ``op`` (one of :data:`OPS`) and a
 client-chosen correlation ``id``; replies echo the ``id`` and carry
 either the op's result fields or an ``error`` object::
 
-    {"id": 7, "op": "spawn", "argv": ["/bin/true"], "nfds": 0}
-    {"id": 7, "pid": 4242}
+    {"id": 7, "op": "spawn", "reqs": [{"argv": ["/bin/true"]}], "nfds": 0}
+    {"id": 7, "pids": [4242], "strategy": "forkserver-pool"}
     {"id": 9, "error": {"code": "rate_limited",
                         "message": "tenant 'a' over 50 req/s",
                         "retry_after": 0.02}}
 
-One frame travels unasked: when a child exits, the daemon pushes
+``spawn`` is the one launch op: ``reqs`` holds N >= 1 members (one
+child is a batch of one) and ``nfds`` (0, or 3 per member) their stdio
+grant; the reply names the N pids in order and the tier that served
+them.  One frame travels unasked: when a child exits, the daemon pushes
 ``{"exit": pid, "status": rc}`` (no ``id``) to the connection that
 spawned it — never before the reply that hands out the pid — so reaping
 costs no round trip.  ``wait`` survives as the non-blocking claim a
@@ -44,9 +47,8 @@ from ..errors import (AuthError, GatewayConnectionLost, GatewayError,
 #: is answered *before* auth (it leaks nothing beyond "a daemon speaks
 #: this protocol here"), so a supervisor can health-check a daemon
 #: without holding a tenant token.
-OPS = ("hello", "ping", "spawn", "spawn_batch", "lease", "wait", "stats",
-       "drain")
-PROTOCOL_VERSION = 2
+OPS = ("hello", "ping", "spawn", "lease", "wait", "stats", "drain")
+PROTOCOL_VERSION = 3
 
 #: code -> exception class, the one authoritative table.  ``decode``
 #: walks it by code, ``encode`` by (most-derived) class; the round-trip

@@ -32,13 +32,12 @@ as fast as a weight-1 tenant under contention.
 Dispatch runs the tenant's ladder as resumable steps
 (:mod:`repro.core.steps`).  Where the strategy launches over a helper's
 wire (``forkserver-pool``, ``forkserver``) the loop thread itself puts
-the request — a spawn, or a whole batch: a batch launches like a single
-— on that wire and the helper's reply calls back: a launch costs no
-thread.  Whatever would block — a back-off, a helper to boot or
-replace, a retry's wait, a launcher with no steps form — carries on
-from that point on a thread executor, so the ladder is the same code
-wherever it runs; ``max_inflight`` is the daemon-wide concurrency
-bound.
+the request — one child or N: a spawn is a batch of one — on that wire
+and the helper's reply calls back: a launch costs no thread.  Whatever
+would block — a back-off, a helper to boot or replace, a retry's wait,
+a launcher with no steps form — carries on from that point on a thread
+executor, so the ladder is the same code wherever it runs;
+``max_inflight`` is the daemon-wide concurrency bound.
 Reaping costs the client nothing: each child is subscribed
 (:meth:`~repro.core.result.ChildProcess.on_exit`) once its spawn reply
 is queued, and the daemon pushes ``{"exit": pid, "status": rc}`` down
@@ -68,9 +67,9 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Union
 
-from ..core.batch import BatchRequest
+from ..core.batch import BatchRequest, batch_unit
 from ..core.policy import (DEFAULT_FALLBACK, SpawnPolicy, breaker_for)
-from ..core.spawn import ProcessBuilder, _spawn_batch_steps
+from ..core.spawn import _spawn_batch_steps
 from ..core.steps import run_steps
 from ..core.strategies import get_strategy
 from ..errors import (AuthError, GatewayError, GatewayProtocolError,
@@ -112,19 +111,19 @@ class _Connection:
 
 
 class _Job:
-    """One admitted unit of work, waiting in its tenant's queue."""
+    """One admitted unit of work, waiting in its tenant's queue: a
+    spawn's members and their granted stdio (3 fds each, or none)."""
 
-    __slots__ = ("conn", "rid", "kind", "payload", "fds", "cost",
+    __slots__ = ("conn", "rid", "batch", "fds", "cost",
                  "tenant", "t_enqueued", "handles", "timer")
 
-    def __init__(self, conn: _Connection, rid: Optional[int], kind: str,
-                 payload: dict, fds: List[int], cost: int, tenant: str):
+    def __init__(self, conn: _Connection, rid: Optional[int],
+                 batch: BatchRequest, fds: List[int], tenant: str):
         self.conn = conn
         self.rid = rid
-        self.kind = kind
-        self.payload = payload
+        self.batch = batch
         self.fds = fds
-        self.cost = cost
+        self.cost = len(batch)
         self.tenant = tenant
         self.t_enqueued = time.monotonic()
         # The children it made, held here from their launch until the
@@ -345,8 +344,8 @@ class GatewayServer:
         """Refuse new spawns; finish everything already admitted.
 
         Thread- and signal-safe: this is the SIGTERM handler.  Queued
-        and in-flight work completes; new ``spawn``/``spawn_batch``
-        requests get :class:`Overloaded` with a Retry-After hint.
+        and in-flight work completes; new ``spawn`` requests get
+        :class:`Overloaded` with a Retry-After hint.
         """
         if not self._post(self._begin_drain):
             self._draining = True
@@ -625,7 +624,8 @@ class GatewayServer:
         """One request frame, end to end.  MUST NOT raise: every error
         becomes a typed error reply (that invariant is what 'zero
         unhandled server exceptions' means in the t8 gate)."""
-        rid: Optional[int] = None
+        rid = frame.get("id")  # addresses the error of an unknown op too
+        rid = rid if isinstance(rid, int) else None
         fault = FAULTS.fire("gateway.daemon", tenant=conn.tenant)
         if fault is not None and fault.kind == "kill_daemon":
             # The mid-request daemon crash: every connection, queued job
@@ -654,8 +654,6 @@ class GatewayServer:
                 raise AuthError("say hello first (tenant + token)")
             elif op == "spawn":
                 self._op_spawn(conn, rid, frame)
-            elif op == "spawn_batch":
-                self._op_spawn_batch(conn, rid, frame)
             elif op == "lease":
                 self._op_lease(conn, rid, frame)
             elif op == "wait":
@@ -720,7 +718,7 @@ class GatewayServer:
         self._send(conn, {"id": rid, "draining": self._draining})
 
     def _take_fds(self, conn: _Connection, frame: dict,
-                  members: int = 1) -> List[int]:
+                  members: int) -> List[int]:
         """Claim this request's granted stdio fds (``nfds`` per member).
 
         ``nfds`` must be 0 (inherit the daemon's stdio) or 3 per
@@ -797,58 +795,37 @@ class GatewayServer:
             tenant.vtime = max(tenant.vtime, self._vclock)
         if TELEMETRY.enabled:
             TELEMETRY.count("gateway_requests", tenant=job.tenant,
-                            op=job.kind)
+                            op="spawn")
             TELEMETRY.gauge("gateway_queue_depth",
                             sum(len(t.queue) for t in self._tenants.values()))
         self._dispatch()
 
     def _op_spawn(self, conn: _Connection, rid: Optional[int],
                   frame: dict) -> None:
-        # Claim this request's grant *before* validating anything else:
-        # a rejected request must not leave its fds in pending_fds for
-        # the next request to claim FIFO (cross-request misassociation).
-        fds = self._take_fds(conn, frame)
-        try:
-            argv = frame.get("argv")
-            if (not isinstance(argv, list) or not argv
-                    or not all(isinstance(a, str) for a in argv)):
-                raise GatewayProtocolError(f"spawn needs a non-empty "
-                                           f"string argv, got {argv!r}")
-            env = frame.get("env")
-            if env is not None and not isinstance(env, dict):
-                raise GatewayProtocolError("env must be an object or null")
-            cwd = frame.get("cwd")
-            if cwd is not None and not isinstance(cwd, str):
-                raise GatewayProtocolError("cwd must be a string or null")
-            tenant = self._admit(conn, 1)
-        except GatewayError:
-            self._close_fds(fds)
-            raise
-        self._enqueue(tenant, _Job(conn, rid, "spawn",
-                                   {"argv": argv, "env": env, "cwd": cwd},
-                                   fds, 1, conn.tenant))
-
-    def _op_spawn_batch(self, conn: _Connection, rid: Optional[int],
-                        frame: dict) -> None:
         reqs = frame.get("reqs")
         if not isinstance(reqs, list) or not reqs:
             # Without a member count the grant size is unknowable; if
             # fds did arrive, the _handle_frame backstop hangs up the
             # connection so they cannot leak into a later request.
-            raise GatewayProtocolError("spawn_batch needs a non-empty "
-                                       "reqs list")
+            raise GatewayProtocolError("spawn needs a non-empty reqs list")
+        # Claim this request's grant *before* validating anything else:
+        # a rejected request must not leave its fds in pending_fds for
+        # the next request to claim FIFO (cross-request misassociation).
         fds = self._take_fds(conn, frame, members=len(reqs))
         try:
             try:
-                batch = BatchRequest.from_wire(reqs)
+                # A member no exec could take is the caller's mistake,
+                # refused here: it charges no tenant's or tier's breaker.
+                batch = batch_unit(
+                    "spawn", BatchRequest.from_wire(reqs),
+                    policy=self._tenants[conn.tenant].policy)
             except SpawnError as exc:
                 raise GatewayProtocolError(str(exc)) from exc
-            tenant = self._admit(conn, len(reqs))
+            tenant = self._admit(conn, len(batch))
         except GatewayError:
             self._close_fds(fds)
             raise
-        self._enqueue(tenant, _Job(conn, rid, "batch", {"batch": batch},
-                                   fds, len(reqs), conn.tenant))
+        self._enqueue(tenant, _Job(conn, rid, batch, fds, conn.tenant))
 
     def _op_lease(self, conn: _Connection, rid: Optional[int],
                   frame: dict) -> None:
@@ -1135,10 +1112,13 @@ class GatewayServer:
             raise Overloaded(
                 f"tenant {job.tenant!r} circuit breaker is open",
                 retry_after=tenant.policy.breaker_cooldown)
-        run = (self._execute_spawn if job.kind == "spawn"
-               else self._execute_batch)
+        if job.fds:
+            for index, member in enumerate(job.batch.members):
+                (member.stdin, member.stdout,
+                 member.stderr) = job.fds[3 * index:3 * index + 3]
         try:
-            reply, handles = yield from run(tenant, job)
+            result = yield from _spawn_batch_steps(
+                job.batch, tenant.config.strategy)
         except (SpawnError, OSError):
             breaker.record_failure()
             raise
@@ -1149,35 +1129,8 @@ class GatewayServer:
         # Held by the job from here, not only from _job_done: a daemon
         # that crashes in between must still find the child among its
         # orphans.
-        job.handles = tuple(handles)
-        return reply
-
-    def _execute_spawn(self, tenant: _TenantState, job: _Job):
-        payload = job.payload
-        builder = (ProcessBuilder(*payload["argv"])
-                   .strategy(tenant.config.strategy)
-                   .policy(tenant.policy))
-        if payload["env"] is not None:
-            builder.env(payload["env"])
-        if payload["cwd"] is not None:
-            builder.cwd(payload["cwd"])
-        if job.fds:
-            (builder.stdin_from_fd(job.fds[0])
-                    .stdout_to_fd(job.fds[1])
-                    .stderr_to_fd(job.fds[2]))
-        child = yield from builder._spawn_steps()
-        return {"pid": child.pid}, (child,)
-
-    def _execute_batch(self, tenant: _TenantState, job: _Job):
-        batch: BatchRequest = job.payload["batch"]
-        if job.fds:
-            for index, member in enumerate(batch.members):
-                member.stdin = job.fds[3 * index]
-                member.stdout = job.fds[3 * index + 1]
-                member.stderr = job.fds[3 * index + 2]
-        result = yield from _spawn_batch_steps(batch, policy=tenant.policy)
-        return ({"pids": result.pids, "strategy": result.strategy},
-                result.children)
+        job.handles = tuple(result.children)
+        return {"pids": result.pids, "strategy": result.strategy}
 
     # -- stats ------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from repro.core import (BatchRequest, ForkServer, ForkServerPool,
                         ProcessBuilder, SpawnRequest, TemplateProfile,
                         TemplateServer)
 from repro.core.attrs import SpawnAttributes
+from repro.core.steps import run_steps
 from repro.core.strategies import get_strategy
 from repro.errors import SpawnError
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
@@ -83,6 +84,12 @@ def frames(monkeypatch):
 
 def spawn_frames(frames) -> list:
     return [body for body in frames if json.loads(body)["op"] == "spawn"]
+
+
+def env_of(body: bytes):
+    """The ``env`` a one-member spawn frame carries."""
+    (member,) = json.loads(body)["reqs"]
+    return member["env"]
 
 
 @pytest.fixture
@@ -214,7 +221,7 @@ class TestAnInheritedEnvironmentIsNotShipped:
         builder.io.close()
         default, capture = spawn_frames(frames)
         for body in (default, capture):
-            assert json.loads(body)["env"] is None
+            assert env_of(body) is None
             assert len(body) <= 128
         assert b'"env":null' in capture
         assert copies == []
@@ -225,8 +232,8 @@ class TestAnInheritedEnvironmentIsNotShipped:
         monkeypatch.setenv("REPRO_T_X", "1")
         assert built("forkserver", SHOW, None) == b"1 unset\n"
         before, after = spawn_frames(frames)
-        assert json.loads(before)["env"] is None
-        assert json.loads(after)["env"] == dict(os.environ)
+        assert env_of(before) is None
+        assert env_of(after) == dict(os.environ)
 
     def test_the_snapshot_is_the_helpers_own_boot(self, monkeypatch, frames):
         """Each helper compares against what *it* was booted with: a
@@ -238,15 +245,15 @@ class TestAnInheritedEnvironmentIsNotShipped:
                     out = piped(lambda w: server.spawn(SHOW, stdout=w))
                     assert out == b"1 unset\n"
         shipped, inherited = spawn_frames(frames)
-        assert json.loads(shipped)["env"]["REPRO_T_X"] == "1"
-        assert json.loads(inherited)["env"] is None
+        assert env_of(shipped)["REPRO_T_X"] == "1"
+        assert env_of(inherited) is None
 
     def test_no_raw_table_means_a_copy_every_time(self, frames):
         with ForkServer() as server:
             server._boot_env = None  # what start() keeps without ``_data``
             assert server.spawn([TRUE]).wait(timeout=30) == 0
         (body,) = spawn_frames(frames)
-        assert json.loads(body)["env"] == dict(os.environ)
+        assert env_of(body) == dict(os.environ)
 
     def test_a_template_never_ships_the_callers_environment(
             self, frames, monkeypatch):
@@ -260,7 +267,7 @@ class TestAnInheritedEnvironmentIsNotShipped:
         finally:
             template.stop()
         (body,) = spawn_frames(frames)
-        assert json.loads(body)["env"] is None
+        assert env_of(body) is None
 
     def test_what_a_preload_sets_at_import_is_the_profiles_too(self, tmp_path):
         (tmp_path / "sets_env.py").write_text(
@@ -310,9 +317,7 @@ def test_env_none_on_the_direct_api_sees_the_callers_environment(
     finally:
         os.environ.pop("REPRO_T_X", None)
         stop()
-    envs = [member["env"] for body in frames
-            for member in json.loads(body).get("reqs", [json.loads(body)])
-            if "argv" in member]
+    envs = [env_of(body) for body in spawn_frames(frames)]
     assert [env is None for env in envs] == [True, False, True]
 
 
@@ -363,27 +368,33 @@ class TestAMalformedRequestLeavesTheHelperAlive:
 
     def test_a_good_request_in_flight_behind_it_is_answered(self):
         with ForkServer() as server:
-            spawn = {"op": "spawn", "argv": [TRUE], "cwd": None, "nfds": 3}
-            bad = server._send(dict(spawn, env={"": "x"}), (0, 1, 2))
-            good = server._send(dict(spawn, env=None), (0, 1, 2))
+            def spawn(env):
+                return {"op": "spawn", "reqs": [
+                    {"argv": [TRUE], "env": env, "cwd": None, "nfds": 3}]}
+            bad = server._send(spawn({"": "x"}), (0, 1, 2))
+            good = server._send(spawn(None), (0, 1, 2))
             assert "EINVAL" in server._result(bad)["error"]
-            pid = server._result(good)["pid"]
+            (result,) = server._result(good)["results"]
+            pid = result["pid"]
             assert server._reap(pid, 0, 30) == 0
             assert server.healthy
 
     def test_a_batch_holding_one_is_undone_as_a_unit(self):
+        """On the wire: ``spawn_batch``'s front door refuses such a
+        member before the helper could (``TestACallersMistakeCostsNoHelper``
+        in test_forkserver_batch.py)."""
         with ForkServer() as server:
             before = helper_fds(server)
             r, w = os.pipe()
             try:
+                members = [SpawnRequest(["/bin/sleep", "30"], stdout=w),
+                           SpawnRequest([TRUE, "a\0b"]),
+                           SpawnRequest([TRUE])]
                 with pytest.raises(SpawnError) as refusal:
-                    server.spawn_batch(BatchRequest.of([
-                        SpawnRequest(["/bin/sleep", "30"], stdout=w),
-                        SpawnRequest([TRUE, "a\0b"]),
-                        SpawnRequest([TRUE])]))
+                    run_steps(server._unit_steps(members, None, 30.0))
             finally:
                 os.close(w)
-            assert "EINVAL: batch member 1" in str(refusal.value)
+            assert "EINVAL: spawn member 1" in str(refusal.value)
             with open(r, "rb") as stream:     # EOF: member 0 was killed
                 assert stream.read() == b""
             assert server.healthy and helper_fds(server) == before

@@ -481,7 +481,8 @@ class TestDamagedReplies:
                 for frame in decoder.feed(theirs.recv(65536)):
                     seen += 1
                     theirs.sendall(
-                        encode_frame({"id": frame["id"], "pid": 4242})
+                        encode_frame({"id": frame["id"],
+                                      "results": [{"pid": 4242}]})
                         if seen == 1 else damage)
 
         thread = threading.Thread(target=serve, daemon=True)
@@ -536,7 +537,7 @@ class TestDamagedReplies:
         try:
             assert fs.spawn(["/bin/true"]).pid == 4242
             steps = fs._unit_steps([SpawnRequest(["/bin/true"])], None,
-                                   None, batch=False)
+                                   None)
             wait = next(steps)  # the frame is out; nothing has waited
             told = []
             wait.notify(lambda: told.append("lost"))  # reader, or at once

@@ -6,10 +6,12 @@ import time
 import pytest
 
 from repro.core import (BatchRequest, ForkServer, ForkServerPool,
-                        SpawnPolicy, SpawnPool, SpawnRequest, breaker_for,
-                        reset_breakers, spawn_batch)
+                        ProcessBuilder, SpawnPolicy, SpawnPool, SpawnRequest,
+                        breaker_for, reset_breakers, spawn_batch)
 from repro.core.strategies import get_strategy
-from repro.errors import SpawnError
+from repro.errors import GatewayProtocolError, SpawnError
+from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
+                           TenantConfig)
 from repro.obs import TELEMETRY
 
 
@@ -116,20 +118,45 @@ class TestPoolBatch:
 
 
 class TestACallersMistakeCostsNoHelper:
-    """An oversized batch is refused before a helper is picked: no
-    strike, no retry, no breaker failure, no helper retired (at the
-    parent commit three of them killed the pool's healthy helper)."""
+    """A unit no helper could take — an oversized batch, or a member no
+    exec could take — is refused at the front door, before a tier is
+    tried or a helper picked: no strike, no retry, no breaker failure,
+    no helper retired.  (Three oversized batches used to kill the
+    pool's healthy helper, and one malformed member charged every tier
+    of the ladder and retired a pool helper.)"""
 
     OVERSIZED = BatchRequest.of([["/bin/true"]] * 100)
+    #: Members no exec could take; ``SpawnAttributes.validate`` and the
+    #: builder's argv check name each.
+    MALFORMED = [
+        dict(env={"": "x"}),
+        dict(env={"A=B": "x"}),
+        dict(env={"A\0B": "x"}),
+        dict(env={"A": "x\0y"}),
+        dict(env={"A": 1}),
+        dict(argv=["/bin/true", "a\0b"]),
+    ]
     POLICY = SpawnPolicy(retries=2, backoff=0.01,
                          fallback=("forkserver", "posix_spawn"))
+    TIERS = ("forkserver-pool", "forkserver", "posix_spawn")
 
-    def refused_three_times(self, entry, **kwargs):
+    def mistakes(self):
+        """Each mistake as a ``BatchRequest``, behind a good member."""
+        yield self.OVERSIZED
+        for bad in self.MALFORMED:
+            yield BatchRequest([
+                SpawnRequest(["/bin/true"]),
+                SpawnRequest(bad.get("argv", ["/bin/true"]),
+                             env=bad.get("env"))])
+
+    def refused_three_times(self, entry, requests, error=SpawnError,
+                            **kwargs):
         TELEMETRY.enable(sink=None, reset_metrics=True)
         try:
             for _ in range(3):
-                with pytest.raises(SpawnError, match="split the batch"):
-                    entry(self.OVERSIZED, **kwargs)
+                with pytest.raises(error, match="split the batch|"
+                                   "environment entr|NUL in argv"):
+                    entry(requests, **kwargs)
             return [name for name, _, _ in TELEMETRY.metrics.counters()]
         finally:
             TELEMETRY.disable()
@@ -138,24 +165,76 @@ class TestACallersMistakeCostsNoHelper:
         with ForkServerPool(1, policy=self.POLICY) as pool:
             held = pool.spawn(["/bin/sleep", "0.3"])
             helpers = pool.helper_pids()
-            counted = self.refused_three_times(pool.spawn_batch)
-            assert "spawn_retry" not in counted
+            for requests in self.mistakes():
+                counted = self.refused_three_times(pool.spawn_batch,
+                                                   requests)
+                assert "spawn_retry" not in counted
             assert pool.helper_pids() == helpers and pool.respawns == 0
+            assert [slot.strikes for slot in pool._slots] == [0]
             # ...so the exit notice of a child it held still arrives.
             assert held.wait(timeout=10) == 0
 
     def test_on_the_ladder(self):
+        """The module ``spawn_batch`` and a builder under a policy: the
+        two front doors of the one ladder walker."""
+        def built(requests, policy):
+            (member,) = requests
+            builder = (ProcessBuilder(*member.argv).policy(policy)
+                       .strategy("forkserver-pool"))
+            if member.env is not None:
+                builder.env(member.env)
+            return builder.spawn()
+
         reset_breakers()
         try:
             pool = get_strategy("forkserver-pool").pool()
             helpers = pool.helper_pids()
-            counted = self.refused_three_times(spawn_batch,
-                                               policy=self.POLICY)
-            assert not {"spawn_retry", "fallback"} & set(counted)
+            for requests in self.mistakes():
+                counted = self.refused_three_times(spawn_batch, requests,
+                                                   policy=self.POLICY)
+                assert not {"spawn_retry", "fallback"} & set(counted)
+                if len(requests) < 3:
+                    counted = self.refused_three_times(
+                        built, BatchRequest(requests.members[1:]),
+                        policy=self.POLICY)
+                    assert not {"spawn_retry", "fallback"} & set(counted)
             assert pool.helper_pids() == helpers and pool.respawns == 0
-            for tier in ("forkserver-pool", "forkserver", "posix_spawn"):
+            for tier in self.TIERS:
                 assert breaker_for(tier).failures == 0
         finally:
+            get_strategy("forkserver-pool").shutdown()
+            reset_breakers()
+
+    def test_on_a_gateway_tenant(self, tmp_path):
+        """A raw member reaches the daemon, whose ``from_wire`` answers
+        a typed protocol error before admission; ``spawn_batch`` is
+        refused by the client's own front door first."""
+        token = "mistake-token"
+        server = GatewayServer(GatewayConfig(
+            unix_path=str(tmp_path / "gw.sock"),
+            tenants={"acme": TenantConfig(name="acme", token=token,
+                                          policy=self.POLICY)})).start()
+        reset_breakers()
+        try:
+            pool = get_strategy("forkserver-pool").pool()
+            helpers = pool.helper_pids()
+            with GatewayClient(server.unix_path, tenant="acme",
+                               token=token) as client:
+                for requests in self.mistakes():
+                    self.refused_three_times(client.spawn_batch, requests)
+                    if len(requests) < 3:
+                        member = requests.members[1]
+                        self.refused_three_times(
+                            client.spawn, member.argv,
+                            error=GatewayProtocolError, env=member.env)
+                assert client.spawn(["/bin/true"]).wait(timeout=10) == 0
+            assert pool.helper_pids() == helpers and pool.respawns == 0
+            for tier in self.TIERS + ("gateway:acme",):
+                assert breaker_for(tier).failures == 0
+            stats = server.stats()["tenants"]["acme"]
+            assert stats["admitted"] == 1 and stats["failed"] == 0
+        finally:
+            server.stop()
             get_strategy("forkserver-pool").shutdown()
             reset_breakers()
 
@@ -174,6 +253,25 @@ class TestSpawnPoolBatchBoot:
     def test_default_strategy_still_sequential(self):
         with SpawnPool(2) as pool:
             assert pool.map(abs, [-5, 5]) == [5, 5]
+
+    def test_forkserver_workers_share_one_spawn_frame(self, monkeypatch):
+        """Any strategy over a helper's wire boots the pool's workers
+        as one unit: one ``spawn`` frame, both workers' pipes in it."""
+        sent, real = [], ForkServer._send
+
+        def spy(self, obj, *args, **kwargs):
+            sent.append(obj)
+            return real(self, obj, *args, **kwargs)
+
+        monkeypatch.setattr(ForkServer, "_send", spy)
+        get_strategy("forkserver").shutdown()
+        try:
+            with SpawnPool(2, strategy="forkserver") as pool:
+                assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
+            spawns = [obj for obj in sent if obj["op"] == "spawn"]
+            assert len(spawns) == 1 and len(spawns[0]["reqs"]) == 2
+        finally:
+            get_strategy("forkserver").shutdown()
 
 
 class TestLadderBatch:

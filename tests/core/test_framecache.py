@@ -205,10 +205,9 @@ class TestConcurrency:
 
         def worker(index):
             for j in range(self.KEYS_PER_THREAD):
-                request = {"op": "spawn",
-                           "argv": [f"/bin/worker-{index}"],
-                           "env": {"SLOT": str(index)},
-                           "cwd": None, "nfds": 3}
+                request = {"op": "spawn", "reqs": [
+                    {"argv": [f"/bin/worker-{index}"],
+                     "env": {"SLOT": str(index)}, "cwd": None, "nfds": 3}]}
                 rid = index * self.KEYS_PER_THREAD + j
                 encode = server._frame_encoder(request, f"trace-{index}")
                 with lock:
@@ -219,5 +218,6 @@ class TestConcurrency:
             decoded = json.loads(frame)
             assert decoded["id"] == rid
             assert decoded["trace"] == f"trace-{index}"
-            assert decoded["argv"] == [f"/bin/worker-{index}"]
-            assert decoded["env"] == {"SLOT": str(index)}
+            (member,) = decoded["reqs"]
+            assert member["argv"] == [f"/bin/worker-{index}"]
+            assert member["env"] == {"SLOT": str(index)}

@@ -336,8 +336,8 @@ class TestExecLeaseIsASpawn:
                 assert "EACCES" in str(excinfo.value)
                 assert not isinstance(excinfo.value, TemplateMiss)
             # A grant that partially arrived is refused the same way.
-            reply = srv._roundtrip({"op": "spawn", "argv": ["/bin/true"],
-                                    "nfds": 3}, fds=(0, 1))
+            reply = srv._roundtrip({"op": "spawn", "reqs": [
+                {"argv": ["/bin/true"], "nfds": 3}]}, fds=(0, 1))
             assert "EPROTO" in reply["error"]
             # So is a lease with nothing to run — a program is a spawn
             # — and it costs no parked child.
@@ -369,9 +369,10 @@ class TestFailedForkIsARefusal:
         helper.environ = dict(os.environ)
         grant = [os.dup(0), os.dup(1), os.dup(2)]
         try:
-            reply = helper.op_spawn({"op": "spawn", "argv": ["/bin/true"],
-                                     "nfds": 3}, grant)
-            assert reply["error"].startswith("EAGAIN") and "pid" not in reply
+            reply = helper.op_spawn({"op": "spawn", "reqs": [
+                {"argv": ["/bin/true"], "nfds": 3}]}, grant)
+            assert (reply["error"].startswith("EAGAIN")
+                    and "results" not in reply)
             for fd in grant:
                 with pytest.raises(OSError):
                     os.fstat(fd)

@@ -215,13 +215,22 @@ class TestEveryLaunchOnItsPath:
                                                     strategy):
         policy = SpawnPolicy(deadline=10.0, retries=0, fallback=(),
                              breaker_threshold=1, breaker_cooldown=60.0)
+        # The refusal lands where the unit goes: at the posix_spawn
+        # tenant's launch, inside the pool tenant's helper (booted under
+        # the plan, past the warm-up spawn).
+        plan = FaultPlan().add("refuse_exec", point="strategy.launch",
+                               strategy="posix_spawn")
+        if strategy == "forkserver-pool":
+            get_strategy("forkserver-pool").shutdown()
+            with FAULTS.active(FaultPlan().add("refuse_exec", point="helper",
+                                               after=1)):
+                get_strategy("forkserver-pool").pool()
         server = make_server(tmp_path, strategy, policy)
         try:
             with dial(server) as client:
                 spawn_ok(client)
-                plan = FaultPlan().add("refuse_exec", point="builder.spawn")
                 with FAULTS.active(plan):
-                    with pytest.raises(GatewayError, match="exec refused"):
+                    with pytest.raises(GatewayError, match="refused"):
                         client.spawn(("/bin/true",))
                 with pytest.raises(Overloaded) as excinfo:
                     client.spawn(("/bin/true",))
@@ -327,9 +336,7 @@ class TestJobClosedMidLaunch:
         try:
             breaker = breaker_for("gateway:acme", policy)
             breaker.record_failure()  # open; no cooldown, so probe at once
-            job = _Job(None, 1, "spawn", {"argv": ["/bin/true"],
-                                          "env": None, "cwd": None},
-                       [], 1, "acme")
+            job = _Job(None, 1, BatchRequest.of([["/bin/true"]]), [], "acme")
             steps = server._execute(job)
             next(steps)  # admitted as the probe, its launch not yet made
             assert not breaker.allow()

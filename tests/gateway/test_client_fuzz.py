@@ -204,9 +204,10 @@ def test_a_null_env_launches_from_a_plain_dict(monkeypatch):
     loop = helper.Helper(ours, {})
     try:
         for env in (None, {}):
-            reply = loop.op_spawn({"argv": ["/bin/true"], "env": env},
-                                  [os.dup(0), os.dup(1), os.dup(2)])
-            assert reply["pid"] == 4242
+            reply = loop.op_spawn(
+                {"reqs": [{"argv": ["/bin/true"], "env": env, "nfds": 3}]},
+                [os.dup(0), os.dup(1), os.dup(2)])
+            assert reply["results"][0]["pid"] == 4242
     finally:
         signal.set_wakeup_fd(-1)
         signal.signal(signal.SIGCHLD, handler)
@@ -244,11 +245,11 @@ def test_junk_status_for_a_handed_out_pid_is_typed_and_frees_the_slot(
     status reaps, anything else is filed as a typed error — and either
     way the slot is gone afterwards and nobody waits past the notice."""
     channel, (pending,) = _meet(
-        "gateway", [{"op": "spawn", "argv": ["x"]}],
-        encode_frame({"id": 0, "pid": 4242})
+        "gateway", [{"op": "spawn", "reqs": [{"argv": ["x"]}]}],
+        encode_frame({"id": 0, "pids": [4242]})
         + encode_frame({"exit": 4242, "status": status}))
     try:
-        assert channel.result(pending, TIMEOUT)["pid"] == 4242
+        assert channel.result(pending, TIMEOUT)["pids"] == [4242]
         filed = channel.wait_exit(4242, TIMEOUT)
         if type(status) is int:
             assert filed == encode_status(status)

@@ -160,16 +160,16 @@ class TestOrdering:
             assert decoder.feed(sock.recv(65536))[0]["ok"] is True
             # The launch holds the job until the members are dead, so
             # the daemon finds all three gone when it subscribes.
-            spawn = server._execute_batch
+            spawn = server._execute
 
-            def slow(tenant, job):
-                result = yield from spawn(tenant, job)
+            def slow(job):
+                result = yield from spawn(job)
                 time.sleep(0.3)
                 return result
 
-            server._execute_batch = slow
+            server._execute = slow
             sock.sendall(encode_frame(
-                {"op": "spawn_batch", "id": 1, "nfds": 0,
+                {"op": "spawn", "id": 1, "nfds": 0,
                  "reqs": [{"argv": ["/bin/sh", "-c", f"exit {code}"]}
                           for code in (3, 0, 7)]}))
             frames = decoder.feed(sock.recv(65536))  # ONE recv

@@ -21,9 +21,10 @@ import time
 
 import pytest
 
-from repro.core import BatchRequest, SpawnPolicy, get_strategy
-from repro.errors import (AuthError, GatewayError, Overloaded, RateLimited,
-                          SpawnError)
+from repro.core import (BatchRequest, SpawnPolicy, breaker_for,
+                        get_strategy, reset_breakers)
+from repro.errors import (AuthError, GatewayError, GatewayProtocolError,
+                          Overloaded, RateLimited, SpawnError)
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
 from repro.wire import FrameDecoder, encode_frame
@@ -157,6 +158,72 @@ class TestSpawnPath:
             server.stop()
 
 
+class TestOneTenantsMistakeIsItsOwn:
+    def test_a_typo_opens_no_shared_breaker(self, tmp_path):
+        """Tenants on the defaults share the ladder's tier breakers.  A
+        member no exec could take is refused before admission and
+        charges none of them (it used to reach every tier: two typos
+        from ``a`` opened all three, and ``b``'s next well-formed spawn
+        failed on the open pool breaker)."""
+        reset_breakers()
+        server = make_server(tmp_path, {
+            name: TenantConfig(name=name, token=TOKEN) for name in "ab"})
+        refusals = []
+        try:
+            with GatewayClient(server.unix_path, tenant="a",
+                               token=TOKEN) as client:
+                for _ in range(2):
+                    with pytest.raises(GatewayError) as refusal:
+                        client.spawn(["/bin/true"], env={"": "x"})
+                    refusals.append(refusal.value)
+            with GatewayClient(server.unix_path, tenant="b",
+                               token=TOKEN) as client:
+                assert client.spawn(["/bin/true"]).wait(timeout=10) == 0
+            for name in ("forkserver-pool", "forkserver", "posix_spawn",
+                         "gateway:a", "gateway:b"):
+                assert breaker_for(name).failures == 0, name
+            assert all(isinstance(error, GatewayProtocolError)
+                       for error in refusals)
+            assert server.stats()["tenants"]["a"]["admitted"] == 0
+        finally:
+            server.stop()
+            reset_breakers()
+
+
+class TestATenantsStrategyServesItsSpawns:
+    """The daemon walks every spawn — one member or N — from the
+    tenant's own strategy (a batch used to start at the pool whatever
+    the tenant named); ``fork_exec`` takes a unit through the member
+    loop every strategy inherits."""
+
+    @pytest.mark.parametrize("strategy",
+                             ["posix_spawn", "forkserver", "fork_exec"])
+    def test_one_member_and_three(self, tmp_path, strategy):
+        server = make_server(tmp_path, {"acme": TenantConfig(
+            name="acme", token=TOKEN, strategy=strategy,
+            policy=SpawnPolicy(deadline=10.0, retries=0, fallback=()))})
+        served, finished = [], server._job_done
+
+        def job_done(job, tenant, reply, error):
+            served.append(error or reply["strategy"])
+            return finished(job, tenant, reply, error)
+
+        server._job_done = job_done
+        try:
+            with GatewayClient(server.unix_path, tenant="acme",
+                               token=TOKEN) as client:
+                for codes in ([3], [3, 0, 7]):
+                    children = client.spawn_batch(BatchRequest.of(
+                        [["/bin/sh", "-c", f"exit {code}"]
+                         for code in codes]))
+                    assert [c.wait(timeout=10) for c in children] == codes
+                child = client.spawn(["/bin/sh", "-c", "exit 5"])
+                assert child.wait(timeout=10) == 5
+            assert served == [strategy] * 3
+        finally:
+            server.stop()
+
+
 class TestAuth:
     def test_wrong_token_is_auth_error_and_hangup(self, tmp_path):
         server = make_server(tmp_path)
@@ -183,7 +250,7 @@ class TestAuth:
         try:
             replies = raw_exchange(
                 server.unix_path,
-                [{"op": "spawn", "id": 1, "argv": ["/bin/true"],
+                [{"op": "spawn", "id": 1, "reqs": [{"argv": ["/bin/true"]}],
                   "nfds": 0}])
             assert replies[0]["error"]["code"] == "auth"
         finally:
@@ -401,7 +468,7 @@ class TestMalformedClients:
             # Claim 3 granted fds without granting any.
             replies = raw_exchange(
                 server.unix_path,
-                [{"op": "spawn", "id": 4, "argv": ["/bin/true"],
+                [{"op": "spawn", "id": 4, "reqs": [{"argv": ["/bin/true"]}],
                   "nfds": 3}],
                 hello=("acme", TOKEN))
             assert replies[0]["error"]["code"] == "protocol"
@@ -444,10 +511,11 @@ class TestMalformedClients:
             good_r, good_w = os.pipe()
             devnull = os.open(os.devnull, os.O_RDONLY)
             try:
-                send_with_fds({"op": "spawn", "id": 1, "argv": [],
+                send_with_fds({"op": "spawn", "id": 1,
+                               "reqs": [{"argv": []}],
                                "nfds": 3}, [devnull, bad_w, bad_w])
-                send_with_fds({"op": "spawn", "id": 2,
-                               "argv": ["/bin/sh", "-c", "echo good"],
+                send_with_fds({"op": "spawn", "id": 2, "reqs": [
+                    {"argv": ["/bin/sh", "-c", "echo good"]}],
                                "nfds": 3}, [devnull, good_w, good_w])
                 recv_until(3)
             finally:
@@ -456,9 +524,9 @@ class TestMalformedClients:
                 os.close(good_w)
             by_id = {reply.get("id"): reply for reply in replies}
             assert by_id[1]["error"]["code"] == "protocol"
-            assert "pid" in by_id[2]
+            (pid,) = by_id[2]["pids"]
             recv_until(4)  # the child's exit notice, pushed unasked
-            assert replies[3] == {"exit": by_id[2]["pid"], "status": 0}
+            assert replies[3] == {"exit": pid, "status": 0}
             with open(good_r, "rb") as out:
                 assert out.read() == b"good\n"
             with open(bad_r, "rb") as out:
@@ -487,8 +555,8 @@ class TestMalformedClients:
             read_fd, write_fd = os.pipe()
             try:
                 sock.sendmsg(
-                    [encode_frame({"op": "spawn", "id": 1,
-                                   "argv": ["/bin/true"], "nfds": 3})],
+                    [encode_frame({"op": "spawn", "id": 1, "reqs": [
+                        {"argv": ["/bin/true"]}], "nfds": 3})],
                     [(socket.SOL_SOCKET, socket.SCM_RIGHTS,
                       array.array("i", [read_fd, write_fd]).tobytes())])
             finally:
@@ -513,17 +581,22 @@ class TestMalformedClients:
     def test_malformed_op_payloads_are_protocol_errors(self, tmp_path):
         server = make_server(tmp_path)
         bad_requests = [
-            {"op": "spawn", "id": 1, "argv": [], "nfds": 0},
-            {"op": "spawn", "id": 2, "argv": "/bin/true", "nfds": 0},
-            {"op": "spawn", "id": 3, "argv": ["/bin/true"], "nfds": 7},
-            {"op": "spawn", "id": 4, "argv": ["/bin/true"], "env": 5,
+            {"op": "spawn", "id": 1, "reqs": [{"argv": []}], "nfds": 0},
+            {"op": "spawn", "id": 2, "reqs": [{"argv": "/bin/true"}],
              "nfds": 0},
-            {"op": "spawn_batch", "id": 5, "reqs": [], "nfds": 0},
-            {"op": "spawn_batch", "id": 6, "reqs": [{"no": "argv"}],
-             "nfds": 0},
+            {"op": "spawn", "id": 3, "reqs": [{"argv": ["/bin/true"]}],
+             "nfds": 7},
+            {"op": "spawn", "id": 4, "reqs": [{"argv": ["/bin/true"],
+                                               "env": 5}], "nfds": 0},
+            {"op": "spawn", "id": 5, "reqs": [], "nfds": 0},
+            {"op": "spawn", "id": 6, "reqs": [{"no": "argv"}], "nfds": 0},
             {"op": "lease", "id": 7, "count": -2},
             {"op": "lease", "id": 8, "ttl": "forever"},
             {"op": "wait", "id": 9, "pid": "four"},
+            # Protocol 2's launch shapes: refused typed, never guessed at.
+            {"op": "spawn", "id": 10, "argv": ["/bin/true"], "nfds": 0},
+            {"op": "spawn_batch", "id": 11, "reqs": [{"argv": ["/bin/true"]}],
+             "nfds": 0},
         ]
         try:
             replies = raw_exchange(server.unix_path, bad_requests,
@@ -568,9 +641,8 @@ class TestTcpTransport:
                 sock.sendall(encode_frame({"op": "hello", "id": 0,
                                            "tenant": "acme",
                                            "token": TOKEN}))
-                sock.sendall(encode_frame({"op": "spawn", "id": 1,
-                                           "argv": ["/bin/true"],
-                                           "nfds": 3}))
+                sock.sendall(encode_frame({"op": "spawn", "id": 1, "reqs": [
+                    {"argv": ["/bin/true"]}], "nfds": 3}))
                 while len(replies) < 2:
                     replies += decoder.feed(sock.recv(65536))
             finally:
