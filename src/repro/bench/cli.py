@@ -9,15 +9,14 @@ Usage::
     repro-bench run all --parallel   # ... across a pool of spawned workers
     repro-bench run t1-api,t3-overcommit --quick
     repro-bench run t1-api --json
-    repro-bench run t5-throughput --quick --set concurrencies=[1,64] \
-        --set autoscale=true      # kwarg overrides, JSON-decoded
-    repro-bench run t5-throughput --trace out.jsonl
+    repro-bench run fig1-sim --quick --set sizes=[1048576,2097152]
+                                     # kwarg overrides, JSON-decoded
+    repro-bench run t7-templates --quick --trace out.jsonl
     repro-bench metrics              # live sample: p50/p95/p99 per strategy
     repro-bench metrics --from out.jsonl
-    repro-bench run t5-throughput --faults plan.json   # chaos soak
-    repro-bench run t5-throughput --quick --json > now.json
-    repro-bench compare benchmarks/baselines/t5_baseline.json now.json
+    repro-bench run t7-templates --quick --faults plan.json   # chaos soak
     repro-bench run t7-templates --quick --json > t7.json
+    repro-bench compare benchmarks/baselines/t7_baseline.json t7.json
     repro-bench compare benchmarks/baselines/t7_baseline.json t7.json \
         --metric speedup --tolerance 0.65   # the template >=2x bar
 
@@ -70,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=[], metavar="KEY=VALUE",
                         help="override an experiment keyword argument; "
                              "VALUE is parsed as JSON when possible "
-                             "(--set concurrencies=[1,64] "
-                             "--set autoscale=true), else as a string; "
+                             "(--set sizes=[1048576,2097152] "
+                             "--set concurrency=4), else as a string; "
                              "repeatable")
     runner.add_argument("--json", action="store_true",
                         help="emit rows as JSON instead of tables")
@@ -127,7 +126,7 @@ def _parse_overrides(pairs: Sequence[str]) -> dict:
 
     Values are decoded as JSON when they parse (numbers, lists,
     booleans) and passed through as strings otherwise, so
-    ``--set concurrencies=[1,64] --set autoscale=true`` does what it
+    ``--set sizes=[1048576,2097152] --set concurrency=4`` does what it
     looks like it does.
     """
     overrides = {}

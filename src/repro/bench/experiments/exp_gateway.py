@@ -2,10 +2,10 @@
 
 The paper's closing argument is that process creation should be a
 *service* with a clean API, not a syscall with fifty years of baggage.
-T5-T7 built that service inside one process; T8 pushes it across a
-socket: N tenants, each with its own auth token, bounded queue and
-weighted-fair share, all hammering one daemon that multiplexes them
-over the same warm pools.
+The forkserver pool and the templates (T7) build that service inside
+one process; T8 pushes it across a socket: N tenants, each with its own
+auth token, bounded queue and weighted-fair share, all hammering one
+daemon that multiplexes them over the same warm pools.
 
 The measurement deliberately offers more load than the daemon will
 take: each tenant drives more closed-loop client threads than its

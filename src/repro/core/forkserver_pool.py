@@ -24,8 +24,8 @@ single-threaded helper — the helper's fork loop becomes the ceiling.
 
 This is the shape of the real mitigations the paper points at: Android's
 zygote and ``multiprocessing``'s forkserver are *services*, and a
-service must sustain concurrent traffic.  The ``t5-throughput``
-experiment measures exactly that.
+service must sustain concurrent traffic.  The spawn-path ruler's
+``pool_conc`` workload (``benchmarks/e2e``) measures exactly that.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Three ways to activate a plan:
 * **per-test** — ``with FAULTS.active(FaultPlan().add("kill_helper")):``
 * **environment** — ``REPRO_FAULTS=plan.json`` (or inline JSON) arms the
   plan in any process that imports :mod:`repro.faults`;
-* **CLI** — ``repro-bench run t5-throughput --faults plan.json``.
+* **CLI** — ``repro-bench run t7-templates --quick --faults plan.json``.
 
 See :mod:`repro.faults.plan` for the fault taxonomy and the JSON plan
 format, and ``docs/FORKSERVER.md`` ("Failure modes and recovery") for

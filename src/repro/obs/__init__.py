@@ -21,8 +21,7 @@ The switchboard is the module-global :data:`TELEMETRY`:
 
 Disabled (the default), the spawn path costs a handful of no-op method
 calls on a shared :data:`NULL_TRACE` singleton — no allocation, no
-clock reads, no locks — which is what keeps the ``t5-throughput``
-overhead under the 5% budget.
+clock reads, no locks.
 """
 
 from __future__ import annotations

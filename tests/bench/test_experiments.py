@@ -15,10 +15,9 @@ from repro.errors import BenchError
 
 class TestRegistry:
     EXPECTED = {"fig1-real", "fig1-sim", "t1-api", "t2-micro",
-                "t3-overcommit", "t4-compose", "t5-throughput",
-                "t6-autoscale", "t7-templates", "t8-gateway", "t9-chaos",
-                "t10-xproc", "f2-scaling", "a1-ablation", "a2-aslr", "a3-emulation",
-                "a4-fdtable", "calibrate"}
+                "t3-overcommit", "t4-compose", "t7-templates", "t8-gateway",
+                "t9-chaos", "t10-xproc", "f2-scaling", "a1-ablation",
+                "a2-aslr", "a3-emulation", "a4-fdtable", "calibrate"}
 
     def test_every_design_md_experiment_registered(self):
         assert {e.experiment_id for e in all_experiments()} == self.EXPECTED
@@ -93,38 +92,6 @@ class TestRealExperiments:
         mechanisms = {r["mechanism"] for r in result.rows}
         assert "posix_spawn" in mechanisms
         assert {"real", "sim"} == {r["side"] for r in result.rows}
-
-    def test_t5_throughput_quick(self):
-        result = run("t5-throughput", quick=True)
-        assert [r["concurrency"] for r in result.rows] == [1, 8]
-        loaded = result.rows[-1]
-        for mechanism in ("forkserver-locked", "forkserver-pool"):
-            assert loaded[f"{mechanism}_errors"] == 0
-            assert loaded[f"{mechanism}_p95_ns"] > 0
-        # The headline: sharded pipelining beats the lock under load.
-        # (The experiment itself shows ~4x; assert a conservative margin
-        # so a noisy CI box cannot flake this.)
-        assert loaded["forkserver-pool_per_sec"] > \
-            1.5 * loaded["forkserver-locked_per_sec"]
-        # And batching beats round-tripping each spawn individually.
-        assert loaded["forkserver-pool-batch_per_sec"] > \
-            loaded["forkserver-pool_per_sec"]
-        assert "pipelined pool" in result.notes
-
-    def test_t6_autoscale_quick(self):
-        result = run("t6-autoscale", quick=True)
-        phases = {r["phase"]: r for r in result.rows}
-        assert set(phases) == {"warm", "burst", "cooldown", "idle"}
-        burst = phases["burst"]
-        assert burst["errors"] == 0
-        assert burst["p95_ns"] > 0
-        # The autoscaler must have reacted to the burst...
-        assert burst["scale_ups"] >= 1
-        assert burst["workers"] > phases["warm"]["workers"]
-        # ...and given the capacity back once traffic stopped.
-        assert phases["idle"]["workers"] == 1
-        assert phases["idle"]["scale_downs"] >= 1
-        assert "capacity follows traffic" in result.notes
 
 
 class TestCli:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.bench.workloads import (ServiceWorkloads, Workloads,
-                                   measure_spawn_throughput)
+from repro.bench.workloads import Workloads, measure_spawn_throughput
 from repro.errors import BenchError
 
 
@@ -102,34 +101,3 @@ class TestMeasureSpawnThroughput:
         with pytest.raises(BenchError):
             measure_spawn_throughput(lambda: None, concurrency=1,
                                      requests_per_thread=0)
-
-
-class TestServiceWorkloads:
-    @pytest.fixture(scope="class")
-    def service(self):
-        # A trivial child and a small pool keep this fast; the real
-        # sweep lives in the t5-throughput experiment.
-        with ServiceWorkloads(["/bin/true"], pool_workers=2) as registry:
-            yield registry
-
-    def test_mechanism_set(self, service):
-        assert set(service.mechanisms()) == set(ServiceWorkloads.MECHANISMS)
-
-    def test_each_mechanism_spawns_and_waits(self, service):
-        for name, operation in service.mechanisms().items():
-            operation()  # must not raise or leak a zombie
-
-    def test_measure_one(self, service):
-        result = service.measure("forkserver-pool", concurrency=2,
-                                 requests_per_thread=2)
-        assert result.requests == 4
-        assert result.errors == 0
-        assert result.concurrency == 2
-        assert result.as_dict()["mechanism"] == "forkserver-pool"
-
-    def test_unknown_mechanism_rejected(self, service):
-        with pytest.raises(BenchError):
-            service.measure("carrier-pigeon", concurrency=1,
-                            requests_per_thread=1)
-        with pytest.raises(BenchError):
-            service.warm(["carrier-pigeon"])

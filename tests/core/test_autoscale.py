@@ -139,23 +139,34 @@ class TestLatencyPressure:
             TELEMETRY.disable()
 
 
+def wait_for(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
 class TestLifecycle:
     def test_background_thread_scales_a_real_pool(self):
+        """The shape of elasticity: a burst grows the pool, idle shrinks it.
+
+        Structural only — no throughput figure — so no box speed can
+        flip it.
+        """
         config = AutoscaleConfig(min_workers=1, max_workers=2,
                                  high_watermark=1.0, sustain_seconds=0.0,
-                                 idle_ttl=60.0, interval=0.01)
+                                 idle_ttl=0.2, interval=0.01)
         with ForkServerPool(1, prestart=1) as pool:
             with PoolAutoscaler(pool, config) as scaler:
                 assert scaler.running
                 children = [pool.spawn(["/bin/sleep", "0.3"])
                             for _ in range(4)]
-                deadline = 200
-                while pool.size < 2 and deadline > 0:
-                    time.sleep(0.01)
-                    deadline -= 1
-                assert pool.size == 2
+                assert wait_for(lambda: pool.size == 2, 5)
+                assert scaler.scale_ups >= 1
                 for child in children:
                     assert child.wait(timeout=10) == 0
+                assert wait_for(lambda: pool.size == 1
+                                and scaler.scale_downs >= 1, 5)
             assert not scaler.running
 
     def test_stop_is_idempotent(self):

@@ -63,8 +63,3 @@ class TestExamples:
         out = run_example("zygote_pool.py", timeout=300.0)
         assert "vs fork+exec" in out
         assert "template lease (parked)" in out
-
-    def test_spawn_service(self):
-        out = run_example("spawn_service.py")
-        assert "pipelined pool" in out
-        assert "x the locked zygote" in out
