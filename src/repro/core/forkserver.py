@@ -58,13 +58,12 @@ def _helper_source() -> str:
 
 
 def _pids_handed_out(request: dict, reply: dict) -> Sequence:
-    """The pids ``reply`` gives a caller to reap: a spawn's or a
-    lease's.  A ``park`` reply names a pid too, but parked stock belongs
-    to nobody until leased."""
-    if request.get("op") not in ("spawn", "lease"):
+    """The pids ``reply`` gives a caller to reap: a spawn's.  A ``park``
+    reply names a pid too, but parked stock belongs to nobody until a
+    spawn wakes it."""
+    if request.get("op") != "spawn":
         return ()
-    return [result.get("pid")
-            for result in reply.get("results") or (reply,)]
+    return [result.get("pid") for result in reply.get("results") or ()]
 
 
 class InFlight:
@@ -570,7 +569,7 @@ class ForkServer:
             request["trace"] = head.trace_id
         try:
             FAULTS.fire("forkserver.spawn", helper_pid=self._pid,
-                        argv=list(reqs[0].argv), **size)
+                        strategy=self.label, **size)
             sent = self._send(request, fds, head, deadline, encode,
                               wait=False)
             if sent is None:

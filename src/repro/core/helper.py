@@ -20,10 +20,11 @@ caller's child.
 
 Beyond plain spawns the helper is a template zygote: ``specialize``
 warms it into a workload profile and ``park`` pre-forks children that
-block inside that warm runtime until a ``lease`` hands one its code
-payload; a program is a ``spawn`` here as anywhere, and inherits what
-``specialize`` prepared.  A generic forkserver simply never sends those
-ops; an empty stock costs nothing.
+block inside that warm runtime.  Both are launched by the one ``spawn``
+op: a member carrying ``code`` wakes the oldest parked child with its
+payload, a member carrying ``argv`` is a program and inherits what
+``specialize`` prepared.  Every reply names the stock level.  A generic
+forkserver simply never parks; an empty stock costs nothing.
 """
 
 import array
@@ -157,8 +158,14 @@ def spawn_one(req, grant, environ):
     return pid, t_spawn
 
 
+class StockExhausted(OSError):
+    """No live parked child is left to take a payload."""
+
+
 def refused(what, exc):
-    # Why spawn_one raised, by name.
+    # Why a launch raised, by name.
+    if isinstance(exc, StockExhausted):
+        return "EAGAIN: warm stock exhausted"
     if isinstance(exc, OSError):
         return "EAGAIN: %s failed to fork: %s" % (what, exc)
     return "EINVAL: %s cannot be executed: %s" % (what, exc)
@@ -190,7 +197,7 @@ class Helper:
         # What ``env: null`` launches from (the fault spec is popped by
         # now); op_specialize keeps it in step.
         self.environ = dict(os.environ)
-        # Pre-forked parked children awaiting a lease, oldest first.
+        # Pre-forked parked children awaiting a payload, oldest first.
         # Each entry pairs a child pid with OUR end of its wake
         # socketpair; closing that end is how a park is withdrawn (the
         # child sees EOF and exits 0 on its own).
@@ -210,7 +217,6 @@ class Helper:
             "specialize": self.op_specialize,
             "park": self.op_park,
             "unpark": self.op_unpark,
-            "lease": self.op_lease,
         }
 
     def fault(self, name):
@@ -292,9 +298,13 @@ class Helper:
             stall = self.fault("stall_helper")
             if stall:
                 time.sleep(stall)
+            if request.get("op") != "spawn":
+                close_all(fds)  # only a spawn takes a grant
+                fds = []
             op = self.ops.get(request.get("op"))
             reply = op(request, fds) if op else {"error": "bad op"}
             reply["id"] = request.get("id")
+            reply["stock"] = len(self.stock)
             body = json.dumps(reply).encode()
             self.sock.sendall(LEN.pack(len(body)) + body)
         # Shutdown.  Withdraw the parked stock: closing each wake end
@@ -323,14 +333,15 @@ class Helper:
         return {"ok": True}
 
     def op_spawn(self, request, fds):
-        # N >= 1 spawns, one frame, one reply: the grants arrived
+        # N >= 1 launches, one frame, one reply: the grants arrived
         # concatenated in request order (member i's stdio triple is the
-        # next reqs[i]["nfds"] fds).  All-or-nothing: a grant mismatch
-        # or a failed launch refuses/undoes EVERY member so the client
-        # never has to guess which ran.  Each result's t_fork_ns is the
-        # spawned-at stamp (exec done on the posix_spawn path;
-        # CLOCK_MONOTONIC is system-wide on Linux, so the client can
-        # splice it into its own timeline).
+        # next reqs[i]["nfds"] fds).  A member carrying ``code`` wakes a
+        # parked child, any other is spawned.  All-or-nothing: a grant
+        # mismatch, a failed launch or a dry stock refuses/undoes EVERY
+        # member so the client never has to guess which ran.  Each
+        # result's t_fork_ns is the launched-at stamp (exec done on the
+        # posix_spawn path; CLOCK_MONOTONIC is system-wide on Linux, so
+        # the client can splice it into its own timeline).
         reqs = request.get("reqs") or []
         if not reqs:
             close_all(fds)
@@ -345,7 +356,10 @@ class Helper:
             grant = fds[offset : offset + nfds]
             offset += nfds
             try:
-                pid, t_spawn = spawn_one(req, grant, self.environ)
+                if req.get("code") is None:
+                    pid, t_spawn = spawn_one(req, grant, self.environ)
+                else:
+                    pid, t_spawn = self.wake_one(req, grant)
             except (OSError, ValueError, TypeError) as exc:
                 # One request's refusal, not our death.
                 error = refused("spawn member %d" % len(results), exc)
@@ -354,8 +368,8 @@ class Helper:
             results.append({"pid": pid, "t_fork_ns": t_spawn})
         if not error:
             return {"results": results}
-        # Undo the partial spawn: no silent survivors.  These pids were
-        # spawned moments ago and nothing has waited on them (reap()
+        # Undo the partial launch: no silent survivors.  These pids were
+        # launched moments ago and nothing has waited on them (reap()
         # only runs between loop iterations), so kill+waitpid here is
         # race-free — and no exit notice goes out for a pid the client
         # was never told about.
@@ -405,52 +419,41 @@ class Helper:
         try:
             self.stock.append(self.park_child())
         except OSError as exc:
-            return {"error": "EAGAIN: park failed: %s" % exc, "stock": len(self.stock)}
-        return {"pid": self.stock[-1][0], "stock": len(self.stock)}
+            return {"error": "EAGAIN: park failed: %s" % exc}
+        return {"pid": self.stock[-1][0]}
 
     def op_unpark(self, request, fds):
         if not self.stock:
-            return {"pid": None, "stock": 0}
+            return {"pid": None}
         pid, chan = self.stock.pop(0)
         chan.close()  # EOF -> the parked child exits on its own
-        return {"pid": pid, "stock": len(self.stock)}
+        return {"pid": pid}
 
-    def op_lease(self, request, fds):
-        error = self.refusal(fds, request.get("nfds"), "lease")
-        if error:
-            return {"error": error, "stock": len(self.stock)}
-        if not isinstance(request.get("code"), str):
-            # A program is a ``spawn``: burn no parked child on nothing.
-            close_all(fds)
-            return {"error": "EPROTO: lease carries no code", "stock": len(self.stock)}
-        # Hand the oldest LIVE parked child its payload.  A child that
+    def wake_one(self, req, grant):
+        # Hand the oldest LIVE parked child the payload member ``req``
+        # and its grant, and close the grant on our side.  A child that
         # died while parked shows up as a send error (its end of the
-        # socketpair is closed); skip it and try the next.
-        lease = {key: request.get(key) for key in ("code", "env", "cwd")}
-        payload = json.dumps(lease).encode()
-        pid = None
-        while self.stock and pid is None:
-            parked, chan = self.stock.pop(0)
+        # socketpair is closed); skip it and try the next.  Raises
+        # StockExhausted with the grant still open once none is left.
+        payload = json.dumps(req).encode()
+        while self.stock:
+            pid, chan = self.stock.pop(0)
             try:
-                send_frame(chan, payload, fds)
-                pid = parked
+                send_frame(chan, payload, grant)
             except OSError:
-                pass
+                pid = None
             chan.close()
-        t_lease = time.monotonic_ns()
-        close_all(fds)
-        if pid is None:
-            return {"error": "EAGAIN: warm stock exhausted", "stock": 0}
-        reply = {"pid": pid, "t_fork_ns": t_lease, "stock": len(self.stock)}
-        if request.get("trace") is not None:
-            reply["trace"] = request["trace"]
-        return reply
+            if pid is not None:
+                t_wake = time.monotonic_ns()
+                close_all(grant)
+                return pid, t_wake
+        raise StockExhausted()
 
     def park_child(self):
-        # Fork one child that BLOCKS inside the warm runtime until
-        # leased.  It inherits everything specialize prepared — imported
-        # modules, env, cwd, pre-opened fds — at zero marginal cost;
-        # that payoff is the whole point of the template.
+        # Fork one child that BLOCKS inside the warm runtime until woken
+        # with a payload.  It inherits everything specialize prepared —
+        # imported modules, env, cwd, pre-opened fds — at zero marginal
+        # cost; that payoff is the whole point of the template.
         ours, theirs = socket.socketpair()
         pid = os.fork()
         if pid == 0:

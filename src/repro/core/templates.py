@@ -15,13 +15,14 @@ This module is that remedy, three layers deep:
   children to keep parked.
 * :class:`TemplateServer` — a :class:`~repro.core.forkserver.ForkServer`
   whose helper is *specialized* to one profile and keeps a bounded
-  stock of **pre-forked, parked children**.  A payload is a lease: the
-  ``lease`` op wakes the oldest parked child to run ``code`` inside the
-  already-warm runtime, free of the child-side boot tax.  A program is
-  a spawn: an ``argv`` takes the inherited ``spawn`` op, a
-  ``posix_spawn`` from the specialized helper — a warm interpreter is
-  no use to a program that execs it away, so none is spent on one.
-  Either way one wire round trip, O(1) regardless of the client's heap.
+  stock of **pre-forked, parked children**.  Every launch is a member
+  of the inherited ``spawn`` op.  A payload member carries ``code``:
+  the helper wakes the oldest parked child to run it inside the
+  already-warm runtime, free of the child-side boot tax.  A program
+  member carries ``argv``: a ``posix_spawn`` from the specialized
+  helper — a warm interpreter is no use to a program that execs it
+  away, so none is spent on one.  Either way one wire round trip, O(1)
+  regardless of the client's heap.
 * :class:`TemplateRegistry` — the profiles, LRU-bounded so only the hot
   ones stay warm; a background restock thread refills leased stock and
   grows the per-profile target when payloads miss (the
@@ -51,10 +52,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..errors import SpawnError
 from ..obs import TELEMETRY
 from .autoscale import AutoscaleConfig
-from .forkserver import ForkServer
+from .forkserver import ForkServer, SpawnRequest
 from .policy import TEMPLATE_FALLBACK, SpawnPolicy
 from .result import ChildProcess
 from .spawn import ProcessBuilder
+from .steps import run_steps
 
 
 class TemplateMiss(SpawnError):
@@ -100,19 +102,37 @@ class TemplateProfile:
                 f"max_stock ({self.max_stock}) < stock ({self.stock})")
 
 
+class _Payload(SpawnRequest):
+    """A ``code`` member of the one ``spawn`` op: the helper wakes a
+    parked child to run it, so its ``env`` layers on the warm runtime's
+    own and never stands for the caller's."""
+
+    __slots__ = ("code",)
+
+    def __init__(self, code: str, **wiring):
+        super().__init__([sys.executable, "-c", "<template payload>"],
+                         **wiring)
+        self.code = code
+
+    def wire(self, inherited=None) -> dict:
+        return {"code": self.code, "env": self.env, "cwd": self.cwd,
+                "nfds": 3}
+
+
 class TemplateServer(ForkServer):
     """A forkserver specialized to one :class:`TemplateProfile`.
 
     :meth:`start` boots the helper (its template ops live next to the
-    spawn ops in ``core/helper.py``), applies the profile's
+    spawn op in ``core/helper.py``), applies the profile's
     ``specialize`` op, and parks the initial stock.  :meth:`lease`
-    checks a parked child out for a ``code`` payload in one round trip
-    and hands an ``argv`` to the inherited :meth:`~ForkServer.spawn`;
-    :meth:`park` / :meth:`unpark` move the stock level.  A launch is a
-    ``template_lease``, whichever op carried it.
+    launches through the inherited one request path: a ``code`` payload
+    is a ``spawn`` member that wakes a parked child, an ``argv`` one
+    that the helper spawns.  :meth:`park` / :meth:`unpark` move the
+    stock level, and every reply reports it.  A launch is a
+    ``template_lease``, whichever member carried it.
 
-    The frame cache is off here: lease frames carry per-call payloads
-    and live stock counts, so there is no repeatable tail to memoize.
+    The frame cache is off here: payload frames carry per-call code, so
+    there is no repeatable tail to memoize.
     """
 
     label = "template"
@@ -120,7 +140,6 @@ class TemplateServer(ForkServer):
     def __init__(self, profile: TemplateProfile):
         super().__init__(frame_cache=0)
         self.profile = profile
-        self._stock_lock = threading.Lock()
         self._stock = 0
 
     def start(self) -> "TemplateServer":
@@ -153,15 +172,9 @@ class TemplateServer(ForkServer):
 
     @property
     def stock(self) -> int:
-        """Parked children ready to lease (client-side view)."""
-        with self._stock_lock:
-            return self._stock
-
-    def _sync_stock(self, reply: dict, delta: int) -> None:
-        with self._stock_lock:
-            level = reply.get("stock")
-            self._stock = (level if isinstance(level, int)
-                           else max(0, self._stock + delta))
+        """Parked children ready to lease: the level the helper's latest
+        reply named."""
+        return self._stock
 
     def park(self, timeout: Optional[float] = None) -> int:
         """Pre-fork one parked child; returns its pid."""
@@ -170,14 +183,12 @@ class TemplateServer(ForkServer):
             raise SpawnError(
                 f"template {self.profile.name!r} park refused: "
                 f"{reply.get('error', reply)}")
-        self._sync_stock(reply, +1)
         TELEMETRY.count("template_park", profile=self.profile.name)
         return reply["pid"]
 
     def unpark(self, timeout: Optional[float] = None) -> Optional[int]:
         """Withdraw one parked child (it exits 0); ``None`` when empty."""
         reply = self._roundtrip({"op": "unpark"}, timeout=timeout)
-        self._sync_stock(reply, -1)
         if reply.get("pid") is not None:
             TELEMETRY.count("template_unpark", profile=self.profile.name)
         return reply.get("pid")
@@ -198,12 +209,19 @@ class TemplateServer(ForkServer):
         # as ``specialize`` left it — never the caller's.
         return None
 
-    def _unit_steps(self, reqs, traces, deadline):
-        # The one request path, plus this server's name for a launch.
-        children = yield from super()._unit_steps(reqs, traces, deadline)
-        TELEMETRY.count("template_lease", len(children),
-                        profile=self.profile.name)
-        return children
+    def _result(self, sent) -> dict:
+        # Every reply names the helper's stock level: file it.  A spawn's
+        # hands out this server's launches; of its refusals, only a dry
+        # stock is a miss a restock can cure.
+        reply = super()._result(sent)
+        self._stock = reply.get("stock", self._stock)
+        if "results" in reply:
+            TELEMETRY.count("template_lease", len(reply["results"]),
+                            profile=self.profile.name)
+        elif reply.get("error") == "EAGAIN: warm stock exhausted":
+            raise TemplateMiss(f"template {self.profile.name!r}: "
+                               f"{reply['error']}")
+        return reply
 
     def lease(self, argv: Optional[Sequence[str]] = None, *,
               code: Optional[str] = None,
@@ -224,39 +242,11 @@ class TemplateServer(ForkServer):
         """
         if (argv is None) == (code is None):
             raise SpawnError("lease takes exactly one of argv= or code=")
-        if argv is not None:
-            return self.spawn(argv, env=env, cwd=cwd, stdin=stdin,
-                              stdout=stdout, stderr=stderr,
-                              deadline=deadline)
-        shown = [sys.executable, "-c", "<template payload>"]
-        trace = self._trace(shown)
-        TELEMETRY.count("fd_grants", 3)
-        request = {"op": "lease", "code": code, "env": env, "cwd": cwd,
-                   "nfds": 3}
-        if trace:
-            request["trace"] = trace.trace_id
-        try:
-            reply = self._roundtrip(request, fds=(stdin, stdout, stderr),
-                                    trace=trace, timeout=deadline)
-            if "pid" not in reply:
-                self._sync_stock(reply, 0)
-                error = str(reply.get("error", reply))
-                if "EAGAIN" in error:
-                    raise TemplateMiss(
-                        f"template {self.profile.name!r}: {error}")
-                raise SpawnError(
-                    f"template {self.profile.name!r} refused lease: {error}")
-        except SpawnError as exc:
-            trace.failure(exc)
-            raise
-        self._sync_stock(reply, -1)
-        TELEMETRY.count("template_lease", profile=self.profile.name)
-        trace.stage("forked", t_ns=reply.get("t_fork_ns"),
-                    pid=reply["pid"], helper_pid=self._pid)
-        trace.success(reply["pid"])
-        return ChildProcess(reply["pid"], argv=shown, strategy=self.label,
-                            reaper=self._reap, timed_reaper=True,
-                            watch=self._watch, trace=trace)
+        wiring = dict(env=env, cwd=cwd, stdin=stdin, stdout=stdout,
+                      stderr=stderr)
+        member = (SpawnRequest(argv, **wiring) if code is None
+                  else _Payload(code, **wiring))
+        return run_steps(self._unit_steps([member], None, deadline))[0]
 
 
 class _Entry:

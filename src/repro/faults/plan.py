@@ -104,7 +104,8 @@ KIND_POINTS: Dict[str, str] = {
 POINTS = (
     "forkserver.frame",    # wire.Channel.send, one outgoing frame
     "forkserver.request",  # ForkServer._send, around the send
-    "forkserver.spawn",    # ForkServer's one spawn request, before the send
+    "forkserver.spawn",    # ForkServer's one spawn request, before the send;
+                           # strategy is the server's label (template too)
     "pool.dispatch",       # ForkServerPool, a unit of one, per attempt
     "pool.batch",          # ForkServerPool, a unit of N > 1, per attempt
     "strategy.launch",     # every registered Strategy.launch entry

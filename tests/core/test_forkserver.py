@@ -226,6 +226,18 @@ class TestFdHygiene:
             slow.kill()
             slow.wait(timeout=10)
 
+    def test_only_a_spawn_takes_a_grant(self, server):
+        # Any other op's grant is closed on arrival, known op or not:
+        # the helper's own descriptor table must not grow by it.
+        def helper_fds():
+            return sorted(os.listdir(f"/proc/{server.helper_pid}/fd"))
+
+        before = helper_fds()
+        assert server._roundtrip({"op": "ping"}, fds=(0, 1, 2))["ok"]
+        assert server._roundtrip({"op": "nope"},
+                                 fds=(0, 1, 2))["error"] == "bad op"
+        assert helper_fds() == before
+
 
 class TestPushedExits:
     """wait() is an event wait on a pushed exit notice, poll() a lookup."""

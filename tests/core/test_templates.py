@@ -17,8 +17,8 @@ import time
 
 import pytest
 
-from repro.core import (SpawnPolicy, TemplateProfile, TemplateRegistry,
-                        TemplateServer)
+from repro.core import (ForkServer, SpawnPolicy, TemplateProfile,
+                        TemplateRegistry, TemplateServer)
 from repro.core import helper as helper_module
 from repro.core.autoscale import AutoscaleConfig
 from repro.core.strategies import _REGISTRY
@@ -26,6 +26,7 @@ from repro.core.templates import TemplateMiss
 from repro.errors import SpawnError
 from repro.faults import FAULTS, FaultPlan
 from repro.obs import TELEMETRY, RingBufferSink
+from repro.wire import Channel
 
 
 def read_all(fd: int) -> bytes:
@@ -325,25 +326,26 @@ class TestExecLeaseIsASpawn:
         assert srv.healthy
 
     def test_refused_lease_is_typed_and_closes_its_grant(self):
-        plan = FaultPlan().add("refuse_exec", point="helper", times=2)
+        plan = FaultPlan().add("refuse_exec", point="helper", times=3)
         with FAULTS.active(plan):
             srv = TemplateServer(TemplateProfile("t", stock=1)).start()
         try:
             before = helper_fds(srv)
-            for spelled in self.SPELLINGS:
+            launches = [functools.partial(getattr(srv, spelled), ["/bin/true"])
+                        for spelled in self.SPELLINGS]
+            # A payload is refused the same way, and costs no parked child.
+            launches.append(functools.partial(srv.lease, code="pass"))
+            for launch in launches:
                 with pytest.raises(SpawnError) as excinfo:
-                    getattr(srv, spelled)(["/bin/true"])
+                    launch()
                 assert "EACCES" in str(excinfo.value)
                 assert not isinstance(excinfo.value, TemplateMiss)
-            # A grant that partially arrived is refused the same way.
-            reply = srv._roundtrip({"op": "spawn", "reqs": [
-                {"argv": ["/bin/true"], "nfds": 3}]}, fds=(0, 1))
-            assert "EPROTO" in reply["error"]
-            # So is a lease with nothing to run — a program is a spawn
-            # — and it costs no parked child.
-            reply = srv._roundtrip({"op": "lease", "argv": ["/bin/true"],
-                                    "nfds": 3}, fds=(0, 1, 2))
-            assert "EPROTO" in reply["error"] and reply["stock"] == 1
+                assert srv.stock == 1
+            # A grant that partially arrived is refused, program or payload.
+            for member in ({"argv": ["/bin/true"]}, {"code": "pass"}):
+                reply = srv._roundtrip({"op": "spawn", "reqs": [
+                    dict(member, nfds=3)]}, fds=(0, 1))
+                assert "EPROTO" in reply["error"] and reply["stock"] == 1
             assert helper_fds(srv) == before
             for spelled in self.SPELLINGS:
                 assert getattr(srv, spelled)(
@@ -380,6 +382,82 @@ class TestFailedForkIsARefusal:
             helper_module.close_all(grant)
 
 
+class TestAPayloadIsASpawnMember:
+    def test_a_payload_and_a_program_put_one_spawn_each_on_the_wire(
+            self, server, monkeypatch):
+        sent = []
+        real = Channel.send
+
+        def recording(self, obj, *args, **kwargs):
+            sent.append(obj)
+            return real(self, obj, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "send", recording)
+        assert server.lease(code="pass").wait(timeout=30) == 0
+        assert server.spawn(["/bin/true"]).wait(timeout=30) == 0
+        assert [obj["op"] for obj in sent] == ["spawn", "spawn"]
+        [payload], [program] = (obj["reqs"] for obj in sent)
+        assert payload.pop("code") == "pass"
+        assert program.pop("argv") == ["/bin/true"]
+        assert payload == program
+
+
+class TestOnlyADryStockMisses:
+    """The helper names an empty stock apart from every other refusal,
+    and only that name becomes :class:`TemplateMiss`."""
+
+    @pytest.mark.parametrize("error, miss", [
+        (helper_module.refused("spawn member 0",
+                               helper_module.StockExhausted()), True),
+        (helper_module.refused("spawn member 0",
+                               OSError(11, "Resource temporarily unavailable")),
+         False),
+        ("EACCES: spawn of 1 refused (injected fault)", False),
+    ], ids=["stock-exhausted", "fork-eagain", "eacces"])
+    def test_refusal(self, monkeypatch, error, miss):
+        monkeypatch.setattr(ForkServer, "_send",
+                            lambda self, *args, **kwargs: None)
+        monkeypatch.setattr(ForkServer, "_result",
+                            lambda self, sent: {"error": error, "stock": 0})
+        srv = TemplateServer(TemplateProfile("t"))
+        for launch in (functools.partial(srv.lease, ["/bin/true"]),
+                       functools.partial(srv.lease, code="pass")):
+            with pytest.raises(SpawnError) as excinfo:
+                launch()
+            assert isinstance(excinfo.value, TemplateMiss) is miss
+
+    def test_a_dry_stock_refuses_and_undoes_the_whole_unit(self,
+                                                           monkeypatch):
+        # A program member spawned ahead of a payload member that finds
+        # no parked child is killed and reaped: all or nothing.
+        spawned = []
+
+        def spawn_one(*args):
+            spawned.append(real(*args))
+            return spawned[-1]
+
+        real = helper_module.spawn_one
+        monkeypatch.setattr(helper_module, "spawn_one", spawn_one)
+        helper = object.__new__(helper_module.Helper)
+        helper.faults = {}
+        helper.environ = dict(os.environ)
+        helper.stock = []
+        grant = [os.dup(0), os.dup(1), os.dup(2)]
+        try:
+            reply = helper.op_spawn({"op": "spawn", "reqs": [
+                {"argv": ["/bin/sleep", "30"], "nfds": 0},
+                {"code": "pass", "nfds": 3}]}, grant)
+            assert reply == {"error": "EAGAIN: warm stock exhausted"}
+            for fd in grant:
+                with pytest.raises(OSError):
+                    os.fstat(fd)
+            [(pid, _)] = spawned
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # already reaped by the undo
+        finally:
+            helper_module.close_all(grant)
+
+
 class TestParkedChildDeath:
     def test_reap_prunes_a_dead_parked_child_from_the_stock(self, server):
         # The helper learns of the death when it reaps the zombie; the
@@ -406,8 +484,9 @@ class TestParkedChildDeath:
         helper.faults = {}
         helper.stock = [(111, dead_ours), (222, ours)]
         try:
-            reply = helper.op_lease({"op": "lease", "code": "pass"}, [])
-            assert reply["pid"] == 222 and reply["stock"] == 0
+            reply = helper.op_spawn({"op": "spawn", "reqs": [
+                {"code": "pass", "nfds": 0}]}, [])
+            assert reply["results"][0]["pid"] == 222 and helper.stock == []
             request, grant = helper_module.recv_frame(theirs, 3)
             assert request["code"] == "pass" and grant == []
         finally:

@@ -222,8 +222,9 @@ class TestTheLadderIsOne:
         reset_breakers()
         breaker_for("forkserver-pool", SpawnPolicy(
             breaker_threshold=1, breaker_cooldown=300)).record_failure()
+        # Named: a template's code lease passes this point too.
         plan = FaultPlan().add("refuse_exec", point="forkserver.spawn",
-                               times=1)
+                               strategy="forkserver", times=1)
         TELEMETRY.enable(reset_metrics=True)
         try:
             with FAULTS.active(plan):

@@ -335,7 +335,8 @@ class TestNotify:
                                   _Told(channel), _Told(channel, raises=True))
             channel.notify(first, rude)
             channel.notify(second, told)
-            theirs.sendall(encode_frame({"id": first.rid, "pid": 4242})
+            theirs.sendall(encode_frame({"id": first.rid,
+                                         "results": [{"pid": 4242}]})
                            + encode_frame({"id": second.rid, "ok": True}))
             assert told.done.wait(TIMEOUT) and rude.calls == 1
             channel.watch(4242, exited)

@@ -58,7 +58,7 @@ def op_table(document: str, heading: str) -> dict:
 
 def test_the_helper_speaks_one_launch_op():
     assert helper_ops() == {"ping", "shutdown", "spawn", "specialize",
-                            "park", "unpark", "lease"}
+                            "park", "unpark"}
 
 
 def test_the_gateway_speaks_one_launch_op():
