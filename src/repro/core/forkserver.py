@@ -598,6 +598,5 @@ class ForkServer:
             children.append(
                 ChildProcess(result["pid"], argv=req.argv,
                              strategy=self.label, reaper=self._reap,
-                             timed_reaper=True, watch=self._watch,
-                             trace=trace))
+                             watch=self._watch, trace=trace))
         return children

@@ -388,7 +388,7 @@ class ForkServerPool:
     def _pool_reaper(self, slot: _Slot, server: ForkServer):
         """A reaper that also returns the slot's load unit when done."""
         def reaper(pid: int, flags: int,
-                   timeout: Optional[float] = None) -> Optional[int]:
+                   timeout: Optional[float]) -> Optional[int]:
             try:
                 status = server._reap(pid, flags, timeout)
             except SpawnError:
@@ -558,7 +558,7 @@ class ForkServerPool:
                 wrapped.append(ChildProcess(
                     child.pid, argv=child.argv, strategy="forkserver-pool",
                     reaper=self._pool_reaper(slot, server),
-                    timed_reaper=True, watch=server._watch, trace=trace))
+                    watch=server._watch, trace=trace))
             return wrapped
         raise SpawnError(
             f"no forkserver worker could spawn {reqs!r}: {last_error}")

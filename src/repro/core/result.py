@@ -33,10 +33,9 @@ class ChildProcess:
     ``reaper`` abstracts who calls ``waitpid``: children created by the
     forkserver are the *server's* children, so their statuses come back
     over the control channel instead of from the host kernel.  It is
-    called as ``reaper(pid, flags)`` and returns the raw status or
-    ``None``; ``timed_reaper=True`` declares that it also takes a third
-    ``timeout`` argument and can *sleep* on the exit for at most that
-    long (the forkserver's pushed exit notices), so a timed
+    called as ``reaper(pid, flags, timeout)`` and returns the raw status
+    or ``None``; a blocking call sleeps on the exit for at most
+    ``timeout`` seconds (``None``: for as long as it takes), so a timed
     :meth:`wait` never has to poll it.  ``watch`` is how such a reaper
     lets :meth:`on_exit` hear of the exit: ``watch(pid, fn)`` calls
     ``fn()`` once, when the status is there to be reaped.
@@ -52,14 +51,12 @@ class ChildProcess:
     """
 
     def __init__(self, pid: int, *, argv=(), strategy: str = "?",
-                 reaper=None, timed_reaper: bool = False, watch=None,
-                 trace=None):
+                 reaper=None, watch=None, trace=None):
         self.pid = pid
         self.argv = tuple(argv)
         self.strategy = strategy
         self.io = None  # SpawnedIO, attached by ProcessBuilder.spawn
         self._reaper = reaper
-        self._timed_reaper = timed_reaper
         self._watch = watch
         self._on_exit = None  # fired by whoever reaps an unwatched child
         self._trace = trace if trace is not None else NULL_TRACE
@@ -95,14 +92,10 @@ class ChildProcess:
     def _waitpid(self, flags: int, timeout: Optional[float] = None) -> bool:
         """One waitpid attempt; returns True if the child was reaped.
 
-        ``timeout`` bounds a blocking attempt and is only ever passed
-        for a ``timed_reaper``.
+        ``timeout`` bounds a blocking attempt by the ``reaper``.
         """
         if self._reaper is not None:
-            if self._timed_reaper:
-                status = self._reaper(self.pid, flags, timeout)
-            else:
-                status = self._reaper(self.pid, flags)
+            status = self._reaper(self.pid, flags, timeout)
             if status is None:
                 return False
         else:
@@ -168,11 +161,10 @@ class ChildProcess:
     def wait(self, timeout: Optional[float] = None) -> int:
         """Block until the child exits; returns the returncode.
 
-        With a ``timeout`` the wait still *sleeps* until the exit where
-        it can — on a pidfd for our own children, on the reaper's own
-        event for a ``timed_reaper`` — and raises :class:`SpawnError` on
-        expiry.  Only where neither exists (no ``pidfd_open``, or a
-        reaper that can merely be asked) does it poll, backing off from
+        With a ``timeout`` the wait still *sleeps* until the exit — in
+        the reaper, or on a pidfd for our own children — and raises
+        :class:`SpawnError` on expiry.  Only an own child with no pidfd
+        to be had (no ``pidfd_open``) is polled, backing off from
         0.5 ms.
         """
         if self._status is not None:
@@ -180,9 +172,9 @@ class ChildProcess:
         if timeout is None:
             self._waitpid(0)
             return self.returncode
-        if self._timed_reaper:
+        if self._reaper is not None:
             done = self._waitpid(0, timeout)
-        elif self._reaper is None and self._sleep_on_pidfd(timeout):
+        elif self._sleep_on_pidfd(timeout):
             done = self._waitpid(os.WNOHANG)
         else:
             done = self._poll_until(time.monotonic() + timeout)

@@ -258,11 +258,13 @@ class SubprocessStrategy(Strategy):
             restore_signals=attrs.reset_signals)
         trace.stage("execed", pid=proc.pid)
 
-        def reaper(pid: int, flags: int) -> Optional[int]:
-            rc = proc.poll() if flags else proc.wait()
-            if rc is None:
+        def reaper(pid: int, flags: int,
+                   timeout: Optional[float]) -> Optional[int]:
+            try:
+                rc = proc.poll() if flags else proc.wait(timeout)
+            except subprocess.TimeoutExpired:
                 return None
-            return encode_status(rc)
+            return None if rc is None else encode_status(rc)
 
         return ChildProcess(proc.pid, argv=argv, strategy=self.name,
                             reaper=reaper, trace=trace)

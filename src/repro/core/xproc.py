@@ -34,6 +34,13 @@ own ``waitpid``).  A child reading a piped stdin therefore sees
 whatever bytes exist at launch time and then EOF — preload stdin, or
 use ``stdin_from_file``; there is no way to feed a child that has
 already finished.
+
+A launch drives its child with one call to the kernel's own scheduler,
+``Kernel.run(root=pid, deadline=...)``.  That run steps the child and
+every process created beneath it, never the agent or an earlier
+launch's leftovers, so a launch costs the same on an aged machine as on
+a fresh one.  A stuck subtree surfaces as a :class:`SpawnError` naming
+its blocked threads, a passed deadline as a :class:`SpawnTimeout`.
 """
 
 from __future__ import annotations
@@ -42,9 +49,10 @@ import os
 import select
 import threading
 import time
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..errors import SimError, SimOSError, SpawnError, SpawnTimeout
+from ..errors import (DeadlockError, SimError, SimOSError, SpawnError,
+                      SpawnTimeout)
 from ..obs import NULL_TRACE, TELEMETRY
 from .attrs import SpawnAttributes
 from .file_actions import FileActions
@@ -278,7 +286,8 @@ class SimChildProcess(ChildProcess):
     def __init__(self, pid: int, raw_status: int, *, argv=(), strategy="?",
                  trace=None):
         super().__init__(pid, argv=argv, strategy=strategy,
-                         reaper=lambda _pid, _flags: raw_status, trace=trace)
+                         reaper=lambda _pid, _flags, _timeout: raw_status,
+                         trace=trace)
 
     def send_signal(self, signum: int) -> None:
         return  # already exited; never forward a sim pid to os.kill
@@ -458,7 +467,14 @@ class XProcStrategy(Strategy):
             builder.abort()  # refcount hygiene: a failed launch leaks nothing
             raise
         trace.stage("execed", pid=pid)
-        self._drive_subtree(kernel, pid, deadline_at)
+        try:
+            kernel.run(MAX_CHILD_STEPS, root=pid, deadline=deadline_at)
+        except DeadlockError as exc:
+            raise SpawnError(
+                f"xproc child pid {pid} subtree stuck: {exc}") from exc
+        except TimeoutError as exc:
+            raise SpawnTimeout(
+                f"xproc child pid {pid} outlived its deadline") from exc
         (_, exit_status), _ = kernel.timed_call(agent, "waitpid", pid)
         return pid, exit_status << 8
 
@@ -481,59 +497,3 @@ class XProcStrategy(Strategy):
                 builder.grant_fd(temp_fd, child_fd)
             finally:
                 table.close(temp_fd)
-
-    def _drive_subtree(self, kernel, root_pid: int,
-                       deadline_at: Optional[float]) -> None:
-        """Run the child's process subtree to completion, deterministically.
-
-        Only threads belonging to the launched child (and any processes
-        it creates — membership is tracked by adoption, so re-parenting
-        of orphans cannot lose anyone) are stepped; the agent and any
-        previous launches' leftovers are never touched.  No runnable
-        thread while members still live is the fork-with-threads
-        deadlock, reported as a :class:`SpawnError` naming the stuck
-        threads; the step budget turns a runaway program into a failed
-        spawn instead of a hung caller.
-        """
-        members: Set[int] = {root_pid}
-        steps = 0
-        while True:
-            alive = [kernel.processes[pid] for pid in members
-                     if pid in kernel.processes
-                     and kernel.processes[pid].alive]
-            if not alive:
-                return
-            if deadline_at is not None and time.monotonic() > deadline_at:
-                raise SpawnTimeout(
-                    f"xproc child pid {root_pid} outlived its deadline")
-            kernel._wake_blocked()
-            kernel._service_stopped()
-            runnable = [t for t in kernel.runnable_threads()
-                        if t.process.pid in members]
-            if not runnable:
-                blocked = [t for t in kernel.blocked_threads()
-                           if t.process.pid in members]
-                report = "; ".join(
-                    f"pid {t.process.pid}/{t.name}: {t.block_reason}"
-                    for t in blocked) or "stopped with no one to wake it"
-                raise SpawnError(
-                    f"xproc child pid {root_pid} subtree stuck: {report}")
-            for thread in runnable:
-                steps += 1
-                if steps > MAX_CHILD_STEPS:
-                    raise SpawnError(
-                        f"xproc child pid {root_pid} exceeded "
-                        f"{MAX_CHILD_STEPS} scheduler steps")
-                kernel._step(thread)
-                self._adopt_new(kernel, members)
-
-    @staticmethod
-    def _adopt_new(kernel, members: Set[int]) -> None:
-        """Fold newly created descendants into the driven subtree."""
-        added = True
-        while added:
-            added = False
-            for pid, proc in kernel.processes.items():
-                if pid not in members and proc.ppid in members:
-                    members.add(pid)
-                    added = True

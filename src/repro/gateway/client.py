@@ -418,8 +418,7 @@ class GatewayClient:
         if pids is None or len(pids) != len(members):
             raise GatewayError(f"gateway refused spawn: {reply}")
         return [ChildProcess(pid, argv=member.argv, strategy="gateway",
-                             reaper=self._reap, timed_reaper=True,
-                             trace=trace)
+                             reaper=self._reap, trace=trace)
                 for pid, member in zip(pids, members)]
 
     def ping(self) -> dict:

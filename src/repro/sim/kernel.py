@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..errors import (DeadlockError, SimError, SimMemoryError, SimOSError,
                       SimSegfault)
@@ -164,6 +165,8 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
         self._fixed_ns = 0.0
         self._last_call_ns = 0.0
         self._last_thread_tid: Optional[int] = None
+        #: Pids a ``run(root=...)`` schedules; ``None`` means all of them.
+        self._scope: Optional[Set[int]] = None
 
     # ------------------------------------------------------------------
     # Facilities the syscall mixins build on
@@ -193,9 +196,15 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
         return self.processes.get(pid)
 
     def adopt(self, child: Process, parent: Process) -> None:
-        """Register a newly created process under its parent."""
+        """Register a newly created process under its parent.
+
+        During a scoped :meth:`run`, a child whose parent is in scope
+        joins it, so it stays scheduled even once re-parented to init.
+        """
         parent.children.append(child.pid)
         self.processes[child.pid] = child
+        if self._scope is not None and parent.pid in self._scope:
+            self._scope.add(child.pid)
 
     def attach_thread(self, process: Process, generator, name: str) -> Thread:
         """Add a runnable thread executing ``generator`` to a process.
@@ -423,13 +432,13 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
             # re-posted while also pending): ignore.
         return True
 
-    def _service_stopped(self) -> None:
+    def _service_stopped(self, procs: List[Process]) -> None:
         """Handle the signals a stopped process can still receive.
 
         SIGCONT resumes it; SIGKILL kills it; everything else stays
         pending until the process runs again, per POSIX.
         """
-        for proc in self.processes.values():
+        for proc in procs:
             if not proc.alive or not proc.stopped:
                 continue
             if SIGKILL in proc.signals.pending:
@@ -569,74 +578,94 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
                 f"{type(exc).__name__}: {exc}") from exc
         self.exit_process(proc, 134)
 
-    def _wake_blocked(self) -> None:
-        for proc in self.processes.values():
+    def _scheduled(self) -> List[Process]:
+        """The processes this run schedules, in pid order."""
+        pids = self.processes if self._scope is None else self._scope
+        return [self.processes[pid] for pid in sorted(pids)]
+
+    def _wake_blocked(self, procs: List[Process]) -> None:
+        for proc in procs:
             if not proc.alive:
                 continue
             for thread in proc.threads:
                 if thread.state == BLOCKED and thread.wake_predicate():
                     thread.wake()
 
-    def _reap_orphans(self) -> None:
-        for proc in list(self.processes.values()):
+    def _reap_orphans(self, procs: List[Process]) -> None:
+        for proc in procs:
             if proc.state != ZOMBIE:
                 continue
             parent = self.processes.get(proc.ppid)
             if parent is None or not parent.alive:
                 proc.state = "reaped"
 
-    def runnable_threads(self) -> List[Thread]:
-        """Ready threads in deterministic (pid, tid) order.
+    @staticmethod
+    def runnable_threads(procs: List[Process]) -> List[Thread]:
+        """Ready threads of ``procs`` (pid-ordered), in (pid, tid) order.
 
         Threads of a stopped (SIGSTOPped) process keep their states but
         are never scheduled.
         """
-        threads = []
-        for pid in sorted(self.processes):
-            proc = self.processes[pid]
-            if not proc.alive or proc.stopped:
-                continue
-            threads.extend(t for t in proc.threads if t.state == READY)
-        return threads
+        return [t for p in procs if p.alive and not p.stopped
+                for t in p.threads if t.state == READY]
 
-    def blocked_threads(self) -> List[Thread]:
-        """Blocked threads in live processes."""
-        return [t for p in self.processes.values() if p.alive
+    @staticmethod
+    def blocked_threads(procs: List[Process]) -> List[Thread]:
+        """Blocked threads in the live processes of ``procs``."""
+        return [t for p in procs if p.alive
                 for t in p.threads if t.state == BLOCKED]
 
-    def run(self, max_steps: int = 1_000_000) -> int:
+    def run(self, max_steps: int = 1_000_000, *, root: Optional[int] = None,
+            deadline: Optional[float] = None) -> int:
         """Run the machine until every process finishes.
 
         Returns the number of scheduler steps taken.  Raises
         :class:`DeadlockError` when threads are blocked and nothing can
         ever wake them, and :class:`SimError` past ``max_steps`` (a
         runaway-program backstop).
+
+        ``root`` narrows the run to one subtree: only that pid and every
+        process created beneath it (see :meth:`adopt`) are scheduled,
+        checked for deadlock and reaped, and the run returns once none
+        of them is alive — whatever else on the machine stays blocked.
+        ``deadline`` is a :func:`time.monotonic` instant; a round that
+        would start past it raises :class:`TimeoutError`.
         """
-        steps = 0
-        while True:
-            self._wake_blocked()
-            self._service_stopped()
-            self._reap_orphans()
-            runnable = self.runnable_threads()
-            if not runnable:
-                blocked = self.blocked_threads()
-                frozen = [p for p in self.processes.values()
-                          if p.alive and p.stopped and p.live_threads()]
-                if blocked or frozen:
-                    report = "; ".join(
-                        [f"pid {t.process.pid}/{t.name}: {t.block_reason}"
-                         for t in blocked]
-                        + [f"pid {p.pid}: stopped with no one to SIGCONT it"
-                           for p in frozen])
-                    raise DeadlockError(
-                        f"{len(blocked) + len(frozen)} thread(s)/process(es) "
-                        f"stuck forever: {report}")
-                return steps
-            for thread in runnable:
-                steps += 1
-                if steps > max_steps:
-                    raise SimError(f"exceeded {max_steps} scheduler steps")
-                self._step(thread)
+        if root is not None:
+            self._scope = {root}
+        try:
+            steps = 0
+            while True:
+                procs = self._scheduled()
+                self._wake_blocked(procs)
+                self._service_stopped(procs)
+                self._reap_orphans(procs)
+                runnable = self.runnable_threads(procs)
+                if not runnable:
+                    blocked = self.blocked_threads(procs)
+                    frozen = [p for p in procs
+                              if p.alive and p.stopped and p.live_threads()]
+                    if blocked or frozen:
+                        report = "; ".join(
+                            [f"pid {t.process.pid}/{t.name}: "
+                             f"{t.block_reason}" for t in blocked]
+                            + [f"pid {p.pid}: stopped with no one to "
+                               f"SIGCONT it" for p in frozen])
+                        raise DeadlockError(
+                            f"{len(blocked) + len(frozen)} thread(s)/"
+                            f"process(es) stuck forever: {report}")
+                    return steps
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError(f"run passed its deadline after "
+                                       f"{steps} scheduler steps")
+                for thread in runnable:
+                    steps += 1
+                    if steps > max_steps:
+                        raise SimError(
+                            f"exceeded {max_steps} scheduler steps")
+                    self._step(thread)
+        finally:
+            self._scope = None
 
     def ps(self) -> List[dict]:
         """A ``ps``-style snapshot of the process table.

@@ -81,7 +81,7 @@ class TestBatchRequest:
 class TestBatchResult:
     def fake_children(self, n):
         return [ChildProcess(1000 + i, argv=["/bin/true"],
-                             strategy="fake", reaper=lambda p, f: 0)
+                             strategy="fake", reaper=lambda p, f, t: 0)
                 for i in range(n)]
 
     def test_sequence_protocol(self):

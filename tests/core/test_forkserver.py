@@ -285,8 +285,7 @@ class TestPushedExits:
         assert child.wait(timeout=10) == -signal.SIGKILL
 
     def test_unknown_pid_is_echild_not_a_hang(self, server):
-        stranger = ChildProcess(os.getpid(), reaper=server._reap,
-                                timed_reaper=True)
+        stranger = ChildProcess(os.getpid(), reaper=server._reap)
         for wait in (stranger.wait, stranger.poll,
                      lambda: stranger.wait(timeout=5)):
             with pytest.raises(SpawnError, match="ECHILD"):

@@ -11,6 +11,7 @@ from repro.core.strategies import (Strategy, get_strategy,
                                    pick_default_strategy, register_strategy,
                                    strategies, _REGISTRY,
                                    _resolve_executable)
+from repro.core.result import ChildProcess
 from repro.errors import SpawnError
 
 SH = "/bin/sh"
@@ -255,6 +256,19 @@ class TestStrategyPlumbing:
     def test_subprocess_strategy_roundtrip(self):
         child = ProcessBuilder(SH, "-c", "exit 4").strategy("subprocess").spawn()
         assert child.wait() == 4
+
+    def test_subprocess_timed_wait_sleeps_in_the_reaper(self, monkeypatch):
+        def no_polling(self, deadline):
+            raise AssertionError("a timed wait polled")
+
+        monkeypatch.setattr(ChildProcess, "_poll_until", no_polling)
+        child = ProcessBuilder("/bin/sleep", "5").strategy("subprocess").spawn()
+        started = time.monotonic()
+        with pytest.raises(SpawnError, match="timeout"):
+            child.wait(timeout=0.2)
+        assert 0.2 <= time.monotonic() - started < 2
+        child.kill()
+        assert child.wait(timeout=10) == -signal.SIGKILL
 
     def test_all_strategies_registered(self):
         assert set(strategies()) == {"posix_spawn", "fork_exec",

@@ -21,6 +21,8 @@ from repro.errors import SpawnError, SpawnTimeout
 from repro.obs import TELEMETRY, RingBufferSink
 from repro.sim.kernel import Kernel
 from repro.sim.params import MIB
+from repro.sim.process import Process
+from repro.sim.signals import SIGSTOP
 
 
 @pytest.fixture
@@ -125,6 +127,133 @@ class TestPolicyCompatibility:
         builder = ProcessBuilder("/bin/spinner").strategy("xproc").deadline(0.2)
         with pytest.raises(SpawnTimeout):
             builder.spawn()
+
+
+def _stuck(sys):
+    r, _w = yield sys.pipe()
+    yield sys.read(r, 1)  # nobody will ever write
+
+
+class TestSubtreeDriving:
+    """A launch is one scoped ``Kernel.run``: the child and everything it
+    creates run to exit, and nothing else on the machine is touched."""
+
+    def test_a_grandchild_that_outlives_its_parent_runs_to_exit(self, xproc):
+        def grandchild(sys):
+            for _ in range(5):
+                yield sys.sched_yield()
+            yield sys.write(1, b"grandchild\n")
+
+        def parent(sys):
+            pid = yield sys.fork(grandchild)
+            yield sys.write(1, f"{pid}\n".encode())  # exits without waiting
+
+        xproc.register_program("/bin/orphaner", parent)
+        result = run("/bin/orphaner", strategy="xproc")
+        assert result.returncode == 0
+        pid_line, rest = result.stdout.split(b"\n", 1)
+        assert rest == b"grandchild\n"
+        grandchild_proc = xproc.kernel().find_process(int(pid_line))
+        assert not grandchild_proc.alive
+
+    def test_a_stuck_subtree_names_every_blocked_thread(self, xproc):
+        def parent(sys):
+            pid = yield sys.fork(_stuck)
+            yield sys.waitpid(pid)
+
+        xproc.register_program("/bin/stuck-pair", parent)
+        with pytest.raises(SpawnError, match="stuck") as exc:
+            run("/bin/stuck-pair", strategy="xproc")
+        kernel = xproc.kernel()
+        members = [p for p in kernel.processes.values() if p.alive and p.pid != 1]
+        assert len(members) == 2  # everything alive but the agent (pid 1)
+        for proc in members:
+            assert f"pid {proc.pid}/main:" in str(exc.value)
+        assert "waitpid" in str(exc.value)
+        assert "empty pipe" in str(exc.value)
+
+    def test_a_stopped_member_is_reported_as_stopped(self, xproc):
+        def spin(sys):
+            while True:
+                yield sys.sched_yield()
+
+        def parent(sys):
+            pid = yield sys.fork(spin)
+            yield sys.kill(pid, SIGSTOP)
+            yield sys.waitpid(pid)
+
+        xproc.register_program("/bin/stopper", parent)
+        with pytest.raises(SpawnError) as exc:
+            run("/bin/stopper", strategy="xproc")
+        message = str(exc.value)
+        stopped = [p for p in xproc.kernel().processes.values() if p.stopped]
+        assert len(stopped) == 1
+        assert f"pid {stopped[0].pid}: stopped" in message
+        assert f"pid {stopped[0].ppid}/main: waitpid" in message
+
+    def test_leftovers_and_the_agent_are_never_stepped(self, xproc):
+        spins = []
+
+        def spinner(sys):
+            while True:
+                spins.append(1)
+                yield sys.sched_yield()
+
+        xproc.register_program("/bin/spinner", spinner)
+        xproc.register_program("/bin/stuck", _stuck)
+        with pytest.raises(SpawnTimeout):
+            ProcessBuilder("/bin/spinner").strategy("xproc").deadline(0.05).spawn()
+        with pytest.raises(SpawnError, match="stuck"):
+            run("/bin/stuck", strategy="xproc")
+        spun = len(spins)
+        assert spun > 0
+        for _ in range(3):
+            assert run("/bin/true", strategy="xproc").returncode == 0
+        assert len(spins) == spun  # the runnable leftover never ran again
+        agent = xproc.kernel().find_process(1)
+        assert agent.alive and agent.threads[0].state == "ready"
+
+
+class TestPricing:
+    """The exact virtual price of a launch, as the ruler's
+    ``core.xproc.virtual_ns`` reads it: a reordered step or an extra
+    context switch fails here instead of moving that figure."""
+
+    def test_launch_prices_on_a_fresh_machine(self, xproc):
+        kernel = xproc.kernel()
+        costs = []
+        for argv in (("/bin/true",), ("/bin/echo", "hi"), ("/bin/true",)):
+            before = kernel.now_ns
+            builder = ProcessBuilder(*argv).strategy("xproc").stdout_to_pipe()
+            assert builder.spawn().wait() == 0
+            builder.io.close()
+            costs.append(kernel.now_ns - before)
+        # Every launch after the first also pays one context switch
+        # (1,200 ns) from the previous launch's thread.
+        assert costs == [311_980, 313_480, 313_180]
+
+
+class TestAging:
+    def test_a_launch_inspects_as_many_processes_at_500_as_at_1(self, xproc, monkeypatch):
+        reads = [0]
+        alive = Process.alive
+
+        def counted(proc):
+            reads[0] += 1
+            return alive.fget(proc)
+
+        monkeypatch.setattr(Process, "alive", property(counted))
+        xproc.kernel()  # boot outside the count
+
+        def launch():
+            reads[0] = 0
+            assert ProcessBuilder("/bin/true").strategy("xproc").spawn().wait() == 0
+            return reads[0]
+
+        first = launch()
+        for _ in range(498):
+            launch()
+        assert launch() == first
 
 
 class TestObservability:

@@ -1,5 +1,7 @@
 """Tests for the kernel engine: boot, scheduling, dispatch, teardown."""
 
+import time
+
 import pytest
 
 from repro.errors import DeadlockError, SimError, SimOSError
@@ -167,6 +169,65 @@ class TestDeadlockDetection:
         kernel.register_program("/sbin/init", main)
         kernel.spawn_root("/sbin/init")
         assert kernel.run() >= 1
+
+
+class TestScopedRun:
+    """``run(root=pid)`` schedules one subtree and nothing else."""
+
+    @staticmethod
+    def _stuck(sys):
+        r, _w = yield sys.pipe()
+        yield sys.read(r, 1)
+
+    def test_returns_while_an_unrelated_process_stays_blocked(self, kernel):
+        kernel.register_program("/bin/stuck", self._stuck)
+        bystander = kernel.spawn_root("/bin/stuck")
+        with pytest.raises(DeadlockError):
+            kernel.run()
+        root = kernel.spawn_root("/bin/true")
+        assert kernel.run(root=root.pid) >= 1
+        assert not root.alive
+        assert bystander.alive and bystander.threads[0].state == "blocked"
+        with pytest.raises(DeadlockError):
+            kernel.run()  # the scope ended with the call
+
+    def test_descendants_join_the_scope_even_once_orphaned(self, kernel):
+        done = []
+
+        def grandchild(sys):
+            for _ in range(3):
+                yield sys.sched_yield()
+            done.append("grandchild")
+
+        def child(sys):
+            yield sys.fork(grandchild)
+            done.append("child")
+
+        def main(sys):
+            yield sys.fork(child)
+
+        kernel.register_program("/bin/tree", main)
+        idle = kernel.spawn_root("/bin/true")  # never stepped by the scoped run
+        root = kernel.spawn_root("/bin/tree")
+        kernel.run(root=root.pid)
+        assert done == ["child", "grandchild"]
+        assert idle.alive and idle.threads[0].state == "ready"
+
+    def test_a_stuck_member_is_a_deadlock(self, kernel):
+        kernel.register_program("/bin/stuck", self._stuck)
+        root = kernel.spawn_root("/bin/stuck")
+        with pytest.raises(DeadlockError, match=f"pid {root.pid}/main"):
+            kernel.run(root=root.pid)
+
+    def test_deadline_raises_timeout(self, kernel):
+        def spin(sys):
+            while True:
+                yield sys.sched_yield()
+
+        kernel.register_program("/bin/spin", spin)
+        root = kernel.spawn_root("/bin/spin")
+        with pytest.raises(TimeoutError):
+            kernel.run(root=root.pid, deadline=time.monotonic() + 0.05)
 
 
 class TestAddressSpaceRefcounting:
