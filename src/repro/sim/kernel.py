@@ -46,7 +46,7 @@ from .fdtable import FDTable
 from .frames import FrameAllocator
 from .fs import VFS
 from .overcommit import CommitPolicy
-from .params import KIB, MIB, SimConfig, WorkCounters
+from .params import KIB, MIB, SimConfig, WorkCounters, _tally
 from .process import (BLOCKED, FINISHED, READY, Process, Thread, ZOMBIE)
 from .signals import (SIG_DFL, SIGCHLD, SIGCONT, SIGKILL, SIGSEGV,
                       SIGSTOP, SignalState)
@@ -480,8 +480,9 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
         if handler is None:
             thread.throw_value = SimOSError("ENOSYS", request.name)
             return
-        before = self.counters.snapshot()
-        self.counters.syscalls += 1
+        counters = self.counters
+        before = _tally(counters)
+        counters.syscalls += 1
         self._fixed_ns = 0.0
         try:
             result = handler(thread, *request.args, **request.kwargs)
@@ -502,8 +503,7 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
                 pass
             else:
                 thread.send_value = result
-        self.now_ns += (self.cost.work_ns(self.counters.delta(before))
-                        + self._fixed_ns)
+        self.now_ns += self.cost._charge(counters, before) + self._fixed_ns
 
     def _handle_memory_pressure(self, thread: Thread, request,
                                 err: SimMemoryError) -> None:
@@ -707,14 +707,14 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
         handler = getattr(self, f"sys_{name}", None)
         if handler is None:
             raise SimOSError("ENOSYS", name)
-        before = self.counters.snapshot()
-        self.counters.syscalls += 1
+        counters = self.counters
+        before = _tally(counters)
+        counters.syscalls += 1
         self._fixed_ns = 0.0
         try:
             result = handler(thread, *args, **kwargs)
         finally:
-            elapsed = (self.cost.work_ns(self.counters.delta(before))
-                       + self._fixed_ns)
+            elapsed = self.cost._charge(counters, before) + self._fixed_ns
             self.now_ns += elapsed
             self._last_call_ns = elapsed
         return result, elapsed

@@ -8,6 +8,14 @@ code is what makes the ablation experiments (A1 in DESIGN.md) parameter
 sweeps instead of code forks: zeroing one constant removes exactly one
 mechanism's cost.
 
+The kernel prices each syscall without copying that record:
+:data:`_tally` reads the priced counts into one tuple before the handler
+runs, and :meth:`CostModel._charge` afterwards subtracts that tuple from
+the live counts and sums ``count * cost`` over the non-zero ones, in
+``CostModel._COUNTER_COSTS`` order.  :meth:`CostModel.work_ns` is the
+same loop from a zero baseline, so ``work_ns(counters.delta(before))``
+is the very float the kernel charges for the same work.
+
 Default constants are calibrated so the simulated Figure 1 matches the
 shape and rough magnitudes of the real-OS run on commodity x86 hardware
 (see EXPERIMENTS.md): a fork of a dirty multi-gigabyte address space costs
@@ -18,6 +26,7 @@ millisecond regardless of parent size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter, sub
 
 PAGE_SIZE = 4096
 HUGE_PAGE_SIZE = 2 * 1024 * 1024
@@ -56,23 +65,24 @@ class WorkCounters:
 
     def snapshot(self) -> "WorkCounters":
         """Return an independent copy of the current counts."""
-        return replace(self)
+        return WorkCounters(*_counts(self))
 
     def delta(self, since: "WorkCounters") -> "WorkCounters":
         """Return the work performed since ``since`` was snapshotted."""
-        out = WorkCounters()
-        for f in fields(self):
-            setattr(out, f.name, getattr(self, f.name) - getattr(since, f.name))
-        return out
+        return WorkCounters(*map(sub, _counts(self), _counts(since)))
 
     def add(self, other: "WorkCounters") -> None:
         """Accumulate ``other`` into this record in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name, count in zip(_COUNTER_NAMES, _counts(other)):
+            setattr(self, name, getattr(self, name) + count)
 
     def as_dict(self) -> dict:
         """Counters as a plain ``{name: count}`` dictionary."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_COUNTER_NAMES, _counts(self)))
+
+
+_COUNTER_NAMES = tuple(f.name for f in fields(WorkCounters))
+_counts = attrgetter(*_COUNTER_NAMES)
 
 
 @dataclass(frozen=True)
@@ -133,13 +143,23 @@ class CostModel:
         ("fd_dups", "fd_dup_ns"),
     )
 
+    def __post_init__(self):
+        # The price of each counter _charge reads, in _COUNTER_COSTS order.
+        object.__setattr__(self, "_costs", tuple(
+            getattr(self, cost_name) for _, cost_name in self._COUNTER_COSTS))
+
     def work_ns(self, work: WorkCounters) -> float:
         """Virtual nanoseconds implied by a work record (no fixed costs)."""
+        return self._charge(work, _NO_WORK)
+
+    def _charge(self, work: WorkCounters, since: tuple) -> float:
+        """Virtual nanoseconds of the work counted in ``work`` since the
+        :data:`_tally` ``since`` was taken (no fixed costs)."""
         total = 0.0
-        for counter_name, cost_name in self._COUNTER_COSTS:
-            count = getattr(work, counter_name)
+        for now, then, cost in zip(_tally(work), since, self._costs):
+            count = now - then
             if count:
-                total += count * getattr(self, cost_name)
+                total += count * cost
         return total
 
     def without(self, **zeroed: bool) -> "CostModel":
@@ -153,6 +173,14 @@ class CostModel:
             if name not in {f.name for f in fields(self)}:
                 raise ValueError(f"unknown cost constant: {name}")
         return replace(self, **updates)
+
+
+#: The priced counters of a :class:`WorkCounters` as one tuple, in
+#: ``CostModel._COUNTER_COSTS`` order: what :meth:`CostModel._charge`
+#: subtracts from the live counts.
+_PRICED = tuple(counter_name for counter_name, _ in CostModel._COUNTER_COSTS)
+_tally = attrgetter(*_PRICED)
+_NO_WORK = (0,) * len(_PRICED)
 
 
 @dataclass(frozen=True)

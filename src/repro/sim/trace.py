@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import SimError
-from .params import WorkCounters
+from .params import _PRICED, _tally
+from .syscalls.base import Park
+
+#: Where the counters a :class:`SyscallEvent` carries sit in a tally.
+_PAGES, _PTES, _FAULTS = (_PRICED.index(name) for name in
+                          ("pages_copied", "ptes_copied", "faults"))
 
 
 @dataclass(frozen=True)
@@ -179,14 +184,14 @@ class Tracer:
 
     # -- wrappers -----------------------------------------------------------
 
-    def _snapshot(self):
+    def _start(self):
         kernel = self._kernel
-        return kernel.now_ns, kernel.counters.snapshot()
+        return kernel.now_ns, _tally(kernel.counters)
 
     def _emit(self, thread, name: str, start_ns: float,
-              before: WorkCounters, outcome: str) -> None:
+              before: tuple, outcome: str) -> None:
         kernel = self._kernel
-        delta = kernel.counters.delta(before)
+        after = _tally(kernel.counters)
         self.trace.record(SyscallEvent(
             start_ns=start_ns,
             duration_ns=kernel.now_ns - start_ns,
@@ -195,13 +200,13 @@ class Tracer:
             process_name=thread.process.name,
             name=name,
             outcome=outcome,
-            pages_copied=delta.pages_copied,
-            ptes_copied=delta.ptes_copied,
-            faults=delta.faults,
+            pages_copied=after[_PAGES] - before[_PAGES],
+            ptes_copied=after[_PTES] - before[_PTES],
+            faults=after[_FAULTS] - before[_FAULTS],
         ))
 
     def _traced_execute(self, thread, request) -> None:
-        start_ns, before = self._snapshot()
+        start_ns, before = self._start()
         self._original_execute(thread, request)
         name = getattr(request, "name", "<bad-request>")
         if thread.state == "blocked":
@@ -213,10 +218,13 @@ class Tracer:
         self._emit(thread, name, start_ns, before, outcome)
 
     def _traced_timed_call(self, thread, name, *args, **kwargs):
-        start_ns, before = self._snapshot()
+        start_ns, before = self._start()
         try:
             result = self._original_timed_call(thread, name, *args,
                                                **kwargs)
+        except Park:
+            self._emit(thread, name, start_ns, before, "blocked")
+            raise
         except Exception as exc:
             outcome = getattr(exc, "errno_name", "error")
             self._emit(thread, name, start_ns, before, outcome)

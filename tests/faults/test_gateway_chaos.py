@@ -11,9 +11,6 @@ healed end to end by the supervisor restarting the daemon and the
 leaked fds, no leaked children, breakers reset.
 """
 
-import socket
-import threading
-
 import pytest
 
 from repro.core import GATEWAY_FALLBACK, Backoff, SpawnPolicy, run
@@ -21,9 +18,9 @@ from repro.core.strategies import get_strategy
 from repro.errors import (GatewayConnectionLost, GatewayError, SpawnError,
                           SpawnTimeout)
 from repro.faults import FAULTS, FaultPlan
-from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
-                           GatewaySupervisor, TenantConfig)
-from repro.gateway.protocol import PROTOCOL_VERSION
+from repro.gateway import (GatewayClient, GatewayConfig, GatewaySupervisor,
+                           TenantConfig)
+from tests.gateway.fake_daemon import FakeDaemon
 
 TOKEN = "chaos-token"
 
@@ -199,56 +196,6 @@ class TestStrategyLadder:
             strategy.shutdown()
 
 
-class _HangupDaemon:
-    """A fake gateway: answers ``hello``, then hangs up on every spawn
-    after the frame fully arrives — the ambiguous-loss shape, where the
-    daemon *may* have acted before the channel died."""
-
-    def __init__(self, path):
-        self.path = path
-        self.spawns_seen = 0
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._listener.bind(path)
-        self._listener.listen(8)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        from repro.wire import FrameDecoder, encode_frame
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            decoder = FrameDecoder()
-            try:
-                while not self._stop.is_set():
-                    data = conn.recv(65536)
-                    if not data:
-                        break
-                    hangup = False
-                    for frame in decoder.feed(data):
-                        if frame.get("op") == "hello":
-                            conn.sendall(encode_frame(
-                                {"id": frame.get("id"), "ok": True,
-                                 "version": PROTOCOL_VERSION}))
-                        else:
-                            self.spawns_seen += 1
-                            hangup = True
-                    if hangup:
-                        break
-            except Exception:
-                pass
-            finally:
-                conn.close()
-
-    def stop(self):
-        self._stop.set()
-        self._listener.close()
-        self._thread.join(timeout=5.0)
-
-
 class TestAmbiguousLossArbitration:
     """The ladder's 'spawns are only re-issued when it is safe'
     invariant: a loss after the frame reached the daemon may mean the
@@ -257,7 +204,8 @@ class TestAmbiguousLossArbitration:
 
     @pytest.fixture
     def hangup_gateway(self, tmp_path, monkeypatch):
-        fake = _HangupDaemon(str(tmp_path / "hangup.sock"))
+        fake = FakeDaemon(str(tmp_path / "hangup.sock"),
+                          hangup_on_request=True)
         monkeypatch.setenv("REPRO_GATEWAY", fake.path)
         strategy = get_strategy("gateway")
         strategy.shutdown()
@@ -274,7 +222,7 @@ class TestAmbiguousLossArbitration:
                                    fallback=GATEWAY_FALLBACK))
         # Exactly one spawn frame ever reached the daemon: nothing was
         # re-issued and no fallback tier ran the command a second time.
-        assert hangup_gateway.spawns_seen == 1
+        assert hangup_gateway.requests_seen == 1
 
     def test_retry_ambiguous_opts_into_the_ladder(self, hangup_gateway):
         result = run("/bin/echo", "idempotent", strategy="gateway",
@@ -284,4 +232,4 @@ class TestAmbiguousLossArbitration:
                                         fallback=GATEWAY_FALLBACK,
                                         retry_ambiguous=True))
         assert (result.returncode, result.stdout) == (0, b"idempotent\n")
-        assert hangup_gateway.spawns_seen >= 1
+        assert hangup_gateway.requests_seen >= 1

@@ -22,8 +22,9 @@ from repro.errors import (GatewayConnectionLost, GatewayError,
                           GatewayProtocolError, SpawnTimeout)
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
-from repro.gateway.protocol import PROTOCOL_VERSION
-from repro.wire import FrameDecoder, encode_frame
+from repro.wire import encode_frame
+
+from .fake_daemon import FakeDaemon
 
 TOKEN = "reconnect-token"
 
@@ -142,8 +143,8 @@ class TestReconnectSemantics:
     def test_spawn_not_reissued_after_frame_was_sent(self, tmp_path):
         """An ambiguous loss (spawn frame fully sent, then the daemon
         vanished) must surface, not silently double-spawn."""
-        fake = _SilentServer(str(tmp_path / "hangup.sock"),
-                             hangup_on_request=True)
+        fake = FakeDaemon(str(tmp_path / "hangup.sock"),
+                          hangup_on_request=True)
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
                                reconnect=True, max_reconnects=3,
                                backoff=Backoff(0.01)).connect()
@@ -156,57 +157,6 @@ class TestReconnectSemantics:
         finally:
             client.close()
             fake.stop()
-
-
-class _SilentServer:
-    """A fake daemon: answers hello correctly, then never replies (or,
-    with ``hangup_on_request``, closes the connection on the first
-    post-hello request — the "frame sent, daemon vanished" shape)."""
-
-    def __init__(self, path, hangup_on_request=False):
-        self.path = path
-        self.requests_seen = 0
-        self._hangup = hangup_on_request
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._listener.bind(path)
-        self._listener.listen(4)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            decoder = FrameDecoder()
-            try:
-                while not self._stop.is_set():
-                    data = conn.recv(65536)
-                    if not data:
-                        break
-                    hangup = False
-                    for frame in decoder.feed(data):
-                        if frame.get("op") == "hello":
-                            conn.sendall(encode_frame(
-                                {"id": frame.get("id"), "ok": True,
-                                 "version": PROTOCOL_VERSION}))
-                        else:
-                            self.requests_seen += 1
-                            hangup = self._hangup
-                        # otherwise: silence
-                    if hangup:
-                        break
-            except Exception:
-                pass
-            finally:
-                conn.close()
-
-    def stop(self):
-        self._stop.set()
-        self._listener.close()
-        self._thread.join(timeout=5.0)
 
 
 class TestCloseInterruptsReconnect:
@@ -241,58 +191,28 @@ class TestCloseInterruptsReconnect:
         assert failures and isinstance(failures[0], GatewayError)
 
 
-class _RateLimitingServer:
+class _RateLimitingServer(FakeDaemon):
     """A fake daemon: answers hello, then rate-limits the first request
     with a Retry-After hint and serves the re-ask."""
 
     def __init__(self, path, retry_after):
-        self.path = path
         self.retry_after = retry_after
         self.refused = 0
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._listener.bind(path)
-        self._listener.listen(4)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
+        super().__init__(path)
 
-    def _serve(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            decoder = FrameDecoder()
-            try:
-                while not self._stop.is_set():
-                    data = conn.recv(65536)
-                    if not data:
-                        break
-                    for frame in decoder.feed(data):
-                        rid = frame.get("id")
-                        if frame.get("op") == "hello":
-                            conn.sendall(encode_frame(
-                                {"id": rid, "ok": True,
-                                 "version": PROTOCOL_VERSION}))
-                        elif not self.refused:
-                            self.refused += 1
-                            conn.sendall(encode_frame(
-                                {"id": rid, "error": {
-                                    "code": "rate_limited",
-                                    "message": "one moment",
-                                    "retry_after": self.retry_after}}))
-                        else:
-                            conn.sendall(encode_frame(
-                                {"id": rid, "stats": {"ok": True}}))
-            except Exception:
-                pass
-            finally:
-                conn.close()
-
-    def stop(self):
-        self._stop.set()
-        self._listener.close()
-        self._thread.join(timeout=5.0)
+    def answer(self, conn, frame):
+        rid = frame.get("id")
+        if not self.refused:
+            self.refused += 1
+            conn.sendall(encode_frame(
+                {"id": rid, "error": {
+                    "code": "rate_limited",
+                    "message": "one moment",
+                    "retry_after": self.retry_after}}))
+        else:
+            conn.sendall(encode_frame(
+                {"id": rid, "stats": {"ok": True}}))
+        return False
 
 
 class TestRetryAfterHonored:
@@ -352,7 +272,7 @@ class TestRetryAfterHonored:
 
 class TestCorrelationMapHygiene:
     def test_timeout_pops_the_pending_entry(self, tmp_path):
-        fake = _SilentServer(str(tmp_path / "silent.sock"))
+        fake = FakeDaemon(str(tmp_path / "silent.sock"))
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
                                reconnect=False).connect()
         try:
@@ -366,7 +286,7 @@ class TestCorrelationMapHygiene:
     def test_encode_failure_pops_the_pending_entry(self, tmp_path):
         """A frame the protocol refuses to encode (oversized) must not
         strand its correlation-map entry."""
-        fake = _SilentServer(str(tmp_path / "silent.sock"))
+        fake = FakeDaemon(str(tmp_path / "silent.sock"))
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
                                reconnect=False).connect()
         try:
@@ -381,7 +301,7 @@ class TestCorrelationMapHygiene:
 
 class TestReaderJoin:
     def test_unjoinable_reader_warns_instead_of_hanging(self, tmp_path):
-        fake = _SilentServer(str(tmp_path / "silent.sock"))
+        fake = FakeDaemon(str(tmp_path / "silent.sock"))
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
                                join_timeout=0.05).connect()
         try:
@@ -398,7 +318,7 @@ class TestReaderJoin:
 
     def test_clean_close_does_not_warn(self, tmp_path):
         import warnings as warnings_module
-        fake = _SilentServer(str(tmp_path / "silent.sock"))
+        fake = FakeDaemon(str(tmp_path / "silent.sock"))
         client = GatewayClient(fake.path, tenant="acme",
                                token=TOKEN).connect()
         with warnings_module.catch_warnings():

@@ -1,9 +1,26 @@
 """Unit tests for the cost model, work counters and config validation."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sim.params import (CostModel, SimConfig, WorkCounters, PAGE_SIZE,
-                              page_align_down, page_align_up, pages_for)
+                              _tally, page_align_down, page_align_up,
+                              pages_for)
+
+COUNTS = st.integers(min_value=0, max_value=10**9)
+#: One work record's counts, by counter name.
+RECORDS = st.fixed_dictionaries(
+    {name: COUNTS for name in WorkCounters().as_dict()})
+#: The default model and single- and multi-constant ablations of it.
+MODELS = st.sampled_from([
+    CostModel(),
+    CostModel().without(page_copy_ns=True),
+    CostModel().without(fault_ns=True, zero_fill_ns=True),
+    CostModel().without(exec_load_ns=True, syscall_ns=True,
+                        context_switch_ns=True),
+    CostModel().without(**{name: True for _, name in
+                           CostModel._COUNTER_COSTS}),
+])
 
 
 class TestWorkCounters:
@@ -52,6 +69,19 @@ class TestCostModel:
         all_counters = {f.name for f in dataclasses.fields(WorkCounters)}
         assert priced | CostModel.CLASSIFICATION_COUNTERS == all_counters
         assert not priced & CostModel.CLASSIFICATION_COUNTERS
+
+    @given(model=MODELS, start=RECORDS, increments=RECORDS)
+    def test_tally_charge_equals_priced_delta(self, model, start,
+                                              increments):
+        # The kernel prices a call from a tally taken before it; that
+        # charge must be the very float work_ns gives for the delta.
+        counters = WorkCounters(**start)
+        before_record = counters.snapshot()
+        before = _tally(counters)
+        for name, count in increments.items():
+            setattr(counters, name, getattr(counters, name) + count)
+        assert (model._charge(counters, before)
+                == model.work_ns(counters.delta(before_record)))
 
     def test_without_zeroes_named_constant(self):
         m = CostModel().without(page_copy_ns=True)

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SimError
 from repro.sim.kernel import Kernel
 from repro.sim.params import MIB, SimConfig
+from repro.sim.syscalls.base import Park
 from repro.sim.trace import SyscallEvent, Trace, Tracer
 
 
@@ -88,6 +89,19 @@ class TestRecording:
         kernel.timed_call(proc.main_thread(), "mmap", 4 * MIB)
         trace = tracer.detach()
         assert len(trace.for_syscall("mmap")) == 1
+
+    def test_parked_timed_call_is_blocked_not_an_error(self, kernel):
+        # vfork parks its caller: the scheduler path files that as
+        # "blocked", and the direct timed_call path must agree.
+        tracer = Tracer().attach(kernel)
+        proc = kernel.spawn_root("/bin/true")
+        with pytest.raises(Park):
+            kernel.timed_call(proc.main_thread(), "vfork",
+                              lambda sys: iter(()))
+        trace = tracer.detach()
+        assert [(e.name, e.outcome) for e in trace.events] == [
+            ("vfork", "blocked")]
+        assert trace.summary()["vfork"]["errors"] == 0
 
     def test_events_from_multiple_processes(self, kernel):
         def main(sys):
