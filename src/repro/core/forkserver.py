@@ -82,8 +82,9 @@ class InFlight:
 
     def notify(self, callback: Callable[[], None]) -> None:
         """Call ``callback()`` once, when resuming the steps will no
-        longer wait: the reply is in, or the channel died (from its
-        reader thread or whoever killed it — now, if already so)."""
+        longer wait: the reply is in, or the channel died (from the
+        thread that pumps its channel — its reader, or the loop it was
+        handed over to — or whoever killed it; now, if already so)."""
         self.channel.notify(self.pending, callback)
 
     @property

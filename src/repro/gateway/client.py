@@ -2,11 +2,14 @@
 
 The client holds the same :class:`repro.wire.Channel` a
 :class:`~repro.core.forkserver.ForkServer` does — one socket, a small
-send lock, a dedicated reader thread, and per-request futures matched
-by correlation id — so many threads can have spawns in flight at once
-without waiting on each other's round trips.  It dials a fresh channel
-per connection: a stale reader can only poison the channel it was born
-with.
+send lock and per-request futures matched by correlation id — so many
+threads can have spawns in flight at once without waiting on each
+other's round trips.  It has no reader thread: a caller blocked on a
+reply or an exit reads the socket itself, for every caller (one leads,
+the others follow), so a reply wakes the thread that wanted it and no
+other.  Every call first reads what has already arrived, so a daemon
+that hung up is noticed before a request is put on its wire.  It dials
+a fresh channel per connection: a stale one can only poison itself.
 
 Unlike the forkserver channel, the gateway connection crosses a real
 network boundary, so the client owns a failure story:
@@ -33,8 +36,9 @@ network boundary, so the client owns a failure story:
 
 Reaping is local, exactly as on the forkserver wire: the daemon pushes
 ``{"exit": pid, "status": rc}`` the moment a child exits, the channel
-files it in the pid's slot, and ``ChildProcess.wait()`` is a dictionary
-lookup or an event wait.
+files it in the pid's slot when a caller reads it: ``wait()`` and
+``poll()`` read what has arrived before they look, and :meth:`close`
+files the notices already in before it hangs up.
 
 Over a Unix socket the client grants the child's stdio triple as
 SCM_RIGHTS ancillary data, exactly like the forkserver wire protocol;
@@ -54,7 +58,6 @@ from __future__ import annotations
 import socket
 import threading
 import time
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.batch import BatchRequest, BatchResult, batch_unit
@@ -112,10 +115,7 @@ class GatewayClient:
       caller owns the backoff); the honoured sleep is the daemon's
       hint bounded by ``rate_limit_sleep_max`` — its own cap, *not*
       the reconnect backoff cap, so a multi-second hint is actually
-      waited out instead of being re-asked too early;
-    * ``join_timeout`` — seconds :meth:`close` waits for the reader
-      thread; a reader that fails to join is reported (``RuntimeWarning``
-      plus the ``gateway_reader_leak`` counter), never silently leaked.
+      waited out instead of being re-asked too early.
     """
 
     #: Seconds the hello handshake (and default round trips) may take.
@@ -127,8 +127,7 @@ class GatewayClient:
                  max_reconnects: int = 5,
                  backoff: Backoff = Backoff(),
                  rate_limit_retries: int = 0,
-                 rate_limit_sleep_max: float = 30.0,
-                 join_timeout: float = 2.0):
+                 rate_limit_sleep_max: float = 30.0):
         self.address = address
         self.tenant = tenant
         self._token = token
@@ -139,7 +138,6 @@ class GatewayClient:
         self._backoff = backoff
         self._rate_limit_retries = max(0, int(rate_limit_retries))
         self._rate_limit_sleep_max = max(0.0, rate_limit_sleep_max)
-        self._join_timeout = join_timeout
         # The current dial's channel; a torn-down one is kept (closed)
         # so exit statuses it already filed can still be read.
         self._channel: Optional[Channel] = None
@@ -201,7 +199,8 @@ class GatewayClient:
                 f"cannot reach gateway at {self.address!r}: {exc}") from exc
         stale, self._channel = self._channel, Channel(
             sock, "gateway", lost=GatewayConnectionLost,
-            pids_of=_pids_handed_out, exit_status=_exit_status)
+            pids_of=_pids_handed_out, exit_status=_exit_status,
+            reader=False)
         if stale is not None:
             # A filled slot outlives its connection: no claim needed.
             self._channel.exits.update(stale.exits)
@@ -223,18 +222,12 @@ class GatewayClient:
         self._ever_connected = True
 
     def _teardown_locked(self, why: str) -> None:
-        """Close the current channel, failing its in-flight requests.
-        Caller holds ``_conn_lock``."""
+        """Close the current channel, failing its in-flight requests
+        (the exit notices already in are filed first).  Caller holds
+        ``_conn_lock``."""
         channel = self._channel
-        if channel is None or channel.closed:
-            return
-        if not channel.close(why, self._join_timeout):
-            TELEMETRY.count("gateway_reader_leak")
-            warnings.warn(
-                f"gateway reader thread failed to join within "
-                f"{self._join_timeout}s; abandoning it "
-                f"(address={self.address!r})", RuntimeWarning,
-                stacklevel=3)
+        if channel is not None and not channel.closed:
+            channel.close(why)
 
     def close(self) -> None:
         """Hang up (idempotent); in-flight requests fail fast.
@@ -457,9 +450,10 @@ class GatewayClient:
 
     def _reap(self, pid: int, flags: int,
               timeout: Optional[float] = None) -> Optional[int]:
-        """ChildProcess reaper: a lookup of the status the daemon pushed,
-        after an event wait of at most ``timeout`` seconds if the wait
-        is blocking (``flags == 0``).  ``None`` means not exited (yet).
+        """ChildProcess reaper: a lookup of the status the daemon pushed
+        (what has already arrived is read first), after reading the
+        socket for at most ``timeout`` seconds if the wait is blocking
+        (``flags == 0``).  ``None`` means not exited (yet).
 
         The ``wait`` claim is the one round trip left: for a pid with no
         slot on this channel (a reconnect dropped it), and once when a

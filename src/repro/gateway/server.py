@@ -32,8 +32,10 @@ as fast as a weight-1 tenant under contention.
 Dispatch runs the tenant's ladder as resumable steps
 (:mod:`repro.core.steps`).  Where the strategy launches over a helper's
 wire (``forkserver-pool``, ``forkserver``) the loop thread itself puts
-the request — one child or N: a spawn is a batch of one — on that wire
-and the helper's reply calls back: a launch costs no thread.  Whatever
+the request — one child or N: a spawn is a batch of one — on that wire,
+takes the helper's channel over (it watches the socket and pumps it,
+:meth:`repro.wire.Channel.hand_over`), and finishes the launch when the
+reply is routed: a launch costs no thread and no hop.  Whatever
 would block — a back-off, a helper to boot or replace, a retry's wait,
 a launcher with no steps form — carries on from that point on a thread
 executor, so the ladder is the same code wherever it runs;
@@ -41,7 +43,8 @@ executor, so the ladder is the same code wherever it runs;
 Reaping costs the client nothing: each child is subscribed
 (:meth:`~repro.core.result.ChildProcess.on_exit`) once its spawn reply
 is queued, and the daemon pushes ``{"exit": pid, "status": rc}`` down
-the spawning connection when it exits.  No thread parks on a child.
+the spawning connection when it exits — read off the helper's wire by
+the same loop.  No thread parks on a child.
 Everything is observable through :mod:`repro.obs`: queue-depth gauges,
 shed/rate-limit counters, and per-tenant launch-latency histograms.
 
@@ -63,6 +66,7 @@ import os
 import socket
 import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Union
@@ -197,6 +201,10 @@ class GatewayServer:
         self._connections: Dict[int, _Connection] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._jobs: set = set()  # dispatched, not yet through _job_done
+        self._dispatching = False  # a _dispatch is under way
+        # The helper channels this loop pumps (Channel.hand_over); each
+        # goes back to a reader thread when the loop stops.
+        self._pumped: "weakref.WeakSet" = weakref.WeakSet()
         self._inflight = 0
         self._vclock = 0.0
         self._pidfds: Dict[int, tuple] = {}  # pidfd -> (tenant, handle)
@@ -325,6 +333,12 @@ class GatewayServer:
             self._boot_error = exc
             self._started.set()
         finally:
+            # However the loop stopped, the helpers it pumped go back to
+            # reader threads before it closes: a pool caller outside the
+            # daemon (or the pool's own goodbye) still gets its replies.
+            pumped, self._pumped = list(self._pumped), weakref.WeakSet()
+            for channel in pumped:
+                channel.hand_over(None)
             loop.close()
             self._stopped.set()
 
@@ -879,8 +893,9 @@ class GatewayServer:
     def _subscribe(self, tenant: _TenantState, handle) -> None:
         """Ask to be told when ``handle`` exits (loop thread, *after*
         its spawn reply was queued).  Forkserver-family handles call
-        back from their reader thread; our own children — the ladder's
-        last tier — hand back a pidfd for the loop to watch."""
+        back from whoever pumps their helper's channel — this loop, as
+        a rule; our own children — the ladder's last tier — hand back a
+        pidfd for the loop to watch."""
         tenant.exited.pop(handle.pid, None)  # a recycled pid starts clean
         try:
             fd = handle.on_exit(
@@ -945,23 +960,32 @@ class GatewayServer:
     # -- the weighted-fair scheduler -------------------------------------
 
     def _dispatch(self) -> None:
-        """Start queued jobs while there is room."""
-        while self._inflight < self.config.max_inflight:
-            tenant = self._pick_tenant()
-            if tenant is None:
-                break
-            job = tenant.queue.popleft()
-            # Start-time fair queueing: the global clock follows the
-            # dispatched tenant's start tag; its finish tag advances
-            # by cost/weight, so heavier tenants accrue time slower
-            # and get picked proportionally more often.
-            self._vclock = max(self._vclock, tenant.vtime)
-            tenant.vtime += job.cost / tenant.config.weight
-            tenant.inflight += 1
-            self._inflight += 1
-            self._jobs.add(job)
-            TELEMETRY.gauge("gateway_inflight", self._inflight)
-            self._step(job, tenant, self._execute(job), on_loop=True)
+        """Start queued jobs while there is room.  A job that finishes
+        while it is started (refused at once) finishes within it: its
+        own call here returns, and this loop starts what it made room
+        for."""
+        if self._dispatching:
+            return
+        self._dispatching = True
+        try:
+            while self._inflight < self.config.max_inflight:
+                tenant = self._pick_tenant()
+                if tenant is None:
+                    break
+                job = tenant.queue.popleft()
+                # Start-time fair queueing: the global clock follows the
+                # dispatched tenant's start tag; its finish tag advances
+                # by cost/weight, so heavier tenants accrue time slower
+                # and get picked proportionally more often.
+                self._vclock = max(self._vclock, tenant.vtime)
+                tenant.vtime += job.cost / tenant.config.weight
+                tenant.inflight += 1
+                self._inflight += 1
+                self._jobs.add(job)
+                TELEMETRY.gauge("gateway_inflight", self._inflight)
+                self._step(job, tenant, self._execute(job), on_loop=True)
+        finally:
+            self._dispatching = False
 
     def _pick_tenant(self) -> Optional[_TenantState]:
         best = None
@@ -974,9 +998,10 @@ class GatewayServer:
     def _step(self, job: _Job, tenant: _TenantState, steps,
               on_loop: bool = False) -> None:
         """Resume a job's steps on this thread until they finish or
-        would block: on the loop thread at dispatch, then on the
-        helper's reader thread as it routes the reply that hands out
-        the child.
+        would block: on the loop thread at dispatch, then on whichever
+        thread routes the reply that hands out the child — the loop
+        again, which takes the helper's channel over to pump it
+        (another daemon's loop, if that one has it already).
 
         Only a first launch waits by callback; whatever the steps stop
         for next — a helper to boot, a back-off, a retry's reply — the
@@ -994,6 +1019,8 @@ class GatewayServer:
             if wait.timeout is not None:
                 job.timer = self._loop.call_later(wait.timeout,
                                                   self._expire, wait)
+            if wait.channel not in self._pumped and wait.channel.hand_over(self._loop):
+                self._pumped.add(wait.channel)
             wait.notify(functools.partial(self._replied, job, tenant,
                                           steps, wait))
         else:
@@ -1002,8 +1029,8 @@ class GatewayServer:
     def _replied(self, job: _Job, tenant: _TenantState, steps,
                  wait) -> None:
         """A launch's wait is over.  With a child to hand out this is
-        the helper's reader thread (the loop, if the reply was in
-        already) and the steps finish here.  A refusal is the failure
+        the thread that pumped the reply — the loop, as a rule — and
+        the steps finish here.  A refusal is the failure
         ladder's — strikes, a helper to retire, a retry — and a loss is
         told by whichever thread killed the helper's channel, holding
         whatever locks it killed it under, which the ladder wants:
@@ -1041,9 +1068,15 @@ class GatewayServer:
     def _finished(self, job: _Job, tenant: _TenantState,
                   reply: Optional[dict],
                   error: Optional[Exception]) -> None:
-        """Any thread: carry the finished job back to the loop."""
-        if not self._post(self._job_done, job, tenant, reply, error):
-            self._close_job_fds(job)  # the daemon stopped under the job
+        """Any thread: the job's steps are over.  Its stdio grant is
+        closed here, by the thread that ran them — a callback posted to
+        a loop that is stopping may never run — and the result goes to
+        the loop: handled now, if this is the loop, else posted to it."""
+        self._close_job_fds(job)
+        if threading.current_thread() is self._thread:
+            self._job_done(job, tenant, reply, error)
+        else:
+            self._post(self._job_done, job, tenant, reply, error)
 
     def _job_done(self, job: _Job, tenant: _TenantState,
                   reply: Optional[dict],
@@ -1094,7 +1127,7 @@ class GatewayServer:
         self._dispatch()
         self._check_drained()
 
-    # -- the ladder (loop, reader and executor threads) -------------------
+    # -- the ladder (loop and executor threads) ---------------------------
 
     def _execute(self, job: _Job):
         """One admitted job through the tenant's strategy ladder, as
@@ -1162,8 +1195,8 @@ class GatewayServer:
                 pass
 
     def _close_job_fds(self, job: _Job) -> None:
-        self._close_fds(job.fds)
-        job.fds = []
+        fds, job.fds = job.fds, []
+        self._close_fds(fds)
 
     def __repr__(self):
         where = self._unix_path or f"tcp:{self._tcp_port}"

@@ -26,10 +26,13 @@ from __future__ import annotations
 import array
 import json
 import logging
+import math
 import operator
+import select
 import socket
 import struct
 import threading
+import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import GatewayProtocolError, SpawnError, SpawnTimeout
@@ -237,13 +240,31 @@ class Channel:
 
     Every request carries a correlation id and many may be in flight at
     once: :meth:`send` (one ``sendmsg`` under a small send lock) pairs
-    with a reader thread that routes each reply to its request's
-    :class:`Pending`, so concurrent callers never wait on each other's
-    round trips.  The peer also *pushes* ``{"exit": pid, "status": s}``
-    notices; each is filed in the pid's :class:`Exit` slot, which the
-    reader opened while routing the reply that handed the pid out — so
-    a notice can never overtake its own registration, and one for a pid
-    no caller was given is dropped, not stored.
+    with :meth:`pump`, which reads what the socket holds and routes each
+    reply to its request's :class:`Pending`, so concurrent callers never
+    wait on each other's round trips.  The peer also *pushes*
+    ``{"exit": pid, "status": s}`` notices; each is filed in the pid's
+    :class:`Exit` slot, which :meth:`pump` opened while routing the
+    reply that handed the pid out — so a notice can never overtake its
+    own registration, and one for a pid no caller was given is dropped,
+    not stored.
+
+    One :meth:`pump`, three drivers — whoever reads, it is this code:
+
+    * a **reader thread** (``reader=True``, the default) parks in
+      :meth:`pump`'s ``recv`` and routes whatever wakes it;
+    * an **asyncio loop** the channel is handed to (:meth:`hand_over`)
+      watches the socket with ``add_reader`` and pumps on its own
+      thread — the reader thread routes what next wakes it, finds the
+      loop in charge and exits, and a reader gets the channel back when
+      the loop lets go;
+    * with ``reader=False``, **the blocked callers**: whoever waits for
+      a reply or an exit leads, polling and pumping for everyone until
+      its own frame is in, while the others follow on a condition (one
+      leader at a time, under the channel's lock); every :meth:`send`
+      first pumps what is ready, so a peer that hung up is noticed
+      before a frame is put on its wire, and :meth:`close` files the
+      notices that have already arrived.
 
     A channel dies once (damaged frame, EOF, send failure, :meth:`close`)
     and stays dead: every pending request, blocked waiter and callback
@@ -251,9 +272,10 @@ class Channel:
     readable, and whoever owns the channel dials a new one — a stale
     reader can only ever poison the object it was born with.
 
-    Callbacks run on whichever thread resolves them — the reader, or
-    the one that killed the channel — never under the channel's lock,
-    and one that raises is logged and costs nobody else anything.
+    Callbacks run on whichever thread resolves them — the pumping one,
+    or the one that killed the channel — never under the channel's
+    lock, and one that raises is logged and costs nobody else anything.
+    A callback must not pump its own channel.
 
     What differs between peers is injected, never branched on: ``name``
     prefixes the ``<name>.frame`` fault point, the reader thread and
@@ -271,6 +293,7 @@ class Channel:
         lost: Callable[[str], Exception],
         pids_of: Callable[[dict, dict], Iterable],
         exit_status: Callable[[dict], object] = operator.itemgetter("status"),
+        reader: bool = True,
     ):
         self.sock = sock
         self.name = name
@@ -280,6 +303,8 @@ class Channel:
         self._exit_status = exit_status
         self._send_lock = threading.Lock()
         self._lock = threading.Lock()
+        self._pump_lock = threading.Lock()  # one reader of the socket at a time
+        self._decoder = FrameDecoder()
         self._next_id = 0
         self.pending: Dict[int, Pending] = {}
         # pid -> slot for every child handed to a caller and not yet
@@ -288,7 +313,23 @@ class Channel:
         self.waiting = 0  # callers blocked in wait_exit right now
         self.dead: Optional[str] = None  # why the channel died, once it has
         self.closed = False
-        self.reader = threading.Thread(target=self._read, name=f"{name}-reader", daemon=True)
+        # The asyncio loop pumping this channel (hand_over), and the fd
+        # it watches; None while a reader thread or the callers read.
+        self._loop = None
+        self._fd = -1
+        # Caller-driven reading: whether one caller leads, how many
+        # follow, and the condition they follow on.
+        self._callers_read = not reader
+        self._leading = False
+        self._following = 0
+        self._turn = threading.Condition(self._lock)
+        self._poller: Optional[select.poll] = None
+        self.reader: Optional[threading.Thread] = None
+        if reader:
+            self._start_reader()
+
+    def _start_reader(self) -> None:
+        self.reader = threading.Thread(target=self._read, name=f"{self.name}-reader", daemon=True)
         self.reader.start()
 
     @property
@@ -326,7 +367,13 @@ class Channel:
         the frame is too big to leave in one piece — it returns ``None``
         instead, with nothing sent and nothing pending, and the caller
         sends again from a thread that may wait.
+
+        Where the callers read, what is ready is pumped first: a peer
+        that hung up is noticed here, and the request is refused as
+        ``unsent`` rather than lost after it was sent.
         """
+        if self._callers_read:
+            self.pump()
         with self._lock:
             if self.dead is not None:
                 raise self._lose(f"channel is dead: {self.dead}", True)
@@ -395,7 +442,11 @@ class Channel:
     def result(self, pending: Pending, timeout: Optional[float] = None) -> dict:
         """Wait (at most ``timeout`` seconds) for ``pending``'s reply."""
         try:
-            if not pending.event.wait(timeout):
+            if self._callers_read:
+                replied = self._await(lambda: self.pending.get(pending.rid) is not pending, timeout)
+            else:
+                replied = pending.event.wait(timeout)
+            if not replied:
                 op = pending.request.get("op")
                 raise SpawnTimeout(
                     f"{self.name} request {pending.rid} ({op}) exceeded its {timeout}s deadline"
@@ -421,27 +472,137 @@ class Channel:
                 return
         callback()
 
-    # -- the reader ------------------------------------------------------
+    # -- reading: one pump, three drivers -------------------------------
+
+    def pump(self, wait: bool = False) -> bool:
+        """Read what the socket holds — one ``recv`` — and route every
+        frame it completes; whether anything was read.  It does not
+        wait for bytes unless ``wait`` says so (the reader thread's
+        form: it parks here).  EOF, a damaged frame or a read error
+        kills the channel, and a dead channel reads nothing more.  Safe
+        from any thread: one pump reads at a time, so frames are routed
+        in the order they arrived whoever drives."""
+        with self._pump_lock:
+            if self.dead is not None:
+                return False
+            try:
+                data = self.sock.recv(_RECV_BYTES, 0 if wait else socket.MSG_DONTWAIT)
+            except (BlockingIOError, InterruptedError):
+                return False
+            except Exception as exc:
+                self.fail(str(exc) or type(exc).__name__)
+                return False
+            try:
+                if not data:
+                    self._decoder.eof()
+                    raise EOFError("peer hung up")
+                for frame in self._decoder.feed(data):
+                    self._route(frame)
+            except Exception as exc:
+                self.fail(str(exc) or type(exc).__name__)
+                return False
+            return True
 
     def _read(self) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                data = self.sock.recv(_RECV_BYTES)
-                if not data:
-                    decoder.eof()
-                    raise EOFError("peer hung up")
-                for frame in decoder.feed(data):
-                    self._route(frame)
-        except Exception as exc:
-            self.fail(str(exc) or type(exc).__name__)
+        """The reader thread: pump, parked in the ``recv`` — until the
+        channel dies, or a loop has taken it over (then the frames that
+        woke it are its last)."""
+        while True:
+            with self._lock:
+                if self._loop is not None:
+                    self.reader = None  # the loop's now; hand_over(None) starts another
+                    return
+            if not self.pump(wait=True):
+                return
+
+    def _await(self, done: Callable[[], bool], timeout: Optional[float]) -> bool:
+        """Where the callers read: block until ``done()`` (checked under
+        the lock) or ``timeout``; whether it is done.  With no leader,
+        this caller leads — it polls the socket and pumps, routing every
+        frame for everyone, until its own is in; otherwise it follows,
+        waking when a frame is filed or the lead falls free."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._lock:
+            while not done():
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return False
+                if self._leading:
+                    self._following += 1
+                    try:
+                        self._turn.wait(remaining)
+                    finally:
+                        self._following -= 1
+                    continue
+                self._leading = True
+                self._lock.release()
+                try:
+                    if self._poller is None:
+                        self._poller = select.poll()
+                        self._poller.register(self.sock, select.POLLIN)
+                    self._poller.poll(None if remaining is None else math.ceil(remaining * 1000))
+                    self.pump()
+                finally:
+                    self._lock.acquire()
+                    self._leading = False
+                    if self._following:
+                        self._turn.notify_all()
+            return True
+
+    def hand_over(self, loop=None) -> bool:
+        """Who pumps this channel from now on; call it on ``loop``'s thread.
+
+        Given an asyncio ``loop``, the loop does: it watches the socket
+        (``add_reader``) and pumps whenever it is readable.  The reader
+        thread, parked in its pump, routes what next wakes it, finds the
+        loop in charge and exits; a loop pump waits for that one to end
+        — the channel never has two readers.  ``False``, and
+        nothing changes, when the channel is dead, closed, read by its
+        callers, or another loop has it.
+
+        Given ``None``, whichever loop has the channel lets it go: it
+        stops watching the socket first, then the channel goes back to
+        a reader thread — or, closed meanwhile, has its socket closed
+        here, so no fd is ever closed while a loop still watches it.
+        """
+        if loop is None:
+            self._unwatch()
+            return True
+        with self._lock:
+            if self._loop is not None or self._callers_read or self.closed or self.dead is not None:
+                return self._loop is loop
+            self._loop = loop
+            self._fd = self.sock.fileno()
+        loop.add_reader(self._fd, self._on_readable)
+        return True
+
+    def _on_readable(self) -> None:
+        """The loop's driver: pump; a channel that died stops being watched."""
+        self.pump()
+        if self.dead is not None:
+            self._unwatch()
+
+    def _unwatch(self) -> None:
+        """Loop thread: stop watching the socket, then give the channel
+        back to a reader thread (or close its socket, if it was closed
+        while the loop watched it)."""
+        loop = self._loop
+        if loop is None:
+            return
+        loop.remove_reader(self._fd)
+        with self._lock:
+            self._loop = None
+            if self.closed:
+                self.sock.close()
+            elif self.dead is None and self.reader is None:
+                self._start_reader()
 
     def _route(self, frame: dict) -> None:
         """File one incoming frame: a reply resolves its request's
         future (opening exit slots for the pids it hands out before its
         caller wakes), an exit notice fills its pid's slot and wakes
         whoever waits on it.  A frame of the wrong shape raises into
-        the reader's channel-death path."""
+        :meth:`pump`'s channel-death path."""
         event = callback = None
         with self._lock:
             if "exit" in frame:
@@ -468,6 +629,8 @@ class Channel:
                     # An un-addressed error is the peer saying the
                     # *stream* is broken: every request on it is lost.
                     raise ConnectionError(f"peer reported a broken stream: {frame['error']}")
+            if self._following:
+                self._turn.notify_all()
         if event is not None:
             event.set()
         if callback is not None:
@@ -500,46 +663,68 @@ class Channel:
             empty = [slot for slot in self.exits.values() if slot.status is None]
             stranded += [(slot.event, slot.callback) for slot in empty]
             self.exits = {pid: slot for pid, slot in self.exits.items() if slot.status is not None}
+            if self._following:
+                self._turn.notify_all()
         for event, callback in stranded:
             if event is not None:
                 event.set()
             if callback is not None:
                 self._call(callback)
 
-    def close(self, why: str, join_timeout: float) -> bool:
+    def close(self, why: str, join_timeout: float = 5.0) -> bool:
         """Hang up and fail everything in flight *before* joining the
-        reader, so no waiter stays blocked across a shutdown.  Returns
-        whether the reader thread is gone."""
-        self.closed = True
+        reader, so no waiter stays blocked across a shutdown; where the
+        callers read, the notices that have already arrived are filed
+        first.  The socket is closed here once no reader can touch it —
+        or, if a loop watches it, by the loop once it has stopped
+        watching.  Returns whether the reader thread is gone."""
+        if self._callers_read:
+            while self.pump():
+                pass
+        with self._lock:
+            self.closed = True
+            watched = self._loop is not None
         try:
-            self.sock.shutdown(socket.SHUT_RDWR)  # wake a blocked reader
+            self.sock.shutdown(socket.SHUT_RDWR)  # wakes whoever waits on it
         except OSError:
             pass
-        self.sock.close()
         self.fail(why)
-        if self.reader is not threading.current_thread():
-            self.reader.join(timeout=join_timeout)
-        return not self.reader.is_alive()
+        reader = self.reader
+        if reader is not None and reader is not threading.current_thread():
+            reader.join(timeout=join_timeout)
+        if not watched:
+            self.sock.close()
+        return reader is None or not reader.is_alive()
 
     # -- pushed exits ----------------------------------------------------
 
     def wait_exit(self, pid: int, timeout: Optional[float]):
-        """The status pushed for ``pid``, after an event wait of at most
+        """The status pushed for ``pid``, after a wait of at most
         ``timeout`` seconds (``None``: until it exits or the channel
-        dies; ``0``: only what has already arrived).  ``None`` means not
-        exited (yet); ``KeyError`` that this channel holds no slot for
-        the pid — never handed out here, already reaped, or dropped by
-        the channel's death.  Nothing goes on the wire."""
+        dies; ``0``: only what has already arrived).  Where the callers
+        read, what has arrived is pumped first: a notice pushed while
+        nobody called costs one ``recv``, no ``poll``.  ``None`` means not
+        exited (yet);
+        ``KeyError`` that this channel holds no slot for the pid — never
+        handed out here, already reaped, or dropped by the channel's
+        death.  Nothing goes on the wire."""
+        if self._callers_read:
+            self.pump()
         with self._lock:
             slot = self.exits[pid]
             wait = slot.status is None and timeout != 0
             if wait:
                 self.waiting += 1
-                if slot.event is None:
+                if slot.event is None and not self._callers_read:
                     slot.event = threading.Event()
         if wait:
             try:
-                slot.event.wait(timeout)
+                if self._callers_read:
+                    self._await(
+                        lambda: slot.status is not None or self.exits.get(pid) is not slot, timeout
+                    )
+                else:
+                    slot.event.wait(timeout)
             finally:
                 with self._lock:
                     self.waiting -= 1

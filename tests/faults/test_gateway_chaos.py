@@ -11,6 +11,11 @@ healed end to end by the supervisor restarting the daemon and the
 leaked fds, no leaked children, breakers reset.
 """
 
+import gc
+import os
+import threading
+import time
+
 import pytest
 
 from repro.core import GATEWAY_FALLBACK, Backoff, SpawnPolicy, run
@@ -18,8 +23,8 @@ from repro.core.strategies import get_strategy
 from repro.errors import (GatewayConnectionLost, GatewayError, SpawnError,
                           SpawnTimeout)
 from repro.faults import FAULTS, FaultPlan
-from repro.gateway import (GatewayClient, GatewayConfig, GatewaySupervisor,
-                           TenantConfig)
+from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
+                           GatewaySupervisor, TenantConfig)
 from tests.gateway.fake_daemon import FakeDaemon
 
 TOKEN = "chaos-token"
@@ -150,6 +155,79 @@ class TestKillDaemon:
         assert supervisor.restarts >= 1
         assert not supervisor.gave_up
         spawn_ok(client, n=2)
+
+    def test_a_crash_with_capture_launches_in_flight_leaks_no_fd(
+            self, tmp_path):
+        """Launches that finish while the loop stops.  Only the posted
+        ``_job_done`` used to close a job's stdio triple, and a loop
+        stopping between ``_post``'s check and its next turn never runs
+        it: t9 read ``leaked_fds`` 0–21, every one a multiple of 3.
+        Here three capture launches finish exactly then, every time."""
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        baseline = open_fds()
+        server = GatewayServer(GatewayConfig(
+            unix_path=str(tmp_path / "gw.sock"), drain_grace=3.0,
+            tenants={"acme": TenantConfig(name="acme", token=TOKEN,
+                                          strategy="posix_spawn")})).start()
+        client = GatewayClient(server.unix_path, tenant="acme", token=TOKEN,
+                               reconnect=False).connect()
+        release, finished = threading.Event(), []
+        execute, finish = server._execute, server._finished
+
+        def held(job):
+            yield  # from here on an executor thread
+            release.wait(10)
+            return (yield from execute(job))
+
+        def counted(*args):
+            finish(*args)
+            finished.append(args)
+
+        def crash_as_they_finish():
+            # The loop is busy in here: the results are posted behind
+            # this callback, and the crash stops the loop first.
+            release.set()
+            deadline = time.monotonic() + 10
+            while len(finished) < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            server._crash_in_loop()
+
+        server._execute, server._finished = held, counted
+        pipes = [os.pipe() for _ in range(3)]
+        lost = []
+
+        def launch(write_fd):
+            try:
+                client.spawn(("/bin/echo", "x"), stdout=write_fd)
+            except GatewayConnectionLost as exc:
+                lost.append(exc)
+
+        threads = [threading.Thread(target=launch, args=(write_fd,))
+                   for _, write_fd in pipes]
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while (server.stats()["inflight"] < 3
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            server._loop.call_soon_threadsafe(crash_as_they_finish)
+            assert server._stopped.wait(10)
+            for thread in threads:
+                thread.join(10)
+            assert len(finished) == 3 and len(lost) == 3
+            for handle in server.take_orphans().values():
+                assert handle.wait(timeout=10) == 0
+        finally:
+            client.close()
+            server.stop()
+            for read_fd, write_fd in pipes:
+                os.close(read_fd)
+                os.close(write_fd)
+        gc.collect()
+        assert open_fds() == baseline
 
 
 class TestStrategyLadder:

@@ -1,11 +1,14 @@
 """Property fuzz: the reply path of every client against a hostile peer.
 
-The reader thread is the one place a malicious or corrupt peer touches
-client memory, so it gets the adversarial treatment.  Both clients —
+:meth:`Channel.pump <repro.wire.Channel.pump>` is the one place a
+malicious or corrupt peer touches client memory, so it gets the
+adversarial treatment.  Both clients —
 :class:`~repro.core.ForkServer` and :class:`~repro.gateway.GatewayClient`
 — hold a :class:`repro.wire.Channel`, so the corpus is aimed at the
-channel itself, over a socketpair, once in each client's configuration:
-the peer swallows one request and answers with *arbitrary bytes*, then
+channel itself, over a socketpair, in each client's configuration and
+under each of the pump's three drivers: a reader thread, the blocked
+callers themselves, and an asyncio loop the channel was handed over to.
+The peer swallows the requests and answers with *arbitrary bytes*, then
 hangs up.  Whatever arrives — junk framing, valid frames with junk
 bodies, wrong correlation ids, malformed or unknown-pid ``exit``
 notices, half frames then EOF — the property is the same:
@@ -13,14 +16,15 @@ notices, half frames then EOF — the property is the same:
 * the blocked request returns within its deadline, with a reply that
   happened to be addressed to it or a **typed** error (the client's own
   ``lost`` type), never a hang and never a raw ``ValueError`` /
-  ``struct.error`` escaping the reader;
-* the reader thread dies quietly instead of crashing the process;
+  ``struct.error`` escaping the pump;
+* the channel dies quietly instead of crashing the process: a reader
+  thread exits, a loop stops watching the socket;
 * the correlation map and the exit-slot table are empty afterwards (no
   stale entries, no slot opened for a pid nobody was handed);
 * a request that asked to be *told* (``Channel.notify``, what a caller
   that cannot block uses) is told exactly once — by a reply addressed to
   it or by the channel's death — never twice, never from under the
-  channel's lock, and a callback that raises takes neither the reader
+  channel's lock, and a callback that raises takes neither the driver
   nor the next request's callback with it.
 
 The forkserver helper cannot import ``repro.wire`` and keeps its own
@@ -28,10 +32,12 @@ The forkserver helper cannot import ``repro.wire`` and keeps its own
 frame, report EOF, or raise ``ValueError``.
 """
 
+import asyncio
 import os
 import signal
 import socket
 import threading
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -54,36 +60,108 @@ CLIENTS = {
                     exit_status=gateway_client._exit_status),
 }
 
+#: Who pumps: a reader thread, the blocked callers, an asyncio loop.
+DRIVERS = ("thread", "caller", "loop")
 
-def _meet(name, requests, blob):
-    """``requests`` on a fresh ``name`` channel whose peer reads them
-    all, answers with ``blob`` and hangs up; returns (channel, the
-    pending of each)."""
+
+class _Loop:
+    """One asyncio loop on a thread of its own, for the tests to hand
+    channels over to — the gateway daemon's driver, without a daemon."""
+
+    def __init__(self):
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(target=self.loop.run_forever,
+                                       name="test-loop", daemon=True)
+        self.thread.start()
+
+    def run(self, fn, *args):
+        """``fn(*args)`` on the loop's thread; its result."""
+        done, out = threading.Event(), []
+        self.loop.call_soon_threadsafe(
+            lambda: (out.append(fn(*args)), done.set()))
+        assert done.wait(TIMEOUT)
+        return out[0]
+
+    def hand_over(self, channel):
+        return self.run(channel.hand_over, self.loop)
+
+
+_LOOP = None
+
+
+def loop_driver() -> _Loop:
+    global _LOOP
+    if _LOOP is None:
+        _LOOP = _Loop()
+    return _LOOP
+
+
+def _open(name, driver):
+    """A ``name`` channel pumped by ``driver``, and its peer's end.
+
+    Handed to the loop, the channel's reader thread is parked in its
+    pump's ``recv``: it routes what next wakes it and exits.  One
+    exchange spends that on a ping, so the corpus meets the loop."""
     ours, theirs = socket.socketpair()
-    channel = Channel(ours, name, **CLIENTS[name])
-    pendings = [channel.send(request) for request in requests]
     theirs.settimeout(TIMEOUT)
+    channel = Channel(ours, name, reader=driver != "caller", **CLIENTS[name])
+    channel.first_reader = channel.reader
+    if driver == "loop":
+        assert loop_driver().hand_over(channel)
+        pending = channel.send({"op": "ping"})
+        frame, = FrameDecoder().feed(theirs.recv(65536))
+        theirs.sendall(encode_frame({"id": frame["id"], "ok": True}))
+        assert channel.result(pending, TIMEOUT)["ok"] is True
+        channel.first_reader.join(TIMEOUT)
+        assert not channel.first_reader.is_alive()
+    return channel, theirs
+
+
+def _meet(name, requests, blob, driver="thread"):
+    """``requests`` on a fresh ``name`` channel whose peer reads them
+    all, answers with ``blob`` (or what ``blob(pendings)`` makes) and
+    hangs up; returns (channel, the pending of each)."""
+    channel, theirs = _open(name, driver)
+    pendings = [channel.send(request) for request in requests]
     decoder, seen = FrameDecoder(), 0
     while seen < len(requests):  # the requests under test
         seen += len(decoder.feed(theirs.recv(65536)))
-    theirs.sendall(blob)
+    theirs.sendall(blob(pendings) if callable(blob) else blob)
     theirs.close()
     return channel, pendings
 
 
+def _settled(channel, driver):
+    """Wait out the channel's death by ``driver``; the driver is idle
+    afterwards.  The callers read only when they call, so the next call
+    — here a pump of what is left — is what finds the hang-up."""
+    if driver == "caller":
+        while channel.pump():
+            pass
+    elif driver == "loop":
+        assert loop_driver().run(lambda: channel._loop) is None
+    if channel.first_reader is not None:
+        channel.first_reader.join(timeout=TIMEOUT)
+        assert not channel.first_reader.is_alive()
+    if driver == "caller":
+        assert channel.reader is None
+
+
 class _Told:
-    """A ``notify`` callback that counts its calls and notes whether
-    the channel's lock was free each time."""
+    """A ``notify`` callback that counts its calls, notes the thread of
+    each and whether the channel's lock was free each time."""
 
     def __init__(self, channel, raises=False):
         self.channel = channel
         self.raises = raises
         self.calls = 0
+        self.threads = []
         self.lock_was_free = True
         self.done = threading.Event()
 
     def __call__(self):
         self.calls += 1
+        self.threads.append(threading.current_thread())
         if self.channel._lock.acquire(blocking=False):
             self.channel._lock.release()
         else:
@@ -93,38 +171,54 @@ class _Told:
             raise RuntimeError("a callback that raises")
 
 
+def _pumpers(channel, driver):
+    """The threads that may route a frame of ``channel``: its driver's,
+    and this one (a callback registered on a resolved request)."""
+    here = threading.current_thread()
+    if driver == "thread":
+        return {here, channel.first_reader}
+    if driver == "loop":
+        return {here, loop_driver().thread}
+    return {here}
+
+
 def _exercise(blob):
     for name, config in CLIENTS.items():
-        channel, (blocked, rude, told) = _meet(
-            name, [{"op": "stats"}] * 3, blob)
-        try:
-            # Registered after the blob is on its way: told by the
-            # reader, or at once if the reader has already been by.
-            callbacks = [_Told(channel, raises=True), _Told(channel)]
-            try:
-                channel.notify(rude, callbacks[0])
-            except RuntimeError:
-                pass  # already resolved: it raised into our own call
-            channel.notify(told, callbacks[1])
-            for pending in (blocked, rude, told):
-                try:
-                    reply = channel.result(pending, TIMEOUT)
-                except config["lost"]:
-                    pass
-                else:
-                    assert reply.get("id") == pending.rid
-            channel.reader.join(timeout=TIMEOUT)
-            assert not channel.reader.is_alive()
-            assert channel.dead is not None
-            assert channel.pending == {}
-            assert channel.exits == {}
-            for callback in callbacks:
-                assert callback.done.wait(TIMEOUT)
-                assert callback.calls == 1 and callback.lock_was_free
-        finally:
-            channel.close("test over", TIMEOUT)
-        assert [callback.calls for callback in callbacks] == [1, 1]
+        for driver in DRIVERS:
+            _exercise_one(blob, name, config, driver)
     _exercise_helper(blob)
+
+
+def _exercise_one(blob, name, config, driver):
+    channel, (blocked, rude, told) = _meet(
+        name, [{"op": "stats"}] * 3, blob, driver)
+    try:
+        # Registered after the blob is on its way: told by the driver,
+        # or at once if it has already been by.
+        callbacks = [_Told(channel, raises=True), _Told(channel)]
+        try:
+            channel.notify(rude, callbacks[0])
+        except RuntimeError:
+            pass  # already resolved: it raised into our own call
+        channel.notify(told, callbacks[1])
+        for pending in (blocked, rude, told):
+            try:
+                reply = channel.result(pending, TIMEOUT)
+            except config["lost"]:
+                pass
+            else:
+                assert reply.get("id") == pending.rid
+        _settled(channel, driver)
+        assert channel.dead is not None
+        assert channel.pending == {}
+        assert channel.exits == {}
+        for callback in callbacks:
+            assert callback.done.wait(TIMEOUT)
+            assert callback.calls == 1 and callback.lock_was_free
+            assert set(callback.threads) <= _pumpers(channel, driver)
+    finally:
+        channel.close("test over", TIMEOUT)
+    assert [callback.calls for callback in callbacks] == [1, 1]
 
 
 def _exercise_helper(blob):
@@ -244,21 +338,59 @@ def test_junk_status_for_a_handed_out_pid_is_typed_and_frees_the_slot(
     """The notice for a pid the gateway client *does* hold: an integer
     status reaps, anything else is filed as a typed error — and either
     way the slot is gone afterwards and nobody waits past the notice."""
-    channel, (pending,) = _meet(
-        "gateway", [{"op": "spawn", "reqs": [{"argv": ["x"]}]}],
-        encode_frame({"id": 0, "pids": [4242]})
-        + encode_frame({"exit": 4242, "status": status}))
+    for driver in DRIVERS:
+        channel, (pending,) = _meet(
+            "gateway", [{"op": "spawn", "reqs": [{"argv": ["x"]}]}],
+            lambda pendings: (
+                encode_frame({"id": pendings[0].rid, "pids": [4242]})
+                + encode_frame({"exit": 4242, "status": status})), driver)
+        try:
+            assert channel.result(pending, TIMEOUT)["pids"] == [4242]
+            filed = channel.wait_exit(4242, TIMEOUT)
+            if type(status) is int:
+                assert filed == encode_status(status)
+            else:
+                assert isinstance(filed, GatewayError)
+                assert "lost the exit status" in str(filed)
+            assert channel.exits == {} and channel.pending == {}
+        finally:
+            channel.close("test over", TIMEOUT)
+
+
+@pytest.mark.parametrize("name", sorted(CLIENTS))
+def test_frames_split_at_every_byte_boundary_across_pumps(name):
+    """A reply, an exit notice and a second reply arrive one byte per
+    pump: nothing is routed before its frame's last byte, everything is
+    routed at it, in order — the decoder carries every partial frame
+    from one pump to the next."""
+    ours, theirs = socket.socketpair()
+    channel = Channel(ours, name, reader=False, **CLIENTS[name])
     try:
-        assert channel.result(pending, TIMEOUT)["pids"] == [4242]
-        filed = channel.wait_exit(4242, TIMEOUT)
-        if type(status) is int:
-            assert filed == encode_status(status)
-        else:
-            assert isinstance(filed, GatewayError)
-            assert "lost the exit status" in str(filed)
-        assert channel.exits == {} and channel.pending == {}
+        spawn = channel.send({"op": "spawn", "reqs": [{"argv": ["x"]}]})
+        ping = channel.send({"op": "ping"})
+        handed = ({"results": [{"pid": 4242}]} if name == "forkserver"
+                  else {"pids": [4242]})
+        frames = [encode_frame(dict(handed, id=spawn.rid)),
+                  encode_frame({"exit": 4242, "status": 0}),
+                  encode_frame({"id": ping.rid, "ok": True})]
+        ends = [sum(map(len, frames[:n + 1])) for n in range(3)]
+        stream = b"".join(frames)
+        for cut in range(1, len(stream) + 1):
+            theirs.sendall(stream[cut - 1:cut])
+            assert channel.pump()
+            assert (spawn.reply is not None) == (cut >= ends[0])
+            slot = channel.exits.get(4242)
+            filed = slot is not None and slot.status is not None
+            assert filed == (cut >= ends[1])
+            assert (ping.reply is not None) == (cut >= ends[2])
+        assert not channel.pump() and channel.dead is None
+        assert channel.result(spawn, 0) == dict(handed, id=spawn.rid)
+        assert channel.wait_exit(4242, 0) == 0
+        assert channel.result(ping, 0)["ok"] is True
+        assert channel.pending == {} and channel.exits == {}
     finally:
         channel.close("test over", TIMEOUT)
+        theirs.close()
 
 
 class TestNotify:
@@ -364,6 +496,122 @@ class TestNotify:
             assert excinfo.value.unsent is True and channel.pending == {}
         finally:
             channel.close("test over", TIMEOUT)
+
+
+class TestHandOver:
+    """``Channel.hand_over``: an asyncio loop takes a channel over from
+    its reader thread, and gives it back — never two readers on the
+    socket, never a socket closed under a loop that watches it."""
+
+    @staticmethod
+    def ping(channel, theirs):
+        """One exchange; the thread that routed its reply."""
+        pending = channel.send({"op": "ping"})
+        routed = []
+        channel.notify(pending, lambda: routed.append(
+            threading.current_thread()))
+        theirs.sendall(encode_frame({"id": pending.rid, "ok": True}))
+        assert channel.result(pending, TIMEOUT)["ok"] is True
+        return routed[0]
+
+    def test_a_parked_reader_leaves_the_socket_to_the_loop(self):
+        """The reader, parked in its pump's ``recv``, is not interrupted:
+        it routes the frames that next wake it, finds the loop in charge
+        and exits — and from then on the loop routes everything."""
+        loop = loop_driver()
+        channel, theirs = TestNotify.channel()
+        parked = channel.reader
+        try:
+            assert loop.hand_over(channel)
+            assert parked.is_alive()
+            assert self.ping(channel, theirs) is parked
+            parked.join(TIMEOUT)
+            assert not parked.is_alive() and channel.reader is None
+            assert self.ping(channel, theirs) is loop.thread
+            assert self.ping(channel, theirs) is loop.thread
+            assert loop.hand_over(channel)  # already the loop's
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_handed_back_a_reader_thread_pumps_again(self):
+        loop = loop_driver()
+        channel, theirs = TestNotify.channel()
+        try:
+            assert loop.hand_over(channel)
+            self.ping(channel, theirs)  # the parked reader's last
+            assert self.ping(channel, theirs) is loop.thread
+            assert loop.run(channel.hand_over, None)
+            assert channel._loop is None and channel.reader.is_alive()
+            assert self.ping(channel, theirs) is channel.reader
+            # Not watched any more: the loop has nothing left to remove.
+            assert loop.run(loop.loop.remove_reader, channel._fd) is False
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_no_fd_is_closed_while_a_loop_watches_it(self):
+        """close() from another thread while the loop watches the socket
+        leaves it open; the loop stops watching, then closes it — so a
+        new socket given the same number is never mistaken for it."""
+        loop = loop_driver()
+        channel, theirs = TestNotify.channel()
+        fd = channel.sock.fileno()
+        try:
+            assert loop.hand_over(channel)
+            busy = threading.Event()
+            loop.loop.call_soon_threadsafe(busy.wait, TIMEOUT)
+            channel.close("closed under the loop", TIMEOUT)
+            assert channel.sock.fileno() == fd  # the loop watches it
+            busy.set()
+            deadline = time.monotonic() + TIMEOUT
+            while (loop.run(lambda: channel._loop) is not None
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert channel._loop is None and channel.sock.fileno() == -1
+            assert loop.run(loop.loop.remove_reader, fd) is False
+            # The number is free, and whoever gets it next is its owner.
+            fresh, theirs2 = TestNotify.channel()
+            try:
+                assert loop.hand_over(fresh)
+                self.ping(fresh, theirs2)
+                assert self.ping(fresh, theirs2) is loop.thread
+            finally:
+                fresh.close("test over", TIMEOUT)
+                theirs2.close()
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_callers_read_their_own_channel(self):
+        """A channel its callers read has no reader and no loop to be
+        handed to: the one blocked on a reply leads, the others follow,
+        and every one of them gets its own reply."""
+        ours, theirs = socket.socketpair()
+        channel = Channel(ours, "gateway", reader=False, **CLIENTS["gateway"])
+        try:
+            assert channel.reader is None
+            assert not loop_driver().hand_over(channel)
+            pendings = [channel.send({"op": "ping", "n": n}) for n in range(4)]
+            replies = {}
+
+            def wait(pending):
+                replies[pending.rid] = channel.result(pending, TIMEOUT)
+
+            threads = [threading.Thread(target=wait, args=(pending,))
+                       for pending in pendings]
+            for thread in threads:
+                thread.start()
+            for pending in reversed(pendings):  # answered out of order
+                theirs.sendall(encode_frame({"id": pending.rid, "ok": True}))
+            for thread in threads:
+                thread.join(TIMEOUT)
+            assert sorted(replies) == [p.rid for p in pendings]
+            assert all(reply["ok"] for reply in replies.values())
+            assert channel.pending == {} and not channel._leading
+        finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
 
 
 class TestSendWithoutWaiting:

@@ -15,6 +15,7 @@ reaps from a local per-pid slot.  What must hold:
 * no daemon thread is created per wait.
 """
 
+import select
 import socket
 import sys
 import threading
@@ -224,10 +225,31 @@ class TestClaims:
         client = dial(server)
         try:
             child = client.spawn(("/bin/sh", "-c", "exit 4"))
-            assert until(lambda: client._channel.exits[child.pid].status
-                         is not None)
+            # Nobody reads the socket between calls: the notice is filed
+            # already (it left with the reply) or, once the daemon has
+            # pushed it, waits on the socket — the only frame that comes
+            # unasked — for close() to file it before it hangs up.
+            channel = client._channel
+            assert (channel.exits[child.pid].status is not None
+                    or select.select([channel.sock], [], [], 10.0)[0])
             client.close()
             assert child.wait(timeout=5) == 4  # no daemon needed
+            assert claims == []
+        finally:
+            client.close()
+            server.stop()
+
+    def test_a_poll_sees_an_exit_already_pushed(self, tmp_path):
+        """No reader thread files notices between calls: a WNOHANG
+        ``poll()`` reads what has arrived before it looks."""
+        server = make_server(tmp_path)
+        claims = count_ops(server, "wait")
+        client = dial(server)
+        try:
+            child = client.spawn(("/bin/sh", "-c", "sleep 0.05; exit 3"))
+            channel = client._channel
+            assert select.select([channel.sock], [], [], 10.0)[0]
+            assert child.poll() == 3
             assert claims == []
         finally:
             client.close()
@@ -379,14 +401,38 @@ class TestBounds:
         # One launch at a time: the executor is sized by max_inflight,
         # so the pool itself cannot add a thread after its first.  (An
         # idle worker is not always found idle: it posts its job's
-        # result before the executor counts it as free.)
-        server = make_server(tmp_path, max_inflight=1)
-        client = dial(server)
+        # result before the executor counts it as free.)  A
+        # forkserver-pool tenant's launch makes no hop at all: the loop
+        # pumps its helpers' channels, so neither the reply nor the exit
+        # notice is posted to it from another thread; no helper it
+        # drives has a reader thread, and no client has one.
+        tenants = {"acme": TenantConfig(name="acme", **FAST),
+                   "pool": TenantConfig(name="pool", **dict(
+                       FAST, strategy="forkserver-pool"))}
+        server = make_server(tmp_path, tenants=tenants, max_inflight=1)
+        client, pooled = dial(server), dial(server, tenant="pool")
+        posts, post = [], server._post
+        server._post = lambda *args: (posts.append(args[0].__name__),
+                                      post(*args))[1]
         try:
             for _ in range(5):  # ...once it has spun up
                 assert client.spawn(("/bin/true",)).wait() == 0
+                assert pooled.spawn(("/bin/true",)).wait() == 0
+            pool = get_strategy("forkserver-pool").pool()
+            helpers = [slot.server._channel for slot in pool._slots
+                       if slot.server is not None]
             before = threading.active_count()
             peak = before
+            del posts[:]
+            for n in range(100):
+                assert pooled.spawn(("/bin/true",)).wait() == 0
+                peak = max(peak, threading.active_count())
+                assert all(channel in server._pumped
+                           and channel.reader is None
+                           for channel in helpers)
+                assert not any(thread.name == "gateway-reader"
+                               for thread in threading.enumerate())
+            assert posts == []
             for n in range(300):
                 argv = (("/bin/sleep", "0.005") if n % 10 == 0
                         else ("/bin/true",))
@@ -396,4 +442,6 @@ class TestBounds:
             assert "waiting" not in server.stats()["tenants"]["acme"]
         finally:
             client.close()
+            pooled.close()
             server.stop()
+            get_strategy("forkserver-pool").shutdown()

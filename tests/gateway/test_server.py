@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.core import (BatchRequest, SpawnPolicy, breaker_for,
+from repro.core import (BatchRequest, ForkServer, SpawnPolicy, breaker_for,
                         get_strategy, reset_breakers)
 from repro.errors import (AuthError, GatewayError, GatewayProtocolError,
                           Overloaded, RateLimited, SpawnError)
@@ -222,6 +222,43 @@ class TestATenantsStrategyServesItsSpawns:
             assert served == [strategy] * 3
         finally:
             server.stop()
+
+
+class TestHelperChannelsGoBack:
+    """The loop pumps the channels of the helpers its tenants launch
+    on; however it stops, each goes back to a reader thread, so the
+    shared pool stays usable by everyone else in the process."""
+
+    @pytest.mark.parametrize("how", ["stop", "crash"])
+    def test_a_pool_caller_outside_the_daemon_still_spawns_and_reaps(
+            self, tmp_path, how):
+        tenants = {"acme": TenantConfig(
+            name="acme", **dict(FAST, strategy="forkserver-pool"))}
+        server = make_server(tmp_path, tenants=tenants)
+        client = GatewayClient(server.unix_path, tenant="acme",
+                               token=TOKEN).connect()
+        shared = get_strategy("forkserver-pool")
+        try:
+            for _ in range(3):
+                assert client.spawn(["/bin/true"]).wait(timeout=10) == 0
+            pumped = list(server._pumped)
+            assert pumped and all(channel.reader is None
+                                  for channel in pumped)
+            client.close()
+            server.stop() if how == "stop" else server.crash()
+            for channel in pumped:
+                assert channel._loop is None and channel.reader.is_alive()
+            child = shared.pool().spawn(["/bin/sh", "-c", "exit 3"])
+            assert child.wait(timeout=10) == 3
+            # Each helper answers its goodbye: none waits out the
+            # shutdown timeout for a reply nobody reads.
+            started = time.monotonic()
+            shared.shutdown()
+            assert time.monotonic() - started < ForkServer.shutdown_timeout
+        finally:
+            client.close()
+            server.stop()
+            shared.shutdown()
 
 
 class TestAuth:
