@@ -239,6 +239,7 @@ class ForkServer:
         theirs.close()
         self._channel = Channel(ours, "forkserver", lost=SpawnError,
                                 pids_of=_pids_handed_out)
+        self._channel.hand_over()  # a reader thread pumps it
         try:
             ping = self._roundtrip({"op": "ping"},
                                    timeout=self.start_timeout)

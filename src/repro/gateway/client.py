@@ -199,8 +199,7 @@ class GatewayClient:
                 f"cannot reach gateway at {self.address!r}: {exc}") from exc
         stale, self._channel = self._channel, Channel(
             sock, "gateway", lost=GatewayConnectionLost,
-            pids_of=_pids_handed_out, exit_status=_exit_status,
-            reader=False)
+            pids_of=_pids_handed_out, exit_status=_exit_status)
         if stale is not None:
             # A filled slot outlives its connection: no claim needed.
             self._channel.exits.update(stale.exits)

@@ -251,20 +251,20 @@ class Channel:
 
     One :meth:`pump`, three drivers — whoever reads, it is this code:
 
-    * a **reader thread** (``reader=True``, the default) parks in
-      :meth:`pump`'s ``recv`` and routes whatever wakes it;
-    * an **asyncio loop** the channel is handed to (:meth:`hand_over`)
-      watches the socket with ``add_reader`` and pumps on its own
-      thread — the reader thread routes what next wakes it, finds the
-      loop in charge and exits, and a reader gets the channel back when
-      the loop lets go;
-    * with ``reader=False``, **the blocked callers**: whoever waits for
-      a reply or an exit leads, polling and pumping for everyone until
+    * **the blocked callers**, on a new channel: whoever waits for a
+      reply or an exit leads, polling and pumping for everyone until
       its own frame is in, while the others follow on a condition (one
       leader at a time, under the channel's lock); every :meth:`send`
       first pumps what is ready, so a peer that hung up is noticed
       before a frame is put on its wire, and :meth:`close` files the
-      notices that have already arrived.
+      notices that have already arrived;
+    * a **reader thread** (:meth:`hand_over` with no loop) parks in
+      :meth:`pump`'s ``recv`` and routes whatever wakes it;
+    * an **asyncio loop** the channel is handed to (:meth:`hand_over`)
+      watches the socket with ``add_reader`` and pumps on its own
+      thread — a reader thread routes what next wakes it, finds the
+      loop in charge and exits, and a reader gets the channel back when
+      the loop lets go.
 
     A channel dies once (damaged frame, EOF, send failure, :meth:`close`)
     and stays dead: every pending request, blocked waiter and callback
@@ -293,7 +293,6 @@ class Channel:
         lost: Callable[[str], Exception],
         pids_of: Callable[[dict, dict], Iterable],
         exit_status: Callable[[dict], object] = operator.itemgetter("status"),
-        reader: bool = True,
     ):
         self.sock = sock
         self.name = name
@@ -313,20 +312,18 @@ class Channel:
         self.waiting = 0  # callers blocked in wait_exit right now
         self.dead: Optional[str] = None  # why the channel died, once it has
         self.closed = False
-        # The asyncio loop pumping this channel (hand_over), and the fd
-        # it watches; None while a reader thread or the callers read.
+        # The blocked callers read until the channel is handed over to
+        # a reader thread or to an asyncio loop (then the fd it watches).
+        self._callers_read = True
+        self.reader: Optional[threading.Thread] = None
         self._loop = None
         self._fd = -1
         # Caller-driven reading: whether one caller leads, how many
         # follow, and the condition they follow on.
-        self._callers_read = not reader
         self._leading = False
         self._following = 0
         self._turn = threading.Condition(self._lock)
         self._poller: Optional[select.poll] = None
-        self.reader: Optional[threading.Thread] = None
-        if reader:
-            self._start_reader()
 
     def _start_reader(self) -> None:
         self.reader = threading.Thread(target=self._read, name=f"{self.name}-reader", daemon=True)
@@ -550,27 +547,30 @@ class Channel:
             return True
 
     def hand_over(self, loop=None) -> bool:
-        """Who pumps this channel from now on; call it on ``loop``'s thread.
+        """Who pumps this channel from now on, instead of its blocked
+        callers; hand it over before anyone waits on it.
 
-        Given an asyncio ``loop``, the loop does: it watches the socket
-        (``add_reader``) and pumps whenever it is readable.  The reader
-        thread, parked in its pump, routes what next wakes it, finds the
-        loop in charge and exits; a loop pump waits for that one to end
-        — the channel never has two readers.  ``False``, and
-        nothing changes, when the channel is dead, closed, read by its
-        callers, or another loop has it.
+        Given an asyncio ``loop`` (call it on the loop's thread), the
+        loop does: it watches the socket (``add_reader``) and pumps
+        whenever it is readable.  A reader thread, parked in its pump,
+        routes what next wakes it, finds the loop in charge and exits;
+        a loop pump waits for that one to end — the channel never has
+        two readers.  ``False``, and nothing changes, when the channel
+        is dead, closed, or another loop has it.
 
-        Given ``None``, whichever loop has the channel lets it go: it
-        stops watching the socket first, then the channel goes back to
-        a reader thread — or, closed meanwhile, has its socket closed
-        here, so no fd is ever closed while a loop still watches it.
+        Given ``None``, a reader thread does.  A loop that has the
+        channel lets go first (call it on that loop's thread): it stops
+        watching the socket, then a reader takes over — or, if the
+        channel was closed meanwhile, the socket is closed here, so no
+        fd is ever closed while a loop still watches it.
         """
         if loop is None:
             self._unwatch()
             return True
         with self._lock:
-            if self._loop is not None or self._callers_read or self.closed or self.dead is not None:
+            if self._loop is not None or self.closed or self.dead is not None:
                 return self._loop is loop
+            self._callers_read = False
             self._loop = loop
             self._fd = self.sock.fileno()
         loop.add_reader(self._fd, self._on_readable)
@@ -583,17 +583,18 @@ class Channel:
             self._unwatch()
 
     def _unwatch(self) -> None:
-        """Loop thread: stop watching the socket, then give the channel
-        back to a reader thread (or close its socket, if it was closed
-        while the loop watched it)."""
+        """Stop a loop watching the socket (on its thread), then give the
+        channel to a reader thread — or, if it was closed while the loop
+        watched it, close its socket."""
         loop = self._loop
-        if loop is None:
-            return
-        loop.remove_reader(self._fd)
+        if loop is not None:
+            loop.remove_reader(self._fd)
         with self._lock:
             self._loop = None
+            self._callers_read = False
             if self.closed:
-                self.sock.close()
+                if loop is not None:
+                    self.sock.close()
             elif self.dead is None and self.reader is None:
                 self._start_reader()
 

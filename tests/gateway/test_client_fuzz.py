@@ -97,36 +97,28 @@ def loop_driver() -> _Loop:
 
 
 def _open(name, driver):
-    """A ``name`` channel pumped by ``driver``, and its peer's end.
-
-    Handed to the loop, the channel's reader thread is parked in its
-    pump's ``recv``: it routes what next wakes it and exits.  One
-    exchange spends that on a ping, so the corpus meets the loop."""
+    """A ``name`` channel pumped by ``driver``, and its peer's end."""
     ours, theirs = socket.socketpair()
     theirs.settimeout(TIMEOUT)
-    channel = Channel(ours, name, reader=driver != "caller", **CLIENTS[name])
-    channel.first_reader = channel.reader
-    if driver == "loop":
+    channel = Channel(ours, name, **CLIENTS[name])
+    if driver == "thread":
+        channel.hand_over()
+    elif driver == "loop":
         assert loop_driver().hand_over(channel)
-        pending = channel.send({"op": "ping"})
-        frame, = FrameDecoder().feed(theirs.recv(65536))
-        theirs.sendall(encode_frame({"id": frame["id"], "ok": True}))
-        assert channel.result(pending, TIMEOUT)["ok"] is True
-        channel.first_reader.join(TIMEOUT)
-        assert not channel.first_reader.is_alive()
+    channel.first_reader = channel.reader
     return channel, theirs
 
 
 def _meet(name, requests, blob, driver="thread"):
     """``requests`` on a fresh ``name`` channel whose peer reads them
-    all, answers with ``blob`` (or what ``blob(pendings)`` makes) and
-    hangs up; returns (channel, the pending of each)."""
+    all, answers with ``blob`` and hangs up; returns (channel, the
+    pending of each)."""
     channel, theirs = _open(name, driver)
     pendings = [channel.send(request) for request in requests]
     decoder, seen = FrameDecoder(), 0
     while seen < len(requests):  # the requests under test
         seen += len(decoder.feed(theirs.recv(65536)))
-    theirs.sendall(blob(pendings) if callable(blob) else blob)
+    theirs.sendall(blob)
     theirs.close()
     return channel, pendings
 
@@ -140,10 +132,10 @@ def _settled(channel, driver):
             pass
     elif driver == "loop":
         assert loop_driver().run(lambda: channel._loop) is None
-    if channel.first_reader is not None:
+    if driver == "thread":
         channel.first_reader.join(timeout=TIMEOUT)
         assert not channel.first_reader.is_alive()
-    if driver == "caller":
+    else:
         assert channel.reader is None
 
 
@@ -341,9 +333,8 @@ def test_junk_status_for_a_handed_out_pid_is_typed_and_frees_the_slot(
     for driver in DRIVERS:
         channel, (pending,) = _meet(
             "gateway", [{"op": "spawn", "reqs": [{"argv": ["x"]}]}],
-            lambda pendings: (
-                encode_frame({"id": pendings[0].rid, "pids": [4242]})
-                + encode_frame({"exit": 4242, "status": status})), driver)
+            encode_frame({"id": 0, "pids": [4242]})
+            + encode_frame({"exit": 4242, "status": status}), driver)
         try:
             assert channel.result(pending, TIMEOUT)["pids"] == [4242]
             filed = channel.wait_exit(4242, TIMEOUT)
@@ -364,7 +355,7 @@ def test_frames_split_at_every_byte_boundary_across_pumps(name):
     routed at it, in order — the decoder carries every partial frame
     from one pump to the next."""
     ours, theirs = socket.socketpair()
-    channel = Channel(ours, name, reader=False, **CLIENTS[name])
+    channel = Channel(ours, name, **CLIENTS[name])
     try:
         spawn = channel.send({"op": "spawn", "reqs": [{"argv": ["x"]}]})
         ping = channel.send({"op": "ping"})
@@ -400,7 +391,9 @@ class TestNotify:
     def channel():
         ours, theirs = socket.socketpair()
         theirs.settimeout(TIMEOUT)
-        return Channel(ours, "forkserver", **CLIENTS["forkserver"]), theirs
+        channel = Channel(ours, "forkserver", **CLIENTS["forkserver"])
+        channel.hand_over()  # a reader thread, as ForkServer has
+        return channel, theirs
 
     def test_a_reply_tells_it_from_the_reader_thread(self):
         channel, theirs = self.channel()
@@ -522,6 +515,10 @@ class TestHandOver:
         channel, theirs = TestNotify.channel()
         parked = channel.reader
         try:
+            deadline = time.monotonic() + TIMEOUT
+            while (not channel._pump_lock.locked()  # in its recv
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
             assert loop.hand_over(channel)
             assert parked.is_alive()
             assert self.ping(channel, theirs) is parked
@@ -584,14 +581,13 @@ class TestHandOver:
             theirs.close()
 
     def test_callers_read_their_own_channel(self):
-        """A channel its callers read has no reader and no loop to be
-        handed to: the one blocked on a reply leads, the others follow,
-        and every one of them gets its own reply."""
+        """A channel nobody was handed has no reader: the caller blocked
+        on a reply leads, the others follow, and every one of them gets
+        its own reply."""
         ours, theirs = socket.socketpair()
-        channel = Channel(ours, "gateway", reader=False, **CLIENTS["gateway"])
+        channel = Channel(ours, "gateway", **CLIENTS["gateway"])
         try:
             assert channel.reader is None
-            assert not loop_driver().hand_over(channel)
             pendings = [channel.send({"op": "ping", "n": n}) for n in range(4)]
             replies = {}
 
