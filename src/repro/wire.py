@@ -547,8 +547,9 @@ class Channel:
             return True
 
     def hand_over(self, loop=None) -> bool:
-        """Who pumps this channel from now on, instead of its blocked
-        callers; hand it over before anyone waits on it.
+        """Who pumps this channel from now on.  A new channel is read by
+        its blocked callers; hand it over before any of them waits (a
+        caller already leading is not interrupted).
 
         Given an asyncio ``loop`` (call it on the loop's thread), the
         loop does: it watches the socket (``add_reader``) and pumps
