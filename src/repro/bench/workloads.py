@@ -25,10 +25,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.autoscale import AutoscaleConfig
 from ..core.forkserver import ForkServer
 from ..core.forkserver_pool import ForkServerPool
-from ..core.templates import TemplateProfile, TemplateRegistry
+from ..core.templates import AutoscaleConfig, TemplateProfile, TemplateRegistry
 from ..errors import BenchError
 from .ballast import Ballast
 from .stats import Summary

@@ -12,9 +12,9 @@ Highlights:
   sharded across several helpers, with lazy start and crash recovery,
   and batched dispatch (:meth:`~ForkServerPool.spawn_batch`, N children
   in one wire frame, through the attempt loop a single spawn takes).
-* :class:`PoolAutoscaler` / :class:`AutoscaleConfig` — adaptive pool
-  sizing: the worker count follows queue depth and (optionally) the
-  p95 launch-latency histogram instead of a static configuration.
+* :class:`TemplateRegistry` — warm, specialized zygotes per workload
+  profile, whose parked stock grows on a miss and decays when idle
+  (:class:`AutoscaleConfig`).
 * :func:`spawn_batch` — the policy-aware batch entry point: a
   :class:`BatchRequest` down the forkserver-pool → forkserver →
   posix_spawn degradation ladder, on the walker :class:`ProcessBuilder`
@@ -31,7 +31,6 @@ aggregates latency histograms per strategy.
 
 from .attrs import SpawnAttributes
 from .atfork import AtForkRegistry, fork_with_handlers, register
-from .autoscale import AutoscaleConfig, PoolAutoscaler
 from .batch import BatchRequest, BatchResult
 from .file_actions import FileActions
 from .forkserver import ForkServer, SpawnRequest
@@ -50,8 +49,8 @@ from .strategies import (ForkExecStrategy, ForkServerPoolStrategy,
                          PosixSpawnStrategy, Strategy, SubprocessStrategy,
                          get_strategy, pick_default_strategy,
                          register_strategy, strategies)
-from .templates import (TemplateMiss, TemplateProfile, TemplateRegistry,
-                        TemplateServer)
+from .templates import (AutoscaleConfig, TemplateMiss, TemplateProfile,
+                        TemplateRegistry, TemplateServer)
 from .xproc import CrossProcessBuilder, HostOFD, XProcStrategy
 
 
@@ -64,7 +63,7 @@ __all__ = [
     "ForkExecStrategy", "GATEWAY_FALLBACK",
     "ForkServer", "ForkServerPool", "ForkServerPoolStrategy",
     "ForkServerStrategy", "FrameCache", "Hazard", "HostOFD",
-    "Pipeline", "PipelineResult", "PoolAutoscaler",
+    "Pipeline", "PipelineResult",
     "PosixSpawnStrategy", "ProcessBuilder", "SpawnAttributes",
     "SpawnPolicy", "SpawnPool", "SpawnRequest",
     "SpawnedIO", "Strategy", "SubprocessStrategy", "TEMPLATE_FALLBACK",

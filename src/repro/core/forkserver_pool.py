@@ -14,9 +14,6 @@ single-threaded helper — the helper's fork loop becomes the ceiling.
   :meth:`spawn` takes (a batch is a spawn of N);
 * **lazy worker start** — helpers launch on demand as offered load
   grows, so an idle pool costs one process, not N;
-* **elastic capacity** — :meth:`grow` / :meth:`shrink` move the worker
-  ceiling at runtime; :class:`~repro.core.autoscale.PoolAutoscaler`
-  drives them from the queue-depth signal;
 * **dead-worker recovery** — a helper that dies (crash, SIGKILL) is
   detected on first contact, discarded, and replaced; the request
   retries on a live worker;
@@ -85,7 +82,7 @@ class ForkServerPool:
                  policy: Optional[SpawnPolicy] = None):
         if workers < 1:
             raise SpawnError("need at least one worker")
-        self._slots = [_Slot() for _ in range(workers)]
+        self._slots = tuple(_Slot() for _ in range(workers))
         self._prestart = max(1, min(prestart, workers))
         self._policy = policy
         self._lock = threading.Lock()
@@ -96,16 +93,12 @@ class ForkServerPool:
 
     @property
     def size(self) -> int:
-        """Current worker ceiling (moves with :meth:`grow`/:meth:`shrink`)."""
-        with self._lock:
-            return len(self._slots)
+        """The worker ceiling: the ``workers`` the pool was built with."""
+        return len(self._slots)
 
     def queue_depth(self) -> int:
-        """In-flight requests plus unreaped children, pool-wide.
-
-        This is the signal the :class:`~repro.core.autoscale.PoolAutoscaler`
-        polls (and the same sum the ``pool_queue_depth`` gauge reports).
-        """
+        """In-flight requests plus unreaped children, pool-wide (the
+        same sum the ``pool_queue_depth`` gauge reports)."""
         with self._lock:
             return sum(s.load for s in self._slots)
 
@@ -164,69 +157,6 @@ class ForkServerPool:
                     server.abort()
             except Exception:
                 pass
-
-    # -- elasticity --------------------------------------------------------
-
-    def grow(self, count: int = 1) -> int:
-        """Raise the worker ceiling by ``count`` slots; returns the new size.
-
-        New slots are cold: the existing lazy-boot path starts a helper
-        the moment load lands on one, so growing costs nothing until the
-        capacity is actually used.  Emits the ``pool_scale_up`` counter
-        and refreshes the ``pool_workers`` gauge.
-        """
-        if count < 1:
-            return self.size
-        with self._lock:
-            if self._closed:
-                raise SpawnError("pool is closed")
-            for _ in range(count):
-                self._slots.append(_Slot())
-            size = len(self._slots)
-        TELEMETRY.count("pool_scale_up", count)
-        TELEMETRY.gauge("pool_workers", size)
-        return size
-
-    def shrink(self, count: int = 1) -> int:
-        """Remove up to ``count`` IDLE slots; returns how many went.
-
-        Only slots with zero load are taken — a helper mid-spawn or
-        holding unreaped children keeps running, so scaling down can
-        never strand a request — and the pool never drops below one
-        slot.  Cold (never-booted) slots go first; a retired helper is
-        stopped outside the lock.  Emits ``pool_scale_down`` and
-        refreshes ``pool_workers``.
-        """
-        victims: List[_Slot] = []
-        with self._lock:
-            if self._closed:
-                return 0
-            for _ in range(max(0, count)):
-                if len(self._slots) <= 1:
-                    break
-                idle = next((s for s in self._slots
-                             if s.load == 0 and s.server is None), None)
-                if idle is None:
-                    idle = next((s for s in self._slots if s.load == 0),
-                                None)
-                if idle is None:
-                    break
-                self._slots.remove(idle)
-                victims.append(idle)
-            size = len(self._slots)
-        for slot in victims:
-            if slot.server is not None:
-                try:
-                    if slot.server.healthy:
-                        slot.server.stop()
-                    else:
-                        slot.server.abort()
-                except Exception:
-                    pass
-        if victims:
-            TELEMETRY.count("pool_scale_down", len(victims))
-            TELEMETRY.gauge("pool_workers", size)
-        return len(victims)
 
     def __enter__(self) -> "ForkServerPool":
         return self.start()
@@ -362,28 +292,6 @@ class ForkServerPool:
                                     strategy="forkserver-pool")
                     dead.append(self._retire_locked(slot))
         _abort(dead)
-
-    def health_check(self, timeout: float = 1.0) -> dict:
-        """Ping every live helper; retire the ones that do not answer.
-
-        Returns ``{"healthy": n, "retired": m}``.  A wedged helper (one
-        whose event loop is stalled) fails the bounded ping, gets
-        aborted, and its slot boots a replacement on next demand.
-        """
-        with self._lock:
-            probes = [(slot, slot.server) for slot in self._slots
-                      if slot.server is not None]
-        healthy = retired = 0
-        for slot, server in probes:
-            if server.ping(timeout=timeout):
-                healthy += 1
-                continue
-            retired += 1
-            with self._lock:
-                if slot.server is server:
-                    self._retire_locked(slot)
-            _abort([server])
-        return {"healthy": healthy, "retired": retired}
 
     def _pool_reaper(self, slot: _Slot, server: ForkServer):
         """A reaper that also returns the slot's load unit when done."""

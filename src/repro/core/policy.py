@@ -44,15 +44,12 @@ daemon, per tenant     (the ladder's)            a ``breaker_for`` per tenant
 =====================  ========================  ============================
 
 The ladder walks :class:`ProcessBuilder` and :func:`repro.core.spawn_batch`
-alike and hands the pool no policy.  Two things stay apart by decision.
+alike and hands the pool no policy.  One thing stays apart by decision.
 (*) ``slot.strikes``: its threshold arrives per call from the caller's
 policy and its verdict is "retire the helper", not "cool down" — six
 lines a breaker would not shorten — and with it
 ``ForkServerPool(policy=)``'s attempt loop, the only way a *private*
-pool retries.  And ``PoolAutoscaler`` versus the template registry's
-stock grower: one controller for both would carry a sustain window and
-a refusable shrink that only one has — shared code branching on its
-caller.
+pool retries.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ This module is that remedy, three layers deep:
 * :class:`TemplateRegistry` — the profiles, LRU-bounded so only the hot
   ones stay warm; a background restock thread refills leased stock and
   grows the per-profile target when payloads miss (the
-  :class:`~repro.core.autoscale.AutoscaleConfig` knobs), and every miss
+  :class:`AutoscaleConfig` knobs), and every miss
   degrades down the :data:`~repro.core.policy.TEMPLATE_FALLBACK` ladder
   (forkserver-pool → forkserver → posix_spawn): the request is replayed
   onto a :class:`~repro.core.spawn.ProcessBuilder` under the registry's
@@ -51,7 +51,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SpawnError
 from ..obs import TELEMETRY
-from .autoscale import AutoscaleConfig
 from .forkserver import ForkServer, SpawnRequest
 from .policy import TEMPLATE_FALLBACK, SpawnPolicy
 from .result import ChildProcess
@@ -61,6 +60,32 @@ from .steps import run_steps
 
 class TemplateMiss(SpawnError):
     """A lease found no parked child (stock exhausted or still filling)."""
+
+
+@dataclass(frozen=True)
+class AutoscaleConfig:
+    """How a :class:`TemplateRegistry` moves each profile's stock target.
+
+    Attributes:
+        step: parked children added per ``code`` miss, and taken back
+            per idle decay.
+        idle_ttl: seconds without traffic before a grown target decays
+            one ``step`` toward the profile's ``stock``.
+        interval: period of the restock thread, and the longest a lease
+            inside its ``miss_grace`` sleeps between looks at the stock.
+    """
+
+    step: int = 1
+    idle_ttl: float = 5.0
+    interval: float = 0.05
+
+    def __post_init__(self):
+        if self.step < 1:
+            raise SpawnError(f"step must be >= 1: {self.step}")
+        if self.idle_ttl < 0:
+            raise SpawnError(f"idle_ttl must be >= 0: {self.idle_ttl}")
+        if self.interval <= 0:  # a zero wait spins the restock thread
+            raise SpawnError(f"interval must be > 0: {self.interval}")
 
 
 @dataclass(frozen=True)
@@ -276,9 +301,8 @@ class TemplateRegistry:
     while the background restock thread refills — and, under sustained
     misses, grows the profile's stock target by ``autoscale.step`` up
     to ``profile.max_stock``, decaying back after ``autoscale.idle_ttl``
-    seconds without traffic (the same elasticity contract as
-    :class:`~repro.core.autoscale.PoolAutoscaler`, applied to parked
-    children instead of pool workers).
+    seconds without traffic: provisioned children follow demand, not
+    configuration.
 
     Usable as a context manager; :meth:`close` is idempotent.
     """
@@ -300,7 +324,7 @@ class TemplateRegistry:
         self.policy = (policy if policy is not None
                        else SpawnPolicy(fallback=TEMPLATE_FALLBACK))
         self.autoscale = (autoscale if autoscale is not None
-                          else AutoscaleConfig(idle_ttl=5.0, interval=0.05))
+                          else AutoscaleConfig())
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
@@ -614,7 +638,7 @@ class TemplateRegistry:
                 for entry in self._entries.values():
                     # Idle decay: stock grown under miss pressure drifts
                     # back to the profile floor once traffic stops, one
-                    # step per elapsed TTL (mirrors PoolAutoscaler).
+                    # step per elapsed TTL.
                     if (entry.target > entry.profile.stock
                             and now - entry.last_used
                             >= self.autoscale.idle_ttl):

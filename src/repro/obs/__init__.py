@@ -120,9 +120,9 @@ class Telemetry:
     def event(self, kind: str, **fields) -> None:
         """Emit a free-form structured event to the sink (no-op when off).
 
-        For non-spawn actors — the pool autoscaler, health checks —
-        whose actions are part of the service timeline but belong to no
-        single spawn trace.
+        For non-spawn actors — the template registry's warm and evict
+        decisions, the gateway's drains and restarts — whose actions are
+        part of the service timeline but belong to no single spawn trace.
         """
         if self._enabled and self._sink is not None:
             payload = {"event": kind, "t_ns": time.monotonic_ns()}

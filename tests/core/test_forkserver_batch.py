@@ -108,14 +108,6 @@ class TestPoolBatch:
             # Each reaped child releases exactly one unit.
             assert pool.queue_depth() == 0
 
-    def test_grow_and_shrink(self):
-        with ForkServerPool(1) as pool:
-            assert pool.grow(2) == 3
-            assert pool.size == 3
-            assert pool.shrink(10) == 2  # floor of one slot
-            assert pool.size == 1
-            assert pool.spawn(["/bin/true"]).wait(timeout=10) == 0
-
 
 class TestACallersMistakeCostsNoHelper:
     """A unit no helper could take — an oversized batch, or a member no

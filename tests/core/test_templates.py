@@ -20,9 +20,8 @@ import pytest
 from repro.core import (ForkServer, SpawnPolicy, TemplateProfile,
                         TemplateRegistry, TemplateServer)
 from repro.core import helper as helper_module
-from repro.core.autoscale import AutoscaleConfig
 from repro.core.strategies import _REGISTRY
-from repro.core.templates import TemplateMiss
+from repro.core.templates import AutoscaleConfig, TemplateMiss
 from repro.errors import SpawnError
 from repro.faults import FAULTS, FaultPlan
 from repro.obs import TELEMETRY, RingBufferSink
@@ -502,6 +501,10 @@ class TestRegistry:
             TemplateRegistry(max_templates=0)
         with pytest.raises(SpawnError):
             TemplateRegistry(miss_grace=-0.1)
+        for knobs in ({"step": 0}, {"interval": 0.0}, {"interval": -0.05},
+                      {"idle_ttl": -1.0}):
+            with pytest.raises(SpawnError):
+                AutoscaleConfig(**knobs)
 
     def test_register_warm_and_lease(self):
         with TemplateRegistry(autoscale=SNAPPY) as registry:

@@ -13,8 +13,7 @@ import time
 import pytest
 
 from repro.core import TemplateProfile, TemplateRegistry
-from repro.core.autoscale import AutoscaleConfig
-from repro.core.templates import TemplateMiss, TemplateServer
+from repro.core.templates import AutoscaleConfig, TemplateMiss, TemplateServer
 from repro.faults import FAULTS, FaultPlan
 
 SNAPPY = AutoscaleConfig(idle_ttl=5.0, interval=0.005, step=2)

@@ -1,11 +1,18 @@
-"""Unit tests for the counters, gauges and HDR-style histograms."""
+"""Unit tests for the counters, gauges and HDR-style histograms, and
+the metric table in ``docs/OBSERVABILITY.md`` that names them."""
 
+import ast
+import pathlib
+import re
 import threading
 
 import pytest
 
+import repro
 from repro.errors import ObsError
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+
+DOCS = pathlib.Path(__file__).resolve().parents[2] / "docs"
 
 
 class TestCounter:
@@ -147,3 +154,57 @@ class TestMetricsRegistry:
         assert registry.counters() == []
         # After reset the name is free to be a different kind.
         registry.histogram("spawns").record(1)
+
+
+def documented_metrics() -> set:
+    """Every backticked name in the first cell of the table under
+    ``## Metrics`` whose first column is ``metric``."""
+    text = (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    section = text.split("## Metrics", 1)[1]
+    names, seen_table = set(), False
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            if seen_table:
+                break
+            continue
+        first = line.strip("|").split("|")[0].strip()
+        if not seen_table:
+            seen_table = first == "metric"
+            continue
+        names.update(re.findall(r"`([a-z_0-9]+)`", first))
+    assert names, "no metric table under '## Metrics' in OBSERVABILITY.md"
+    return names
+
+
+def emitted_metrics() -> set:
+    """The names ``src/`` records: the literal first argument of every
+    ``TELEMETRY.count``/``gauge``/``observe`` call, and of the tracer's
+    own ``self._metrics.counter``/``histogram`` calls."""
+    names = set()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = ast.unparse(node.func.value)
+            if ((owner, node.func.attr) in
+                    {("TELEMETRY", "count"), ("TELEMETRY", "gauge"),
+                     ("TELEMETRY", "observe")}):
+                name = node.args[0]
+                assert isinstance(name, ast.Constant), (
+                    f"{path.name}:{node.lineno}: a metric name the docs "
+                    f"cannot be checked against: {ast.unparse(name)}")
+                names.add(name.value)
+            elif (owner == "self._metrics"
+                  and node.func.attr in {"counter", "gauge", "histogram"}):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_observability_md_names_exactly_the_emitted_metrics():
+    emitted = emitted_metrics()
+    assert {"spawns", "spawn_failures", "spawn_latency_ns",
+            "child_lifetime_ns"} <= emitted  # the tracer's, found too
+    documented = documented_metrics()
+    assert documented - emitted == set(), "documented, never emitted"
+    assert emitted - documented == set(), "emitted, not documented"
