@@ -12,7 +12,7 @@ next step — keeping the children themselves *pre-made*.  Three sections:
   with the ballast; posix_spawn, the forkserver and the template lease
   must all stay flat.
 * **sim** (modelled) — ``AddressSpace.snapshot()`` +
-  ``Kernel.spawn_from_snapshot()``: checkpoint a warm process once,
+  the ``spawn_from_snapshot`` syscall: checkpoint a warm process once,
   then materialise children from the frozen image while the live
   parent balloons.  fork's cost tracks the parent; snapshot-restore
   tracks the (fixed) image.

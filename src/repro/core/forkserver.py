@@ -429,8 +429,8 @@ class ForkServer:
         """Liveness probe: one ``ping`` round-trip under ``timeout``.
 
         Returns ``False`` (rather than raising) when the helper is
-        stopped, dead, or too slow — the pool's health check wants a
-        verdict, not an exception.
+        stopped, dead, or too slow: a liveness probe gives a verdict,
+        not an exception.
         """
         if not self.healthy:
             return False

@@ -62,16 +62,21 @@ from .result import ChildProcess, encode_status
 from .steps import Steps, run_steps
 
 
-def _resolve_executable(argv: Sequence[str]) -> str:
-    """The path to exec for ``argv[0]`` (PATH search when bare)."""
+def _resolve_executable(argv: Sequence[str], env=None) -> str:
+    """The path to exec for ``argv[0]``.
+
+    A bare name is looked up the way ``subprocess`` and the forkserver
+    helper look it up: on the ``PATH`` of the child's environment
+    ``env`` (the caller's when ``None``), skipping directories.
+    """
     if not argv:
         raise SpawnError("empty argv")
     exe = os.fspath(argv[0])
     if os.sep in exe:
         return exe
-    for directory in os.environ.get("PATH", "/bin:/usr/bin").split(":"):
+    for directory in os.get_exec_path(env):
         candidate = os.path.join(directory or ".", exe)
-        if os.access(candidate, os.X_OK):
+        if os.access(candidate, os.X_OK) and not os.path.isdir(candidate):
             return candidate
     raise SpawnError(f"executable not found on PATH: {exe!r}")
 
@@ -197,7 +202,7 @@ class PosixSpawnStrategy(Strategy):
             raise SpawnError(
                 "posix_spawn has no cwd/umask attribute; use the "
                 "fork_exec strategy or drop those attributes")
-        path = _resolve_executable(argv)
+        path = _resolve_executable(argv, attrs.env)
         pid = os.posix_spawn(
             path, list(argv), attrs.effective_env(),
             file_actions=actions.as_posix_spawn(),
@@ -221,7 +226,7 @@ class ForkExecStrategy(Strategy):
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
         attrs.validate()
         self._fire_launch(argv)
-        path = _resolve_executable(argv)
+        path = _resolve_executable(argv, attrs.env)
         env = attrs.effective_env()
         pid = os.fork()
         if pid == 0:

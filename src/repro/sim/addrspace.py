@@ -677,7 +677,9 @@ class AddressSpace:
         duplicated, private writable pages are write-protected in both
         parent and child, and the parent's TLB is shot down.  On a commit
         refusal (``never`` overcommit) the child is left untouched — the
-        ENOMEM the paper says large processes hit when they fork.
+        ENOMEM the paper says large processes hit when they fork.  An
+        eager copy that runs out of frames part-way leaves what it copied
+        in the child, whose :meth:`destroy` gives it all back.
         """
         self._check_alive()
         if child.vmas or len(child.pagetable):
@@ -689,12 +691,13 @@ class AddressSpace:
         child.commit_pages += commit_pages
         cow = self.config.cow_enabled
         for vma in self.vmas:
-            child_runs = []
-            for run in vma.bulk_runs:
-                child_runs.append(self._fork_run(vma, run, cow))
-            child_vma = vma.clone_for_fork(child_runs)
+            # Each child VMA owns its runs as they are made, so a child
+            # that runs out of frames part-way is torn down by destroy().
+            child_vma = vma.clone_for_fork([])
             child._insert_vma(child_vma)
             self._acquire_backing(child_vma)
+            for run in vma.bulk_runs:
+                child_vma.bulk_runs.append(self._fork_run(vma, run, cow))
             self.counters.ptes_copied += len(vma.touched_vpns)
             self._fork_sparse(vma, child, cow)
         child.brk = self.brk
@@ -808,12 +811,12 @@ class AddressSpace:
             for run in vma.bulk_runs:
                 self._drop_run(run)
             vma.bulk_runs = []
-            if self._charges_commit(vma):
-                pages = vma.length // self.page_size
-                self.commit.uncharge(pages)
-                self.commit_pages -= pages
             self._release_backing(vma)
         self.vmas = []
+        # All at once: a fork that failed part-way charged for VMAs it
+        # never laid out.
+        self.commit.uncharge(self.commit_pages)
+        self.commit_pages = 0
         self.tlb.retire(self.asid)
         self.dead = True
 

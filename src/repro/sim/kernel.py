@@ -46,7 +46,7 @@ from .fdtable import FDTable
 from .frames import FrameAllocator
 from .fs import VFS
 from .overcommit import CommitPolicy
-from .params import KIB, MIB, SimConfig, WorkCounters, _tally
+from .params import KIB, MIB, SimConfig, WorkCounters, _tally, page_align_up
 from .process import (BLOCKED, FINISHED, READY, Process, Thread, ZOMBIE)
 from .signals import (SIG_DFL, SIGCHLD, SIGCONT, SIGKILL, SIGSEGV,
                       SIGSTOP, SignalState)
@@ -154,7 +154,6 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
         self._pids = itertools.count(1)
         self._proxy = SyscallProxy()
         self._as_refs: Dict[int, int] = {}
-        self._as_objects: Dict[int, AddressSpace] = {}
         self._fdt_refs: Dict[int, int] = {}
         self._embryos: Dict[int, Process] = {}
         self._next_handle = 1
@@ -171,10 +170,6 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
     # ------------------------------------------------------------------
     # Facilities the syscall mixins build on
     # ------------------------------------------------------------------
-
-    def make_proxy(self) -> SyscallProxy:
-        """The stateless ``sys`` object handed to programs."""
-        return self._proxy
 
     def make_address_space(self, name: str) -> AddressSpace:
         """A fresh address space on this machine (fresh ASLR layout)."""
@@ -195,16 +190,17 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
         """The process with ``pid``, in any state, or ``None``."""
         return self.processes.get(pid)
 
-    def adopt(self, child: Process, parent: Process) -> None:
-        """Register a newly created process under its parent.
+    def adopt(self, child: Process, parent: Optional[Process]) -> None:
+        """Register a newly created process under its parent (if any).
 
         During a scoped :meth:`run`, a child whose parent is in scope
         joins it, so it stays scheduled even once re-parented to init.
         """
-        parent.children.append(child.pid)
         self.processes[child.pid] = child
-        if self._scope is not None and parent.pid in self._scope:
-            self._scope.add(child.pid)
+        if parent is not None:
+            parent.children.append(child.pid)
+            if self._scope is not None and parent.pid in self._scope:
+                self._scope.add(child.pid)
 
     def attach_thread(self, process: Process, generator, name: str) -> Thread:
         """Add a runnable thread executing ``generator`` to a process.
@@ -225,7 +221,6 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
     def as_acquire(self, space: AddressSpace) -> None:
         """Take a reference on an address space (vfork/CLONE_VM share)."""
         self._as_refs[space.asid] = self._as_refs.get(space.asid, 0) + 1
-        self._as_objects[space.asid] = space
 
     def as_release(self, space: AddressSpace) -> None:
         """Drop a reference; the last one destroys the space."""
@@ -234,7 +229,6 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
             raise SimError(f"address space {space.asid} over-released")
         if refs == 1:
             del self._as_refs[space.asid]
-            self._as_objects.pop(space.asid, None)
             space.destroy()
         else:
             self._as_refs[space.asid] = refs - 1
@@ -262,18 +256,111 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
         return image
 
     def build_image(self, space: AddressSpace, image: ProgramImage) -> None:
-        """Lay out text/data/stack VMAs for a program image."""
-        from .params import page_align_up
+        """Lay out text/data/stack VMAs for a program image, all or nothing.
+
+        A mapping refused part-way (a stack larger than the commit limit
+        allows) unmaps the segments already laid out, so ``space`` is
+        left exactly as it was.
+        """
         page = space.page_size
-        space.map(image.text_bytes, "rx", addr=space.text_base,
-                  name=f"{image.path}:text")
         data_base = page_align_up(
             space.text_base + max(image.text_bytes, MIB), page)
-        space.map(image.data_bytes, "rw", addr=data_base,
-                  name=f"{image.path}:data")
         stack_len = page_align_up(image.stack_bytes, page)
-        space.map(stack_len, "rw", addr=space.stack_top - stack_len,
-                  name="[stack]")
+        mapped = []
+        try:
+            for length, prot, addr, name in (
+                    (image.text_bytes, "rx", space.text_base,
+                     f"{image.path}:text"),
+                    (image.data_bytes, "rw", data_base, f"{image.path}:data"),
+                    (stack_len, "rw", space.stack_top - stack_len, "[stack]")):
+                mapped.append(space.map(length, prot, addr=addr, name=name))
+        except BaseException:
+            for vma in mapped:
+                space.unmap(vma.start, vma.length)
+            raise
+
+    def _load(self, proc: Process, image: ProgramImage, argv=()):
+        """Make ``image`` what ``proc`` runs; returns its entry generator.
+
+        Sets the argv and name an exec gives a process and counts one
+        image load.  The caller has already laid the image out
+        (:meth:`build_image`).
+        """
+        proc.argv = [image.path, *argv]
+        proc.name = image.path.rsplit("/", 1)[-1]
+        self.counters.exec_loads += 1
+        entry = image.func(self._proxy, *argv)
+        return entry if hasattr(entry, "send") else _iterate(entry)
+
+    def _assemble(self, parent: Optional[Process], name: str, origin: str,
+                  *, space=None, files=None,
+                  signals: Optional[SignalState] = None,
+                  mutexes: Optional[dict] = None,
+                  image: Optional[ProgramImage] = None,
+                  setup: Optional[Callable[[Process], None]] = None,
+                  main: Optional[Callable] = None, args=()) -> Process:
+        """Build one process, all or nothing; every creation path calls it.
+
+        A caller says only where each part comes from.  An existing
+        :class:`AddressSpace` / :class:`FDTable` as ``space`` / ``files``
+        is shared (one more reference); otherwise a fresh one is made —
+        ``space(new)`` fills an empty address space, ``files()`` returns
+        a new table, ``None`` leaves either empty.  ``image`` lays a
+        program out in the fresh space instead and runs it with ``args``
+        (:meth:`_load`).  ``signals`` defaults to fresh state, ``mutexes``
+        to none.  ``setup(child)`` runs last, before anything can see the
+        child (spawn's file actions).
+
+        With ``image`` or ``main`` the child runs: it takes the parent's
+        argv and cwd, is adopted, and its main thread runs
+        ``main(sys, *args)``.  With neither it is an embryo that inherits
+        nothing and that nobody schedules (:meth:`sys_xproc_start`).
+
+        If any step raises, the references taken are released — a fresh
+        space gives back its frames and commit charge, a fresh table its
+        descriptors — before the error propagates: a failed creation
+        leaves nothing behind.
+        """
+        runs = image is not None or main is not None
+        shared = isinstance(space, AddressSpace)
+        addrspace = space if shared else self.make_address_space(name)
+        self.as_acquire(addrspace)
+        table = entry = None
+        try:
+            if image is not None:
+                self.build_image(addrspace, image)
+            elif space is not None and not shared:
+                space(addrspace)
+            if isinstance(files, FDTable):
+                table = files
+            else:
+                table = self.make_fdtable() if files is None else files()
+            self.fdt_acquire(table)
+            child = Process(self.new_pid(), parent.pid if parent else 0,
+                            name=name)
+            child.addrspace = addrspace
+            child.fdtable = table
+            child.signals = SignalState() if signals is None else signals
+            child.mutexes = {} if mutexes is None else mutexes
+            if parent is not None and runs:
+                child.argv = list(parent.argv)
+                child.cwd = parent.cwd
+            child.origin = origin
+            if setup is not None:
+                setup(child)
+            if image is not None:
+                entry = self._load(child, image, args)
+            elif main is not None:
+                entry = main(self._proxy, *args)
+        except BaseException:
+            if table is not None:
+                self.fdt_release(table)
+            self.as_release(addrspace)
+            raise
+        if runs:
+            self.adopt(child, parent)
+            self.attach_thread(child, entry, name="main")
+        return child
 
     # ------------------------------------------------------------------
     # Program registry and boot
@@ -298,19 +385,8 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
 
     def spawn_root(self, path: str, argv=()) -> Process:
         """Create a top-level process (no parent) from a registered image."""
-        image = self.lookup_program(path)
-        proc = Process(self.new_pid(), 0, name=path.rsplit("/", 1)[-1])
-        proc.addrspace = self.make_address_space(path)
-        self.as_acquire(proc.addrspace)
-        self.build_image(proc.addrspace, image)
-        proc.fdtable = self.make_fdtable()
-        self.fdt_acquire(proc.fdtable)
-        proc.signals = SignalState()
-        proc.argv = [path, *argv]
-        self.processes[proc.pid] = proc
-        self.attach_thread(proc, image.func(self._proxy, *argv), name="main")
-        self.counters.exec_loads += 1
-        return proc
+        return self._assemble(None, path, "boot",
+                              image=self.lookup_program(path), args=argv)
 
     # ------------------------------------------------------------------
     # Snapshots: checkpointed address spaces as spawn sources
@@ -343,38 +419,6 @@ class Kernel(ProcessSyscalls, FileSyscalls, MemorySyscalls, SignalSyscalls,
         if snapshot is None:
             raise SimOSError("EBADF", f"no such snapshot handle: {handle}")
         snapshot.destroy()
-
-    def spawn_from_snapshot(self, snapshot: AddressSpaceSnapshot,
-                            child_main, *args, parent: Process,
-                            name: Optional[str] = None) -> Process:
-        """Materialise a child process from a frozen checkpoint.
-
-        The child's memory is a COW share of the snapshot — the *live*
-        parent's address space is never walked, so (like spawn, unlike
-        fork) the cost does not grow with the parent.  Descriptors are
-        inherited from the calling parent, signals start fresh, and the
-        child runs ``child_main(sys, *args)`` as its continuation.
-        """
-        child_name = name if name is not None else f"{snapshot.name}+restore"
-        child_as = self.make_address_space(child_name)
-        try:
-            snapshot.restore_into(child_as)
-        except Exception:
-            child_as.destroy()
-            raise
-        child = Process(self.new_pid(), parent.pid, name=child_name)
-        child.addrspace = child_as
-        self.as_acquire(child_as)
-        child.fdtable = parent.fdtable.clone_for_fork()
-        self.fdt_acquire(child.fdtable)
-        child.signals = SignalState()
-        child.argv = list(parent.argv)
-        child.cwd = parent.cwd
-        child.origin = "snapshot"
-        self.adopt(child, parent)
-        self.attach_thread(child, child_main(self._proxy, *args),
-                           name="main")
-        return child
 
     # ------------------------------------------------------------------
     # Process teardown

@@ -143,14 +143,14 @@ class Process:
         self.cwd = "/"
         self.argv: List[str] = []
         #: How this process came to exist: "boot", "fork", "vfork",
-        #: "clone", "spawn" or "snapshot" — experiments group on it.
+        #: "clone", "spawn", "snapshot", "xproc" or "fork_emulated" —
+        #: experiments group on it.
         self.origin = "boot"
         #: Job control: True between SIGSTOP and SIGCONT — threads keep
         #: their states but none is scheduled.
         self.stopped = False
         # vfork bookkeeping: set while this process borrows its parent's
         # address space; the parent stays blocked until it clears.
-        self.vfork_parent_blocked: Optional[int] = None
         self.shares_parent_as = False
 
     @property

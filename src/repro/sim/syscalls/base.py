@@ -60,8 +60,8 @@ class KernelFacet:
 
     Mixins assume the kernel provides: ``config``, ``cost``, ``counters``,
     ``vfs``, ``processes``, ``programs``, ``rng``, ``charge_fixed()``,
-    ``make_address_space()``, ``new_pid()``, ``attach_thread()``,
-    ``make_proxy()``, ``exit_process()``, ``find_process()``.
+    ``_assemble()`` (the one way to build a process), ``build_image()``,
+    ``_load()``, ``attach_thread()``, ``exit_process()``, ``find_process()``.
     """
 
     __slots__ = ()

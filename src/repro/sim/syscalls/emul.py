@@ -18,7 +18,6 @@ forfeits COW sharing, so memory use doubles immediately.
 
 from __future__ import annotations
 
-from ..process import Process
 from ..vma import format_prot
 from .base import KernelFacet
 
@@ -38,29 +37,24 @@ class EmulationSyscalls(KernelFacet):
         """
         parent = thread.process
         self.charge_fixed(self.cost.fixed_spawn_ns)
-        child_as = self.make_address_space(f"{parent.name}+emulfork")
-        self._copy_address_space(parent.addrspace, child_as)
-        child = Process(self.new_pid(), parent.pid,
-                        name=f"{parent.name}+emulfork")
-        child.addrspace = child_as
-        self.as_acquire(child_as)
-        # Descriptor table: one explicit grant per descriptor.
-        child.fdtable = self.make_fdtable()
-        self.fdt_acquire(child.fdtable)
-        for fd in parent.fdtable.fds():
-            ofd = parent.fdtable.ofd(fd)
+        return self._assemble(
+            parent, f"{parent.name}+emulfork", "fork_emulated",
+            space=lambda child_as: self._copy_address_space(
+                parent.addrspace, child_as),
+            files=lambda: self._grant_every_fd(parent.fdtable),
+            signals=parent.signals.fork_copy(),
+            mutexes=parent.fork_mutex_table(),
+            main=child_main, args=args).pid
+
+    def _grant_every_fd(self, parent_fdt):
+        """A new descriptor table holding one explicit grant per entry."""
+        table = self.make_fdtable()
+        for fd in parent_fdt.fds():
+            ofd = parent_fdt.ofd(fd)
             ofd.incref()
-            child.fdtable.install(ofd, at=fd,
-                                  cloexec=parent.fdtable.get_cloexec(fd))
+            table.install(ofd, at=fd, cloexec=parent_fdt.get_cloexec(fd))
             self.counters.fd_dups += 1
-        child.signals = parent.signals.fork_copy()
-        child.mutexes = parent.fork_mutex_table()
-        child.argv = list(parent.argv)
-        child.cwd = parent.cwd
-        self.adopt(child, parent)
-        self.attach_thread(child, child_main(self.make_proxy(), *args),
-                           name="main")
-        return child.pid
+        return table
 
     def _copy_address_space(self, parent_as, child_as) -> None:
         """Rebuild the parent's address space through public operations.

@@ -22,14 +22,7 @@ from __future__ import annotations
 
 from ...errors import SimOSError
 from ..process import Process
-from ..signals import SignalState
 from .base import EXEC_TRANSFER, EXITED, KernelFacet, Park
-
-
-def _wrap_entry(iterable):
-    """Adapt a plain iterable program body into a generator."""
-    result = yield from iterable
-    return result
 
 
 class ProcessSyscalls(KernelFacet):
@@ -52,26 +45,13 @@ class ProcessSyscalls(KernelFacet):
         """
         parent = thread.process
         self.charge_fixed(self.cost.fixed_fork_ns)
-        child_as = self.make_address_space(f"{parent.name}+fork")
-        try:
-            parent.addrspace.fork_into(child_as)
-        except Exception:
-            child_as.destroy()
-            raise
-        child = Process(self.new_pid(), parent.pid, name=f"{parent.name}+fork")
-        child.addrspace = child_as
-        self.as_acquire(child_as)
-        child.fdtable = parent.fdtable.clone_for_fork()
-        self.fdt_acquire(child.fdtable)
-        child.signals = parent.signals.fork_copy()
-        child.mutexes = parent.fork_mutex_table()
-        child.argv = list(parent.argv)
-        child.cwd = parent.cwd
-        child.origin = "fork"
-        self.adopt(child, parent)
-        self.attach_thread(child, child_main(self.make_proxy(), *args),
-                           name="main")
-        return child.pid
+        return self._assemble(
+            parent, f"{parent.name}+fork", "fork",
+            space=parent.addrspace.fork_into,
+            files=parent.fdtable.clone_for_fork,
+            signals=parent.signals.fork_copy(),
+            mutexes=parent.fork_mutex_table(),
+            main=child_main, args=args).pid
 
     def sys_vfork(self, thread, child_main, *args) -> int:
         """vfork: child borrows the parent's address space; parent waits.
@@ -83,21 +63,14 @@ class ProcessSyscalls(KernelFacet):
         """
         parent = thread.process
         self.charge_fixed(self.cost.fixed_fork_ns / 4)
-        child = Process(self.new_pid(), parent.pid,
-                        name=f"{parent.name}+vfork")
-        child.addrspace = parent.addrspace
-        self.as_acquire(parent.addrspace)
+        child = self._assemble(
+            parent, f"{parent.name}+vfork", "vfork",
+            space=parent.addrspace,
+            files=parent.fdtable.clone_for_fork,
+            signals=parent.signals.fork_copy(),
+            mutexes=parent.mutexes,  # same memory, genuinely shared
+            main=child_main, args=args)
         child.shares_parent_as = True
-        child.vfork_parent_blocked = thread.tid
-        child.fdtable = parent.fdtable.clone_for_fork()
-        self.fdt_acquire(child.fdtable)
-        child.signals = parent.signals.fork_copy()
-        child.mutexes = parent.mutexes  # same memory, genuinely shared
-        child.argv = list(parent.argv)
-        child.origin = "vfork"
-        self.adopt(child, parent)
-        self.attach_thread(child, child_main(self.make_proxy(), *args),
-                           name="main")
         raise Park(
             lambda: not child.shares_parent_as or not child.alive,
             f"vfork: waiting for pid {child.pid} to exec or exit",
@@ -117,36 +90,20 @@ class ProcessSyscalls(KernelFacet):
         parent = thread.process
         if as_thread:
             new = self.attach_thread(
-                parent, child_main(self.make_proxy(), *args), name="worker")
+                parent, child_main(self._proxy, *args), name="worker")
             return new.tid
         self.charge_fixed(self.cost.fixed_fork_ns / 2)
-        child = Process(self.new_pid(), parent.pid,
-                        name=f"{parent.name}+clone")
-        if share_vm:
-            child.addrspace = parent.addrspace
-            self.as_acquire(parent.addrspace)
-            child.mutexes = parent.mutexes
-        else:
-            child_as = self.make_address_space(f"{parent.name}+clone")
-            parent.addrspace.fork_into(child_as)
-            child.addrspace = child_as
-            self.as_acquire(child_as)
-            child.mutexes = parent.fork_mutex_table()
-        if share_files:
-            child.fdtable = parent.fdtable
-        else:
-            child.fdtable = parent.fdtable.clone_for_fork()
-        self.fdt_acquire(child.fdtable)
-        if share_sighand:
-            child.signals = parent.signals
-        else:
-            child.signals = parent.signals.fork_copy()
-        child.argv = list(parent.argv)
-        child.origin = "clone"
-        self.adopt(child, parent)
-        self.attach_thread(child, child_main(self.make_proxy(), *args),
-                           name="main")
-        return child.pid
+        return self._assemble(
+            parent, f"{parent.name}+clone", "clone",
+            space=(parent.addrspace if share_vm
+                   else parent.addrspace.fork_into),
+            files=(parent.fdtable if share_files
+                   else parent.fdtable.clone_for_fork),
+            signals=(parent.signals if share_sighand
+                     else parent.signals.fork_copy()),
+            mutexes=(parent.mutexes if share_vm
+                     else parent.fork_mutex_table()),
+            main=child_main, args=args).pid
 
     # ------------------------------------------------------------------
     # exec and spawn
@@ -166,8 +123,11 @@ class ProcessSyscalls(KernelFacet):
         self.charge_fixed(self.cost.fixed_exec_ns)
         old_as = proc.addrspace
         new_as = self.make_address_space(path)
-        self.build_image(new_as, image)
-        was_vfork_child = proc.shares_parent_as
+        try:
+            self.build_image(new_as, image)
+        except BaseException:
+            new_as.destroy()
+            raise
         proc.shares_parent_as = False  # releases a blocked vfork parent
         proc.addrspace = new_as
         self.as_acquire(new_as)
@@ -178,16 +138,8 @@ class ProcessSyscalls(KernelFacet):
         for other in proc.threads:
             if other is not thread and other.state != "finished":
                 other.finish()
-        proc.argv = [path, *argv]
-        proc.name = path.rsplit("/", 1)[-1]
-        self.counters.exec_loads += 1
-        entry = image.func(self.make_proxy(), *argv)
-        if not hasattr(entry, "send"):
-            entry = iter(entry)
-            entry = _wrap_entry(entry)
-        thread.generator = entry
+        thread.generator = self._load(proc, image, argv)
         thread.send_value = None
-        del was_vfork_child
         return EXEC_TRANSFER
 
     def sys_spawn(self, thread, path: str, argv=(), file_actions=(),
@@ -205,30 +157,20 @@ class ProcessSyscalls(KernelFacet):
         parent = thread.process
         image = self.lookup_program(path)
         self.charge_fixed(self.cost.fixed_spawn_ns)
-        child = Process(self.new_pid(), parent.pid,
-                        name=path.rsplit("/", 1)[-1])
-        child_as = self.make_address_space(path)
-        self.build_image(child_as, image)
-        child.addrspace = child_as
-        self.as_acquire(child_as)
-        child.fdtable = parent.fdtable.clone_for_fork()
-        self.fdt_acquire(child.fdtable)
-        for action in file_actions:
-            self._apply_file_action(child, action)
-        child.fdtable.apply_exec()
-        if reset_signals:
-            child.signals = SignalState()
-        else:
-            child.signals = parent.signals.fork_copy()
-            child.signals.apply_exec()
-        child.argv = [path, *argv]
-        child.cwd = parent.cwd
-        child.origin = "spawn"
-        self.counters.exec_loads += 1
-        self.adopt(child, parent)
-        self.attach_thread(child, image.func(self.make_proxy(), *argv),
-                           name="main")
-        return child.pid
+        signals = None
+        if not reset_signals:
+            signals = parent.signals.fork_copy()
+            signals.apply_exec()
+
+        def apply_file_actions(child: Process) -> None:
+            for action in file_actions:
+                self._apply_file_action(child, action)
+            child.fdtable.apply_exec()
+
+        return self._assemble(
+            parent, path, "spawn", image=image, args=argv,
+            files=parent.fdtable.clone_for_fork, signals=signals,
+            setup=apply_file_actions).pid
 
     def _apply_file_action(self, child: Process, action) -> None:
         kind = action[0]
@@ -276,9 +218,11 @@ class ProcessSyscalls(KernelFacet):
         """
         snapshot = self.lookup_snapshot(handle)
         self.charge_fixed(self.cost.fixed_spawn_ns)
-        child = self.spawn_from_snapshot(snapshot, child_main, *args,
-                                         parent=thread.process)
-        return child.pid
+        return self._assemble(
+            thread.process, f"{snapshot.name}+restore", "snapshot",
+            space=snapshot.restore_into,
+            files=thread.process.fdtable.clone_for_fork,
+            main=child_main, args=args).pid
 
     def sys_snapshot_drop(self, thread, handle: int) -> int:
         """Release a snapshot's frames; existing children are unaffected."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ...errors import SimOSError
 from ..process import Process
-from ..signals import SIG_DFL, SignalState
+from ..signals import SIG_DFL
 from .base import KernelFacet
 
 
@@ -51,12 +51,7 @@ class CrossProcessSyscalls(KernelFacet):
         descriptor table, default signal state, and no threads.  It is
         invisible to the scheduler until :meth:`sys_xproc_start`.
         """
-        embryo = Process(self.new_pid(), thread.process.pid, name=name)
-        embryo.addrspace = self.make_address_space(name)
-        self.as_acquire(embryo.addrspace)
-        embryo.fdtable = self.make_fdtable()
-        self.fdt_acquire(embryo.fdtable)
-        embryo.signals = SignalState()
+        embryo = self._assemble(thread.process, name, "xproc")
         handle = self._next_handle
         self._next_handle += 1
         self._embryos[handle] = embryo
@@ -118,22 +113,21 @@ class CrossProcessSyscalls(KernelFacet):
                         argv=()) -> int:
         """Load ``path``'s image and schedule the embryo; returns its pid.
 
-        The image is resolved *before* the handle is consumed: a start
-        against an unregistered path fails with ``ENOENT`` but leaves
-        the handle valid, so the caller can still abort (or retry) the
+        The handle is consumed only by a start that succeeds.  The image
+        is resolved and laid out first, all or nothing: a start against
+        an unregistered path (``ENOENT``) or with an image the embryo
+        cannot hold (``ENOMEM``) leaves the handle valid and the embryo
+        exactly as it was, so the caller can still abort (or retry) the
         construction instead of leaking the embryo's resources.
         """
-        self._require_handle(handle, "start")
+        embryo = self._embryo(handle, "start")
         image = self.lookup_program(path)
-        embryo = self._embryos.pop(handle)
         self.charge_fixed(self.cost.fixed_spawn_ns)
         self.build_image(embryo.addrspace, image)
-        embryo.argv = [path, *argv]
-        embryo.name = path.rsplit("/", 1)[-1]
-        self.counters.exec_loads += 1
+        del self._embryos[handle]
+        entry = self._load(embryo, image, argv)
         self.adopt(embryo, thread.process)
-        self.attach_thread(embryo, image.func(self.make_proxy(), *argv),
-                           name="main")
+        self.attach_thread(embryo, entry, name="main")
         return embryo.pid
 
     def sys_xproc_abort(self, thread, handle: int) -> int:
@@ -144,14 +138,8 @@ class CrossProcessSyscalls(KernelFacet):
         OFDs), and dropping its address space returns every populated
         frame — an aborted construction leaks nothing.
         """
-        embryo = self._embryos.pop(self._require_handle(handle, "abort"))
+        embryo = self._embryo(handle, "abort")
+        del self._embryos[handle]
         self.fdt_release(embryo.fdtable)
         self.as_release(embryo.addrspace)
         return 0
-
-    def _require_handle(self, handle: int, stage: str) -> int:
-        if handle not in self._embryos:
-            raise SimOSError(
-                "EINVAL",
-                f"xproc_{stage}: bad or stale process handle {handle}")
-        return handle

@@ -254,10 +254,12 @@ class Channel:
     * **the blocked callers**, on a new channel: whoever waits for a
       reply or an exit leads, polling and pumping for everyone until
       its own frame is in, while the others follow on a condition (one
-      leader at a time, under the channel's lock); every :meth:`send`
-      first pumps what is ready, so a peer that hung up is noticed
-      before a frame is put on its wire, and :meth:`close` files the
-      notices that have already arrived;
+      leader at a time, under the channel's lock).  Only a leader
+      pumps: every :meth:`send` first pumps what is ready, so a peer
+      that hung up is noticed before a frame is put on its wire, and
+      :meth:`close` files the notices that have already arrived — each
+      taking the lead while it is free, and reading nothing while a
+      leader holds it;
     * a **reader thread** (:meth:`hand_over` with no loop) parks in
       :meth:`pump`'s ``recv`` and routes whatever wakes it;
     * an **asyncio loop** the channel is handed to (:meth:`hand_over`)
@@ -365,12 +367,11 @@ class Channel:
         instead, with nothing sent and nothing pending, and the caller
         sends again from a thread that may wait.
 
-        Where the callers read, what is ready is pumped first: a peer
-        that hung up is noticed here, and the request is refused as
-        ``unsent`` rather than lost after it was sent.
+        Where the callers read and none leads, what is ready is pumped
+        first: a peer that hung up is noticed here, and the request is
+        refused as ``unsent`` rather than lost after it was sent.
         """
-        if self._callers_read:
-            self.pump()
+        self._pump_ready()
         with self._lock:
             if self.dead is not None:
                 raise self._lose(f"channel is dead: {self.dead}", True)
@@ -546,6 +547,28 @@ class Channel:
                         self._turn.notify_all()
             return True
 
+    def _pump_ready(self, drain: bool = False) -> None:
+        """Where the callers read, pump what is ready (all of it, with
+        ``drain``) — as their leader, since only a leader pumps: a frame
+        routed outside the lead could be a leader's reply, filed between
+        its check and its ``poll``, leaving it asleep with its reply in.
+        With the lead taken this reads nothing: that leader reads
+        everything anyway."""
+        if not self._callers_read:  # a handed-over channel: no lock
+            return
+        with self._lock:
+            if not self._callers_read or self._leading:
+                return
+            self._leading = True
+        try:
+            while self.pump() and drain:
+                pass
+        finally:
+            with self._lock:
+                self._leading = False
+                if self._following:
+                    self._turn.notify_all()
+
     def hand_over(self, loop=None) -> bool:
         """Who pumps this channel from now on.  A new channel is read by
         its blocked callers; hand it over before any of them waits (a
@@ -680,9 +703,7 @@ class Channel:
         first.  The socket is closed here once no reader can touch it —
         or, if a loop watches it, by the loop once it has stopped
         watching.  Returns whether the reader thread is gone."""
-        if self._callers_read:
-            while self.pump():
-                pass
+        self._pump_ready(drain=True)
         with self._lock:
             self.closed = True
             watched = self._loop is not None
@@ -710,8 +731,7 @@ class Channel:
         ``KeyError`` that this channel holds no slot for the pid — never
         handed out here, already reaped, or dropped by the channel's
         death.  Nothing goes on the wire."""
-        if self._callers_read:
-            self.pump()
+        self._pump_ready()
         with self._lock:
             slot = self.exits[pid]
             wait = slot.status is None and timeout != 0

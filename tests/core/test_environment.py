@@ -192,6 +192,37 @@ def test_every_launch_path_gives_the_child_the_same_environment(
             assert lines(run(env)) == expected, name
 
 
+# -- a bare argv[0] is looked up on the child's PATH, on every path ----------
+
+@pytest.fixture
+def every_strategy(monkeypatch, fresh_singletons):
+    """The shared gateway strategy too, embedded, booted by the test
+    body and stopped after it."""
+    monkeypatch.delenv("REPRO_GATEWAY", raising=False)
+    gateway = get_strategy("gateway")
+    gateway.shutdown()
+    yield
+    gateway.shutdown()
+
+
+@pytest.mark.parametrize("strategy", [
+    "posix_spawn", "fork_exec", "forkserver", "forkserver-pool", "gateway"])
+def test_a_bare_name_is_found_on_the_childs_path(every_strategy, tmp_path,
+                                                 strategy):
+    """One lookup rule on both sides of the wire, the one ``subprocess``
+    follows: a bare ``argv[0]`` is searched on the ``PATH`` of the
+    environment the child gets, not the caller's, and a directory of
+    that name earlier on it is skipped."""
+    found = tmp_path / "bin"
+    (tmp_path / "decoy" / "onlyhere").mkdir(parents=True)
+    found.mkdir()
+    script = found / "onlyhere"
+    script.write_text("#!/bin/sh\necho found\n")
+    script.chmod(0o755)
+    env = {"PATH": f"{tmp_path / 'decoy'}:{found}:/usr/bin:/bin"}
+    assert built(strategy, ["onlyhere"], env) == b"found\n"
+
+
 # -- an inherited environment stays home: counts that repeat exactly ----------
 
 class TestAnInheritedEnvironmentIsNotShipped:

@@ -34,6 +34,7 @@ frame, report EOF, or raise ``ValueError``.
 
 import asyncio
 import os
+import select
 import signal
 import socket
 import threading
@@ -606,6 +607,48 @@ class TestHandOver:
             assert all(reply["ok"] for reply in replies.values())
             assert channel.pending == {} and not channel._leading
         finally:
+            channel.close("test over", TIMEOUT)
+            theirs.close()
+
+    def test_a_reply_routed_before_the_leader_polls_still_wakes_it(self):
+        """Only a leader pumps a channel its callers read.  The injected
+        poller holds the leader between its check and its ``poll`` while
+        its reply arrives and another caller sends; a send that pumped
+        outside the lead would route that reply there, and the leader
+        would sleep in ``poll`` until its timeout."""
+        ours, theirs = socket.socketpair()
+        channel = Channel(ours, "gateway", **CLIENTS["gateway"])
+        in_gap, go = threading.Event(), threading.Event()
+        real = select.poll()
+        real.register(ours, select.POLLIN)
+
+        class HeldPoller:
+            def poll(self, timeout):
+                in_gap.set()
+                go.wait(TIMEOUT)
+                return real.poll(timeout)
+
+        channel._poller = HeldPoller()
+        try:
+            pending = channel.send({"op": "ping"})
+            took = {}
+
+            def lead():
+                start = time.monotonic()
+                took["reply"] = channel.result(pending, 2.0)
+                took["seconds"] = time.monotonic() - start
+
+            leader = threading.Thread(target=lead)
+            leader.start()
+            assert in_gap.wait(TIMEOUT)
+            theirs.sendall(encode_frame({"id": pending.rid, "ok": True}))
+            channel.send({"op": "ping"})  # its pre-pump must not read
+            go.set()
+            leader.join(TIMEOUT + 1)
+            assert took["reply"]["ok"] is True
+            assert took["seconds"] < 1.0
+        finally:
+            go.set()
             channel.close("test over", TIMEOUT)
             theirs.close()
 

@@ -13,6 +13,8 @@ from repro.sim.addrspace import AddressSpace
 from repro.sim.kernel import Kernel
 from repro.sim.params import MIB, PAGE_SIZE, SimConfig
 
+from .leaks import assert_nothing_leaked
+
 
 @pytest.fixture
 def kernel():
@@ -279,19 +281,34 @@ class TestSnapshotSyscalls:
     def test_origin_stamps_for_every_creation_api(self, kernel):
         origins = {}
 
+        def one(request):
+            return (yield request)
+
+        def xproc(sys):
+            handle = yield sys.xproc_create()
+            return (yield sys.xproc_start(handle, "/bin/true"))
+
         def main(sys):
-            for label, call in (
-                    ("fork", lambda: sys.fork(lambda s: iter(()))),
-                    ("clone", lambda: sys.clone(lambda s: iter(()))),
-                    ("spawn", lambda: sys.spawn("/bin/true"))):
-                pid = yield call()
+            for label, launch in (
+                    ("fork", lambda: one(sys.fork(lambda s: iter(())))),
+                    ("vfork", lambda: one(sys.vfork(lambda s: iter(())))),
+                    ("clone", lambda: one(sys.clone(lambda s: iter(())))),
+                    ("spawn", lambda: one(sys.spawn("/bin/true"))),
+                    ("xproc", lambda: xproc(sys)),
+                    ("fork_emulated",
+                     lambda: one(sys.fork_emulated(lambda s: iter(()))))):
+                pid = yield from launch()
                 origins[label] = kernel.find_process(pid).origin
+                assert_nothing_leaked(kernel)
                 yield sys.waitpid(pid)
             yield sys.exit(0)
         kernel.register_program("/bin/true", lambda sys: iter(()))
         assert run_main(kernel, main) == 0
-        assert origins == {"fork": "fork", "clone": "clone",
-                           "spawn": "spawn"}
+        assert_nothing_leaked(kernel)
+        assert origins == {"fork": "fork", "vfork": "vfork",
+                           "clone": "clone", "spawn": "spawn",
+                           "xproc": "xproc",
+                           "fork_emulated": "fork_emulated"}
         init = next(p for p in kernel.processes.values()
                     if p.name.endswith("init"))
         assert init.origin == "boot"
