@@ -51,7 +51,8 @@ TEMPLATE_MAX_STOCK = 32
 
 
 def _fork_exec_once() -> None:
-    pid = os.fork()
+    # The measured fork+exec baseline: the child execs or exits at once.
+    pid = os.fork()  # lint-ok: F001, F003
     if pid == 0:
         try:
             os.execv(TRIVIAL_CHILD, [TRIVIAL_CHILD])
@@ -61,7 +62,8 @@ def _fork_exec_once() -> None:
 
 
 def _fork_only_once() -> None:
-    pid = os.fork()
+    # The measured bare-fork baseline: the child exits at once.
+    pid = os.fork()  # lint-ok: F001, F003
     if pid == 0:
         os._exit(0)
     os.waitpid(pid, 0)

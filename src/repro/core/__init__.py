@@ -11,7 +11,7 @@ Highlights:
 * :class:`ForkServerPool` — the zygote pattern as a *service*: requests
   sharded across several helpers, with lazy start and crash recovery,
   and batched dispatch (:meth:`~ForkServerPool.spawn_batch`, N children
-  in one wire frame, through the attempt loop a single spawn takes).
+  in one wire frame, through the dispatch a single spawn takes).
 * :class:`TemplateRegistry` — warm, specialized zygotes per workload
   profile, whose parked stock grows on a miss and decays when idle
   (:class:`AutoscaleConfig`).

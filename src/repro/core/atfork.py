@@ -96,8 +96,9 @@ def fork_with_handlers() -> int:
     holding a dead thread's locks.
     """
     registry.run_prepare()
-    pid = os.fork()
-    if pid == 0:
+    # The fork this module exists to bracket; the caller owns the child.
+    pid = os.fork()  # lint-ok: F002, F003
+    if pid == 0:  # lint-ok: F006
         registry.run_child()
     else:
         registry.run_parent()

@@ -217,7 +217,6 @@ class ForkServer:
         if self.running:
             return self
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
-        os.set_inheritable(theirs.fileno(), True)
         env = dict(os.environ)
         # What the helper holds once it has popped the fault spec, made
         # from the very copy it boots with and kept in the raw (bytes)
@@ -232,10 +231,12 @@ class ForkServer:
             # (stall_helper, delay_sigchld, refuse_exec@helper); they
             # ride in as an env spec the helper parses and then drops.
             env["REPRO_HELPER_FAULTS"] = helper_faults
+        # A dup2 onto itself clears close-on-exec in the helper alone,
+        # so no other launch in the meantime inherits the socket.
+        fd = theirs.fileno()
         self._pid = os.posix_spawn(
-            sys.executable,
-            [sys.executable, "-c", _helper_source(), str(theirs.fileno())],
-            env)
+            sys.executable, [sys.executable, "-c", _helper_source(), str(fd)],
+            env, file_actions=[(os.POSIX_SPAWN_DUP2, fd, fd)])
         theirs.close()
         self._channel = Channel(ours, "forkserver", lost=SpawnError,
                                 pids_of=_pids_handed_out)

@@ -142,7 +142,9 @@ def spawn_one(req, grant, environ):
         except OSError:
             pass
     if not pid:
-        pid = os.fork()
+        # Where posix_spawn cannot go (a cwd): the child execs at once,
+        # and the helper's sockets are close-on-exec.
+        pid = os.fork()  # lint-ok: F003, F013
         if pid == 0:
             try:
                 for target, fd in enumerate(grant):  # stdio triple
@@ -455,7 +457,9 @@ class Helper:
         # imported modules, env, cwd, pre-opened fds — at zero marginal
         # cost; that payoff is the whole point of the template.
         ours, theirs = socket.socketpair()
-        pid = os.fork()
+        # The park is the fork itself: the child closes every socket
+        # but ``theirs`` before it reads.
+        pid = os.fork()  # lint-ok: F003, F013
         if pid == 0:
             status = 0
             try:
@@ -502,11 +506,11 @@ def main():
     # it: a child holding the socket would keep the service "connected"
     # after the real client is gone, and could read its traffic.
     os.set_inheritable(sock.fileno(), False)
-    # Shed every other inherited descriptor.  A helper can be started at
-    # any moment — including mid-spawn, while the client holds
-    # inheritable pipe ends for some unrelated child — and any such
-    # descriptor we kept would hold that pipe open forever (no EOF) and
-    # leak into everything we fork.  Children receive exactly the stdio
+    # Shed every other inherited descriptor.  The client grants none,
+    # but code in its process may have left descriptors inheritable
+    # (``os.set_inheritable``, ``os.dup2``), and any such descriptor we
+    # kept would hold its pipe open forever (no EOF) and leak into
+    # everything we fork.  Children receive exactly the stdio
     # triple granted per request, nothing else.
     try:
         inherited = [int(name) for name in os.listdir("/proc/self/fd")]

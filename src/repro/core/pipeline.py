@@ -4,9 +4,9 @@ The original Unix paper's killer feature — ``ls | grep | wc`` — is often
 cited as the reason fork's split-then-mutate design is convenient: the
 shell customises each child between fork and exec.  This module shows the
 same composition through the spawn API: each stage's stdio is *declared*
-with file actions, every intermediate descriptor is closed in exactly the
-right places, and no stage ever holds a write end it should not (the
-EOF-forever bug fork-based shells must carefully avoid).
+with file actions, every pipe end stays close-on-exec unless a stage's
+own dup2 names it, and so no stage ever holds a write end it should not
+(the EOF-forever bug fork-based shells must carefully avoid).
 """
 
 from __future__ import annotations
@@ -53,34 +53,16 @@ class Pipeline:
                 builder = ProcessBuilder(*argv)
                 if strategy is not None:
                     builder.strategy(strategy)
+                # Every link end is close-on-exec: a stage holds only
+                # the two its dup2s give it, so each sees EOF in time.
                 if index == 0 and first_stdin is not None:
-                    os.set_inheritable(first_stdin, True)
                     builder.stdin_from_fd(first_stdin)
                 if index > 0:
-                    read_end = links[index - 1][0]
-                    os.set_inheritable(read_end, True)
-                    builder.stdin_from_fd(read_end)
+                    builder.stdin_from_fd(links[index - 1][0])
                 if index < len(self.stages) - 1:
-                    write_end = links[index][1]
-                    os.set_inheritable(write_end, True)
-                    builder.stdout_to_fd(write_end)
-                    # The child must not inherit *other* link ends, or
-                    # downstream stages never see EOF.
-                    for j, (r, w) in enumerate(links):
-                        if j != index:
-                            builder.close_fd(w)
-                        if j != index - 1:
-                            builder.close_fd(r)
-                    if first_stdin is not None and index != 0:
-                        builder.close_fd(first_stdin)
+                    builder.stdout_to_fd(links[index][1])
                 else:
                     builder.stdout_to_pipe()
-                    for j, (r, w) in enumerate(links):
-                        if j != index - 1:
-                            builder.close_fd(r)
-                        builder.close_fd(w)
-                    if first_stdin is not None and index != 0:
-                        builder.close_fd(first_stdin)
                 children.append(builder.spawn())
         finally:
             # Parent keeps no link ends: each belongs to exactly the two

@@ -11,7 +11,7 @@ story: helpers die mid-request, frames truncate, event loops stall.
   of retries from many clients does not synchronise into a thundering
   herd;
 * a per-target **circuit breaker** that stops hammering a launch path
-  (or pool worker) that keeps failing, and retires flapping helpers;
+  that keeps failing;
 * a **fallback chain** — graceful degradation from the pool to a single
   forkserver to plain ``posix_spawn`` when a tier's breaker opens.
 
@@ -38,18 +38,18 @@ who                    backs off on              trips on
 =====================  ========================  ============================
 ladder, per tier       ``policy.backoff_delay``  ``breaker_for(tier)``
 daemon, per tenant     (the ladder's)            a ``breaker_for`` per tenant
-``ForkServerPool``     ``policy.backoff_delay``  ``slot.strikes`` (*)
+``ForkServerPool``     —                         ``slot.strikes`` (*)
 ``GatewayClient``      ``backoff=Backoff()``     — (``max_reconnects`` budget)
 ``GatewaySupervisor``  ``Backoff(jitter=0.0)``   its own ``CircuitBreaker``
 =====================  ========================  ============================
 
 The ladder walks :class:`ProcessBuilder` and :func:`repro.core.spawn_batch`
-alike and hands the pool no policy.  One thing stays apart by decision.
-(*) ``slot.strikes``: its threshold arrives per call from the caller's
-policy and its verdict is "retire the helper", not "cool down" — six
-lines a breaker would not shorten — and with it
-``ForkServerPool(policy=)``'s attempt loop, the only way a *private*
-pool retries.
+alike and hands the pool no policy: the pool fails a dead helper over
+within one dispatch and retries nothing, so retrying a pool launch is
+the ladder's job alone.  One thing stays apart by decision.
+(*) ``slot.strikes``: a fixed limit of three, and its verdict is
+"retire the helper", not "cool down" — six lines a breaker would not
+shorten.
 """
 
 from __future__ import annotations

@@ -165,4 +165,5 @@ def guarded_fork(policy: str = "raise") -> int:
             stream.flush()
         except (OSError, ValueError):
             pass
-    return os.fork()
+    # The audited fork the caller asked for; the caller owns the child.
+    return os.fork()  # lint-ok: F002, F003

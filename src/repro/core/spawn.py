@@ -171,7 +171,8 @@ class ProcessBuilder:
             child_side, parent_side = read_fd, write_fd
         else:
             child_side, parent_side = write_fd, read_fd
-        os.set_inheritable(child_side, True)
+        # Both ends stay close-on-exec, so no other launch inherits
+        # them; the dup2 onto ``child_fd`` is what this child gets.
         self._actions.add_dup2(child_side, child_fd)
         self._child_side_fds.append(child_side)
         return parent_side

@@ -228,7 +228,8 @@ class ForkExecStrategy(Strategy):
         self._fire_launch(argv)
         path = _resolve_executable(argv, attrs.env)
         env = attrs.effective_env()
-        pid = os.fork()
+        # The strategy is literal fork+exec, kept as the measured baseline.
+        pid = os.fork()  # lint-ok: F003
         if pid == 0:
             # Child: nothing here may touch Python state that another
             # thread could have held mid-mutation; keep it to syscalls.
@@ -389,8 +390,7 @@ class ForkServerPoolStrategy(_WireStrategy):
         if pool is None or pool.closed:
             yield  # the first launch boots the pool
             pool = self.pool()
-        # No policy: retries are the ladder's, per tier, not the pool's.
-        return (yield from pool._unit_steps(reqs, traces, None, deadline))
+        return (yield from pool._unit_steps(reqs, traces, deadline))
 
 
 @register_strategy("forkserver")

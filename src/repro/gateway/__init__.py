@@ -10,7 +10,7 @@ many tenants over the same warm spawn machinery.
 The pieces:
 
 * :mod:`repro.gateway.protocol` — the gateway's ops (``hello``/
-  ``spawn``/``lease``/``wait``/``stats``/``drain``)
+  ``spawn``/``wait``/``stats``/``drain``)
   and the two-way mapping between wire error codes and the
   :class:`~repro.errors.GatewayError` hierarchy.  The frames themselves
   — :func:`encode_frame`, the incremental :class:`FrameDecoder` that

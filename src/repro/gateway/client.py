@@ -21,7 +21,7 @@ network boundary, so the client owns a failure story:
   with capped exponential backoff + jitter and **re-authenticates**
   (the ``hello`` handshake runs on every dial — the daemon forgets the
   tenant with the connection);
-* idempotent ops (``wait``, ``stats``, ``lease``, ``ping``, ...) are
+* idempotent ops (``wait``, ``stats``, ``ping``, ...) are
   re-issued transparently after a reconnect, so an in-flight child is
   never lost to a connection blip: the daemon still holds it, and the
   ``wait`` claim on the new connection returns its real exit status;
@@ -417,14 +417,6 @@ class GatewayClient:
         """Liveness probe (pre-auth on the daemon side): the pong reply."""
         return self._roundtrip({"op": "ping"}, timeout=self._timeout,
                                retryable=True)
-
-    def lease(self, count: int, ttl: float = 10.0) -> dict:
-        """Reserve ``count`` rate-limit-exempt admission credits for
-        ``ttl`` seconds (provisioned concurrency for a known burst)."""
-        reply = self._roundtrip({"op": "lease", "count": count,
-                                 "ttl": ttl}, timeout=self._timeout,
-                                retryable=True)
-        return reply.get("lease", {})
 
     def stats(self) -> dict:
         """The daemon's stats snapshot (queues, sheds, per-tenant)."""

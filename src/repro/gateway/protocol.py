@@ -47,8 +47,8 @@ from ..errors import (AuthError, GatewayConnectionLost, GatewayError,
 #: is answered *before* auth (it leaks nothing beyond "a daemon speaks
 #: this protocol here"), so a supervisor can health-check a daemon
 #: without holding a tenant token.
-OPS = ("hello", "ping", "spawn", "lease", "wait", "stats", "drain")
-PROTOCOL_VERSION = 3
+OPS = ("hello", "ping", "spawn", "wait", "stats", "drain")
+PROTOCOL_VERSION = 4
 
 #: code -> exception class, the one authoritative table.  ``decode``
 #: walks it by code, ``encode`` by (most-derived) class; the round-trip

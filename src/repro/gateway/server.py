@@ -84,9 +84,6 @@ from ..wire import FrameDecoder, encode_frame, recv_with_fds
 from .config import GatewayConfig, TenantConfig, TokenBucket
 from .protocol import PROTOCOL_VERSION, check_request, encode_error
 
-#: Longest lease (admission credits) a tenant may hold, seconds.
-MAX_LEASE_TTL = 60.0
-
 #: Exit statuses remembered per tenant for the ``wait`` claim of a client
 #: whose connection died around the exit; the oldest is forgotten first.
 EXITS_KEPT = 1024
@@ -151,8 +148,7 @@ class _TenantState:
     """Everything the gateway tracks about one tenant at runtime."""
 
     __slots__ = ("config", "bucket", "queue", "vtime", "inflight",
-                 "admitted", "children", "exited", "policy",
-                 "lease_credits", "lease_expiry", "counters")
+                 "admitted", "children", "exited", "policy", "counters")
 
     def __init__(self, config: TenantConfig):
         self.config = config
@@ -170,16 +166,8 @@ class _TenantState:
         self.exited: Dict[int, Union[int, str]] = {}
         self.policy = config.policy or SpawnPolicy(
             deadline=10.0, retries=1, fallback=DEFAULT_FALLBACK)
-        self.lease_credits = 0
-        self.lease_expiry = 0.0
         self.counters = {"admitted": 0, "completed": 0, "failed": 0,
                          "shed": 0, "rate_limited": 0}
-
-    def take_lease_credit(self, now: float) -> bool:
-        if self.lease_credits > 0 and now < self.lease_expiry:
-            self.lease_credits -= 1
-            return True
-        return False
 
 
 class GatewayServer:
@@ -668,8 +656,6 @@ class GatewayServer:
                 raise AuthError("say hello first (tenant + token)")
             elif op == "spawn":
                 self._op_spawn(conn, rid, frame)
-            elif op == "lease":
-                self._op_lease(conn, rid, frame)
             elif op == "wait":
                 self._op_wait(conn, rid, frame)
             elif op == "stats":
@@ -760,12 +746,11 @@ class GatewayServer:
     def _admit(self, conn: _Connection, cost: int) -> _TenantState:
         """The admission ladder: drain, rate, queue bound — in order."""
         tenant = self._tenants[conn.tenant]
-        now = time.monotonic()
         if self._draining:
             raise Overloaded(
                 "gateway is draining; try another instance",
                 retry_after=self.config.drain_grace)
-        if tenant.bucket is not None and not tenant.take_lease_credit(now):
+        if tenant.bucket is not None:
             admitted, retry_after = tenant.bucket.take()
             if not admitted:
                 tenant.counters["rate_limited"] += 1
@@ -840,31 +825,6 @@ class GatewayServer:
             self._close_fds(fds)
             raise
         self._enqueue(tenant, _Job(conn, rid, batch, fds, conn.tenant))
-
-    def _op_lease(self, conn: _Connection, rid: Optional[int],
-                  frame: dict) -> None:
-        """Lease admission credits: ``count`` spawns exempt from the
-        rate limit for ``ttl`` seconds — provisioned concurrency for a
-        burst the tenant knows is coming.  Queue bounds still apply."""
-        tenant = self._tenants[conn.tenant]
-        count = frame.get("count", 1)
-        ttl = frame.get("ttl", 10.0)
-        if not isinstance(count, int) or count < 1:
-            raise GatewayProtocolError(f"lease count must be a positive "
-                                       f"integer, got {count!r}")
-        if not isinstance(ttl, (int, float)) or ttl <= 0:
-            raise GatewayProtocolError(f"lease ttl must be > 0, "
-                                       f"got {ttl!r}")
-        if self._draining:
-            raise Overloaded("gateway is draining",
-                             retry_after=self.config.drain_grace)
-        granted = min(count, tenant.config.max_queue)
-        ttl = min(float(ttl), MAX_LEASE_TTL)
-        tenant.lease_credits = granted
-        tenant.lease_expiry = time.monotonic() + ttl
-        TELEMETRY.count("gateway_leases", tenant=conn.tenant)
-        self._send(conn, {"id": rid,
-                          "lease": {"count": granted, "ttl": ttl}})
 
     def _op_wait(self, conn: _Connection, rid: Optional[int],
                  frame: dict) -> None:

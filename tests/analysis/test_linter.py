@@ -1,9 +1,11 @@
 """Tests for the linter driver, report rendering, and the CLI."""
 
 import json
+import os
 
 import pytest
 
+import repro
 from repro.analysis import lint_file, lint_paths, lint_source
 from repro.analysis.cli import main as cli_main
 from repro.analysis.report import Finding, Report
@@ -16,6 +18,13 @@ SAFE = "import os\nos.posix_spawn('/bin/true', ['true'], {})\n"
 class TestDriver:
     def test_clean_source_yields_no_findings(self):
         assert lint_source(SAFE).findings == []
+
+    def test_our_own_source_is_clean_at_warning_and_above(self):
+        """Every intentional fork site in the library says so with
+        ``# lint-ok: <ids>`` and why; anything else is a finding."""
+        report = lint_paths([os.path.dirname(repro.__file__)])
+        assert report.files_scanned > 50
+        assert [f.format() for f in report.by_severity("warning")] == []
 
     def test_syntax_error_becomes_finding(self):
         report = lint_source("def broken(:\n", "bad.py")

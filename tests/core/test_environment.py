@@ -223,6 +223,34 @@ def test_a_bare_name_is_found_on_the_childs_path(every_strategy, tmp_path,
     assert built(strategy, ["onlyhere"], env) == b"found\n"
 
 
+# -- a child holds exactly the descriptors its request grants ----------------
+
+#: Exits 1, naming them on stderr, if any descriptor given as an argument
+#: is open in the shell; ``[ -e ]`` is a builtin, so it opens none itself.
+ONLY_STDIO = ('leaked=; for n in "$@"; do [ -e /proc/self/fd/$n ] && '
+              'leaked="$leaked $n"; done; '
+              '[ -z "$leaked" ] || { echo "leaked:$leaked" >&2; exit 1; }')
+
+
+@pytest.mark.parametrize("strategy", [
+    "posix_spawn", "fork_exec", "subprocess", "forkserver",
+    "forkserver-pool", "gateway"])
+def test_a_child_holds_only_the_descriptors_it_is_granted(every_strategy,
+                                                          strategy):
+    """Closed by default: while another builder is wired but not yet
+    launched, the child has descriptors 0-2 and none of the caller's
+    others — that builder's pipe ends included."""
+    wired = ProcessBuilder(TRUE).stdout_to_pipe()
+    try:
+        ours = [fd for fd in os.listdir("/proc/self/fd") if int(fd) > 2]
+        child = (ProcessBuilder("/bin/sh", "-c", ONLY_STDIO, "sh",
+                                *ours)
+                 .strategy(strategy).spawn())
+        assert child.wait(timeout=30) == 0
+    finally:
+        wired.close()
+
+
 # -- an inherited environment stays home: counts that repeat exactly ----------
 
 class TestAnInheritedEnvironmentIsNotShipped:

@@ -154,7 +154,7 @@ class TestACallersMistakeCostsNoHelper:
             TELEMETRY.disable()
 
     def test_on_the_pool(self):
-        with ForkServerPool(1, policy=self.POLICY) as pool:
+        with ForkServerPool(1) as pool:
             held = pool.spawn(["/bin/sleep", "0.3"])
             helpers = pool.helper_pids()
             for requests in self.mistakes():

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.core import ForkServerPool, ProcessBuilder
+from repro.core import ForkServerPool, ProcessBuilder, SpawnRequest
 from repro.core.strategies import get_strategy
 from repro.errors import SpawnError
 
@@ -119,6 +119,29 @@ class TestRecovery:
                 assert p.spawn(["/bin/true"]).wait(timeout=10) == 0
             assert p.respawns >= 1
             assert victim not in p.helper_pids()
+
+    def test_steps_closed_at_a_yield_leave_nothing_charged(self):
+        """A daemon that stops under a launch closes its steps.  Closed
+        where the pick's work waits — a retired helper to abort, a
+        reserved cold slot to boot — they still abort the one and give
+        back the other."""
+        with ForkServerPool(1) as p:
+            (victim,) = p.helper_pids()
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while p._slots[0].server.healthy:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            for _ in range(2):  # retired and reserved, then reserved
+                steps = p._unit_steps([SpawnRequest(["/bin/true"])], None,
+                                      None)
+                assert next(steps) is None
+                steps.close()
+                assert p.queue_depth() == 0 and p.helper_pids() == []
+            assert p.respawns == 1
+            with pytest.raises(ChildProcessError):
+                os.waitpid(victim, os.WNOHANG)     # aborted and reaped
+            assert p.spawn(["/bin/true"]).wait(timeout=10) == 0
 
 
 class TestStrategy:

@@ -348,3 +348,21 @@ class TestSpawnedIO:
         assert child.io.read_stdout() == b"x\n"
         child.wait()
         child.io.close()
+
+    def test_a_wired_builder_leaks_no_pipe_end_into_other_launches(self):
+        """A builder wired but not yet launched holds its child's pipe
+        end close-on-exec: a sleeper launched in between used to
+        inherit the write end and hold the reader off EOF until it
+        exited (2.0 s)."""
+        builder = ProcessBuilder("/bin/echo", "hi").stdout_to_pipe()
+        sleeper = ProcessBuilder("/bin/sleep", "2").spawn()
+        try:
+            child = builder.spawn()
+            started = time.monotonic()
+            assert builder.io.read_stdout() == b"hi\n"
+            assert time.monotonic() - started < 0.5
+            assert child.wait(timeout=5) == 0
+        finally:
+            builder.io.close()
+            sleeper.kill()
+            sleeper.wait(timeout=5)

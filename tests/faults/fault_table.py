@@ -1,8 +1,8 @@
 """One table of wire damage, for both shapes of the one unit of work.
 
-``ForkServer`` has one request path and ``ForkServerPool`` one attempt
-loop; a single spawn and a batch differ there in the wire op, a fault
-point's name and a weight.  So the chaos cases are written once —
+``ForkServer`` has one request path and ``ForkServerPool`` one dispatch;
+a single spawn and a batch differ there in the wire op, a fault point's
+name and a weight.  So the chaos cases are written once —
 :data:`ROWS` (fault x what it must cost) and the two checkers below —
 and run per :class:`Unit`: :data:`SINGLE` from ``test_frame_faults.py``,
 :data:`BATCH_OF_3` from ``test_batch_faults.py``, each cell under the name
@@ -11,7 +11,9 @@ the suite has always printed for it.
 
 import pytest
 
-from repro.core import BatchRequest, ForkServer, ForkServerPool, SpawnPolicy
+from repro.core import (BatchRequest, ForkServer, ForkServerPool,
+                        ProcessBuilder, SpawnPolicy, get_strategy,
+                        reset_breakers, spawn_batch)
 from repro.errors import SpawnError
 from repro.faults import FAULTS, FaultPlan
 
@@ -45,18 +47,28 @@ BATCH_OF_3 = Unit(
 #: fault -> what it costs.  ``deadline``: the only thing that can prove
 #: a wedged (not dead) helper is gone.  ``refusal``: the helper answers
 #: no and lives (the error carries this text); otherwise the fault costs
-#: the helper its life.  ``policy``: what the pool needs to get past it
-#: — a refusal or a deadline bills an attempt, a dead helper is failed
-#: over inside one.
+#: the helper its life.  The pool fails a dead helper over by itself; a
+#: refusal is retried by the ladder (:class:`PoolTier`).
 ROWS = {
-    "truncate_frame": dict(
-        deadline=1.0,
-        policy=SpawnPolicy(retries=2, deadline=1.0, backoff=0.01)),
+    "truncate_frame": dict(deadline=1.0),
     "corrupt_frame": dict(),
-    "drop_fd_grant": dict(
-        refusal="EPROTO", policy=SpawnPolicy(retries=2, backoff=0.01)),
+    "drop_fd_grant": dict(refusal="EPROTO"),
     "kill_helper": dict(deadline=5.0),
 }
+
+
+class PoolTier:
+    """The ladder on the shared pool's tier alone (no fallback): what
+    retries a live refusal, which the pool raises rather than retries."""
+
+    policy = SpawnPolicy(retries=2, backoff=0.01, fallback=())
+
+    def spawn(self, argv):
+        return (ProcessBuilder(*argv).strategy("forkserver-pool")
+                .policy(self.policy).spawn())
+
+    def spawn_batch(self, batch):
+        return spawn_batch(batch, policy=self.policy)
 
 
 def on_a_bare_server(fault, unit):
@@ -77,13 +89,22 @@ def on_a_bare_server(fault, unit):
 
 
 def on_a_pool(fault, unit, point=None):
-    """The same fault under the pool's attempt loop: the whole unit
-    arrives, in order, at the price the row names."""
+    """The same fault on a pool: the whole unit arrives, in order, at
+    the price the row names — a dead helper failed over within the
+    pool under the row's deadline, a refusal retried on the pool tier."""
     row = ROWS[fault]
-    with ForkServerPool(2, policy=row.get("policy")) as pool:
+    shared = get_strategy("forkserver-pool")
+    shared.shutdown()
+    reset_breakers()
+    if "refusal" in row:
+        pool, target, terms = shared.pool(), PoolTier(), {}
+    else:
+        pool = target = ForkServerPool(2).start()
+        terms = {"deadline": row["deadline"]} if "deadline" in row else {}
+    try:
         helpers = pool.helper_pids()
         with FAULTS.active(FaultPlan().add(fault, point=point)):
-            unit.lands(pool)
+            unit.lands(target, **terms)
             assert len(FAULTS.fired) == 1
             if point is not None:
                 assert FAULTS.fired == [(point, fault)]
@@ -93,3 +114,7 @@ def on_a_pool(fault, unit, point=None):
             assert pool.respawns == 1 and pool.helper_pids() != helpers
         unit.lands(pool)
         assert pool.queue_depth() == 0
+    finally:
+        pool.stop()
+        shared.shutdown()
+        reset_breakers()

@@ -1,12 +1,13 @@
 """Chaos inside a batch: the all-or-nothing contract under injected faults.
 
 A batch must never partially succeed in silence — a damaged frame, a
-lost fd grant, or a murdered helper fails (or retries) the WHOLE batch,
+lost fd grant, or a murdered helper fails (or fails over) the WHOLE batch,
 and the degradation ladder keeps working when whole tiers go dark.
 
 The frame and helper faults are the cells of ``fault_table.py`` for its
 :data:`BATCH_OF_3` unit — the rows ``test_frame_faults.py`` runs for a single
-spawn, on the one attempt loop both take.
+spawn, on the one pool dispatch both take (a refusal retried by the
+ladder on the pool's tier).
 """
 
 import pytest
@@ -27,7 +28,8 @@ class TestTruncatedBatchFrame:
         on_a_bare_server("truncate_frame", BATCH_OF_3)
 
     def test_pool_with_policy_retries_whole_batch(self):
-        # Every member arrives, in order — nothing dropped.
+        # Under the row's deadline the pool fails the whole batch over
+        # to a fresh helper: every member arrives, in order.
         on_a_pool("truncate_frame", BATCH_OF_3)
 
 

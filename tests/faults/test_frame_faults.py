@@ -15,6 +15,7 @@ class TestTruncateFrame:
         on_a_bare_server("truncate_frame", SINGLE)
 
     def test_pool_with_policy_recovers(self):
+        # The row's deadline proves the wedge; the pool fails over.
         on_a_pool("truncate_frame", SINGLE)
 
 

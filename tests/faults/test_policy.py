@@ -292,16 +292,19 @@ class TestFlappingWorkerRetiredUnderLoad:
         from repro.core import ForkServerPool
         plan = FaultPlan().add("refuse_exec", point="helper", times=None)
         with FAULTS.active(plan):  # only the first helper carries it
-            pool = ForkServerPool(
-                workers=1, policy=SpawnPolicy(deadline=5.0, retries=5,
-                                              backoff=0.0)).start()
+            pool = ForkServerPool(workers=1).start()
         outcomes = []
 
         def caller():
-            try:
-                outcomes.append(pool.spawn(["/bin/true"]).wait(timeout=30))
-            except Exception as exc:
-                outcomes.append(exc)
+            for _ in range(6):  # a refusal is the caller's to retry
+                try:
+                    child = pool.spawn(["/bin/true"], deadline=5.0)
+                except SpawnError as exc:
+                    error = exc
+                    continue
+                outcomes.append(child.wait(timeout=30))
+                return
+            outcomes.append(error)
 
         try:
             threads = [threading.Thread(target=caller) for _ in range(8)]

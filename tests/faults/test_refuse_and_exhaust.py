@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import (ForkServer, ForkServerPool, ProcessBuilder,
-                        SpawnPolicy, strategies)
+from repro.core import (ForkServer, ProcessBuilder, SpawnPolicy,
+                        get_strategy, reset_breakers, strategies)
 from repro.errors import SpawnError
 from repro.faults import FAULTS, FaultPlan
 
@@ -45,16 +45,24 @@ class TestRefuseExec:
             server.stop()
 
     def test_pool_retries_helper_side_refusal(self):
+        """The pool raises a live refusal; the ladder on its tier alone
+        (no fallback) retries it on the same, still healthy helper."""
+        shared = get_strategy("forkserver-pool")
+        shared.shutdown()
+        reset_breakers()
         plan = FaultPlan().add("refuse_exec", point="helper", times=1)
         with FAULTS.active(plan):
-            pool = ForkServerPool(2, prestart=1,
-                                  policy=SpawnPolicy(retries=2,
-                                                     backoff=0.01)).start()
+            pool = shared.pool()  # its first helper carries the fault
         try:
-            child = pool.spawn(["/bin/echo", "ok"])
+            helpers = pool.helper_pids()
+            child = (ProcessBuilder("/bin/echo", "ok")
+                     .strategy("forkserver-pool")
+                     .policy(SpawnPolicy(retries=2, backoff=0.01)).spawn())
             assert child.wait(timeout=10) == 0
+            assert pool.helper_pids() == helpers and pool.respawns == 0
         finally:
-            pool.stop()
+            shared.shutdown()
+            reset_breakers()
 
 
 class TestExhaustFds:

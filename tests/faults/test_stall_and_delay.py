@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.core import ForkServer, ForkServerPool, SpawnPolicy
+from repro.core import ForkServer, ForkServerPool
 from repro.errors import SpawnError, SpawnTimeout
 from repro.faults import FAULTS, FaultPlan
 
@@ -31,9 +31,9 @@ class TestStallHelper:
             pool = ForkServerPool(2, prestart=1).start()
         try:
             # Slot 0 is wedged; the deadline proves it and the request
-            # fails over to a freshly booted (healthy) worker.
-            policy = SpawnPolicy(retries=1, deadline=0.5, backoff=0.01)
-            child = pool.spawn(["/bin/echo", "ok"], policy=policy)
+            # fails over to a freshly booted (healthy) worker — the
+            # pool's own recovery, no retry needed.
+            child = pool.spawn(["/bin/echo", "ok"], deadline=0.5)
             assert child.wait(timeout=10) == 0
             assert pool.respawns >= 1
         finally:
@@ -69,8 +69,8 @@ class TestDelaySigchld:
 
 class TestStallTimingBudget:
     def test_deadline_failure_is_prompt_not_additive(self):
-        # Three stalled attempts under a 0.3s deadline must finish in
-        # attempts * (deadline + backoff) time, nowhere near the stall.
+        # Every dispatch stalls: the pool fails over once per slot plus
+        # one under a 0.3s deadline each, nowhere near the stall.
         with FAULTS.active(FaultPlan().add("stall_helper", seconds=30,
                                            times=None, after=1)):
             pool = ForkServerPool(1, prestart=1).start()
@@ -80,9 +80,7 @@ class TestStallTimingBudget:
             started = time.monotonic()
             with FAULTS.active(restall):  # replacements stall too
                 with pytest.raises(SpawnError):
-                    pool.spawn(["/bin/true"],
-                               policy=SpawnPolicy(retries=1, deadline=0.3,
-                                                  backoff=0.01))
+                    pool.spawn(["/bin/true"], deadline=0.3)
             assert time.monotonic() - started < 10
         finally:
             pool.stop()

@@ -313,19 +313,29 @@ class TestAdmission:
         finally:
             server.stop()
 
-    def test_lease_credits_bypass_the_bucket(self, tmp_path):
-        tenants = {"bursty": TenantConfig(name="bursty", rate=0.1,
-                                          burst=1, **FAST)}
+    def test_lease_is_an_unknown_op_and_the_bucket_holds(self, tmp_path):
+        """Protocol 4 has no ``lease``.  It reset a tenant's rate-exempt
+        credits on every call, so three ``lease(60)`` calls let a
+        1-req/s tenant through 180 spawns in 0.18 s."""
+        tenants = {"metered": TenantConfig(name="metered", rate=1.0,
+                                           burst=1.0, **FAST)}
         server = make_server(tmp_path, tenants=tenants)
         try:
-            with GatewayClient(server.unix_path, tenant="bursty",
+            with GatewayClient(server.unix_path, tenant="metered",
                                token=TOKEN) as client:
-                lease = client.lease(3, ttl=10.0)
-                assert lease == {"count": 3, "ttl": 10.0}
-                # 3 leased + 1 bucket token pass; the 5th is limited.
-                children = [client.spawn(["/bin/true"]) for _ in range(4)]
-                with pytest.raises(RateLimited):
-                    client.spawn(["/bin/true"])
+                for _ in range(3):
+                    with pytest.raises(GatewayProtocolError,
+                                       match="unknown op 'lease'"):
+                        client._roundtrip({"op": "lease", "count": 60,
+                                           "ttl": 10.0}, timeout=10)
+                started, children = time.monotonic(), []
+                for _ in range(10):
+                    try:
+                        children.append(client.spawn(["/bin/true"]))
+                    except RateLimited:
+                        pass
+                # The burst, plus what the bucket refilled meanwhile.
+                assert len(children) <= 1 + (time.monotonic() - started)
                 for child in children:
                     assert child.wait(timeout=10) == 0
         finally:
@@ -627,6 +637,7 @@ class TestMalformedClients:
                                                "env": 5}], "nfds": 0},
             {"op": "spawn", "id": 5, "reqs": [], "nfds": 0},
             {"op": "spawn", "id": 6, "reqs": [{"no": "argv"}], "nfds": 0},
+            # Protocol 3's lease op: unknown since protocol 4.
             {"op": "lease", "id": 7, "count": -2},
             {"op": "lease", "id": 8, "ttl": "forever"},
             {"op": "wait", "id": 9, "pid": "four"},

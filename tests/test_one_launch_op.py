@@ -63,7 +63,7 @@ def test_the_helper_speaks_one_launch_op():
 
 def test_the_gateway_speaks_one_launch_op():
     assert "spawn_batch" not in protocol.OPS and "spawn" in protocol.OPS
-    assert protocol.PROTOCOL_VERSION == 3
+    assert protocol.PROTOCOL_VERSION == 4
 
 
 def test_forkserver_md_names_exactly_the_helpers_ops():
