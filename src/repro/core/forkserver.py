@@ -520,9 +520,10 @@ class ForkServer:
         All-or-nothing: a damaged frame, lost grant, or failed fork
         fails the ENTIRE batch with :class:`SpawnError` (the helper
         kills any members it had already forked).  No member is ever
-        silently dropped; a pool above retries the whole batch per its
-        :class:`~repro.core.policy.SpawnPolicy`.  With telemetry on the
-        server starts and owns one trace per member.
+        silently dropped.  A pool above only fails a dead helper over;
+        the ladder (:func:`repro.core.spawn_batch`) retries the whole
+        batch per its :class:`~repro.core.policy.SpawnPolicy`.  With
+        telemetry on the server starts and owns one trace per member.
         """
         from .batch import BatchResult, batch_unit
         batch = batch_unit("ForkServer.spawn_batch", requests,

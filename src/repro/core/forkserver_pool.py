@@ -336,7 +336,9 @@ class ForkServerPool:
         silently dropped.  A batch no helper could take (empty, more
         members than one SCM_RIGHTS grant carries) is refused before
         one is picked, and costs no helper a strike.  The batch's own
-        ``policy`` is the ladder's (:func:`repro.core.spawn_batch`).
+        ``policy``, the policy's deadline included, is read only by the
+        ladder (:func:`repro.core.spawn_batch`): here only ``deadline=``
+        (or the batch's own ``deadline``) bounds a wedged helper.
         """
         from .batch import BatchResult, batch_unit
         batch = batch_unit("ForkServerPool.spawn_batch", requests,

@@ -47,10 +47,12 @@ BATCH_OF_3 = Unit(
 #: fault -> what it costs.  ``deadline``: the only thing that can prove
 #: a wedged (not dead) helper is gone.  ``refusal``: the helper answers
 #: no and lives (the error carries this text); otherwise the fault costs
-#: the helper its life.  The pool fails a dead helper over by itself; a
-#: refusal is retried by the ladder (:class:`PoolTier`).
+#: the helper its life.  The pool fails a dead helper over by itself,
+#: noticing it by EOF alone; a wedged one only under ``pool_deadline``
+#: (the deadline the pool is given), and a refusal is retried by the
+#: ladder (:class:`PoolTier`).
 ROWS = {
-    "truncate_frame": dict(deadline=1.0),
+    "truncate_frame": dict(deadline=1.0, pool_deadline=1.0),
     "corrupt_frame": dict(),
     "drop_fd_grant": dict(refusal="EPROTO"),
     "kill_helper": dict(deadline=5.0),
@@ -91,7 +93,8 @@ def on_a_bare_server(fault, unit):
 def on_a_pool(fault, unit, point=None):
     """The same fault on a pool: the whole unit arrives, in order, at
     the price the row names — a dead helper failed over within the
-    pool under the row's deadline, a refusal retried on the pool tier."""
+    pool (under the row's ``pool_deadline``, if it names one), a refusal
+    retried on the pool tier."""
     row = ROWS[fault]
     shared = get_strategy("forkserver-pool")
     shared.shutdown()
@@ -100,7 +103,8 @@ def on_a_pool(fault, unit, point=None):
         pool, target, terms = shared.pool(), PoolTier(), {}
     else:
         pool = target = ForkServerPool(2).start()
-        terms = {"deadline": row["deadline"]} if "deadline" in row else {}
+        terms = ({"deadline": row["pool_deadline"]}
+                 if "pool_deadline" in row else {})
     try:
         helpers = pool.helper_pids()
         with FAULTS.active(FaultPlan().add(fault, point=point)):
