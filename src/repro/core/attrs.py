@@ -26,8 +26,10 @@ class SpawnAttributes:
             parent's at spawn time.
         cwd: working directory for the child, or ``None`` to inherit.
             (POSIX's spawn lacks this — a known wart the paper notes as
-            "chdir in the child" pressure; we provide it the way real
-            implementations do, via a helper in the launch path.)
+            "chdir in the child" pressure.  A launcher that can run
+            code in the child provides it: ``fork_exec``, which the
+            default picker forks the caller for, or a forkserver
+            helper's child.)
         new_process_group: put the child in its own process group
             (``setpgid(0, 0)``), the shell's job-control idiom.
         reset_signals: restore default dispositions for every catchable
@@ -35,9 +37,10 @@ class SpawnAttributes:
         sigmask: signals to block in the child, by number.
         umask: file-creation mask, or ``None`` to inherit.
         deadline: seconds one spawn attempt may take before it is
-            abandoned (today only the forkserver strategies can enforce
-            it — they own a wire round-trip to bound; direct syscalls
-            complete or fail immediately).
+            abandoned, where a launcher owns a wait to bound: the
+            forkserver strategies' and ``gateway``'s wire round trip,
+            ``xproc``'s run of the sim child.  Direct syscalls complete
+            or fail immediately.
     """
 
     env: Optional[Dict[str, str]] = None
@@ -103,15 +106,6 @@ class SpawnAttributes:
             os.umask(self.umask)
         if self.cwd is not None:
             os.chdir(self.cwd)
-
-    def needs_helper_hop(self) -> bool:
-        """Whether plain ``posix_spawn`` cannot express everything.
-
-        ``cwd`` and ``umask`` have no posix_spawn attribute; strategies
-        that cannot run code in the child must either reject them or
-        hop through a helper.
-        """
-        return self.cwd is not None or self.umask is not None
 
 
 def check_argv(argv: Sequence) -> None:

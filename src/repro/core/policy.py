@@ -39,6 +39,7 @@ who                    backs off on              trips on
 ladder, per tier       ``policy.backoff_delay``  ``breaker_for(tier)``
 daemon, per tenant     (the ladder's)            a ``breaker_for`` per tenant
 ``ForkServerPool``     —                         ``slot.strikes`` (*)
+``TemplateRegistry``   ``autoscale.interval``    — (``miss_grace``) (†)
 ``GatewayClient``      ``backoff=Backoff()``     — (``max_reconnects`` budget)
 ``GatewaySupervisor``  ``Backoff(jitter=0.0)``   its own ``CircuitBreaker``
 =====================  ========================  ============================
@@ -46,10 +47,17 @@ daemon, per tenant     (the ladder's)            a ``breaker_for`` per tenant
 The ladder walks :class:`ProcessBuilder` and :func:`repro.core.spawn_batch`
 alike and hands the pool no policy: the pool fails a dead helper over
 within one dispatch and retries nothing, so retrying a pool launch is
-the ladder's job alone.  One thing stays apart by decision.
+the ladder's job alone.  A tier whose declaration cannot express the
+request (:attr:`~repro.core.strategies.Strategy.expresses`) is passed
+over, not retried: it costs no back-off and no breaker verdict.  Two
+things stay apart by decision.
 (*) ``slot.strikes``: a fixed limit of three, and its verdict is
 "retire the helper", not "cool down" — six lines a breaker would not
 shorten.
+(†) After a ``code`` miss on a profile's warm stock the registry
+re-leases every ``autoscale.interval`` for up to ``miss_grace`` seconds
+while the restock catches up, then degrades down the ladder: it waits
+for a resource, not for a launcher to recover.
 """
 
 from __future__ import annotations

@@ -129,6 +129,9 @@ class ChildProcess:
           the return value is a pidfd, readable once the child is a
           zombie: watch it on the loop you already run, and when it
           reads, ``poll()`` and close it.  The fd is the caller's.
+        * a gateway child is the daemon's, and nothing here routes its
+          exit unless some caller pumps that client: its ``watch``
+          raises :class:`SpawnError` — ``poll()`` it instead.
 
         Returns ``None`` whenever no fd needs watching.  One callback
         per handle; a kernel without ``pidfd_open`` raises

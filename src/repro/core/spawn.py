@@ -28,11 +28,14 @@ strategy stamps what its syscall can see, and the eventual
 
 from __future__ import annotations
 
+import contextlib
 import os
+import select
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
-from ..errors import GatewayConnectionLost, GatewayError, SpawnError
+from ..errors import (GatewayConnectionLost, GatewayError, SpawnError,
+                      SpawnTimeout)
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
 from .attrs import SpawnAttributes, check_argv
@@ -41,7 +44,8 @@ from .file_actions import FileActions
 from .policy import SpawnPolicy, breaker_for
 from .result import ChildProcess, CompletedChild
 from .steps import Steps, run_steps
-from .strategies import Strategy, get_strategy, pick_default_strategy
+from .strategies import (Strategy, cannot, get_strategy, member_request,
+                         needs, pick_default_strategy)
 
 
 class SpawnedIO:
@@ -78,12 +82,20 @@ class SpawnedIO:
         return self._drain(self.stderr_fd, limit)
 
     @staticmethod
-    def _drain(fd: Optional[int], limit: int) -> bytes:
+    def _drain(fd: Optional[int], limit: int,
+               deadline: Optional[float] = None) -> Optional[bytes]:
+        """Up to ``limit`` bytes, read to EOF — or ``None`` once the
+        ``time.monotonic()`` instant ``deadline`` passes first."""
         if fd is None:
             raise SpawnError("that stream is not a pipe")
         chunks: List[bytes] = []
         remaining = limit
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
         while remaining > 0:
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and (left <= 0 or not poller.poll(left * 1e3)):
+                return None
             chunk = os.read(fd, min(65536, remaining))
             if not chunk:
                 break
@@ -319,7 +331,8 @@ class ProcessBuilder:
             else:
                 child = yield from _ladder_steps(
                     _chain(strategy.name, self._policy), self._policy,
-                    trace, launch, repr(self._argv))
+                    trace, launch, repr(self._argv),
+                    needs(self._actions, self._attrs))
         except BaseException as error:
             trace.failure(error)
             self._io.close()
@@ -351,18 +364,32 @@ def run(*argv: str, timeout: Optional[float] = None,
     unpacks as the historical ``(returncode, stdout_bytes)`` pair.
     ``strategy`` forces a launcher; ``policy`` runs the spawn under a
     :class:`SpawnPolicy` (retries, deadline, fallback chain).
+    ``timeout`` bounds the whole run, reading stdout to EOF included:
+    on expiry the child is killed and reaped, the pipe closed, and
+    :class:`~repro.errors.SpawnTimeout` raised, as ``subprocess.run``
+    does.
     """
     started = time.monotonic()
+    deadline = None if timeout is None else started + timeout
     builder = ProcessBuilder(*argv).stdout_to_pipe()
     if strategy is not None:
         builder.strategy(strategy)
     if policy is not None:
         builder.policy(policy)
     child = builder.spawn()
-    output = builder.io.read_stdout()
-    code = child.wait(timeout=timeout)
-    builder.io.close()
-    return CompletedChild(argv=child.argv, returncode=code, stdout=output,
+    with builder.io:
+        output = builder.io._drain(builder.io.stdout_fd, 1 << 20, deadline)
+        with contextlib.suppress(SpawnError):  # a timed-out wait
+            if output is not None:
+                child.wait(timeout=None if deadline is None
+                           else max(0.0, deadline - time.monotonic()))
+        if not child.finished:
+            child.kill()
+            child.wait()
+            raise SpawnTimeout(f"{' '.join(argv)!r} outlived its "
+                               f"timeout of {timeout}s")
+    return CompletedChild(argv=child.argv, returncode=child.returncode,
+                          stdout=output,
                           duration=time.monotonic() - started)
 
 
@@ -371,17 +398,43 @@ def _chain(head: str, policy: SpawnPolicy) -> List[str]:
     return [head] + [name for name in policy.fallback if name != head]
 
 
+def _refuse_inexpressible(chain: List[str], need: FrozenSet[str],
+                          what: str) -> None:
+    """Refuse, naming each tier and what it lacks, a request no tier of
+    ``chain`` can express: the caller's mistake, charged to no tier."""
+    lacking = []
+    for name in chain:
+        missing = get_strategy(name).lacks(need)
+        if not missing:
+            return
+        lacking.append(cannot(name, missing))
+    raise SpawnError(f"no tier of {chain!r} can express {what}: "
+                     f"{'; '.join(lacking)}")
+
+
+def _unit_needs(members) -> FrozenSet[str]:
+    """What a batch unit asks of a tier: what its members, as the
+    requests a per-member tier launches, need between them."""
+    need = frozenset()
+    for member in members:
+        need |= needs(*member_request(member, None))
+    return need
+
+
 def _ladder_steps(chain: List[str], pol: SpawnPolicy, trace,
-                  launch: Callable[[Strategy], Steps], what: str) -> Steps:
+                  launch: Callable[[Strategy], Steps], what: str,
+                  need: FrozenSet[str]) -> Steps:
     """The resilience executor: retries, breakers, degradation — the
     one walker, for any unit of work (a builder's child, a batch, a
     template's degraded lease), as resumable steps.
 
     Walks ``chain`` (strategy names, the chosen one first);
     ``launch(strategy)`` is the steps that put the unit on one tier and
-    return what it made.  Each tier gets up to ``pol.attempts()`` tries
-    with exponential backoff and jitter, guarded by that tier's shared
-    circuit breaker; a tier whose breaker is open is skipped outright.
+    return what it made.  A tier not ``available()`` or unable to express
+    ``need`` is passed over (no attempt, back-off or breaker verdict);
+    each other gets up to ``pol.attempts()`` tries with exponential
+    backoff and jitter, guarded by that tier's shared circuit breaker;
+    a tier whose breaker is open is skipped outright.
     Moving down the chain stamps a ``fallback`` trace stage and
     counter, so the degradation is visible in ``repro-bench metrics``,
     not silent.
@@ -392,10 +445,11 @@ def _ladder_steps(chain: List[str], pol: SpawnPolicy, trace,
     ``ambiguous_loss`` — instead of retried or degraded, unless the
     policy's ``retry_ambiguous`` explicitly opts the workload in.
     """
+    _refuse_inexpressible(chain, need, what)
     last_error: Optional[BaseException] = None
     for index, name in enumerate(chain):
         strategy = get_strategy(name)
-        if not strategy.available():
+        if not strategy.available() or strategy.lacks(need):
             continue
         if index:
             TELEMETRY.count("fallback", strategy=name)
@@ -473,8 +527,8 @@ def spawn_batch(requests: BatchRequest, *,
     that served them) or an exception — members are never silently
     dropped.  A batch no tier could take (not a ``BatchRequest``,
     empty, too many members for one fd grant, a member no exec could
-    take) is refused before the first tier is tried and charges no
-    breaker.
+    take, a unit no tier of the chain can express) is refused before
+    the first tier is tried and charges no breaker.
     """
     return run_steps(_spawn_batch_steps(batch_unit(
         "repro.core.spawn_batch", requests, policy=policy,
@@ -494,5 +548,5 @@ def _spawn_batch_steps(unit: BatchRequest,
     children = yield from _ladder_steps(
         _chain(strategy, policy), policy, NULL_TRACE,
         lambda tier: tier._batch_steps(unit.members, deadline),
-        f"a batch of {len(unit)}")
+        f"a batch of {len(unit)}", _unit_needs(unit.members))
     return BatchResult(children, strategy=children[0].strategy)

@@ -31,9 +31,10 @@ strategies as one wire frame, every other one as an all-or-nothing loop
 over its own ``launch``.  So the ladder :func:`repro.core.spawn_batch`
 walks enters whatever tier the policy names.
 
-Strategies raise :class:`~repro.errors.SpawnError` for requests they
-cannot express (e.g. plain posix_spawn has no ``cwd`` attribute) instead
-of silently approximating.
+Each strategy declares once what it can express (:attr:`Strategy.expresses`,
+in :data:`CAPABILITIES`' words; :func:`needs` is a request's side).  A launch
+refuses the rest with one :class:`~repro.errors.SpawnError` instead of
+silently approximating (plain posix_spawn has no ``cwd`` attribute).
 
 Every ``launch`` accepts an optional :class:`~repro.obs.SpawnTrace` and
 stamps the lifecycle stage its syscall can actually observe:
@@ -46,10 +47,11 @@ the exec), and the forkserver pool defers to the wire protocol's
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import subprocess
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..errors import SpawnError
 from ..faults import FAULTS
@@ -81,10 +83,79 @@ def _resolve_executable(argv: Sequence[str], env=None) -> str:
     raise SpawnError(f"executable not found on PATH: {exe!r}")
 
 
+#: What a launch request may ask of its launcher beyond an argv: the
+#: :class:`SpawnAttributes` knobs, then the two kinds of file action —
+#: ``stdio`` wires the triple a granted child holds (and closes above
+#: it, where such a child holds nothing), ``fd_actions`` is any other.
+CAPABILITIES = ("env", "cwd", "umask", "process_group", "reset_signals",
+                "sigmask", "stdio", "fd_actions")
+
+
+def needs(actions: FileActions, attrs: SpawnAttributes) -> FrozenSet[str]:
+    """What a request asks of its launcher, in :data:`CAPABILITIES`'
+    words (a batch unit's: the union over :func:`member_request`)."""
+    need = set()
+    if attrs.env is not None:
+        need.add("env")
+    if attrs.cwd is not None:
+        need.add("cwd")
+    if attrs.umask is not None:
+        need.add("umask")
+    if attrs.new_process_group:
+        need.add("process_group")
+    if attrs.reset_signals:
+        need.add("reset_signals")
+    if attrs.sigmask:
+        need.add("sigmask")
+    for action in actions.actions():
+        # The fd a dup2 or an open makes, or the one a close drops:
+        # making 0-2, or dropping above them, only wires the triple.
+        kind, fd = action[0], action[2 if action[0] == "dup2" else 1]
+        need.add("stdio" if (fd > 2) == (kind == "close") else "fd_actions")
+    return frozenset(need)
+
+
+def member_request(req: SpawnRequest, deadline: Optional[float]):
+    """A unit member as the ``(FileActions, SpawnAttributes)`` a
+    per-member launch takes: its stdio grant as dup2s."""
+    actions = FileActions()
+    for target, fd in enumerate(req.grant()):
+        if fd != target:
+            actions.add_dup2(fd, target)
+    return actions, SpawnAttributes(env=req.env, cwd=req.cwd,
+                                    deadline=deadline)
+
+
+def cannot(name: str, lacking: FrozenSet[str]) -> str:
+    """The one wording of a refusal: ``<tier> cannot express <what>``."""
+    return (f"{name} cannot express "
+            f"{', '.join(c for c in CAPABILITIES if c in lacking)}")
+
+
 class Strategy:
     """Interface: launch ``argv`` with the given actions and attributes."""
 
     name = "abstract"
+
+    #: What this launcher can express, in :data:`CAPABILITIES`' words.
+    #: ``None`` declares nothing: such a launcher is offered every
+    #: request and refuses inside its own ``launch``.
+    expresses: Optional[FrozenSet[str]] = None
+
+    def lacks(self, need: FrozenSet[str]) -> FrozenSet[str]:
+        """What of ``need`` this launcher's declaration cannot express."""
+        return frozenset() if self.expresses is None else need - self.expresses
+
+    def _enter(self, argv: Sequence[str], actions: FileActions,
+               attrs: SpawnAttributes) -> None:
+        """The front of every launch: a request this launcher cannot
+        express is refused before the ``strategy.launch`` injection
+        point fires."""
+        attrs.validate()
+        lacking = self.lacks(needs(actions, attrs))
+        if lacking:
+            raise SpawnError(cannot(self.name, lacking))
+        self._fire_launch(argv)
 
     def launch(self, argv: Sequence[str], actions: FileActions,
                attrs: SpawnAttributes, trace=NULL_TRACE) -> ChildProcess:
@@ -114,13 +185,8 @@ class Strategy:
         children: List[ChildProcess] = []
         try:
             for req in reqs:
-                actions = FileActions()
-                for target, fd in enumerate(req.grant()):
-                    if fd != target:
-                        actions.add_dup2(fd, target)
+                actions, attrs = member_request(req, deadline)
                 trace = TELEMETRY.trace(self.name, req.argv)
-                attrs = SpawnAttributes(env=req.env, cwd=req.cwd,
-                                        deadline=deadline)
                 children.append(self.launch(req.argv, actions, attrs,
                                             trace=trace))
                 trace.success(children[-1].pid)
@@ -192,16 +258,14 @@ def get_strategy(name: str) -> Strategy:
 class PosixSpawnStrategy(Strategy):
     """``os.posix_spawn`` — constant-cost process creation."""
 
+    #: POSIX's attribute set has no ``cwd`` and no ``umask``.
+    expresses = frozenset(CAPABILITIES) - {"cwd", "umask"}
+
     def available(self) -> bool:
         return hasattr(os, "posix_spawn")
 
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
-        attrs.validate()
-        self._fire_launch(argv)
-        if attrs.needs_helper_hop():
-            raise SpawnError(
-                "posix_spawn has no cwd/umask attribute; use the "
-                "fork_exec strategy or drop those attributes")
+        self._enter(argv, actions, attrs)
         path = _resolve_executable(argv, attrs.env)
         pid = os.posix_spawn(
             path, list(argv), attrs.effective_env(),
@@ -220,12 +284,14 @@ class ForkExecStrategy(Strategy):
     fallback for requests posix_spawn cannot express.
     """
 
+    #: Code runs in the child between fork and exec: everything.
+    expresses = frozenset(CAPABILITIES)
+
     def available(self) -> bool:
         return hasattr(os, "fork")
 
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
-        attrs.validate()
-        self._fire_launch(argv)
+        self._enter(argv, actions, attrs)
         path = _resolve_executable(argv, attrs.env)
         env = attrs.effective_env()
         # The strategy is literal fork+exec, kept as the measured baseline.
@@ -245,23 +311,18 @@ class ForkExecStrategy(Strategy):
 
 @register_strategy("subprocess")
 class SubprocessStrategy(Strategy):
-    """The stdlib's ``subprocess.Popen`` as a reference implementation.
+    """The stdlib's ``subprocess.Popen`` as a reference implementation:
+    an environment and a working directory, no file action and none of
+    the knobs ``Popen`` could only approximate.  The point of including
+    it is calibration, not features."""
 
-    Only plain requests (no file actions beyond stdio dup2s) are
-    supported; the point of including it is calibration, not features.
-    """
+    expresses = frozenset({"env", "cwd"})
 
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
-        attrs.validate()
-        self._fire_launch(argv)
-        if len(actions):
-            raise SpawnError(
-                "SubprocessStrategy takes no file actions; use "
-                "ProcessBuilder's stdio helpers with another strategy")
+        self._enter(argv, actions, attrs)
         proc = subprocess.Popen(
             list(argv), env=attrs.effective_env(), cwd=attrs.cwd,
-            start_new_session=attrs.new_process_group,
-            restore_signals=attrs.reset_signals)
+            restore_signals=False)
         trace.stage("execed", pid=proc.pid)
 
         def reaper(pid: int, flags: int,
@@ -276,23 +337,15 @@ class SubprocessStrategy(Strategy):
                             reaper=reaper, trace=trace)
 
 
-def _reject_unwirable_attrs(name: str, attrs: SpawnAttributes) -> None:
-    """Forkserver requests travel as JSON + fd grants; only env/cwd fit."""
-    if (attrs.new_process_group or attrs.reset_signals
-            or attrs.sigmask or attrs.umask is not None):
-        raise SpawnError(
-            f"{name} supports only env/cwd attributes; use "
-            f"posix_spawn or fork_exec for signal/pgroup/umask control")
+#: A request that travels as JSON plus an SCM_RIGHTS stdio grant.
+WIRE_EXPRESSES = frozenset({"env", "cwd", "stdio"})
 
 
+@contextlib.contextmanager
 def _stdio_grant(actions: FileActions):
-    """Replay a file-action list into the stdio triple to grant.
-
-    Returns ``(stdio, opened)``: the child-fd → parent-fd map for fds
-    0-2, and the descriptors this call opened (the caller must close
-    them once the grant is sent).  Actions that cannot be expressed as
-    an SCM_RIGHTS stdio grant are rejected rather than approximated.
-    """
+    """The triple to grant — child fd → parent fd, for 0-2 — replayed
+    from a file-action list that needs no more than ``stdio``; what it
+    opens to grant is closed on the way out."""
     stdio = {0: 0, 1: 1, 2: 2}
     opened: List[int] = []
     try:
@@ -302,21 +355,13 @@ def _stdio_grant(actions: FileActions):
                 stdio[action[2]] = stdio.get(action[1], action[1])
             elif kind == "open" and action[1] in stdio:
                 _, fd, path, flags, mode = action
-                handle = os.open(path, flags, mode)
-                opened.append(handle)
-                stdio[fd] = handle
-            elif kind == "close" and action[1] not in stdio:
-                continue  # helper children only ever get the triple
-            else:
-                raise SpawnError(
-                    f"forkserver strategies cannot express file action "
-                    f"{action!r}; only stdio wiring travels over "
-                    f"SCM_RIGHTS")
-    except BaseException:
+                opened.append(os.open(path, flags, mode))
+                stdio[fd] = opened[-1]
+            # else a close above the triple: the child holds nothing there
+        yield stdio
+    finally:
         for handle in opened:
             os.close(handle)
-        raise
-    return stdio, opened
 
 
 class _WireStrategy(Strategy):
@@ -324,9 +369,10 @@ class _WireStrategy(Strategy):
     work — a single spawn's one member or a batch's N — put on a
     helper's wire by the subclass's ``_unit_steps(reqs, traces,
     deadline)``.  Stdio file actions are translated into the
-    forkserver's explicit SCM_RIGHTS grant; actions that cannot be
-    expressed that way are rejected rather than approximated.
+    forkserver's explicit SCM_RIGHTS grant.
     """
+
+    expresses = WIRE_EXPRESSES
 
     def available(self) -> bool:
         return hasattr(os, "fork")
@@ -335,19 +381,13 @@ class _WireStrategy(Strategy):
         return run_steps(self._launch_steps(argv, actions, attrs, trace))
 
     def _launch_steps(self, argv, actions, attrs, trace=NULL_TRACE):
-        attrs.validate()
-        self._fire_launch(argv)
-        _reject_unwirable_attrs(self.name, attrs)
-        stdio, opened = _stdio_grant(actions)
-        try:
+        self._enter(argv, actions, attrs)
+        with _stdio_grant(actions) as stdio:
             member = SpawnRequest(
                 argv, env=attrs.env, cwd=attrs.cwd,
                 stdin=stdio[0], stdout=stdio[1], stderr=stdio[2])
             children = yield from self._unit_steps(
                 [member], [trace], attrs.deadline)
-        finally:
-            for handle in opened:
-                os.close(handle)
         return children[0]
 
     def _batch_steps(self, reqs, deadline):
@@ -465,6 +505,8 @@ class GatewayStrategy(Strategy):
     (:data:`~repro.core.policy.GATEWAY_FALLBACK`) degrades past.
     """
 
+    expresses = WIRE_EXPRESSES
+
     def __init__(self):
         self._client = None
         self._supervisor = None
@@ -546,19 +588,12 @@ class GatewayStrategy(Strategy):
             self._teardown_locked()
 
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
-        attrs.validate()
-        self._fire_launch(argv)
-        _reject_unwirable_attrs(self.name, attrs)
-        stdio, opened = _stdio_grant(actions)
-        try:
-            child = self.client().spawn(
+        self._enter(argv, actions, attrs)
+        with _stdio_grant(actions) as stdio:
+            return self.client().spawn(
                 argv, env=attrs.effective_env(), cwd=attrs.cwd,
                 stdin=stdio[0], stdout=stdio[1], stderr=stdio[2],
                 trace=trace, deadline=attrs.deadline)
-        finally:
-            for handle in opened:
-                os.close(handle)
-        return child
 
 
 # Helpers are real processes; make sure an interpreter that used the
@@ -569,8 +604,10 @@ atexit.register(_REGISTRY["gateway"].shutdown)
 
 
 def pick_default_strategy(attrs: SpawnAttributes) -> Strategy:
-    """The paper's policy: spawn by default, fork only when forced."""
+    """The paper's policy: spawn by default, fork only when forced —
+    when ``posix_spawn``'s declaration lacks something ``attrs`` asks
+    for (it expresses every file action, so those never force it)."""
     posix = _REGISTRY["posix_spawn"]
-    if posix.available() and not attrs.needs_helper_hop():
+    if posix.available() and not posix.lacks(needs(FileActions(), attrs)):
         return posix
     return _REGISTRY["fork_exec"]

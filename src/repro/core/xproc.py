@@ -345,6 +345,11 @@ class XProcStrategy(Strategy):
     breaks and degrades on.
     """
 
+    #: An embryo *starts* with every disposition at default, the whole
+    #: point, and stdio arrives as a grant; the host-specific rest is
+    #: refused rather than silently approximated.
+    expresses = frozenset({"reset_signals", "stdio"})
+
     def __init__(self):
         self._kernel = None
         self._agent = None  # the agent process's main thread
@@ -394,48 +399,17 @@ class XProcStrategy(Strategy):
             self._kernel = None
             self._agent = None
 
-    # -- request vetting ------------------------------------------------------
-
-    @staticmethod
-    def _check_attrs(attrs: SpawnAttributes) -> None:
-        """Reject attributes a sim child cannot honour.
-
-        ``reset_signals`` is accepted as a no-op — an xproc embryo
-        *starts* with every disposition at default, which is the whole
-        point.  Everything host-specific (process groups, umask, signal
-        masks, cwd, a replacement environment) is refused rather than
-        silently approximated.
-        """
-        refused = []
-        if attrs.new_process_group:
-            refused.append("new_process_group")
-        if attrs.sigmask:
-            refused.append("sigmask")
-        if attrs.umask is not None:
-            refused.append("umask")
-        if attrs.cwd is not None:
-            refused.append("cwd")
-        if attrs.env is not None:
-            refused.append("env")
-        if refused:
-            raise SpawnError(
-                f"xproc children run on the sim kernel and cannot honour "
-                f"{', '.join(refused)}; use a host strategy for those")
-
     # -- the launch ------------------------------------------------------------
 
     def launch(self, argv, actions: FileActions, attrs: SpawnAttributes,
                trace=NULL_TRACE) -> ChildProcess:
-        attrs.validate()
-        self._fire_launch(argv)
-        self._check_attrs(attrs)
+        self._enter(argv, actions, attrs)
         path = os.fspath(argv[0])
         args = tuple(os.fspath(a) for a in argv[1:])
         deadline_at = (time.monotonic() + attrs.deadline
                        if attrs.deadline is not None else None)
-        stdio, opened = _stdio_grant(actions)
         try:
-            with self._lock:
+            with _stdio_grant(actions) as stdio, self._lock:
                 kernel, agent = self._machine_locked()
                 if path not in kernel.programs:
                     raise SpawnError(
@@ -443,13 +417,8 @@ class XProcStrategy(Strategy):
                         f"one with get_strategy('xproc').register_program()")
                 pid, raw_status = self._construct_and_run(
                     kernel, agent, path, args, stdio, trace, deadline_at)
-        except SpawnError:
-            raise
         except SimError as exc:
             raise SpawnError(f"xproc construction failed: {exc}") from exc
-        finally:
-            for handle in opened:
-                os.close(handle)
         child = SimChildProcess(pid, raw_status, argv=argv,
                                 strategy=self.name, trace=trace)
         child.poll()  # the status is already known; reap it eagerly

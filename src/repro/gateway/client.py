@@ -65,7 +65,7 @@ from ..core.forkserver import SpawnRequest
 from ..core.policy import Backoff
 from ..core.result import ChildProcess, encode_status
 from ..errors import (GatewayConnectionLost, GatewayError,
-                      GatewayProtocolError, RateLimited)
+                      GatewayProtocolError, RateLimited, SpawnError)
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
 from ..wire import Channel
@@ -94,6 +94,14 @@ def _exit_status(notice: dict):
         return encode_status(status)
     return GatewayError(f"the gateway lost the exit status of pid "
                         f"{notice['exit']}: {notice.get('error')}")
+
+
+def _unwatchable(pid: int, fn) -> None:
+    """A gateway child's ``on_exit``: the pid is the daemon's child, not
+    ours, and no thread here routes its exit notice unless some caller
+    pumps this client — so there is nothing to watch."""
+    raise SpawnError(f"gateway child pid {pid} is the daemon's: no exit "
+                     f"to watch here; poll() it instead")
 
 
 class GatewayClient:
@@ -410,7 +418,8 @@ class GatewayClient:
         if pids is None or len(pids) != len(members):
             raise GatewayError(f"gateway refused spawn: {reply}")
         return [ChildProcess(pid, argv=member.argv, strategy="gateway",
-                             reaper=self._reap, trace=trace)
+                             reaper=self._reap, watch=_unwatchable,
+                             trace=trace)
                 for pid, member in zip(pids, members)]
 
     def ping(self) -> dict:

@@ -73,7 +73,8 @@ from typing import Deque, Dict, List, Optional, Union
 
 from ..core.batch import BatchRequest, batch_unit
 from ..core.policy import (DEFAULT_FALLBACK, SpawnPolicy, breaker_for)
-from ..core.spawn import _spawn_batch_steps
+from ..core.spawn import (_chain, _refuse_inexpressible, _spawn_batch_steps,
+                          _unit_needs)
 from ..core.steps import run_steps
 from ..core.strategies import get_strategy
 from ..errors import (AuthError, GatewayError, GatewayProtocolError,
@@ -812,12 +813,20 @@ class GatewayServer:
         # the next request to claim FIFO (cross-request misassociation).
         fds = self._take_fds(conn, frame, members=len(reqs))
         try:
+            tenant = self._tenants[conn.tenant]
             try:
-                # A member no exec could take is the caller's mistake,
+                # A member no exec could take, or a unit no tier of the
+                # tenant's ladder can express, is the caller's mistake,
                 # refused here: it charges no tenant's or tier's breaker.
-                batch = batch_unit(
-                    "spawn", BatchRequest.from_wire(reqs),
-                    policy=self._tenants[conn.tenant].policy)
+                batch = batch_unit("spawn", BatchRequest.from_wire(reqs),
+                                   policy=tenant.policy)
+                if fds:
+                    for index, member in enumerate(batch.members):
+                        (member.stdin, member.stdout,
+                         member.stderr) = fds[3 * index:3 * index + 3]
+                _refuse_inexpressible(
+                    _chain(tenant.config.strategy, tenant.policy),
+                    _unit_needs(batch.members), f"a batch of {len(batch)}")
             except SpawnError as exc:
                 raise GatewayProtocolError(str(exc)) from exc
             tenant = self._admit(conn, len(batch))
@@ -1105,10 +1114,6 @@ class GatewayServer:
             raise Overloaded(
                 f"tenant {job.tenant!r} circuit breaker is open",
                 retry_after=tenant.policy.breaker_cooldown)
-        if job.fds:
-            for index, member in enumerate(job.batch.members):
-                (member.stdin, member.stdout,
-                 member.stderr) = job.fds[3 * index:3 * index + 3]
         try:
             result = yield from _spawn_batch_steps(
                 job.batch, tenant.config.strategy)

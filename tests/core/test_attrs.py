@@ -77,11 +77,6 @@ class TestPosixSpawnRendering:
             sigmask=[signal.SIGUSR1]).posix_spawn_kwargs()
         assert kwargs["setsigmask"] == [signal.SIGUSR1]
 
-    def test_helper_hop_detection(self):
-        assert not SpawnAttributes().needs_helper_hop()
-        assert SpawnAttributes(cwd="/tmp").needs_helper_hop()
-        assert SpawnAttributes(umask=0o022).needs_helper_hop()
-
     def test_catchable_excludes_kill_stop(self):
         catchable = _catchable_signals()
         assert signal.SIGKILL not in catchable

@@ -91,8 +91,7 @@ def gateway(tmp_path_factory):
     has no ``cwd`` attribute: that row lands on its ``fork_exec``
     fallback, both ways)."""
     reset_breakers()
-    direct = SpawnPolicy(deadline=10.0, retries=0, breaker_threshold=100,
-                         fallback=("fork_exec",))
+    direct = SpawnPolicy(deadline=10.0, fallback=("fork_exec",))
     server = GatewayServer(GatewayConfig(
         unix_path=str(tmp_path_factory.mktemp("gw") / "gw.sock"),
         tenants={"pool": TenantConfig(name="pool", token=TOKEN),

@@ -18,7 +18,11 @@ booted inside the test body, never in a fixture.
 import contextlib
 import json
 import os
+import pathlib
+import re
+import signal
 import tempfile
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 
@@ -26,8 +30,9 @@ from repro.core import (BatchRequest, ForkServer, ForkServerPool,
                         ProcessBuilder, SpawnRequest, TemplateProfile,
                         TemplateServer)
 from repro.core.attrs import SpawnAttributes
+from repro.core.file_actions import FileActions
 from repro.core.steps import run_steps
-from repro.core.strategies import get_strategy
+from repro.core.strategies import CAPABILITIES, get_strategy, strategies
 from repro.errors import SpawnError
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
@@ -458,3 +463,145 @@ class TestAMalformedRequestLeavesTheHelperAlive:
                 assert stream.read() == b""
             assert server.healthy and helper_fds(server) == before
             assert server.spawn([TRUE]).wait(timeout=30) == 0
+
+
+# -- what each launcher can express: one row per launcher, read from its ------
+# -- declaration ---------------------------------------------------------------
+
+class Cell(NamedTuple):
+    """One capability, probed: ``script`` runs under ``/bin/sh -c`` with
+    the output file as ``$0``; ``wiring`` routes the file onto the
+    child's fd 1 (``stdout``) or fd 3 (``fd3``) by a file action
+    instead; ``shows(text)`` reads the attribute back out of the file."""
+    attrs: dict
+    script: str
+    shows: Callable[[str], bool]
+    wiring: Optional[str] = None
+
+
+def mask_bit(line: str, signum: int) -> bool:
+    """Whether ``signum`` is set in a ``/proc/<pid>/status`` mask line."""
+    return bool(int(line.split()[1], 16) >> (signum - 1) & 1)
+
+
+def own_group_callers_session(stat: str) -> bool:
+    pid = int(stat.split()[0])
+    pgrp, session = (int(field) for field in stat.rsplit(")", 1)[1].split()[2:4])
+    return pgrp == pid and session == os.getsid(0)
+
+
+CELLS = {
+    "env": Cell({"env": {"CELL": "set", "PATH": "/usr/bin:/bin"}},
+                'echo "$CELL" > "$0"', lambda text: text == "set\n"),
+    "cwd": Cell({"cwd": "/"}, '/bin/pwd > "$0"', lambda text: text == "/\n"),
+    "umask": Cell({"umask": 0o077}, 'umask > "$0"',
+                  lambda text: text.strip() == "0077"),
+    "process_group": Cell({"new_process_group": True},
+                          'exec cat /proc/self/stat > "$0"',
+                          own_group_callers_session),
+    # The caller ignores SIGUSR2 for this cell.  Only that bit is read:
+    # posix_spawn children also show glibc's own signals 32 and 33.
+    "reset_signals": Cell({"reset_signals": True},
+                          'exec grep SigIgn /proc/self/status > "$0"',
+                          lambda text: not mask_bit(text, signal.SIGUSR2)),
+    "sigmask": Cell({"sigmask": (signal.SIGUSR1,)},
+                    'exec grep SigBlk /proc/self/status > "$0"',
+                    lambda text: mask_bit(text, signal.SIGUSR1)),
+    "stdio": Cell({}, "echo wired", lambda text: text == "wired\n",
+                  wiring="stdout"),
+    "fd_actions": Cell({}, "echo dup >&3", lambda text: text == "dup\n",
+                       wiring="fd3"),
+}
+
+HOST_LAUNCHERS = ["posix_spawn", "fork_exec", "subprocess", "forkserver",
+                  "forkserver-pool", "gateway"]
+
+
+def usr2_disposition(sys):
+    """A sim program printing the SIGUSR2 disposition it started with."""
+    previous = yield sys.sigaction(signal.SIGUSR2, "default")
+    yield sys.write(1, f"{previous}\n".encode())
+
+
+#: What shows a capability ``xproc`` declares: a registered sim program
+#: on a stdout wired to the file (a sim child cannot open host paths).
+XPROC_CELLS = {
+    "reset_signals": Cell({"reset_signals": True}, "/bin/usr2-disposition",
+                          lambda text: text == "default\n", "stdout"),
+    "stdio": Cell({}, "/bin/echo wired", lambda text: text == "wired\n",
+                  "stdout"),
+}
+
+
+def test_the_cells_cover_every_capability():
+    assert tuple(CELLS) == CAPABILITIES
+
+
+@pytest.mark.parametrize("capability", CAPABILITIES)
+@pytest.mark.parametrize("launcher", HOST_LAUNCHERS + ["xproc"])
+def test_each_launcher_shows_what_it_declares_and_refuses_the_rest(
+        every_strategy, tmp_path, launcher, capability):
+    """Each cell either shows the attribute in the child or raises
+    :class:`SpawnError` naming it, exactly as the launcher's
+    ``expresses`` declaration says: the allow-list is the declaration,
+    not a copy of it kept here."""
+    strategy = get_strategy(launcher)
+    declared = capability in strategy.expresses
+    cell = CELLS[capability]
+    argv = ["/bin/sh", "-c", cell.script, str(tmp_path / "out")]
+    if launcher == "xproc" and declared:
+        strategy.register_program("/bin/usr2-disposition", usr2_disposition)
+        cell = XPROC_CELLS[capability]
+        argv = cell.script.split()
+    ignored = signal.signal(signal.SIGUSR2, signal.SIG_IGN)
+    out = tmp_path / "out"
+    actions = FileActions()
+    opened = None
+    if cell.wiring == "stdout":
+        actions.add_open(1, str(out), os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    elif cell.wiring == "fd3":
+        opened = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC)
+        actions.add_dup2(opened, 3)
+    try:
+        attrs = SpawnAttributes(**cell.attrs)
+        if not declared:
+            with pytest.raises(SpawnError, match=f"{launcher} cannot "
+                               f"express {capability}"):
+                strategy.launch(argv, actions, attrs)
+            return
+        child = strategy.launch(argv, actions, attrs)
+    finally:
+        signal.signal(signal.SIGUSR2, ignored)
+        if opened is not None:
+            os.close(opened)
+    assert child.wait(timeout=30) == 0
+    assert cell.shows(out.read_text()), out.read_text()
+
+
+def documented_capabilities():
+    """README's "what each launcher can express" table: the header's
+    capability names, and strategy -> the capabilities its row ticks."""
+    text = pathlib.Path(__file__).parents[2].joinpath(
+        "README.md").read_text(encoding="utf-8")
+    section = text.split("### Strategy registry and the batch API", 1)[1]
+    rows = [line.strip().strip("|").split("|")
+            for line in section.splitlines() if line.startswith("| ")]
+    header = next(row for row in rows if row[0].strip() == "strategy")
+    names = [re.sub(r"`", "", cell).strip() for cell in header[1:]]
+    table = {}
+    for row in rows[rows.index(header) + 1:]:
+        name = re.sub(r"`", "", row[0]).strip()
+        if len(row) != len(header):
+            break
+        table[name] = {capability for capability, mark in zip(names, row[1:])
+                       if mark.strip() == "✓"}
+    return names, table
+
+
+def test_readme_table_names_exactly_each_declaration():
+    names, table = documented_capabilities()
+    assert tuple(names) == CAPABILITIES
+    declared = {name: set(get_strategy(name).expresses)
+                for name in strategies()
+                if get_strategy(name).expresses is not None}
+    assert table == declared

@@ -17,6 +17,8 @@ import pytest
 
 from repro.core import ForkServer, ForkServerPool, ProcessBuilder
 from repro.errors import SpawnError
+from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
+                           TenantConfig)
 
 
 class Fired:
@@ -172,3 +174,28 @@ class TestOwnChildren:
         fired = Fired()
         assert child.on_exit(fired) is None
         assert len(fired.calls) == 1 and child.returncode == 0
+
+
+class TestGatewayHandles:
+    def test_the_daemons_child_is_refused_not_handed_a_pidfd(self, tmp_path):
+        """A gateway child is the daemon's, and its exit notice is read
+        only when some caller pumps the client: ``on_exit`` says "poll()
+        it instead" rather than return a pidfd for a pid the caller does
+        not own."""
+        server = GatewayServer(GatewayConfig(
+            unix_path=str(tmp_path / "gw.sock"),
+            tenants={"t": TenantConfig(name="t", token="tok",
+                                       strategy="posix_spawn")})).start()
+        try:
+            with GatewayClient(server.unix_path, tenant="t",
+                               token="tok") as client:
+                child = client.spawn(["/bin/sleep", "0.3"])
+                fired = Fired()
+                with pytest.raises(SpawnError, match=r"poll\(\) it instead"):
+                    child.on_exit(fired)
+                assert child.wait(timeout=10) == 0
+                assert fired.calls == []
+                child.on_exit(fired)  # a known status still fires at once
+                assert len(fired.calls) == 1
+        finally:
+            server.stop()

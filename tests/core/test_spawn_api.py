@@ -12,7 +12,7 @@ from repro.core.strategies import (Strategy, get_strategy,
                                    strategies, _REGISTRY,
                                    _resolve_executable)
 from repro.core.result import ChildProcess
-from repro.errors import SpawnError
+from repro.errors import SpawnError, SpawnTimeout
 
 SH = "/bin/sh"
 
@@ -20,6 +20,20 @@ SH = "/bin/sh"
 def open_fds():
     """The process's open descriptors, for leak accounting."""
     return set(os.listdir("/proc/self/fd"))
+
+
+def own_children():
+    """The pids whose parent is this process, zombies included."""
+    pids = set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == os.getpid():
+            pids.add(int(entry))
+    return pids
 
 
 class TestRunConvenience:
@@ -30,6 +44,21 @@ class TestRunConvenience:
     def test_nonzero_exit_code(self):
         code, _ = run(SH, "-c", "exit 9")
         assert code == 9
+
+    @pytest.mark.parametrize("argv", [
+        ("/bin/sleep", "3"),
+        ("/bin/sh", "-c", "exec >&-; exec sleep 2"),
+    ], ids=["holds-stdout-open", "closes-stdout-then-sleeps"])
+    def test_timeout_bounds_the_run_and_leaves_nothing(self, argv):
+        """The timeout bounds reading stdout to EOF as well as the wait;
+        on expiry the child is killed and reaped and the pipe closed."""
+        fds, children = open_fds(), own_children()
+        started = time.monotonic()
+        with pytest.raises(SpawnTimeout):
+            run(*argv, timeout=0.2)
+        assert time.monotonic() - started < 1.0
+        assert open_fds() == fds
+        assert own_children() == children
 
     def test_returns_completed_child(self):
         result = run("/bin/echo", "shape")

@@ -1,16 +1,18 @@
 """SpawnPolicy, CircuitBreaker, and the degradation ladder end to end."""
 
+import time
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import (GATEWAY_FALLBACK, Backoff, BatchRequest,
-                        CircuitBreaker,
-                        ProcessBuilder, SpawnPolicy, Strategy,
-                        TemplateProfile, TemplateRegistry, breaker_for,
+from repro.core import (DEFAULT_FALLBACK, GATEWAY_FALLBACK, Backoff,
+                        BatchRequest, CircuitBreaker, ProcessBuilder,
+                        SpawnPolicy, Strategy, TemplateProfile,
+                        TemplateRegistry, breaker_for, register_strategy,
                         reset_breakers, run, spawn_batch)
+from repro.core.strategies import _REGISTRY
 from repro.errors import SpawnError
 from repro.faults import FAULTS, FaultPlan
 from repro.obs import TELEMETRY
@@ -279,6 +281,78 @@ class TestTheLadderIsOne:
             assert breaker._threshold == policy.breaker_threshold
             assert (breaker.failures, breaker.state) == (
                 policy.attempts(), "closed")
+
+
+class TestATierThatCannotExpressARequestIsPassedOver:
+    """The ladder reads each tier's declaration: a request a tier cannot
+    express costs that tier nothing — no attempt, no back-off, no
+    breaker verdict — as if it were not ``available()``."""
+
+    def test_a_process_group_opens_no_shared_wire_breaker(self):
+        policy = SpawnPolicy(fallback=DEFAULT_FALLBACK)
+        for _ in range(3):
+            child = (ProcessBuilder("/bin/true").new_process_group()
+                     .strategy("forkserver-pool").policy(policy).spawn())
+            assert child.wait(timeout=10) == 0
+            assert child.strategy == "posix_spawn"
+        for tier in ("forkserver-pool", "forkserver"):
+            assert breaker_for(tier).failures == 0, tier
+        child = (ProcessBuilder("/bin/true").strategy("forkserver-pool")
+                 .policy(policy).spawn())
+        assert child.wait(timeout=10) == 0
+        assert child.strategy == "forkserver-pool"
+
+    def test_a_cwd_request_sleeps_no_back_off(self):
+        TELEMETRY.enable(reset_metrics=True)
+        try:
+            started = time.monotonic()
+            child = (ProcessBuilder("/bin/pwd").cwd("/")
+                     .strategy("posix_spawn")
+                     .policy(SpawnPolicy(retries=2, fallback=("fork_exec",)))
+                     .stdout_to_devnull().spawn())
+            assert time.monotonic() - started < 0.05
+            assert child.wait(timeout=10) == 0
+            assert child.strategy == "fork_exec"
+            assert counter_value("spawn_retry", strategy="posix_spawn") == 0
+            assert breaker_for("posix_spawn").failures == 0
+        finally:
+            TELEMETRY.disable()
+
+    def test_a_request_no_tier_can_express_enters_none(self, monkeypatch):
+        entered = []
+        monkeypatch.setattr(Strategy, "_fire_launch",
+                            lambda strategy, argv: entered.append(strategy))
+        chain = ("posix_spawn", "forkserver", "subprocess")
+        policy = SpawnPolicy(retries=2, fallback=chain[1:])
+        started = time.monotonic()
+        with pytest.raises(SpawnError) as refusal:
+            (ProcessBuilder("/bin/true").cwd("/").new_process_group()
+             .strategy(chain[0]).policy(policy).spawn())
+        assert time.monotonic() - started < 0.05
+        for lacks in ("posix_spawn cannot express cwd",
+                      "forkserver cannot express process_group",
+                      "subprocess cannot express process_group"):
+            assert lacks in str(refusal.value)
+        assert entered == []
+        for tier in chain:
+            assert breaker_for(tier).failures == 0, tier
+
+    def test_a_launcher_that_declares_nothing_is_offered_everything(self):
+        """A strategy that declares nothing, like a third-party one, is
+        tried, refuses inside its own ``launch``, and takes the strike."""
+        @register_strategy("test-undeclared")
+        class Undeclared(Strategy):
+            def launch(self, argv, actions, attrs, trace=None):
+                raise SpawnError("no cwd here")
+        try:
+            child = (ProcessBuilder("/bin/true").cwd("/")
+                     .strategy("test-undeclared")
+                     .policy(SpawnPolicy(fallback=("fork_exec",))).spawn())
+            assert child.wait(timeout=10) == 0
+            assert child.strategy == "fork_exec"
+            assert breaker_for("test-undeclared").failures == 1
+        finally:
+            _REGISTRY.pop("test-undeclared", None)
 
 
 class TestFlappingWorkerRetiredUnderLoad:

@@ -190,6 +190,65 @@ class TestOneTenantsMistakeIsItsOwn:
             reset_breakers()
 
 
+class TestARequestATierCannotExpressCostsItNothing:
+    """A tier whose declaration lacks what a unit needs is passed over,
+    so one tenant's ``cwd`` spawns strike no breaker another tenant's
+    spawns ride; a unit no tier of the tenant's ladder can express is
+    refused at admission."""
+
+    def test_one_tenants_cwd_leaves_the_shared_breaker_closed(self,
+                                                              tmp_path):
+        reset_breakers()
+        server = make_server(tmp_path, {
+            name: TenantConfig(name=name, token=TOKEN,
+                               strategy="posix_spawn") for name in "ab"})
+        served, finished = [], server._job_done
+
+        def job_done(job, tenant, reply, error):
+            served.append((job.tenant, error or reply["strategy"]))
+            return finished(job, tenant, reply, error)
+
+        server._job_done = job_done
+        try:
+            with GatewayClient(server.unix_path, tenant="a",
+                               token=TOKEN) as client:
+                for _ in range(2):
+                    child = client.spawn(["/bin/pwd"], cwd="/")
+                    assert child.wait(timeout=10) == 0
+            with GatewayClient(server.unix_path, tenant="b",
+                               token=TOKEN) as client:
+                assert client.spawn(["/bin/true"]).wait(timeout=10) == 0
+            assert served == [("a", "forkserver"), ("a", "forkserver"),
+                              ("b", "posix_spawn")]
+            assert breaker_for("posix_spawn").failures == 0
+        finally:
+            server.stop()
+            get_strategy("forkserver").shutdown()
+            reset_breakers()
+
+    def test_a_unit_no_tier_can_express_is_refused_at_admission(self,
+                                                                tmp_path):
+        reset_breakers()
+        server = make_server(tmp_path, {"acme": TenantConfig(
+            name="acme", token=TOKEN, strategy="posix_spawn",
+            policy=SpawnPolicy(deadline=10.0, fallback=()))})
+        try:
+            with GatewayClient(server.unix_path, tenant="acme",
+                               token=TOKEN) as client:
+                with pytest.raises(GatewayProtocolError,
+                                   match="posix_spawn cannot express cwd"):
+                    client.spawn(["/bin/pwd"], cwd="/")
+                assert client.spawn(["/bin/true"]).wait(timeout=10) == 0
+            for name in ("gateway:acme", "posix_spawn"):
+                assert breaker_for(name).failures == 0, name
+            stats = server.stats()
+            assert stats["tenants"]["acme"]["admitted"] == 1
+            assert stats["internal_errors"] == 0
+        finally:
+            server.stop()
+            reset_breakers()
+
+
 class TestATenantsStrategyServesItsSpawns:
     """The daemon walks every spawn — one member or N — from the
     tenant's own strategy (a batch used to start at the pool whatever
