@@ -13,7 +13,8 @@ The package has four faces:
   table of the paper's evaluation (see DESIGN.md / EXPERIMENTS.md).
 """
 
-from .errors import (AuthError, BenchError, DeadlockError, FaultPlanError,
+from .errors import (AuthError, BenchError, CannotExpress, DeadlockError,
+                     ExecError, FaultPlanError,
                      ForkSafetyError, GatewayError, GatewayProtocolError,
                      LintError, Overloaded, RateLimited,
                      ReproError, SimError, SimMemoryError, SimOSError,
@@ -22,7 +23,8 @@ from .errors import (AuthError, BenchError, DeadlockError, FaultPlanError,
 __version__ = "2.0.0"
 
 __all__ = [
-    "AuthError", "BenchError", "DeadlockError", "FaultPlanError",
+    "AuthError", "BenchError", "CannotExpress", "DeadlockError",
+    "ExecError", "FaultPlanError",
     "ForkSafetyError", "GatewayError", "GatewayProtocolError",
     "LintError", "Overloaded", "RateLimited",
     "ReproError", "SimError", "SimMemoryError", "SimOSError", "SimSegfault",

@@ -19,10 +19,11 @@ Many requests may be in flight on the one socket at once, so concurrent
 callers never wait on each other's round trips — the property a spawn
 *service* needs to sustain traffic.
 
-One child costs **one** round trip and the helper never forks itself on
-the hot path: it launches with ``posix_spawn`` (the paper's advice,
-applied to our own helper) and *pushes* an exit notice the moment it
-reaps a child, so ``wait()`` is an event wait on the pid's slot and
+One child costs **one** round trip and the helper never forks to launch
+one: it launches with ``posix_spawn`` (the paper's advice, applied to
+our own helper), so a program it cannot execute is a refusal raised as
+:class:`~repro.errors.ExecError`.  It *pushes* an exit notice the moment
+it reaps a child, so ``wait()`` is an event wait on the pid's slot and
 ``poll()`` a dictionary lookup — there is no wait request on the wire.
 """
 
@@ -37,7 +38,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..errors import GatewayProtocolError, SpawnError, SpawnTimeout
+from ..errors import ExecError, GatewayProtocolError, SpawnError, SpawnTimeout
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
 from ..wire import Channel, Pending, encode_body
@@ -452,7 +453,9 @@ class ForkServer:
         process*; they are shipped to the helper as SCM_RIGHTS and become
         the child's fds 0-2 — the explicit-grant model, like the spawn
         API's file actions.  ``env=None`` is this process's environment
-        as it is now, not the one the helper booted with.
+        as it is now, not the one the helper booted with.  A program
+        (or ``cwd``) the helper cannot use raises
+        :class:`~repro.errors.ExecError` with its errno.
 
         With telemetry enabled the server starts and owns a
         :class:`~repro.obs.SpawnTrace`; its id travels in the wire
@@ -517,13 +520,15 @@ class ForkServer:
         helper spawns all N before replying, so the per-spawn wire cost
         (encode + syscall + context switch) is paid once per *batch*.
 
-        All-or-nothing: a damaged frame, lost grant, or failed fork
-        fails the ENTIRE batch with :class:`SpawnError` (the helper
-        kills any members it had already forked).  No member is ever
-        silently dropped.  A pool above only fails a dead helper over;
-        the ladder (:func:`repro.core.spawn_batch`) retries the whole
-        batch per its :class:`~repro.core.policy.SpawnPolicy`.  With
-        telemetry on the server starts and owns one trace per member.
+        All-or-nothing: a damaged frame, lost grant, or failed launch
+        fails the ENTIRE batch with :class:`SpawnError` — a member the
+        helper cannot execute with :class:`~repro.errors.ExecError` —
+        and the helper kills any members it had already launched.  No
+        member is ever silently dropped.  A pool above only fails a dead
+        helper over; the ladder (:func:`repro.core.spawn_batch`) retries
+        the whole batch per its :class:`~repro.core.policy.SpawnPolicy`.
+        With telemetry on the server starts and owns one trace per
+        member.
         """
         from .batch import BatchResult, batch_unit
         batch = batch_unit("ForkServer.spawn_batch", requests,
@@ -583,6 +588,11 @@ class ForkServer:
             reply = self._result(sent)
             results = reply.get("results")
             if results is None:
+                number = reply.get("errno")
+                if number is not None:  # a launch's OSError: whose?
+                    path = reply.get("path")
+                    ExecError.raise_for(
+                        OSError(number, os.strerror(number), path), path)
                 raise SpawnError(f"forkserver refused spawn: {reply}")
             if len(results) != len(reqs):
                 raise SpawnError(

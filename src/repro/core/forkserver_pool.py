@@ -32,7 +32,7 @@ import threading
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import SpawnError
+from ..errors import ExecError, SpawnError
 from ..faults import FAULTS
 from ..obs import TELEMETRY
 from .forkserver import ForkServer, SpawnRequest
@@ -312,7 +312,9 @@ class ForkServerPool:
           nothing);
         * a failure from a *live* helper (a refusal) is raised, and is a
           strike against that worker; at three consecutive strikes the
-          helper is retired as flapping (``breaker_open`` counter).
+          helper is retired as flapping (``breaker_open`` counter) — but
+          a program the helper cannot execute is the request's
+          :class:`~repro.errors.ExecError`, raised and charged to no one.
 
         The pool does not retry a refusal: a caller that wants retries,
         back-off or degradation spawns through the ladder
@@ -394,7 +396,8 @@ class ForkServerPool:
                 except SpawnError as exc:
                     self._release(slot, server, weight)
                     if server.healthy:
-                        self._strike(slot, server)  # a live refusal
+                        if not isinstance(exc, ExecError):
+                            self._strike(slot, server)  # a live refusal
                         raise
                     last_error = exc
                     continue  # the next pick retires it, tries elsewhere

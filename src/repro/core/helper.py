@@ -18,6 +18,11 @@ spawn) — and spawns for other callers keep flowing meanwhile: a
 blocking waitpid here would stall every in-flight request behind one
 caller's child.
 
+Every program is launched with posix_spawn, a ``cwd`` request's too,
+and a launch that fails — a missing program, a bad ``cwd`` — is that
+request's refusal, carrying the errno, never a child that exits 127.
+The helper forks for one thing only: to park a template's children.
+
 Beyond plain spawns the helper is a template zygote: ``specialize``
 warms it into a workload profile and ``park`` pre-forks children that
 block inside that warm runtime.  Both are launched by the one ``spawn``
@@ -28,6 +33,7 @@ forkserver simply never parks; an empty stock costs nothing.
 """
 
 import array
+import errno
 import json
 import os
 import select
@@ -102,10 +108,9 @@ def send_frame(chan, body, fds=()):
 
 
 def which(name, env):
-    # What execvpe did for a bare name: first executable hit on the PATH
-    # of ``env``, the environment the child will get.  None sends the
-    # request down the fork path, which fails the way it always has (the
-    # child exits 127).
+    # What execvpe did for a bare name: the first executable hit on the
+    # PATH of ``env``, the environment the child will get, from where we
+    # stand (a request's cwd, by now).  A miss is ENOENT.
     if "/" in name:
         return name
     path = env.get("PATH", os.defpath)
@@ -113,47 +118,37 @@ def which(name, env):
         candidate = os.path.join(entry, name)
         if os.access(candidate, os.X_OK) and not os.path.isdir(candidate):
             return candidate
-    return None
+    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), name)
 
 
 def spawn_one(req, grant, environ):
     # Launch one request whose stdio triple is ``grant`` and close the
-    # grant on our side.  posix_spawn with dup2 file actions: no fork of
-    # this interpreter, and the reply leaves after the child's exec.
-    # fork -> chdir -> exec survives for the one thing posix_spawn cannot
-    # express (cwd) and as the fallback for a failed spawn, so a missing
-    # binary is still a child that exits 127.  ``env: null`` is
-    # ``environ``, our own environment as a plain dict (os.environ is a
-    # Mapping, which posix_spawn walks through Python); ``{}`` is empty.
-    # Raises with the grant still open — OSError if even the fork fails
-    # (EAGAIN under pid pressure), ValueError/TypeError for an argv or
-    # env no exec could take — the caller owns cleanup so a batch can
+    # grant on our side.  posix_spawn with dup2 file actions, and nothing
+    # else: no fork of this interpreter, and the reply leaves after the
+    # child's exec.  A cwd is ours for the length of the call — chdir,
+    # look up, spawn, fchdir back — which only a single-threaded helper
+    # may do.  ``env: null`` is ``environ``, our own environment as a
+    # plain dict (os.environ is a Mapping, which posix_spawn walks
+    # through Python); ``{}`` is empty.  Raises with the grant still
+    # open — OSError from the chdir, the lookup or the spawn, whose errno
+    # and filename the refusal carries; ValueError/TypeError for an argv
+    # or env no exec could take — the caller owns cleanup so a batch can
     # account for every member.
     argv = req["argv"]
     env = req.get("env")
     if env is None:
         env = environ
-    pid = 0
-    path = None if req.get("cwd") else which(argv[0], env)
-    if path is not None:
-        try:
-            dup2s = [(os.POSIX_SPAWN_DUP2, fd, target) for target, fd in enumerate(grant)]
-            pid = os.posix_spawn(path, argv, env, file_actions=dup2s)
-        except OSError:
-            pass
-    if not pid:
-        # Where posix_spawn cannot go (a cwd): the child execs at once,
-        # and the helper's sockets are close-on-exec.
-        pid = os.fork()  # lint-ok: F003, F013
-        if pid == 0:
-            try:
-                for target, fd in enumerate(grant):  # stdio triple
-                    os.dup2(fd, target)
-                if req.get("cwd"):
-                    os.chdir(req["cwd"])
-                os.execvpe(argv[0], argv, env)
-            except BaseException:
-                os._exit(127)
+    cwd = req.get("cwd")
+    home = os.open(".", getattr(os, "O_PATH", os.O_RDONLY)) if cwd else None
+    try:
+        if cwd:
+            os.chdir(cwd)
+        dup2s = [(os.POSIX_SPAWN_DUP2, fd, target) for target, fd in enumerate(grant)]
+        pid = os.posix_spawn(which(argv[0], env), argv, env, file_actions=dup2s)
+    finally:
+        if home is not None:
+            os.fchdir(home)
+            os.close(home)
     t_spawn = time.monotonic_ns()
     for fd in grant:
         os.close(fd)
@@ -169,7 +164,7 @@ def refused(what, exc):
     if isinstance(exc, StockExhausted):
         return "EAGAIN: warm stock exhausted"
     if isinstance(exc, OSError):
-        return "EAGAIN: %s failed to fork: %s" % (what, exc)
+        return "%s: %s failed: %s" % (errno.errorcode.get(exc.errno, "EIO"), what, exc)
     return "EINVAL: %s cannot be executed: %s" % (what, exc)
 
 
@@ -339,11 +334,12 @@ class Helper:
         # concatenated in request order (member i's stdio triple is the
         # next reqs[i]["nfds"] fds).  A member carrying ``code`` wakes a
         # parked child, any other is spawned.  All-or-nothing: a grant
-        # mismatch, a failed launch or a dry stock refuses/undoes EVERY
-        # member so the client never has to guess which ran.  Each
-        # result's t_fork_ns is the launched-at stamp (exec done on the
-        # posix_spawn path; CLOCK_MONOTONIC is system-wide on Linux, so
-        # the client can splice it into its own timeline).
+        # mismatch, a failed launch (a missing program included) or a dry
+        # stock refuses/undoes EVERY member so the client never has to
+        # guess which ran.  Each result's t_fork_ns is the launched-at
+        # stamp (exec done on the posix_spawn path; CLOCK_MONOTONIC is
+        # system-wide on Linux, so the client can splice it into its own
+        # timeline).
         reqs = request.get("reqs") or []
         if not reqs:
             close_all(fds)
@@ -353,6 +349,7 @@ class Helper:
             return {"error": error}
         results = []
         offset = 0
+        refusal = None
         for req in reqs:
             nfds = req.get("nfds", 0)
             grant = fds[offset : offset + nfds]
@@ -363,12 +360,16 @@ class Helper:
                 else:
                     pid, t_spawn = self.wake_one(req, grant)
             except (OSError, ValueError, TypeError) as exc:
-                # One request's refusal, not our death.
-                error = refused("spawn member %d" % len(results), exc)
+                # One request's refusal, not our death.  An OSError's
+                # errno and filename ride along: the client judges whose
+                # they are (the request's exec, or our resources).
+                refusal = {"error": refused("spawn member %d" % len(results), exc)}
+                if getattr(exc, "errno", None) is not None:
+                    refusal.update(errno=exc.errno, path=exc.filename)
                 close_all(grant + fds[offset:])
                 break
             results.append({"pid": pid, "t_fork_ns": t_spawn})
-        if not error:
+        if refusal is None:
             return {"results": results}
         # Undo the partial launch: no silent survivors.  These pids were
         # launched moments ago and nothing has waited on them (reap()
@@ -385,7 +386,7 @@ class Helper:
                 os.waitpid(res["pid"], 0)
             except OSError:
                 pass
-        return {"error": error}
+        return refusal
 
     def op_specialize(self, request, fds):
         # Warm this helper into its profile: env/cwd apply to US (and so

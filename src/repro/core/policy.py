@@ -33,23 +33,29 @@ holds the policy; one schedule (:class:`Backoff`) and one trip-wire
 (:class:`CircuitBreaker`) serve everything in ``src/`` that waits
 between tries or gives up after N:
 
-=====================  ========================  ============================
-who                    backs off on              trips on
-=====================  ========================  ============================
-ladder, per tier       ``policy.backoff_delay``  ``breaker_for(tier)``
-daemon, per tenant     (the ladder's)            a ``breaker_for`` per tenant
-``ForkServerPool``     —                         ``slot.strikes`` (*)
-``TemplateRegistry``   ``autoscale.interval``    — (``miss_grace``) (†)
-``GatewayClient``      ``backoff=Backoff()``     — (``max_reconnects`` budget)
-``GatewaySupervisor``  ``Backoff(jitter=0.0)``   its own ``CircuitBreaker``
-=====================  ========================  ============================
+=====================  ==============================  ============================
+who                    backs off on                    trips on
+=====================  ==============================  ============================
+ladder, per tier       ``policy.backoff_delay``        ``breaker_for(tier)``
+daemon, per tenant     (the ladder's)                  a ``breaker_for`` per tenant
+``ForkServerPool``     —                               ``slot.strikes`` (*)
+``TemplateRegistry``   ``autoscale.interval``          — (``miss_grace``) (†)
+``GatewayClient``      ``backoff=Backoff()``, re-dial  — (``max_reconnects`` budget)
+                       only
+``GatewaySupervisor``  ``Backoff(jitter=0.0)``         its own ``CircuitBreaker``
+=====================  ==============================  ============================
 
 The ladder walks :class:`ProcessBuilder` and :func:`repro.core.spawn_batch`
 alike and hands the pool no policy: the pool fails a dead helper over
 within one dispatch and retries nothing, so retrying a pool launch is
 the ladder's job alone.  A tier whose declaration cannot express the
 request (:attr:`~repro.core.strategies.Strategy.expresses`) is passed
-over, not retried: it costs no back-off and no breaker verdict.  Two
+over, not retried: it costs no back-off and no breaker verdict.  A
+program the request cannot execute (:class:`~repro.errors.ExecError`)
+is charged to no one: the ladder re-raises it at once, the pool strikes
+no helper, the daemon charges no tenant.  A daemon's refusal
+(``RateLimited``, ``Overloaded``) reaches the ladder at once: the
+client re-dials a lost connection and waits out nothing else.  Two
 things stay apart by decision.
 (*) ``slot.strikes``: a fixed limit of three, and its verdict is
 "retire the helper", not "cool down" — six lines a breaker would not

@@ -34,8 +34,8 @@ import select
 import time
 from typing import Callable, Dict, FrozenSet, List, Optional
 
-from ..errors import (GatewayConnectionLost, GatewayError, SpawnError,
-                      SpawnTimeout)
+from ..errors import (CannotExpress, ExecError, GatewayConnectionLost,
+                      GatewayError, SpawnError, SpawnTimeout)
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
 from .attrs import SpawnAttributes, check_argv
@@ -82,25 +82,28 @@ class SpawnedIO:
         return self._drain(self.stderr_fd, limit)
 
     @staticmethod
-    def _drain(fd: Optional[int], limit: int,
+    def _drain(fd: Optional[int], limit: Optional[int],
                deadline: Optional[float] = None) -> Optional[bytes]:
-        """Up to ``limit`` bytes, read to EOF — or ``None`` once the
-        ``time.monotonic()`` instant ``deadline`` passes first."""
+        """Up to ``limit`` bytes (``None``: no cap), read to EOF — or
+        ``None`` once the ``time.monotonic()`` instant ``deadline``
+        passes first."""
         if fd is None:
             raise SpawnError("that stream is not a pipe")
         chunks: List[bytes] = []
         remaining = limit
         poller = select.poll()
         poller.register(fd, select.POLLIN)
-        while remaining > 0:
+        while remaining is None or remaining > 0:
             left = None if deadline is None else deadline - time.monotonic()
             if left is not None and (left <= 0 or not poller.poll(left * 1e3)):
                 return None
-            chunk = os.read(fd, min(65536, remaining))
+            chunk = os.read(fd, 65536 if remaining is None
+                            else min(65536, remaining))
             if not chunk:
                 break
             chunks.append(chunk)
-            remaining -= len(chunk)
+            if remaining is not None:
+                remaining -= len(chunk)
         return b"".join(chunks)
 
     def close(self) -> None:
@@ -364,8 +367,9 @@ def run(*argv: str, timeout: Optional[float] = None,
     unpacks as the historical ``(returncode, stdout_bytes)`` pair.
     ``strategy`` forces a launcher; ``policy`` runs the spawn under a
     :class:`SpawnPolicy` (retries, deadline, fallback chain).
-    ``timeout`` bounds the whole run, reading stdout to EOF included:
-    on expiry the child is killed and reaped, the pipe closed, and
+    stdout is read to EOF, however long, as ``subprocess.run`` reads it.
+    ``timeout`` bounds the whole run, that read included: on expiry the
+    child is killed and reaped, the pipe closed, and
     :class:`~repro.errors.SpawnTimeout` raised, as ``subprocess.run``
     does.
     """
@@ -378,7 +382,7 @@ def run(*argv: str, timeout: Optional[float] = None,
         builder.policy(policy)
     child = builder.spawn()
     with builder.io:
-        output = builder.io._drain(builder.io.stdout_fd, 1 << 20, deadline)
+        output = builder.io._drain(builder.io.stdout_fd, None, deadline)
         with contextlib.suppress(SpawnError):  # a timed-out wait
             if output is not None:
                 child.wait(timeout=None if deadline is None
@@ -408,8 +412,8 @@ def _refuse_inexpressible(chain: List[str], need: FrozenSet[str],
         if not missing:
             return
         lacking.append(cannot(name, missing))
-    raise SpawnError(f"no tier of {chain!r} can express {what}: "
-                     f"{'; '.join(lacking)}")
+    raise CannotExpress(f"no tier of {chain!r} can express {what}: "
+                        f"{'; '.join(lacking)}")
 
 
 def _unit_needs(members) -> FrozenSet[str]:
@@ -431,13 +435,19 @@ def _ladder_steps(chain: List[str], pol: SpawnPolicy, trace,
     Walks ``chain`` (strategy names, the chosen one first);
     ``launch(strategy)`` is the steps that put the unit on one tier and
     return what it made.  A tier not ``available()`` or unable to express
-    ``need`` is passed over (no attempt, back-off or breaker verdict);
-    each other gets up to ``pol.attempts()`` tries with exponential
-    backoff and jitter, guarded by that tier's shared circuit breaker;
-    a tier whose breaker is open is skipped outright.
+    ``need`` is passed over (no attempt, back-off or breaker verdict), and
+    so is a tier whose launch refuses the unit as
+    :class:`~repro.errors.CannotExpress` (a gateway daemon whose tenant's
+    ladder is narrower than the ``gateway`` declaration); each other
+    gets up to ``pol.attempts()`` tries with exponential backoff and
+    jitter, guarded by that tier's shared circuit breaker; a tier whose
+    breaker is open is skipped outright.
     Moving down the chain stamps a ``fallback`` trace stage and
     counter, so the degradation is visible in ``repro-bench metrics``,
     not silent.
+
+    An :class:`~repro.errors.ExecError` is re-raised at once, with no
+    verdict, retry or fallback: every tier would exec the same file.
 
     Spawns are only re-issued when it is safe: an ambiguous gateway
     loss (the frame was fully sent, no reply ever came, so the daemon
@@ -471,6 +481,13 @@ def _ladder_steps(chain: List[str], pol: SpawnPolicy, trace,
                     break
             try:
                 made = yield from launch(strategy)
+            except ExecError:
+                breaker.abandon()  # the request's failure, not the tier's
+                raise
+            except CannotExpress as exc:
+                breaker.abandon()  # passed over: this tier cannot take it
+                last_error = exc
+                break
             except (SpawnError, GatewayError, OSError) as exc:
                 if (isinstance(exc, GatewayConnectionLost)
                         and not getattr(exc, "unsent", False)

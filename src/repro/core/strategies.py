@@ -48,12 +48,13 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import errno
 import os
 import subprocess
 import threading
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from ..errors import SpawnError
+from ..errors import CannotExpress, ExecError, SpawnError
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
 from .attrs import SpawnAttributes
@@ -69,7 +70,8 @@ def _resolve_executable(argv: Sequence[str], env=None) -> str:
 
     A bare name is looked up the way ``subprocess`` and the forkserver
     helper look it up: on the ``PATH`` of the child's environment
-    ``env`` (the caller's when ``None``), skipping directories.
+    ``env`` (the caller's when ``None``), skipping directories; a name
+    found nowhere is the request's :class:`~repro.errors.ExecError`.
     """
     if not argv:
         raise SpawnError("empty argv")
@@ -80,7 +82,7 @@ def _resolve_executable(argv: Sequence[str], env=None) -> str:
         candidate = os.path.join(directory or ".", exe)
         if os.access(candidate, os.X_OK) and not os.path.isdir(candidate):
             return candidate
-    raise SpawnError(f"executable not found on PATH: {exe!r}")
+    raise ExecError(errno=errno.ENOENT, path=exe)
 
 
 #: What a launch request may ask of its launcher beyond an argv: the
@@ -154,7 +156,7 @@ class Strategy:
         attrs.validate()
         lacking = self.lacks(needs(actions, attrs))
         if lacking:
-            raise SpawnError(cannot(self.name, lacking))
+            raise CannotExpress(cannot(self.name, lacking))
         self._fire_launch(argv)
 
     def launch(self, argv: Sequence[str], actions: FileActions,
@@ -267,10 +269,14 @@ class PosixSpawnStrategy(Strategy):
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
         self._enter(argv, actions, attrs)
         path = _resolve_executable(argv, attrs.env)
-        pid = os.posix_spawn(
-            path, list(argv), attrs.effective_env(),
-            file_actions=actions.as_posix_spawn(),
-            **attrs.posix_spawn_kwargs())
+        try:
+            pid = os.posix_spawn(
+                path, list(argv), attrs.effective_env(),
+                file_actions=actions.as_posix_spawn(),
+                **attrs.posix_spawn_kwargs())
+        except OSError as exc:
+            ExecError.raise_for(exc, path)
+            raise
         trace.stage("execed", pid=pid)
         return ChildProcess(pid, argv=argv, strategy=self.name, trace=trace)
 
@@ -294,18 +300,46 @@ class ForkExecStrategy(Strategy):
         self._enter(argv, actions, attrs)
         path = _resolve_executable(argv, attrs.env)
         env = attrs.effective_env()
-        # The strategy is literal fork+exec, kept as the measured baseline.
-        pid = os.fork()  # lint-ok: F003
-        if pid == 0:
-            # Child: nothing here may touch Python state that another
-            # thread could have held mid-mutation; keep it to syscalls.
+        # As CPython's own fork_exec does: the child reports a failed
+        # file action, chdir or exec on a close-on-exec pipe, which an
+        # exec that succeeds closes empty.
+        report_r, report_w = os.pipe()
+        try:
             try:
-                actions.apply_in_child()
-                attrs.apply_in_child()
-                os.execve(path, list(argv), env)
-            except BaseException:
-                os._exit(127)
-        trace.stage("forked", pid=pid)
+                # Literal fork+exec, kept as the measured baseline.
+                pid = os.fork()  # lint-ok: F003
+                if pid == 0:
+                    # Child: nothing here may touch Python state that
+                    # another thread could have held mid-mutation; keep
+                    # it to syscalls.
+                    report = b"0:"
+                    try:
+                        actions.apply_in_child()
+                        attrs.apply_in_child()
+                        os.execve(path, list(argv), env)
+                    except OSError as exc:
+                        report = b"%d:%s" % (exc.errno or 0,
+                                             os.fsencode(exc.filename or ""))
+                    except BaseException:
+                        pass
+                    try:
+                        os.write(report_w, report)
+                    finally:
+                        os._exit(127)
+            finally:
+                os.close(report_w)
+            trace.stage("forked", pid=pid)
+            report = os.read(report_r, 4096)
+        finally:
+            os.close(report_r)
+        if report:
+            os.waitpid(pid, 0)
+            number, _, failed = report.partition(b":")
+            exc = OSError(int(number), os.strerror(int(number)),
+                          os.fsdecode(failed or path))
+            ExecError.raise_for(exc, path)
+            raise SpawnError(f"fork_exec child failed before exec: "
+                             f"{exc}") from exc
         return ChildProcess(pid, argv=argv, strategy=self.name, trace=trace)
 
 
@@ -320,9 +354,13 @@ class SubprocessStrategy(Strategy):
 
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
         self._enter(argv, actions, attrs)
-        proc = subprocess.Popen(
-            list(argv), env=attrs.effective_env(), cwd=attrs.cwd,
-            restore_signals=False)
+        try:
+            proc = subprocess.Popen(
+                list(argv), env=attrs.effective_env(), cwd=attrs.cwd,
+                restore_signals=False)
+        except OSError as exc:
+            ExecError.raise_for(exc, argv[0])
+            raise
         trace.stage("execed", pid=proc.pid)
 
         def reaper(pid: int, flags: int,
@@ -540,7 +578,7 @@ class GatewayStrategy(Strategy):
                 external,
                 tenant=os.environ.get("REPRO_GATEWAY_TENANT", "local"),
                 token=os.environ.get("REPRO_GATEWAY_TOKEN", "local"),
-                reconnect=True, rate_limit_retries=2,
+                reconnect=True,
             ).connect()
         import secrets
         import tempfile
@@ -558,8 +596,7 @@ class GatewayStrategy(Strategy):
                                    fallback=DEFAULT_FALLBACK))})
         self._supervisor = GatewaySupervisor(config).start()
         return GatewayClient(self._supervisor.address, tenant="local",
-                             token=token, reconnect=True,
-                             rate_limit_retries=2).connect()
+                             token=token, reconnect=True).connect()
 
     def _teardown_locked(self) -> None:
         client, self._client = self._client, None

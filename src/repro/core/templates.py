@@ -49,7 +49,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import SpawnError
+from ..errors import ExecError, SpawnError
 from ..obs import TELEMETRY
 from .forkserver import ForkServer, SpawnRequest
 from .policy import TEMPLATE_FALLBACK, SpawnPolicy
@@ -513,6 +513,8 @@ class TemplateRegistry:
                 if child is not None:
                     self._kick()
                     return child
+            except ExecError:
+                raise  # the request's program: no miss, no re-warm
             except SpawnError:
                 # Dead helper mid-lease: this request degrades and the
                 # thread repairs.
@@ -612,6 +614,8 @@ class TemplateRegistry:
             builder.deadline(deadline)
         try:
             return builder.spawn()
+        except ExecError:
+            raise
         except SpawnError as exc:
             raise SpawnError(
                 f"template {profile.name!r}: warm stock empty and the "

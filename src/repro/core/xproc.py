@@ -45,14 +45,15 @@ its blocked threads, a passed deadline as a :class:`SpawnTimeout`.
 
 from __future__ import annotations
 
+import errno
 import os
 import select
 import threading
 import time
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..errors import (DeadlockError, SimError, SimOSError, SpawnError,
-                      SpawnTimeout)
+from ..errors import (DeadlockError, ExecError, SimError, SimOSError,
+                      SpawnError, SpawnTimeout)
 from ..obs import NULL_TRACE, TELEMETRY
 from .attrs import SpawnAttributes
 from .file_actions import FileActions
@@ -412,9 +413,10 @@ class XProcStrategy(Strategy):
             with _stdio_grant(actions) as stdio, self._lock:
                 kernel, agent = self._machine_locked()
                 if path not in kernel.programs:
-                    raise SpawnError(
+                    raise ExecError(
                         f"no sim program registered at {path!r}; register "
-                        f"one with get_strategy('xproc').register_program()")
+                        f"one with get_strategy('xproc').register_program()",
+                        errno=errno.ENOENT, path=path)
                 pid, raw_status = self._construct_and_run(
                     kernel, agent, path, args, stdio, trace, deadline_at)
         except SimError as exc:

@@ -10,6 +10,10 @@ can assert on the exact failure mode without importing the host's
 
 from __future__ import annotations
 
+import errno as _errno
+import os
+from typing import Optional
+
 
 class ReproError(Exception):
     """Root of the library's exception hierarchy."""
@@ -21,6 +25,62 @@ class SpawnError(ReproError):
     Raised by :mod:`repro.core` when every applicable strategy failed or
     when the request itself is invalid (e.g. an empty argv).
     """
+
+
+class ExecError(SpawnError):
+    """The request's program could not be executed, on any launcher.
+
+    A failed exec — or the ``cwd`` change before it — whose errno says
+    the same request would fail the same way on every tier: a missing
+    file, a path through a non-directory, no execute permission, no
+    format the kernel runs.  Every launch path raises it at launch,
+    instead of handing back a child that exits 127, and no one is
+    charged for it: the ladder neither retries nor degrades, the pool
+    strikes no helper, the gateway charges no tenant.
+
+    Attributes:
+        errno: the OS error number (``errno.ENOENT``, ...).
+        path: what could not be used — the program, or the ``cwd``.
+    """
+
+    errno: Optional[int] = None
+    path: Optional[str] = None
+
+    def __init__(self, message: str = "", *, errno: Optional[int] = None,
+                 path: Optional[str] = None):
+        if errno is not None:
+            self.errno = errno
+        if path is not None:
+            self.path = path
+        super().__init__(message or f"cannot launch {path!r}: "
+                         f"{_errno.errorcode.get(errno, errno)} "
+                         f"({os.strerror(errno or 0)})")
+
+    #: The errnos a failed exec or chdir reports about the request
+    #: itself.  Any other — ``EAGAIN``, ``ENOMEM``, ``EMFILE``,
+    #: ``ENFILE`` — is the launcher's, and stays the tier's to answer.
+    REQUEST_ERRNOS = frozenset({
+        _errno.ENOENT, _errno.ENOTDIR, _errno.EACCES, _errno.EPERM,
+        _errno.ENOEXEC, _errno.ELOOP, _errno.ENAMETOOLONG, _errno.EISDIR,
+        _errno.ETXTBSY, _errno.E2BIG, _errno.ELIBBAD})
+
+    @classmethod
+    def raise_for(cls, exc: OSError, program: str) -> None:
+        """Raise the request's :class:`ExecError` for ``exc``, an
+        ``OSError`` from a launch's exec step or ``cwd`` change, when its
+        errno belongs to the request; return (for the caller's bare
+        ``raise``) when it is the tier's.  ``exc.filename`` names what
+        failed; without one, ``program`` does."""
+        if exc.errno in cls.REQUEST_ERRNOS:
+            path = os.fsdecode(exc.filename if exc.filename is not None
+                               else program)
+            raise cls(errno=exc.errno, path=path) from exc
+
+
+class CannotExpress(SpawnError):
+    """A launcher's declaration lacks what the request asks of it
+    (``"<tier> cannot express <what>"``).  The ladder passes over such
+    a tier for that request: no attempt, no back-off, no verdict."""
 
 
 class SpawnTimeout(SpawnError):
@@ -98,6 +158,22 @@ class Overloaded(GatewayError):
     """
 
     code = "overloaded"
+
+
+class GatewayExecError(GatewayError, ExecError):
+    """An :class:`ExecError` the daemon's launch raised, carried back
+    over the wire with its ``errno`` and ``path``: a gateway error and
+    the request's exec failure at once."""
+
+    code = "exec"
+
+
+class GatewayCannotExpress(GatewayProtocolError, CannotExpress):
+    """The daemon refused a request at admission because no tier of the
+    tenant's ladder can express it: still the protocol refusal it always
+    was, and a :class:`CannotExpress` the caller's ladder passes over."""
+
+    code = "cannot_express"
 
 
 class GatewayConnectionLost(GatewayError):

@@ -31,8 +31,9 @@ network boundary, so the client owns a failure story:
   the frame was fully sent is ambiguous and surfaces as
   :class:`GatewayConnectionLost` for the caller (or the
   :class:`~repro.core.policy.SpawnPolicy` ladder) to arbitrate;
-* a :class:`~repro.errors.RateLimited` refusal with a Retry-After hint
-  is honoured for up to ``rate_limit_retries`` bounded sleeps.
+* a refusal — :class:`~repro.errors.RateLimited` with its Retry-After
+  hint included — reaches the caller at once: the client waits out
+  nothing but its own re-dials, so a deadline is the caller's to keep.
 
 Reaping is local, exactly as on the forkserver wire: the daemon pushes
 ``{"exit": pid, "status": rc}`` the moment a child exits, the channel
@@ -65,7 +66,7 @@ from ..core.forkserver import SpawnRequest
 from ..core.policy import Backoff
 from ..core.result import ChildProcess, encode_status
 from ..errors import (GatewayConnectionLost, GatewayError,
-                      GatewayProtocolError, RateLimited, SpawnError)
+                      GatewayProtocolError, SpawnError)
 from ..faults import FAULTS
 from ..obs import NULL_TRACE, TELEMETRY
 from ..wire import Channel
@@ -111,19 +112,11 @@ class GatewayClient:
     ``tenant``/``token`` authenticate the ``hello`` handshake.  Usable
     as a context manager and safe to share across threads.
 
-    Resilience knobs:
-
-    * ``reconnect`` — re-dial (and re-auth) automatically when the
-      channel dies; ``max_reconnects`` bounds the attempts per outage,
-      ``backoff`` (a :class:`~repro.core.policy.Backoff`) is the wait
-      between them — 0.05 s doubling to 2.0 s, ±50 % by default;
-    * ``rate_limit_retries`` — how many times one operation sleeps out
-      a :class:`~repro.errors.RateLimited` Retry-After hint before the
-      error is surfaced (0 = surface immediately, the cooperative
-      caller owns the backoff); the honoured sleep is the daemon's
-      hint bounded by ``rate_limit_sleep_max`` — its own cap, *not*
-      the reconnect backoff cap, so a multi-second hint is actually
-      waited out instead of being re-asked too early.
+    Resilience knob: ``reconnect`` — re-dial (and re-auth)
+    automatically when the channel dies; ``max_reconnects`` bounds the
+    attempts per outage, ``backoff`` (a
+    :class:`~repro.core.policy.Backoff`) is the wait between them —
+    0.05 s doubling to 2.0 s, ±50 % by default.
     """
 
     #: Seconds the hello handshake (and default round trips) may take.
@@ -133,9 +126,7 @@ class GatewayClient:
                  timeout: Optional[float] = None,
                  reconnect: bool = True,
                  max_reconnects: int = 5,
-                 backoff: Backoff = Backoff(),
-                 rate_limit_retries: int = 0,
-                 rate_limit_sleep_max: float = 30.0):
+                 backoff: Backoff = Backoff()):
         self.address = address
         self.tenant = tenant
         self._token = token
@@ -144,8 +135,6 @@ class GatewayClient:
         self._reconnect = reconnect
         self._max_reconnects = max(0, int(max_reconnects))
         self._backoff = backoff
-        self._rate_limit_retries = max(0, int(rate_limit_retries))
-        self._rate_limit_sleep_max = max(0.0, rate_limit_sleep_max)
         # The current dial's channel; a torn-down one is kept (closed)
         # so exit statuses it already filed can still be read.
         self._channel: Optional[Channel] = None
@@ -306,31 +295,15 @@ class GatewayClient:
 
         ``retryable`` ops are re-issued after a successful reconnect;
         non-retryable ops (spawns) are re-issued only when the request
-        frame provably never left this process.  Rate-limit refusals
-        sleep out their Retry-After hint up to ``rate_limit_retries``
-        times.  Raises typed errors.
+        frame provably never left this process.  Raises typed errors;
+        a refusal (``RateLimited`` with its ``retry_after`` included)
+        is never waited out here.
         """
-        rate_budget = self._rate_limit_retries
         reissues = 0
         while True:
             self._ensure_channel(trace)
             try:
                 return self._roundtrip_once(obj, fds, timeout)
-            except RateLimitedPause as pause:
-                if rate_budget <= 0:
-                    raise pause.error from None
-                rate_budget -= 1
-                TELEMETRY.count("gateway_retry", why="rate_limited")
-                # Honour the daemon's hint up to the dedicated cap —
-                # sleeping less than asked just burns the retry budget
-                # on a request the daemon already said is too early.
-                # An Event wait, like the reconnect back-off's: close()
-                # must not leave this caller parked for the hint.
-                if self._close_event.wait(
-                        min(pause.error.retry_after or 0.0,
-                            self._rate_limit_sleep_max)):
-                    raise GatewayError(
-                        "gateway client is closed") from None
             except GatewayConnectionLost as exc:
                 safe = retryable or getattr(exc, "unsent", False)
                 if (not safe or self._closed or not self._reconnect
@@ -347,11 +320,7 @@ class GatewayClient:
         channel = self._channel
         reply = channel.result(channel.send(obj, fds), timeout)
         if "error" in reply:
-            error = decode_error(reply["error"])
-            if (isinstance(error, RateLimited)
-                    and error.retry_after is not None):
-                raise RateLimitedPause(error)
-            raise error
+            raise decode_error(reply["error"])
         return reply
 
     def _require_fd_transport(self, what: str) -> None:
@@ -378,7 +347,10 @@ class GatewayClient:
 
         A spawn is only re-issued across a reconnect when its frame
         never reached the daemon; an ambiguous loss (frame sent, no
-        reply) raises :class:`~repro.errors.GatewayConnectionLost`.
+        reply) raises :class:`~repro.errors.GatewayConnectionLost`.  A
+        program the daemon cannot execute raises
+        :class:`~repro.errors.GatewayExecError`, an
+        :class:`~repro.errors.ExecError` with the daemon's ``errno``.
         """
         member = SpawnRequest(argv, env=env, cwd=cwd, stdin=stdin,
                               stdout=stdout, stderr=stderr)
@@ -493,11 +465,3 @@ class GatewayClient:
         return (f"<GatewayClient {self.address!r} tenant={self.tenant} "
                 f"{state}>")
 
-
-class RateLimitedPause(Exception):
-    """Internal control flow: a RateLimited reply whose Retry-After the
-    retry loop may sleep out (never escapes :meth:`_roundtrip`)."""
-
-    def __init__(self, error: RateLimited):
-        super().__init__(str(error))
-        self.error = error

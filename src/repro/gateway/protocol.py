@@ -39,8 +39,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, Type
 
-from ..errors import (AuthError, GatewayConnectionLost, GatewayError,
-                      GatewayProtocolError, Overloaded, RateLimited)
+from ..errors import (AuthError, GatewayCannotExpress, GatewayConnectionLost,
+                      GatewayError, GatewayExecError, GatewayProtocolError,
+                      Overloaded, RateLimited)
 
 #: Every operation the daemon understands, and the protocol version the
 #: ``hello`` handshake advertises.  ``ping`` is the liveness probe: it
@@ -56,7 +57,8 @@ PROTOCOL_VERSION = 4
 ERROR_CODES: Dict[str, Type[GatewayError]] = {
     cls.code: cls
     for cls in (GatewayError, GatewayProtocolError, AuthError,
-                RateLimited, Overloaded, GatewayConnectionLost)
+                RateLimited, Overloaded, GatewayConnectionLost,
+                GatewayExecError, GatewayCannotExpress)
 }
 
 
@@ -70,6 +72,8 @@ def encode_error(error: GatewayError, rid: Optional[int] = None) -> dict:
     payload: dict = {"code": error.code, "message": str(error)}
     if error.retry_after is not None:
         payload["retry_after"] = error.retry_after
+    if isinstance(error, GatewayExecError):
+        payload["errno"], payload["path"] = error.errno, error.path
     reply: dict = {"error": payload}
     if rid is not None:
         reply["id"] = rid
@@ -97,6 +101,8 @@ def decode_error(payload: dict) -> GatewayError:
     cls = ERROR_CODES.get(code, GatewayError)
     error = cls(str(message), retry_after=retry_after)
     error.code = code  # preserve an unknown code across a re-encode
+    if cls is GatewayExecError:
+        error.errno, error.path = payload.get("errno"), payload.get("path")
     return error
 
 

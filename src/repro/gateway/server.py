@@ -77,8 +77,10 @@ from ..core.spawn import (_chain, _refuse_inexpressible, _spawn_batch_steps,
                           _unit_needs)
 from ..core.steps import run_steps
 from ..core.strategies import get_strategy
-from ..errors import (AuthError, GatewayError, GatewayProtocolError,
-                      Overloaded, RateLimited, SpawnError)
+from ..errors import (AuthError, CannotExpress, ExecError,
+                      GatewayCannotExpress, GatewayError, GatewayExecError,
+                      GatewayProtocolError, Overloaded, RateLimited,
+                      SpawnError)
 from ..faults import FAULTS
 from ..obs import TELEMETRY
 from ..wire import FrameDecoder, encode_frame, recv_with_fds
@@ -814,21 +816,26 @@ class GatewayServer:
         fds = self._take_fds(conn, frame, members=len(reqs))
         try:
             tenant = self._tenants[conn.tenant]
+            # A member no exec could take, or a unit no tier of the
+            # tenant's ladder can express, is the caller's mistake,
+            # refused here: it charges no tenant's or tier's breaker.  The
+            # second has its own code, so a caller's ladder passes over
+            # its ``gateway`` tier for that request instead of charging it.
             try:
-                # A member no exec could take, or a unit no tier of the
-                # tenant's ladder can express, is the caller's mistake,
-                # refused here: it charges no tenant's or tier's breaker.
                 batch = batch_unit("spawn", BatchRequest.from_wire(reqs),
                                    policy=tenant.policy)
-                if fds:
-                    for index, member in enumerate(batch.members):
-                        (member.stdin, member.stdout,
-                         member.stderr) = fds[3 * index:3 * index + 3]
+            except SpawnError as exc:
+                raise GatewayProtocolError(str(exc)) from exc
+            if fds:
+                for index, member in enumerate(batch.members):
+                    (member.stdin, member.stdout,
+                     member.stderr) = fds[3 * index:3 * index + 3]
+            try:
                 _refuse_inexpressible(
                     _chain(tenant.config.strategy, tenant.policy),
                     _unit_needs(batch.members), f"a batch of {len(batch)}")
-            except SpawnError as exc:
-                raise GatewayProtocolError(str(exc)) from exc
+            except CannotExpress as exc:
+                raise GatewayCannotExpress(str(exc)) from exc
             tenant = self._admit(conn, len(batch))
         except GatewayError:
             self._close_fds(fds)
@@ -1062,7 +1069,11 @@ class GatewayServer:
         TELEMETRY.gauge("gateway_inflight", self._inflight)
         if error is not None:
             tenant.counters["failed"] += 1
-            if isinstance(error, (SpawnError, OSError)):
+            if isinstance(error, ExecError):
+                wire = GatewayExecError(str(error))
+                wire.errno, wire.path = error.errno, error.path
+                error = wire
+            elif isinstance(error, (SpawnError, OSError)):
                 error = GatewayError(str(error))
             elif not isinstance(error, GatewayError):
                 self._internal_errors += 1
@@ -1106,7 +1117,9 @@ class GatewayServer:
         Tenant breakers ride the shared :func:`breaker_for` registry
         under a per-tenant key, so a tenant whose spawns keep failing
         stops consuming ladder attempts while everyone else's breaker
-        stays closed.
+        stays closed.  A program the request cannot execute
+        (:class:`~repro.errors.ExecError`) is the caller's failure, not
+        the tenant's: it charges no breaker.
         """
         tenant = self._tenants[job.tenant]
         breaker = breaker_for(f"gateway:{job.tenant}", tenant.policy)
@@ -1117,6 +1130,9 @@ class GatewayServer:
         try:
             result = yield from _spawn_batch_steps(
                 job.batch, tenant.config.strategy)
+        except ExecError:
+            breaker.abandon()  # the request's program: no tenant verdict
+            raise
         except (SpawnError, OSError):
             breaker.record_failure()
             raise

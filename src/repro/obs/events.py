@@ -12,10 +12,10 @@ build     the :class:`~repro.core.spawn.ProcessBuilder` was created
 dispatch  a strategy was chosen and its ``launch`` entered
 framed    the forkserver request left this process (one ``sendmsg``)
 forked    the helper's launch returned — its ``posix_spawn``, so the
-          child's exec is done (only a ``cwd`` request still forks,
-          and is stamped before exec); the *helper's* clock, shipped
-          back in the reply (CLOCK_MONOTONIC is system-wide on
-          Linux, so the timestamps compose)
+          child's exec is done, a ``cwd`` request's too; the
+          *helper's* clock, shipped back in the reply
+          (CLOCK_MONOTONIC is system-wide on Linux, so the
+          timestamps compose)
 execed    the launch syscall that subsumes exec returned
           (``posix_spawn``, ``subprocess``); plain ``fork_exec``
           stops at ``forked`` because the parent never observes exec

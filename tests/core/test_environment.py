@@ -16,12 +16,14 @@ booted inside the test body, never in a fixture.
 """
 
 import contextlib
+import errno
 import json
 import os
 import pathlib
 import re
 import signal
 import tempfile
+import time
 from typing import Callable, NamedTuple, Optional
 
 import pytest
@@ -33,7 +35,7 @@ from repro.core.attrs import SpawnAttributes
 from repro.core.file_actions import FileActions
 from repro.core.steps import run_steps
 from repro.core.strategies import CAPABILITIES, get_strategy, strategies
-from repro.errors import SpawnError
+from repro.errors import CannotExpress, ExecError, SpawnError
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
 from repro.obs import NULL_TRACE
@@ -605,3 +607,97 @@ def test_readme_table_names_exactly_each_declaration():
                 for name in strategies()
                 if get_strategy(name).expresses is not None}
     assert table == declared
+
+
+# -- an exec failure is one typed error, raised at launch, on every path -------
+
+def our_children() -> set:
+    """Pids of this process's children, from every thread's list."""
+    pids = set()
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/children") as listing:
+            pids.update(int(pid) for pid in listing.read().split())
+    return pids
+
+
+def our_fds() -> set:
+    return set(os.listdir("/proc/self/fd"))
+
+
+def settles(probe, expected, seconds=2.0) -> bool:
+    """Whether ``probe()`` reads ``expected`` within ``seconds``: reader
+    threads and daemons close what they held asynchronously."""
+    deadline = time.monotonic() + seconds
+    while probe() != expected:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+#: What cannot be executed, and the errno each is refused with.
+EXEC_TARGETS = {
+    "missing": ("/no/such/binary", {errno.ENOENT}),
+    "bare-name": ("no-such-program-on-any-path", {errno.ENOENT}),
+    "not-executable": ("{tmp}/plain", {errno.EACCES}),
+}
+#: A cwd that cannot be entered is refused first, whatever the program.
+EXEC_CWDS = {"no-cwd": None, "cwd": "/tmp", "bad-cwd": "/no/such/dir"}
+
+
+@pytest.mark.parametrize("cwd", EXEC_CWDS)
+@pytest.mark.parametrize("target", EXEC_TARGETS)
+@pytest.mark.parametrize("launcher", HOST_LAUNCHERS + ["default"])
+def test_an_exec_failure_is_one_typed_error_at_launch(every_strategy,
+                                                      tmp_path, launcher,
+                                                      target, cwd):
+    """Each cell raises :class:`ExecError` from ``spawn()`` with the
+    errno that says why — or, where the launcher's declaration lacks
+    ``cwd``, the capability refusal — and leaves no child and no
+    descriptor behind.  No path hands back a child that exits 127."""
+    (tmp_path / "plain").write_text("not a program\n")
+    program, expected = EXEC_TARGETS[target]
+    program = program.format(tmp=tmp_path)
+    if EXEC_CWDS[cwd] == "/no/such/dir":
+        expected = {errno.ENOENT, errno.ENOTDIR}
+
+    def builder(*argv):
+        built = ProcessBuilder(*argv)
+        return built if launcher == "default" else built.strategy(launcher)
+
+    assert builder(TRUE).spawn().wait(timeout=30) == 0  # boot any service
+    children, fds = our_children(), our_fds()
+    failing = builder(program)
+    if EXEC_CWDS[cwd] is not None:
+        failing.cwd(EXEC_CWDS[cwd])
+    if (EXEC_CWDS[cwd] is not None and launcher != "default"
+            and "cwd" not in get_strategy(launcher).expresses):
+        with pytest.raises(CannotExpress, match="cannot express cwd"):
+            failing.spawn()
+    else:
+        with pytest.raises(ExecError) as failure:
+            failing.spawn()
+        assert failure.value.errno in expected, failure.value
+    assert settles(our_children, children)
+    assert settles(our_fds, fds)
+
+
+def test_xproc_refuses_an_unregistered_program_the_same_way():
+    with pytest.raises(ExecError) as failure:
+        ProcessBuilder("/no/such/binary").strategy("xproc").spawn()
+    assert failure.value.errno == errno.ENOENT
+    assert failure.value.path == "/no/such/binary"
+
+
+@pytest.mark.parametrize("number", sorted(ExecError.REQUEST_ERRNOS))
+def test_a_request_errno_is_the_requests(number):
+    with pytest.raises(ExecError) as failure:
+        ExecError.raise_for(OSError(number, os.strerror(number)), "/x")
+    assert (failure.value.errno, failure.value.path) == (number, "/x")
+
+
+@pytest.mark.parametrize("number", [errno.EAGAIN, errno.ENOMEM,
+                                    errno.EMFILE, errno.ENFILE])
+def test_a_resource_errno_stays_the_tiers(number):
+    assert ExecError.raise_for(OSError(number, os.strerror(number)),
+                               "/x") is None

@@ -9,9 +9,10 @@ import time
 
 import pytest
 
-from repro.core import ForkServer, SpawnRequest
+from repro.core import (ForkServer, SpawnRequest, TemplateProfile,
+                        TemplateServer)
 from repro.core.result import ChildProcess
-from repro.errors import SpawnError
+from repro.errors import ExecError, SpawnError
 
 
 def read_all(fd: int) -> bytes:
@@ -127,14 +128,12 @@ class TestSpawning:
         with pytest.raises(SpawnError):
             server.spawn([])
 
-    def test_missing_binary_exits_127(self, server):
-        child = server.spawn(["/no/such/binary"])
-        assert child.wait(timeout=10) == 127
-
 
 class TestLaunchPath:
-    """The helper launches with posix_spawn (fork->chdir->exec only for
-    ``cwd`` and as the fallback): the observable child must not change."""
+    """The helper launches with posix_spawn alone, a ``cwd`` member's
+    too: the observable child must not change.  (What a program it
+    cannot execute raises is a cell of the exec-failure row in
+    test_environment.py.)"""
 
     @pytest.fixture
     def bindir(self, tmp_path):
@@ -153,18 +152,46 @@ class TestLaunchPath:
                                                               bindir):
         assert server.spawn(["true"]).wait(timeout=10) == 0
         # ...and a name only the *request's* PATH could find is missing.
-        assert server.spawn(["hello-from-request-path"]).wait(
-            timeout=10) == 127
-
-    def test_bare_name_missing_everywhere_exits_127(self, server, bindir):
-        child = server.spawn(["no-such-program-anywhere"],
-                             env={"PATH": str(bindir)})
-        assert child.wait(timeout=10) == 127
+        with pytest.raises(ExecError):
+            server.spawn(["hello-from-request-path"])
 
     def test_cwd_with_a_bare_name_takes_the_fork_path(self, server, bindir):
+        # The name no longer takes a fork path: it is looked up after the
+        # helper's chdir, on the request's PATH, as execvpe did.
         out = spawn_output(server, ["hello-from-request-path"],
                            env={"PATH": str(bindir)}, cwd=str(bindir))
         assert out.strip() == b"resolved in " + str(bindir).encode()
+
+    def test_a_relative_path_entry_is_looked_up_from_the_cwd(self, server,
+                                                             bindir):
+        out = spawn_output(server, ["hello-from-request-path"],
+                           env={"PATH": "."}, cwd=str(bindir))
+        assert out.strip() == b"resolved in " + str(bindir).encode()
+
+    @pytest.mark.parametrize("kind", ["forkserver", "template"])
+    def test_a_cwd_moves_the_child_and_never_the_helper(self, tmp_path,
+                                                        kind):
+        home = tmp_path / "home"
+        home.mkdir()
+        if kind == "template":
+            srv = TemplateServer(TemplateProfile(
+                "t", cwd=str(home), stock=0)).start()
+        else:
+            srv = ForkServer().start()
+        try:
+            before = os.readlink(f"/proc/{srv.helper_pid}/cwd")
+            out = spawn_output(srv, ["/bin/pwd"], cwd=str(tmp_path))
+            assert out.strip() == str(tmp_path).encode()
+            with pytest.raises(ExecError):
+                srv.spawn(["/bin/pwd"], cwd=str(tmp_path / "gone"))
+            with pytest.raises(ExecError):
+                srv.spawn(["/no/such/binary"], cwd=str(tmp_path))
+            assert os.readlink(f"/proc/{srv.helper_pid}/cwd") == before
+            if kind == "template":
+                assert before == str(home)
+            assert spawn_output(srv, ["/bin/pwd"]).strip() == before.encode()
+        finally:
+            srv.stop()
 
     def test_stdout_and_stderr_granted_from_the_same_fd(self, server):
         r, w = os.pipe()
@@ -173,11 +200,6 @@ class TestLaunchPath:
         os.close(w)
         assert sorted(read_all(r).split()) == [b"err", b"out"]
         assert child.wait(timeout=10) == 0
-
-    def test_non_executable_file_exits_127(self, server, tmp_path):
-        plain = tmp_path / "plain"
-        plain.write_text("not a program")
-        assert server.spawn([str(plain)]).wait(timeout=10) == 127
 
 
 class TestFdHygiene:

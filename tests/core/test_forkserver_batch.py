@@ -8,8 +8,11 @@ import pytest
 from repro.core import (BatchRequest, ForkServer, ForkServerPool,
                         ProcessBuilder, SpawnPolicy, SpawnPool, SpawnRequest,
                         breaker_for, reset_breakers, spawn_batch)
+from repro.core.batch import batch_unit
+from repro.core.spawn import _spawn_batch_steps
+from repro.core.steps import run_steps
 from repro.core.strategies import get_strategy
-from repro.errors import GatewayProtocolError, SpawnError
+from repro.errors import ExecError, GatewayProtocolError, SpawnError
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
 from repro.obs import TELEMETRY
@@ -33,13 +36,6 @@ class TestForkServerBatch:
             assert [c.wait(timeout=10) for c in children] == [0, 0]
             with open(read_fd, "rb") as out:
                 assert out.read() == b"batched\n"
-
-    def test_missing_binary_member_exits_127_without_failing_the_batch(self):
-        with ForkServer() as server:
-            children = server.spawn_batch(BatchRequest.of(
-                [["/bin/true"], ["/no/such/binary"], ["/bin/true"]]))
-            assert [c.wait(timeout=10) for c in children] == [0, 127, 0]
-            assert server._channel.exits == {}
 
     def test_members_with_cwd_and_without_share_a_batch(self, tmp_path):
         with ForkServer() as server:
@@ -228,6 +224,51 @@ class TestACallersMistakeCostsNoHelper:
         finally:
             server.stop()
             get_strategy("forkserver-pool").shutdown()
+            reset_breakers()
+
+
+class TestAMemberNoTierCanExecute:
+    """A batch holding a member that cannot be executed fails whole on
+    every tier, through the ladder, with the typed error: no sibling
+    left running, no descriptor left open, no tier charged."""
+
+    @pytest.mark.parametrize("tier", ["forkserver-pool", "forkserver",
+                                      "posix_spawn", "fork_exec",
+                                      "gateway"])
+    def test_the_batch_fails_whole(self, monkeypatch, tier):
+        monkeypatch.delenv("REPRO_GATEWAY", raising=False)
+        policy = SpawnPolicy(retries=2, backoff=0.01)
+
+        def batch(members):
+            return run_steps(_spawn_batch_steps(batch_unit(
+                "test", BatchRequest(members), policy=policy), tier))
+
+        reset_breakers()
+        try:
+            # Boot any service, at the width the failing batch needs: a
+            # per-member tier's pool grows a helper behind a live child.
+            for child in batch([SpawnRequest(["/bin/sleep", "0.2"]),
+                                SpawnRequest(["/bin/true"])]).children:
+                assert child.wait(timeout=30) == 0
+            before = set(os.listdir("/proc/self/fd"))
+            r, w = os.pipe()
+            try:
+                with pytest.raises(ExecError):
+                    batch([SpawnRequest(["/bin/sleep", "30"], stdout=w),
+                           SpawnRequest(["/no/such/binary"]),
+                           SpawnRequest(["/bin/true"])])
+            finally:
+                os.close(w)
+            with open(r, "rb") as stream:  # EOF: the sleeper was killed
+                assert stream.read() == b""
+            deadline = time.monotonic() + 5
+            while set(os.listdir("/proc/self/fd")) != before:
+                assert time.monotonic() < deadline, "a descriptor leaked"
+                time.sleep(0.01)
+            assert breaker_for(tier).failures == 0
+        finally:
+            for service in ("forkserver-pool", "forkserver", "gateway"):
+                get_strategy(service).shutdown()
             reset_breakers()
 
 

@@ -60,6 +60,13 @@ class TestRunConvenience:
         assert open_fds() == fds
         assert own_children() == children
 
+    def test_reads_more_than_a_mebibyte_to_eof(self):
+        """The read used to stop at 1 MiB and then wait for a child
+        blocked writing the rest: a deadlock, or with a timeout a
+        killed child."""
+        code, out = run(SH, "-c", "head -c 2000000 /dev/zero", timeout=10)
+        assert (code, len(out)) == (0, 2_000_000)
+
     def test_returns_completed_child(self):
         result = run("/bin/echo", "shape")
         assert isinstance(result, CompletedChild)

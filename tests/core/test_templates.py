@@ -9,6 +9,7 @@ floor.  Stock, misses and growth concern ``code`` leases only: an
 ``argv`` lease consumes no parked child.
 """
 
+import errno
 import functools
 import os
 import signal
@@ -22,7 +23,7 @@ from repro.core import (ForkServer, SpawnPolicy, TemplateProfile,
 from repro.core import helper as helper_module
 from repro.core.strategies import _REGISTRY
 from repro.core.templates import AutoscaleConfig, TemplateMiss
-from repro.errors import SpawnError
+from repro.errors import ExecError, SpawnError
 from repro.faults import FAULTS, FaultPlan
 from repro.obs import TELEMETRY, RingBufferSink
 from repro.wire import Channel
@@ -319,9 +320,10 @@ class TestExecLeaseIsASpawn:
         assert {"0", "1", "2"} < set(links)
         assert output(argv=[
             "/bin/sh", "-c", f"cat <&{preopened[0]}"]) == b"warm file\n"
-        # A missing binary is still a child that exits 127.
-        assert getattr(srv, spelled)(
-            ["/no/such/binary"]).wait(timeout=30) == 127
+        # A missing binary is the request's typed refusal, not a child.
+        with pytest.raises(ExecError) as failure:
+            getattr(srv, spelled)(["/no/such/binary"])
+        assert failure.value.errno == errno.ENOENT
         assert srv.healthy
 
     def test_refused_lease_is_typed_and_closes_its_grant(self):
@@ -685,6 +687,25 @@ class TestDegradationLadder:
                 assert child.wait(timeout=30) == 0
             finally:
                 _REGISTRY["forkserver-pool"].shutdown()
+
+    def test_an_exec_failure_is_no_miss_and_no_degradation(self):
+        TELEMETRY.enable(sink=None, reset_metrics=True)
+        try:
+            with TemplateRegistry(autoscale=SNAPPY) as registry:
+                registry.register(TemplateProfile("p", stock=1,
+                                                  max_stock=2))
+                helper = registry.server_for("p").helper_pid
+                with pytest.raises(ExecError):
+                    registry.spawn("p", ["/no/such/binary"])
+                assert registry.server_for("p").helper_pid == helper
+                counted = {name for name, _, _ in
+                           TELEMETRY.metrics.counters()}
+                assert not {"template_lease_miss", "fallback"} & counted
+            with self.cold_registry("posix_spawn") as registry:
+                with pytest.raises(ExecError):
+                    registry.spawn("dry", ["/no/such/binary"])
+        finally:
+            TELEMETRY.disable()
 
     @staticmethod
     def cold_registry(*fallback):

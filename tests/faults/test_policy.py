@@ -13,7 +13,7 @@ from repro.core import (DEFAULT_FALLBACK, GATEWAY_FALLBACK, Backoff,
                         TemplateRegistry, breaker_for, register_strategy,
                         reset_breakers, run, spawn_batch)
 from repro.core.strategies import _REGISTRY
-from repro.errors import SpawnError
+from repro.errors import ExecError, SpawnError
 from repro.faults import FAULTS, FaultPlan
 from repro.obs import TELEMETRY
 
@@ -353,6 +353,106 @@ class TestATierThatCannotExpressARequestIsPassedOver:
             assert breaker_for("test-undeclared").failures == 1
         finally:
             _REGISTRY.pop("test-undeclared", None)
+
+
+class TestAnExecFailureCostsNoOne:
+    """A program the request cannot execute fails the same way on every
+    tier, so it is raised at once and charged to no one: no retry, no
+    fallback, no breaker verdict, no strike, no tenant charge."""
+
+    POLICY = SpawnPolicy(retries=2, fallback=("fork_exec",))
+
+    def test_the_ladder_raises_it_at_once(self):
+        TELEMETRY.enable(reset_metrics=True)
+        try:
+            for _ in range(3):
+                started = time.monotonic()
+                with pytest.raises(ExecError):
+                    (ProcessBuilder("/no/such/binary").policy(self.POLICY)
+                     .spawn())
+                assert time.monotonic() - started < 0.05
+            counted = {name for name, _, _ in TELEMETRY.metrics.counters()}
+            assert not {"spawn_retry", "fallback"} & counted
+        finally:
+            TELEMETRY.disable()
+        assert breaker_for("posix_spawn").failures == 0
+        child = ProcessBuilder("/bin/true").policy(self.POLICY).spawn()
+        assert child.wait(timeout=10) == 0
+        assert child.strategy == "posix_spawn"
+
+    def test_a_resource_errno_is_still_the_tiers(self, monkeypatch):
+        import errno
+        import os
+
+        def no_pids(*args, **kwargs):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "posix_spawn", no_pids)
+        child = ProcessBuilder("/bin/true").policy(self.POLICY).spawn()
+        assert child.wait(timeout=10) == 0
+        assert child.strategy == "fork_exec"
+        assert breaker_for("posix_spawn").failures == 3
+
+    def test_the_pool_strikes_no_helper(self):
+        from repro.core import ForkServerPool
+        with ForkServerPool(2) as pool:
+            helpers = pool.helper_pids()
+            for _ in range(5):
+                with pytest.raises(ExecError):
+                    pool.spawn(["/no/such/binary"])
+            assert pool.respawns == 0 and pool.helper_pids() == helpers
+            assert [slot.strikes for slot in pool._slots] == [0, 0]
+            assert pool.spawn(["/bin/true"]).wait(timeout=10) == 0
+
+    def test_the_gateway_charges_no_tenant_and_no_tier(self, monkeypatch):
+        monkeypatch.delenv("REPRO_GATEWAY", raising=False)
+        for _ in range(3):
+            with pytest.raises(ExecError) as failure:
+                (ProcessBuilder("/no/such/binary").strategy("gateway")
+                 .policy(self.POLICY).spawn())
+            assert failure.value.path == "/no/such/binary"
+        for breaker in ("gateway:local", "gateway"):
+            assert breaker_for(breaker).failures == 0, breaker
+        child = (ProcessBuilder("/bin/true").strategy("gateway")
+                 .policy(self.POLICY).spawn())
+        assert child.wait(timeout=10) == 0
+        assert child.strategy == "gateway"
+
+
+class TestADaemonThatCannotExpressARequestIsPassedOver:
+    def test_an_external_daemons_refusal_opens_no_caller_breaker(
+            self, monkeypatch, tmp_path):
+        """The ``gateway`` declaration covers every daemon, but this
+        one's tenant runs ``posix_spawn`` alone: its admission refusal
+        is typed, and the caller's ladder passes over the tier for that
+        request instead of charging it."""
+        from repro.core.strategies import get_strategy
+        from repro.gateway import GatewayConfig, GatewayServer, TenantConfig
+        server = GatewayServer(GatewayConfig(
+            unix_path=str(tmp_path / "gw.sock"),
+            tenants={"local": TenantConfig(
+                name="local", token="tok", strategy="posix_spawn",
+                policy=SpawnPolicy())})).start()
+        monkeypatch.setenv("REPRO_GATEWAY", server.unix_path)
+        monkeypatch.setenv("REPRO_GATEWAY_TENANT", "local")
+        monkeypatch.setenv("REPRO_GATEWAY_TOKEN", "tok")
+        get_strategy("gateway").shutdown()
+        policy = SpawnPolicy(fallback=("fork_exec",))
+        try:
+            for _ in range(3):
+                child = (ProcessBuilder("/bin/pwd").cwd("/")
+                         .strategy("gateway").policy(policy)
+                         .stdout_to_devnull().spawn())
+                assert child.wait(timeout=10) == 0
+                assert child.strategy == "fork_exec"
+            assert breaker_for("gateway").failures == 0
+            child = (ProcessBuilder("/bin/true").strategy("gateway")
+                     .policy(policy).spawn())
+            assert child.wait(timeout=10) == 0
+            assert child.strategy == "gateway"
+        finally:
+            get_strategy("gateway").shutdown()
+            server.stop()
 
 
 class TestFlappingWorkerRetiredUnderLoad:

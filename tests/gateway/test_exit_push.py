@@ -369,7 +369,7 @@ class TestBounds:
         tenants = {"acme": TenantConfig(name="acme", max_children=8,
                                         max_queue=256, **FAST)}
         server = make_server(tmp_path, tenants=tenants)
-        client = dial(server, rate_limit_retries=0)
+        client = dial(server)
         try:
             spawned = 0
             while spawned < 200:

@@ -19,8 +19,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import (AuthError, GatewayError, GatewayProtocolError,
-                          Overloaded, RateLimited)
+from repro.errors import (AuthError, ExecError, GatewayError,
+                          GatewayExecError, GatewayProtocolError, Overloaded,
+                          RateLimited)
 from repro.gateway.protocol import (ERROR_CODES, OPS, check_request,
                                     decode_error, encode_error)
 from repro.wire import MAX_FRAME_BYTES, FrameDecoder, encode_frame
@@ -59,6 +60,14 @@ class TestErrorRoundTrip:
         # The concrete hierarchy the API promises.
         assert issubclass(AuthError, GatewayError)
         assert issubclass(Overloaded, GatewayError)
+
+    def test_an_exec_failure_keeps_its_errno_and_path(self):
+        sent = GatewayExecError("cannot launch")
+        sent.errno, sent.path = 2, "/no/such/binary"
+        error = decode_error(encode_error(sent)["error"])
+        assert isinstance(error, ExecError) and isinstance(error,
+                                                           GatewayError)
+        assert (error.errno, error.path) == (2, "/no/such/binary")
 
     def test_unknown_code_stays_catchable_and_reencodable(self):
         error = decode_error({"code": "quota_exceeded", "message": "nope",

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import Backoff
 from repro.errors import (GatewayConnectionLost, GatewayError,
-                          GatewayProtocolError, SpawnTimeout)
+                          GatewayProtocolError, RateLimited, SpawnTimeout)
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            TenantConfig)
 from repro.wire import encode_frame
@@ -252,59 +252,75 @@ class _RateLimitingServer(FakeDaemon):
         return False
 
 
-class TestRetryAfterHonored:
-    def test_hint_is_slept_out_beyond_the_reconnect_backoff_cap(
-            self, tmp_path):
-        """The honoured Retry-After sleep has its own cap
-        (rate_limit_sleep_max), not the reconnect backoff cap: a hint
-        far above the ``backoff``'s cap must still be waited out, so
-        the re-ask lands after the daemon said it would succeed."""
-        fake = _RateLimitingServer(str(tmp_path / "rl.sock"),
-                                   retry_after=0.4)
-        client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
-                               rate_limit_retries=1,
-                               backoff=Backoff(cap=0.01)).connect()
-        try:
-            started = time.monotonic()
-            assert client.stats() == {"ok": True}
-            elapsed = time.monotonic() - started
-            assert fake.refused == 1
-            # The old behavior capped the sleep at the reconnect cap
-            # (0.01s); honoring the hint means waiting ~0.4s.
-            assert elapsed >= 0.3
-        finally:
-            client.close()
-            fake.stop()
+class TestARefusalReachesTheCallerAtOnce:
+    """The client waits out nothing but its own re-dials: a Retry-After
+    hint is the caller's (or its ladder's) to honour, inside the
+    caller's own deadline."""
 
-
-    def test_close_cuts_the_wait_short(self, tmp_path):
-        """A caller sleeping out a hint must not outlive close(): the
-        wait is on the close event, like the reconnect back-off's."""
+    def test_a_hint_is_handed_over_not_slept_out(self, tmp_path):
         fake = _RateLimitingServer(str(tmp_path / "rl.sock"),
                                    retry_after=5.0)
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
-                               rate_limit_retries=1).connect()
-        failures = []
-
-        def op():
-            try:
-                client.stats()
-            except GatewayError as exc:
-                failures.append(exc)
-        worker = threading.Thread(target=op)
+                               backoff=Backoff(cap=0.01)).connect()
         try:
-            worker.start()
-            while not fake.refused:
-                time.sleep(0.01)
-            time.sleep(0.1)  # let the refusal reach the caller's wait
             started = time.monotonic()
-            client.close()
-            worker.join(timeout=10.0)
+            with pytest.raises(RateLimited) as refusal:
+                client.stats()
             assert time.monotonic() - started < 1.0
-            assert "closed" in str(failures[0])
+            assert refusal.value.retry_after == 5.0
+            assert fake.refused == 1
+            assert client.stats() == {"ok": True}  # the caller's re-ask
         finally:
             client.close()
             fake.stop()
+
+    def test_a_rate_limited_spawn_keeps_its_deadline(self, tmp_path):
+        server = GatewayServer(GatewayConfig(
+            unix_path=str(tmp_path / "gw.sock"),
+            tenants={"acme": TenantConfig(
+                name="acme", token=TOKEN, strategy="posix_spawn",
+                rate=0.5, burst=1.0)})).start()
+        client = GatewayClient(server.unix_path, tenant="acme",
+                               token=TOKEN).connect()
+        try:
+            assert client.spawn(["/bin/true"],
+                                deadline=0.3).wait(timeout=10) == 0
+            started = time.monotonic()
+            with pytest.raises(RateLimited) as refusal:
+                client.spawn(["/bin/true"], deadline=0.3)
+            assert time.monotonic() - started < 0.3
+            assert refusal.value.retry_after > 0
+        finally:
+            client.close()
+            server.stop()
+
+    def test_the_gateway_strategy_hands_it_to_the_caller(self, tmp_path,
+                                                         monkeypatch):
+        """The strategy's own client used to sleep out two hints, a
+        loop no ladder or deadline could see: 2 s for a 0.3 s spawn."""
+        from repro.core import ProcessBuilder
+        from repro.core.strategies import get_strategy
+        server = GatewayServer(GatewayConfig(
+            unix_path=str(tmp_path / "gw.sock"),
+            tenants={"local": TenantConfig(
+                name="local", token=TOKEN, strategy="posix_spawn",
+                rate=0.5, burst=1.0)})).start()
+        monkeypatch.setenv("REPRO_GATEWAY", server.unix_path)
+        monkeypatch.setenv("REPRO_GATEWAY_TENANT", "local")
+        monkeypatch.setenv("REPRO_GATEWAY_TOKEN", TOKEN)
+        get_strategy("gateway").shutdown()
+        try:
+            def spawn():
+                return (ProcessBuilder("/bin/true").strategy("gateway")
+                        .deadline(0.3).spawn())
+            assert spawn().wait(timeout=10) == 0
+            started = time.monotonic()
+            with pytest.raises(RateLimited):
+                spawn()
+            assert time.monotonic() - started < 0.3
+        finally:
+            get_strategy("gateway").shutdown()
+            server.stop()
 
 
 class TestCorrelationMapHygiene:
