@@ -84,8 +84,9 @@ class InFlight:
     def notify(self, callback: Callable[[], None]) -> None:
         """Call ``callback()`` once, when resuming the steps will no
         longer wait: the reply is in, or the channel died (from the
-        thread that pumps its channel — its reader, or the loop it was
-        handed over to — or whoever killed it; now, if already so)."""
+        thread that pumps its channel — the loop it was handed over to,
+        or else the reader thread this starts — or whoever killed it;
+        now, if already so)."""
         self.channel.notify(self.pending, callback)
 
     @property
@@ -101,7 +102,7 @@ class InFlight:
         """``timeout`` passed.  With no reply yet the helper is presumed
         wedged and aborted, exactly as a blocking wait's
         :class:`SpawnTimeout` does; the steps resume with the loss."""
-        if not self.pending.event.is_set():
+        if not self.channel.settled(self.pending):
             self.server.abort()
 
 
@@ -214,7 +215,13 @@ class ForkServer:
         return self._channel.in_flight if self._channel is not None else 0
 
     def start(self) -> "ForkServer":
-        """Launch the helper (idempotent)."""
+        """Launch the helper (idempotent).
+
+        Its channel is read by the callers that wait on it: a spawn's
+        reply and its child's exit notice are routed by the thread that
+        asked for them, and no reader thread runs unless an ``on_exit``
+        callback waits for a notice nobody else reads
+        (:class:`repro.wire.Channel`)."""
         if self.running:
             return self
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -241,7 +248,6 @@ class ForkServer:
         theirs.close()
         self._channel = Channel(ours, "forkserver", lost=SpawnError,
                                 pids_of=_pids_handed_out)
-        self._channel.hand_over()  # a reader thread pumps it
         try:
             ping = self._roundtrip({"op": "ping"},
                                    timeout=self.start_timeout)
@@ -258,8 +264,8 @@ class ForkServer:
         The goodbye exchange runs under :attr:`shutdown_timeout`; a
         helper that is wedged (stalled event loop, mid-frame) cannot
         stall the caller.  In-flight requests are resolved with
-        :class:`SpawnError` *before* the reader is joined, so no waiter
-        stays blocked across a shutdown, and a helper that does not
+        :class:`SpawnError` *before* any reader thread is joined, so no
+        waiter stays blocked across a shutdown, and a helper that does not
         exit within the reap grace period is SIGKILLed.
         """
         if self.running:

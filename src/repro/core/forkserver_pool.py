@@ -15,8 +15,9 @@ single-threaded helper — the helper's fork loop becomes the ceiling.
 * **lazy worker start** — helpers launch on demand as offered load
   grows, so an idle pool costs one process, not N;
 * **dead-worker recovery** — a helper that dies (crash, SIGKILL) is
-  detected on first contact, discarded, and replaced; the request
-  fails over to a live worker.  Retrying a *refusal* is not the pool's
+  detected on first contact — nobody reads an idle helper's wire, so
+  that is the next send to it, refused as ``unsent`` — discarded, and
+  replaced; the request fails over to a live worker.  Retrying a *refusal* is not the pool's
   job but the ladder's (:mod:`repro.core.policy`);
 * **clean shutdown** — every helper is asked to exit and is reaped.
 

@@ -11,6 +11,7 @@ own dup2 names it, and so no stage ever holds a write end it should not
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import List, Optional, Sequence, Tuple
 
@@ -64,6 +65,16 @@ class Pipeline:
                 else:
                     builder.stdout_to_pipe()
                 children.append(builder.spawn())
+        except BaseException:
+            # A stage that cannot launch breaks the pipeline: no stage
+            # of it is left running, unreaped, or holding our stdin.
+            if stdin_data is not None:
+                os.close(first_stdin_write)
+            for child in children:
+                with contextlib.suppress(OSError, SpawnError):
+                    child.kill()
+                    child.wait()
+            raise
         finally:
             # Parent keeps no link ends: each belongs to exactly the two
             # stages beside it.

@@ -50,6 +50,7 @@ import atexit
 import contextlib
 import errno
 import os
+import stat
 import subprocess
 import threading
 from typing import Dict, FrozenSet, List, Optional, Sequence
@@ -65,24 +66,46 @@ from .result import ChildProcess, encode_status
 from .steps import Steps, run_steps
 
 
-def _resolve_executable(argv: Sequence[str], env=None) -> str:
-    """The path to exec for ``argv[0]``.
+def _resolve_executable(argv: Sequence[str], env=None,
+                        cwd: Optional[str] = None) -> str:
+    """The path to exec for ``argv[0]``, from the child's ``cwd``.
 
     A bare name is looked up the way ``subprocess`` and the forkserver
     helper look it up: on the ``PATH`` of the child's environment
-    ``env`` (the caller's when ``None``), skipping directories; a name
-    found nowhere is the request's :class:`~repro.errors.ExecError`.
+    ``env`` (the caller's when ``None``), skipping directories, and —
+    as the helper does, having changed into it — a relative entry from
+    the ``cwd`` the child will start in.  That ``cwd`` is checked
+    first, so one that cannot be entered is what the refusal names,
+    whatever the program; a name found nowhere is the request's
+    :class:`~repro.errors.ExecError`.
     """
     if not argv:
         raise SpawnError("empty argv")
+    if cwd is not None:
+        _check_cwd(cwd)
     exe = os.fspath(argv[0])
     if os.sep in exe:
         return exe
     for directory in os.get_exec_path(env):
         candidate = os.path.join(directory or ".", exe)
-        if os.access(candidate, os.X_OK) and not os.path.isdir(candidate):
+        seen = candidate if cwd is None else os.path.join(cwd, candidate)
+        if os.access(seen, os.X_OK) and not os.path.isdir(seen):
             return candidate
     raise ExecError(errno=errno.ENOENT, path=exe)
+
+
+def _check_cwd(cwd: str) -> None:
+    """Refuse a ``cwd`` the child could not ``chdir`` into, with the
+    errno that ``chdir`` would report."""
+    try:
+        mode = os.stat(cwd).st_mode
+    except OSError as exc:
+        ExecError.raise_for(exc, cwd)
+        raise
+    if not stat.S_ISDIR(mode):
+        raise ExecError(errno=errno.ENOTDIR, path=cwd)
+    if not os.access(cwd, os.X_OK):
+        raise ExecError(errno=errno.EACCES, path=cwd)
 
 
 #: What a launch request may ask of its launcher beyond an argv: the
@@ -298,7 +321,7 @@ class ForkExecStrategy(Strategy):
 
     def launch(self, argv, actions, attrs, trace=NULL_TRACE) -> ChildProcess:
         self._enter(argv, actions, attrs)
-        path = _resolve_executable(argv, attrs.env)
+        path = _resolve_executable(argv, attrs.env, attrs.cwd)
         env = attrs.effective_env()
         # As CPython's own fork_exec does: the child reports a failed
         # file action, chdir or exec on a close-on-exec pipe, which an

@@ -194,7 +194,7 @@ class GatewayServer:
         self._jobs: set = set()  # dispatched, not yet through _job_done
         self._dispatching = False  # a _dispatch is under way
         # The helper channels this loop pumps (Channel.hand_over); each
-        # goes back to a reader thread when the loop stops.
+        # goes back to the callers that wait on it when the loop stops.
         self._pumped: "weakref.WeakSet" = weakref.WeakSet()
         self._inflight = 0
         self._vclock = 0.0
@@ -325,8 +325,10 @@ class GatewayServer:
             self._started.set()
         finally:
             # However the loop stopped, the helpers it pumped go back to
-            # reader threads before it closes: a pool caller outside the
-            # daemon (or the pool's own goodbye) still gets its replies.
+            # the callers that wait on them (and to a reader thread while
+            # an on_exit is still subscribed) before it closes: a pool
+            # caller outside the daemon, or the pool's own goodbye, still
+            # gets its replies.
             pumped, self._pumped = list(self._pumped), weakref.WeakSet()
             for channel in pumped:
                 channel.hand_over(None)

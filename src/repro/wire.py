@@ -28,6 +28,7 @@ import json
 import logging
 import math
 import operator
+import os
 import select
 import socket
 import struct
@@ -208,30 +209,30 @@ def recv_with_fds(sock: socket.socket) -> Tuple[bytes, List[int]]:
 
 
 class Pending:
-    """One in-flight request's future: an event plus its eventual reply
-    (``None`` once the event is set means the channel died first), and
-    a callback if someone asked to be told (:meth:`Channel.notify`)."""
+    """One in-flight request's future: its eventual reply (``None``
+    once settled means the channel died first), and a callback if
+    someone asked to be told (:meth:`Channel.notify`).  It holds no
+    event: a caller that waits on it reads the socket itself or waits
+    on the channel's one condition (:meth:`Channel.result`)."""
 
-    __slots__ = ("rid", "request", "event", "reply", "callback")
+    __slots__ = ("rid", "request", "reply", "callback")
 
     def __init__(self, rid: int, request: dict):
         self.rid = rid
         self.request = request
-        self.event = threading.Event()
         self.reply: Optional[dict] = None
         self.callback: Optional[Callable[[], None]] = None
 
 
 class Exit:
     """One handed-out child's exit slot: the status once the peer has
-    pushed it, an event if a caller is blocked waiting for it, and a
-    callback if one asked to be told (``ChildProcess.on_exit``)."""
+    pushed it, and a callback if one asked to be told
+    (``ChildProcess.on_exit``)."""
 
-    __slots__ = ("status", "event", "callback")
+    __slots__ = ("status", "callback")
 
     def __init__(self):
         self.status = None
-        self.event: Optional[threading.Event] = None
         self.callback: Optional[Callable[[], None]] = None
 
 
@@ -251,22 +252,32 @@ class Channel:
 
     One :meth:`pump`, three drivers — whoever reads, it is this code:
 
-    * **the blocked callers**, on a new channel: whoever waits for a
-      reply or an exit leads, polling and pumping for everyone until
-      its own frame is in, while the others follow on a condition (one
-      leader at a time, under the channel's lock).  Only a leader
+    * **the blocked callers**, by default: whoever waits for a reply or
+      an exit leads, polling and pumping for everyone until its own
+      frame is in, while the others follow on the channel's condition
+      (one leader at a time, under the channel's lock).  Only a leader
       pumps: every :meth:`send` first pumps what is ready, so a peer
       that hung up is noticed before a frame is put on its wire, and
       :meth:`close` files the notices that have already arrived — each
       taking the lead while it is free, and reading nothing while a
-      leader holds it;
-    * a **reader thread** (:meth:`hand_over` with no loop) parks in
-      :meth:`pump`'s ``recv`` and routes whatever wakes it;
+      leader holds it.  A spawn and its wait cross no thread but the
+      caller's own;
+    * a **reader thread**, started by a callback nobody waits for
+      (:meth:`notify`, :meth:`watch`) on a channel no loop drives: it
+      parks in :meth:`pump`'s ``recv`` and routes whatever wakes it,
+      and once no callback is left (it looks as it routes) it gives the
+      channel back to the callers;
     * an **asyncio loop** the channel is handed to (:meth:`hand_over`)
       watches the socket with ``add_reader`` and pumps on its own
       thread — a reader thread routes what next wakes it, finds the
-      loop in charge and exits, and a reader gets the channel back when
-      the loop lets go.
+      loop in charge and exits; when the loop lets go the callers read
+      again (and a reader, if a callback is still waiting).
+
+    Whichever of them reads, a caller that waits follows on the
+    condition, which every routed frame and the channel's death
+    notify.  A change of driver wakes a caller that is leading through
+    the channel's wake fd, so a frame the new driver routes never
+    leaves it asleep in ``poll``.
 
     A channel dies once (damaged frame, EOF, send failure, :meth:`close`)
     and stays dead: every pending request, blocked waiter and callback
@@ -314,28 +325,62 @@ class Channel:
         self.waiting = 0  # callers blocked in wait_exit right now
         self.dead: Optional[str] = None  # why the channel died, once it has
         self.closed = False
-        # The blocked callers read until the channel is handed over to
-        # a reader thread or to an asyncio loop (then the fd it watches).
+        # The blocked callers read unless a reader thread or an asyncio
+        # loop (then the fd it watches) does.
         self._callers_read = True
         self.reader: Optional[threading.Thread] = None
         self._loop = None
         self._fd = -1
+        self._callbacks = 0  # notify/watch callbacks not yet called
         # Caller-driven reading: whether one caller leads, how many
         # follow, and the condition they follow on.
         self._leading = False
         self._following = 0
         self._turn = threading.Condition(self._lock)
         self._poller: Optional[select.poll] = None
+        self._wake = -1  # eventfd a leader polls beside the socket
+        self._fds_left_to_leader = False  # close() left the fds to it
 
     def _start_reader(self) -> None:
+        """A reader thread takes over from the callers (lock held)."""
+        self._callers_read = False
+        self._wake_leader()
         self.reader = threading.Thread(target=self._read, name=f"{self.name}-reader", daemon=True)
         self.reader.start()
+
+    def _wake_leader(self) -> None:
+        """Wake the caller leading, if it is asleep in ``poll`` (lock
+        held): it looks again at who reads and what has been filed."""
+        if self._leading and self._wake >= 0:
+            os.eventfd_write(self._wake, 1)
+
+    def _register(self, item, callback: Callable[[], None]) -> None:
+        """Give ``item`` its callback (lock held), and the channel a
+        reader if nobody else would route what calls it."""
+        if item.callback is None:
+            self._callbacks += 1
+        item.callback = callback
+        if self._callers_read and self.dead is None:
+            self._start_reader()
+
+    def _took(self, item) -> Optional[Callable[[], None]]:
+        """Take ``item``'s callback for its one call (lock held)."""
+        callback, item.callback = item.callback, None
+        if callback is not None:
+            self._callbacks -= 1
+        return callback
 
     @property
     def in_flight(self) -> int:
         """Requests awaiting replies plus callers blocked on an exit."""
         with self._lock:
             return len(self.pending) + self.waiting
+
+    def settled(self, pending: Pending) -> bool:
+        """Whether :meth:`result` would no longer wait for ``pending``:
+        its reply is in, or the channel died first."""
+        with self._lock:
+            return self.pending.get(pending.rid) is not pending
 
     def _lose(self, message: str, unsent: bool) -> Exception:
         error = self._lost(f"{self.name} {message}")
@@ -440,11 +485,7 @@ class Channel:
     def result(self, pending: Pending, timeout: Optional[float] = None) -> dict:
         """Wait (at most ``timeout`` seconds) for ``pending``'s reply."""
         try:
-            if self._callers_read:
-                replied = self._await(lambda: self.pending.get(pending.rid) is not pending, timeout)
-            else:
-                replied = pending.event.wait(timeout)
-            if not replied:
+            if not self._await(lambda: self.pending.get(pending.rid) is not pending, timeout):
                 op = pending.request.get("op")
                 raise SpawnTimeout(
                     f"{self.name} request {pending.rid} ({op}) exceeded its {timeout}s deadline"
@@ -454,19 +495,21 @@ class Channel:
             return pending.reply
         finally:
             with self._lock:
-                self.pending.pop(pending.rid, None)
+                if self.pending.pop(pending.rid, None) is not None:
+                    self._took(pending)
 
     def notify(self, pending: Pending, callback: Callable[[], None]) -> None:
         """Call ``callback()`` once, when :meth:`result` would no longer
-        wait for ``pending`` — from the reader thread as it routes the
-        reply, or from whichever thread kills the channel (``result``
-        then raises the loss) — now, if that has already happened.  The
-        reply's counterpart of :meth:`watch`, for a caller that must not
-        block; registered after the send, so a send that raises never
-        also calls back."""
+        wait for ``pending`` — from whichever thread routes the reply
+        (on a channel no loop drives, the reader thread this starts), or
+        from whichever thread kills the channel (``result`` then raises
+        the loss) — now, if that has already happened.  The reply's
+        counterpart of :meth:`watch`, for a caller that must not block;
+        registered after the send, so a send that raises never also
+        calls back."""
         with self._lock:
             if self.pending.get(pending.rid) is pending:
-                pending.callback = callback
+                self._register(pending, callback)
                 return
         callback()
 
@@ -475,57 +518,70 @@ class Channel:
     def pump(self, wait: bool = False) -> bool:
         """Read what the socket holds — one ``recv`` — and route every
         frame it completes; whether anything was read.  It does not
-        wait for bytes unless ``wait`` says so (the reader thread's
+        wait — for bytes, or for a pump another thread is in, which
+        routes them — unless ``wait`` says so (the reader thread's
         form: it parks here).  EOF, a damaged frame or a read error
         kills the channel, and a dead channel reads nothing more.  Safe
         from any thread: one pump reads at a time, so frames are routed
         in the order they arrived whoever drives."""
-        with self._pump_lock:
-            if self.dead is not None:
-                return False
-            try:
-                data = self.sock.recv(_RECV_BYTES, 0 if wait else socket.MSG_DONTWAIT)
-            except (BlockingIOError, InterruptedError):
-                return False
-            except Exception as exc:
-                self.fail(str(exc) or type(exc).__name__)
-                return False
-            try:
-                if not data:
-                    self._decoder.eof()
-                    raise EOFError("peer hung up")
-                for frame in self._decoder.feed(data):
-                    self._route(frame)
-            except Exception as exc:
-                self.fail(str(exc) or type(exc).__name__)
-                return False
-            return True
+        if not self._pump_lock.acquire(wait):
+            return False
+        try:
+            return self._pump(wait)
+        finally:
+            self._pump_lock.release()
+
+    def _pump(self, wait: bool) -> bool:
+        if self.dead is not None:
+            return False
+        try:
+            data = self.sock.recv(_RECV_BYTES, 0 if wait else socket.MSG_DONTWAIT)
+        except (BlockingIOError, InterruptedError):
+            return False
+        except Exception as exc:
+            self.fail(str(exc) or type(exc).__name__)
+            return False
+        try:
+            if not data:
+                self._decoder.eof()
+                raise EOFError("peer hung up")
+            for frame in self._decoder.feed(data):
+                self._route(frame)
+        except Exception as exc:
+            self.fail(str(exc) or type(exc).__name__)
+            return False
+        return True
 
     def _read(self) -> None:
         """The reader thread: pump, parked in the ``recv`` — until the
-        channel dies, or a loop has taken it over (then the frames that
-        woke it are its last)."""
-        while True:
+        channel dies, a loop has taken it over (then the frames that
+        woke it are its last), or no callback is left to call (then the
+        callers read again)."""
+        while self.pump(wait=True):
             with self._lock:
-                if self._loop is not None:
-                    self.reader = None  # the loop's now; hand_over(None) starts another
+                if self._loop is not None or not self._callbacks:
+                    self.reader = None
+                    if self._loop is None:
+                        self._callers_read = True
+                        if self._following:
+                            self._turn.notify_all()
                     return
-            if not self.pump(wait=True):
-                return
 
     def _await(self, done: Callable[[], bool], timeout: Optional[float]) -> bool:
-        """Where the callers read: block until ``done()`` (checked under
-        the lock) or ``timeout``; whether it is done.  With no leader,
-        this caller leads — it polls the socket and pumps, routing every
-        frame for everyone, until its own is in; otherwise it follows,
-        waking when a frame is filed or the lead falls free."""
+        """Block until ``done()`` (checked under the lock) or ``timeout``;
+        whether it is done.  Where the callers read and none leads, this
+        caller leads — it polls the socket and the wake fd and pumps,
+        routing every frame for everyone, until its own is in.
+        Otherwise it follows on the condition while a leader, a reader
+        thread or a loop routes, waking when a frame is filed, the
+        channel dies or the lead falls free."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while not done():
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return False
-                if self._leading:
+                if self._leading or not self._callers_read:
                     self._following += 1
                     try:
                         self._turn.wait(remaining)
@@ -533,19 +589,37 @@ class Channel:
                         self._following -= 1
                     continue
                 self._leading = True
+                poller = self._poller or self._make_poller()
                 self._lock.release()
                 try:
-                    if self._poller is None:
-                        self._poller = select.poll()
-                        self._poller.register(self.sock, select.POLLIN)
-                    self._poller.poll(None if remaining is None else math.ceil(remaining * 1000))
+                    wait_ms = None if remaining is None else math.ceil(remaining * 1000)
+                    for fd, _events in poller.poll(wait_ms):
+                        if fd == self._wake:
+                            os.eventfd_read(fd)
                     self.pump()
                 finally:
                     self._lock.acquire()
-                    self._leading = False
-                    if self._following:
-                        self._turn.notify_all()
+                    self._let_go()
             return True
+
+    def _make_poller(self) -> select.poll:
+        """The first leader's poller: the socket, and the wake fd a
+        change of driver writes (lock held)."""
+        self._wake = os.eventfd(0, os.EFD_CLOEXEC | os.EFD_NONBLOCK)
+        self._poller = select.poll()
+        self._poller.register(self.sock, select.POLLIN)
+        self._poller.register(self._wake, select.POLLIN)
+        return self._poller
+
+    def _let_go(self) -> None:
+        """The leader lets go of the lead (lock held): a follower may
+        take it up, and the fds :meth:`close` left to it close now."""
+        self._leading = False
+        if self._following:
+            self._turn.notify_all()
+        if self._fds_left_to_leader:
+            self._fds_left_to_leader = False
+            self._close_fds()
 
     def _pump_ready(self, drain: bool = False) -> None:
         """Where the callers read, pump what is ready (all of it, with
@@ -554,7 +628,7 @@ class Channel:
         its check and its ``poll``, leaving it asleep with its reply in.
         With the lead taken this reads nothing: that leader reads
         everything anyway."""
-        if not self._callers_read:  # a handed-over channel: no lock
+        if not self._callers_read:  # another driver reads: no lock
             return
         with self._lock:
             if not self._callers_read or self._leading:
@@ -565,28 +639,27 @@ class Channel:
                 pass
         finally:
             with self._lock:
-                self._leading = False
-                if self._following:
-                    self._turn.notify_all()
+                self._let_go()
 
     def hand_over(self, loop=None) -> bool:
         """Who pumps this channel from now on.  A new channel is read by
-        its blocked callers; hand it over before any of them waits (a
-        caller already leading is not interrupted).
+        the callers that wait on it.
 
         Given an asyncio ``loop`` (call it on the loop's thread), the
         loop does: it watches the socket (``add_reader``) and pumps
-        whenever it is readable.  A reader thread, parked in its pump,
-        routes what next wakes it, finds the loop in charge and exits;
-        a loop pump waits for that one to end — the channel never has
-        two readers.  ``False``, and nothing changes, when the channel
-        is dead, closed, or another loop has it.
+        whenever it is readable.  A caller leading is woken to follow;
+        a reader thread, parked in its pump, routes what next wakes it,
+        finds the loop in charge and exits; until it has, a loop pump
+        reads nothing — the channel never has two readers.  ``False``, and
+        nothing changes, when the channel is dead, closed, or another
+        loop has it.
 
-        Given ``None``, a reader thread does.  A loop that has the
-        channel lets go first (call it on that loop's thread): it stops
-        watching the socket, then a reader takes over — or, if the
-        channel was closed meanwhile, the socket is closed here, so no
-        fd is ever closed while a loop still watches it.
+        Given ``None``, the loop that has the channel lets go (call it
+        on that loop's thread): it stops watching the socket and the
+        callers read again — with a reader thread while a callback
+        waits — or, if the channel was closed meanwhile, the socket is
+        closed here, so no fd is ever closed while a loop still watches
+        it.  With no loop in charge this changes nothing.
         """
         if loop is None:
             self._unwatch()
@@ -597,6 +670,7 @@ class Channel:
             self._callers_read = False
             self._loop = loop
             self._fd = self.sock.fileno()
+            self._wake_leader()
         loop.add_reader(self._fd, self._on_readable)
         return True
 
@@ -608,19 +682,24 @@ class Channel:
 
     def _unwatch(self) -> None:
         """Stop a loop watching the socket (on its thread), then give the
-        channel to a reader thread — or, if it was closed while the loop
-        watched it, close its socket."""
+        channel back to its callers — to a reader thread while a
+        callback waits — or, if it was closed while the loop watched
+        it, close its socket."""
         loop = self._loop
         if loop is not None:
             loop.remove_reader(self._fd)
         with self._lock:
             self._loop = None
-            self._callers_read = False
             if self.closed:
                 if loop is not None:
-                    self.sock.close()
-            elif self.dead is None and self.reader is None:
-                self._start_reader()
+                    self._close_fds()
+            elif self.reader is None:  # a parked one decides for itself
+                if self._callbacks and self.dead is None:
+                    self._start_reader()
+                else:
+                    self._callers_read = True
+                    if self._following:
+                        self._turn.notify_all()
 
     def _route(self, frame: dict) -> None:
         """File one incoming frame: a reply resolves its request's
@@ -628,14 +707,13 @@ class Channel:
         caller wakes), an exit notice fills its pid's slot and wakes
         whoever waits on it.  A frame of the wrong shape raises into
         :meth:`pump`'s channel-death path."""
-        event = callback = None
+        callback = None
         with self._lock:
             if "exit" in frame:
                 slot = self.exits.get(frame["exit"])
                 if slot is not None:
                     slot.status = self._exit_status(frame)
-                    event = slot.event
-                    callback, slot.callback = slot.callback, None
+                    callback = self._took(slot)
             else:
                 pending = self.pending.pop(frame.get("id"), None)
                 if pending is not None:
@@ -648,16 +726,13 @@ class Channel:
                         if slot is None or slot.status is not None:
                             self.exits[pid] = Exit()
                     pending.reply = frame
-                    event = pending.event
-                    callback, pending.callback = pending.callback, None
+                    callback = self._took(pending)
                 elif "error" in frame and frame.get("id") is None:
                     # An un-addressed error is the peer saying the
                     # *stream* is broken: every request on it is lost.
                     raise ConnectionError(f"peer reported a broken stream: {frame['error']}")
             if self._following:
                 self._turn.notify_all()
-        if event is not None:
-            event.set()
         if callback is not None:
             self._call(callback)
 
@@ -678,21 +753,17 @@ class Channel:
         with self._lock:
             if self.dead is None:
                 self.dead = why
-            stranded = []
-            for pending in self.pending.values():
-                # Taken, not copied: a callback that holds its own
-                # request must not keep it alive as a cycle.
-                stranded.append((pending.event, pending.callback))
-                pending.callback = None
+            # Taken, not copied: a callback that holds its own request
+            # must not keep it alive as a cycle.
+            stranded = [self._took(pending) for pending in self.pending.values()]
             self.pending.clear()
             empty = [slot for slot in self.exits.values() if slot.status is None]
-            stranded += [(slot.event, slot.callback) for slot in empty]
+            stranded += [self._took(slot) for slot in empty]
             self.exits = {pid: slot for pid, slot in self.exits.items() if slot.status is not None}
             if self._following:
                 self._turn.notify_all()
-        for event, callback in stranded:
-            if event is not None:
-                event.set()
+            self._wake_leader()
+        for callback in stranded:
             if callback is not None:
                 self._call(callback)
 
@@ -702,7 +773,8 @@ class Channel:
         callers read, the notices that have already arrived are filed
         first.  The socket is closed here once no reader can touch it —
         or, if a loop watches it, by the loop once it has stopped
-        watching.  Returns whether the reader thread is gone."""
+        watching, and if a caller leads, by that caller as it lets go.
+        Returns whether the reader thread is gone."""
         self._pump_ready(drain=True)
         with self._lock:
             self.closed = True
@@ -716,37 +788,45 @@ class Channel:
         if reader is not None and reader is not threading.current_thread():
             reader.join(timeout=join_timeout)
         if not watched:
-            self.sock.close()
+            with self._lock:
+                self._close_fds()
         return reader is None or not reader.is_alive()
+
+    def _close_fds(self) -> None:
+        """Close the socket and the wake fd (lock held) — or, while a
+        caller leads and may still poll them, leave that to it."""
+        if self._leading:
+            self._fds_left_to_leader = True
+            return
+        self.sock.close()
+        if self._wake >= 0:
+            os.close(self._wake)
+            self._wake = -1
 
     # -- pushed exits ----------------------------------------------------
 
     def wait_exit(self, pid: int, timeout: Optional[float]):
         """The status pushed for ``pid``, after a wait of at most
         ``timeout`` seconds (``None``: until it exits or the channel
-        dies; ``0``: only what has already arrived).  Where the callers
-        read, what has arrived is pumped first: a notice pushed while
-        nobody called costs one ``recv``, no ``poll``.  ``None`` means not
-        exited (yet);
+        dies; ``0``: only what has already arrived — where the callers
+        read, pumped first: a notice pushed while nobody called costs
+        one ``recv``, no ``poll``).  A wait finds a status already filed
+        without reading at all.  ``None`` means not exited (yet);
         ``KeyError`` that this channel holds no slot for the pid — never
         handed out here, already reaped, or dropped by the channel's
         death.  Nothing goes on the wire."""
-        self._pump_ready()
+        if timeout == 0:
+            self._pump_ready()
         with self._lock:
             slot = self.exits[pid]
             wait = slot.status is None and timeout != 0
             if wait:
                 self.waiting += 1
-                if slot.event is None and not self._callers_read:
-                    slot.event = threading.Event()
         if wait:
             try:
-                if self._callers_read:
-                    self._await(
-                        lambda: slot.status is not None or self.exits.get(pid) is not slot, timeout
-                    )
-                else:
-                    slot.event.wait(timeout)
+                self._await(
+                    lambda: slot.status is not None or self.exits.get(pid) is not slot, timeout
+                )
             finally:
                 with self._lock:
                     self.waiting -= 1
@@ -758,17 +838,20 @@ class Channel:
     def forget(self, pid: int) -> None:
         """Drop ``pid``'s slot: its status reached the caller another way."""
         with self._lock:
-            self.exits.pop(pid, None)
+            slot = self.exits.pop(pid, None)
+            if slot is not None:
+                self._took(slot)
 
     def watch(self, pid: int, callback: Callable[[], None]) -> None:
         """Call ``callback()`` once, from whichever thread files the
-        pid's exit notice (or the channel's death) — now, if there is
+        pid's exit notice (on a channel no loop drives, the reader
+        thread this starts) or the channel's death — now, if there is
         nothing to wait for."""
         with self._lock:
             slot = self.exits.get(pid)
             if slot is not None and slot.status is None:
                 if slot.callback is not None:
                     raise SpawnError(f"pid {pid} already has an on_exit callback")
-                slot.callback = callback
+                self._register(slot, callback)
                 return
         callback()

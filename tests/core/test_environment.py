@@ -230,6 +230,22 @@ def test_a_bare_name_is_found_on_the_childs_path(every_strategy, tmp_path,
     assert built(strategy, ["onlyhere"], env) == b"found\n"
 
 
+@pytest.mark.parametrize("strategy", [
+    "fork_exec", "forkserver", "forkserver-pool", "gateway"])
+def test_a_relative_path_entry_is_searched_from_the_childs_cwd(
+        every_strategy, tmp_path, strategy):
+    """Where the launcher takes a ``cwd``, a relative ``PATH`` entry is
+    searched from it — where the child starts — not from the caller's
+    working directory."""
+    (tmp_path / "bin").mkdir()
+    script = tmp_path / "bin" / "onlyrel"
+    script.write_text("#!/bin/sh\necho found\n")
+    script.chmod(0o755)
+    builder = (ProcessBuilder("onlyrel").strategy(strategy)
+               .cwd(str(tmp_path)).env({"PATH": "bin"}))
+    assert piped(lambda w: builder.stdout_to_fd(w).spawn()) == b"found\n"
+
+
 # -- a child holds exactly the descriptors its request grants ----------------
 
 #: Exits 1, naming them on stderr, if any descriptor given as an argument
@@ -678,6 +694,10 @@ def test_an_exec_failure_is_one_typed_error_at_launch(every_strategy,
         with pytest.raises(ExecError) as failure:
             failing.spawn()
         assert failure.value.errno in expected, failure.value
+        # What could not be used: the cwd, if that is bad, else the program.
+        unusable = (program if EXEC_CWDS[cwd] != "/no/such/dir"
+                    else EXEC_CWDS[cwd])
+        assert failure.value.path == unusable, failure.value
     assert settles(our_children, children)
     assert settles(our_fds, fds)
 

@@ -507,7 +507,6 @@ class TestDamagedReplies:
         fs = ForkServer()
         fs._channel = Channel(ours, "forkserver", lost=SpawnError,
                               pids_of=_pids_handed_out)
-        fs._channel.hand_over()  # a reader thread, as ForkServer.start
 
         def serve():
             decoder, seen = FrameDecoder(), 0

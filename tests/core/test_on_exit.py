@@ -55,7 +55,9 @@ class TestForkserverHandles:
     def test_already_exited_fires_at_once_on_the_calling_thread(
             self, server):
         child = server.spawn(["/bin/sh", "-c", "exit 3"])
-        assert until(lambda: server._channel.exits[child.pid].status is not None)
+        channel = server._channel  # its callers read it: this one pumps
+        assert until(lambda: channel.pump() is not None
+                     and channel.exits[child.pid].status is not None)
         fired = Fired()
         assert child.on_exit(fired) is None
         assert fired.calls == [(child, threading.current_thread())]
@@ -63,11 +65,17 @@ class TestForkserverHandles:
 
     def test_exits_later_fires_from_the_reader_thread(self, server):
         child = server.spawn(["/bin/sh", "-c", "sleep 0.2; exit 4"])
+        assert server._channel.reader is None  # its callers read it
         fired = Fired()
         assert child.on_exit(fired) is None
+        reader = server._channel.reader
+        assert reader is not None and reader.name == "forkserver-reader"
         assert not fired.calls  # still running: nothing yet
         assert fired.event.wait(5.0)
-        assert fired.calls[0][1] is server._channel.reader
+        assert len(fired.calls) == 1 and fired.calls[0][1] is reader
+        # No callback is left: the reader hands the channel back.
+        reader.join(5.0)
+        assert not reader.is_alive() and server._channel.reader is None
         assert child.poll() == 4  # the status is there to be had
 
     def test_fires_once_however_often_it_is_reaped(self, server):

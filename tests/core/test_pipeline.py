@@ -1,9 +1,11 @@
 """Tests for fork-free pipelines."""
 
+import os
+
 import pytest
 
 from repro.core import Pipeline
-from repro.errors import SpawnError
+from repro.errors import ExecError, SpawnError
 
 SH = "/bin/sh"
 
@@ -54,6 +56,23 @@ class TestPipelines:
                            ["/bin/cat"]]).run(strategy="fork_exec")
         assert result.stdout == b"via fork\n"
         assert result.ok
+
+    def test_a_stage_that_cannot_launch_leaves_nothing_behind(self):
+        """The stages already launched are killed and reaped, and every
+        pipe end — the one feeding ``stdin_data`` too — is closed."""
+        def children():
+            pids = set()
+            for task in os.listdir("/proc/self/task"):
+                with open(f"/proc/self/task/{task}/children") as listing:
+                    pids.update(listing.read().split())
+            return pids
+
+        before, fds = children(), set(os.listdir("/proc/self/fd"))
+        with pytest.raises(ExecError):
+            Pipeline([["/bin/sleep", "30"], ["/no/such/binary"]]).run(
+                stdin_data=b"x", strategy="posix_spawn")
+        assert children() == before
+        assert set(os.listdir("/proc/self/fd")) == fds
 
     def test_empty_pipeline_rejected(self):
         with pytest.raises(SpawnError):

@@ -462,8 +462,18 @@ class TestFlappingWorkerRetiredUnderLoad:
         slot anyway — by then the reservation of whoever was booting
         the replacement — so a second caller booted one too and the
         first was orphaned, reader thread, socket and all."""
+        import os
         import threading
         from repro.core import ForkServerPool
+
+        def children():
+            pids = set()
+            for task in os.listdir("/proc/self/task"):
+                with open(f"/proc/self/task/{task}/children") as listing:
+                    pids.update(listing.read().split())
+            return pids
+
+        before = children()
         plan = FaultPlan().add("refuse_exec", point="helper", times=None)
         with FAULTS.active(plan):  # only the first helper carries it
             pool = ForkServerPool(workers=1).start()
@@ -490,11 +500,11 @@ class TestFlappingWorkerRetiredUnderLoad:
             assert pool.respawns == 1 and pool.started_workers == 1
         finally:
             pool.stop()
-        readers = [thread for thread in threading.enumerate()
-                   if thread.name == "forkserver-reader"]
-        for reader in readers:
-            reader.join(timeout=2.0)
-        assert not any(reader.is_alive() for reader in readers)
+        # An orphaned helper would outlive stop() as a child of ours; no
+        # helper's channel has a reader thread (nothing subscribed).
+        assert children() <= before
+        assert not any(thread.name == "forkserver-reader"
+                       for thread in threading.enumerate())
 
 
 class TestResilienceCountersVisible:

@@ -61,7 +61,8 @@ CLIENTS = {
                     exit_status=gateway_client._exit_status),
 }
 
-#: Who pumps: a reader thread, the blocked callers, an asyncio loop.
+#: Who pumps: a reader thread (started by a callback nobody waits for),
+#: the blocked callers, an asyncio loop.
 DRIVERS = ("thread", "caller", "loop")
 
 
@@ -102,11 +103,8 @@ def _open(name, driver):
     ours, theirs = socket.socketpair()
     theirs.settimeout(TIMEOUT)
     channel = Channel(ours, name, **CLIENTS[name])
-    if driver == "thread":
-        channel.hand_over()
-    elif driver == "loop":
+    if driver == "loop":
         assert loop_driver().hand_over(channel)
-    channel.first_reader = channel.reader
     return channel, theirs
 
 
@@ -116,6 +114,10 @@ def _meet(name, requests, blob, driver="thread"):
     pending of each)."""
     channel, theirs = _open(name, driver)
     pendings = [channel.send(request) for request in requests]
+    if driver == "thread":  # a callback nobody waits for: a reader parks
+        channel.notify(pendings[0], lambda: None)
+        assert channel.reader is not None
+    channel.first_reader = channel.reader
     decoder, seen = FrameDecoder(), 0
     while seen < len(requests):  # the requests under test
         seen += len(decoder.feed(theirs.recv(65536)))
@@ -186,14 +188,11 @@ def _exercise_one(blob, name, config, driver):
     channel, (blocked, rude, told) = _meet(
         name, [{"op": "stats"}] * 3, blob, driver)
     try:
-        # Registered after the blob is on its way: told by the driver,
-        # or at once if it has already been by.
         callbacks = [_Told(channel, raises=True), _Told(channel)]
-        try:
-            channel.notify(rude, callbacks[0])
-        except RuntimeError:
-            pass  # already resolved: it raised into our own call
-        channel.notify(told, callbacks[1])
+        if driver != "caller":
+            # Registered after the blob is on its way: told by the
+            # driver, or at once if it has already been by.
+            _tell(channel, (rude, told), callbacks)
         for pending in (blocked, rude, told):
             try:
                 reply = channel.result(pending, TIMEOUT)
@@ -202,6 +201,11 @@ def _exercise_one(blob, name, config, driver):
             else:
                 assert reply.get("id") == pending.rid
         _settled(channel, driver)
+        if driver == "caller":
+            # Registered once the callers have read it all (a callback
+            # on an unsettled request would start a reader): each is
+            # told at once, here.
+            _tell(channel, (rude, told), callbacks)
         assert channel.dead is not None
         assert channel.pending == {}
         assert channel.exits == {}
@@ -212,6 +216,14 @@ def _exercise_one(blob, name, config, driver):
     finally:
         channel.close("test over", TIMEOUT)
     assert [callback.calls for callback in callbacks] == [1, 1]
+
+
+def _tell(channel, pendings, callbacks):
+    for pending, callback in zip(pendings, callbacks):
+        try:
+            channel.notify(pending, callback)
+        except RuntimeError:
+            pass  # already resolved: it raised into our own call
 
 
 def _exercise_helper(blob):
@@ -393,20 +405,23 @@ class TestNotify:
         ours, theirs = socket.socketpair()
         theirs.settimeout(TIMEOUT)
         channel = Channel(ours, "forkserver", **CLIENTS["forkserver"])
-        channel.hand_over()  # a reader thread, as ForkServer has
-        return channel, theirs
+        return channel, theirs  # its callers read it, as ForkServer's
 
     def test_a_reply_tells_it_from_the_reader_thread(self):
         channel, theirs = self.channel()
         try:
             pending = channel.send({"op": "ping"})
+            assert channel.reader is None
             threads, told = [], _Told(channel)
             channel.notify(pending, lambda: (
                 threads.append(threading.current_thread()), told()))
-            assert told.calls == 0
+            reader = channel.reader
+            assert reader is not None and told.calls == 0
             theirs.sendall(encode_frame({"id": pending.rid, "ok": True}))
             assert told.done.wait(TIMEOUT)
-            assert threads == [channel.reader] and told.lock_was_free
+            assert threads == [reader] and told.lock_was_free
+            reader.join(TIMEOUT)  # no callback left: the callers read
+            assert not reader.is_alive() and channel.reader is None
             assert channel.result(pending, 0)["ok"] is True
             channel.close("test over", TIMEOUT)  # ...and death is not a 2nd
             assert told.calls == 1
@@ -442,7 +457,10 @@ class TestNotify:
         try:
             pending = channel.send({"op": "ping"})
             theirs.sendall(encode_frame({"id": pending.rid, "ok": True}))
-            assert pending.event.wait(TIMEOUT)
+            deadline = time.monotonic() + TIMEOUT
+            while not channel.settled(pending):
+                assert time.monotonic() < deadline
+                channel.pump()
             told = _Told(channel)
             channel.notify(pending, told)
             assert told.calls == 1 and told.lock_was_free
@@ -469,7 +487,7 @@ class TestNotify:
             theirs.sendall(encode_frame({"exit": 4242, "status": 0}))
             assert exited.done.wait(TIMEOUT)
             assert channel.wait_exit(4242, 0) == 0
-            assert channel.reader.is_alive() and channel.dead is None
+            assert channel.dead is None
             third = channel.send({"op": "ping"})
             theirs.sendall(encode_frame({"id": third.rid, "ok": True}))
             assert channel.result(third, TIMEOUT)["ok"] is True
@@ -483,8 +501,7 @@ class TestNotify:
         the raise is the resolution."""
         channel, theirs = self.channel()
         try:
-            theirs.close()
-            channel.reader.join(timeout=TIMEOUT)
+            theirs.close()  # nobody reads: the send's pump finds it
             with pytest.raises(SpawnError) as excinfo:
                 channel.send({"op": "ping"})
             assert excinfo.value.unsent is True and channel.pending == {}
@@ -494,8 +511,9 @@ class TestNotify:
 
 class TestHandOver:
     """``Channel.hand_over``: an asyncio loop takes a channel over from
-    its reader thread, and gives it back — never two readers on the
-    socket, never a socket closed under a loop that watches it."""
+    its callers or a reader thread, and gives it back — never two
+    readers on the socket, never a socket closed under a loop that
+    watches it."""
 
     @staticmethod
     def ping(channel, theirs):
@@ -514,6 +532,9 @@ class TestHandOver:
         and exits — and from then on the loop routes everything."""
         loop = loop_driver()
         channel, theirs = TestNotify.channel()
+        pending = channel.send({"op": "ping"})
+        told = _Told(channel)
+        channel.notify(pending, told)  # nobody waits: a reader parks
         parked = channel.reader
         try:
             deadline = time.monotonic() + TIMEOUT
@@ -522,7 +543,8 @@ class TestHandOver:
                 time.sleep(0.001)
             assert loop.hand_over(channel)
             assert parked.is_alive()
-            assert self.ping(channel, theirs) is parked
+            theirs.sendall(encode_frame({"id": pending.rid, "ok": True}))
+            assert told.done.wait(TIMEOUT) and told.threads == [parked]
             parked.join(TIMEOUT)
             assert not parked.is_alive() and channel.reader is None
             assert self.ping(channel, theirs) is loop.thread
@@ -532,16 +554,21 @@ class TestHandOver:
             channel.close("test over", TIMEOUT)
             theirs.close()
 
-    def test_handed_back_a_reader_thread_pumps_again(self):
+    def test_handed_back_the_callers_read_again(self):
         loop = loop_driver()
         channel, theirs = TestNotify.channel()
         try:
             assert loop.hand_over(channel)
-            self.ping(channel, theirs)  # the parked reader's last
             assert self.ping(channel, theirs) is loop.thread
             assert loop.run(channel.hand_over, None)
-            assert channel._loop is None and channel.reader.is_alive()
-            assert self.ping(channel, theirs) is channel.reader
+            assert channel._loop is None and channel.reader is None
+            pending = channel.send({"op": "ping"})
+            theirs.sendall(encode_frame({"id": pending.rid, "ok": True}))
+            assert channel.result(pending, TIMEOUT)["ok"] is True
+            assert channel.reader is None  # the caller read its reply
+            # A callback nobody waits for is routed by a reader again.
+            routed = self.ping(channel, theirs)
+            assert routed.name == "forkserver-reader"
             # Not watched any more: the loop has nothing left to remove.
             assert loop.run(loop.loop.remove_reader, channel._fd) is False
         finally:
@@ -716,7 +743,6 @@ class TestSendWithoutWaiting:
         channel, theirs = TestNotify.channel()
         try:
             theirs.close()
-            channel.reader.join(timeout=TIMEOUT)
             with pytest.raises(SpawnError) as excinfo:
                 channel.send({"op": "ping"}, wait=False)
             assert excinfo.value.unsent is True and channel.pending == {}

@@ -285,8 +285,9 @@ class TestATenantsStrategyServesItsSpawns:
 
 class TestHelperChannelsGoBack:
     """The loop pumps the channels of the helpers its tenants launch
-    on; however it stops, each goes back to a reader thread, so the
-    shared pool stays usable by everyone else in the process."""
+    on; however it stops, each goes back to the callers that wait on
+    it, so the shared pool stays usable by everyone else in the
+    process."""
 
     @pytest.mark.parametrize("how", ["stop", "crash"])
     def test_a_pool_caller_outside_the_daemon_still_spawns_and_reaps(
@@ -305,8 +306,9 @@ class TestHelperChannelsGoBack:
                                   for channel in pumped)
             client.close()
             server.stop() if how == "stop" else server.crash()
-            for channel in pumped:
-                assert channel._loop is None and channel.reader.is_alive()
+            for channel in pumped:  # no callback waits: no reader
+                assert channel._loop is None and channel.reader is None
+                assert channel._callers_read
             child = shared.pool().spawn(["/bin/sh", "-c", "exit 3"])
             assert child.wait(timeout=10) == 3
             # Each helper answers its goodbye: none waits out the
