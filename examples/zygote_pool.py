@@ -53,10 +53,10 @@ def main() -> None:
     server = ForkServer().start()
 
     # The template registry goes one further: its helper pre-forks a
-    # parked stock of children NOW, so later payloads just lease one.
-    # (The snappy restock interval keeps up with this back-to-back loop.)
+    # parked stock of children NOW, so later payloads just lease one;
+    # each lease wakes the restock thread to park its replacement.
     registry = TemplateRegistry(autoscale=AutoscaleConfig(
-        idle_ttl=5.0, interval=0.005, step=2))
+        idle_ttl=5.0, step=2))
     registry.register(TemplateProfile("warm", stock=4, max_stock=32))
 
     def forkserver_once() -> None:

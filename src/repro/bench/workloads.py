@@ -327,8 +327,8 @@ class TemplateWorkloads:
     def _ensure_registry(self) -> TemplateRegistry:
         with self._init_lock:
             if self._registry is None:
-                registry = TemplateRegistry(autoscale=AutoscaleConfig(
-                    idle_ttl=5.0, interval=0.005, step=4))
+                registry = TemplateRegistry(
+                    autoscale=AutoscaleConfig(idle_ttl=5.0, step=4))
                 registry.register(
                     TemplateProfile("preload", preload=self.modules,
                                     stock=TEMPLATE_STOCK,

@@ -35,7 +35,6 @@ import os
 import signal
 import socket
 import sys
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..errors import ExecError, GatewayProtocolError, SpawnError, SpawnTimeout
@@ -290,32 +289,25 @@ class ForkServer:
     def _reap_helper(self, grace: float = 2.0) -> None:
         """Collect the helper's exit status without blocking forever.
 
-        Polls for up to ``grace`` seconds, then SIGKILLs and reaps — a
-        helper that ignored the goodbye does not get to leak as a
-        zombie or stall its parent.
+        Sleeps on its exit for up to ``grace`` seconds, then SIGKILLs
+        and reaps — a helper that ignored the goodbye does not get to
+        leak as a zombie or stall its parent.
         """
         pid, self._pid = self._pid, None
         if pid is None:
             return
-        deadline = time.monotonic() + grace
-        while True:
+        helper = ChildProcess(pid)
+        try:
+            helper.wait(grace)
+        except SpawnError:
+            # Past its grace.  A pid reaped elsewhere is no child of
+            # ours: poll() raises and nothing is signalled.
             try:
-                done, _ = os.waitpid(pid, os.WNOHANG)
-            except ChildProcessError:
-                return
-            if done:
-                return
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(0.005)
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:
-            pass
+                if helper.poll() is None:
+                    helper.kill()
+                    helper.wait()
+            except SpawnError:
+                pass
 
     def __enter__(self) -> "ForkServer":
         return self.start()

@@ -39,7 +39,7 @@ who                    backs off on                    trips on
 ladder, per tier       ``policy.backoff_delay``        ``breaker_for(tier)``
 daemon, per tenant     (the ladder's)                  a ``breaker_for`` per tenant
 ``ForkServerPool``     —                               ``slot.strikes`` (*)
-``TemplateRegistry``   ``autoscale.interval``          — (``miss_grace``) (†)
+``TemplateRegistry``   its condition                   — (``miss_grace``) (†)
 ``GatewayClient``      ``backoff=Backoff()``, re-dial  — (``max_reconnects`` budget)
                        only
 ``GatewaySupervisor``  ``Backoff(jitter=0.0)``         its own ``CircuitBreaker``
@@ -60,10 +60,11 @@ things stay apart by decision.
 (*) ``slot.strikes``: a fixed limit of three, and its verdict is
 "retire the helper", not "cool down" — six lines a breaker would not
 shorten.
-(†) After a ``code`` miss on a profile's warm stock the registry
-re-leases every ``autoscale.interval`` for up to ``miss_grace`` seconds
-while the restock catches up, then degrades down the ladder: it waits
-for a resource, not for a launcher to recover.
+(†) After a ``code`` miss on a profile's warm stock the registry sleeps
+on its condition for up to ``miss_grace`` seconds until the restock
+thread announces a parked child (or the helper's death, a replacement,
+an eviction, ``close()``) and leases again; then it degrades down the
+ladder: it waits for a resource, not for a launcher to recover.
 """
 
 from __future__ import annotations

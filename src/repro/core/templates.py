@@ -47,7 +47,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..errors import ExecError, SpawnError
 from ..obs import TELEMETRY
@@ -71,21 +72,16 @@ class AutoscaleConfig:
             per idle decay.
         idle_ttl: seconds without traffic before a grown target decays
             one ``step`` toward the profile's ``stock``.
-        interval: period of the restock thread, and the longest a lease
-            inside its ``miss_grace`` sleeps between looks at the stock.
     """
 
     step: int = 1
     idle_ttl: float = 5.0
-    interval: float = 0.05
 
     def __post_init__(self):
         if self.step < 1:
             raise SpawnError(f"step must be >= 1: {self.step}")
         if self.idle_ttl < 0:
             raise SpawnError(f"idle_ttl must be >= 0: {self.idle_ttl}")
-        if self.interval <= 0:  # a zero wait spins the restock thread
-            raise SpawnError(f"interval must be > 0: {self.interval}")
 
 
 @dataclass(frozen=True)
@@ -218,16 +214,22 @@ class TemplateServer(ForkServer):
             TELEMETRY.count("template_unpark", profile=self.profile.name)
         return reply.get("pid")
 
-    def restock(self, target: Optional[int] = None) -> int:
-        """Park until the stock reaches ``target`` (profile default)."""
+    def restock(self, target: Optional[int] = None,
+                landed: Callable[[], None] = lambda: None) -> int:
+        """Park up, or unpark down, until the stock reaches ``target``
+        (profile default, capped at ``max_stock``); ``landed()`` runs
+        after each step.  Returns the net change in stock."""
         if target is None:
             target = self.profile.stock
         target = min(target, self.profile.max_stock)
-        parked = 0
+        before = self.stock
         while self.healthy and self.stock < target:
             self.park()
-            parked += 1
-        return parked
+            landed()
+        while (self.healthy and self.stock > target
+               and self.unpark() is not None):
+            landed()
+        return self.stock - before
 
     def _inherited_env(self) -> None:
         # A program inherits the PROFILE's environment — the helper's,
@@ -432,21 +434,23 @@ class TemplateRegistry:
         with self._lock:
             if self._closed:
                 raise SpawnError("template registry is closed")
+            # Taken, whether the boot lands or fails: a profile whose
+            # helper cannot start costs one boot per miss.
+            entry.warm_pending = False
             current = entry.server
             if current is not None and current.healthy:
-                entry.warm_pending = False
                 return current
         server = TemplateServer(entry.profile)
         server.start()
-        with self._lock:
+        with self._cond:
             if self._closed:
                 stale, evicted = server, []
             else:
                 stale, entry.server = entry.server, server
-                entry.warm_pending = False
                 evicted = self._evict_over_bound(keep=entry)
                 TELEMETRY.event("template", action="warm",
                                 profile=entry.profile.name)
+                self._cond.notify_all()  # a boot, a replacement, evictions
         for old in ([stale] if stale is not None else []) + evicted:
             try:
                 old.stop()
@@ -454,7 +458,7 @@ class TemplateRegistry:
                 pass
         if stale is server:
             raise SpawnError("template registry is closed")
-        server.restock(entry.target)
+        server.restock(entry.target, self._announce)
         TELEMETRY.gauge("template_stock", server.stock,
                         profile=entry.profile.name)
         return server
@@ -488,82 +492,63 @@ class TemplateRegistry:
         """Lease from the profile's warm helper, or degrade down the ladder.
 
         The fast path is one wire round trip to the template helper.
-        An empty-stock miss (``code`` only) with a live helper waits up
-        to ``miss_grace`` seconds for the restock thread to park a
-        replacement; a cold profile, a dead helper, or an expired grace
-        window sends THIS request through ``policy.fallback`` (a code
-        payload becomes a ``python -c`` spawn that re-pays the imports:
-        that is the honest cold-start cost the template exists to
-        avoid) while the restock thread re-warms in the background.
+        An empty-stock miss (``code`` only) with a live helper sleeps on
+        the registry's condition for up to ``miss_grace`` seconds until
+        the restock thread parks a replacement, then leases again; a
+        cold profile, a dead helper, or an expired grace window sends
+        THIS request through ``policy.fallback`` (a code payload becomes
+        a ``python -c`` spawn that re-pays the imports: that is the
+        honest cold-start cost the template exists to avoid) while the
+        restock thread re-warms in the background.
         """
         entry = self._require(name, touch=True)
-        server = entry.server
-        if server is not None and server.healthy:
+        limit = None  # when the miss grace runs out, once a lease missed
+        while True:
+            server = entry.server
+            if server is None or not server.healthy:
+                break
             try:
                 child = server.lease(argv, code=code, env=env, cwd=cwd,
                                      stdin=stdin, stdout=stdout,
                                      stderr=stderr, deadline=deadline)
             except TemplateMiss:
-                # Stock exhausted but the helper is alive: the restock
-                # thread is already refilling, so a short bounded wait
-                # for a fresh parked child beats a cold spawn.
-                self._note_miss(entry, code)
-                child = self._lease_after_restock(
-                    entry, code, env, cwd, stdin, stdout, stderr, deadline)
-                if child is not None:
-                    self._kick()
-                    return child
+                # Stock exhausted but the helper is alive: the miss asks
+                # the restock thread to park more, and a short bounded
+                # wait for one beats a cold spawn.
+                if limit is None:
+                    self._note_miss(entry, code)
+                    grace = self.miss_grace
+                    if deadline is not None:
+                        grace = min(grace, deadline)
+                    limit = time.monotonic() + grace
+                if self._await_stock(entry, server, limit):
+                    continue
+                return self._degrade(entry, argv, code, env, cwd,
+                                     stdin, stdout, stderr, deadline)
             except ExecError:
                 raise  # the request's program: no miss, no re-warm
             except SpawnError:
-                # Dead helper mid-lease: this request degrades and the
-                # thread repairs.
-                self._note_miss(entry, code)
-            else:
-                if code is not None:
-                    self._kick()  # a parked child left: have it replaced
-                return child
-        else:
+                break  # dead helper mid-lease: degrade; the thread repairs
+            if code is not None:
+                self._kick()  # a parked child left: have it replaced
+            return child
+        if limit is None:
             self._note_miss(entry, code)
         return self._degrade(entry, argv, code, env, cwd,
                              stdin, stdout, stderr, deadline)
 
-    def _lease_after_restock(self, entry: _Entry, code: str, env, cwd,
-                             stdin: int, stdout: int, stderr: int,
-                             deadline: Optional[float]
-                             ) -> Optional[ChildProcess]:
-        """Retry the lease for up to ``miss_grace`` seconds after a miss.
-
-        Returns ``None`` when the window closes or the helper dies —
-        the caller degrades down the ladder.
-        """
-        grace = self.miss_grace
-        if deadline is not None:
-            grace = min(grace, deadline)
-        limit = time.monotonic() + grace
-        while True:
-            remaining = limit - time.monotonic()
-            if remaining <= 0:
-                return None
-            with self._cond:
-                if self._closed:
-                    return None
-                server = entry.server
-                if (server is None or not server.healthy
-                        or server.stock < 1):
-                    self._cond.wait(timeout=min(self.autoscale.interval,
-                                                remaining))
-                    server = entry.server
-            if server is None or not server.healthy or server.stock < 1:
-                continue
-            try:
-                return server.lease(code=code, env=env, cwd=cwd,
-                                    stdin=stdin, stdout=stdout,
-                                    stderr=stderr, deadline=deadline)
-            except TemplateMiss:
-                continue
-            except SpawnError:
-                return None
+    def _await_stock(self, entry: _Entry, server: TemplateServer,
+                     limit: float) -> bool:
+        """Sleep until ``server`` has stock, the profile's helper dies
+        or changes, or ``limit`` passes (``False``: lease no more)."""
+        with self._cond:
+            while (entry.server is server and server.healthy
+                   and server.stock < 1):
+                remaining = limit - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._cond.wait(remaining)
+        return True
 
     def _note_miss(self, entry: _Entry, code: Optional[str]) -> None:
         TELEMETRY.count("template_lease_miss", profile=entry.profile.name)
@@ -575,10 +560,17 @@ class TemplateRegistry:
         self._kick()
 
     def _kick(self) -> None:
+        """Hand the restock thread (started on first need) work."""
         with self._cond:
             if not self._closed:
                 self._ensure_thread()
                 self._cond.notify_all()
+
+    def _announce(self) -> None:
+        """Wake every sleeper on the condition: the restock thread and
+        the leases inside a miss grace."""
+        with self._cond:
+            self._cond.notify_all()
 
     def _degrade(self, entry: _Entry, argv, code, env, cwd,
                  stdin: int, stdout: int, stderr: int,
@@ -631,53 +623,65 @@ class TemplateRegistry:
             self._thread.start()
 
     def _restock_loop(self) -> None:
+        # Entries whose live helper refused a park or unpark: retried
+        # on the next event, not at once.
+        failed = set()
         while True:
             with self._cond:
                 if self._closed:
                     return
-                self._cond.wait(timeout=self.autoscale.interval)
-                if self._closed:
-                    return
-                now = time.monotonic()
-                for entry in self._entries.values():
-                    # Idle decay: stock grown under miss pressure drifts
-                    # back to the profile floor once traffic stops, one
-                    # step per elapsed TTL.
-                    if (entry.target > entry.profile.stock
-                            and now - entry.last_used
-                            >= self.autoscale.idle_ttl):
-                        entry.target = max(entry.profile.stock,
-                                           entry.target
-                                           - self.autoscale.step)
-                        entry.last_used = now
-                work = list(self._entries.values())
+                due = self._decay(time.monotonic())
+                work = [entry for entry in self._entries.values()
+                        if entry not in failed and self._wants(entry)]
+                if not work:
+                    self._cond.wait(due)
+                    failed.clear()
+                    continue
             for entry in work:
                 try:
                     self._service(entry)
                 except SpawnError:
+                    server = entry.server
+                    if server is not None and server.healthy:
+                        failed.add(entry)
+
+    def _decay(self, now: float) -> Optional[float]:
+        """Idle decay (lock held): a target grown under miss pressure
+        drifts back to the profile floor once traffic stops, one step
+        per elapsed TTL.  Returns the seconds until the next decay is
+        due, ``None`` when no target is above its floor."""
+        ttl = self.autoscale.idle_ttl
+        due = None
+        for entry in self._entries.values():
+            if entry.target <= entry.profile.stock:
+                continue
+            if now - entry.last_used >= ttl:
+                entry.target = max(entry.profile.stock,
+                                   entry.target - self.autoscale.step)
+                entry.last_used = now
+                if entry.target <= entry.profile.stock:
                     continue
+            wait = entry.last_used + ttl - now
+            due = wait if due is None else min(due, wait)
+        return due
+
+    @staticmethod
+    def _wants(entry: _Entry) -> bool:
+        """Whether the restock thread has work for ``entry`` (lock held):
+        a miss asked for a boot, or the stock is off its target."""
+        server = entry.server
+        if server is None or not server.healthy:
+            return entry.warm_pending
+        return server.stock != entry.target
 
     def _service(self, entry: _Entry) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            server = entry.server
-            pending = entry.warm_pending
-            target = entry.target
-        if server is None or not server.healthy:
-            if pending:
+        server = entry.server
+        try:
+            if server is None or not server.healthy:
                 self._boot(entry)
-            return
-        parked = 0
-        while server.healthy and server.stock < target:
-            server.park()
-            parked += 1
-        while server.healthy and server.stock > target:
-            if server.unpark() is None:
-                break
-        TELEMETRY.gauge("template_stock", server.stock,
-                        profile=entry.profile.name)
-        if parked:
-            # Wake clients sitting out a miss-grace window.
-            with self._cond:
-                self._cond.notify_all()
+                return
+            server.restock(entry.target, self._announce)
+            TELEMETRY.gauge("template_stock", server.stock,
+                            profile=entry.profile.name)
+        finally:
+            self._announce()  # and if a park failed or found the helper dead

@@ -19,8 +19,9 @@ dies?".  This module is that answer, in three parts:
   children (they are the daemon's children; nobody is left to ``wait``
   on them).  Before restarting, the supervisor claims them via
   :meth:`~repro.gateway.server.GatewayServer.take_orphans` and reaps
-  every one — polling first, escalating to SIGKILL after
-  ``orphan_grace`` — so a daemon crash never leaks a zombie.
+  every one — sleeping on each child's exit for what is left of one
+  ``orphan_grace``, then SIGKILLing the rest — so a daemon crash never
+  leaks a zombie.
 
 Counters: ``daemon_restart`` increments per restart,
 ``orphans_reaped`` per reconciled child, both visible in
@@ -32,7 +33,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..core.policy import Backoff, CircuitBreaker
 from ..errors import GatewayError
@@ -235,40 +236,29 @@ class GatewaySupervisor:
     # -- orphan reconciliation --------------------------------------------
 
     def _reap(self, orphans: List[object]) -> None:
-        """Wait on every stranded child; escalate to SIGKILL past grace.
+        """Wait on every stranded child; SIGKILL what the grace leaves.
 
         The children were launched by the daemon's executor threads
         inside *this* process (the daemon is an embedded loop, not a
         separate pid), so the handles' own reapers still work after the
-        loop died.
+        loop died: each wait sleeps on its child's exit, for what is
+        left of one shared ``orphan_grace``.
         """
-        if not orphans:
-            return
-        remaining: Dict[int, object] = {
-            getattr(child, "pid", id(child)): child for child in orphans}
         deadline = time.monotonic() + self._orphan_grace
-        while remaining and time.monotonic() < deadline:
-            for pid, child in list(remaining.items()):
+        for child in orphans:
+            try:
+                child.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except Exception:
+                # Past the grace, or the handle is unreapable (its
+                # service died with the daemon): kill, then reap.
                 try:
-                    if child.poll() is not None:
-                        remaining.pop(pid, None)
-                        self.orphans_reaped += 1
-                        TELEMETRY.count("orphans_reaped")
+                    child.kill()
                 except Exception:
-                    # The handle is unreapable (its service died with
-                    # the daemon); escalation below will deal with it.
-                    break
-            if remaining:
-                time.sleep(0.02)
-        for pid, child in remaining.items():
-            try:
-                child.kill()
-            except Exception:
-                pass
-            try:
-                child.wait(timeout=2.0)
-            except Exception:
-                pass
+                    pass
+                try:
+                    child.wait(timeout=2.0)
+                except Exception:
+                    pass
             self.orphans_reaped += 1
             TELEMETRY.count("orphans_reaped")
 

@@ -494,7 +494,7 @@ class TestParkedChildDeath:
             theirs.close()
 
 
-SNAPPY = AutoscaleConfig(idle_ttl=5.0, interval=0.005, step=2)
+SNAPPY = AutoscaleConfig(idle_ttl=5.0, step=2)
 
 
 class TestRegistry:
@@ -503,8 +503,7 @@ class TestRegistry:
             TemplateRegistry(max_templates=0)
         with pytest.raises(SpawnError):
             TemplateRegistry(miss_grace=-0.1)
-        for knobs in ({"step": 0}, {"interval": 0.0}, {"interval": -0.05},
-                      {"idle_ttl": -1.0}):
+        for knobs in ({"step": 0}, {"idle_ttl": -1.0}):
             with pytest.raises(SpawnError):
                 AutoscaleConfig(**knobs)
 
@@ -618,7 +617,7 @@ class TestRegistry:
             _REGISTRY["forkserver-pool"].shutdown()
 
     def test_idle_decay_returns_target_to_the_floor(self):
-        decay = AutoscaleConfig(idle_ttl=0.05, interval=0.01, step=2)
+        decay = AutoscaleConfig(idle_ttl=0.05, step=2)
         with TemplateRegistry(autoscale=decay,
                               miss_grace=0.5) as registry:
             registry.register(TemplateProfile("p", stock=1, max_stock=8))
@@ -632,6 +631,71 @@ class TestRegistry:
             while entry.target > 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert entry.target == 1
+
+    def test_an_idle_registry_makes_no_restock_passes(self):
+        # The lease wakes the restock thread to park a replacement;
+        # once the stock is back on target nothing else happens until
+        # the next event.
+        with TemplateRegistry() as registry:
+            registry.register(TemplateProfile("p", stock=2, max_stock=4))
+            assert registry.spawn("p", code="pass").wait(timeout=30) == 0
+            deadline = time.monotonic() + 10
+            while registry.stock("p") < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert registry.stock("p") == 2
+            passes = []
+            service = registry._service
+            registry._service = lambda entry: (passes.append(entry),
+                                               service(entry))
+            time.sleep(1.0)
+            assert passes == []
+
+    def test_a_refused_park_waits_for_the_next_event(self):
+        # A live helper that cannot fork (EAGAIN) refuses the park; the
+        # restock thread tries again on the next lease, not in a loop.
+        with TemplateRegistry() as registry:
+            registry.register(TemplateProfile("p", stock=2, max_stock=4))
+            server = registry.server_for("p")
+            refusals = []
+
+            def refuse(timeout=None):
+                refusals.append(timeout)
+                raise SpawnError("template 'p' park refused: EAGAIN")
+            server.park = refuse
+            for leases in (1, 2):
+                assert registry.spawn("p", code="pass").wait(
+                    timeout=30) == 0
+                deadline = time.monotonic() + 10
+                while (len(refusals) < leases
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                time.sleep(0.5)
+                assert len(refusals) == leases and server.healthy
+
+    def test_a_profile_that_cannot_specialize_boots_once_per_miss(
+            self, monkeypatch):
+        boots = []
+        start = TemplateServer.start
+
+        def counted(server):
+            boots.append(server.profile.name)
+            return start(server)
+        monkeypatch.setattr(TemplateServer, "start", counted)
+        with TemplateRegistry(miss_grace=0.0, policy=SpawnPolicy(
+                fallback=("posix_spawn",))) as registry:
+            registry.register(TemplateProfile(
+                "broken", preload=("no_such_module_xyz",), stock=0,
+                max_stock=2), warm=False)
+            for misses in (1, 2):
+                child = registry.spawn("broken", ["/bin/true"])
+                assert child.strategy == "posix_spawn"
+                assert child.wait(timeout=30) == 0
+                deadline = time.monotonic() + 10
+                while len(boots) < misses and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(1.0)  # idle: no event, so no further boot
+                assert len(boots) == misses
+            assert registry.warm_count == 0
 
     def test_lease_telemetry_counters(self):
         sink = RingBufferSink()

@@ -16,7 +16,7 @@ from repro.core import TemplateProfile, TemplateRegistry
 from repro.core.templates import AutoscaleConfig, TemplateMiss, TemplateServer
 from repro.faults import FAULTS, FaultPlan
 
-SNAPPY = AutoscaleConfig(idle_ttl=5.0, interval=0.005, step=2)
+SNAPPY = AutoscaleConfig(idle_ttl=5.0, step=2)
 
 FALLBACK_TIERS = {"forkserver-pool", "forkserver", "posix_spawn"}
 

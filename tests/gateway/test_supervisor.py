@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.core import Backoff
+from repro.core import Backoff, ChildProcess
 from repro.errors import GatewayError
 from repro.gateway import (GatewayClient, GatewayConfig, GatewayServer,
                            GatewaySupervisor, TenantConfig, ping_gateway)
@@ -227,6 +227,37 @@ class TestOrphanReconciliation:
                 wait_for(gone, message="the orphan to be killed")
             finally:
                 client.close()
+
+    def test_an_unreapable_handle_costs_no_grace_and_no_kill(
+            self, tmp_path):
+        """One handle whose service died with the daemon, listed before
+        a child that has already exited: the dead handle is killed at
+        once, and the exited child is reaped, not killed, well inside
+        ``orphan_grace``."""
+        class Unreapable:
+            killed = False
+
+            def poll(self):
+                raise GatewayError("service died with the daemon")
+
+            def wait(self, timeout=None):
+                raise GatewayError("service died with the daemon")
+
+            def kill(self):
+                self.killed = True
+
+        exited = ChildProcess(os.posix_spawn("/bin/true", ["true"], {}))
+        os.waitid(os.P_PID, exited.pid, os.WEXITED | os.WNOWAIT)
+        kills = []
+        exited.kill = lambda: kills.append(exited.pid)
+        dead = Unreapable()
+        supervisor = make_supervisor(tmp_path, orphan_grace=2.0)
+        began = time.monotonic()
+        supervisor._reap([dead, exited])
+        assert time.monotonic() - began < 1.0
+        assert exited.returncode == 0 and kills == []
+        assert dead.killed
+        assert supervisor.orphans_reaped == 2
 
     def test_stop_reaps_children_the_daemon_still_held(self, tmp_path):
         supervisor = make_supervisor(tmp_path, orphan_grace=0.2).start()
