@@ -39,7 +39,7 @@ def supervised():
         check_interval=0.02,
         backoff=Backoff(0.01, jitter=0.0)).start()
     client = GatewayClient(address, tenant="bench", token="bench-token",
-                           reconnect=True, max_reconnects=8).connect()
+                           max_reconnects=8).connect()
     try:
         yield supervisor, client
     finally:

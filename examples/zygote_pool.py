@@ -55,8 +55,7 @@ def main() -> None:
     # The template registry goes one further: its helper pre-forks a
     # parked stock of children NOW, so later payloads just lease one;
     # each lease wakes the restock thread to park its replacement.
-    registry = TemplateRegistry(autoscale=AutoscaleConfig(
-        idle_ttl=5.0, step=2))
+    registry = TemplateRegistry(autoscale=AutoscaleConfig(step=2))
     registry.register(TemplateProfile("warm", stock=4, max_stock=32))
 
     def forkserver_once() -> None:

@@ -154,7 +154,7 @@ def _drive_chaos(load: _ChaosLoad, address: str, token: str,
     try:
         client = GatewayClient(
             address, tenant=load.name, token=token,
-            timeout=client_timeout, reconnect=True, max_reconnects=8,
+            timeout=client_timeout, max_reconnects=8,
         ).connect()
     except GatewayError:
         with load.lock:
@@ -244,8 +244,7 @@ def run_t9_chaos(tenant_count: int = 3,
     supervisor = GatewaySupervisor(
         GatewayConfig(unix_path=address, tenants=tenants,
                       max_inflight=max_inflight, drain_grace=5.0),
-        check_interval=0.05, ping_timeout=2.0,
-        backoff=Backoff(0.02, jitter=0.0), orphan_grace=5.0).start()
+        check_interval=0.05, backoff=Backoff(0.02, jitter=0.0)).start()
     loads = [_ChaosLoad(name) for name in tenants]
     try:
         barrier = threading.Barrier(threads + 1)

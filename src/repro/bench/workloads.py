@@ -328,7 +328,7 @@ class TemplateWorkloads:
         with self._init_lock:
             if self._registry is None:
                 registry = TemplateRegistry(
-                    autoscale=AutoscaleConfig(idle_ttl=5.0, step=4))
+                    autoscale=AutoscaleConfig(step=4))
                 registry.register(
                     TemplateProfile("preload", preload=self.modules,
                                     stock=TEMPLATE_STOCK,

@@ -40,8 +40,7 @@ ladder, per tier       ``policy.backoff_delay``        ``breaker_for(tier)``
 daemon, per tenant     (the ladder's)                  a ``breaker_for`` per tenant
 ``ForkServerPool``     —                               ``slot.strikes`` (*)
 ``TemplateRegistry``   its condition                   — (``miss_grace``) (†)
-``GatewayClient``      ``backoff=Backoff()``, re-dial  — (``max_reconnects`` budget)
-                       only
+``GatewayClient``      ``Backoff()``, re-dial only     — (``max_reconnects`` budget)
 ``GatewaySupervisor``  ``Backoff(jitter=0.0)``         its own ``CircuitBreaker``
 =====================  ==============================  ============================
 
@@ -61,7 +60,7 @@ things stay apart by decision.
 "retire the helper", not "cool down" — six lines a breaker would not
 shorten.
 (†) After a ``code`` miss on a profile's warm stock the registry sleeps
-on its condition for up to ``miss_grace`` seconds until the restock
+on its condition for up to ``miss_grace`` (0.25 s) until the restock
 thread announces a parked child (or the helper's death, a replacement,
 an eviction, ``close()``) and leases again; then it degrades down the
 ladder: it waits for a resource, not for a launcher to recover.
@@ -133,9 +132,8 @@ class SpawnPolicy:
     Attributes:
         deadline: seconds per spawn attempt (``None`` = wait forever).
         retries: extra attempts after the first failure, per tier.
-        backoff, backoff_multiplier, backoff_max, jitter: the sleep
-            between attempts — a :class:`Backoff`'s ``base``,
-            ``multiplier``, ``cap`` and ``jitter``.
+        backoff: the first sleep between attempts — the ``base`` of
+            the default :class:`Backoff` (doubling to 2 s, ±50 %).
         breaker_threshold: consecutive failures before a breaker opens.
         breaker_cooldown: seconds an open breaker rejects attempts
             before allowing a half-open probe.
@@ -154,9 +152,6 @@ class SpawnPolicy:
     deadline: Optional[float] = None
     retries: int = 0
     backoff: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.5
     breaker_threshold: int = 3
     breaker_cooldown: float = 5.0
     fallback: Tuple[str, ...] = ()
@@ -174,9 +169,8 @@ class SpawnPolicy:
             raise SpawnError(
                 f"breaker_cooldown must be >= 0: {self.breaker_cooldown}")
         object.__setattr__(self, "fallback", tuple(self.fallback))
-        object.__setattr__(self, "_schedule", Backoff(
-            self.backoff, self.backoff_multiplier, self.backoff_max,
-            self.jitter))  # which validates the four
+        object.__setattr__(self, "_schedule",
+                           Backoff(self.backoff))  # which validates it
 
     def attempts(self) -> int:
         """Total attempts per tier (the first one plus the retries)."""
@@ -184,8 +178,8 @@ class SpawnPolicy:
 
     def backoff_delay(self, retry_index: int,
                       rng: Callable[[], float] = random.random) -> float:
-        """Sleep before retry ``retry_index`` (0-based): the policy's
-        four back-off fields as a :class:`Backoff`."""
+        """Sleep before retry ``retry_index`` (0-based): the default
+        :class:`Backoff` from the policy's ``backoff``."""
         return self._schedule.delay(retry_index, rng)
 
 

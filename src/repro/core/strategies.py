@@ -465,8 +465,7 @@ class ForkServerPoolStrategy(_WireStrategy):
     requests.
     """
 
-    def __init__(self, workers: Optional[int] = None):
-        self._workers = workers
+    def __init__(self):
         self._pool: Optional[ForkServerPool] = None
         self._lock = threading.Lock()
 
@@ -474,9 +473,7 @@ class ForkServerPoolStrategy(_WireStrategy):
         """The shared pool, started on first use."""
         with self._lock:
             if self._pool is None or self._pool.closed:
-                kwargs = ({"workers": self._workers}
-                          if self._workers is not None else {})
-                self._pool = ForkServerPool(**kwargs).start()
+                self._pool = ForkServerPool().start()
             return self._pool
 
     def shutdown(self) -> None:
@@ -601,7 +598,6 @@ class GatewayStrategy(Strategy):
                 external,
                 tenant=os.environ.get("REPRO_GATEWAY_TENANT", "local"),
                 token=os.environ.get("REPRO_GATEWAY_TOKEN", "local"),
-                reconnect=True,
             ).connect()
         import secrets
         import tempfile
@@ -619,7 +615,7 @@ class GatewayStrategy(Strategy):
                                    fallback=DEFAULT_FALLBACK))})
         self._supervisor = GatewaySupervisor(config).start()
         return GatewayClient(self._supervisor.address, tenant="local",
-                             token=token, reconnect=True).connect()
+                             token=token).connect()
 
     def _teardown_locked(self) -> None:
         client, self._client = self._client, None

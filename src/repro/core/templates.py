@@ -25,8 +25,8 @@ This module is that remedy, three layers deep:
   regardless of the client's heap.
 * :class:`TemplateRegistry` — the profiles, LRU-bounded so only the hot
   ones stay warm; a background restock thread refills leased stock and
-  grows the per-profile target when payloads miss (the
-  :class:`AutoscaleConfig` knobs), and every miss
+  grows the per-profile target when payloads miss (by
+  :class:`AutoscaleConfig`'s ``step``), and every miss
   degrades down the :data:`~repro.core.policy.TEMPLATE_FALLBACK` ladder
   (forkserver-pool → forkserver → posix_spawn): the request is replayed
   onto a :class:`~repro.core.spawn.ProcessBuilder` under the registry's
@@ -69,19 +69,14 @@ class AutoscaleConfig:
 
     Attributes:
         step: parked children added per ``code`` miss, and taken back
-            per idle decay.
-        idle_ttl: seconds without traffic before a grown target decays
-            one ``step`` toward the profile's ``stock``.
+            per idle decay (one per :attr:`TemplateRegistry.idle_ttl`).
     """
 
     step: int = 1
-    idle_ttl: float = 5.0
 
     def __post_init__(self):
         if self.step < 1:
             raise SpawnError(f"step must be >= 1: {self.step}")
-        if self.idle_ttl < 0:
-            raise SpawnError(f"idle_ttl must be >= 0: {self.idle_ttl}")
 
 
 @dataclass(frozen=True)
@@ -302,27 +297,27 @@ class TemplateRegistry:
     :data:`~repro.core.policy.TEMPLATE_FALLBACK`) for *this* request
     while the background restock thread refills — and, under sustained
     misses, grows the profile's stock target by ``autoscale.step`` up
-    to ``profile.max_stock``, decaying back after ``autoscale.idle_ttl``
-    seconds without traffic: provisioned children follow demand, not
+    to ``profile.max_stock``, decaying back after ``idle_ttl`` seconds
+    without traffic: provisioned children follow demand, not
     configuration.
 
     Usable as a context manager; :meth:`close` is idempotent.
     """
 
-    def __init__(self, *, max_templates: int = 4,
-                 policy: Optional[SpawnPolicy] = None,
-                 autoscale: Optional[AutoscaleConfig] = None,
-                 miss_grace: float = 0.25):
-        if max_templates < 1:
-            raise SpawnError(f"max_templates must be >= 1: {max_templates}")
-        if miss_grace < 0:
-            raise SpawnError(f"miss_grace must be >= 0: {miss_grace}")
-        self._max_templates = max_templates
-        #: After a stock miss with a *live* helper, wait up to this many
-        #: seconds for the restock thread to park a replacement before
-        #: degrading — a burst briefly outrunning the warm stock waits a
-        #: beat instead of paying a cold spawn.  0 degrades immediately.
-        self.miss_grace = miss_grace
+    #: Profiles that hold a warm helper at once.
+    max_templates: int = 4
+
+    #: After a stock miss with a *live* helper, wait up to this many
+    #: seconds for the restock thread to park a replacement before
+    #: degrading — a burst briefly outrunning the warm stock waits a
+    #: beat instead of paying a cold spawn.
+    miss_grace: float = 0.25
+
+    #: Seconds idle before a grown stock target decays one ``step``.
+    idle_ttl: float = 5.0
+
+    def __init__(self, *, policy: Optional[SpawnPolicy] = None,
+                 autoscale: Optional[AutoscaleConfig] = None):
         self.policy = (policy if policy is not None
                        else SpawnPolicy(fallback=TEMPLATE_FALLBACK))
         self.autoscale = (autoscale if autoscale is not None
@@ -469,7 +464,7 @@ class TemplateRegistry:
         while True:
             warm = [entry for entry in self._entries.values()
                     if entry.server is not None]
-            if len(warm) <= self._max_templates:
+            if len(warm) <= self.max_templates:
                 return victims
             victim = next(entry for entry in self._entries.values()
                           if entry.server is not None and entry is not keep)
@@ -650,7 +645,7 @@ class TemplateRegistry:
         drifts back to the profile floor once traffic stops, one step
         per elapsed TTL.  Returns the seconds until the next decay is
         due, ``None`` when no target is above its floor."""
-        ttl = self.autoscale.idle_ttl
+        ttl = self.idle_ttl
         due = None
         for entry in self._entries.values():
             if entry.target <= entry.profile.stock:

@@ -17,8 +17,8 @@ network boundary, so the client owns a failure story:
 * a dead channel fails every in-flight request with the typed
   :class:`~repro.errors.GatewayConnectionLost` (never a hang, never a
   bare ``OSError``);
-* with ``reconnect`` enabled (the default) the next operation re-dials
-  with capped exponential backoff + jitter and **re-authenticates**
+* unless ``max_reconnects=0`` the next operation re-dials with capped
+  exponential backoff + jitter and **re-authenticates**
   (the ``hello`` handshake runs on every dial — the daemon forgets the
   tenant with the connection);
 * idempotent ops (``wait``, ``stats``, ``ping``, ...) are
@@ -112,29 +112,25 @@ class GatewayClient:
     ``tenant``/``token`` authenticate the ``hello`` handshake.  Usable
     as a context manager and safe to share across threads.
 
-    Resilience knob: ``reconnect`` — re-dial (and re-auth)
-    automatically when the channel dies; ``max_reconnects`` bounds the
-    attempts per outage, ``backoff`` (a
-    :class:`~repro.core.policy.Backoff`) is the wait between them —
-    0.05 s doubling to 2.0 s, ±50 % by default.
+    Resilience knob: ``max_reconnects`` — the re-dials (each with a
+    re-auth) per outage when the channel dies; 0 disables reconnect.
     """
 
     #: Seconds the hello handshake (and default round trips) may take.
     default_timeout = 10.0
 
+    #: The wait between re-dials: 0.05 s doubling to 2.0 s, ±50 %.
+    backoff = Backoff()
+
     def __init__(self, address: Address, *, tenant: str, token: str,
                  timeout: Optional[float] = None,
-                 reconnect: bool = True,
-                 max_reconnects: int = 5,
-                 backoff: Backoff = Backoff()):
+                 max_reconnects: int = 5):
         self.address = address
         self.tenant = tenant
         self._token = token
         self._timeout = (timeout if timeout is not None
                          else self.default_timeout)
-        self._reconnect = reconnect
         self._max_reconnects = max(0, int(max_reconnects))
-        self._backoff = backoff
         # The current dial's channel; a torn-down one is kept (closed)
         # so exit statuses it already filed can still be read.
         self._channel: Optional[Channel] = None
@@ -263,7 +259,7 @@ class GatewayClient:
                 raise GatewayError("gateway client is closed")
             if not self._ever_connected:
                 raise GatewayError("gateway client is not connected")
-            if not self._reconnect:
+            if not self._max_reconnects:
                 raise GatewayConnectionLost(
                     f"gateway channel is dead: {self._channel.dead} "
                     f"(reconnect disabled)")
@@ -273,7 +269,7 @@ class GatewayClient:
                 # before blocking on _conn_lock, so it can interrupt the
                 # backoff mid-wait (and is noticed before the first dial).
                 if self._close_event.wait(
-                        self._backoff.delay(attempt - 1) if attempt else 0):
+                        self.backoff.delay(attempt - 1) if attempt else 0):
                     raise GatewayError("gateway client is closed")
                 trace.stage("reconnect", attempt=attempt)
                 try:
@@ -306,7 +302,7 @@ class GatewayClient:
                 return self._roundtrip_once(obj, fds, timeout)
             except GatewayConnectionLost as exc:
                 safe = retryable or getattr(exc, "unsent", False)
-                if (not safe or self._closed or not self._reconnect
+                if (not safe or self._closed
                         or reissues >= self._max_reconnects):
                     raise
                 reissues += 1

@@ -20,7 +20,21 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.policy import SpawnPolicy
-from ..errors import GatewayError
+from ..errors import GatewayError, SpawnError
+
+
+def _flag(value) -> bool:
+    """A JSON ``true``/``false``: ``bool("false")`` would be true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"not true or false: {value!r}")
+    return value
+
+
+#: How each key of a tenant's JSON object becomes its field.
+_TENANT_KEYS = {"name": str, "token": str, "max_queue": int, "rate": float,
+                "burst": float, "weight": float, "strategy": str,
+                "policy": lambda policy: SpawnPolicy(**policy),
+                "max_children": int, "admin": _flag}
 
 
 @dataclass(frozen=True)
@@ -83,18 +97,19 @@ class TenantConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TenantConfig":
-        policy = data.get("policy")
-        if isinstance(policy, dict):
-            policy = SpawnPolicy(**policy)
-        return cls(
-            name=data["name"], token=data["token"],
-            max_queue=int(data.get("max_queue", 64)),
-            rate=data.get("rate"), burst=data.get("burst"),
-            weight=float(data.get("weight", 1.0)),
-            strategy=data.get("strategy", "forkserver-pool"),
-            policy=policy,
-            max_children=data.get("max_children"),
-            admin=bool(data.get("admin", False)))
+        """One tenant from its JSON object; a missing or malformed key
+        is one :class:`GatewayError` naming the tenant and the key."""
+        if not isinstance(data, dict):
+            raise GatewayError(f"a tenant must be a JSON object: {data!r}")
+        fields = {"name": "", "token": ""}  # which __post_init__ refuses
+        for key, convert in _TENANT_KEYS.items():
+            if data.get(key) is not None:
+                try:
+                    fields[key] = convert(data[key])
+                except (TypeError, ValueError, SpawnError) as exc:
+                    raise GatewayError(f"tenant {data.get('name')!r}: bad "
+                                       f"{key!r}: {exc}") from exc
+        return cls(**fields)
 
 
 @dataclass

@@ -82,26 +82,31 @@ class GatewaySupervisor:
     Usable as a context manager.
     """
 
+    #: Seconds a health probe may take before the daemon counts as wedged.
+    ping_timeout: float = 2.0
+
+    #: Consecutive failed restarts before the supervisor gives up.
+    max_restarts: int = 8
+
+    #: Seconds of health after a restart that clear the run of failures.
+    healthy_reset: float = 5.0
+
+    #: Seconds a crash's stranded children get to exit before SIGKILL.
+    orphan_grace: float = 5.0
+
     def __init__(self, config: GatewayConfig, *,
                  check_interval: float = 0.25,
-                 ping_timeout: float = 2.0,
-                 max_restarts: int = 8,
-                 backoff: Backoff = Backoff(jitter=0.0),
-                 healthy_reset: float = 5.0,
-                 orphan_grace: float = 5.0):
+                 backoff: Backoff = Backoff(jitter=0.0)):
         self.config = config
         self._check_interval = check_interval
-        self._ping_timeout = ping_timeout
         self._backoff = backoff
-        self._healthy_reset = healthy_reset
-        self._orphan_grace = orphan_grace
         self._server: Optional[GatewayServer] = None
         self._monitor: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
         self._lock = threading.Lock()
         #: Failures in a row: indexes the back-off, and once open stays
         #: open (nobody asks it ``allow()``) — that is giving up.
-        self._breaker = CircuitBreaker(threshold=max_restarts + 1)
+        self._breaker = CircuitBreaker(threshold=self.max_restarts + 1)
         self._healthy_since = 0.0
         #: Restarts performed over this supervisor's lifetime.
         self.restarts = 0
@@ -180,7 +185,7 @@ class GatewaySupervisor:
         server = self._server
         if server is None or not server.running:
             return False
-        return ping_gateway(self.address, timeout=self._ping_timeout)
+        return ping_gateway(self.address, timeout=self.ping_timeout)
 
     def _monitor_loop(self) -> None:
         while not self._stop_event.wait(self._check_interval):
@@ -190,7 +195,7 @@ class GatewaySupervisor:
                 if self.healthy():
                     if (self._breaker.failures
                             and time.monotonic() - self._healthy_since
-                            >= self._healthy_reset):
+                            >= self.healthy_reset):
                         self._breaker.record_success()
                     continue
                 self._restart()
@@ -244,7 +249,7 @@ class GatewaySupervisor:
         loop died: each wait sleeps on its child's exit, for what is
         left of one shared ``orphan_grace``.
         """
-        deadline = time.monotonic() + self._orphan_grace
+        deadline = time.monotonic() + self.orphan_grace
         for child in orphans:
             try:
                 child.wait(timeout=max(0.0, deadline - time.monotonic()))

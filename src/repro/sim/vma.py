@@ -82,15 +82,6 @@ class BulkRun:
         """Pages the run currently serves."""
         return self.npages - len(self.exceptions)
 
-    def mapped_pages_in(self, start_vpn: int, end_vpn: int) -> int:
-        """Pages served inside ``[start_vpn, end_vpn)``."""
-        lo = max(self.start_vpn, start_vpn)
-        hi = min(self.end_vpn, end_vpn)
-        if hi <= lo:
-            return 0
-        excluded = sum(1 for vpn in self.exceptions if lo <= vpn < hi)
-        return (hi - lo) - excluded
-
     def __repr__(self):
         return (f"<BulkRun vpn[{self.start_vpn},{self.end_vpn}) "
                 f"mapped={self.mapped_pages()} agg=#{self.agg.index}>")

@@ -276,7 +276,7 @@ class Channel:
     Whichever of them reads, a caller that waits follows on the
     condition, which every routed frame and the channel's death
     notify.  A change of driver wakes a caller that is leading through
-    the channel's wake fd, so a frame the new driver routes never
+    the channel's wake pipe, so a frame the new driver routes never
     leaves it asleep in ``poll``.
 
     A channel dies once (damaged frame, EOF, send failure, :meth:`close`)
@@ -338,7 +338,8 @@ class Channel:
         self._following = 0
         self._turn = threading.Condition(self._lock)
         self._poller: Optional[select.poll] = None
-        self._wake = -1  # eventfd a leader polls beside the socket
+        # A pipe a leader polls beside the socket: read end, write end.
+        self._wake = self._wake_w = -1
         self._fds_left_to_leader = False  # close() left the fds to it
 
     def _start_reader(self) -> None:
@@ -351,8 +352,11 @@ class Channel:
     def _wake_leader(self) -> None:
         """Wake the caller leading, if it is asleep in ``poll`` (lock
         held): it looks again at who reads and what has been filed."""
-        if self._leading and self._wake >= 0:
-            os.eventfd_write(self._wake, 1)
+        if self._leading and self._wake_w >= 0:
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # a full pipe has woken it already
 
     def _register(self, item, callback: Callable[[], None]) -> None:
         """Give ``item`` its callback (lock held), and the channel a
@@ -570,7 +574,7 @@ class Channel:
     def _await(self, done: Callable[[], bool], timeout: Optional[float]) -> bool:
         """Block until ``done()`` (checked under the lock) or ``timeout``;
         whether it is done.  Where the callers read and none leads, this
-        caller leads — it polls the socket and the wake fd and pumps,
+        caller leads — it polls the socket and the wake pipe and pumps,
         routing every frame for everyone, until its own is in.
         Otherwise it follows on the condition while a leader, a reader
         thread or a loop routes, waking when a frame is filed, the
@@ -595,7 +599,7 @@ class Channel:
                     wait_ms = None if remaining is None else math.ceil(remaining * 1000)
                     for fd, _events in poller.poll(wait_ms):
                         if fd == self._wake:
-                            os.eventfd_read(fd)
+                            os.read(fd, 4096)
                     self.pump()
                 finally:
                     self._lock.acquire()
@@ -603,9 +607,9 @@ class Channel:
             return True
 
     def _make_poller(self) -> select.poll:
-        """The first leader's poller: the socket, and the wake fd a
+        """The first leader's poller: the socket, and the wake pipe a
         change of driver writes (lock held)."""
-        self._wake = os.eventfd(0, os.EFD_CLOEXEC | os.EFD_NONBLOCK)
+        self._wake, self._wake_w = os.pipe2(os.O_CLOEXEC | os.O_NONBLOCK)
         self._poller = select.poll()
         self._poller.register(self.sock, select.POLLIN)
         self._poller.register(self._wake, select.POLLIN)
@@ -793,7 +797,7 @@ class Channel:
         return reader is None or not reader.is_alive()
 
     def _close_fds(self) -> None:
-        """Close the socket and the wake fd (lock held) — or, while a
+        """Close the socket and the wake pipe (lock held) — or, while a
         caller leads and may still poll them, leave that to it."""
         if self._leading:
             self._fds_left_to_leader = True
@@ -801,7 +805,8 @@ class Channel:
         self.sock.close()
         if self._wake >= 0:
             os.close(self._wake)
-            self._wake = -1
+            os.close(self._wake_w)
+            self._wake = self._wake_w = -1
 
     # -- pushed exits ----------------------------------------------------
 

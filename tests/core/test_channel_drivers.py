@@ -159,6 +159,19 @@ def test_a_leading_waiter_is_woken_by_a_change_of_driver(to, monkeypatch):
         server.stop()
 
 
+@pytest.mark.parametrize("to", ["loop", "reader"])
+def test_the_wire_needs_no_eventfd(to, monkeypatch):
+    """Python 3.9, which the package supports, has no ``os.eventfd``:
+    a forkserver spawn and its wait, and a leader woken by a change of
+    driver, work without it."""
+    for name in ("eventfd", "eventfd_read", "eventfd_write",
+                 "EFD_CLOEXEC", "EFD_NONBLOCK"):
+        monkeypatch.delattr(os, name, raising=False)
+    with ForkServer() as server:
+        assert server.spawn(["/bin/sh", "-c", "exit 3"]).wait(timeout=10) == 3
+    test_a_leading_waiter_is_woken_by_a_change_of_driver(to, monkeypatch)
+
+
 def test_callers_and_callbacks_race_without_a_lost_wakeup():
     """More callers than cores on one helper, every third child watched
     too: leaders hand the lead on, readers start for the callbacks and

@@ -89,19 +89,24 @@ class TestProcessBuilder:
         assert child.wait() == 0
 
     def test_stdout_to_file(self, tmp_path):
-        out = tmp_path / "o"
-        child = (ProcessBuilder("/bin/echo", "to file")
-                 .stdout_to_file(str(out)).spawn())
-        assert child.wait() == 0
-        assert out.read_bytes() == b"to file\n"
+        for fd, to_file in ((1, ProcessBuilder.stdout_to_file),
+                            (2, ProcessBuilder.stderr_to_file)):
+            out = tmp_path / f"o{fd}"
+            out.write_bytes(b"a longer line, truncated away\n")
+            child = to_file(ProcessBuilder(SH, "-c", f"echo to file >&{fd}"),
+                            str(out)).spawn()
+            assert child.wait() == 0
+            assert out.read_bytes() == b"to file\n"
 
     def test_stdout_append_mode(self, tmp_path):
-        out = tmp_path / "o"
-        out.write_bytes(b"first\n")
-        child = (ProcessBuilder("/bin/echo", "second")
-                 .stdout_to_file(str(out), append=True).spawn())
-        child.wait()
-        assert out.read_bytes() == b"first\nsecond\n"
+        for fd, to_file in ((1, ProcessBuilder.stdout_to_file),
+                            (2, ProcessBuilder.stderr_to_file)):
+            out = tmp_path / f"o{fd}"
+            out.write_bytes(b"first\n")
+            child = to_file(ProcessBuilder(SH, "-c", f"echo second >&{fd}"),
+                            str(out), append=True).spawn()
+            child.wait()
+            assert out.read_bytes() == b"first\nsecond\n"
 
     def test_stdin_from_file(self, tmp_path):
         src = tmp_path / "in"
@@ -119,6 +124,13 @@ class TestProcessBuilder:
         data = builder.io.read_stdout()
         child.wait()
         assert b"out" in data and b"err" in data
+        # With stderr closed instead, the redirection fails and nothing
+        # but stdout is written.
+        builder = (ProcessBuilder(SH, "-c", "echo out; echo err >&2")
+                   .stdout_to_pipe().close_fd(2))
+        child = builder.spawn()
+        assert builder.io.read_stdout() == b"out\n"
+        assert child.wait(timeout=5) != 0
 
     def test_env_replacement(self):
         builder = (ProcessBuilder(SH, "-c", "echo $MARKER")
@@ -345,6 +357,8 @@ class TestSpawnedIO:
         child.wait()
         with pytest.raises(SpawnError):
             child.io.read_stdout()
+        with pytest.raises(SpawnError):
+            child.io.read_stderr()
 
     def test_writing_non_pipe_stdin_raises(self):
         child = ProcessBuilder("/bin/true").spawn()
@@ -365,6 +379,12 @@ class TestSpawnedIO:
         child = builder.spawn()
         data = builder.io.read_stdout(limit=4)
         assert data == b"abcd"
+        builder.io.close()
+        child.wait()
+        builder = (ProcessBuilder("/bin/sh", "-c", "printf 'abcdefgh' >&2")
+                   .stderr_to_pipe())
+        child = builder.spawn()
+        assert builder.io.read_stderr(limit=4) == b"abcd"
         builder.io.close()
         child.wait()
 

@@ -494,18 +494,13 @@ class TestParkedChildDeath:
             theirs.close()
 
 
-SNAPPY = AutoscaleConfig(idle_ttl=5.0, step=2)
+SNAPPY = AutoscaleConfig(step=2)
 
 
 class TestRegistry:
     def test_constructor_validation(self):
         with pytest.raises(SpawnError):
-            TemplateRegistry(max_templates=0)
-        with pytest.raises(SpawnError):
-            TemplateRegistry(miss_grace=-0.1)
-        for knobs in ({"step": 0}, {"idle_ttl": -1.0}):
-            with pytest.raises(SpawnError):
-                AutoscaleConfig(**knobs)
+            AutoscaleConfig(step=0)
 
     def test_register_warm_and_lease(self):
         with TemplateRegistry(autoscale=SNAPPY) as registry:
@@ -545,8 +540,9 @@ class TestRegistry:
         with pytest.raises(SpawnError):
             registry.warm("p")
 
-    def test_lru_eviction_past_the_template_bound(self):
-        with TemplateRegistry(max_templates=1, autoscale=SNAPPY) as registry:
+    def test_lru_eviction_past_the_template_bound(self, monkeypatch):
+        monkeypatch.setattr(TemplateRegistry, "max_templates", 1)
+        with TemplateRegistry(autoscale=SNAPPY) as registry:
             registry.register(TemplateProfile("old", stock=1, max_stock=2))
             assert registry.warm_count == 1
             registry.register(TemplateProfile("hot", stock=1, max_stock=2))
@@ -570,9 +566,9 @@ class TestRegistry:
             assert child.strategy == "template"
             assert child.wait(timeout=30) == 0
 
-    def test_miss_grows_the_stock_target(self):
-        with TemplateRegistry(autoscale=SNAPPY,
-                              miss_grace=0.0) as registry:
+    def test_miss_grows_the_stock_target(self, monkeypatch):
+        monkeypatch.setattr(TemplateRegistry, "miss_grace", 0.0)
+        with TemplateRegistry(autoscale=SNAPPY) as registry:
             profile = TemplateProfile("p", stock=1, max_stock=4)
             registry.register(profile)
             entry = registry._entries["p"]
@@ -616,10 +612,10 @@ class TestRegistry:
         finally:
             _REGISTRY["forkserver-pool"].shutdown()
 
-    def test_idle_decay_returns_target_to_the_floor(self):
-        decay = AutoscaleConfig(idle_ttl=0.05, step=2)
-        with TemplateRegistry(autoscale=decay,
-                              miss_grace=0.5) as registry:
+    def test_idle_decay_returns_target_to_the_floor(self, monkeypatch):
+        monkeypatch.setattr(TemplateRegistry, "idle_ttl", 0.05)
+        monkeypatch.setattr(TemplateRegistry, "miss_grace", 0.5)
+        with TemplateRegistry(autoscale=SNAPPY) as registry:
             registry.register(TemplateProfile("p", stock=1, max_stock=8))
             drained = registry.server_for("p").lease(code="pass")
             assert drained.wait(timeout=30) == 0
@@ -681,7 +677,8 @@ class TestRegistry:
             boots.append(server.profile.name)
             return start(server)
         monkeypatch.setattr(TemplateServer, "start", counted)
-        with TemplateRegistry(miss_grace=0.0, policy=SpawnPolicy(
+        monkeypatch.setattr(TemplateRegistry, "miss_grace", 0.0)
+        with TemplateRegistry(policy=SpawnPolicy(
                 fallback=("posix_spawn",))) as registry:
             registry.register(TemplateProfile(
                 "broken", preload=("no_such_module_xyz",), stock=0,
@@ -715,12 +712,16 @@ class TestRegistry:
 
 
 class TestDegradationLadder:
+    @pytest.fixture(autouse=True)
+    def no_grace(self, monkeypatch):
+        """A miss here degrades at once, without waiting for stock."""
+        monkeypatch.setattr(TemplateRegistry, "miss_grace", 0.0)
+
     def test_cold_stock_with_no_grace_rides_the_pool(self):
         sink = RingBufferSink()
         TELEMETRY.enable(sink, reset_metrics=True)
         try:
-            with TemplateRegistry(autoscale=SNAPPY,
-                                  miss_grace=0.0) as registry:
+            with TemplateRegistry(autoscale=SNAPPY) as registry:
                 registry.register(TemplateProfile("dry", stock=0,
                                                   max_stock=2))
                 child = registry.spawn("dry", code="pass")
@@ -736,8 +737,7 @@ class TestDegradationLadder:
             _REGISTRY["forkserver-pool"].shutdown()
 
     def test_code_payload_degrades_to_python_dash_c_with_preloads(self):
-        with TemplateRegistry(autoscale=SNAPPY,
-                              miss_grace=0.0) as registry:
+        with TemplateRegistry(autoscale=SNAPPY) as registry:
             registry.register(TemplateProfile(
                 "dry", preload=("decimal",), stock=0, max_stock=2))
             try:
@@ -774,7 +774,7 @@ class TestDegradationLadder:
     @staticmethod
     def cold_registry(*fallback):
         """One cold profile that degrades at once, down ``fallback``."""
-        registry = TemplateRegistry(autoscale=SNAPPY, miss_grace=0.0,
+        registry = TemplateRegistry(autoscale=SNAPPY,
                                     policy=SpawnPolicy(fallback=fallback))
         registry.register(TemplateProfile("dry", stock=0, max_stock=2))
         return registry

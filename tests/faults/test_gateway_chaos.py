@@ -31,19 +31,19 @@ TOKEN = "chaos-token"
 
 
 @pytest.fixture
-def gateway(tmp_path):
+def gateway(tmp_path, monkeypatch):
     """A supervised daemon plus a resilient client, chaos-tuned."""
+    monkeypatch.setattr(GatewaySupervisor, "orphan_grace", 2.0)
+    monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.02))
     supervisor = GatewaySupervisor(
         GatewayConfig(
             unix_path=str(tmp_path / "gw.sock"),
             tenants={"acme": TenantConfig(name="acme", token=TOKEN,
                                           strategy="posix_spawn")},
             drain_grace=3.0),
-        check_interval=0.02, backoff=Backoff(0.01, jitter=0.0),
-        orphan_grace=2.0).start()
+        check_interval=0.02, backoff=Backoff(0.01, jitter=0.0)).start()
     client = GatewayClient(supervisor.address, tenant="acme", token=TOKEN,
-                           timeout=5.0, reconnect=True, max_reconnects=8,
-                           backoff=Backoff(0.02)).connect()
+                           timeout=5.0, max_reconnects=8).connect()
     try:
         yield supervisor, client
     finally:
@@ -89,7 +89,7 @@ class TestClientSideKinds:
         supervisor, _ = gateway
         plan = FaultPlan().add("refuse_exec", point="gateway.connect")
         fresh = GatewayClient(supervisor.address, tenant="acme",
-                              token=TOKEN, reconnect=False)
+                              token=TOKEN, max_reconnects=0)
         with FAULTS.active(plan):
             with pytest.raises((GatewayError, SpawnError)):
                 fresh.connect()
@@ -172,7 +172,7 @@ class TestKillDaemon:
             tenants={"acme": TenantConfig(name="acme", token=TOKEN,
                                           strategy="posix_spawn")})).start()
         client = GatewayClient(server.unix_path, tenant="acme", token=TOKEN,
-                               reconnect=False).connect()
+                               max_reconnects=0).connect()
         release, finished = threading.Event(), []
         execute, finish = server._execute, server._finished
 

@@ -15,13 +15,16 @@ same policy are driven by blocking calls instead.
 ``tests/gateway/test_exit_push.py``.)
 """
 
+import functools
+import importlib
 import os
 import threading
 import time
 
 import pytest
 
-from repro.core import BatchRequest, SpawnPolicy, SpawnRequest, breaker_for
+from repro.core import (BatchRequest, ForkServerPool, SpawnPolicy,
+                        SpawnRequest, breaker_for)
 from repro.core.strategies import _REGISTRY, Strategy, get_strategy
 from repro.errors import GatewayError, Overloaded, SpawnError
 from repro.faults import FAULTS, FaultPlan
@@ -378,10 +381,11 @@ class TestHelperFaultsMidLaunch:
     @pytest.fixture
     def one_helper(self, monkeypatch):
         """A pool of one slot, so concurrent launches share a helper."""
-        pool_strategy = get_strategy("forkserver-pool")
-        monkeypatch.setattr(pool_strategy, "_workers", 1)
+        monkeypatch.setattr(importlib.import_module("repro.core.strategies"),
+                            "ForkServerPool",
+                            functools.partial(ForkServerPool, 1))
         yield
-        pool_strategy.shutdown()  # the next test boots the usual pool
+        get_strategy("forkserver-pool").shutdown()  # the usual pool next
 
     def test_kill_helper_fails_over_inside_the_attempt(self, tmp_path, path):
         server, client = self.serve(tmp_path, path)

@@ -3,6 +3,7 @@
 import time
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,11 +30,9 @@ class TestSpawnPolicyShape:
         with pytest.raises(SpawnError):
             SpawnPolicy(retries=-1)
         with pytest.raises(SpawnError):
-            SpawnPolicy(backoff_multiplier=0.5)
-        with pytest.raises(SpawnError):
-            SpawnPolicy(jitter=1.5)
-        with pytest.raises(SpawnError):
             SpawnPolicy(breaker_threshold=0)
+        with pytest.raises(SpawnError):
+            SpawnPolicy(backoff=-1)  # the Backoff's base validates it
         # The four back-off numbers are the Backoff's to validate.
         for bad in ({"base": -1}, {"cap": -1}, {"multiplier": 0.5},
                     {"jitter": 1.5}):
@@ -49,7 +48,8 @@ class TestSpawnPolicyShape:
            index=st.integers(0, 40), u=st.floats(0.0, 1.0))
     def test_the_one_schedule(self, base, multiplier, cap, jitter, index, u):
         """Capped, exponential, symmetrically jittered, non-decreasing
-        — and the policy's delay is its four fields' ``Backoff``."""
+        — and the policy's delay is the default ``Backoff`` from its
+        ``backoff``."""
         schedule = Backoff(base, multiplier, cap, jitter)
         delay = schedule.delay(index, lambda: u)
         assert 0.0 <= delay <= cap * (1.0 + jitter)
@@ -62,9 +62,8 @@ class TestSpawnPolicyShape:
         assert schedule.delay(index, lambda: 1.0) == pytest.approx(
             bare * (1.0 + jitter))
         assert schedule.delay(index + 1, lambda: u) >= delay
-        policy = SpawnPolicy(backoff=base, backoff_multiplier=multiplier,
-                             backoff_max=cap, jitter=jitter)
-        assert policy.backoff_delay(index, lambda: u) == delay
+        assert SpawnPolicy(backoff=base).backoff_delay(index, lambda: u) == (
+            Backoff(base).delay(index, lambda: u))
 
 
 class TestCircuitBreaker:
@@ -200,7 +199,8 @@ def _template_degrade(policy):
     # The template tier is the head; what the others start on is its
     # first fallback.  A cold profile with no grace degrades at once.
     policy = replace(policy, fallback=("forkserver-pool",) + policy.fallback)
-    with TemplateRegistry(policy=policy, miss_grace=0.0) as registry:
+    with mock.patch.object(TemplateRegistry, "miss_grace", 0.0), \
+            TemplateRegistry(policy=policy) as registry:
         registry.register(TemplateProfile("dry", stock=0))
         return registry.spawn("dry", code="pass")
 

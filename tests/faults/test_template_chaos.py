@@ -16,15 +16,15 @@ from repro.core import TemplateProfile, TemplateRegistry
 from repro.core.templates import AutoscaleConfig, TemplateMiss, TemplateServer
 from repro.faults import FAULTS, FaultPlan
 
-SNAPPY = AutoscaleConfig(idle_ttl=5.0, step=2)
+SNAPPY = AutoscaleConfig(step=2)
 
 FALLBACK_TIERS = {"forkserver-pool", "forkserver", "posix_spawn"}
 
 
 class TestHelperDeath:
-    def test_sigkill_mid_service_degrades_then_rewarns(self):
-        with TemplateRegistry(autoscale=SNAPPY,
-                              miss_grace=0.05) as registry:
+    def test_sigkill_mid_service_degrades_then_rewarns(self, monkeypatch):
+        monkeypatch.setattr(TemplateRegistry, "miss_grace", 0.05)
+        with TemplateRegistry(autoscale=SNAPPY) as registry:
             registry.register(TemplateProfile("p", stock=2, max_stock=4))
             os.kill(registry.server_for("p")._pid, signal.SIGKILL)
 
@@ -68,9 +68,10 @@ class TestHelperDeath:
 
 
 class TestDrainedStock:
-    def test_no_grace_falls_back_then_miss_pressure_provisions(self):
-        with TemplateRegistry(autoscale=SNAPPY,
-                              miss_grace=0.0) as registry:
+    def test_no_grace_falls_back_then_miss_pressure_provisions(
+            self, monkeypatch):
+        monkeypatch.setattr(TemplateRegistry, "miss_grace", 0.0)
+        with TemplateRegistry(autoscale=SNAPPY) as registry:
             registry.register(TemplateProfile("dry", stock=0, max_stock=2))
             # A program needs no stock: the dry template still serves it.
             spawned = registry.spawn("dry", ["/bin/true"])
@@ -108,16 +109,17 @@ class TestDrainedStock:
 
 
 class TestInjectedRefusal:
-    def test_helper_side_lease_refusal_rides_the_full_ladder(self):
+    def test_helper_side_lease_refusal_rides_the_full_ladder(
+            self, monkeypatch):
         # point="helper" plants the refusal inside every helper booted
         # while the plan is active: the template lease refuses (EACCES,
         # not a miss), and each generic fallback helper refuses its
         # first exec too — the request must still land, even if only
         # the posix_spawn floor will take it.
         plan = FaultPlan().add("refuse_exec", point="helper", times=1)
+        monkeypatch.setattr(TemplateRegistry, "miss_grace", 0.0)
         with FAULTS.active(plan):
-            with TemplateRegistry(autoscale=SNAPPY,
-                                  miss_grace=0.0) as registry:
+            with TemplateRegistry(autoscale=SNAPPY) as registry:
                 registry.register(TemplateProfile("p", stock=1,
                                                   max_stock=2))
                 child = registry.spawn("p", ["/bin/echo", "landed"])

@@ -186,10 +186,11 @@ class TestOrdering:
 
 class TestClaims:
     def test_child_spawned_before_a_conn_reset_keeps_its_status(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.02))
         server = make_server(tmp_path)
         claims = count_ops(server, "wait")
-        client = dial(server, backoff=Backoff(0.02))
+        client = dial(server)
         try:
             child = client.spawn(("/bin/sh", "-c", "sleep 0.3; exit 7"))
             with FAULTS.active(FaultPlan().add("conn_reset", times=1)):
@@ -205,9 +206,10 @@ class TestClaims:
             server.stop()
 
     def test_exit_during_the_blip_is_claimed_from_the_daemon(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.02))
         server = make_server(tmp_path)
-        client = dial(server, backoff=Backoff(0.02))
+        client = dial(server)
         try:
             child = client.spawn(("/bin/sh", "-c", "sleep 0.2; exit 9"))
             client._channel.sock.shutdown(socket.SHUT_RDWR)

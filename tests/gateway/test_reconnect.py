@@ -3,7 +3,7 @@
 The contract under test (docs/GATEWAY.md "failure modes"): a dead
 channel surfaces as the typed
 :class:`~repro.errors.GatewayConnectionLost` — never a hang, never a
-bare ``OSError`` — and with ``reconnect`` enabled the next operation
+bare ``OSError`` — and unless ``max_reconnects=0`` the next operation
 re-dials, re-runs the ``hello`` re-auth, and re-issues idempotent ops
 so an in-flight child's exit status survives the blip.  Alongside ride
 the two hygiene regressions: the correlation map may not accumulate
@@ -42,7 +42,7 @@ class TestTypedConnectionLoss:
     def test_channel_death_is_typed_not_a_hang(self, tmp_path):
         server = make_server(tmp_path)
         client = GatewayClient(server.unix_path, tenant="acme",
-                               token=TOKEN, reconnect=False).connect()
+                               token=TOKEN, max_reconnects=0).connect()
         try:
             assert client.ping()["pong"] is True
             server.stop()
@@ -58,7 +58,7 @@ class TestTypedConnectionLoss:
     def test_reconnect_disabled_says_so(self, tmp_path):
         server = make_server(tmp_path)
         client = GatewayClient(server.unix_path, tenant="acme",
-                               token=TOKEN, reconnect=False).connect()
+                               token=TOKEN, max_reconnects=0).connect()
         try:
             server.stop()
             with pytest.raises(GatewayError):
@@ -69,12 +69,12 @@ class TestTypedConnectionLoss:
         finally:
             client.close()
 
-    def test_exhausted_reconnects_name_the_attempt_budget(self, tmp_path):
+    def test_exhausted_reconnects_name_the_attempt_budget(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.01))
         server = make_server(tmp_path)
         client = GatewayClient(server.unix_path, tenant="acme",
-                               token=TOKEN, reconnect=True,
-                               max_reconnects=2,
-                               backoff=Backoff(0.01)).connect()
+                               token=TOKEN, max_reconnects=2).connect()
         try:
             server.stop()
             # The socket path is gone for good: every re-dial fails and
@@ -100,15 +100,15 @@ class TestTypedConnectionLoss:
 
 
 class TestReconnectSemantics:
-    def test_reauth_runs_before_the_retried_op(self, tmp_path):
+    def test_reauth_runs_before_the_retried_op(self, tmp_path, monkeypatch):
         """After a daemon restart the retried op must succeed — which is
         only possible if the hello re-auth ran first, because every
         authed op on a fresh connection is refused without it."""
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.02))
         server = make_server(tmp_path)
         address = server.unix_path
         client = GatewayClient(address, tenant="acme", token=TOKEN,
-                               reconnect=True, max_reconnects=8,
-                               backoff=Backoff(0.02)).connect()
+                               max_reconnects=8).connect()
         try:
             assert client.stats()["tenants"]["acme"] is not None
             server.stop()
@@ -122,13 +122,13 @@ class TestReconnectSemantics:
             server.stop()
 
     def test_wait_reissued_after_reconnect_returns_real_status(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """A connection blip between spawn and wait must not lose the
         child: the re-issued wait reports its true exit status."""
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.02))
         server = make_server(tmp_path)
         client = GatewayClient(server.unix_path, tenant="acme",
-                               token=TOKEN, reconnect=True,
-                               backoff=Backoff(0.02)).connect()
+                               token=TOKEN).connect()
         try:
             child = client.spawn(("/bin/sh", "-c", "sleep 0.2; exit 7"))
             # Kill the transport under the client; the daemon (and the
@@ -140,14 +140,15 @@ class TestReconnectSemantics:
             client.close()
             server.stop()
 
-    def test_spawn_not_reissued_after_frame_was_sent(self, tmp_path):
+    def test_spawn_not_reissued_after_frame_was_sent(self, tmp_path,
+                                                     monkeypatch):
         """An ambiguous loss (spawn frame fully sent, then the daemon
         vanished) must surface, not silently double-spawn."""
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.01))
         fake = FakeDaemon(str(tmp_path / "hangup.sock"),
                           hangup_on_request=True)
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
-                               reconnect=True, max_reconnects=3,
-                               backoff=Backoff(0.01)).connect()
+                               max_reconnects=3).connect()
         try:
             with pytest.raises(GatewayConnectionLost):
                 client.spawn(("/bin/true",))
@@ -162,7 +163,7 @@ class TestReconnectSemantics:
 class TestRestartedDaemon:
     @pytest.mark.parametrize("transport", ["unix", "tcp"])
     def test_a_spawn_after_a_restart_is_reissued_not_lost(
-            self, tmp_path, transport):
+            self, tmp_path, transport, monkeypatch):
         """The client reads nothing between calls, so a daemon that
         restarted is noticed by the next call's pump, before its frame
         goes out: the spawn is re-issued as ``unsent`` on a new
@@ -175,8 +176,9 @@ class TestRestartedDaemon:
             server = make_server(tmp_path, unix_path=None, tcp_port=0)
             server.config.tcp_port = server.tcp_port  # restart on it
             address = ("127.0.0.1", server.tcp_port)
-        client = GatewayClient(address, tenant="acme", token=TOKEN,
-                               backoff=Backoff(0.01)).connect()
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.01))
+        client = GatewayClient(address, tenant="acme",
+                               token=TOKEN).connect()
         try:
             assert client.spawn(["/bin/true"]).wait(timeout=10) == 0
             server.stop()
@@ -197,16 +199,16 @@ class TestRestartedDaemon:
 
 
 class TestCloseInterruptsReconnect:
-    def test_close_does_not_wait_out_the_reconnect_budget(self, tmp_path):
+    def test_close_does_not_wait_out_the_reconnect_budget(self, tmp_path,
+                                                          monkeypatch):
         """close() must interrupt an in-progress reconnect loop (which
         holds the connection lock across its backoff waits) instead of
         blocking for the whole multi-second budget."""
+        monkeypatch.setattr(GatewayClient, "backoff",
+                            Backoff(0.5, cap=0.5, jitter=0.0))
         server = make_server(tmp_path)
         client = GatewayClient(server.unix_path, tenant="acme",
-                               token=TOKEN, reconnect=True,
-                               max_reconnects=40,
-                               backoff=Backoff(0.5, cap=0.5,
-                                               jitter=0.0)).connect()
+                               token=TOKEN, max_reconnects=40).connect()
         server.stop()  # the socket path is gone: every re-dial fails
         failures = []
 
@@ -257,11 +259,13 @@ class TestARefusalReachesTheCallerAtOnce:
     hint is the caller's (or its ladder's) to honour, inside the
     caller's own deadline."""
 
-    def test_a_hint_is_handed_over_not_slept_out(self, tmp_path):
+    def test_a_hint_is_handed_over_not_slept_out(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(cap=0.01))
         fake = _RateLimitingServer(str(tmp_path / "rl.sock"),
                                    retry_after=5.0)
-        client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
-                               backoff=Backoff(cap=0.01)).connect()
+        client = GatewayClient(fake.path, tenant="acme",
+                               token=TOKEN).connect()
         try:
             started = time.monotonic()
             with pytest.raises(RateLimited) as refusal:
@@ -327,7 +331,7 @@ class TestCorrelationMapHygiene:
     def test_timeout_pops_the_pending_entry(self, tmp_path):
         fake = FakeDaemon(str(tmp_path / "silent.sock"))
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
-                               reconnect=False).connect()
+                               max_reconnects=0).connect()
         try:
             with pytest.raises(SpawnTimeout):
                 client._roundtrip({"op": "stats"}, timeout=0.2)
@@ -341,7 +345,7 @@ class TestCorrelationMapHygiene:
         strand its correlation-map entry."""
         fake = FakeDaemon(str(tmp_path / "silent.sock"))
         client = GatewayClient(fake.path, tenant="acme", token=TOKEN,
-                               reconnect=False).connect()
+                               max_reconnects=0).connect()
         try:
             huge = {"op": "stats", "pad": "x" * (5 * 1024 * 1024)}
             with pytest.raises(GatewayProtocolError):

@@ -820,6 +820,22 @@ class TestConfig:
         assert config.tenants["b"].rate is None
         assert config.tenants["b"].admin is False
 
+    @pytest.mark.parametrize("tenant, key", [
+        ({"name": "a"}, "token"),
+        ({"name": "a", "token": "t", "max_queue": "lots"}, "max_queue"),
+        ({"name": "a", "token": "t", "policy": {"jitter": 0.5}}, "jitter"),
+        ({"name": "a", "token": "t", "policy": {"retries": -1}}, "retries"),
+        ({"name": "a", "token": "t", "admin": "false"}, "admin"),
+    ], ids=["no-token", "max-queue-not-a-number", "removed-policy-key",
+            "negative-retries", "admin-not-a-bool"])
+    def test_a_malformed_tenant_is_one_typed_error(self, tenant, key):
+        with pytest.raises(GatewayError) as refusal:
+            GatewayConfig.from_dict({"unix_path": "/tmp/x.sock",
+                                     "tenants": [tenant]})
+        assert type(refusal.value) is GatewayError
+        assert "tenant 'a'" in str(refusal.value)
+        assert key in str(refusal.value)
+
     def test_a_retired_key_in_an_old_config_still_loads(self):
         # executor_threads is gone (the executor is the failure
         # ladder's, sized by max_inflight); files that carry it load.

@@ -31,11 +31,15 @@ def make_config(tmp_path, **tenant_kwargs):
         drain_grace=3.0)
 
 
-def make_supervisor(tmp_path, **kwargs):
-    kwargs.setdefault("check_interval", 0.02)
-    kwargs.setdefault("backoff", Backoff(0.01, jitter=0.0))
-    kwargs.setdefault("orphan_grace", 1.0)
-    return GatewaySupervisor(make_config(tmp_path), **kwargs)
+def make_supervisor(tmp_path, monkeypatch, *,
+                    backoff=Backoff(0.01, jitter=0.0), **constants):
+    """A supervisor on a fast tick; ``constants`` override its class
+    constants (``orphan_grace`` 1.0 unless given) for the test."""
+    constants.setdefault("orphan_grace", 1.0)
+    for name, value in constants.items():
+        monkeypatch.setattr(GatewaySupervisor, name, value)
+    return GatewaySupervisor(make_config(tmp_path), check_interval=0.02,
+                             backoff=backoff)
 
 
 def wait_for(predicate, timeout=15.0, message="condition"):
@@ -67,8 +71,9 @@ class TestPing:
 
 
 class TestRestart:
-    def test_crash_is_restarted_on_the_same_address(self, tmp_path):
-        with make_supervisor(tmp_path) as supervisor:
+    def test_crash_is_restarted_on_the_same_address(self, tmp_path,
+                                                    monkeypatch):
+        with make_supervisor(tmp_path, monkeypatch) as supervisor:
             address = supervisor.address
             assert supervisor.healthy()
             supervisor.server.crash()
@@ -79,12 +84,13 @@ class TestRestart:
                      message="restarted daemon answering pings")
             assert not supervisor.gave_up
 
-    def test_clients_reconnect_through_the_restart(self, tmp_path):
-        with make_supervisor(tmp_path) as supervisor:
+    def test_clients_reconnect_through_the_restart(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.02))
+        with make_supervisor(tmp_path, monkeypatch) as supervisor:
             client = GatewayClient(supervisor.address, tenant="acme",
-                                   token=TOKEN, reconnect=True,
-                                   max_reconnects=8,
-                                   backoff=Backoff(0.02)).connect()
+                                   token=TOKEN,
+                                   max_reconnects=8).connect()
             try:
                 assert client.spawn(("/bin/true",)).wait(timeout=30) == 0
                 supervisor.server.crash()
@@ -95,8 +101,8 @@ class TestRestart:
             finally:
                 client.close()
 
-    def test_exhausted_restart_budget_gives_up(self, tmp_path):
-        supervisor = make_supervisor(tmp_path, max_restarts=0,
+    def test_exhausted_restart_budget_gives_up(self, tmp_path, monkeypatch):
+        supervisor = make_supervisor(tmp_path, monkeypatch, max_restarts=0,
                                      healthy_reset=60.0)
         supervisor.start()
         try:
@@ -109,12 +115,12 @@ class TestRestart:
             supervisor.stop()
 
     def test_delays_are_the_backoffs_and_give_up_is_the_breaker(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """A daemon that never comes back: each restart waits the
         ``Backoff``'s delay for its place in the run of failures, and
         failure ``max_restarts + 1`` opens the breaker — gave_up."""
         backoff = Backoff(0.004, multiplier=3.0, cap=0.03, jitter=0.0)
-        supervisor = make_supervisor(tmp_path, max_restarts=3,
+        supervisor = make_supervisor(tmp_path, monkeypatch, max_restarts=3,
                                      healthy_reset=60.0, backoff=backoff)
         supervisor.start()
         try:
@@ -138,8 +144,8 @@ class TestRestart:
         finally:
             supervisor.stop()
 
-    def test_stop_is_idempotent_and_final(self, tmp_path):
-        supervisor = make_supervisor(tmp_path).start()
+    def test_stop_is_idempotent_and_final(self, tmp_path, monkeypatch):
+        supervisor = make_supervisor(tmp_path, monkeypatch).start()
         address = supervisor.address
         supervisor.stop()
         supervisor.stop()
@@ -178,10 +184,11 @@ class TestTcpOnlySupervision:
                      message="restarted tcp daemon answering pings")
             assert not supervisor.gave_up
 
-    def test_monitor_survives_an_unexpected_probe_error(self, tmp_path):
+    def test_monitor_survives_an_unexpected_probe_error(self, tmp_path,
+                                                        monkeypatch):
         """An exception escaping a health probe must not kill the
         monitor thread: supervision reports it and keeps ticking."""
-        supervisor = make_supervisor(tmp_path).start()
+        supervisor = make_supervisor(tmp_path, monkeypatch).start()
         try:
             real_healthy = supervisor.healthy
             blew_up = {"n": 0}
@@ -203,13 +210,15 @@ class TestTcpOnlySupervision:
 
 
 class TestOrphanReconciliation:
-    def test_crash_with_a_running_child_reaps_it(self, tmp_path):
+    def test_crash_with_a_running_child_reaps_it(self, tmp_path,
+                                                 monkeypatch):
         """A long-running child stranded by the crash must be claimed
         and killed by the supervisor, not leaked."""
-        with make_supervisor(tmp_path, orphan_grace=0.2) as supervisor:
+        monkeypatch.setattr(GatewayClient, "backoff", Backoff(0.02))
+        with make_supervisor(tmp_path, monkeypatch,
+                             orphan_grace=0.2) as supervisor:
             client = GatewayClient(supervisor.address, tenant="acme",
-                                   token=TOKEN, reconnect=True,
-                                   backoff=Backoff(0.02)).connect()
+                                   token=TOKEN).connect()
             try:
                 child = client.spawn(("/bin/sh", "-c", "sleep 60"))
                 pid = child.pid
@@ -229,7 +238,7 @@ class TestOrphanReconciliation:
                 client.close()
 
     def test_an_unreapable_handle_costs_no_grace_and_no_kill(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """One handle whose service died with the daemon, listed before
         a child that has already exited: the dead handle is killed at
         once, and the exited child is reaped, not killed, well inside
@@ -251,7 +260,7 @@ class TestOrphanReconciliation:
         kills = []
         exited.kill = lambda: kills.append(exited.pid)
         dead = Unreapable()
-        supervisor = make_supervisor(tmp_path, orphan_grace=2.0)
+        supervisor = make_supervisor(tmp_path, monkeypatch, orphan_grace=2.0)
         began = time.monotonic()
         supervisor._reap([dead, exited])
         assert time.monotonic() - began < 1.0
@@ -259,8 +268,10 @@ class TestOrphanReconciliation:
         assert dead.killed
         assert supervisor.orphans_reaped == 2
 
-    def test_stop_reaps_children_the_daemon_still_held(self, tmp_path):
-        supervisor = make_supervisor(tmp_path, orphan_grace=0.2).start()
+    def test_stop_reaps_children_the_daemon_still_held(self, tmp_path,
+                                                       monkeypatch):
+        supervisor = make_supervisor(tmp_path, monkeypatch,
+                                     orphan_grace=0.2).start()
         client = GatewayClient(supervisor.address, tenant="acme",
                                token=TOKEN).connect()
         child = client.spawn(("/bin/sh", "-c", "sleep 60"))
